@@ -196,21 +196,8 @@ def _sweep_worker(task):
     dets_path, features_path, gt_path, ns_dict, param, value = task
     ns = argparse.Namespace(**ns_dict)
     frames = _load_sequence(dets_path, features_path)
-    params = _tracker_params(ns)
-    cfg_kwargs = {
-        "alpha": ns.alpha,
-        "horizon": ns.horizon,
-        "window": ns.window,
-        "beta": ns.beta,
-        "variant": Variant(ns.variant),
-        "cand_iou": ns.cand_iou,
-        "cand_app": ns.cand_app,
-        "crowd_ratio": ns.crowd_ratio,
-        "enable_candidate_filter": not ns.no_candidate_filter,
-        "enable_crowd_heuristic": not ns.no_crowd,
-    }
-    cfg_kwargs[param] = int(value) if param in ("horizon", "window") else value
-    cfg = AdpConfig(**cfg_kwargs)
+    setattr(ns, param, int(value) if param in ("horizon", "window") else value)
+    params, cfg = _tracker_params(ns), _adp_config(ns)
     start = time.perf_counter()
     rows = run_adp(frames, params, cfg)
     runtime = time.perf_counter() - start
@@ -307,23 +294,26 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"adptrack {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_track = sub.add_parser("track", help="run the base or rollout tracker on a detection file")
+    # tracker and rollout flags shared by track and sweep
+    tracker = argparse.ArgumentParser(add_help=False)
+    tracker.add_argument("--variant", choices=("main", "f1", "f2", "f3"), default="main")
+    tracker.add_argument("--alpha", type=float, default=0.25)
+    tracker.add_argument("--horizon", type=int, default=15)
+    tracker.add_argument("--window", type=int, default=5)
+    tracker.add_argument("--beta", type=float, default=0.15)
+    tracker.add_argument("--cand-iou", type=float, default=0.3)
+    tracker.add_argument("--cand-app", type=float, default=0.25)
+    tracker.add_argument("--crowd-ratio", type=float, default=0.5)
+    tracker.add_argument("--no-candidate-filter", action="store_true")
+    tracker.add_argument("--no-crowd", action="store_true")
+    tracker.add_argument("--match-threshold", type=float, default=0.2)
+    tracker.add_argument("--max-age", type=int, default=30)
+
+    p_track = sub.add_parser("track", parents=[tracker], help="run the base or rollout tracker on a detection file")
     p_track.add_argument("--dets", required=True)
     p_track.add_argument("--features", required=True)
     p_track.add_argument("--out", required=True)
     p_track.add_argument("--mode", choices=("base", "adp"), default="adp")
-    p_track.add_argument("--variant", choices=("main", "f1", "f2", "f3"), default="main")
-    p_track.add_argument("--alpha", type=float, default=0.25)
-    p_track.add_argument("--horizon", type=int, default=15)
-    p_track.add_argument("--window", type=int, default=5)
-    p_track.add_argument("--beta", type=float, default=0.15)
-    p_track.add_argument("--cand-iou", type=float, default=0.3)
-    p_track.add_argument("--cand-app", type=float, default=0.25)
-    p_track.add_argument("--crowd-ratio", type=float, default=0.5)
-    p_track.add_argument("--no-candidate-filter", action="store_true")
-    p_track.add_argument("--no-crowd", action="store_true")
-    p_track.add_argument("--match-threshold", type=float, default=0.2)
-    p_track.add_argument("--max-age", type=int, default=30)
     p_track.set_defaults(func=cmd_track)
 
     p_eval = sub.add_parser("eval", help="score a result file against ground truth")
@@ -350,25 +340,13 @@ def build_parser() -> _Parser:
     p_synth.add_argument("--no-mix", action="store_true")
     p_synth.set_defaults(func=cmd_synth)
 
-    p_sweep = sub.add_parser("sweep", help="evaluate the tracker over a list of parameter values")
+    p_sweep = sub.add_parser("sweep", parents=[tracker], help="evaluate the tracker over a list of parameter values")
     p_sweep.add_argument("--param", required=True)
     p_sweep.add_argument("--values", required=True)
     p_sweep.add_argument("--dets", required=True)
     p_sweep.add_argument("--features", required=True)
     p_sweep.add_argument("--gt", required=True)
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--variant", choices=("main", "f1", "f2", "f3"), default="main")
-    p_sweep.add_argument("--alpha", type=float, default=0.25)
-    p_sweep.add_argument("--horizon", type=int, default=15)
-    p_sweep.add_argument("--window", type=int, default=5)
-    p_sweep.add_argument("--beta", type=float, default=0.15)
-    p_sweep.add_argument("--cand-iou", type=float, default=0.3)
-    p_sweep.add_argument("--cand-app", type=float, default=0.25)
-    p_sweep.add_argument("--crowd-ratio", type=float, default=0.5)
-    p_sweep.add_argument("--no-candidate-filter", action="store_true")
-    p_sweep.add_argument("--no-crowd", action="store_true")
-    p_sweep.add_argument("--match-threshold", type=float, default=0.2)
-    p_sweep.add_argument("--max-age", type=int, default=30)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_mda = sub.add_parser("mda-oracle", help="compare the exact solver with the forward pass on random instances")

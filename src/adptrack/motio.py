@@ -10,6 +10,7 @@ and a fixed sort order so reruns are byte-comparable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import BoundingBox, Detection, FeatureVec, FrameData
@@ -51,6 +52,8 @@ def _parse_fields(path, lineno, line, minimum):
         numbers = [float(x) for x in fields[2:minimum]]
     except ValueError as exc:
         raise DataError(f"{path}:{lineno}: {exc}") from None
+    if not all(math.isfinite(x) for x in numbers):
+        raise DataError(f"{path}:{lineno}: non-finite number in {','.join(fields[2:minimum])}")
     return frame, obj_id, numbers
 
 

@@ -5,6 +5,12 @@ by their per-frame velocities. All noise magnitudes scale with the current
 box height. The initial velocity variance is deliberately enormous (a flat
 prior): with exact constant-velocity input the filter then locks onto the
 true velocity within two updates instead of dragging a damped transient.
+
+The transition, the noise and the prior treat the four box components alike,
+so the 8x8 covariance is always kron([[pp, pv], [pv, vv]], I4). The state
+keeps only that 2x2 block, and predict and update are scalar arithmetic on
+it. Each block entry is computed with the same products, in the same order,
+as the 8x8 Joseph-form recursion, so both give bit-identical results.
 """
 
 from __future__ import annotations
@@ -18,11 +24,6 @@ from .core import BoundingBox, from_center, to_center
 __all__ = ["MotionNoise", "KalmanState", "kf_init", "kf_predict", "kf_update", "state_to_bbox"]
 
 _MIN_SIZE = 1e-3
-
-_F = np.eye(8)
-for _i in range(4):
-    _F[_i, _i + 4] = 1.0  # dt = 1 frame
-_H = np.eye(4, 8)
 
 
 @dataclass(frozen=True)
@@ -49,63 +50,69 @@ DEFAULT_NOISE = MotionNoise()
 
 
 class KalmanState:
-    """Immutable filter state: 8-vector mean and 8x8 covariance."""
+    """Immutable filter state: 8-vector mean and the covariance block (pp, pv, vv)."""
 
-    __slots__ = ("mean", "covariance")
+    __slots__ = ("mean", "block")
 
-    def __init__(self, mean, covariance):
-        mean = np.asarray(mean, dtype=np.float64)
-        covariance = np.asarray(covariance, dtype=np.float64)
-        if mean.shape != (8,) or covariance.shape != (8, 8):
-            raise ValueError("state needs an 8-vector mean and an 8x8 covariance")
-        mean = mean.copy()
-        covariance = covariance.copy()
+    def __init__(self, mean, block):
+        mean = np.array(mean, dtype=np.float64)
+        block = tuple(block)
+        if mean.shape != (8,) or len(block) != 3:
+            raise ValueError("state needs an 8-vector mean and a (pp, pv, vv) covariance block")
         mean.flags.writeable = False
-        covariance.flags.writeable = False
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", covariance)
+        object.__setattr__(self, "block", block)
 
     def __setattr__(self, name, value):
         raise AttributeError("KalmanState is immutable")
 
+    @property
+    def covariance(self) -> np.ndarray:
+        """Read-only 8x8 covariance kron([[pp, pv], [pv, vv]], I4)."""
+        pp, pv, vv = self.block
+        covariance = np.kron([[pp, pv], [pv, vv]], np.eye(4))
+        covariance.flags.writeable = False
+        return covariance
 
-def _scale_height(mean: np.ndarray) -> float:
+
+def _scale_height(mean) -> float:
     return max(abs(float(mean[3])), _MIN_SIZE)
 
 
 def kf_init(b: BoundingBox, noise: MotionNoise = DEFAULT_NOISE) -> KalmanState:
     """Start a filter at a measured box with zero velocity and a flat velocity prior."""
     cx, cy, w, h = to_center(b)
-    mean = np.array([cx, cy, w, h, 0.0, 0.0, 0.0, 0.0])
-    pos_std = noise.init_pos * h
-    vel_std = noise.init_vel * h
-    covariance = np.diag([pos_std**2] * 4 + [vel_std**2] * 4)
-    return KalmanState(mean, covariance)
+    return KalmanState([cx, cy, w, h, 0.0, 0.0, 0.0, 0.0], ((noise.init_pos * h) ** 2, 0.0, (noise.init_vel * h) ** 2))
 
 
 def kf_predict(s: KalmanState, noise: MotionNoise = DEFAULT_NOISE) -> KalmanState:
     """Advance the state one frame under constant velocity, inflating uncertainty."""
-    h = _scale_height(s.mean)
-    q = np.diag([(noise.pos * h) ** 2] * 4 + [(noise.vel * h) ** 2] * 4)
-    mean = _F @ s.mean
-    covariance = _F @ s.covariance @ _F.T + q
-    covariance = (covariance + covariance.T) / 2.0
-    return KalmanState(mean, covariance)
+    m = s.mean.tolist()
+    h = _scale_height(m)
+    pp, pv, vv = s.block
+    # F m and F P F^T + Q, with F = [[1, 1], [0, 1]] per box component
+    mean = [x + v for x, v in zip(m[:4], m[4:])] + m[4:]
+    return KalmanState(mean, ((pp + pv) + (pv + vv) + (noise.pos * h) ** 2, pv + vv, vv + (noise.vel * h) ** 2))
 
 
 def kf_update(s: KalmanState, measurement: BoundingBox, noise: MotionNoise = DEFAULT_NOISE) -> KalmanState:
     """Correct the state against a measured box (Joseph-form covariance update)."""
-    z = np.array(to_center(measurement))
-    h = _scale_height(s.mean)
-    r = np.diag([(noise.meas * h) ** 2] * 4)
-    innovation = z - _H @ s.mean
-    s_mat = _H @ s.covariance @ _H.T + r
-    gain = s.covariance @ _H.T @ np.linalg.inv(s_mat)
-    mean = s.mean + gain @ innovation
-    ikh = np.eye(8) - gain @ _H
-    covariance = ikh @ s.covariance @ ikh.T + gain @ r @ gain.T
-    covariance = (covariance + covariance.T) / 2.0
-    return KalmanState(mean, covariance)
+    m = s.mean.tolist()
+    h = _scale_height(m)
+    r = (noise.meas * h) ** 2
+    pp, pv, vv = s.block
+    inv_s = 1.0 / (pp + r)
+    kp, kv = pp * inv_s, pv * inv_s
+    innovation = [z - x for z, x in zip(to_center(measurement), m)]
+    mean = [x + kp * e for x, e in zip(m, innovation)] + [v + kv * e for v, e in zip(m[4:], innovation)]
+    # (I - KH) P (I - KH)^T + K R K^T with I - KH = [[a, 0], [-kv, 1]]; the two
+    # off-diagonal terms are averaged as the symmetrisation (C + C^T) / 2 does.
+    a = 1.0 - kp
+    m00, m01 = a * pp, a * pv
+    m10, m11 = -kv * pp + pv, -kv * pv + vv
+    pv_upper = (-kv * m00 + m01) + kp * r * kv
+    pv_lower = m10 * a + kv * r * kp
+    return KalmanState(mean, (m00 * a + kp * r * kp, (pv_upper + pv_lower) / 2.0, (-kv * m10 + m11) + kv * r * kv))
 
 
 def state_to_bbox(s: KalmanState) -> BoundingBox:

@@ -151,22 +151,32 @@ def score_main(track: Track, tent: TentativeTrack, cfg: AdpConfig) -> float:
     return _mean_pairwise_cos(window_feats, [det.feature for _, det in entries])
 
 
-def score_f1(track: Track, tent: TentativeTrack) -> float:
-    """Motion-only score: mean IOU of a filter clone walked along the tentative track.
+def _walk(track: Track, tent: TentativeTrack):
+    """Walk a clone of the track's filter along the tentative track.
 
-    The clone starts from the track's own state, so the first prediction is
-    the track's one-step forecast; after scoring each entry the clone is
-    corrected with it.
+    Yields (frame, det, walk_iou) per entry, where walk_iou is the IOU of the
+    clone's prediction with the entry. The clone starts from the track's own
+    state, so the first prediction is the track's one-step forecast; after
+    each entry the clone is corrected with it.
     """
-    if not tent.entries:
-        return 0.0
     state = track.kalman
-    total = 0.0
-    for _, det in tent.entries:
+    for frame_idx, det in tent.entries:
         state = kf_predict(state)
-        total += iou(state_to_bbox(state), det.bbox)
+        yield frame_idx, det, iou(state_to_bbox(state), det.bbox)
         state = kf_update(state, det.bbox)
-    return total / len(tent.entries)
+
+
+def _mean(values: list[float]) -> float:
+    """Left-to-right mean, 0 when empty (sum() rounds differently from Python 3.12 on)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values) if values else 0.0
+
+
+def score_f1(track: Track, tent: TentativeTrack) -> float:
+    """Motion-only score: mean IOU of the filter-clone walk along the tentative track."""
+    return _mean([walk_iou for _, _, walk_iou in _walk(track, tent)])
 
 
 def score_f2(track: Track, target_det: Detection, cfg: AdpConfig) -> float:
@@ -181,17 +191,7 @@ def score_f3(track: Track, tent: TentativeTrack) -> float:
     the representative feature is never updated during the walk. Negative
     cosines clamp to zero so the score stays in [0, 1].
     """
-    if not tent.entries:
-        return 0.0
-    state = track.kalman
-    total = 0.0
-    for _, det in tent.entries:
-        state = kf_predict(state)
-        overlap = iou(state_to_bbox(state), det.bbox)
-        cos = max(0.0, cosine_sim(track.rep_feature, det.feature))
-        total += min(overlap, cos)
-        state = kf_update(state, det.bbox)
-    return total / len(tent.entries)
+    return _mean([min(w, max(0.0, cosine_sim(track.rep_feature, det.feature))) for _, det, w in _walk(track, tent)])
 
 
 def candidate_filter(track: Track, tent: TentativeTrack, cfg: AdpConfig) -> list[tuple[int, Detection]]:
@@ -200,15 +200,11 @@ def candidate_filter(track: Track, tent: TentativeTrack, cfg: AdpConfig) -> list
     An entry survives when the filter-clone walk still overlaps it and its
     feature resembles the track's representative feature.
     """
-    kept = []
-    state = track.kalman
-    for frame_idx, det in tent.entries:
-        state = kf_predict(state)
-        walk_iou = iou(state_to_bbox(state), det.bbox)
-        if walk_iou >= cfg.cand_iou and cosine_sim(track.rep_feature, det.feature) >= cfg.cand_app:
-            kept.append((frame_idx, det))
-        state = kf_update(state, det.bbox)
-    return kept
+    return [
+        (frame_idx, det)
+        for frame_idx, det, walk_iou in _walk(track, tent)
+        if walk_iou >= cfg.cand_iou and cosine_sim(track.rep_feature, det.feature) >= cfg.cand_app
+    ]
 
 
 def crowd_check(track: Track, cfg: AdpConfig) -> bool:

@@ -151,6 +151,23 @@ def test_data_error_exit_code(tmp_path):
     assert main(["track", "--dets", str(bad), "--features", str(feats), "--out", str(tmp_path / "o.txt")]) == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_coordinates_name_file_and_line(tmp_path, capsys, value):
+    feats = tmp_path / "f.csv"
+    feats.write_text("frame,det,dim=2\n1,0,1,0\n")
+    dets = tmp_path / "det.txt"
+    dets.write_text(f"1,-1,{value},20,5,40,0.9\n")
+    assert main(["track", "--dets", str(dets), "--features", str(feats), "--out", str(tmp_path / "o.txt")]) == 2
+    assert f"data error: {dets}:1: " in capsys.readouterr().err
+
+    gt = tmp_path / "gt.txt"
+    gt.write_text(f"1,1,0,{value},10,10,1,1,1\n")
+    res = tmp_path / "res.txt"
+    res.write_text("1,1,0,0,10,10,1,-1,-1,-1\n")
+    assert main(["eval", "--gt", str(gt), "--res", str(res), "--out", str(tmp_path / "m.csv")]) == 2
+    assert f"data error: {gt}:1: " in capsys.readouterr().err
+
+
 def test_synth_preset_rejects_explicit_flags(tmp_path):
     assert main(["synth", "--out-dir", str(tmp_path / "p"), "--preset", "occlusion-20", "--seed", "4"]) == 2
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adptrack.core import BoundingBox, from_center
+from adptrack.core import BoundingBox, from_center, to_center
 from adptrack.motion import DEFAULT_NOISE, KalmanState, kf_init, kf_predict, kf_update, state_to_bbox
 
 
@@ -48,9 +48,7 @@ def test_init_mean_and_determinism():
 
 def test_predict_moves_center_by_velocity():
     base = kf_init(BoundingBox(0, 0, 2, 4))
-    mean = base.mean.copy()
-    mean = np.array([1, 2, 2, 4, 1, 0, 0, 0.0])
-    s = KalmanState(mean, base.covariance)
+    s = KalmanState(np.array([1, 2, 2, 4, 1, 0, 0, 0.0]), base.block)
     pred = kf_predict(s)
     assert pred.mean[0] == pytest.approx(2.0)
     assert pred.mean[1] == pytest.approx(2.0)
@@ -135,13 +133,54 @@ def test_operations_are_pure():
 def test_state_to_bbox_roundtrip_and_clamp():
     s = kf_init(BoundingBox(0, 0, 2, 4))
     assert state_to_bbox(s) == BoundingBox(0, 0, 2, 4)
-    degenerate = KalmanState(np.array([1, 2, -5, 4, 0, 0, 0, 0.0]), s.covariance)
+    degenerate = KalmanState(np.array([1, 2, -5, 4, 0, 0, 0, 0.0]), s.block)
     box = state_to_bbox(degenerate)
     assert box.width == pytest.approx(1e-3)
 
 
 def test_state_validation():
     with pytest.raises(ValueError):
-        KalmanState(np.zeros(7), np.eye(8))
+        KalmanState(np.zeros(7), (1.0, 0.0, 1.0))
     with pytest.raises(ValueError):
-        KalmanState(np.zeros(8), np.eye(7))
+        KalmanState(np.zeros(8), (1.0, 0.0))
+    with pytest.raises(ValueError):
+        KalmanState(np.zeros(8), np.eye(8))
+    s = KalmanState(np.zeros(8), (4.0, 1.0, 2.0))
+    assert np.array_equal(s.covariance, np.kron([[4.0, 1.0], [1.0, 2.0]], np.eye(4)))
+    with pytest.raises(ValueError):
+        s.covariance[0, 0] = 1.0
+
+
+def test_block_filter_matches_8x8_recursion_exactly():
+    # the plain 8x8 recursion: F P F^T + Q, Joseph form with an inverse, symmetrisation
+    noise = DEFAULT_NOISE
+    F = np.eye(8)
+    F[:4, 4:] = np.eye(4)
+    H = np.eye(4, 8)
+    rng = np.random.default_rng(1357)
+    cycles = 0
+    for _ in range(10):
+        s = kf_init(from_center(*rng.uniform(0, 500, 2), *rng.uniform(5, 150, 2)))
+        mean = s.mean.copy()
+        h0 = mean[3]
+        cov = np.diag([(noise.init_pos * h0) ** 2] * 4 + [(noise.init_vel * h0) ** 2] * 4)
+        for _ in range(25):
+            h = max(abs(float(mean[3])), 1e-3)
+            mean = F @ mean
+            cov = F @ cov @ F.T + np.diag([(noise.pos * h) ** 2] * 4 + [(noise.vel * h) ** 2] * 4)
+            cov = (cov + cov.T) / 2.0
+            s = kf_predict(s)
+            assert np.array_equal(s.mean, mean) and np.array_equal(s.covariance, cov)
+
+            box = from_center(*(mean[:2] + rng.normal(0, 15, 2)), *(np.abs(mean[2:4] + rng.normal(0, 4, 2)) + 1))
+            h = max(abs(float(mean[3])), 1e-3)
+            r = np.diag([(noise.meas * h) ** 2] * 4)
+            gain = cov @ H.T @ np.linalg.inv(H @ cov @ H.T + r)
+            mean = mean + gain @ (np.array(to_center(box)) - H @ mean)
+            ikh = np.eye(8) - gain @ H
+            cov = ikh @ cov @ ikh.T + gain @ r @ gain.T
+            cov = (cov + cov.T) / 2.0
+            s = kf_update(s, box)
+            assert np.array_equal(s.mean, mean) and np.array_equal(s.covariance, cov)
+            cycles += 1
+    assert cycles >= 200
