@@ -1,10 +1,11 @@
 """Online base tracker: gated similarity weights, matching, track lifecycle.
 
-Per frame the tracker predicts every live track one step ahead, scores each
-track/detection pair by the minimum of box overlap and gated appearance
-similarity, solves a thresholded max-weight matching and applies the usual
-lifecycle: matched tracks are corrected and refreshed, unmatched tracks decay
-toward removal, unmatched confident detections spawn new tracks.
+Each live track carries its one-step forecast. Per frame the tracker scores
+each track/detection pair by the minimum of forecast-box overlap and gated
+appearance similarity, solves a thresholded max-weight matching and applies
+the usual lifecycle: matched tracks are corrected and refreshed, unmatched
+tracks decay toward removal, confident unmatched detections spawn new tracks,
+and every surviving track is predicted one frame ahead.
 
 Everything is deterministic; the near-online layer reuses `apply_matching`
 so that both trackers share one lifecycle code path.
@@ -62,7 +63,11 @@ class TrackerParams:
 
 
 class Track:
-    """Mutable per-object record: matched history, motion/appearance state."""
+    """Mutable per-object record: matched history, motion/appearance state.
+
+    `kalman` is the track's one-step forecast: the filter state predicted for
+    the next frame, not the last posterior.
+    """
 
     __slots__ = ("id", "history", "kalman", "rep_feature", "quality", "status", "frames_lost", "age")
 
@@ -71,7 +76,7 @@ class Track:
             raise ValueError("tracking requires detections with appearance features")
         self.id = track_id
         self.history: list[tuple[int, Detection]] = [(frame, det)]
-        self.kalman: KalmanState = kf_init(det.bbox)
+        self.kalman: KalmanState = kf_predict(kf_init(det.bbox))
         self.rep_feature: FeatureVec = det.feature
         # The spawn detection seeds the quality record with a perfect score so
         # quality windows are defined from birth.
@@ -116,13 +121,8 @@ def _pair_scores(pred_box: BoundingBox, rep: FeatureVec, det: Detection, params:
 
 
 def fused_similarity(track: Track, det: Detection, params: TrackerParams) -> float:
-    """min(predicted-box IOU, gated appearance similarity) for one pair.
-
-    The track state is taken as of the previous frame; its one-step
-    prediction is compared against the detection.
-    """
-    pred_box = state_to_bbox(kf_predict(track.kalman))
-    fused, _ = _pair_scores(pred_box, track.rep_feature, det, params)
+    """min(IOU of the track's one-step forecast box, gated appearance similarity) for one pair."""
+    fused, _ = _pair_scores(state_to_bbox(track.kalman), track.rep_feature, det, params)
     return fused
 
 
@@ -139,7 +139,7 @@ def compute_base_weights(state: TrackerState, frame: FrameData) -> WeightMatrix:
     det_idx = eligible_detections(frame, state.params)
     weights = np.zeros((len(tracks), len(det_idx)))
     for i, track in enumerate(tracks):
-        pred_box = state_to_bbox(kf_predict(track.kalman))
+        pred_box = state_to_bbox(track.kalman)
         for jj, j in enumerate(det_idx):
             fused, _ = _pair_scores(pred_box, track.rep_feature, frame.detections[j], state.params)
             weights[i, jj] = fused
@@ -150,16 +150,13 @@ def apply_matching(state: TrackerState, frame: FrameData, matching: Matching) ->
     """Advance one frame applying the lifecycle implied by a matching.
 
     Matching rows index `alive_tracks()`, columns index `eligible_detections`.
+    Matched tracks are corrected; every track not removed is then predicted.
     """
     params = state.params
     tracks = state.alive_tracks()
     det_idx = eligible_detections(frame, params)
     matched_rows = {i for i, _ in matching.pairs}
     matched_cols = {j for _, j in matching.pairs}
-
-    for track in tracks:
-        track.kalman = kf_predict(track.kalman)
-        track.age += 1
 
     for i, jj in matching.pairs:
         track = tracks[i]
@@ -173,12 +170,14 @@ def apply_matching(state: TrackerState, frame: FrameData, matching: Matching) ->
         track.frames_lost = 0
 
     for i, track in enumerate(tracks):
-        if i in matched_rows:
-            continue
-        track.status = TrackStatus.LOST
-        track.frames_lost += 1
-        if track.frames_lost > params.max_age:
-            track.status = TrackStatus.REMOVED
+        track.age += 1
+        if i not in matched_rows:
+            track.status = TrackStatus.LOST
+            track.frames_lost += 1
+            if track.frames_lost > params.max_age:
+                track.status = TrackStatus.REMOVED
+                continue
+        track.kalman = kf_predict(track.kalman)
 
     for jj, j in enumerate(det_idx):
         if jj not in matched_cols:

@@ -10,6 +10,7 @@ and a fixed sort order so reruns are byte-comparable.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 
@@ -57,12 +58,24 @@ def _parse_fields(path, lineno, line, minimum):
     return frame, obj_id, numbers
 
 
+def _numbered_lines(path):
+    """(line number, line) pairs of a UTF-8 text file; undecodable bytes raise a DataError naming their line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bytes before the bad one decode; count the lines they start.
+        lineno = len(io.StringIO(data[: exc.start].decode("utf-8") + "x", newline=None).readlines())
+        raise DataError(f"{path}:{lineno}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return enumerate(io.StringIO(text, newline=None), start=1)
+
+
 def _data_lines(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line:
-                yield lineno, line
+    for lineno, raw in _numbered_lines(path):
+        line = raw.strip()
+        if line:
+            yield lineno, line
 
 
 def read_detections(path) -> list[FrameData]:
@@ -119,37 +132,37 @@ def read_gt(path) -> list[LabeledBox]:
 def read_features(path, dets: list[FrameData]) -> FeatureTable:
     """Parse the feature sidecar and validate coverage against detections."""
     rows: dict[tuple[int, int], FeatureVec] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        parts = header.split(",")
-        if len(parts) != 3 or parts[0] != "frame" or parts[1] != "det" or not parts[2].startswith("dim="):
-            raise DataError(f"{path}:1: bad header {header!r}, expected 'frame,det,dim=D'")
+    lines = _numbered_lines(path)
+    header = next(lines, (1, ""))[1].strip()
+    parts = header.split(",")
+    if len(parts) != 3 or parts[0] != "frame" or parts[1] != "det" or not parts[2].startswith("dim="):
+        raise DataError(f"{path}:1: bad header {header!r}, expected 'frame,det,dim=D'")
+    try:
+        dim = int(parts[2][4:])
+    except ValueError:
+        raise DataError(f"{path}:1: bad dimension in header {header!r}") from None
+    if dim < 2:
+        raise DataError(f"{path}:1: feature dimension must be >= 2, got {dim}")
+    for lineno, raw in lines:
+        line = raw.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != 2 + dim:
+            raise DataError(f"{path}:{lineno}: expected {2 + dim} fields, got {len(fields)}")
         try:
-            dim = int(parts[2][4:])
-        except ValueError:
-            raise DataError(f"{path}:1: bad dimension in header {header!r}") from None
-        if dim < 2:
-            raise DataError(f"{path}:1: feature dimension must be >= 2, got {dim}")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 2 + dim:
-                raise DataError(f"{path}:{lineno}: expected {2 + dim} fields, got {len(fields)}")
-            try:
-                frame = int(fields[0])
-                det_idx = int(fields[1])
-                values = [float(x) for x in fields[2:]]
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            key = (frame, det_idx)
-            if key in rows:
-                raise DataError(f"{path}:{lineno}: duplicate feature row for {key}")
-            try:
-                rows[key] = FeatureVec(values)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
+            frame = int(fields[0])
+            det_idx = int(fields[1])
+            values = [float(x) for x in fields[2:]]
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        key = (frame, det_idx)
+        if key in rows:
+            raise DataError(f"{path}:{lineno}: duplicate feature row for {key}")
+        try:
+            rows[key] = FeatureVec(values)
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
 
     expected = {(f.index, j) for f in dets for j in range(len(f.detections))}
     missing = expected - rows.keys()

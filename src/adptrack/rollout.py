@@ -122,48 +122,47 @@ def simulate_tentative(frames: list[FrameData], params: TrackerParams) -> list[T
     ]
 
 
-def _window_features(track: Track, cfg: AdpConfig):
-    """Detection features at the track's quality-window positions."""
+def _window_features(track: Track, cfg: AdpConfig) -> np.ndarray:
+    """The track's trusted past: detection features at its quality-window positions, as a (k, d) array."""
     win = select_quality_window(track.quality, cfg.beta, cfg.window)
-    return [track.history[pos - 1][1].feature for pos in win.positions()]
+    return np.stack([track.history[pos - 1][1].feature.values for pos in win.positions()])
 
 
-def _mean_pairwise_cos(window_feats, entry_feats) -> float:
-    if not window_feats or not entry_feats:
+def _mean_pairwise_cos(past: np.ndarray, entry_feats) -> float:
+    if not entry_feats:
         return 0.0
-    w = np.stack([f.values for f in window_feats])
     e = np.stack([f.values for f in entry_feats])
-    return float(np.clip((w @ e.T).mean(), -1.0, 1.0))
+    return float(np.clip((past @ e.T).mean(), -1.0, 1.0))
 
 
-def score_main(track: Track, tent: TentativeTrack, cfg: AdpConfig) -> float:
+def score_main(track: Track, past: np.ndarray, tent: TentativeTrack, cfg: AdpConfig) -> float:
     """Past-versus-future appearance score, averaged over compared pairs.
 
-    Quality windows clamp at the track start and tentative tracks may be
-    short, so the average runs over the pairs actually compared rather than
-    a fixed window-times-horizon count. An empty candidate set is neutral.
+    `past` is the track's trusted window from `_window_features`. Windows
+    clamp at the track start and tentative tracks may be short, so the mean
+    runs over the pairs actually compared. An empty candidate set is neutral.
     """
-    window_feats = _window_features(track, cfg)
     if cfg.enable_candidate_filter:
         entries = candidate_filter(track, tent, cfg)
     else:
         entries = list(tent.entries)
-    return _mean_pairwise_cos(window_feats, [det.feature for _, det in entries])
+    return _mean_pairwise_cos(past, [det.feature for _, det in entries])
 
 
 def _walk(track: Track, tent: TentativeTrack):
     """Walk a clone of the track's filter along the tentative track.
 
     Yields (frame, det, walk_iou) per entry, where walk_iou is the IOU of the
-    clone's prediction with the entry. The clone starts from the track's own
-    state, so the first prediction is the track's one-step forecast; after
-    each entry the clone is corrected with it.
+    clone's prediction with the entry. The clone starts from the track's
+    one-step forecast; between entries it is corrected with the previous
+    entry and predicted again, so no correction follows the last entry.
     """
-    state = track.kalman
+    state, prev = track.kalman, None
     for frame_idx, det in tent.entries:
-        state = kf_predict(state)
+        if prev is not None:
+            state = kf_predict(kf_update(state, prev.bbox))
         yield frame_idx, det, iou(state_to_bbox(state), det.bbox)
-        state = kf_update(state, det.bbox)
+        prev = det
 
 
 def _mean(values: list[float]) -> float:
@@ -179,9 +178,9 @@ def score_f1(track: Track, tent: TentativeTrack) -> float:
     return _mean([walk_iou for _, _, walk_iou in _walk(track, tent)])
 
 
-def score_f2(track: Track, target_det: Detection, cfg: AdpConfig) -> float:
-    """No-simulation score: trusted past features against the target detection only."""
-    return _mean_pairwise_cos(_window_features(track, cfg), [target_det.feature])
+def score_f2(past: np.ndarray, target_det: Detection) -> float:
+    """No-simulation score: the trusted window `past` against the target detection only."""
+    return _mean_pairwise_cos(past, [target_det.feature])
 
 
 def score_f3(track: Track, tent: TentativeTrack) -> float:
@@ -247,13 +246,14 @@ def adp_step(state: TrackerState, window: list[FrameData], cfg: AdpConfig) -> tu
         if cfg.enable_crowd_heuristic and crowd_check(track, cfg):
             crowd_rows.append(i)
             continue
+        past = _window_features(track, cfg) if cfg.variant in (Variant.MAIN, Variant.F2) else None
         for jj, j in enumerate(det_idx):
             if cfg.variant is Variant.MAIN:
-                z[i, jj] = score_main(track, tentatives[j], cfg)
+                z[i, jj] = score_main(track, past, tentatives[j], cfg)
             elif cfg.variant is Variant.F1:
                 z[i, jj] = score_f1(track, tentatives[j])
             elif cfg.variant is Variant.F2:
-                z[i, jj] = score_f2(track, frame.detections[j], cfg)
+                z[i, jj] = score_f2(past, frame.detections[j])
             else:
                 z[i, jj] = score_f3(track, tentatives[j])
 

@@ -25,3 +25,16 @@ def unit_feature(dim, axis):
 
 def rows_to_boxes(rows):
     return [LabeledBox(frame=f, id=tid, bbox=det.bbox) for f, tid, det in rows]
+
+
+def count_calls(monkeypatch, module, name):
+    """Route `module.name` through a wrapper that records each call's arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adptrack.assignment import Matching, WeightMatrix, brute_force_match, hungarian_max
 
@@ -105,3 +106,20 @@ def test_matching_total_is_plain_float():
     m = hungarian_max(WeightMatrix([[1.0]]), 0.0)
     assert isinstance(m.total_weight, float)
     assert isinstance(m, Matching)
+
+
+@st.composite
+def _tie_heavy(draw):
+    """Up to 6x6 weights in {0, 1, 2}, built by repeating rows and columns of a smaller block."""
+    base_r, base_c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    base = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=base_r * base_c, max_size=base_r * base_c)))
+    rows = draw(st.lists(st.integers(0, base_r - 1), max_size=6))
+    cols = draw(st.lists(st.integers(0, base_c - 1), max_size=6))
+    return WeightMatrix(base.reshape(base_r, base_c)[np.ix_(rows, cols)]), draw(st.sampled_from([0.0, 1.0]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tie_heavy())
+def test_oracle_pairs_agree_on_ties(case):
+    w, mw = case
+    assert hungarian_max(w, mw).pairs == brute_force_match(w, mw).pairs

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import make_det, make_frame, rows_to_boxes
+from conftest import count_calls, make_det, make_frame, rows_to_boxes
 
+from adptrack import base_tracker
 from adptrack.base_tracker import (
     TrackStatus,
     TrackerParams,
@@ -185,6 +186,22 @@ def test_clean_scenario_zero_id_switches():
     report = evaluate(sc.gt, rows_to_boxes(run(list(sc.det_frames), PARAMS)))
     assert report.idsw == 0
     assert report.idf1 == 1.0
+
+
+def test_step_predicts_each_surviving_track_once(monkeypatch):
+    # Lost tracks, removals after max_age and spawns all occur in this scene.
+    params = TrackerParams(max_age=2)
+    sc = generate(ScenarioConfig(seed=5, frames=30, identities=4, crossings=2, det_noise_px=0.4, feature_noise=0.1, drop_prob_occluded=0.8))
+    frames = list(sc.det_frames)
+    state = TrackerState(params, frame_cursor=frames[0].index - 1)
+    predicts = count_calls(monkeypatch, base_tracker, "kf_predict")
+    for frame in frames:
+        del predicts[:]
+        compute_base_weights(state, frame)
+        assert predicts == []
+        step(state, frame)
+        assert len(predicts) == len(state.alive_tracks())
+    assert len(state.alive_tracks()) < len(state.tracks)
 
 
 def test_run_rejects_empty():

@@ -168,6 +168,28 @@ def test_non_finite_coordinates_name_file_and_line(tmp_path, capsys, value):
     assert f"data error: {gt}:1: " in capsys.readouterr().err
 
 
+def test_non_utf8_input_names_file_and_line(tmp_path, capsys):
+    det_row = b"1,-1,10,20,5,40,0.9\n"
+    dets = tmp_path / "det.txt"
+    dets.write_bytes(det_row)
+    feats = tmp_path / "f.csv"
+    feats.write_bytes(b"frame,det,dim=2\r\n1,0,1,0\r\n1,1,\xff,0\r\n")
+    out = str(tmp_path / "o.txt")
+    assert main(["track", "--dets", str(dets), "--features", str(feats), "--out", out]) == 2
+    assert f"data error: {feats}:3: " in capsys.readouterr().err
+
+    dets.write_bytes(det_row * 2 + b"1,-1,\xff\n")
+    assert main(["track", "--dets", str(dets), "--features", str(feats), "--out", out]) == 2
+    assert f"data error: {dets}:3: " in capsys.readouterr().err
+
+    gt = tmp_path / "gt.txt"
+    gt.write_bytes(b"1,1,0,0,10,10,1,1,1\n1,2,0,0,10,10,1,1,\xff\n")
+    res = tmp_path / "res.txt"
+    res.write_text("1,1,0,0,10,10,1,-1,-1,-1\n")
+    assert main(["eval", "--gt", str(gt), "--res", str(res), "--out", str(tmp_path / "m.csv")]) == 2
+    assert f"data error: {gt}:2: " in capsys.readouterr().err
+
+
 def test_synth_preset_rejects_explicit_flags(tmp_path):
     assert main(["synth", "--out-dir", str(tmp_path / "p"), "--preset", "occlusion-20", "--seed", "4"]) == 2
 

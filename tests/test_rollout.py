@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import make_det, make_frame
+from conftest import count_calls, make_det, make_frame
 
+from adptrack import rollout
 from adptrack.appearance import QualityVector
 from adptrack.assignment import WeightMatrix
 from adptrack.base_tracker import Track, TrackerParams, TrackerState, run as run_base, step
@@ -12,6 +13,7 @@ from adptrack.rollout import (
     AdpConfig,
     TentativeTrack,
     Variant,
+    _window_features,
     adp_step,
     candidate_filter,
     combine_costs,
@@ -56,7 +58,7 @@ def _converged_track(positions, start=1):
     track = Track(1, start, make_det(start, positions[0], 0))
     for i, x in enumerate(positions[1:], start=start + 1):
         det = make_det(i, x, 0)
-        track.kalman = kf_update(kf_predict(track.kalman), det.bbox)
+        track.kalman = kf_predict(kf_update(track.kalman, det.bbox))
         track.history.append((i, det))
         track.quality.append(1.0)
     return track
@@ -94,13 +96,13 @@ def test_simulate_tentative_rejects_empty_window():
 def test_score_main_examples():
     cfg = AdpConfig(window=2, enable_candidate_filter=False)
     track = _track_with_features([E1, E1])
-    assert score_main(track, _tentative([E1, E1]), cfg) == pytest.approx(1.0)
+    assert score_main(track, _window_features(track, cfg), _tentative([E1, E1]), cfg) == pytest.approx(1.0)
 
     track = _track_with_features([E1, E1])
-    assert score_main(track, _tentative([E2]), cfg) == pytest.approx(0.0)
+    assert score_main(track, _window_features(track, cfg), _tentative([E2]), cfg) == pytest.approx(0.0)
 
     track = _track_with_features([E1, E2])
-    assert score_main(track, _tentative([E1]), cfg) == pytest.approx(0.5)
+    assert score_main(track, _window_features(track, cfg), _tentative([E1]), cfg) == pytest.approx(0.5)
 
 
 def test_score_main_filter_disabled_equals_all_pairs_mean():
@@ -110,7 +112,7 @@ def test_score_main_filter_disabled_equals_all_pairs_mean():
     track = _track_with_features(feats)
     tent_feats = [tuple(rng.normal(size=4)) for _ in range(4)]
     tent = _tentative(tent_feats, start_frame=4)
-    got = score_main(track, tent, cfg)
+    got = score_main(track, _window_features(track, cfg), tent, cfg)
     wf = [FeatureVec(f).values for f in feats]
     tf = [FeatureVec(f).values for f in tent_feats]
     expected = np.mean([np.dot(a, b) for a in wf for b in tf])
@@ -136,18 +138,33 @@ def test_score_f1_single_entry_is_one_step_iou():
     track = _converged_track([0, 4, 8])
     box = make_det(4, 14, 0)
     tent = TentativeTrack(origin_det=0, entries=((4, box),))
-    expected = iou(state_to_bbox(kf_predict(track.kalman)), box.bbox)
+    expected = iou(state_to_bbox(track.kalman), box.bbox)
     assert score_f1(track, tent) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_walk_corrects_between_entries_only(monkeypatch, n):
+    # n entries: one forecast read per entry, n - 1 corrections (none after the last)
+    track = _converged_track([0, 4, 8])
+    tent = TentativeTrack(origin_det=0, entries=tuple((4 + i, make_det(4 + i, 12 + 4 * i, 0)) for i in range(n)))
+    updates = count_calls(monkeypatch, rollout, "kf_update")
+    predicts = count_calls(monkeypatch, rollout, "kf_predict")
+    for walk in (score_f1, score_f3, lambda t, e: candidate_filter(t, e, AdpConfig())):
+        del updates[:], predicts[:]
+        walk(track, tent)
+        assert [u[1] for u in updates] == [det.bbox for _, det in tent.entries[:-1]]
+        assert len(predicts) == n - 1
 
 
 def test_score_f2_examples():
     cfg = AdpConfig(window=2)
     track = _track_with_features([E1, E1])
-    assert score_f2(track, make_det(3, 0, 0, feature=E1), cfg) == pytest.approx(1.0)
-    assert score_f2(track, make_det(3, 0, 0, feature=E2), cfg) == pytest.approx(0.0)
+    past = _window_features(track, cfg)
+    assert score_f2(past, make_det(3, 0, 0, feature=E1)) == pytest.approx(1.0)
+    assert score_f2(past, make_det(3, 0, 0, feature=E2)) == pytest.approx(0.0)
 
     track = _track_with_features([E1, (1.0, 1.0)])
-    got = score_f2(track, make_det(3, 0, 0, feature=E1), cfg)
+    got = score_f2(_window_features(track, cfg), make_det(3, 0, 0, feature=E1))
     assert got == pytest.approx(0.8535533905932737, abs=1e-6)
 
 
@@ -170,11 +187,10 @@ def test_score_f3_matches_scripted_walk():
     state = track.kalman
     expected = []
     for _, det in tent.entries:
-        state = kf_predict(state)
         overlap = iou(state_to_bbox(state), det.bbox)
         cos = float(np.dot(track.rep_feature.values, det.feature.values))
         expected.append(min(overlap, max(cos, 0.0)))
-        state = kf_update(state, det.bbox)
+        state = kf_predict(kf_update(state, det.bbox))
     assert score_f3(track, tent) == pytest.approx(np.mean(expected), abs=1e-12)
 
 
@@ -194,7 +210,7 @@ def test_candidate_filter_examples():
 
     impossible = AdpConfig(cand_iou=1.1)
     assert candidate_filter(track, tent, impossible) == []
-    assert score_main(track, tent, impossible) == 0.0
+    assert score_main(track, _window_features(track, impossible), tent, impossible) == 0.0
 
     near = make_det(4, 0, 0)
     far = make_det(5, 500, 0)
@@ -304,8 +320,9 @@ def test_variant_scores_stay_in_range():
         feats = [tuple(rng.normal(size=6)) for _ in range(4)]
         track = _track_with_features(feats, qualities=list(rng.uniform(-1, 1, size=4)))
         tent = _tentative([tuple(rng.normal(size=6)) for _ in range(3)], start_frame=6)
-        assert -1.0 <= score_main(track, tent, cfg_main) <= 1.0
-        assert -1.0 <= score_f2(track, tent.entries[0][1], cfg_main) <= 1.0
+        past = _window_features(track, cfg_main)
+        assert -1.0 <= score_main(track, past, tent, cfg_main) <= 1.0
+        assert -1.0 <= score_f2(past, tent.entries[0][1]) <= 1.0
         assert 0.0 <= score_f1(track, tent) <= 1.0
         assert 0.0 <= score_f3(track, tent) <= 1.0
 
