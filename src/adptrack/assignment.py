@@ -85,14 +85,20 @@ def _solve_partial_max(arr: np.ndarray, allowed: np.ndarray) -> float:
 def hungarian_max(w: WeightMatrix, min_weight: float) -> Matching:
     """Max-weight gated partial matching with canonical tie-breaking.
 
-    The canonical matching is built greedily: cells are scanned in row-major
-    order and a cell is kept exactly when some optimal matching extends the
-    kept set with it. The scan stops as soon as the kept set itself attains
-    the optimum, which drops zero-gain extensions.
+    Rows and columns with no cell >= min_weight can never be matched, so they
+    are pruned first; the kept ones stay in ascending order, and the solves and
+    the scan below run on the remaining live block. The canonical matching is
+    built greedily: cells are scanned in row-major order and a cell is kept
+    exactly when some optimal matching extends the kept set with it. The scan
+    stops as soon as the kept set itself attains the optimum, which drops
+    zero-gain extensions.
     """
-    arr = w.array
+    allowed = w.array >= min_weight
+    live_rows = np.flatnonzero(allowed.any(axis=1))
+    live_cols = np.flatnonzero(allowed.any(axis=0))
+    arr = w.array[np.ix_(live_rows, live_cols)]
+    allowed = allowed[np.ix_(live_rows, live_cols)]
     r, c = arr.shape
-    allowed = arr >= min_weight if arr.size else np.zeros((r, c), dtype=bool)
     best = _solve_partial_max(arr, allowed)
 
     pairs: list[tuple[int, int]] = []
@@ -121,7 +127,8 @@ def hungarian_max(w: WeightMatrix, min_weight: float) -> Matching:
 
     if abs(total - best) > 1e-8 * max(1.0, abs(best)):
         raise AssertionError(f"canonical matching lost optimality: {total} vs {best}")
-    return Matching(pairs=tuple(pairs), total_weight=float(total))
+    row_ids, col_ids = live_rows.tolist(), live_cols.tolist()
+    return Matching(pairs=tuple((row_ids[i], col_ids[j]) for i, j in pairs), total_weight=float(total))
 
 
 def brute_force_match(w: WeightMatrix, min_weight: float) -> Matching:

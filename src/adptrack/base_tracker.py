@@ -20,7 +20,7 @@ import numpy as np
 
 from .appearance import QualityVector, cosine_sim, ema_update
 from .assignment import Matching, WeightMatrix, hungarian_max
-from .core import BoundingBox, Detection, FeatureVec, FrameData, iou
+from .core import BoundingBox, Detection, FeatureVec, FrameData, box_array, iou, iou_matrix
 from .motion import KalmanState, kf_init, kf_predict, kf_update, state_to_bbox
 
 __all__ = [
@@ -111,13 +111,16 @@ class TrackerState:
         return track
 
 
-def _pair_scores(pred_box: BoundingBox, rep: FeatureVec, det: Detection, params: TrackerParams) -> tuple[float, float]:
-    """(fused weight, gated appearance score) for one track/detection pair."""
-    overlap = iou(pred_box, det.bbox)
-    cos = cosine_sim(rep, det.feature)
+def _gate(overlap: float, cos: float, params: TrackerParams) -> tuple[float, float]:
+    """(fused weight, gated appearance score) from a pair's overlap and cosine."""
     gated = cos if (cos >= params.appearance_gate and overlap >= params.iou_gate) else 0.0
     gated = max(gated, 0.0)
     return min(overlap, gated), gated
+
+
+def _pair_scores(pred_box: BoundingBox, rep: FeatureVec, det: Detection, params: TrackerParams) -> tuple[float, float]:
+    """(fused weight, gated appearance score) for one track/detection pair."""
+    return _gate(iou(pred_box, det.bbox), cosine_sim(rep, det.feature), params)
 
 
 def fused_similarity(track: Track, det: Detection, params: TrackerParams) -> float:
@@ -132,17 +135,25 @@ def eligible_detections(frame: FrameData, params: TrackerParams) -> list[int]:
 
 
 def compute_base_weights(state: TrackerState, frame: FrameData) -> WeightMatrix:
-    """Pairwise fused weights: live tracks x confident detections."""
+    """Pairwise fused weights: live tracks x confident detections.
+
+    Equal, entry by entry, to `fused_similarity`. A pair whose forecast
+    overlap misses `iou_gate` weighs 0 whatever its appearance, so the cosine
+    is taken only inside the gate.
+    """
     if frame.index != state.frame_cursor + 1:
         raise ValueError(f"out-of-order frame {frame.index}, expected {state.frame_cursor + 1}")
+    params = state.params
     tracks = state.alive_tracks()
-    det_idx = eligible_detections(frame, state.params)
-    weights = np.zeros((len(tracks), len(det_idx)))
-    for i, track in enumerate(tracks):
-        pred_box = state_to_bbox(track.kalman)
-        for jj, j in enumerate(det_idx):
-            fused, _ = _pair_scores(pred_box, track.rep_feature, frame.detections[j], state.params)
-            weights[i, jj] = fused
+    dets = [frame.detections[j] for j in eligible_detections(frame, params)]
+    overlap = iou_matrix(
+        box_array([state_to_bbox(track.kalman) for track in tracks]),
+        box_array([det.bbox for det in dets]),
+    )
+    weights = np.zeros(overlap.shape)
+    for i, jj in zip(*np.nonzero(overlap >= params.iou_gate)):
+        cos = cosine_sim(tracks[i].rep_feature, dets[jj].feature)
+        weights[i, jj], _ = _gate(float(overlap[i, jj]), cos, params)
     return WeightMatrix(weights)
 
 

@@ -18,6 +18,8 @@ __all__ = [
     "Detection",
     "FrameData",
     "iou",
+    "box_array",
+    "iou_matrix",
     "to_center",
     "from_center",
 ]
@@ -66,6 +68,29 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     inter = iw * ih
     # Rounding in right/bottom can push inter a hair past the union.
     return min(1.0, inter / (a.area + b.area - inter))
+
+
+def box_array(boxes) -> np.ndarray:
+    """Boxes as an (N, 4) float array of (left, top, width, height) rows."""
+    return np.array([(b.left, b.top, b.width, b.height) for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`iou` of every pair of rows of an (N, 4) and an (M, 4) box array, as (N, M).
+
+    Each entry is computed with the operations of the scalar function in the
+    same order, so it equals ``iou`` bit for bit.
+    """
+    al, at, aw, ah = (col[:, None] for col in np.asarray(a, dtype=np.float64).reshape(-1, 4).T)
+    bl, bt, bw, bh = (col[None, :] for col in np.asarray(b, dtype=np.float64).reshape(-1, 4).T)
+    iw = np.minimum(al + aw, bl + bw) - np.maximum(al, bl)
+    ih = np.minimum(at + ah, bt + bh) - np.maximum(at, bt)
+    inter = iw * ih
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.minimum(1.0, inter / ((aw * ah + bw * bh) - inter))
+    out = np.where((iw > 0) & (ih > 0), ratio, 0.0)
+    out[(al == bl) & (at == bt) & (aw == bw) & (ah == bh)] = 1.0
+    return out
 
 
 def to_center(b: BoundingBox) -> tuple[float, float, float, float]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import WeightMatrix, hungarian_max
-from .core import BoundingBox, iou
+from .core import BoundingBox, box_array, iou, iou_matrix
 
 __all__ = ["LabeledBox", "MetricsReport", "clear_match", "evaluate"]
 
@@ -80,7 +80,7 @@ def clear_match(
     rest_gt = [g for g in gt_frame if g.id not in corr]
     rest_pred = [p for p in pred_frame if p.id not in used_preds]
     if rest_gt and rest_pred:
-        weights = np.array([[iou(g.bbox, p.bbox) for p in rest_pred] for g in rest_gt])
+        weights = iou_matrix(box_array([g.bbox for g in rest_gt]), box_array([p.bbox for p in rest_pred]))
         matching = hungarian_max(WeightMatrix(weights), iou_threshold)
         for i, j in matching.pairs:
             corr[rest_gt[i].id] = rest_pred[j].id
@@ -135,10 +135,9 @@ def evaluate(gt, pred, iou_threshold: float = 0.5) -> MetricsReport:
                 frag += 1
             frag_state[g.id] = "tracked"
 
-        for g in gts:
-            for p in preds:
-                if iou(g.bbox, p.bbox) >= iou_threshold:
-                    cooccur[(g.id, p.id)] += 1
+        overlap = iou_matrix(box_array([g.bbox for g in gts]), box_array([p.bbox for p in preds]))
+        for i, j in zip(*np.nonzero(overlap >= iou_threshold)):
+            cooccur[(gts[i].id, preds[j].id)] += 1
 
     gt_total = len(gt)
     pred_total = len(pred)

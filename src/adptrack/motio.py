@@ -19,6 +19,7 @@ from .metrics import LabeledBox
 
 __all__ = [
     "DataError",
+    "MAX_FRAME_INDEX",
     "FeatureTable",
     "read_detections",
     "read_gt",
@@ -29,6 +30,12 @@ __all__ = [
     "write_gt",
     "write_features",
 ]
+
+
+# `read_detections` returns one frame per index up to the largest, so an
+# index this far past any real sequence (over 9 hours at 30 fps) would only
+# build empty frames; it is rejected instead.
+MAX_FRAME_INDEX = 1_000_000
 
 
 class DataError(ValueError):
@@ -83,14 +90,15 @@ def read_detections(path) -> list[FrameData]:
 
     Rows are grouped by frame preserving file order within each frame; frames
     absent from the file come back empty so indices stay contiguous from 1.
+    Frame indices above `MAX_FRAME_INDEX` raise a `DataError`.
     """
     per_frame: dict[int, list[Detection]] = {}
     max_frame = 0
     for lineno, line in _data_lines(path):
         frame, _, nums = _parse_fields(path, lineno, line, 7)
         left, top, width, height, conf = nums[0], nums[1], nums[2], nums[3], nums[4]
-        if frame < 1:
-            raise DataError(f"{path}:{lineno}: frame index must be >= 1, got {frame}")
+        if not (1 <= frame <= MAX_FRAME_INDEX):
+            raise DataError(f"{path}:{lineno}: frame index must lie in [1, {MAX_FRAME_INDEX}], got {frame}")
         if width <= 0 or height <= 0:
             raise DataError(f"{path}:{lineno}: non-positive box size {width}x{height}")
         if not (0.0 <= conf <= 1.0):

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import count_calls
+
+from adptrack import assignment
 from adptrack.assignment import Matching, WeightMatrix, brute_force_match, hungarian_max
 
 
@@ -123,3 +126,34 @@ def _tie_heavy(draw):
 def test_oracle_pairs_agree_on_ties(case):
     w, mw = case
     assert hungarian_max(w, mw).pairs == brute_force_match(w, mw).pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_dead_rows_and_columns_do_not_change_pairs(data):
+    """Rows and columns with no cell >= min_weight, inserted anywhere, leave the matching as it was."""
+    mw = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+    r, c = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    core = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=r * c, max_size=r * c))).reshape(r, c)
+    row_dead = np.array(data.draw(st.permutations([False] * r + [True] * data.draw(st.integers(0, 3)))), dtype=bool)
+    col_dead = np.array(data.draw(st.permutations([False] * c + [True] * data.draw(st.integers(0, 3)))), dtype=bool)
+    below = st.floats(mw - 5.0, mw, exclude_max=True, allow_nan=False)
+    n = row_dead.size * col_dead.size
+    padded = np.array(data.draw(st.lists(below, min_size=n, max_size=n))).reshape(row_dead.size, col_dead.size)
+    live_rows, live_cols = np.flatnonzero(~row_dead), np.flatnonzero(~col_dead)
+    padded[np.ix_(live_rows, live_cols)] = core
+
+    small = hungarian_max(WeightMatrix(core), mw)
+    big = hungarian_max(WeightMatrix(padded), mw)
+    assert big.pairs == tuple((int(live_rows[i]), int(live_cols[j])) for i, j in small.pairs)
+    assert big.total_weight == small.total_weight
+    assert big.pairs == brute_force_match(WeightMatrix(padded), mw).pairs
+
+
+def test_solver_sees_only_live_rows_and_columns(monkeypatch):
+    w = np.full((40, 30), 0.1)
+    w[7, 3], w[7, 12], w[25, 12] = 0.9, 0.8, 0.7
+    solves = count_calls(monkeypatch, assignment, "linear_sum_assignment")
+    m = hungarian_max(WeightMatrix(w), 0.2)
+    assert m.pairs == ((7, 3), (25, 12))
+    assert solves and all(args[0].shape[0] <= 2 + 2 for args in solves)

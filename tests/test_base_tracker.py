@@ -9,13 +9,15 @@ from adptrack.base_tracker import (
     TrackerParams,
     TrackerState,
     compute_base_weights,
+    eligible_detections,
     fork_at,
     fused_similarity,
     run,
     step,
 )
-from adptrack.core import FeatureVec
+from adptrack.core import FeatureVec, iou
 from adptrack.metrics import evaluate
+from adptrack.motion import state_to_bbox
 from adptrack.synthworld import ScenarioConfig, generate
 
 PARAMS = TrackerParams()
@@ -78,6 +80,49 @@ def test_compute_base_weights_matches_fused_similarity():
     for i, track in enumerate(state.alive_tracks()):
         for j, det in enumerate(frame.detections):
             assert w.array[i, j] == fused_similarity(track, det, PARAMS)
+
+
+def _crowd_frames():
+    sc = generate(ScenarioConfig(seed=9003, frames=30, identities=8, crossings=3, det_noise_px=0.5, feature_noise=0.2, drop_prob_occluded=0.5))
+    return list(sc.det_frames)
+
+
+@pytest.mark.parametrize(
+    "params", [PARAMS, TrackerParams(iou_gate=0.0, appearance_gate=0.0)], ids=["default", "gates-open"]
+)
+def test_compute_base_weights_equals_pairwise_fused_similarity(params):
+    frames = _crowd_frames()
+    state = TrackerState(params, frame_cursor=frames[0].index - 1)
+    for frame in frames:
+        dets = [frame.detections[j] for j in eligible_detections(frame, params)]
+        expected = [[fused_similarity(track, det, params) for det in dets] for track in state.alive_tracks()]
+        w = compute_base_weights(state, frame)
+        assert np.array_equal(w.array, np.array(expected).reshape(w.rows, w.cols))
+        step(state, frame)
+
+
+def test_compute_base_weights_takes_cosines_inside_iou_gate_only(monkeypatch):
+    frames = _crowd_frames()
+    state = TrackerState(PARAMS, frame_cursor=frames[0].index - 1)
+    cosines = count_calls(monkeypatch, base_tracker, "cosine_sim")
+    pairs = 0
+    inside = 0
+    for frame in frames:
+        dets = [frame.detections[j] for j in eligible_detections(frame, PARAMS)]
+        tracks = state.alive_tracks()
+        expected = [
+            (track.rep_feature, det.feature)
+            for track in tracks
+            for det in dets
+            if iou(state_to_bbox(track.kalman), det.bbox) >= PARAMS.iou_gate
+        ]
+        del cosines[:]
+        compute_base_weights(state, frame)
+        assert cosines == expected
+        pairs += len(tracks) * len(dets)
+        inside += len(expected)
+        step(state, frame)
+    assert 0 < inside < pairs / 2
 
 
 def test_compute_base_weights_rejects_out_of_order():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from adptrack.cli import build_parser, main, replay_manifest
+from adptrack.motio import MAX_FRAME_INDEX
 
 
 def test_track_flag_defaults():
@@ -166,6 +167,16 @@ def test_non_finite_coordinates_name_file_and_line(tmp_path, capsys, value):
     res.write_text("1,1,0,0,10,10,1,-1,-1,-1\n")
     assert main(["eval", "--gt", str(gt), "--res", str(res), "--out", str(tmp_path / "m.csv")]) == 2
     assert f"data error: {gt}:1: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("frame", [MAX_FRAME_INDEX + 1, 10**9])
+def test_frame_index_past_limit_names_file_and_line(tmp_path, capsys, frame):
+    feats = tmp_path / "f.csv"
+    feats.write_text("frame,det,dim=2\n1,0,1,0\n")
+    dets = tmp_path / "det.txt"
+    dets.write_text(f"1,-1,10,20,5,40,0.9\n{frame},-1,10,20,5,40,0.9\n")
+    assert main(["track", "--dets", str(dets), "--features", str(feats), "--out", str(tmp_path / "o.txt")]) == 2
+    assert f"data error: {dets}:2: frame index must lie in [1, {MAX_FRAME_INDEX}], got {frame}" in capsys.readouterr().err
 
 
 def test_non_utf8_input_names_file_and_line(tmp_path, capsys):

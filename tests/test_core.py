@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from adptrack.core import BoundingBox, Detection, FeatureVec, FrameData, from_center, iou, to_center
+from adptrack.core import BoundingBox, Detection, FeatureVec, FrameData, box_array, from_center, iou, iou_matrix, to_center
 
 finite_coord = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
 positive_size = st.floats(0.1, 1e3, allow_nan=False, allow_infinity=False)
@@ -36,6 +36,47 @@ def test_iou_symmetric_and_bounded(a, b):
 @given(boxes)
 def test_iou_self_is_one(b):
     assert iou(b, b) == pytest.approx(1.0, abs=1e-12)
+
+
+# Grid values make shared edges, containment and exact duplicates common;
+# the tiny sizes stay well above the range where an area underflows.
+_grid_coord = st.one_of(st.sampled_from([-1.0, 0.0, 0.1, 0.2, 0.3, 1.0, 3.0]), finite_coord)
+_grid_size = st.one_of(st.sampled_from([1e-6, 1e-3, 0.1, 0.2, 1.0, 2.0, 4.0]), positive_size)
+_grid_boxes = st.builds(BoundingBox, _grid_coord, _grid_coord, _grid_size, _grid_size)
+
+
+@given(st.data())
+def test_iou_matrix_equals_scalar_iou(data):
+    pool = data.draw(st.lists(_grid_boxes, min_size=1, max_size=8))
+    a = data.draw(st.lists(st.sampled_from(pool), max_size=6))
+    b = data.draw(st.lists(st.sampled_from(pool), max_size=6))
+    expected = np.array([[iou(x, y) for y in b] for x in a]).reshape(len(a), len(b))
+    assert np.array_equal(iou_matrix(box_array(a), box_array(b)), expected)
+
+
+@pytest.mark.parametrize(
+    "a, b, expected",
+    [
+        (BoundingBox(0.1, 0.2, 0.3, 0.7), BoundingBox(0.1, 0.2, 0.3, 0.7), 1.0),  # identical
+        (BoundingBox(0, 0, 1, 1), BoundingBox(1, 0, 1, 1), 0.0),  # shared edge
+        (BoundingBox(0, 0, 4, 4), BoundingBox(1, 1, 2, 2), 0.25),  # containment
+        (BoundingBox(0, 0, 1, 1), BoundingBox(5, 5, 1, 1), 0.0),  # disjoint
+        (BoundingBox(0, 0, 2**-20, 2**-20), BoundingBox(0, 0, 2**-20, 2**-19), 0.5),  # tiny, exact in binary
+    ],
+)
+def test_iou_matrix_examples(a, b, expected):
+    m = iou_matrix(box_array([a, b]), box_array([b]))
+    assert m.shape == (2, 1)
+    assert m[0, 0] == expected == iou(a, b)
+    assert m[1, 0] == 1.0
+
+
+def test_iou_matrix_empty_inputs():
+    some = box_array([BoundingBox(0, 0, 1, 1), BoundingBox(2, 2, 1, 1)])
+    assert box_array([]).shape == (0, 4)
+    assert iou_matrix(box_array([]), some).shape == (0, 2)
+    assert iou_matrix(some, np.zeros((0, 4))).shape == (2, 0)
+    assert iou_matrix(np.zeros((0, 4)), np.zeros((0, 4))).shape == (0, 0)
 
 
 def test_center_conversion():
