@@ -1,19 +1,27 @@
-"""Golden digests of the result files.
+"""Golden digests of the result files, and pinned evaluation reports.
 
-Each test pins the sha256 of `write_results` output. Result rows hold only
-input detections, so a digest pins the association decisions of a run. A
-changed digest means some association flipped: find which one and why
-before re-pinning anything.
+Each digest test pins the sha256 of `write_results` output. Result rows hold
+only input detections, so a digest pins the association decisions of a run.
+A changed digest means some association flipped: find which one and why
+before re-pinning anything. The report tests pin every `MetricsReport` field
+that `evaluate` gives for fixed runs, so a change to the CLEAR or IDF1
+matchings shows even where the result files stay the same.
 """
 
+import contextlib
 import hashlib
+import io
+from dataclasses import replace
 
 import pytest
 
+from conftest import rows_to_boxes
 from test_acceptance import _equivalence_scenarios
 
 from adptrack.base_tracker import TrackerParams, run as run_base
-from adptrack.motio import write_results
+from adptrack.cli import main
+from adptrack.metrics import evaluate
+from adptrack.motio import read_gt, write_detections, write_features, write_gt, write_results
 from adptrack.rollout import AdpConfig, Variant, run as run_adp
 from adptrack.synthworld import generate, occlusion_preset
 
@@ -72,6 +80,35 @@ PRESET_ADP = {
     ],
 }
 
+# (idf1, mota, fp, fn, idsw, frag, gt_total) of each preset scene's base run.
+PRESET_BASE_REPORTS = [
+    (0.7015098722415796, 0.9837962962962963, 0, 3, 4, 3, 432),
+    (0.7116279069767442, 0.9791666666666666, 0, 4, 5, 3, 432),
+    (0.7023255813953488, 0.9814814814814815, 0, 4, 4, 2, 432),
+    (0.7054714784633295, 0.9768518518518519, 0, 5, 5, 3, 432),
+    (0.7226107226107226, 0.9768518518518519, 0, 6, 4, 2, 432),
+    (0.7186046511627907, 0.9814814814814815, 0, 4, 4, 2, 432),
+    (0.7832167832167832, 0.9791666666666666, 0, 6, 3, 2, 432),
+    (0.7660069848661234, 0.9814814814814815, 0, 5, 3, 2, 432),
+    (0.7916181606519208, 0.9814814814814815, 0, 5, 3, 2, 432),
+    (0.6852497096399536, 0.9837962962962963, 0, 3, 4, 2, 432),
+    (0.6991869918699187, 0.9837962962962963, 0, 3, 4, 2, 432),
+    (0.7683352735739232, 0.9814814814814815, 0, 5, 3, 2, 432),
+    (0.775842044134727, 0.9861111111111112, 0, 3, 3, 2, 432),
+    (0.7846332945285215, 0.9814814814814815, 0, 5, 3, 2, 432),
+    (0.6736353077816493, 0.9814814814814815, 0, 3, 5, 2, 432),
+    (0.7735191637630662, 0.9861111111111112, 0, 3, 3, 2, 432),
+    (0.8651162790697674, 0.9861111111111112, 0, 4, 2, 2, 432),
+    (0.672093023255814, 0.9814814814814815, 0, 4, 4, 2, 432),
+    (0.7869615832363213, 0.9814814814814815, 0, 5, 3, 2, 432),
+    (0.7156177156177156, 0.9768518518518519, 0, 6, 4, 2, 432),
+]
+
+# The same fields for a crowd scene (20 identities, 6 crossing pairs, seed 9003)
+# written to files, tracked in base mode and read back, as `perfbench/run.py`
+# does for its crowd workloads. Its IDF1 matching is a 20 x ~630 count matrix.
+CROWD_BASE_REPORT = (0.4, 0.46597222222222223, 0, 5, 764, 5, 1440)
+
 ADP_CONFIGS = {
     "main": AdpConfig(horizon=10),
     "f1": AdpConfig(horizon=10, variant=Variant.F1),
@@ -114,3 +151,27 @@ def test_preset_adp_digests(tmp_path, name):
         for cfg in occlusion_preset()[:3]
     ]
     assert got == PRESET_ADP[name]
+
+
+def _report_fields(report):
+    return (report.idf1, report.mota, report.fp, report.fn, report.idsw, report.frag, report.gt_total)
+
+
+def test_preset_base_reports():
+    got = []
+    for cfg in occlusion_preset():
+        scenario = generate(cfg)
+        rows = run_base(list(scenario.det_frames), PARAMS)
+        got.append(_report_fields(evaluate(scenario.gt, rows_to_boxes(rows))))
+    assert got == PRESET_BASE_REPORTS
+
+
+def test_crowd_base_report(tmp_path):
+    scenario = generate(replace(occlusion_preset()[0], identities=20, crossings=6, seed=9003))
+    gt, dets, feats, res = (tmp_path / name for name in ("gt.txt", "det.txt", "features.csv", "res.txt"))
+    write_gt(gt, list(scenario.gt))
+    write_detections(dets, list(scenario.det_frames))
+    write_features(feats, list(scenario.det_frames))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["track", "--dets", str(dets), "--features", str(feats), "--out", str(res), "--mode", "base"]) == 0
+    assert _report_fields(evaluate(read_gt(gt), read_gt(res))) == CROWD_BASE_REPORT
