@@ -6,10 +6,12 @@ Rows and columns may stay unmatched. Ties are broken deterministically in
 favor of the matching whose sorted (row, col) pair list is lexicographically
 smallest, with a shorter pair list preferred over any extension of it.
 
-The solver core is scipy's Jonker-Volgenant assignment run on an augmented
-square matrix: every real row/column gets a zero-weight dummy partner, which
-turns the partial-matching problem into a full assignment. Gated-out entries
-are replaced by a forbidden sentinel that the dummies make unreachable.
+The solver core is scipy's rectangular Jonker-Volgenant assignment (Crouse,
+IEEE TAES 2016). It runs on the live block padded on its shorter side with a
+zero-weight dummy per row (or column): a gated-out cell scores 0, exactly
+like leaving its row unmatched, and the dummies let a row whose allowed cells
+are all negative stay unmatched. Each solve also yields an optimal pair list,
+the witness, which lets the canonical scan accept a cell without a solve.
 `brute_force_match` is an independent enumeration oracle for small matrices.
 """
 
@@ -22,7 +24,6 @@ from scipy.optimize import linear_sum_assignment
 
 __all__ = ["WeightMatrix", "Matching", "hungarian_max", "brute_force_match"]
 
-_FORBIDDEN = -1e30
 _TIE_TOL = 1e-12
 _BRUTE_LIMIT = 8
 
@@ -66,20 +67,22 @@ class Matching:
     total_weight: float
 
 
-def _solve_partial_max(arr: np.ndarray, allowed: np.ndarray) -> float:
-    """Best total over partial matchings restricted to allowed cells."""
+def _solve_partial_max(arr: np.ndarray, allowed: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
+    """Best total over partial matchings restricted to allowed cells, and one matching attaining it.
+
+    The total sums the matched allowed cells in row order.
+    """
     r, c = arr.shape
     if r == 0 or c == 0 or not allowed.any():
-        return 0.0
-    size = r + c
-    aug = np.zeros((size, size))
-    aug[:r, :c] = np.where(allowed, arr, _FORBIDDEN)
-    rows, cols = linear_sum_assignment(aug, maximize=True)
+        return 0.0, []
+    gains = np.where(allowed, arr, 0.0)
+    padded = np.hstack((gains, np.zeros((r, r)))) if r <= c else np.vstack((gains, np.zeros((c, c))))
+    rows, cols = linear_sum_assignment(padded, maximize=True)
+    pairs = [(i, j) for i, j in zip(rows.tolist(), cols.tolist()) if i < r and j < c and allowed[i, j]]
     total = 0.0
-    for i, j in zip(rows, cols):
-        if i < r and j < c and allowed[i, j]:
-            total += arr[i, j]
-    return total
+    for i, j in pairs:
+        total += arr[i, j]
+    return total, pairs
 
 
 def hungarian_max(w: WeightMatrix, min_weight: float) -> Matching:
@@ -92,6 +95,12 @@ def hungarian_max(w: WeightMatrix, min_weight: float) -> Matching:
     exactly when some optimal matching extends the kept set with it. The scan
     stops as soon as the kept set itself attains the optimum, which drops
     zero-gain extensions.
+
+    The scan carries a witness: an optimal matching that contains the kept
+    set, first the one from the full solve. A cell of the witness is kept
+    without a solve. Any other cell is tested by solving the block left
+    after keeping it; when it is kept, the kept set plus that solve's pairs
+    is the new witness.
     """
     allowed = w.array >= min_weight
     live_rows = np.flatnonzero(allowed.any(axis=1))
@@ -99,7 +108,8 @@ def hungarian_max(w: WeightMatrix, min_weight: float) -> Matching:
     arr = w.array[np.ix_(live_rows, live_cols)]
     allowed = allowed[np.ix_(live_rows, live_cols)]
     r, c = arr.shape
-    best = _solve_partial_max(arr, allowed)
+    best, witness_pairs = _solve_partial_max(arr, allowed)
+    witness = set(witness_pairs)  # an optimal matching that contains the kept pairs
 
     pairs: list[tuple[int, int]] = []
     total = 0.0
@@ -113,17 +123,21 @@ def hungarian_max(w: WeightMatrix, min_weight: float) -> Matching:
                 break
             if not (col_free[j] and allowed[i, j]):
                 continue
-            rsel = row_free.copy()
-            rsel[i] = False
-            csel = col_free.copy()
-            csel[j] = False
-            rest = _solve_partial_max(arr[np.ix_(rsel, csel)], allowed[np.ix_(rsel, csel)])
-            if total + arr[i, j] + rest >= best - _TIE_TOL:
-                pairs.append((i, j))
-                total += arr[i, j]
-                row_free[i] = False
-                col_free[j] = False
-                break  # row i is consumed
+            if (i, j) not in witness:
+                rsel = row_free.copy()
+                rsel[i] = False
+                csel = col_free.copy()
+                csel[j] = False
+                rest, rest_pairs = _solve_partial_max(arr[np.ix_(rsel, csel)], allowed[np.ix_(rsel, csel)])
+                if total + arr[i, j] + rest < best - _TIE_TOL:
+                    continue
+                sub_rows, sub_cols = np.flatnonzero(rsel).tolist(), np.flatnonzero(csel).tolist()
+                witness = {*pairs, (i, j), *((sub_rows[a], sub_cols[b]) for a, b in rest_pairs)}
+            pairs.append((i, j))
+            total += arr[i, j]
+            row_free[i] = False
+            col_free[j] = False
+            break  # row i is consumed
 
     if abs(total - best) > 1e-8 * max(1.0, abs(best)):
         raise AssertionError(f"canonical matching lost optimality: {total} vs {best}")

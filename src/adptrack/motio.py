@@ -65,6 +65,15 @@ def _parse_fields(path, lineno, line, minimum):
     return frame, obj_id, numbers
 
 
+def _check_box_size(path, lineno, width, height):
+    if width <= 0 or height <= 0:
+        raise DataError(f"{path}:{lineno}: non-positive box size {width}x{height}")
+    # Overlap divides by areas; sides too small for their product to be a
+    # positive float would divide by zero there.
+    if not width * height > 0:
+        raise DataError(f"{path}:{lineno}: box area {width}x{height} underflows to 0")
+
+
 def _numbered_lines(path):
     """(line number, line) pairs of a UTF-8 text file; undecodable bytes raise a DataError naming their line."""
     with open(path, "rb") as fh:
@@ -90,7 +99,8 @@ def read_detections(path) -> list[FrameData]:
 
     Rows are grouped by frame preserving file order within each frame; frames
     absent from the file come back empty so indices stay contiguous from 1.
-    Frame indices above `MAX_FRAME_INDEX` raise a `DataError`.
+    Frame indices above `MAX_FRAME_INDEX`, and boxes whose area is not a
+    positive float, raise a `DataError`.
     """
     per_frame: dict[int, list[Detection]] = {}
     max_frame = 0
@@ -99,8 +109,7 @@ def read_detections(path) -> list[FrameData]:
         left, top, width, height, conf = nums[0], nums[1], nums[2], nums[3], nums[4]
         if not (1 <= frame <= MAX_FRAME_INDEX):
             raise DataError(f"{path}:{lineno}: frame index must lie in [1, {MAX_FRAME_INDEX}], got {frame}")
-        if width <= 0 or height <= 0:
-            raise DataError(f"{path}:{lineno}: non-positive box size {width}x{height}")
+        _check_box_size(path, lineno, width, height)
         if not (0.0 <= conf <= 1.0):
             raise DataError(f"{path}:{lineno}: confidence {conf} outside [0, 1]")
         det = Detection(frame=frame, bbox=BoundingBox(left, top, width, height), feature=None, confidence=conf)
@@ -115,8 +124,9 @@ def read_detections(path) -> list[FrameData]:
 def read_gt(path) -> list[LabeledBox]:
     """Parse a ground-truth (or result) file into labeled boxes.
 
-    Requires ids >= 1 and unique (frame, id) pairs; columns beyond the box
-    are accepted and ignored, so 9- and 10-column variants both parse.
+    Requires ids >= 1, unique (frame, id) pairs and boxes whose area is a
+    positive float; columns beyond the box are accepted and ignored, so 9-
+    and 10-column variants both parse.
     """
     boxes: list[LabeledBox] = []
     seen: set[tuple[int, int]] = set()
@@ -127,8 +137,7 @@ def read_gt(path) -> list[LabeledBox]:
             raise DataError(f"{path}:{lineno}: frame index must be >= 1, got {frame}")
         if obj_id < 1:
             raise DataError(f"{path}:{lineno}: object id must be >= 1, got {obj_id}")
-        if width <= 0 or height <= 0:
-            raise DataError(f"{path}:{lineno}: non-positive box size {width}x{height}")
+        _check_box_size(path, lineno, width, height)
         key = (frame, obj_id)
         if key in seen:
             raise DataError(f"{path}:{lineno}: duplicate (frame, id) = {key}")

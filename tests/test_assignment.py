@@ -4,8 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import count_calls
 
-from adptrack import assignment
+from adptrack import assignment, base_tracker, rollout
 from adptrack.assignment import Matching, WeightMatrix, brute_force_match, hungarian_max
+from adptrack.base_tracker import TrackerParams
+from adptrack.rollout import AdpConfig
+from adptrack.synthworld import generate, occlusion_preset
 
 
 def test_identity_matrix():
@@ -128,6 +131,20 @@ def test_oracle_pairs_agree_on_ties(case):
     assert hungarian_max(w, mw).pairs == brute_force_match(w, mw).pairs
 
 
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_oracle_agrees_with_negative_weights(data):
+    """Allowed cells below zero must stay unmatched unless they free a better pair; blended weights can be negative."""
+    base_r, base_c = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    values = st.sampled_from([-1.0, -0.5, 0.0, 1.0, 2.0])
+    base = np.array(data.draw(st.lists(values, min_size=base_r * base_c, max_size=base_r * base_c)))
+    rows = data.draw(st.lists(st.integers(0, base_r - 1), max_size=6))
+    cols = data.draw(st.lists(st.integers(0, base_c - 1), max_size=6))
+    w = WeightMatrix(base.reshape(base_r, base_c)[np.ix_(rows, cols)])
+    mw = data.draw(st.sampled_from([-np.inf, -0.5, 0.0, 1.0]))
+    assert hungarian_max(w, mw) == brute_force_match(w, mw)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_dead_rows_and_columns_do_not_change_pairs(data):
@@ -157,3 +174,23 @@ def test_solver_sees_only_live_rows_and_columns(monkeypatch):
     m = hungarian_max(WeightMatrix(w), 0.2)
     assert m.pairs == ((7, 3), (25, 12))
     assert solves and all(args[0].shape[0] <= 2 + 2 for args in solves)
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (5, 9), (9, 5)])
+def test_unique_optimum_takes_one_narrow_solve(monkeypatch, shape):
+    r, c = shape
+    solves = count_calls(monkeypatch, assignment, "linear_sum_assignment")
+    m = hungarian_max(WeightMatrix(np.eye(r, c) + 0.5), 0.0)
+    assert m.pairs == tuple((i, i) for i in range(min(r, c)))
+    assert len(solves) == 1
+    assert all(min(args[0].shape) <= min(r, c) and max(args[0].shape) <= r + c for args in solves)
+
+
+def test_rollout_matchings_average_few_solves(monkeypatch):
+    """The canonical scan reuses the full solve's optimum instead of re-solving for each kept cell."""
+    matches = count_calls(monkeypatch, base_tracker, "hungarian_max")
+    monkeypatch.setattr(rollout, "hungarian_max", base_tracker.hungarian_max)
+    solves = count_calls(monkeypatch, assignment, "linear_sum_assignment")
+    frames = list(generate(occlusion_preset()[0]).det_frames)
+    rollout.run(frames, TrackerParams(), AdpConfig(horizon=10))
+    assert matches and len(solves) <= 1.2 * len(matches)

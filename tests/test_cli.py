@@ -169,6 +169,25 @@ def test_non_finite_coordinates_name_file_and_line(tmp_path, capsys, value):
     assert f"data error: {gt}:1: " in capsys.readouterr().err
 
 
+def test_box_area_underflow_names_file_and_line(tmp_path, capsys):
+    feats = tmp_path / "f.csv"
+    feats.write_text("frame,det,dim=2\n1,0,1,0\n")
+    dets = tmp_path / "det.txt"
+    dets.write_text("1,-1,0,0,1e-200,2e-200,0.9\n")
+    assert main(["track", "--dets", str(dets), "--features", str(feats), "--out", str(tmp_path / "o.txt")]) == 2
+    assert f"data error: {dets}:1: box area" in capsys.readouterr().err
+
+    gt = tmp_path / "gt.txt"
+    gt.write_text("1,1,0,0,1e-200,1e-200,1,1,1\n")
+    res = tmp_path / "res.txt"
+    res.write_text("1,1,0,0,1e-200,2e-200,1,-1,-1,-1\n")
+    assert main(["eval", "--gt", str(gt), "--res", str(res), "--out", str(tmp_path / "m.csv")]) == 2
+    assert f"data error: {gt}:1: box area" in capsys.readouterr().err
+    gt.write_text("1,1,0,0,10,10,1,1,1\n")
+    assert main(["eval", "--gt", str(gt), "--res", str(res), "--out", str(tmp_path / "m.csv")]) == 2
+    assert f"data error: {res}:1: box area" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("frame", [MAX_FRAME_INDEX + 1, 10**9])
 def test_frame_index_past_limit_names_file_and_line(tmp_path, capsys, frame):
     feats = tmp_path / "f.csv"
