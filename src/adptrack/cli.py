@@ -63,8 +63,7 @@ def _write_manifest(out_path: Path, command: str, args: dict, inputs: list, outp
 
 
 def _manifest_args(ns: argparse.Namespace) -> dict:
-    args = {k: v for k, v in vars(ns).items() if k != "func"}
-    return args
+    return {k: v for k, v in vars(ns).items() if k != "func"}
 
 
 def _load_sequence(dets_path, features_path):
@@ -231,8 +230,7 @@ def cmd_sweep(ns) -> int:
             if v != int(v) or v < 1:
                 raise DataError(f"{ns.param} values must be positive integers, got {v}")
 
-    ns_dict = {k: v for k, v in vars(ns).items() if k != "func"}
-    tasks = [(ns.dets, ns.features, ns.gt, ns_dict, ns.param, v) for v in values]
+    tasks = [(ns.dets, ns.features, ns.gt, _manifest_args(ns), ns.param, v) for v in values]
     if len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(4, len(tasks))) as pool:
             rows = list(pool.map(_sweep_worker, tasks))

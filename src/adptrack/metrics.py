@@ -16,6 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .assignment import WeightMatrix, hungarian_max
 from .core import BoundingBox, box_array, iou, iou_matrix
@@ -107,11 +108,14 @@ def evaluate(gt, pred, iou_threshold: float = 0.5) -> MetricsReport:
     pred_frames = _by_frame(pred)
     frames = sorted(set(gt_frames) | set(pred_frames))
 
+    gt_pos = {gid: i for i, gid in enumerate(sorted({g.id for g in gt}))}
+    pred_pos = {pid: j for j, pid in enumerate(sorted({p.id for p in pred}))}
+    counts = np.zeros((len(gt_pos), len(pred_pos)))
+
     fp = fn = idsw = frag = 0
     prev_map: dict[int, int] = {}
     last_matched: dict[int, int] = {}
     frag_state: dict[int, str] = {}  # "tracked" or "interrupted"
-    cooccur: dict[tuple[int, int], int] = defaultdict(int)
 
     for frame in frames:
         gts = gt_frames.get(frame, [])
@@ -136,25 +140,19 @@ def evaluate(gt, pred, iou_threshold: float = 0.5) -> MetricsReport:
             frag_state[g.id] = "tracked"
 
         overlap = iou_matrix(box_array([g.bbox for g in gts]), box_array([p.bbox for p in preds]))
-        for i, j in zip(*np.nonzero(overlap >= iou_threshold)):
-            cooccur[(gts[i].id, preds[j].id)] += 1
+        i, j = np.nonzero(overlap >= iou_threshold)
+        gt_idx = np.array([gt_pos[g.id] for g in gts], dtype=np.intp)
+        pred_idx = np.array([pred_pos[p.id] for p in preds], dtype=np.intp)
+        np.add.at(counts, (gt_idx[i], pred_idx[j]), 1.0)
 
     gt_total = len(gt)
     pred_total = len(pred)
 
-    gt_ids = sorted({g.id for g in gt})
-    pred_ids = sorted({p.id for p in pred})
-    idtp = 0.0
-    if cooccur and pred_ids:
-        counts = np.zeros((len(gt_ids), len(pred_ids)))
-        gt_pos = {gid: i for i, gid in enumerate(gt_ids)}
-        pred_pos = {pid: j for j, pid in enumerate(pred_ids)}
-        for (gid, pid), n in cooccur.items():
-            counts[gt_pos[gid], pred_pos[pid]] = n
-        idtp = hungarian_max(WeightMatrix(counts), 1.0).total_weight
-    idfp = pred_total - idtp
-    idfn = gt_total - idtp
-    idf1 = 2.0 * idtp / (2.0 * idtp + idfp + idfn) if (gt_total + pred_total) else 0.0
+    # Every maximum matching of the integer counts has the same total, so one
+    # solve gives IDTP and no tie-break between optimal pairings is needed.
+    rows, cols = linear_sum_assignment(counts, maximize=True)
+    idtp = counts[rows, cols].sum()
+    idf1 = 2.0 * idtp / (gt_total + pred_total)
 
     mota = 1.0 - (fp + fn + idsw) / gt_total
     return MetricsReport(

@@ -218,8 +218,8 @@ def combine_costs(w: WeightMatrix, z: WeightMatrix, alpha: float, crowd_rows=())
     if (w.rows, w.cols) != (z.rows, z.cols):
         raise ValueError(f"shape mismatch: {w.rows}x{w.cols} vs {z.rows}x{z.cols}")
     combined = alpha * z.array + (1.0 - alpha) * w.array
-    for i in crowd_rows:
-        combined[i, :] = w.array[i, :]
+    rows = list(crowd_rows)
+    combined[rows] = w.array[rows]
     return WeightMatrix(combined)
 
 

@@ -23,6 +23,12 @@ def unit_feature(dim, axis):
     return FeatureVec(v)
 
 
+def covariance(state):
+    """The 8x8 covariance kron([[pp, pv], [pv, vv]], I4) of a filter state's block."""
+    pp, pv, vv = state.block
+    return np.kron([[pp, pv], [pv, vv]], np.eye(4))
+
+
 def rows_to_boxes(rows):
     return [LabeledBox(frame=f, id=tid, bbox=det.bbox) for f, tid, det in rows]
 

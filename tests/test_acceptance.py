@@ -7,7 +7,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import rows_to_boxes
+from conftest import covariance, rows_to_boxes
 
 from adptrack.appearance import QualityVector, cosine_sim, ema_update, select_quality_window
 from adptrack.assignment import WeightMatrix, brute_force_match, hungarian_max
@@ -225,7 +225,7 @@ def test_module_invariants():
         state = kf_init(BoundingBox(0, 0, 12, 30))
         for _ in range(50):
             state = kf_predict(state)
-            cov = state.covariance
+            cov = covariance(state)
             assert np.max(np.abs(cov - cov.T)) < 1e-8
             assert np.linalg.eigvalsh(cov).min() >= -1e-8
             state = kf_update(

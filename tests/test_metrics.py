@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from adptrack.core import BoundingBox
+from adptrack.assignment import WeightMatrix, brute_force_match
+from adptrack.core import BoundingBox, iou
 from adptrack.metrics import LabeledBox, MetricsReport, clear_match, evaluate
 
 
@@ -124,3 +127,44 @@ def test_idf1_symmetric_for_equal_box_sets():
     forward = evaluate(gt, pred, 0.5)
     backward = evaluate(pred, gt, 0.5)
     assert forward.idf1 == pytest.approx(backward.idf1, abs=1e-12)
+
+
+# Boxes 0-2 overlap pairwise with IoU 8/12 and 5/15; the last is disjoint from all.
+_IDF1_POOL = [box(0), box(2), box(5), box(40)]
+
+
+@st.composite
+def _tied_sequences(draw):
+    """Up to 4 frames of up to 6 gt and 6 predicted ids, boxes from a small pool.
+
+    Few distinct boxes make equal co-occurrence counts (and all-zero rows and
+    columns) common, so the count matrix often has several optimal matchings.
+    """
+    pool = draw(st.lists(st.sampled_from(_IDF1_POOL), min_size=1, max_size=3))
+    frames = draw(st.integers(1, 4))
+
+    def labeled(frame, ids):
+        return [LabeledBox(frame, i, draw(st.sampled_from(pool))) for i in ids]
+
+    gt, pred = [], []
+    for frame in range(1, frames + 1):
+        gt += labeled(frame, draw(st.sets(st.integers(1, 6), max_size=6)))
+        pred += labeled(frame, draw(st.sets(st.integers(11, 16), max_size=6)))
+    if not gt:
+        gt = labeled(1, [1])
+    return gt, pred
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_sequences())
+def test_idf1_equals_brute_force_on_tied_counts(seq):
+    gt, pred = seq
+    gt_ids = sorted({g.id for g in gt})
+    pred_ids = sorted({p.id for p in pred})
+    counts = np.zeros((len(gt_ids), len(pred_ids)))
+    for g in gt:
+        for p in pred:
+            if g.frame == p.frame and iou(g.bbox, p.bbox) >= 0.5:
+                counts[gt_ids.index(g.id), pred_ids.index(p.id)] += 1
+    idtp = brute_force_match(WeightMatrix(counts), 1.0).total_weight
+    assert evaluate(gt, pred, 0.5).idf1 == 2.0 * idtp / (len(gt) + len(pred))
