@@ -68,10 +68,28 @@ PRESET_ADP = {
         "b8b687e4969d3e727a37c3757886fc234b46a7754ec4cf6b6fcf98245e087e2b",
         "7a44c8c55db0d933ff9f06db7804b40e6221a2745436205480d726f2d4516a10",
     ],
+    # All 20 preset scenes: adp main at horizon 10 is the acceptance setting.
     "main": [
         "0e16a8d5aadfea2701b7bc3d7b9f05ede11d8b28f41af4d76a85560d68349807",
         "ed3fbb6bd7de7f81c87203b3f84c278ebbf57f3a68cd566546b55e2ef82baec9",
         "3c7025234be2f6513042eda9bf605dcc29257e3ba978c83375c96d433985dd12",
+        "84a5e7cf212cbc43c0d4226b61cb4a41ab08778aa7ae7b275780a10d20fce28a",
+        "0ceccbe0539c06caa96f7281a00e33a569dcc94bbb6937710c70e2379476b592",
+        "50b168c2c9e14df54dfd0603418e91acc4606da85d1c32b3e4922274a12b6ce1",
+        "5b6da4c5d8b417fc312d4af13d7436046258c4e47dd3295e1c049f3fc50bfa00",
+        "60e8de359a21e3381241f26c147d68f70bfa42b4a2d5a297ab336e0f4c818379",
+        "49510d0a6e9f0a588ef8828c25852cc2cc4e5463051fb3e5b023dd902ce1e362",
+        "d9a8c13fc648597fcdd2baa8b9822b35b14a32d3ebafdfb1433c2e41119f9605",
+        "65e902c56073169b0d043bdaa5562cd94a200b34b886be00349e5a5b012ade71",
+        "d0baae4925be137b8414bd211ad127481ada2ee6a3537caad1b41f93ee660bc4",
+        "6902fef887b092177789e06e4f5250867b20291b148f276d2ea9d0a1566d2485",
+        "3b8f0cebc6a2d78ff01dd31897d7a49df31f71b41fd96b93b3e0a1f83a0e4c79",
+        "d55beb0c788e767693d4f1f256e1ac86976f2bd251c42cddc8c6450fcee77da5",
+        "e73c70fd5547238de6131ea836bbfb9bb763ed355c6ab6cd74b78f4d8d707ef2",
+        "7c8f23a93fa8e5af4e6a19179e69647d9b04b09645c9156fea8171790401ac4e",
+        "ea192f285b56f18bdf48ffcc38cede3be94feef7abf051d1c4e52b5c376fcc5d",
+        "a4a703642d736e9c0911e7cebd8c1319e50e15e9ec569bca961db9afc87895d4",
+        "7b08e4ccaf2089e4d7e50945d0b8d5fba7c168aac6696df45203ea7b5bd18b2f",
     ],
     "main-nofilter": [
         "0e16a8d5aadfea2701b7bc3d7b9f05ede11d8b28f41af4d76a85560d68349807",
@@ -148,7 +166,7 @@ def test_preset_adp_digests(tmp_path, name):
         hashlib.sha256(
             _result_bytes(run_adp(_frames(cfg), PARAMS, ADP_CONFIGS[name]), tmp_path / "res.txt")
         ).hexdigest()
-        for cfg in occlusion_preset()[:3]
+        for cfg in occlusion_preset()[: len(PRESET_ADP[name])]
     ]
     assert got == PRESET_ADP[name]
 
