@@ -5,6 +5,14 @@ matcher saw when the detection was assigned. Low values flag frames where the
 object was visually unreliable (occluded, blended with a neighbor). The
 quality window walks back to the most recent reliable frame and selects the
 last few detections ending there as the track's trusted visual history.
+
+Every dot product of features, here and in the rollout layer, is taken by
+`feature_dots`, a multiply-sum, rather than by ``np.dot`` or ``@``. BLAS picks
+its kernel, and so its summation order, by the shape of the operands, so a
+row of a matrix product can differ in the last bit from the same row computed
+alone. The multiply-sum adds each vector's products in one fixed order
+whatever the array around it, so a batched score equals the per-pair score
+bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import numpy as np
 
 from .core import FeatureVec
 
-__all__ = ["QualityVector", "QualityWindow", "cosine_sim", "ema_update", "select_quality_window"]
+__all__ = ["QualityVector", "QualityWindow", "cosine_sim", "feature_dots", "ema_update", "select_quality_window"]
 
 
 class QualityVector:
@@ -65,11 +73,16 @@ class QualityWindow:
         return range(self.start, self.end + 1)
 
 
+def feature_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis of two broadcast feature arrays, in one fixed order."""
+    return np.multiply(a, b).sum(-1)
+
+
 def cosine_sim(u: FeatureVec, v: FeatureVec) -> float:
     """Dot product of unit vectors, clamped to [-1, 1] against rounding."""
     if u.dim != v.dim:
         raise ValueError(f"feature dimensions differ: {u.dim} vs {v.dim}")
-    return float(np.clip(np.dot(u.values, v.values), -1.0, 1.0))
+    return min(1.0, max(-1.0, float(feature_dots(u.values, v.values))))
 
 
 def ema_update(rep: FeatureVec, obs: FeatureVec, momentum: float) -> FeatureVec:

@@ -20,6 +20,7 @@ __all__ = [
     "iou",
     "box_array",
     "iou_matrix",
+    "iou_array",
     "to_center",
     "from_center",
 ]
@@ -75,14 +76,15 @@ def box_array(boxes) -> np.ndarray:
     return np.array([(b.left, b.top, b.width, b.height) for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
-def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`iou` of every pair of rows of an (N, 4) and an (M, 4) box array, as (N, M).
+def iou_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`iou` of (..., 4) box arrays broadcast against each other, one value per box pair.
 
     Each entry is computed with the operations of the scalar function in the
     same order, so it equals ``iou`` bit for bit.
     """
-    al, at, aw, ah = (col[:, None] for col in np.asarray(a, dtype=np.float64).reshape(-1, 4).T)
-    bl, bt, bw, bh = (col[None, :] for col in np.asarray(b, dtype=np.float64).reshape(-1, 4).T)
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    al, at, aw, ah = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bl, bt, bw, bh = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
     iw = np.minimum(al + aw, bl + bw) - np.maximum(al, bl)
     ih = np.minimum(at + ah, bt + bh) - np.maximum(at, bt)
     inter = iw * ih
@@ -91,6 +93,13 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.where((iw > 0) & (ih > 0), ratio, 0.0)
     out[(al == bl) & (at == bt) & (aw == bw) & (ah == bh)] = 1.0
     return out
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`iou` of every pair of rows of an (N, 4) and an (M, 4) box array, as (N, M)."""
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
+    b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
+    return iou_array(a[:, None, :], b[None, :, :])
 
 
 def to_center(b: BoundingBox) -> tuple[float, float, float, float]:

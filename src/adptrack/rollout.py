@@ -9,6 +9,10 @@ variants are provided: the main score compares a track's trusted past
 features against the tentative track's future features; the others isolate
 the motion-only, no-simulation and representative-feature versions of the
 same idea.
+
+The per-pair functions (`score_main`, `score_f1`, `score_f2`, `score_f3`,
+`candidate_filter`) define the scores. `score_frame`, which `adp_step` uses,
+computes them for all pairs of a frame at once and equals them bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .appearance import cosine_sim, select_quality_window
+from .appearance import cosine_sim, feature_dots, select_quality_window
 from .assignment import Matching, WeightMatrix, hungarian_max
 from .base_tracker import (
     Track,
@@ -31,8 +35,8 @@ from .base_tracker import (
     fork_at,
     step,
 )
-from .core import Detection, FrameData, iou
-from .motion import kf_predict, kf_update, state_to_bbox
+from .core import Detection, FrameData, box_array, iou, iou_array
+from .motion import batch_boxes, kf_predict, kf_predict_batch, kf_update, kf_update_batch, state_to_bbox
 
 __all__ = [
     "Variant",
@@ -45,6 +49,7 @@ __all__ = [
     "score_f3",
     "candidate_filter",
     "crowd_check",
+    "score_frame",
     "combine_costs",
     "adp_step",
     "run",
@@ -132,7 +137,7 @@ def _mean_pairwise_cos(past: np.ndarray, entry_feats) -> float:
     if not entry_feats:
         return 0.0
     e = np.stack([f.values for f in entry_feats])
-    return float(np.clip((past @ e.T).mean(), -1.0, 1.0))
+    return float(np.clip(feature_dots(past[:, None, :], e[None, :, :]).mean(), -1.0, 1.0))
 
 
 def score_main(track: Track, past: np.ndarray, tent: TentativeTrack, cfg: AdpConfig) -> float:
@@ -213,6 +218,89 @@ def crowd_check(track: Track, cfg: AdpConfig) -> bool:
     return track.quality.fraction_below(cfg.beta) >= cfg.crowd_ratio
 
 
+def _frame_walk(tracks: list[Track], boxes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """`_walk` of every track along every tentative at once, as (T, D, L) walk IOUs.
+
+    `boxes` (D, L, 4) holds the entry boxes of D tentatives and `lengths` their
+    entry counts. From step l on only the tentatives longer than l are walked,
+    so no state past a tentative's end is computed and its IOUs stay 0.
+    """
+    shape = (len(tracks), len(lengths))
+    mean = np.broadcast_to(np.stack([t.kalman.mean for t in tracks])[:, None], (*shape, 8))
+    block = tuple(np.broadcast_to(b[:, None], shape) for b in np.array([t.kalman.block for t in tracks]).T)
+    centers = np.concatenate([boxes[..., :2] + boxes[..., 2:] / 2.0, boxes[..., 2:]], axis=-1)
+    out = np.zeros((*shape, boxes.shape[1]))
+    cols, ends = np.arange(len(lengths)), set(lengths.tolist())
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state raises in batch_boxes
+        for step_idx in range(boxes.shape[1]):
+            if step_idx in ends:
+                live = lengths[cols] > step_idx
+                cols, mean, block = cols[live], mean[:, live], tuple(b[:, live] for b in block)
+            if step_idx:
+                mean, block = kf_predict_batch(*kf_update_batch(mean, block, centers[cols, step_idx - 1]))
+            out[:, cols, step_idx] = iou_array(batch_boxes(mean), boxes[cols, step_idx])
+    return out
+
+
+def score_frame(tracks: list[Track], dets: list[Detection], tents, cfg: AdpConfig) -> tuple[np.ndarray, list[int]]:
+    """Rollout scores z of the tracks against the detections, and the crowd rows.
+
+    `tents` holds each detection's tentative track (None for f2). Entry by
+    entry z equals the per-pair `score_*` functions, but a frame takes one
+    array walk over all pairs and one feature product per track:
+
+    - the walk IOUs and representative cosines are (T, D, L) arrays and the
+      candidate filter is a mask over them; f1 and f3 add their entries
+      left to right, as `_mean` does;
+    - main takes the (k, D, L) products of a track's trusted window with
+      every entry, and each pair averages its (k, kept) block;
+    - f2 takes the (D, k) products of the window with the detections.
+
+    Crowd rows score 0; `combine_costs` gives them the base weights.
+    """
+    z = np.zeros((len(tracks), len(dets)))
+    crowded = [cfg.enable_crowd_heuristic and crowd_check(t, cfg) for t in tracks]
+    crowd = [i for i, c in enumerate(crowded) if c]
+    rows = [i for i, c in enumerate(crowded) if not c]
+    if not rows or not dets:
+        return z, crowd
+    scored = [tracks[i] for i in rows]
+    if cfg.variant is Variant.F2:
+        feats = np.stack([det.feature.values for det in dets])
+        for i, track in zip(rows, scored):
+            z[i] = np.clip(feature_dots(feats[:, None], _window_features(track, cfg)).mean(axis=1), -1.0, 1.0)
+        return z, crowd
+
+    lengths = np.array([len(t.entries) for t in tents])
+    boxes = np.zeros((len(tents), lengths.max(), 4))
+    feats = np.zeros((*boxes.shape[:2], dets[0].feature.dim))
+    for jj, tent in enumerate(tents):
+        boxes[jj, : lengths[jj]] = box_array(det.bbox for _, det in tent.entries)
+        feats[jj, : lengths[jj]] = [det.feature.values for _, det in tent.entries]
+    if cfg.variant is not Variant.MAIN or cfg.enable_candidate_filter:
+        walk = _frame_walk(scored, boxes, lengths)
+        cos = np.clip(feature_dots(np.stack([t.rep_feature.values for t in scored])[:, None, None], feats), -1.0, 1.0)
+    if cfg.variant is not Variant.MAIN:
+        per_entry = walk if cfg.variant is Variant.F1 else np.minimum(walk, np.maximum(0.0, cos))
+        total = np.zeros(per_entry.shape[:2])
+        for step_idx in range(per_entry.shape[2]):  # 0 past a tentative's end
+            total += per_entry[..., step_idx]
+        z[rows] = total / lengths
+        return z, crowd
+    kept = np.broadcast_to(np.arange(boxes.shape[1]) < lengths[:, None], (len(rows), *boxes.shape[:2]))
+    if cfg.enable_candidate_filter:
+        kept = kept & (walk >= cfg.cand_iou) & (cos >= cfg.cand_app)
+    pairs = kept.any(axis=2)
+    for r, (i, track) in enumerate(zip(rows, scored)):
+        if pairs[r].any():
+            prod = feature_dots(_window_features(track, cfg)[:, None, None], feats)
+            for jj in np.flatnonzero(pairs[r]).tolist():
+                # take() gathers a C-ordered copy, which mean() adds in the order _mean_pairwise_cos does
+                kept_dots = prod[:, jj].take(np.flatnonzero(kept[r, jj]), axis=1)
+                z[i, jj] = min(1.0, max(-1.0, float(kept_dots.mean())))
+    return z, crowd
+
+
 def combine_costs(w: WeightMatrix, z: WeightMatrix, alpha: float, crowd_rows=()) -> WeightMatrix:
     """Elementwise alpha*z + (1-alpha)*w; crowd rows copy w verbatim."""
     if (w.rows, w.cols) != (z.rows, z.cols):
@@ -227,8 +315,12 @@ def adp_step(state: TrackerState, window: list[FrameData], cfg: AdpConfig) -> tu
     """Match the next frame using base weights blended with rollout scores.
 
     `window` holds the target frame followed by up to `horizon` future
-    frames. Lifecycle updates are shared with the base tracker, so with
-    alpha = 0 the step reproduces the base step exactly.
+    frames. The scores come from `score_frame`: one array walk of every
+    non-crowd track along the tentatives of the eligible detections, and one
+    product of each track's trusted window with the horizon's entries (main)
+    or with the frame's detections (f2). Lifecycle updates are shared with
+    the base tracker, so with alpha = 0 the step reproduces the base step
+    exactly.
     """
     if not window:
         raise ValueError("window must contain at least the target frame")
@@ -239,23 +331,12 @@ def adp_step(state: TrackerState, window: list[FrameData], cfg: AdpConfig) -> tu
     det_idx = eligible_detections(frame, state.params)
     # The no-simulation variant never reads the future frames.
     tentatives = None if cfg.variant is Variant.F2 else simulate_tentative(window, state.params)
-
-    z = np.zeros((len(tracks), len(det_idx)))
-    crowd_rows = []
-    for i, track in enumerate(tracks):
-        if cfg.enable_crowd_heuristic and crowd_check(track, cfg):
-            crowd_rows.append(i)
-            continue
-        past = _window_features(track, cfg) if cfg.variant in (Variant.MAIN, Variant.F2) else None
-        for jj, j in enumerate(det_idx):
-            if cfg.variant is Variant.MAIN:
-                z[i, jj] = score_main(track, past, tentatives[j], cfg)
-            elif cfg.variant is Variant.F1:
-                z[i, jj] = score_f1(track, tentatives[j])
-            elif cfg.variant is Variant.F2:
-                z[i, jj] = score_f2(past, frame.detections[j])
-            else:
-                z[i, jj] = score_f3(track, tentatives[j])
+    z, crowd_rows = score_frame(
+        tracks,
+        [frame.detections[j] for j in det_idx],
+        None if tentatives is None else [tentatives[j] for j in det_idx],
+        cfg,
+    )
 
     combined = combine_costs(weights, WeightMatrix(z), cfg.alpha, crowd_rows)
     matching = hungarian_max(combined, state.params.match_threshold)

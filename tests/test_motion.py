@@ -3,8 +3,17 @@ import pytest
 
 from conftest import covariance
 
-from adptrack.core import BoundingBox, from_center, to_center
-from adptrack.motion import KalmanState, kf_init, kf_predict, kf_update, state_to_bbox
+from adptrack.core import BoundingBox, box_array, from_center, to_center
+from adptrack.motion import (
+    KalmanState,
+    batch_boxes,
+    kf_init,
+    kf_predict,
+    kf_predict_batch,
+    kf_update,
+    kf_update_batch,
+    state_to_bbox,
+)
 
 # DeepSORT noise std multipliers (applied to the box height), spelled out so
 # the oracles below do not read them from the code under test.
@@ -185,3 +194,44 @@ def test_block_filter_matches_8x8_recursion_exactly():
             assert np.array_equal(s.mean, mean) and np.array_equal(covariance(s), cov)
             cycles += 1
     assert cycles >= 200
+
+
+def _random_box(rng):
+    return from_center(*rng.uniform(0, 500, 2), *rng.uniform(5, 150, 2))
+
+
+def test_batch_filter_equals_scalar_filter():
+    # Numpy squares as x * x where the scalar filter's ** 2 is libm pow; the two
+    # differ for about one height in a thousand, so it takes thousands of states,
+    # with a block no larger than the noise terms, to see a batch squared the numpy way.
+    rng = np.random.default_rng(2468)
+    states = [
+        KalmanState(np.concatenate([rng.uniform(0, 500, 2), rng.uniform(5, 150, 2), rng.normal(0, 3, 4)]),
+                    (rng.uniform(0.1, 20), rng.uniform(0, 2), rng.uniform(0.01, 2)))
+        for _ in range(9997)
+    ]
+    # negative and tiny heights and widths: the noise scale and the box size clamp
+    states += [KalmanState([10.0, 10.0, w, h, 1.0, -1.0, 0.5, -2.0], (3.0, 1.0, 2.0)) for w, h in ((-4.0, -20.0), (1e-5, 1e-5), (0.0, 0.0))]
+    boxes = [_random_box(rng) for _ in states]
+    mean = np.stack([s.mean for s in states]).reshape(100, 100, 8)
+    block = tuple(np.array(entry).reshape(100, 100) for entry in zip(*(s.block for s in states)))
+
+    def assert_equal(batch, expected):
+        got_mean, got_block = batch
+        assert np.array_equal(got_mean.reshape(-1, 8), np.stack([s.mean for s in expected]))
+        assert np.array_equal(np.stack(got_block, axis=-1).reshape(-1, 3), np.array([s.block for s in expected]))
+
+    assert_equal(kf_predict_batch(mean, block), [kf_predict(s) for s in states])
+    centers = np.array([to_center(b) for b in boxes]).reshape(100, 100, 4)
+    assert_equal(kf_update_batch(mean, block, centers), [kf_update(s, b) for s, b in zip(states, boxes)])
+    assert np.array_equal(batch_boxes(mean).reshape(-1, 4), box_array(state_to_bbox(s) for s in states))
+
+
+def test_batch_boxes_rejects_non_finite_states():
+    mean = np.zeros((2, 8))
+    mean[:, 2:4] = 10.0
+    mean[1, 0] = np.inf
+    with pytest.raises(ValueError):
+        state_to_bbox(KalmanState(mean[1], (1.0, 0.0, 1.0)))
+    with pytest.raises(ValueError):
+        batch_boxes(mean)

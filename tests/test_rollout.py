@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,9 @@ from conftest import count_calls, make_det, make_frame
 from adptrack import rollout
 from adptrack.appearance import QualityVector
 from adptrack.assignment import WeightMatrix
-from adptrack.base_tracker import Track, TrackerParams, TrackerState, run as run_base, step
+from adptrack.base_tracker import Track, TrackerParams, TrackerState, eligible_detections, run as run_base, step
 from adptrack.core import FeatureVec, iou
-from adptrack.motion import kf_predict, kf_update, state_to_bbox
+from adptrack.motion import KalmanState, kf_predict, kf_update, state_to_bbox
 from adptrack.rollout import (
     AdpConfig,
     TentativeTrack,
@@ -22,10 +24,11 @@ from adptrack.rollout import (
     score_f1,
     score_f2,
     score_f3,
+    score_frame,
     score_main,
     simulate_tentative,
 )
-from adptrack.synthworld import ScenarioConfig, generate
+from adptrack.synthworld import ScenarioConfig, generate, occlusion_preset
 
 PARAMS = TrackerParams()
 NO_FILTERS = AdpConfig(enable_candidate_filter=False, enable_crowd_heuristic=False)
@@ -333,3 +336,113 @@ def test_all_variants_run_end_to_end():
         cfg = AdpConfig(horizon=3, variant=variant)
         rows = run_adp(frames, PARAMS, cfg)
         assert rows, variant
+
+
+def _per_pair_scores(tracks, dets, tents, cfg):
+    """The frame's rollout scores and crowd rows, one `score_*` call per pair."""
+    z = np.zeros((len(tracks), len(dets)))
+    crowd = []
+    for i, track in enumerate(tracks):
+        if cfg.enable_crowd_heuristic and crowd_check(track, cfg):
+            crowd.append(i)
+            continue
+        past = _window_features(track, cfg)
+        for jj, det in enumerate(dets):
+            if cfg.variant is Variant.MAIN:
+                z[i, jj] = score_main(track, past, tents[jj], cfg)
+            elif cfg.variant is Variant.F1:
+                z[i, jj] = score_f1(track, tents[jj])
+            elif cfg.variant is Variant.F2:
+                z[i, jj] = score_f2(past, det)
+            else:
+                z[i, jj] = score_f3(track, tents[jj])
+    return z, crowd
+
+
+def _crowd_windows(targets=(15, 35, 55), horizon=10):
+    """(tracks, eligible detections, their tentatives) at a few frames of a crowd scene.
+
+    12 identities with 4 crossing pairs fragment into dozens of live tracks,
+    with tentatives of several lengths. The tracks come from f2 steps, whose
+    blend also matches pairs of zero overlap and low appearance score, so some
+    tracks are crowd rows.
+    """
+    sc_cfg = replace(occlusion_preset()[0], identities=20, crossings=6, seed=9003)
+    frames = list(generate(sc_cfg).det_frames)
+    out = []
+    for t in targets:
+        state = TrackerState(PARAMS, frame_cursor=frames[0].index - 1)
+        step(state, frames[0])
+        for frame in frames[1:t]:
+            adp_step(state, [frame], AdpConfig(variant=Variant.F2))
+        tents = simulate_tentative(frames[t : t + horizon + 1], PARAMS)
+        det_idx = eligible_detections(frames[t], PARAMS)
+        out.append((state.alive_tracks(), [frames[t].detections[j] for j in det_idx], [tents[j] for j in det_idx]))
+    return out
+
+
+# crowd_ratio=0.1 makes a few tracks of each crowd window crowd rows; window=9
+# gives trusted windows of 9 features, so a (k, kept) block of main holds 9 or
+# more products and its mean takes numpy's pairwise sum.
+BATCH_CONFIGS = {
+    "main": AdpConfig(window=9, crowd_ratio=0.1),
+    "main-nofilter": AdpConfig(window=9, crowd_ratio=0.1, enable_candidate_filter=False),
+    "main-defaults": AdpConfig(),
+    "f1": AdpConfig(variant=Variant.F1, crowd_ratio=0.1),
+    "f2": AdpConfig(window=9, crowd_ratio=0.1, variant=Variant.F2),
+    "f3": AdpConfig(variant=Variant.F3, crowd_ratio=0.1),
+}
+
+
+@pytest.fixture(scope="module")
+def crowd_windows():
+    return _crowd_windows()
+
+
+def test_crowd_windows_cover_the_batched_cases(crowd_windows):
+    cfg = BATCH_CONFIGS["main"]
+    for tracks, _, tents in crowd_windows:
+        assert len({len(t.entries) for t in tents}) > 1
+        crowded = [crowd_check(t, cfg) for t in tracks]
+        assert any(crowded) and not all(crowded)
+        assert any(len(_window_features(t, cfg)) == 9 for t in tracks)
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CONFIGS))
+def test_score_frame_equals_per_pair_scores(crowd_windows, name):
+    cfg = BATCH_CONFIGS[name]
+    for tracks, dets, tents in crowd_windows:
+        z, crowd = score_frame(tracks, dets, None if cfg.variant is Variant.F2 else tents, cfg)
+        z_ref, crowd_ref = _per_pair_scores(tracks, dets, tents, cfg)
+        assert crowd == crowd_ref
+        assert np.array_equal(z, z_ref)
+        assert np.count_nonzero(z) > 0
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CONFIGS))
+def test_score_frame_without_tracks_or_detections(crowd_windows, name):
+    cfg = BATCH_CONFIGS[name]
+    tracks, dets, tents = crowd_windows[0]
+    tents = None if cfg.variant is Variant.F2 else tents
+    z, crowd = score_frame([], dets, tents, cfg)
+    assert z.shape == (0, len(dets)) and crowd == []
+    z, _ = score_frame(tracks, [], None if tents is None else [], cfg)
+    assert z.shape == (len(tracks), 0)
+
+
+def test_walk_raises_when_the_forecast_overflows():
+    # Position and velocity near the float maximum: the first correct-and-predict
+    # step of the walk overflows to inf, which no box may hold.
+    track = _converged_track([0, 4, 8])
+    track.kalman = KalmanState([1.7e308, 5.0, 10.0, 10.0, 1.7e308, 0.0, 0.0, 0.0], (1.0, 0.0, 1.0))
+    tent = TentativeTrack(origin_det=0, entries=((4, make_det(4, 0, 0)), (5, make_det(5, 4, 0))))
+    dets = [tent.entries[0][1]]
+    for variant in (Variant.MAIN, Variant.F1, Variant.F3):
+        cfg = AdpConfig(variant=variant, enable_crowd_heuristic=False)
+        with pytest.raises(ValueError):
+            _per_pair_scores([track], dets, [tent], cfg)
+        with pytest.raises(ValueError):
+            score_frame([track], dets, [tent], cfg)
+    # main without the candidate filter never walks
+    cfg = AdpConfig(enable_candidate_filter=False, enable_crowd_heuristic=False)
+    assert np.array_equal(score_frame([track], dets, [tent], cfg)[0], _per_pair_scores([track], dets, [tent], cfg)[0])
