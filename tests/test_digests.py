@@ -193,3 +193,48 @@ def test_crowd_base_report(tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["track", "--dets", str(dets), "--features", str(feats), "--out", str(res), "--mode", "base"]) == 0
     assert _report_fields(evaluate(read_gt(gt), read_gt(res))) == CROWD_BASE_REPORT
+
+
+# sha256 of every file the commands write for one small scene, run from a
+# fixed working directory with relative paths so the manifests are stable.
+# Sweep CSVs lose their wall-time `runtime_s` column before hashing.
+CLI_OUTPUTS = {
+    "adp.csv": "a2e8abbb63a3208c180ce7182d0fd642360fa5e08efde541c7efd253f565e46b",
+    "adp.csv.manifest.json": "43410a63d345a568161d5ff3333ea397edd876a67856bd8231b9924ea6393d20",
+    "adp.json": "bb23ad790cbce1968fe2e19c8e32e35d79ceeace813494006e7a4dd18cb1e9bd",
+    "adp.txt": "841c3d9f155869471b361f13d58fd0e39d0fec8ad0c656de34b336ae7f135607",
+    "adp.txt.manifest.json": "f2dd70e8a7e7a525eeda52834f5b8ab3137ab158b9fcc64149765ef535642b8c",
+    "base.txt": "452858c78fdf22a6e28ace51fcf4c4372caa74c270419955df14cb5a9460e10c",
+    "base.txt.manifest.json": "8746db9795569d02f581c2f2f46f217dc81b780d05002a897fb53c9058315559",
+    "scene/det.txt": "fcf4efec5659ba31918d013790c89e5f8a37b3fcfd9770e190e40b2c5478435a",
+    "scene/features.csv": "295bfec8013056628bb93631bd780d3bb8e8f2286aefbf722b0de481cc8947d9",
+    "scene/gt.txt": "aa0e191cf46bca9047767c6789f38d0a3108bc07b44e03c6a550bc94b50386a9",
+    "scene/manifest.json": "89d8d5f6da99c709edd1126ebe3d8e1d631c268f10d6197b553587ab42c6dc4e",
+    "sweep.csv": "e6754598fa50b8d14c9320d68744b5aedcbfc0b75d997cabafeb4cfc897fba01",
+    "sweep.csv.manifest.json": "6d9936cc0ff517a1a2cd4a1fb90423c73428d4973e44df8d55b3c907adac05ea",
+}
+
+CLI_RUNS = [
+    ["synth", "--out-dir", "scene", "--seed", "21", "--frames", "25", "--objects", "4", "--crossings", "1",
+     "--noise", "0.4", "--feature-dim", "8", "--drop-prob", "0.7", "--feature-noise", "0.1",
+     "--occlusion-iou", "0.3", "--no-mix"],
+    ["track", "--dets", "scene/det.txt", "--features", "scene/features.csv", "--mode", "base", "--out", "base.txt"],
+    ["track", "--dets", "scene/det.txt", "--features", "scene/features.csv", "--horizon", "6", "--out", "adp.txt"],
+    ["eval", "--gt", "scene/gt.txt", "--res", "adp.txt", "--out", "adp.csv", "--json-out", "adp.json"],
+    ["sweep", "--param", "horizon", "--values", "3,5", "--dets", "scene/det.txt", "--features", "scene/features.csv",
+     "--gt", "scene/gt.txt", "--out", "sweep.csv"],
+]
+
+
+def test_cli_output_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in CLI_RUNS:
+            assert main(argv) == 0
+    got = {}
+    for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "sweep.csv":
+            data = b"".join(line.rsplit(b",", 1)[0] + b"\n" for line in data.splitlines())
+        got[path.relative_to(tmp_path).as_posix()] = hashlib.sha256(data).hexdigest()
+    assert got == CLI_OUTPUTS
