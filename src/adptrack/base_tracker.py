@@ -7,6 +7,12 @@ the usual lifecycle: matched tracks are corrected and refreshed, unmatched
 tracks decay toward removal, confident unmatched detections spawn new tracks,
 and every surviving track is predicted one frame ahead.
 
+The gates and rates are fixed, DeepSORT-style (Wojke, Bewley & Paulus, ICIP
+2017): a pair's appearance counts only when its forecast IOU reaches 0.1 and
+its cosine 0.25, the representative feature is an EMA with momentum 0.9, and
+detections below confidence 0.1 are ignored. `TrackerParams` holds the two
+settings callers vary: the match threshold and the maximum age.
+
 Everything is deterministic; the near-online layer reuses `apply_matching`
 so that both trackers share one lifecycle code path.
 """
@@ -44,20 +50,21 @@ class TrackStatus(enum.Enum):
     REMOVED = "removed"
 
 
+# Fixed gates and rates; the module docstring gives their source.
+_APPEARANCE_GATE = 0.25
+_IOU_GATE = 0.1
+_EMA_MOMENTUM = 0.9
+_MIN_CONFIDENCE = 0.1
+
+
 @dataclass(frozen=True)
 class TrackerParams:
     match_threshold: float = 0.2
-    appearance_gate: float = 0.25
-    iou_gate: float = 0.1
     max_age: int = 30
-    ema_momentum: float = 0.9
-    min_confidence: float = 0.1
 
     def __post_init__(self):
-        for name in ("match_threshold", "appearance_gate", "iou_gate", "ema_momentum", "min_confidence"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        if not (0.0 <= self.match_threshold <= 1.0):
+            raise ValueError(f"match_threshold must lie in [0, 1], got {self.match_threshold}")
         if self.max_age < 1:
             raise ValueError(f"max_age must be >= 1, got {self.max_age}")
 
@@ -111,49 +118,48 @@ class TrackerState:
         return track
 
 
-def _gate(overlap: float, cos: float, params: TrackerParams) -> tuple[float, float]:
+def _gate(overlap: float, cos: float) -> tuple[float, float]:
     """(fused weight, gated appearance score) from a pair's overlap and cosine."""
-    gated = cos if (cos >= params.appearance_gate and overlap >= params.iou_gate) else 0.0
+    gated = cos if (cos >= _APPEARANCE_GATE and overlap >= _IOU_GATE) else 0.0
     gated = max(gated, 0.0)
     return min(overlap, gated), gated
 
 
-def _pair_scores(pred_box: BoundingBox, rep: FeatureVec, det: Detection, params: TrackerParams) -> tuple[float, float]:
+def _pair_scores(pred_box: BoundingBox, rep: FeatureVec, det: Detection) -> tuple[float, float]:
     """(fused weight, gated appearance score) for one track/detection pair."""
-    return _gate(iou(pred_box, det.bbox), cosine_sim(rep, det.feature), params)
+    return _gate(iou(pred_box, det.bbox), cosine_sim(rep, det.feature))
 
 
-def fused_similarity(track: Track, det: Detection, params: TrackerParams) -> float:
+def fused_similarity(track: Track, det: Detection) -> float:
     """min(IOU of the track's one-step forecast box, gated appearance similarity) for one pair."""
-    fused, _ = _pair_scores(state_to_bbox(track.kalman), track.rep_feature, det, params)
+    fused, _ = _pair_scores(state_to_bbox(track.kalman), track.rep_feature, det)
     return fused
 
 
-def eligible_detections(frame: FrameData, params: TrackerParams) -> list[int]:
+def eligible_detections(frame: FrameData) -> list[int]:
     """Indices of detections that clear the confidence floor, in frame order."""
-    return [j for j, d in enumerate(frame.detections) if d.confidence >= params.min_confidence]
+    return [j for j, d in enumerate(frame.detections) if d.confidence >= _MIN_CONFIDENCE]
 
 
 def compute_base_weights(state: TrackerState, frame: FrameData) -> WeightMatrix:
     """Pairwise fused weights: live tracks x confident detections.
 
     Equal, entry by entry, to `fused_similarity`. A pair whose forecast
-    overlap misses `iou_gate` weighs 0 whatever its appearance, so the cosine
-    is taken only inside the gate.
+    overlap misses the IOU gate weighs 0 whatever its appearance, so the
+    cosine is taken only inside the gate.
     """
     if frame.index != state.frame_cursor + 1:
         raise ValueError(f"out-of-order frame {frame.index}, expected {state.frame_cursor + 1}")
-    params = state.params
     tracks = state.alive_tracks()
-    dets = [frame.detections[j] for j in eligible_detections(frame, params)]
+    dets = [frame.detections[j] for j in eligible_detections(frame)]
     overlap = iou_matrix(
         box_array([state_to_bbox(track.kalman) for track in tracks]),
         box_array([det.bbox for det in dets]),
     )
     weights = np.zeros(overlap.shape)
-    for i, jj in zip(*np.nonzero(overlap >= params.iou_gate)):
+    for i, jj in zip(*np.nonzero(overlap >= _IOU_GATE)):
         cos = cosine_sim(tracks[i].rep_feature, dets[jj].feature)
-        weights[i, jj], _ = _gate(float(overlap[i, jj]), cos, params)
+        weights[i, jj], _ = _gate(float(overlap[i, jj]), cos)
     return WeightMatrix(weights)
 
 
@@ -163,19 +169,18 @@ def apply_matching(state: TrackerState, frame: FrameData, matching: Matching) ->
     Matching rows index `alive_tracks()`, columns index `eligible_detections`.
     Matched tracks are corrected; every track not removed is then predicted.
     """
-    params = state.params
     tracks = state.alive_tracks()
-    det_idx = eligible_detections(frame, params)
+    det_idx = eligible_detections(frame)
     matched_rows = {i for i, _ in matching.pairs}
     matched_cols = {j for _, j in matching.pairs}
 
     for i, jj in matching.pairs:
         track = tracks[i]
         det = frame.detections[det_idx[jj]]
-        _, gated = _pair_scores(state_to_bbox(track.kalman), track.rep_feature, det, params)
+        _, gated = _pair_scores(state_to_bbox(track.kalman), track.rep_feature, det)
         track.quality.append(gated)
         track.kalman = kf_update(track.kalman, det.bbox)
-        track.rep_feature = ema_update(track.rep_feature, det.feature, params.ema_momentum)
+        track.rep_feature = ema_update(track.rep_feature, det.feature, _EMA_MOMENTUM)
         track.history.append((frame.index, det))
         track.status = TrackStatus.ACTIVE
         track.frames_lost = 0
@@ -185,7 +190,7 @@ def apply_matching(state: TrackerState, frame: FrameData, matching: Matching) ->
         if i not in matched_rows:
             track.status = TrackStatus.LOST
             track.frames_lost += 1
-            if track.frames_lost > params.max_age:
+            if track.frames_lost > state.params.max_age:
                 track.status = TrackStatus.REMOVED
                 continue
         track.kalman = kf_predict(track.kalman)

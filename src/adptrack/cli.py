@@ -20,7 +20,7 @@ from . import __version__
 from .base_tracker import TrackerParams
 from .base_tracker import run as run_base
 from .mda_dp import MdaInstance, avs_solve, exact_solve
-from .metrics import LabeledBox, evaluate
+from .metrics import DEFAULT_IOU_THRESHOLD, LabeledBox, evaluate
 from .motio import (
     DataError,
     attach_features,
@@ -40,8 +40,36 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
-_EVAL_HEADER = "sequence,IDF1,MOTA,FP,FN,IDSW,Frag"
-_SWEEP_HEADER = "param,value,IDF1,MOTA,FP,FN,IDSW,Frag,runtime_s"
+# (column, MetricsReport field, format) of each reported metric, in column order
+_METRICS = (
+    ("IDF1", "idf1", ".6f"),
+    ("MOTA", "mota", ".6f"),
+    ("FP", "fp", "d"),
+    ("FN", "fn", "d"),
+    ("IDSW", "idsw", "d"),
+    ("Frag", "frag", "d"),
+)
+_COLUMNS = ",".join(column for column, _, _ in _METRICS)
+_EVAL_HEADER = f"sequence,{_COLUMNS}"
+_SWEEP_HEADER = f"param,value,{_COLUMNS},runtime_s"
+
+# Flags that set the config field of their name, with the field's type and default.
+_PARAM_FLAGS = ("match_threshold", "max_age")
+_ADP_FLAGS = ("alpha", "horizon", "window", "beta", "cand_iou", "cand_app", "crowd_ratio")
+_SWEEP_PARAMS = ("alpha", "horizon", "window", "beta")
+
+# synth flags (by dest) that set one ScenarioConfig field each; unset, they leave its default.
+_SCENARIO_FLAGS = {
+    "seed": "seed",
+    "frames": "frames",
+    "objects": "identities",
+    "crossings": "crossings",
+    "noise": "det_noise_px",
+    "feature_dim": "feature_dim",
+    "drop_prob": "drop_prob_occluded",
+    "feature_noise": "feature_noise",
+    "occlusion_iou": "occlusion_iou",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,22 +101,20 @@ def _load_sequence(dets_path, features_path):
 
 
 def _tracker_params(ns) -> TrackerParams:
-    return TrackerParams(match_threshold=ns.match_threshold, max_age=ns.max_age)
+    return TrackerParams(**{name: getattr(ns, name) for name in _PARAM_FLAGS})
 
 
 def _adp_config(ns) -> AdpConfig:
     return AdpConfig(
-        alpha=ns.alpha,
-        horizon=ns.horizon,
-        window=ns.window,
-        beta=ns.beta,
         variant=Variant(ns.variant),
-        cand_iou=ns.cand_iou,
-        cand_app=ns.cand_app,
-        crowd_ratio=ns.crowd_ratio,
         enable_candidate_filter=not ns.no_candidate_filter,
         enable_crowd_heuristic=not ns.no_crowd,
+        **{name: getattr(ns, name) for name in _ADP_FLAGS},
     )
+
+
+def _metric_cells(report) -> str:
+    return ",".join(format(getattr(report, field), fmt) for _, field, fmt in _METRICS)
 
 
 def cmd_track(ns) -> int:
@@ -106,30 +132,15 @@ def cmd_track(ns) -> int:
     return EXIT_OK
 
 
-def _format_report(name, report) -> str:
-    return (
-        f"{name},{report.idf1:.6f},{report.mota:.6f},"
-        f"{report.fp},{report.fn},{report.idsw},{report.frag}"
-    )
-
-
 def cmd_eval(ns) -> int:
     gt = read_gt(ns.gt)
     res = read_gt(ns.res)
     report = evaluate(gt, res, ns.iou_thresh)
     name = ns.name if ns.name else Path(ns.res).stem
-    line = _format_report(name, report)
+    line = f"{name},{_metric_cells(report)}"
     Path(ns.out).write_text(_EVAL_HEADER + "\n" + line + "\n", encoding="utf-8")
     if ns.json_out:
-        payload = {
-            "sequence": name,
-            "IDF1": report.idf1,
-            "MOTA": report.mota,
-            "FP": report.fp,
-            "FN": report.fn,
-            "IDSW": report.idsw,
-            "Frag": report.frag,
-        }
+        payload = {"sequence": name, **{column: getattr(report, field) for column, field, _ in _METRICS}}
         Path(ns.json_out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     _write_manifest(
         Path(str(ns.out) + ".manifest.json"),
@@ -157,9 +168,11 @@ def _emit_scenario(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
 
 def cmd_synth(ns) -> int:
     out_dir = Path(ns.out_dir)
-    explicit = [ns.seed, ns.frames, ns.objects, ns.crossings, ns.noise, ns.feature_dim, ns.drop_prob]
+    given = {name: getattr(ns, dest) for dest, name in _SCENARIO_FLAGS.items() if getattr(ns, dest) is not None}
+    if ns.no_mix:
+        given["mix_features"] = False
     if ns.preset:
-        if any(v is not None for v in explicit):
+        if given:
             raise DataError("--preset cannot be combined with explicit scenario flags")
         if ns.preset != "occlusion-20":
             raise DataError(f"unknown preset {ns.preset!r}")
@@ -170,50 +183,24 @@ def cmd_synth(ns) -> int:
         print(f"wrote {len(outputs)} files under {out_dir}")
         return EXIT_OK
 
-    cfg = ScenarioConfig(
-        seed=ns.seed if ns.seed is not None else 1,
-        frames=ns.frames if ns.frames is not None else 64,
-        identities=ns.objects if ns.objects is not None else 4,
-        crossings=ns.crossings if ns.crossings is not None else 0,
-        det_noise_px=ns.noise if ns.noise is not None else 0.0,
-        feature_dim=ns.feature_dim if ns.feature_dim is not None else 16,
-        drop_prob_occluded=ns.drop_prob if ns.drop_prob is not None else 0.0,
-        feature_noise=ns.feature_noise,
-        occlusion_iou=ns.occlusion_iou,
-        mix_features=not ns.no_mix,
-    )
-    outputs = _emit_scenario(cfg, out_dir)
+    outputs = _emit_scenario(ScenarioConfig(**given), out_dir)
     _write_manifest(out_dir / "manifest.json", "synth", _manifest_args(ns), [], outputs)
     print(f"wrote scenario under {out_dir}")
     return EXIT_OK
 
 
-_SWEEP_PARAMS = ("alpha", "horizon", "window", "beta")
-
-
 def _sweep_worker(task):
+    """(report, tracking seconds) of one sweep value."""
     dets_path, features_path, gt_path, ns_dict, param, value = task
     ns = argparse.Namespace(**ns_dict)
     frames = _load_sequence(dets_path, features_path)
-    setattr(ns, param, int(value) if param in ("horizon", "window") else value)
+    setattr(ns, param, type(getattr(AdpConfig, param))(value))
     params, cfg = _tracker_params(ns), _adp_config(ns)
     start = time.perf_counter()
     rows = run_adp(frames, params, cfg)
     runtime = time.perf_counter() - start
-    gt = read_gt(gt_path)
     pred_boxes = [LabeledBox(frame=f, id=tid, bbox=det.bbox) for f, tid, det in rows]
-    report = evaluate(gt, pred_boxes, 0.5)
-    return {
-        "param": param,
-        "value": value,
-        "IDF1": report.idf1,
-        "MOTA": report.mota,
-        "FP": report.fp,
-        "FN": report.fn,
-        "IDSW": report.idsw,
-        "Frag": report.frag,
-        "runtime_s": runtime,
-    }
+    return evaluate(read_gt(gt_path), pred_boxes), runtime
 
 
 def cmd_sweep(ns) -> int:
@@ -225,7 +212,7 @@ def cmd_sweep(ns) -> int:
         raise DataError(f"bad --values list: {exc}") from None
     if not values:
         raise DataError("--values must list at least one value")
-    if ns.param in ("horizon", "window"):
+    if isinstance(getattr(AdpConfig, ns.param), int):
         for v in values:
             if v != int(v) or v < 1:
                 raise DataError(f"{ns.param} values must be positive integers, got {v}")
@@ -233,16 +220,13 @@ def cmd_sweep(ns) -> int:
     tasks = [(ns.dets, ns.features, ns.gt, _manifest_args(ns), ns.param, v) for v in values]
     if len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(4, len(tasks))) as pool:
-            rows = list(pool.map(_sweep_worker, tasks))
+            results = list(pool.map(_sweep_worker, tasks))
     else:
-        rows = [_sweep_worker(tasks[0])]
+        results = [_sweep_worker(tasks[0])]
 
     lines = [_SWEEP_HEADER]
-    for row in rows:
-        lines.append(
-            f"{row['param']},{row['value']:g},{row['IDF1']:.6f},{row['MOTA']:.6f},"
-            f"{row['FP']},{row['FN']},{row['IDSW']},{row['Frag']},{row['runtime_s']:.3f}"
-        )
+    for value, (report, runtime) in zip(values, results):
+        lines.append(f"{ns.param},{value:g},{_metric_cells(report)},{runtime:.3f}")
     Path(ns.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     _write_manifest(Path(str(ns.out) + ".manifest.json"), "sweep", _manifest_args(ns), [ns.dets, ns.features, ns.gt], [ns.out])
     print("\n".join(lines))
@@ -287,6 +271,10 @@ def cmd_mda_oracle(ns) -> int:
     return EXIT_OK
 
 
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="adptrack", description=__doc__)
     parser.add_argument("--version", action="version", version=f"adptrack {__version__}")
@@ -294,18 +282,13 @@ def build_parser() -> _Parser:
 
     # tracker and rollout flags shared by track and sweep
     tracker = argparse.ArgumentParser(add_help=False)
-    tracker.add_argument("--variant", choices=("main", "f1", "f2", "f3"), default="main")
-    tracker.add_argument("--alpha", type=float, default=0.25)
-    tracker.add_argument("--horizon", type=int, default=15)
-    tracker.add_argument("--window", type=int, default=5)
-    tracker.add_argument("--beta", type=float, default=0.15)
-    tracker.add_argument("--cand-iou", type=float, default=0.3)
-    tracker.add_argument("--cand-app", type=float, default=0.25)
-    tracker.add_argument("--crowd-ratio", type=float, default=0.5)
+    tracker.add_argument("--variant", choices=[v.value for v in Variant], default=AdpConfig.variant.value)
+    for cls, names in ((AdpConfig, _ADP_FLAGS), (TrackerParams, _PARAM_FLAGS)):
+        for name in names:
+            default = getattr(cls, name)
+            tracker.add_argument(_flag(name), type=type(default), default=default)
     tracker.add_argument("--no-candidate-filter", action="store_true")
     tracker.add_argument("--no-crowd", action="store_true")
-    tracker.add_argument("--match-threshold", type=float, default=0.2)
-    tracker.add_argument("--max-age", type=int, default=30)
 
     p_track = sub.add_parser("track", parents=[tracker], help="run the base or rollout tracker on a detection file")
     p_track.add_argument("--dets", required=True)
@@ -319,23 +302,16 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--res", required=True)
     p_eval.add_argument("--out", required=True)
     p_eval.add_argument("--json-out", default=None)
-    p_eval.add_argument("--iou-thresh", type=float, default=0.5)
+    p_eval.add_argument("--iou-thresh", type=float, default=DEFAULT_IOU_THRESHOLD)
     p_eval.add_argument("--name", default=None)
     p_eval.set_defaults(func=cmd_eval)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic scenario (or the occlusion-20 preset)")
     p_synth.add_argument("--out-dir", required=True)
     p_synth.add_argument("--preset", default=None)
-    p_synth.add_argument("--seed", type=int, default=None)
-    p_synth.add_argument("--frames", type=int, default=None)
-    p_synth.add_argument("--objects", type=int, default=None)
-    p_synth.add_argument("--crossings", type=int, default=None)
-    p_synth.add_argument("--noise", type=float, default=None)
-    p_synth.add_argument("--feature-dim", type=int, default=None)
-    p_synth.add_argument("--drop-prob", type=float, default=None)
-    p_synth.add_argument("--feature-noise", type=float, default=0.0)
-    p_synth.add_argument("--occlusion-iou", type=float, default=0.25)
-    p_synth.add_argument("--no-mix", action="store_true")
+    for dest, name in _SCENARIO_FLAGS.items():
+        p_synth.add_argument(_flag(dest), type=type(getattr(ScenarioConfig, name)), default=None)
+    p_synth.add_argument("--no-mix", action="store_true", default=None)
     p_synth.set_defaults(func=cmd_synth)
 
     p_sweep = sub.add_parser("sweep", parents=[tracker], help="evaluate the tracker over a list of parameter values")

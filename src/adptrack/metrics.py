@@ -21,7 +21,10 @@ from scipy.optimize import linear_sum_assignment
 from .assignment import WeightMatrix, hungarian_max
 from .core import BoundingBox, box_array, iou, iou_matrix
 
-__all__ = ["LabeledBox", "MetricsReport", "clear_match", "evaluate"]
+__all__ = ["DEFAULT_IOU_THRESHOLD", "LabeledBox", "MetricsReport", "clear_match", "evaluate"]
+
+# Overlap a prediction needs to count as a detection of a gt box (the CLEAR convention).
+DEFAULT_IOU_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -57,7 +60,7 @@ def clear_match(
     gt_frame: list[LabeledBox],
     pred_frame: list[LabeledBox],
     prev_map: dict[int, int],
-    iou_threshold: float = 0.5,
+    iou_threshold: float = DEFAULT_IOU_THRESHOLD,
 ) -> dict[int, int]:
     """Frame correspondence map gt id -> pred id.
 
@@ -97,7 +100,7 @@ def _by_frame(boxes) -> dict[int, list[LabeledBox]]:
     return grouped
 
 
-def evaluate(gt, pred, iou_threshold: float = 0.5) -> MetricsReport:
+def evaluate(gt, pred, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> MetricsReport:
     """Score a prediction set against ground truth."""
     gt = list(gt)
     pred = list(pred)

@@ -27,7 +27,7 @@ __all__ = ["ScenarioConfig", "Scenario", "generate", "occlusion_preset"]
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    seed: int
+    seed: int = 1
     frames: int = 64
     world: tuple[float, float] = (640.0, 360.0)
     identities: int = 4

@@ -32,33 +32,32 @@ def _single_track_state(left=0.0, top=0.0, feature=(1.0, 0.0)):
 def test_fused_similarity_perfect_pair():
     state = _single_track_state()
     det = make_det(2, 0, 0)
-    assert fused_similarity(state.tracks[0], det, PARAMS) == pytest.approx(1.0)
+    assert fused_similarity(state.tracks[0], det) == pytest.approx(1.0)
 
 
 def test_fused_similarity_disjoint_boxes():
     state = _single_track_state()
     det = make_det(2, 500, 500)  # identical feature, no overlap
-    assert fused_similarity(state.tracks[0], det, PARAMS) == 0.0
+    assert fused_similarity(state.tracks[0], det) == 0.0
 
 
 def test_fused_similarity_takes_min_of_terms():
     # iou = 0.6, cos = 0.8, gates pass -> min rule gives the iou
-    params = TrackerParams(appearance_gate=0.25, iou_gate=0.3)
-    state = TrackerState(params, frame_cursor=1)
+    state = TrackerState(PARAMS, frame_cursor=1)
     state.spawn(1, make_det(1, 0, 0, width=10, height=10))
     track = state.tracks[0]
     track.rep_feature = FeatureVec([1.0, 0.0])
     d = 10 * 0.4 / 1.6  # horizontal shift giving iou = (10-d)/(10+d) = 0.6
     cos = 0.8
     det = make_det(2, d, 0, feature=(cos, np.sqrt(1 - cos**2)))
-    assert fused_similarity(track, det, params) == pytest.approx(0.6, abs=1e-9)
+    assert fused_similarity(track, det) == pytest.approx(0.6, abs=1e-9)
 
 
 def test_fused_similarity_gates_zero_appearance():
     # cosine below the gate zeroes the appearance term, and the min follows it
     state = _single_track_state(feature=(1.0, 0.0))
     det = make_det(2, 0, 0, feature=(0.1, np.sqrt(1 - 0.01)))
-    assert fused_similarity(state.tracks[0], det, PARAMS) == 0.0
+    assert fused_similarity(state.tracks[0], det) == 0.0
 
 
 def test_compute_base_weights_empty_and_single():
@@ -79,7 +78,7 @@ def test_compute_base_weights_matches_fused_similarity():
     w = compute_base_weights(state, frame)
     for i, track in enumerate(state.alive_tracks()):
         for j, det in enumerate(frame.detections):
-            assert w.array[i, j] == fused_similarity(track, det, PARAMS)
+            assert w.array[i, j] == fused_similarity(track, det)
 
 
 def _crowd_frames():
@@ -87,15 +86,16 @@ def _crowd_frames():
     return list(sc.det_frames)
 
 
-@pytest.mark.parametrize(
-    "params", [PARAMS, TrackerParams(iou_gate=0.0, appearance_gate=0.0)], ids=["default", "gates-open"]
-)
-def test_compute_base_weights_equals_pairwise_fused_similarity(params):
+@pytest.mark.parametrize("open_gates", [False, True], ids=["default", "gates-open"])
+def test_compute_base_weights_equals_pairwise_fused_similarity(monkeypatch, open_gates):
+    if open_gates:
+        monkeypatch.setattr(base_tracker, "_IOU_GATE", 0.0)
+        monkeypatch.setattr(base_tracker, "_APPEARANCE_GATE", 0.0)
     frames = _crowd_frames()
-    state = TrackerState(params, frame_cursor=frames[0].index - 1)
+    state = TrackerState(PARAMS, frame_cursor=frames[0].index - 1)
     for frame in frames:
-        dets = [frame.detections[j] for j in eligible_detections(frame, params)]
-        expected = [[fused_similarity(track, det, params) for det in dets] for track in state.alive_tracks()]
+        dets = [frame.detections[j] for j in eligible_detections(frame)]
+        expected = [[fused_similarity(track, det) for det in dets] for track in state.alive_tracks()]
         w = compute_base_weights(state, frame)
         assert np.array_equal(w.array, np.array(expected).reshape(w.rows, w.cols))
         step(state, frame)
@@ -108,13 +108,13 @@ def test_compute_base_weights_takes_cosines_inside_iou_gate_only(monkeypatch):
     pairs = 0
     inside = 0
     for frame in frames:
-        dets = [frame.detections[j] for j in eligible_detections(frame, PARAMS)]
+        dets = [frame.detections[j] for j in eligible_detections(frame)]
         tracks = state.alive_tracks()
         expected = [
             (track.rep_feature, det.feature)
             for track in tracks
             for det in dets
-            if iou(state_to_bbox(track.kalman), det.bbox) >= PARAMS.iou_gate
+            if iou(state_to_bbox(track.kalman), det.bbox) >= base_tracker._IOU_GATE
         ]
         del cosines[:]
         compute_base_weights(state, frame)

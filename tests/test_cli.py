@@ -220,8 +220,17 @@ def test_non_utf8_input_names_file_and_line(tmp_path, capsys):
     assert f"data error: {gt}:2: " in capsys.readouterr().err
 
 
-def test_synth_preset_rejects_explicit_flags(tmp_path):
-    assert main(["synth", "--out-dir", str(tmp_path / "p"), "--preset", "occlusion-20", "--seed", "4"]) == 2
+@pytest.mark.parametrize(
+    "flag",
+    [["--seed", "4"], ["--frames", "30"], ["--objects", "3"], ["--crossings", "1"], ["--noise", "0.5"],
+     ["--feature-dim", "8"], ["--drop-prob", "0.5"], ["--feature-noise", "0.5"], ["--occlusion-iou", "0.5"],
+     ["--no-mix"]],
+    ids=lambda flag: flag[0],
+)
+def test_synth_preset_rejects_explicit_flags(tmp_path, flag):
+    out_dir = tmp_path / "p"
+    assert main(["synth", "--out-dir", str(out_dir), "--preset", "occlusion-20", *flag]) == 2
+    assert not out_dir.exists()
 
 
 def test_sweep_schema(tmp_path):

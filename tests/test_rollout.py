@@ -53,7 +53,7 @@ def _tentative(features, start_frame=3, left=0.0):
     entries = tuple(
         (start_frame + i, make_det(start_frame + i, left, 0, feature=f)) for i, f in enumerate(features)
     )
-    return TentativeTrack(origin_det=0, entries=entries)
+    return TentativeTrack(entries=entries)
 
 
 def _converged_track(positions, start=1):
@@ -73,7 +73,7 @@ def test_simulate_tentative_stationary():
         make_frame(6, [make_det(6, 0, 0), make_det(6, 30, 0, feature=E2)]),
     ]
     tents = simulate_tentative(frames, PARAMS)
-    assert [t.origin_det for t in tents] == [0, 1]
+    assert [t.entries[0] for t in tents] == [(5, det) for det in frames[0].detections]
     assert all(len(t.entries) == 2 for t in tents)
     assert all(t.entries[0][0] == 5 for t in tents)
 
@@ -125,7 +125,6 @@ def test_score_main_filter_disabled_equals_all_pairs_mean():
 def test_score_f1_follows_converged_extrapolation():
     track = _converged_track([0, 4, 8, 12, 16])
     tent = TentativeTrack(
-        origin_det=0,
         entries=tuple((6 + i, make_det(6 + i, 20 + 4 * i, 0)) for i in range(4)),
     )
     assert score_f1(track, tent) > 0.99
@@ -140,7 +139,7 @@ def test_score_f1_disjoint_is_zero():
 def test_score_f1_single_entry_is_one_step_iou():
     track = _converged_track([0, 4, 8])
     box = make_det(4, 14, 0)
-    tent = TentativeTrack(origin_det=0, entries=((4, box),))
+    tent = TentativeTrack(entries=((4, box),))
     expected = iou(state_to_bbox(track.kalman), box.bbox)
     assert score_f1(track, tent) == pytest.approx(expected, abs=1e-12)
 
@@ -149,7 +148,7 @@ def test_score_f1_single_entry_is_one_step_iou():
 def test_walk_corrects_between_entries_only(monkeypatch, n):
     # n entries: one forecast read per entry, n - 1 corrections (none after the last)
     track = _converged_track([0, 4, 8])
-    tent = TentativeTrack(origin_det=0, entries=tuple((4 + i, make_det(4 + i, 12 + 4 * i, 0)) for i in range(n)))
+    tent = TentativeTrack(entries=tuple((4 + i, make_det(4 + i, 12 + 4 * i, 0)) for i in range(n)))
     updates = count_calls(monkeypatch, rollout, "kf_update")
     predicts = count_calls(monkeypatch, rollout, "kf_predict")
     for walk in (score_f1, score_f3, lambda t, e: candidate_filter(t, e, AdpConfig())):
@@ -184,7 +183,6 @@ def test_score_f3_matches_scripted_walk():
     track = _converged_track([0, 3, 6])
     feats = [(0.7, np.sqrt(1 - 0.49)), (0.9, np.sqrt(1 - 0.81))]
     tent = TentativeTrack(
-        origin_det=0,
         entries=tuple((4 + i, make_det(4 + i, 9 + 3 * i + i, 0, feature=f)) for i, f in enumerate(feats)),
     )
     state = track.kalman
@@ -217,13 +215,13 @@ def test_candidate_filter_examples():
 
     near = make_det(4, 0, 0)
     far = make_det(5, 500, 0)
-    tent = TentativeTrack(origin_det=0, entries=((4, near), (5, far)))
+    tent = TentativeTrack(entries=((4, near), (5, far)))
     kept = candidate_filter(track, tent, cfg)
     assert kept == [(4, near)]
 
 
 def test_crowd_check_rules():
-    cfg = AdpConfig(crowd_ratio=0.5, crowd_min_age=10, beta=0.15)
+    cfg = AdpConfig(crowd_ratio=0.5, beta=0.15)
     track = _track_with_features([E1] * 6, qualities=[0.9] * 6)
     track.age = 20
     assert crowd_check(track, cfg) is False
@@ -376,7 +374,7 @@ def _crowd_windows(targets=(15, 35, 55), horizon=10):
         for frame in frames[1:t]:
             adp_step(state, [frame], AdpConfig(variant=Variant.F2))
         tents = simulate_tentative(frames[t : t + horizon + 1], PARAMS)
-        det_idx = eligible_detections(frames[t], PARAMS)
+        det_idx = eligible_detections(frames[t])
         out.append((state.alive_tracks(), [frames[t].detections[j] for j in det_idx], [tents[j] for j in det_idx]))
     return out
 
@@ -435,7 +433,7 @@ def test_walk_raises_when_the_forecast_overflows():
     # step of the walk overflows to inf, which no box may hold.
     track = _converged_track([0, 4, 8])
     track.kalman = KalmanState([1.7e308, 5.0, 10.0, 10.0, 1.7e308, 0.0, 0.0, 0.0], (1.0, 0.0, 1.0))
-    tent = TentativeTrack(origin_det=0, entries=((4, make_det(4, 0, 0)), (5, make_det(5, 4, 0))))
+    tent = TentativeTrack(entries=((4, make_det(4, 0, 0)), (5, make_det(5, 4, 0))))
     dets = [tent.entries[0][1]]
     for variant in (Variant.MAIN, Variant.F1, Variant.F3):
         cfg = AdpConfig(variant=variant, enable_crowd_heuristic=False)
