@@ -3,8 +3,9 @@
 Each live track carries its one-step forecast. Per frame the tracker scores
 each track/detection pair by the minimum of forecast-box overlap and gated
 appearance similarity, solves a thresholded max-weight matching and applies
-the usual lifecycle: matched tracks are corrected and refreshed, unmatched
-tracks decay toward removal, confident unmatched detections spawn new tracks,
+the usual lifecycle: matched tracks are corrected and refreshed, a track
+whose last match lies more than `max_age` frames back is removed (SORT,
+Bewley et al., ICIP 2016), confident unmatched detections spawn new tracks,
 and every surviving track is predicted one frame ahead.
 
 The gates and rates are fixed, DeepSORT-style (Wojke, Bewley & Paulus, ICIP
@@ -19,7 +20,6 @@ so that both trackers share one lifecycle code path.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +30,6 @@ from .core import BoundingBox, Detection, FeatureVec, FrameData, box_array, iou,
 from .motion import KalmanState, kf_init, kf_predict, kf_update, state_to_bbox
 
 __all__ = [
-    "TrackStatus",
     "Track",
     "TrackerParams",
     "TrackerState",
@@ -42,12 +41,6 @@ __all__ = [
     "collect_frame_rows",
     "run",
 ]
-
-
-class TrackStatus(enum.Enum):
-    ACTIVE = "active"
-    LOST = "lost"
-    REMOVED = "removed"
 
 
 # Fixed gates and rates; the module docstring gives their source.
@@ -73,10 +66,11 @@ class Track:
     """Mutable per-object record: matched history, motion/appearance state.
 
     `kalman` is the track's one-step forecast: the filter state predicted for
-    the next frame, not the last posterior.
+    the next frame, not the last posterior. The track lives while its last
+    match, `last_frame`, lies at most `max_age` frames back.
     """
 
-    __slots__ = ("id", "history", "kalman", "rep_feature", "quality", "status", "frames_lost", "age")
+    __slots__ = ("id", "history", "kalman", "rep_feature", "quality", "age")
 
     def __init__(self, track_id: int, frame: int, det: Detection):
         if det.feature is None:
@@ -88,8 +82,6 @@ class Track:
         # The spawn detection seeds the quality record with a perfect score so
         # quality windows are defined from birth.
         self.quality = QualityVector([1.0])
-        self.status = TrackStatus.ACTIVE
-        self.frames_lost = 0
         self.age = 1
 
     @property
@@ -98,7 +90,10 @@ class Track:
 
 
 class TrackerState:
-    """All live and removed tracks plus the id counter and frame cursor."""
+    """The live tracks, in spawn order, plus the id counter and frame cursor.
+
+    Removed tracks leave `tracks`; their ids are never reused.
+    """
 
     __slots__ = ("tracks", "next_id", "params", "frame_cursor")
 
@@ -107,9 +102,6 @@ class TrackerState:
         self.next_id = 1
         self.params = params
         self.frame_cursor = frame_cursor
-
-    def alive_tracks(self) -> list[Track]:
-        return [t for t in self.tracks if t.status is not TrackStatus.REMOVED]
 
     def spawn(self, frame: int, det: Detection) -> Track:
         track = Track(self.next_id, frame, det)
@@ -150,7 +142,7 @@ def compute_base_weights(state: TrackerState, frame: FrameData) -> WeightMatrix:
     """
     if frame.index != state.frame_cursor + 1:
         raise ValueError(f"out-of-order frame {frame.index}, expected {state.frame_cursor + 1}")
-    tracks = state.alive_tracks()
+    tracks = state.tracks
     dets = [frame.detections[j] for j in eligible_detections(frame)]
     overlap = iou_matrix(
         box_array([state_to_bbox(track.kalman) for track in tracks]),
@@ -166,33 +158,26 @@ def compute_base_weights(state: TrackerState, frame: FrameData) -> WeightMatrix:
 def apply_matching(state: TrackerState, frame: FrameData, matching: Matching) -> None:
     """Advance one frame applying the lifecycle implied by a matching.
 
-    Matching rows index `alive_tracks()`, columns index `eligible_detections`.
-    Matched tracks are corrected; every track not removed is then predicted.
+    Matching rows index `state.tracks`, columns index `eligible_detections`.
+    Matched tracks are corrected. `state.tracks` then keeps only the tracks
+    whose last match lies at most `max_age` frames back, and each of them is
+    predicted; unmatched confident detections spawn after them.
     """
-    tracks = state.alive_tracks()
     det_idx = eligible_detections(frame)
-    matched_rows = {i for i, _ in matching.pairs}
     matched_cols = {j for _, j in matching.pairs}
 
     for i, jj in matching.pairs:
-        track = tracks[i]
+        track = state.tracks[i]
         det = frame.detections[det_idx[jj]]
         _, gated = _pair_scores(state_to_bbox(track.kalman), track.rep_feature, det)
         track.quality.append(gated)
         track.kalman = kf_update(track.kalman, det.bbox)
         track.rep_feature = ema_update(track.rep_feature, det.feature, _EMA_MOMENTUM)
         track.history.append((frame.index, det))
-        track.status = TrackStatus.ACTIVE
-        track.frames_lost = 0
 
-    for i, track in enumerate(tracks):
+    state.tracks = [t for t in state.tracks if frame.index - t.last_frame <= state.params.max_age]
+    for track in state.tracks:
         track.age += 1
-        if i not in matched_rows:
-            track.status = TrackStatus.LOST
-            track.frames_lost += 1
-            if track.frames_lost > state.params.max_age:
-                track.status = TrackStatus.REMOVED
-                continue
         track.kalman = kf_predict(track.kalman)
 
     for jj, j in enumerate(det_idx):
@@ -223,12 +208,8 @@ def fork_at(frame: FrameData, params: TrackerParams) -> TrackerState:
 
 
 def collect_frame_rows(state: TrackerState, frame_index: int) -> list[tuple[int, int, Detection]]:
-    """(frame, track id, detection) rows for tracks detected in this frame."""
-    rows = []
-    for track in state.tracks:
-        if track.status is TrackStatus.ACTIVE and track.last_frame == frame_index:
-            rows.append((frame_index, track.id, track.history[-1][1]))
-    return rows
+    """(frame, track id, detection) rows for tracks whose last match is this frame."""
+    return [(frame_index, t.id, t.history[-1][1]) for t in state.tracks if t.last_frame == frame_index]
 
 
 def run(frames: list[FrameData], params: TrackerParams) -> list[tuple[int, int, Detection]]:

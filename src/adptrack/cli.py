@@ -90,10 +90,6 @@ def _write_manifest(out_path: Path, command: str, args: dict, inputs: list, outp
     out_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _manifest_args(ns: argparse.Namespace) -> dict:
-    return {k: v for k, v in vars(ns).items() if k != "func"}
-
-
 def _load_sequence(dets_path, features_path):
     frames = read_detections(dets_path)
     table = read_features(features_path, frames)
@@ -127,7 +123,7 @@ def cmd_track(ns) -> int:
     else:
         rows = run_adp(frames, params, _adp_config(ns))
     write_results(ns.out, rows)
-    _write_manifest(Path(str(ns.out) + ".manifest.json"), "track", _manifest_args(ns), [ns.dets, ns.features], [ns.out])
+    _write_manifest(Path(str(ns.out) + ".manifest.json"), "track", vars(ns), [ns.dets, ns.features], [ns.out])
     print(f"wrote {ns.out}: {len(rows)} rows")
     return EXIT_OK
 
@@ -145,7 +141,7 @@ def cmd_eval(ns) -> int:
     _write_manifest(
         Path(str(ns.out) + ".manifest.json"),
         "eval",
-        _manifest_args(ns),
+        vars(ns),
         [ns.gt, ns.res],
         [ns.out] + ([ns.json_out] if ns.json_out else []),
     )
@@ -179,12 +175,12 @@ def cmd_synth(ns) -> int:
         outputs = []
         for i, cfg in enumerate(occlusion_preset()):
             outputs.extend(_emit_scenario(cfg, out_dir / f"occ_{i:02d}"))
-        _write_manifest(out_dir / "manifest.json", "synth", _manifest_args(ns), [], outputs)
+        _write_manifest(out_dir / "manifest.json", "synth", vars(ns), [], outputs)
         print(f"wrote {len(outputs)} files under {out_dir}")
         return EXIT_OK
 
     outputs = _emit_scenario(ScenarioConfig(**given), out_dir)
-    _write_manifest(out_dir / "manifest.json", "synth", _manifest_args(ns), [], outputs)
+    _write_manifest(out_dir / "manifest.json", "synth", vars(ns), [], outputs)
     print(f"wrote scenario under {out_dir}")
     return EXIT_OK
 
@@ -217,7 +213,7 @@ def cmd_sweep(ns) -> int:
             if v != int(v) or v < 1:
                 raise DataError(f"{ns.param} values must be positive integers, got {v}")
 
-    tasks = [(ns.dets, ns.features, ns.gt, _manifest_args(ns), ns.param, v) for v in values]
+    tasks = [(ns.dets, ns.features, ns.gt, vars(ns), ns.param, v) for v in values]
     if len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(4, len(tasks))) as pool:
             results = list(pool.map(_sweep_worker, tasks))
@@ -228,7 +224,7 @@ def cmd_sweep(ns) -> int:
     for value, (report, runtime) in zip(values, results):
         lines.append(f"{ns.param},{value:g},{_metric_cells(report)},{runtime:.3f}")
     Path(ns.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_manifest(Path(str(ns.out) + ".manifest.json"), "sweep", _manifest_args(ns), [ns.dets, ns.features, ns.gt], [ns.out])
+    _write_manifest(Path(str(ns.out) + ".manifest.json"), "sweep", vars(ns), [ns.dets, ns.features, ns.gt], [ns.out])
     print("\n".join(lines))
     return EXIT_OK
 
@@ -266,7 +262,7 @@ def cmd_mda_oracle(ns) -> int:
     text = "\n".join(lines) + "\n"
     if ns.out:
         Path(ns.out).write_text(text, encoding="utf-8")
-        _write_manifest(Path(str(ns.out) + ".manifest.json"), "mda-oracle", _manifest_args(ns), [], [ns.out])
+        _write_manifest(Path(str(ns.out) + ".manifest.json"), "mda-oracle", vars(ns), [], [ns.out])
     print(text, end="")
     return EXIT_OK
 
@@ -295,7 +291,6 @@ def build_parser() -> _Parser:
     p_track.add_argument("--features", required=True)
     p_track.add_argument("--out", required=True)
     p_track.add_argument("--mode", choices=("base", "adp"), default="adp")
-    p_track.set_defaults(func=cmd_track)
 
     p_eval = sub.add_parser("eval", help="score a result file against ground truth")
     p_eval.add_argument("--gt", required=True)
@@ -304,7 +299,6 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--json-out", default=None)
     p_eval.add_argument("--iou-thresh", type=float, default=DEFAULT_IOU_THRESHOLD)
     p_eval.add_argument("--name", default=None)
-    p_eval.set_defaults(func=cmd_eval)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic scenario (or the occlusion-20 preset)")
     p_synth.add_argument("--out-dir", required=True)
@@ -312,7 +306,6 @@ def build_parser() -> _Parser:
     for dest, name in _SCENARIO_FLAGS.items():
         p_synth.add_argument(_flag(dest), type=type(getattr(ScenarioConfig, name)), default=None)
     p_synth.add_argument("--no-mix", action="store_true", default=None)
-    p_synth.set_defaults(func=cmd_synth)
 
     p_sweep = sub.add_parser("sweep", parents=[tracker], help="evaluate the tracker over a list of parameter values")
     p_sweep.add_argument("--param", required=True)
@@ -321,7 +314,6 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--features", required=True)
     p_sweep.add_argument("--gt", required=True)
     p_sweep.add_argument("--out", required=True)
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_mda = sub.add_parser("mda-oracle", help="compare the exact solver with the forward pass on random instances")
     p_mda.add_argument("--m", type=int, required=True)
@@ -330,7 +322,6 @@ def build_parser() -> _Parser:
     p_mda.add_argument("--seed", type=int, required=True)
     p_mda.add_argument("--bonus", action="store_true")
     p_mda.add_argument("--out", default=None)
-    p_mda.set_defaults(func=cmd_mda_oracle)
 
     return parser
 
@@ -355,7 +346,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        return ns.func(ns)
+        return _COMMANDS[ns.command](ns)
     except DataError as exc:
         print(f"adptrack: data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -59,14 +59,14 @@ class MetricsReport:
 def clear_match(
     gt_frame: list[LabeledBox],
     pred_frame: list[LabeledBox],
-    prev_map: dict[int, int],
+    last_matched: dict[int, int],
     iou_threshold: float = DEFAULT_IOU_THRESHOLD,
 ) -> dict[int, int]:
     """Frame correspondence map gt id -> pred id.
 
-    Pairs from `prev_map` that are co-present with IOU >= threshold are kept
-    first; everything else is matched by maximum total IOU over pairs at or
-    above the threshold.
+    `last_matched` maps each gt id to the pred id of its last match. Those
+    pairs that are co-present with IOU >= threshold are kept first; everything
+    else is matched by maximum total IOU over pairs at or above the threshold.
     """
     if not (0.0 < iou_threshold <= 1.0):
         raise ValueError(f"iou threshold must lie in (0, 1], got {iou_threshold}")
@@ -74,7 +74,7 @@ def clear_match(
     corr: dict[int, int] = {}
     used_preds: set[int] = set()
     for g in gt_frame:
-        pid = prev_map.get(g.id)
+        pid = last_matched.get(g.id)
         if pid is None or pid in used_preds or pid not in preds_by_id:
             continue
         if iou(g.bbox, preds_by_id[pid].bbox) >= iou_threshold:
@@ -116,14 +116,13 @@ def evaluate(gt, pred, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> MetricsR
     counts = np.zeros((len(gt_pos), len(pred_pos)))
 
     fp = fn = idsw = frag = 0
-    prev_map: dict[int, int] = {}
-    last_matched: dict[int, int] = {}
-    frag_state: dict[int, str] = {}  # "tracked" or "interrupted"
+    last_matched: dict[int, int] = {}  # gt id -> pred id of its last match
+    interrupted: set[int] = set()  # gt ids unmatched since their last match
 
     for frame in frames:
         gts = gt_frames.get(frame, [])
         preds = pred_frames.get(frame, [])
-        corr = clear_match(gts, preds, prev_map, iou_threshold)
+        corr = clear_match(gts, preds, last_matched, iou_threshold)
 
         fp += sum(1 for p in preds if p.id not in corr.values())
         fn += sum(1 for g in gts if g.id not in corr)
@@ -131,16 +130,15 @@ def evaluate(gt, pred, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> MetricsR
         for g in gts:
             pid = corr.get(g.id)
             if pid is None:
-                if frag_state.get(g.id) == "tracked":
-                    frag_state[g.id] = "interrupted"
+                if g.id in last_matched:
+                    interrupted.add(g.id)
                 continue
             if g.id in last_matched and last_matched[g.id] != pid:
                 idsw += 1
             last_matched[g.id] = pid
-            prev_map[g.id] = pid
-            if frag_state.get(g.id) == "interrupted":
+            if g.id in interrupted:
                 frag += 1
-            frag_state[g.id] = "tracked"
+                interrupted.remove(g.id)
 
         overlap = iou_matrix(box_array([g.bbox for g in gts]), box_array([p.bbox for p in preds]))
         i, j = np.nonzero(overlap >= iou_threshold)

@@ -18,6 +18,7 @@ computes them for all pairs of a frame at once and equals them bit for bit.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +100,9 @@ class AdpConfig:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
+        for name in ("beta", "cand_iou", "cand_app", "crowd_ratio"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -325,12 +329,11 @@ def adp_step(state: TrackerState, window: list[FrameData], cfg: AdpConfig) -> tu
     frame = window[0]
     weights = compute_base_weights(state, frame)  # validates frame order
 
-    tracks = state.alive_tracks()
     det_idx = eligible_detections(frame)
     # The no-simulation variant never reads the future frames.
     tentatives = None if cfg.variant is Variant.F2 else simulate_tentative(window, state.params)
     z, crowd_rows = score_frame(
-        tracks,
+        state.tracks,
         [frame.detections[j] for j in det_idx],
         None if tentatives is None else [tentatives[j] for j in det_idx],
         cfg,

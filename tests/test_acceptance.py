@@ -251,14 +251,17 @@ def test_module_invariants():
         state = TrackerState(PARAMS, frame_cursor=0)
         params_short = TrackerParams(max_age=3)
         churn = TrackerState(params_short, frame_cursor=0)
+        seen = ({}, {})  # every track each tracker held, by object identity, in first-seen order
         for f in frames:
-            step(state, f)
-            step(churn, f)
-        for tracker in (state, churn):
-            ids = [t.id for t in tracker.tracks]
+            for tracker, tracks in zip((state, churn), seen):
+                step(tracker, f)
+                tracks.update((id(t), t) for t in tracker.tracks)
+        for tracker, tracks in zip((state, churn), seen):
+            ids = [t.id for t in tracks.values()]
             assert len(ids) == len(set(ids))
             assert ids == sorted(ids)
             assert max(ids) < tracker.next_id
+        assert len(churn.tracks) < len(seen[1])  # removed ids are covered too
 
         rows1 = run_adp(frames, PARAMS, AdpConfig(horizon=5))
         rows2 = run_adp(frames, PARAMS, AdpConfig(horizon=5))

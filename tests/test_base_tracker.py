@@ -5,7 +5,6 @@ from conftest import count_calls, make_det, make_frame, rows_to_boxes
 
 from adptrack import base_tracker
 from adptrack.base_tracker import (
-    TrackStatus,
     TrackerParams,
     TrackerState,
     compute_base_weights,
@@ -76,7 +75,7 @@ def test_compute_base_weights_matches_fused_similarity():
     state.spawn(1, make_det(1, 30, 0, feature=(0.0, 1.0)))
     frame = make_frame(2, [make_det(2, 4, 0, feature=(1.0, 0.0)), make_det(2, 26, 0, feature=(0.0, 1.0))])
     w = compute_base_weights(state, frame)
-    for i, track in enumerate(state.alive_tracks()):
+    for i, track in enumerate(state.tracks):
         for j, det in enumerate(frame.detections):
             assert w.array[i, j] == fused_similarity(track, det)
 
@@ -95,7 +94,7 @@ def test_compute_base_weights_equals_pairwise_fused_similarity(monkeypatch, open
     state = TrackerState(PARAMS, frame_cursor=frames[0].index - 1)
     for frame in frames:
         dets = [frame.detections[j] for j in eligible_detections(frame)]
-        expected = [[fused_similarity(track, det) for det in dets] for track in state.alive_tracks()]
+        expected = [[fused_similarity(track, det) for det in dets] for track in state.tracks]
         w = compute_base_weights(state, frame)
         assert np.array_equal(w.array, np.array(expected).reshape(w.rows, w.cols))
         step(state, frame)
@@ -109,7 +108,7 @@ def test_compute_base_weights_takes_cosines_inside_iou_gate_only(monkeypatch):
     inside = 0
     for frame in frames:
         dets = [frame.detections[j] for j in eligible_detections(frame)]
-        tracks = state.alive_tracks()
+        tracks = state.tracks
         expected = [
             (track.rep_feature, det.feature)
             for track in tracks
@@ -136,7 +135,7 @@ def test_step_cold_start_spawns():
     _, matching = step(state, make_frame(1, [make_det(1, 0, 0), make_det(1, 30, 0)]))
     assert matching.pairs == ()
     assert [t.id for t in state.tracks] == [1, 2]
-    assert all(t.status is TrackStatus.ACTIVE for t in state.tracks)
+    assert all(t.last_frame == 1 for t in state.tracks)
 
 
 def test_step_stationary_rematches():
@@ -159,10 +158,12 @@ def test_lifecycle_removal_after_max_age():
     state = TrackerState(params, frame_cursor=0)
     step(state, make_frame(1, [make_det(1, 0, 0)]))
     track = state.tracks[0]
-    for idx in range(2, 5):
+    for idx in range(2, 4):
         step(state, make_frame(idx, []))
-    assert track.status is TrackStatus.REMOVED
-    assert track.frames_lost == 3
+        assert state.tracks == [track]
+    step(state, make_frame(4, []))  # last match 3 frames back
+    assert state.tracks == []
+    assert track.last_frame == 1
 
 
 def test_lost_track_keeps_predicting_and_reacquires():
@@ -171,11 +172,10 @@ def test_lost_track_keeps_predicting_and_reacquires():
     step(state, make_frame(2, [make_det(2, 4, 0)]))
     step(state, make_frame(3, []))  # lost for one frame, velocity (4, 0)
     track = state.tracks[0]
-    assert track.status is TrackStatus.LOST
+    assert state.tracks == [track] and track.last_frame == 2
     _, matching = step(state, make_frame(4, [make_det(4, 12, 0)]))
     assert matching.pairs == ((0, 0),)
-    assert track.status is TrackStatus.ACTIVE
-    assert track.frames_lost == 0
+    assert state.tracks == [track] and track.last_frame == 4
 
 
 def test_no_id_reuse():
@@ -184,11 +184,9 @@ def test_no_id_reuse():
     step(state, make_frame(1, [make_det(1, 0, 0)]))
     step(state, make_frame(2, []))
     step(state, make_frame(3, []))
-    assert state.tracks[0].status is TrackStatus.REMOVED
+    assert state.tracks == []
     step(state, make_frame(4, [make_det(4, 0, 0)]))
-    ids = [t.id for t in state.tracks]
-    assert len(ids) == len(set(ids)) == 2
-    assert state.tracks[1].id == 2
+    assert [t.id for t in state.tracks] == [2]
 
 
 def test_matching_never_pairs_subthreshold():
@@ -240,13 +238,17 @@ def test_step_predicts_each_surviving_track_once(monkeypatch):
     frames = list(sc.det_frames)
     state = TrackerState(params, frame_cursor=frames[0].index - 1)
     predicts = count_calls(monkeypatch, base_tracker, "kf_predict")
+    seen = {}  # every track held so far, by id
     for frame in frames:
         del predicts[:]
         compute_base_weights(state, frame)
         assert predicts == []
         step(state, frame)
-        assert len(predicts) == len(state.alive_tracks())
-    assert len(state.alive_tracks()) < len(state.tracks)
+        assert len(predicts) == len(state.tracks)
+        # the tracks are exactly those whose last match lies at most max_age frames back
+        seen.update((t.id, t) for t in state.tracks)
+        assert state.tracks == [t for t in seen.values() if frame.index - t.last_frame <= params.max_age]
+    assert len(state.tracks) < len(seen) == state.next_id - 1
 
 
 def test_run_rejects_empty():

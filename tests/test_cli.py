@@ -278,6 +278,29 @@ def test_sweep_rejects_unknown_param(tmp_path):
     ]) == 2
 
 
+def test_sweep_rejects_non_finite_value(tmp_path, capsys):
+    scene = _synth(tmp_path)
+    out = tmp_path / "s.csv"
+    assert main([
+        "sweep", "--param", "beta", "--values", "nan",
+        "--dets", str(scene / "det.txt"), "--features", str(scene / "features.csv"),
+        "--gt", str(scene / "gt.txt"), "--out", str(out),
+    ]) == 2
+    assert "beta must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_track_rejects_non_finite_config(tmp_path, capsys):
+    scene = _synth(tmp_path)
+    out = tmp_path / "res.txt"
+    assert main([
+        "track", "--dets", str(scene / "det.txt"), "--features", str(scene / "features.csv"),
+        "--cand-iou", "nan", "--out", str(out),
+    ]) == 2
+    assert "cand_iou must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mda_oracle_reports(tmp_path):
     out = tmp_path / "mda.txt"
     assert main(["mda-oracle", "--m", "3", "--n-layers", "3", "--instances", "5",

@@ -220,6 +220,13 @@ def test_candidate_filter_examples():
     assert kept == [(4, near)]
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["beta", "cand_iou", "cand_app", "crowd_ratio"])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        AdpConfig(**{field: value})
+
+
 def test_crowd_check_rules():
     cfg = AdpConfig(crowd_ratio=0.5, beta=0.15)
     track = _track_with_features([E1] * 6, qualities=[0.9] * 6)
@@ -288,6 +295,24 @@ def test_adp_step_truncated_window_still_matches():
     _, matching = adp_step(state, frames[1:], cfg)  # only 5 future frames exist
     assert isinstance(matching.pairs, tuple)
     assert state.frame_cursor == frames[1].index
+
+
+def test_adp_step_scores_each_eligible_detection_with_its_own_tentative(monkeypatch):
+    # The target frame's first detection is below the confidence floor and lies
+    # elsewhere with another feature, so the eligible detections are not a
+    # prefix of the frame's detections.
+    state = TrackerState(PARAMS, frame_cursor=0)
+    step(state, make_frame(1, [make_det(1, 0, 0), make_det(1, 40, 0, feature=E2)]))
+    window = [
+        make_frame(f, [make_det(f, 100, 50, feature=(0.6, 0.8), conf=0.05), make_det(f, 0, 0), make_det(f, 40, 0, feature=E2)])
+        for f in (2, 3, 4)
+    ]
+    calls = count_calls(monkeypatch, rollout, "score_frame")
+    adp_step(state, window, AdpConfig())
+    (tracks, dets, tents, _), = calls
+    assert dets == list(window[0].detections[1:])
+    assert [tent.entries[0] for tent in tents] == [(2, det) for det in dets]
+    assert all(len(tent.entries) == 3 for tent in tents)
 
 
 def test_adp_step_rejects_empty_window():
@@ -375,7 +400,7 @@ def _crowd_windows(targets=(15, 35, 55), horizon=10):
             adp_step(state, [frame], AdpConfig(variant=Variant.F2))
         tents = simulate_tentative(frames[t : t + horizon + 1], PARAMS)
         det_idx = eligible_detections(frames[t])
-        out.append((state.alive_tracks(), [frames[t].detections[j] for j in det_idx], [tents[j] for j in det_idx]))
+        out.append((state.tracks, [frames[t].detections[j] for j in det_idx], [tents[j] for j in det_idx]))
     return out
 
 
