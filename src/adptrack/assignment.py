@@ -12,7 +12,9 @@ zero-weight dummy per row (or column): a gated-out cell scores 0, exactly
 like leaving its row unmatched, and the dummies let a row whose allowed cells
 are all negative stay unmatched. Each solve also yields an optimal pair list,
 the witness, which lets the canonical scan accept a cell without a solve.
-`brute_force_match` is an independent enumeration oracle for small matrices.
+Most of the tracker's matchings need no solve at all: each live row and
+column holds one allowed cell. `brute_force_match` is an independent
+enumeration oracle for small matrices.
 """
 
 from __future__ import annotations
@@ -70,15 +72,21 @@ class Matching:
 def _solve_partial_max(arr: np.ndarray, allowed: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
     """Best total over partial matchings restricted to allowed cells, and one matching attaining it.
 
-    The total sums the matched allowed cells in row order.
+    The total sums the matched allowed cells in row order. When each row and
+    column holds exactly one allowed cell and each of those weighs more than
+    0, those cells are the only optimum, since every other matching takes a
+    proper subset of them; they are returned without a solve.
     """
     r, c = arr.shape
     if r == 0 or c == 0 or not allowed.any():
         return 0.0, []
-    gains = np.where(allowed, arr, 0.0)
-    padded = np.hstack((gains, np.zeros((r, r)))) if r <= c else np.vstack((gains, np.zeros((c, c))))
-    rows, cols = linear_sum_assignment(padded, maximize=True)
-    pairs = [(i, j) for i, j in zip(rows.tolist(), cols.tolist()) if i < r and j < c and allowed[i, j]]
+    if (allowed.sum(axis=0) == 1).all() and (allowed.sum(axis=1) == 1).all() and (arr[allowed] > 0.0).all():
+        pairs = list(zip(*(index.tolist() for index in np.nonzero(allowed))))
+    else:
+        gains = np.where(allowed, arr, 0.0)
+        padded = np.hstack((gains, np.zeros((r, r)))) if r <= c else np.vstack((gains, np.zeros((c, c))))
+        rows, cols = linear_sum_assignment(padded, maximize=True)
+        pairs = [(i, j) for i, j in zip(rows.tolist(), cols.tolist()) if i < r and j < c and allowed[i, j]]
     total = 0.0
     for i, j in pairs:
         total += arr[i, j]
@@ -115,29 +123,25 @@ def hungarian_max(w: WeightMatrix, min_weight: float) -> Matching:
     total = 0.0
     row_free = np.ones(r, dtype=bool)
     col_free = np.ones(c, dtype=bool)
-    for i in range(r):
+    for i, j in zip(*(index.tolist() for index in np.nonzero(allowed))):  # the allowed cells, row-major
+        if not (row_free[i] and col_free[j]):
+            continue
         if total >= best - _TIE_TOL:
             break
-        for j in range(c):
-            if total >= best - _TIE_TOL:
-                break
-            if not (col_free[j] and allowed[i, j]):
+        if (i, j) not in witness:
+            rsel = row_free.copy()
+            rsel[i] = False
+            csel = col_free.copy()
+            csel[j] = False
+            rest, rest_pairs = _solve_partial_max(arr[np.ix_(rsel, csel)], allowed[np.ix_(rsel, csel)])
+            if total + arr[i, j] + rest < best - _TIE_TOL:
                 continue
-            if (i, j) not in witness:
-                rsel = row_free.copy()
-                rsel[i] = False
-                csel = col_free.copy()
-                csel[j] = False
-                rest, rest_pairs = _solve_partial_max(arr[np.ix_(rsel, csel)], allowed[np.ix_(rsel, csel)])
-                if total + arr[i, j] + rest < best - _TIE_TOL:
-                    continue
-                sub_rows, sub_cols = np.flatnonzero(rsel).tolist(), np.flatnonzero(csel).tolist()
-                witness = {*pairs, (i, j), *((sub_rows[a], sub_cols[b]) for a, b in rest_pairs)}
-            pairs.append((i, j))
-            total += arr[i, j]
-            row_free[i] = False
-            col_free[j] = False
-            break  # row i is consumed
+            sub_rows, sub_cols = np.flatnonzero(rsel).tolist(), np.flatnonzero(csel).tolist()
+            witness = {*pairs, (i, j), *((sub_rows[a], sub_cols[b]) for a, b in rest_pairs)}
+        pairs.append((i, j))
+        total += arr[i, j]
+        row_free[i] = False  # row i is consumed
+        col_free[j] = False
 
     if abs(total - best) > 1e-8 * max(1.0, abs(best)):
         raise AssertionError(f"canonical matching lost optimality: {total} vs {best}")

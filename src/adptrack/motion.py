@@ -11,7 +11,8 @@ so the 8x8 covariance is always kron([[pp, pv], [pv, vv]], I4). The state
 keeps only that 2x2 block, and predict and update are scalar arithmetic on
 it. Each block entry is computed with the same products, in the same order,
 as the 8x8 Joseph-form recursion, so both give bit-identical results. The
-batched forms run the same block arithmetic on arrays of states.
+batched forms run the same block arithmetic on the arrays of states in which
+the base tracker holds its tracks and the rollout walks its clones.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .core import BoundingBox, from_center, to_center
 
 __all__ = [
     "KalmanState", "kf_init", "kf_predict", "kf_update", "state_to_bbox",
-    "kf_predict_batch", "kf_update_batch", "batch_boxes",
+    "kf_init_batch", "kf_predict_batch", "kf_update_batch", "batch_boxes",
 ]
 
 _MIN_SIZE = 1e-3
@@ -123,8 +124,22 @@ def state_to_bbox(s: KalmanState) -> BoundingBox:
 
 
 # Batched forms: a batch of states is an (..., 8) array of means with a
-# (pp, pv, vv) block of (...) arrays. Every entry takes the operations of the
+# (pp, pv, vv) block of (...) arrays, and boxes are (..., 4) arrays of
+# (left, top, width, height) rows. Every entry takes the operations of the
 # scalar function in the same order, so it equals it bit for bit.
+
+
+def _centers(boxes: np.ndarray) -> np.ndarray:
+    """`to_center` of every box row."""
+    return np.concatenate([boxes[..., :2] + boxes[..., 2:] / 2.0, boxes[..., 2:]], axis=-1)
+
+
+def kf_init_batch(boxes: np.ndarray):
+    """`kf_init` of every box row."""
+    centers = _centers(boxes)
+    h = centers[..., 3]
+    block = (_square(_INIT_POS, h), np.zeros_like(h), _square(_INIT_VEL, h))
+    return np.concatenate([centers, np.zeros_like(centers)], axis=-1), block
 
 
 def kf_predict_batch(mean: np.ndarray, block):
@@ -133,10 +148,10 @@ def kf_predict_batch(mean: np.ndarray, block):
     return np.concatenate([mean[..., :4] + mean[..., 4:], mean[..., 4:]], axis=-1), _predicted_block(*block, h)
 
 
-def kf_update_batch(mean: np.ndarray, block, centers: np.ndarray):
-    """`kf_update` of every state of a batch against (..., 4) measurements in `to_center` form."""
+def kf_update_batch(mean: np.ndarray, block, boxes: np.ndarray):
+    """`kf_update` of every state of a batch against its measured box."""
     kp, kv, block = _corrected_block(*block, np.maximum(np.abs(mean[..., 3]), _MIN_SIZE))
-    innovation = centers - mean[..., :4]
+    innovation = _centers(boxes) - mean[..., :4]
     gains = np.stack([kp, kv], axis=-1)[..., None]  # x + kp * e for positions, v + kv * e for velocities
     return (mean.reshape(*mean.shape[:-1], 2, 4) + gains * innovation[..., None, :]).reshape(mean.shape), block
 

@@ -11,8 +11,10 @@ the motion-only, no-simulation and representative-feature versions of the
 same idea.
 
 The per-pair functions (`score_main`, `score_f1`, `score_f2`, `score_f3`,
-`candidate_filter`) define the scores. `score_frame`, which `adp_step` uses,
-computes them for all pairs of a frame at once and equals them bit for bit.
+`candidate_filter`) define the scores from a track's forecast and
+representative feature. `score_frame`, which `adp_step` uses, reads those
+from the tracker state's rows, scores all pairs of a frame at once and
+equals the per-pair functions bit for bit.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from .base_tracker import (
     fork_at,
     step,
 )
-from .core import Detection, FrameData, box_array, iou, iou_array
-from .motion import batch_boxes, kf_predict, kf_predict_batch, kf_update, kf_update_batch, state_to_bbox
+from .core import Detection, FeatureVec, FrameData, box_array, iou, iou_array
+from .motion import KalmanState, batch_boxes, kf_predict, kf_predict_batch, kf_update, kf_update_batch, state_to_bbox
 
 __all__ = [
     "Variant",
@@ -142,7 +144,7 @@ def _mean_pairwise_cos(past: np.ndarray, entry_feats) -> float:
     return float(np.clip(feature_dots(past[:, None, :], e[None, :, :]).mean(), -1.0, 1.0))
 
 
-def score_main(track: Track, past: np.ndarray, tent: TentativeTrack, cfg: AdpConfig) -> float:
+def score_main(forecast: KalmanState, tent: TentativeTrack, rep: FeatureVec, past: np.ndarray, cfg: AdpConfig) -> float:
     """Past-versus-future appearance score, averaged over compared pairs.
 
     `past` is the track's trusted window from `_window_features`. Windows
@@ -150,21 +152,21 @@ def score_main(track: Track, past: np.ndarray, tent: TentativeTrack, cfg: AdpCon
     runs over the pairs actually compared. An empty candidate set is neutral.
     """
     if cfg.enable_candidate_filter:
-        entries = candidate_filter(track, tent, cfg)
+        entries = candidate_filter(forecast, tent, rep, cfg)
     else:
         entries = list(tent.entries)
     return _mean_pairwise_cos(past, [det.feature for _, det in entries])
 
 
-def _walk(track: Track, tent: TentativeTrack):
-    """Walk a clone of the track's filter along the tentative track.
+def _walk(forecast: KalmanState, tent: TentativeTrack):
+    """Walk a clone of a track's filter along the tentative track.
 
     Yields (frame, det, walk_iou) per entry, where walk_iou is the IOU of the
     clone's prediction with the entry. The clone starts from the track's
     one-step forecast; between entries it is corrected with the previous
     entry and predicted again, so no correction follows the last entry.
     """
-    state, prev = track.kalman, None
+    state, prev = forecast, None
     for frame_idx, det in tent.entries:
         if prev is not None:
             state = kf_predict(kf_update(state, prev.bbox))
@@ -180,9 +182,9 @@ def _mean(values: list[float]) -> float:
     return total / len(values) if values else 0.0
 
 
-def score_f1(track: Track, tent: TentativeTrack) -> float:
+def score_f1(forecast: KalmanState, tent: TentativeTrack) -> float:
     """Motion-only score: mean IOU of the filter-clone walk along the tentative track."""
-    return _mean([walk_iou for _, _, walk_iou in _walk(track, tent)])
+    return _mean([walk_iou for _, _, walk_iou in _walk(forecast, tent)])
 
 
 def score_f2(past: np.ndarray, target_det: Detection) -> float:
@@ -190,17 +192,19 @@ def score_f2(past: np.ndarray, target_det: Detection) -> float:
     return _mean_pairwise_cos(past, [target_det.feature])
 
 
-def score_f3(track: Track, tent: TentativeTrack) -> float:
+def score_f3(forecast: KalmanState, tent: TentativeTrack, rep: FeatureVec) -> float:
     """Blend of the motion walk and the representative feature, per entry.
 
     Each tentative entry scores min(walk IOU, cos(representative, entry));
     the representative feature is never updated during the walk. Negative
     cosines clamp to zero so the score stays in [0, 1].
     """
-    return _mean([min(w, max(0.0, cosine_sim(track.rep_feature, det.feature))) for _, det, w in _walk(track, tent)])
+    return _mean([min(w, max(0.0, cosine_sim(rep, det.feature))) for _, det, w in _walk(forecast, tent)])
 
 
-def candidate_filter(track: Track, tent: TentativeTrack, cfg: AdpConfig) -> list[tuple[int, Detection]]:
+def candidate_filter(
+    forecast: KalmanState, tent: TentativeTrack, rep: FeatureVec, cfg: AdpConfig
+) -> list[tuple[int, Detection]]:
     """Keep tentative entries that stay plausible for this track.
 
     An entry survives when the filter-clone walk still overlaps it and its
@@ -208,29 +212,29 @@ def candidate_filter(track: Track, tent: TentativeTrack, cfg: AdpConfig) -> list
     """
     return [
         (frame_idx, det)
-        for frame_idx, det, walk_iou in _walk(track, tent)
-        if walk_iou >= cfg.cand_iou and cosine_sim(track.rep_feature, det.feature) >= cfg.cand_app
+        for frame_idx, det, walk_iou in _walk(forecast, tent)
+        if walk_iou >= cfg.cand_iou and cosine_sim(rep, det.feature) >= cfg.cand_app
     ]
 
 
-def crowd_check(track: Track, cfg: AdpConfig) -> bool:
-    """True when an old track has spent most of its life visually unreliable."""
-    if track.age < _CROWD_MIN_AGE or len(track.quality) == 0:
+def crowd_check(track: Track, frame_cursor: int, cfg: AdpConfig) -> bool:
+    """True when an old track has spent most of its life visually unreliable; its spawn frame is age 1."""
+    if frame_cursor - track.history[0][0] + 1 < _CROWD_MIN_AGE or len(track.quality) == 0:
         return False
     return track.quality.fraction_below(cfg.beta) >= cfg.crowd_ratio
 
 
-def _frame_walk(tracks: list[Track], boxes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """`_walk` of every track along every tentative at once, as (T, D, L) walk IOUs.
+def _frame_walk(mean: np.ndarray, block, boxes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """`_walk` of T forecasts along every tentative at once, as (T, D, L) walk IOUs.
 
-    `boxes` (D, L, 4) holds the entry boxes of D tentatives and `lengths` their
-    entry counts. From step l on only the tentatives longer than l are walked,
-    so no state past a tentative's end is computed and its IOUs stay 0.
+    `mean` (T, 8) and `block` hold the forecasts as the tracker state's rows
+    do. `boxes` (D, L, 4) holds the entry boxes of D tentatives and `lengths`
+    their entry counts. From step l on only the tentatives longer than l are
+    walked, so no state past a tentative's end is computed and its IOUs stay 0.
     """
-    shape = (len(tracks), len(lengths))
-    mean = np.broadcast_to(np.stack([t.kalman.mean for t in tracks])[:, None], (*shape, 8))
-    block = tuple(np.broadcast_to(b[:, None], shape) for b in np.array([t.kalman.block for t in tracks]).T)
-    centers = np.concatenate([boxes[..., :2] + boxes[..., 2:] / 2.0, boxes[..., 2:]], axis=-1)
+    shape = (len(mean), len(lengths))
+    mean = np.broadcast_to(mean[:, None], (*shape, 8))
+    block = tuple(np.broadcast_to(b[:, None], shape) for b in block)
     out = np.zeros((*shape, boxes.shape[1]))
     cols, ends = np.arange(len(lengths)), set(lengths.tolist())
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state raises in batch_boxes
@@ -239,13 +243,13 @@ def _frame_walk(tracks: list[Track], boxes: np.ndarray, lengths: np.ndarray) -> 
                 live = lengths[cols] > step_idx
                 cols, mean, block = cols[live], mean[:, live], tuple(b[:, live] for b in block)
             if step_idx:
-                mean, block = kf_predict_batch(*kf_update_batch(mean, block, centers[cols, step_idx - 1]))
+                mean, block = kf_predict_batch(*kf_update_batch(mean, block, boxes[cols, step_idx - 1]))
             out[:, cols, step_idx] = iou_array(batch_boxes(mean), boxes[cols, step_idx])
     return out
 
 
-def score_frame(tracks: list[Track], dets: list[Detection], tents, cfg: AdpConfig) -> tuple[np.ndarray, list[int]]:
-    """Rollout scores z of the tracks against the detections, and the crowd rows.
+def score_frame(state: TrackerState, dets: list[Detection], tents, cfg: AdpConfig) -> tuple[np.ndarray, list[int]]:
+    """Rollout scores z of the state's tracks against the detections, and the crowd rows.
 
     `tents` holds each detection's tentative track (None for f2). Entry by
     entry z equals the per-pair `score_*` functions, but a frame takes one
@@ -260,8 +264,9 @@ def score_frame(tracks: list[Track], dets: list[Detection], tents, cfg: AdpConfi
 
     Crowd rows score 0; `combine_costs` gives them the base weights.
     """
+    tracks = state.tracks
     z = np.zeros((len(tracks), len(dets)))
-    crowded = [cfg.enable_crowd_heuristic and crowd_check(t, cfg) for t in tracks]
+    crowded = [cfg.enable_crowd_heuristic and crowd_check(t, state.frame_cursor, cfg) for t in tracks]
     crowd = [i for i, c in enumerate(crowded) if c]
     rows = [i for i, c in enumerate(crowded) if not c]
     if not rows or not dets:
@@ -280,8 +285,8 @@ def score_frame(tracks: list[Track], dets: list[Detection], tents, cfg: AdpConfi
         boxes[jj, : lengths[jj]] = box_array(det.bbox for _, det in tent.entries)
         feats[jj, : lengths[jj]] = [det.feature.values for _, det in tent.entries]
     if cfg.variant is not Variant.MAIN or cfg.enable_candidate_filter:
-        walk = _frame_walk(scored, boxes, lengths)
-        cos = np.clip(feature_dots(np.stack([t.rep_feature.values for t in scored])[:, None, None], feats), -1.0, 1.0)
+        walk = _frame_walk(state.mean[rows], tuple(b[rows] for b in state.block), boxes, lengths)
+        cos = np.clip(feature_dots(state.rep[rows][:, None, None], feats), -1.0, 1.0)
     if cfg.variant is not Variant.MAIN:
         per_entry = walk if cfg.variant is Variant.F1 else np.minimum(walk, np.maximum(0.0, cos))
         total = np.zeros(per_entry.shape[:2])
@@ -333,7 +338,7 @@ def adp_step(state: TrackerState, window: list[FrameData], cfg: AdpConfig) -> tu
     # The no-simulation variant never reads the future frames.
     tentatives = None if cfg.variant is Variant.F2 else simulate_tentative(window, state.params)
     z, crowd_rows = score_frame(
-        state.tracks,
+        state,
         [frame.detections[j] for j in det_idx],
         None if tentatives is None else [tentatives[j] for j in det_idx],
         cfg,

@@ -194,3 +194,57 @@ def test_rollout_matchings_average_few_solves(monkeypatch):
     frames = list(generate(occlusion_preset()[0]).det_frames)
     rollout.run(frames, TrackerParams(), AdpConfig(horizon=10))
     assert matches and len(solves) <= 1.2 * len(matches)
+
+
+@st.composite
+def _one_cell_per_line(draw):
+    """Sparse weights whose allowed cells form a permutation, or one near miss of it.
+
+    The near misses are a second allowed cell in a row or in a column, and, at
+    a gate at or below zero, an allowed cell of weight zero or below.
+    """
+    n = draw(st.integers(0, 6))
+    r, c = n + draw(st.integers(0, 2)), n + draw(st.integers(0, 2))
+    miss = draw(st.sampled_from(["none", "row", "col", "zero", "negative"]))
+    mw = draw(st.sampled_from([-0.5, 0.0] if miss in ("zero", "negative") else [-0.5, 0.0, 0.3]))
+    w = np.array(draw(st.lists(st.floats(mw - 2.0, mw, exclude_max=True), min_size=r * c, max_size=r * c)))
+    w = w.reshape(r, c)
+    rows, cols = draw(st.permutations(range(r)))[:n], draw(st.permutations(range(c)))[:n]
+    gains = st.sampled_from([0.3, 0.5, 1.0, 2.0])
+    for i, j in zip(rows, cols):
+        w[i, j] = draw(gains)
+    if n and miss in ("row", "col"):
+        k = draw(st.integers(0, n - 1))
+        other = draw(st.sampled_from([j for j in range(c) if j != cols[k]] or [None])) if miss == "row" else \
+            draw(st.sampled_from([i for i in range(r) if i != rows[k]] or [None]))
+        if other is not None:
+            w[(rows[k], other) if miss == "row" else (other, cols[k])] = draw(gains)
+    elif n and miss in ("zero", "negative"):
+        k = draw(st.integers(0, n - 1))
+        w[rows[k], cols[k]] = 0.0 if miss == "zero" else draw(st.sampled_from([mw, mw / 2.0]))
+    return WeightMatrix(w), mw
+
+
+@settings(max_examples=400, deadline=None)
+@given(_one_cell_per_line())
+def test_oracle_agrees_on_one_cell_per_row_and_column(case):
+    w, mw = case
+    assert hungarian_max(w, mw) == brute_force_match(w, mw)
+
+
+def test_one_positive_cell_per_row_and_column_takes_no_solve(monkeypatch):
+    w = np.full((40, 30), 0.1)
+    cells = [(3, 17), (5, 2), (11, 29), (12, 0), (30, 8), (39, 21)]
+    for k, (i, j) in enumerate(cells):
+        w[i, j] = 0.25 + 0.1 * k
+    solves = count_calls(monkeypatch, assignment, "linear_sum_assignment")
+    m = hungarian_max(WeightMatrix(w), 0.2)
+    assert solves == []
+    assert m.pairs == tuple(cells)
+    total = 0.0
+    for i, j in cells:
+        total += w[i, j]
+    assert m.total_weight == total
+    w[5, 17] = 0.26  # a second allowed cell in row 5 and in column 17, in no optimum
+    assert hungarian_max(WeightMatrix(w), 0.2).pairs == ((3, 17), (5, 2), (11, 29), (12, 0), (30, 8), (39, 21))
+    assert solves

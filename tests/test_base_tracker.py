@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import count_calls, make_det, make_frame, rows_to_boxes
+from conftest import count_calls, make_det, make_frame, rows_to_boxes, state_row
 
 from adptrack import base_tracker
 from adptrack.base_tracker import (
@@ -24,39 +24,38 @@ PARAMS = TrackerParams()
 
 def _single_track_state(left=0.0, top=0.0, feature=(1.0, 0.0)):
     state = TrackerState(PARAMS, frame_cursor=1)
-    state.spawn(1, make_det(1, left, top, feature=feature))
+    state.spawn(1, [make_det(1, left, top, feature=feature)])
     return state
 
 
 def test_fused_similarity_perfect_pair():
     state = _single_track_state()
     det = make_det(2, 0, 0)
-    assert fused_similarity(state.tracks[0], det) == pytest.approx(1.0)
+    assert fused_similarity(*state_row(state, 0), det) == pytest.approx(1.0)
 
 
 def test_fused_similarity_disjoint_boxes():
     state = _single_track_state()
     det = make_det(2, 500, 500)  # identical feature, no overlap
-    assert fused_similarity(state.tracks[0], det) == 0.0
+    assert fused_similarity(*state_row(state, 0), det) == 0.0
 
 
 def test_fused_similarity_takes_min_of_terms():
     # iou = 0.6, cos = 0.8, gates pass -> min rule gives the iou
     state = TrackerState(PARAMS, frame_cursor=1)
-    state.spawn(1, make_det(1, 0, 0, width=10, height=10))
-    track = state.tracks[0]
-    track.rep_feature = FeatureVec([1.0, 0.0])
+    state.spawn(1, [make_det(1, 0, 0, width=10, height=10)])
+    state.rep[0] = FeatureVec([1.0, 0.0]).values
     d = 10 * 0.4 / 1.6  # horizontal shift giving iou = (10-d)/(10+d) = 0.6
     cos = 0.8
     det = make_det(2, d, 0, feature=(cos, np.sqrt(1 - cos**2)))
-    assert fused_similarity(track, det) == pytest.approx(0.6, abs=1e-9)
+    assert fused_similarity(*state_row(state, 0), det) == pytest.approx(0.6, abs=1e-9)
 
 
 def test_fused_similarity_gates_zero_appearance():
     # cosine below the gate zeroes the appearance term, and the min follows it
     state = _single_track_state(feature=(1.0, 0.0))
     det = make_det(2, 0, 0, feature=(0.1, np.sqrt(1 - 0.01)))
-    assert fused_similarity(state.tracks[0], det) == 0.0
+    assert fused_similarity(*state_row(state, 0), det) == 0.0
 
 
 def test_compute_base_weights_empty_and_single():
@@ -71,13 +70,12 @@ def test_compute_base_weights_empty_and_single():
 
 def test_compute_base_weights_matches_fused_similarity():
     state = TrackerState(PARAMS, frame_cursor=1)
-    state.spawn(1, make_det(1, 0, 0, feature=(1.0, 0.0)))
-    state.spawn(1, make_det(1, 30, 0, feature=(0.0, 1.0)))
+    state.spawn(1, [make_det(1, 0, 0, feature=(1.0, 0.0)), make_det(1, 30, 0, feature=(0.0, 1.0))])
     frame = make_frame(2, [make_det(2, 4, 0, feature=(1.0, 0.0)), make_det(2, 26, 0, feature=(0.0, 1.0))])
     w = compute_base_weights(state, frame)
-    for i, track in enumerate(state.tracks):
+    for i in range(len(state.tracks)):
         for j, det in enumerate(frame.detections):
-            assert w.array[i, j] == fused_similarity(track, det)
+            assert w.array[i, j] == fused_similarity(*state_row(state, i), det)
 
 
 def _crowd_frames():
@@ -94,7 +92,7 @@ def test_compute_base_weights_equals_pairwise_fused_similarity(monkeypatch, open
     state = TrackerState(PARAMS, frame_cursor=frames[0].index - 1)
     for frame in frames:
         dets = [frame.detections[j] for j in eligible_detections(frame)]
-        expected = [[fused_similarity(track, det) for det in dets] for track in state.tracks]
+        expected = [[fused_similarity(*state_row(state, i), det) for det in dets] for i in range(len(state.tracks))]
         w = compute_base_weights(state, frame)
         assert np.array_equal(w.array, np.array(expected).reshape(w.rows, w.cols))
         step(state, frame)
@@ -103,22 +101,25 @@ def test_compute_base_weights_equals_pairwise_fused_similarity(monkeypatch, open
 def test_compute_base_weights_takes_cosines_inside_iou_gate_only(monkeypatch):
     frames = _crowd_frames()
     state = TrackerState(PARAMS, frame_cursor=frames[0].index - 1)
-    cosines = count_calls(monkeypatch, base_tracker, "cosine_sim")
+    dots = count_calls(monkeypatch, base_tracker, "feature_dots")
     pairs = 0
     inside = 0
     for frame in frames:
         dets = [frame.detections[j] for j in eligible_detections(frame)]
-        tracks = state.tracks
+        rows = [state_row(state, i) for i in range(len(state.tracks))]
         expected = [
-            (track.rep_feature, det.feature)
-            for track in tracks
+            (rep.values, det.feature.values)
+            for forecast, rep in rows
             for det in dets
-            if iou(state_to_bbox(track.kalman), det.bbox) >= base_tracker._IOU_GATE
+            if iou(state_to_bbox(forecast), det.bbox) >= base_tracker._IOU_GATE
         ]
-        del cosines[:]
+        del dots[:]
         compute_base_weights(state, frame)
-        assert cosines == expected
-        pairs += len(tracks) * len(dets)
+        # one product over the gated pairs, in row-major order
+        got = [pair for reps, feats in dots for pair in zip(reps, feats)]
+        assert len(dots) == (1 if expected else 0) and len(got) == len(expected)
+        assert all(np.array_equal(g, e) for got_pair, pair in zip(got, expected) for g, e in zip(got_pair, pair))
+        pairs += len(rows) * len(dets)
         inside += len(expected)
         step(state, frame)
     assert 0 < inside < pairs / 2
@@ -237,14 +238,16 @@ def test_step_predicts_each_surviving_track_once(monkeypatch):
     sc = generate(ScenarioConfig(seed=5, frames=30, identities=4, crossings=2, det_noise_px=0.4, feature_noise=0.1, drop_prob_occluded=0.8))
     frames = list(sc.det_frames)
     state = TrackerState(params, frame_cursor=frames[0].index - 1)
-    predicts = count_calls(monkeypatch, base_tracker, "kf_predict")
+    predicts = count_calls(monkeypatch, base_tracker, "kf_predict_batch")
     seen = {}  # every track held so far, by id
     for frame in frames:
         del predicts[:]
         compute_base_weights(state, frame)
         assert predicts == []
         step(state, frame)
-        assert len(predicts) == len(state.tracks)
+        # the surviving rows in one batch, then the spawned ones in another
+        assert sum(len(mean) for mean, _ in predicts) == len(state.tracks)
+        assert len(state.mean) == len(state.rep) == len(state.tracks)
         # the tracks are exactly those whose last match lies at most max_age frames back
         seen.update((t.id, t) for t in state.tracks)
         assert state.tracks == [t for t in seen.values() if frame.index - t.last_frame <= params.max_age]

@@ -8,6 +8,7 @@ from adptrack.motion import (
     KalmanState,
     batch_boxes,
     kf_init,
+    kf_init_batch,
     kf_predict,
     kf_predict_batch,
     kf_update,
@@ -222,8 +223,9 @@ def test_batch_filter_equals_scalar_filter():
         assert np.array_equal(np.stack(got_block, axis=-1).reshape(-1, 3), np.array([s.block for s in expected]))
 
     assert_equal(kf_predict_batch(mean, block), [kf_predict(s) for s in states])
-    centers = np.array([to_center(b) for b in boxes]).reshape(100, 100, 4)
-    assert_equal(kf_update_batch(mean, block, centers), [kf_update(s, b) for s, b in zip(states, boxes)])
+    box_rows = box_array(boxes).reshape(100, 100, 4)
+    assert_equal(kf_update_batch(mean, block, box_rows), [kf_update(s, b) for s, b in zip(states, boxes)])
+    assert_equal(kf_init_batch(box_rows), [kf_init(b) for b in boxes])
     assert np.array_equal(batch_boxes(mean).reshape(-1, 4), box_array(state_to_bbox(s) for s in states))
 
 

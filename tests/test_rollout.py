@@ -3,14 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import count_calls, make_det, make_frame
+from conftest import count_calls, make_det, make_frame, state_row
 
-from adptrack import rollout
-from adptrack.appearance import QualityVector
+from adptrack import base_tracker, rollout
+from adptrack.appearance import QualityVector, cosine_sim, ema_update
 from adptrack.assignment import WeightMatrix
 from adptrack.base_tracker import Track, TrackerParams, TrackerState, eligible_detections, run as run_base, step
 from adptrack.core import FeatureVec, iou
-from adptrack.motion import KalmanState, kf_predict, kf_update, state_to_bbox
+from adptrack.motion import kf_init, kf_predict, kf_update, state_to_bbox
 from adptrack.rollout import (
     AdpConfig,
     TentativeTrack,
@@ -49,6 +49,12 @@ def _track_with_features(features, qualities=None):
     return track
 
 
+def _spawn_row(track):
+    """The forecast and representative feature a track has right after its spawn."""
+    det = track.history[0][1]
+    return kf_predict(kf_init(det.bbox)), det.feature
+
+
 def _tentative(features, start_frame=3, left=0.0):
     entries = tuple(
         (start_frame + i, make_det(start_frame + i, left, 0, feature=f)) for i, f in enumerate(features)
@@ -57,14 +63,11 @@ def _tentative(features, start_frame=3, left=0.0):
 
 
 def _converged_track(positions, start=1):
-    """Track stepped through the given x positions (constant box size)."""
-    track = Track(1, start, make_det(start, positions[0], 0))
+    """Forecast and representative feature of a track stepped through the given x positions (constant box size)."""
+    forecast, rep = _spawn_row(Track(1, start, make_det(start, positions[0], 0)))
     for i, x in enumerate(positions[1:], start=start + 1):
-        det = make_det(i, x, 0)
-        track.kalman = kf_predict(kf_update(track.kalman, det.bbox))
-        track.history.append((i, det))
-        track.quality.append(1.0)
-    return track
+        forecast = kf_predict(kf_update(forecast, make_det(i, x, 0).bbox))
+    return forecast, rep
 
 
 def test_simulate_tentative_stationary():
@@ -98,14 +101,14 @@ def test_simulate_tentative_rejects_empty_window():
 
 def test_score_main_examples():
     cfg = AdpConfig(window=2, enable_candidate_filter=False)
-    track = _track_with_features([E1, E1])
-    assert score_main(track, _window_features(track, cfg), _tentative([E1, E1]), cfg) == pytest.approx(1.0)
 
-    track = _track_with_features([E1, E1])
-    assert score_main(track, _window_features(track, cfg), _tentative([E2]), cfg) == pytest.approx(0.0)
+    def score(track, tent):
+        forecast, rep = _spawn_row(track)
+        return score_main(forecast, tent, rep, _window_features(track, cfg), cfg)
 
-    track = _track_with_features([E1, E2])
-    assert score_main(track, _window_features(track, cfg), _tentative([E1]), cfg) == pytest.approx(0.5)
+    assert score(_track_with_features([E1, E1]), _tentative([E1, E1])) == pytest.approx(1.0)
+    assert score(_track_with_features([E1, E1]), _tentative([E2])) == pytest.approx(0.0)
+    assert score(_track_with_features([E1, E2]), _tentative([E1])) == pytest.approx(0.5)
 
 
 def test_score_main_filter_disabled_equals_all_pairs_mean():
@@ -115,7 +118,8 @@ def test_score_main_filter_disabled_equals_all_pairs_mean():
     track = _track_with_features(feats)
     tent_feats = [tuple(rng.normal(size=4)) for _ in range(4)]
     tent = _tentative(tent_feats, start_frame=4)
-    got = score_main(track, _window_features(track, cfg), tent, cfg)
+    forecast, rep = _spawn_row(track)
+    got = score_main(forecast, tent, rep, _window_features(track, cfg), cfg)
     wf = [FeatureVec(f).values for f in feats]
     tf = [FeatureVec(f).values for f in tent_feats]
     expected = np.mean([np.dot(a, b) for a in wf for b in tf])
@@ -123,37 +127,37 @@ def test_score_main_filter_disabled_equals_all_pairs_mean():
 
 
 def test_score_f1_follows_converged_extrapolation():
-    track = _converged_track([0, 4, 8, 12, 16])
+    forecast, _ = _converged_track([0, 4, 8, 12, 16])
     tent = TentativeTrack(
         entries=tuple((6 + i, make_det(6 + i, 20 + 4 * i, 0)) for i in range(4)),
     )
-    assert score_f1(track, tent) > 0.99
+    assert score_f1(forecast, tent) > 0.99
 
 
 def test_score_f1_disjoint_is_zero():
-    track = _converged_track([0, 4])
+    forecast, _ = _converged_track([0, 4])
     tent = _tentative([E1, E1], start_frame=3, left=900.0)
-    assert score_f1(track, tent) == 0.0
+    assert score_f1(forecast, tent) == 0.0
 
 
 def test_score_f1_single_entry_is_one_step_iou():
-    track = _converged_track([0, 4, 8])
+    forecast, _ = _converged_track([0, 4, 8])
     box = make_det(4, 14, 0)
     tent = TentativeTrack(entries=((4, box),))
-    expected = iou(state_to_bbox(track.kalman), box.bbox)
-    assert score_f1(track, tent) == pytest.approx(expected, abs=1e-12)
+    expected = iou(state_to_bbox(forecast), box.bbox)
+    assert score_f1(forecast, tent) == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_walk_corrects_between_entries_only(monkeypatch, n):
     # n entries: one forecast read per entry, n - 1 corrections (none after the last)
-    track = _converged_track([0, 4, 8])
+    forecast, rep = _converged_track([0, 4, 8])
     tent = TentativeTrack(entries=tuple((4 + i, make_det(4 + i, 12 + 4 * i, 0)) for i in range(n)))
     updates = count_calls(monkeypatch, rollout, "kf_update")
     predicts = count_calls(monkeypatch, rollout, "kf_predict")
-    for walk in (score_f1, score_f3, lambda t, e: candidate_filter(t, e, AdpConfig())):
+    for walk in (score_f1, lambda f, e: score_f3(f, e, rep), lambda f, e: candidate_filter(f, e, rep, AdpConfig())):
         del updates[:], predicts[:]
-        walk(track, tent)
+        walk(forecast, tent)
         assert [u[1] for u in updates] == [det.bbox for _, det in tent.entries[:-1]]
         assert len(predicts) == n - 1
 
@@ -171,52 +175,53 @@ def test_score_f2_examples():
 
 
 def test_score_f3_perfect_and_orthogonal():
-    track = _converged_track([0, 0, 0])
+    forecast, rep = _converged_track([0, 0, 0])
     tent = _tentative([E1, E1], start_frame=4)
-    assert score_f3(track, tent) == pytest.approx(1.0, abs=1e-6)
+    assert score_f3(forecast, tent, rep) == pytest.approx(1.0, abs=1e-6)
     tent = _tentative([E2, E2], start_frame=4)
-    assert score_f3(track, tent) == pytest.approx(0.0)
+    assert score_f3(forecast, tent, rep) == pytest.approx(0.0)
 
 
 def test_score_f3_matches_scripted_walk():
     # independent recomputation of the min(iou, cos) walk
-    track = _converged_track([0, 3, 6])
+    forecast, rep = _converged_track([0, 3, 6])
     feats = [(0.7, np.sqrt(1 - 0.49)), (0.9, np.sqrt(1 - 0.81))]
     tent = TentativeTrack(
         entries=tuple((4 + i, make_det(4 + i, 9 + 3 * i + i, 0, feature=f)) for i, f in enumerate(feats)),
     )
-    state = track.kalman
+    state = forecast
     expected = []
     for _, det in tent.entries:
         overlap = iou(state_to_bbox(state), det.bbox)
-        cos = float(np.dot(track.rep_feature.values, det.feature.values))
+        cos = float(np.dot(rep.values, det.feature.values))
         expected.append(min(overlap, max(cos, 0.0)))
         state = kf_predict(kf_update(state, det.bbox))
-    assert score_f3(track, tent) == pytest.approx(np.mean(expected), abs=1e-12)
+    assert score_f3(forecast, tent, rep) == pytest.approx(np.mean(expected), abs=1e-12)
 
 
 def test_score_f3_cosine_caps_score():
     # geometry is perfect, so the constant cosine is the score
-    track = _converged_track([0, 0, 0])
+    forecast, rep = _converged_track([0, 0, 0])
     cos = 0.7
     tent = _tentative([(cos, np.sqrt(1 - cos**2))] * 2, start_frame=4)
-    assert score_f3(track, tent) == pytest.approx(cos, abs=1e-6)
+    assert score_f3(forecast, tent, rep) == pytest.approx(cos, abs=1e-6)
 
 
 def test_candidate_filter_examples():
     cfg = AdpConfig()
-    track = _converged_track([0, 0, 0])
+    forecast, rep = _converged_track([0, 0, 0])
     tent = _tentative([E1, E1], start_frame=4)
-    assert candidate_filter(track, tent, cfg) == list(tent.entries)
+    assert candidate_filter(forecast, tent, rep, cfg) == list(tent.entries)
 
     impossible = AdpConfig(cand_iou=1.1)
-    assert candidate_filter(track, tent, impossible) == []
-    assert score_main(track, _window_features(track, impossible), tent, impossible) == 0.0
+    assert candidate_filter(forecast, tent, rep, impossible) == []
+    past = _window_features(_track_with_features([E1, E1, E1]), impossible)
+    assert score_main(forecast, tent, rep, past, impossible) == 0.0
 
     near = make_det(4, 0, 0)
     far = make_det(5, 500, 0)
     tent = TentativeTrack(entries=((4, near), (5, far)))
-    kept = candidate_filter(track, tent, cfg)
+    kept = candidate_filter(forecast, tent, rep, cfg)
     assert kept == [(4, near)]
 
 
@@ -228,22 +233,20 @@ def test_config_rejects_non_finite(field, value):
 
 
 def test_crowd_check_rules():
+    # The tracks spawn at frame 1 and hold matches at frames 1-6; at frame
+    # cursor c a track's age is c, its spawn frame counting as 1.
     cfg = AdpConfig(crowd_ratio=0.5, beta=0.15)
     track = _track_with_features([E1] * 6, qualities=[0.9] * 6)
-    track.age = 20
-    assert crowd_check(track, cfg) is False
+    assert crowd_check(track, 20, cfg) is False
 
     track = _track_with_features([E1] * 6, qualities=[0.01] * 6)
-    track.age = 20
-    assert crowd_check(track, cfg) is True
+    assert crowd_check(track, 20, cfg) is True
+    assert crowd_check(track, 10, cfg) is True  # at the minimum age
+    assert crowd_check(track, 9, cfg) is False
+    assert crowd_check(track, 6, cfg) is False  # young, however unreliable
 
     track = _track_with_features([E1] * 6, qualities=[0.01, 0.01, 0.01, 0.9, 0.9, 0.9])
-    track.age = 20
-    assert crowd_check(track, cfg) is True  # 3 of 6 below beta, inclusive boundary
-
-    young = _track_with_features([E1] * 6, qualities=[0.01] * 6)
-    young.age = 5
-    assert crowd_check(young, cfg) is False
+    assert crowd_check(track, 20, cfg) is True  # 3 of 6 below beta, inclusive boundary
 
 
 def test_combine_costs_endpoints_and_blend():
@@ -309,7 +312,7 @@ def test_adp_step_scores_each_eligible_detection_with_its_own_tentative(monkeypa
     ]
     calls = count_calls(monkeypatch, rollout, "score_frame")
     adp_step(state, window, AdpConfig())
-    (tracks, dets, tents, _), = calls
+    (_, dets, tents, _), = calls
     assert dets == list(window[0].detections[1:])
     assert [tent.entries[0] for tent in tents] == [(2, det) for det in dets]
     assert all(len(tent.entries) == 3 for tent in tents)
@@ -345,12 +348,13 @@ def test_variant_scores_stay_in_range():
     for _ in range(20):
         feats = [tuple(rng.normal(size=6)) for _ in range(4)]
         track = _track_with_features(feats, qualities=list(rng.uniform(-1, 1, size=4)))
+        forecast, rep = _spawn_row(track)
         tent = _tentative([tuple(rng.normal(size=6)) for _ in range(3)], start_frame=6)
         past = _window_features(track, cfg_main)
-        assert -1.0 <= score_main(track, past, tent, cfg_main) <= 1.0
+        assert -1.0 <= score_main(forecast, tent, rep, past, cfg_main) <= 1.0
         assert -1.0 <= score_f2(past, tent.entries[0][1]) <= 1.0
-        assert 0.0 <= score_f1(track, tent) <= 1.0
-        assert 0.0 <= score_f3(track, tent) <= 1.0
+        assert 0.0 <= score_f1(forecast, tent) <= 1.0
+        assert 0.0 <= score_f3(forecast, tent, rep) <= 1.0
 
 
 def test_all_variants_run_end_to_end():
@@ -361,29 +365,30 @@ def test_all_variants_run_end_to_end():
         assert rows, variant
 
 
-def _per_pair_scores(tracks, dets, tents, cfg):
+def _per_pair_scores(state, dets, tents, cfg):
     """The frame's rollout scores and crowd rows, one `score_*` call per pair."""
-    z = np.zeros((len(tracks), len(dets)))
+    z = np.zeros((len(state.tracks), len(dets)))
     crowd = []
-    for i, track in enumerate(tracks):
-        if cfg.enable_crowd_heuristic and crowd_check(track, cfg):
+    for i, track in enumerate(state.tracks):
+        if cfg.enable_crowd_heuristic and crowd_check(track, state.frame_cursor, cfg):
             crowd.append(i)
             continue
+        forecast, rep = state_row(state, i)
         past = _window_features(track, cfg)
         for jj, det in enumerate(dets):
             if cfg.variant is Variant.MAIN:
-                z[i, jj] = score_main(track, past, tents[jj], cfg)
+                z[i, jj] = score_main(forecast, tents[jj], rep, past, cfg)
             elif cfg.variant is Variant.F1:
-                z[i, jj] = score_f1(track, tents[jj])
+                z[i, jj] = score_f1(forecast, tents[jj])
             elif cfg.variant is Variant.F2:
                 z[i, jj] = score_f2(past, det)
             else:
-                z[i, jj] = score_f3(track, tents[jj])
+                z[i, jj] = score_f3(forecast, tents[jj], rep)
     return z, crowd
 
 
 def _crowd_windows(targets=(15, 35, 55), horizon=10):
-    """(tracks, eligible detections, their tentatives) at a few frames of a crowd scene.
+    """(tracker state, eligible detections, their tentatives) at a few frames of a crowd scene.
 
     12 identities with 4 crossing pairs fragment into dozens of live tracks,
     with tentatives of several lengths. The tracks come from f2 steps, whose
@@ -400,7 +405,7 @@ def _crowd_windows(targets=(15, 35, 55), horizon=10):
             adp_step(state, [frame], AdpConfig(variant=Variant.F2))
         tents = simulate_tentative(frames[t : t + horizon + 1], PARAMS)
         det_idx = eligible_detections(frames[t])
-        out.append((state.tracks, [frames[t].detections[j] for j in det_idx], [tents[j] for j in det_idx]))
+        out.append((state, [frames[t].detections[j] for j in det_idx], [tents[j] for j in det_idx]))
     return out
 
 
@@ -424,19 +429,19 @@ def crowd_windows():
 
 def test_crowd_windows_cover_the_batched_cases(crowd_windows):
     cfg = BATCH_CONFIGS["main"]
-    for tracks, _, tents in crowd_windows:
+    for state, _, tents in crowd_windows:
         assert len({len(t.entries) for t in tents}) > 1
-        crowded = [crowd_check(t, cfg) for t in tracks]
+        crowded = [crowd_check(t, state.frame_cursor, cfg) for t in state.tracks]
         assert any(crowded) and not all(crowded)
-        assert any(len(_window_features(t, cfg)) == 9 for t in tracks)
+        assert any(len(_window_features(t, cfg)) == 9 for t in state.tracks)
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_CONFIGS))
 def test_score_frame_equals_per_pair_scores(crowd_windows, name):
     cfg = BATCH_CONFIGS[name]
-    for tracks, dets, tents in crowd_windows:
-        z, crowd = score_frame(tracks, dets, None if cfg.variant is Variant.F2 else tents, cfg)
-        z_ref, crowd_ref = _per_pair_scores(tracks, dets, tents, cfg)
+    for state, dets, tents in crowd_windows:
+        z, crowd = score_frame(state, dets, None if cfg.variant is Variant.F2 else tents, cfg)
+        z_ref, crowd_ref = _per_pair_scores(state, dets, tents, cfg)
         assert crowd == crowd_ref
         assert np.array_equal(z, z_ref)
         assert np.count_nonzero(z) > 0
@@ -445,27 +450,78 @@ def test_score_frame_equals_per_pair_scores(crowd_windows, name):
 @pytest.mark.parametrize("name", sorted(BATCH_CONFIGS))
 def test_score_frame_without_tracks_or_detections(crowd_windows, name):
     cfg = BATCH_CONFIGS[name]
-    tracks, dets, tents = crowd_windows[0]
+    state, dets, tents = crowd_windows[0]
     tents = None if cfg.variant is Variant.F2 else tents
-    z, crowd = score_frame([], dets, tents, cfg)
+    z, crowd = score_frame(TrackerState(PARAMS, frame_cursor=state.frame_cursor), dets, tents, cfg)
     assert z.shape == (0, len(dets)) and crowd == []
-    z, _ = score_frame(tracks, [], None if tents is None else [], cfg)
-    assert z.shape == (len(tracks), 0)
+    z, _ = score_frame(state, [], None if tents is None else [], cfg)
+    assert z.shape == (len(state.tracks), 0)
 
 
 def test_walk_raises_when_the_forecast_overflows():
     # Position and velocity near the float maximum: the first correct-and-predict
     # step of the walk overflows to inf, which no box may hold.
-    track = _converged_track([0, 4, 8])
-    track.kalman = KalmanState([1.7e308, 5.0, 10.0, 10.0, 1.7e308, 0.0, 0.0, 0.0], (1.0, 0.0, 1.0))
+    state = TrackerState(PARAMS, frame_cursor=3)
+    state.spawn(3, [make_det(3, 8, 0)])
+    state.mean[0] = [1.7e308, 5.0, 10.0, 10.0, 1.7e308, 0.0, 0.0, 0.0]
+    state.block = (np.array([1.0]), np.array([0.0]), np.array([1.0]))
     tent = TentativeTrack(entries=((4, make_det(4, 0, 0)), (5, make_det(5, 4, 0))))
     dets = [tent.entries[0][1]]
     for variant in (Variant.MAIN, Variant.F1, Variant.F3):
         cfg = AdpConfig(variant=variant, enable_crowd_heuristic=False)
         with pytest.raises(ValueError):
-            _per_pair_scores([track], dets, [tent], cfg)
+            _per_pair_scores(state, dets, [tent], cfg)
         with pytest.raises(ValueError):
-            score_frame([track], dets, [tent], cfg)
+            score_frame(state, dets, [tent], cfg)
     # main without the candidate filter never walks
     cfg = AdpConfig(enable_candidate_filter=False, enable_crowd_heuristic=False)
-    assert np.array_equal(score_frame([track], dets, [tent], cfg)[0], _per_pair_scores([track], dets, [tent], cfg)[0])
+    assert np.array_equal(score_frame(state, dets, [tent], cfg)[0], _per_pair_scores(state, dets, [tent], cfg)[0])
+
+
+def test_array_state_equals_the_scalar_recursion(monkeypatch):
+    """Every row of every tracker state, real and simulated, equals the scalar filter and EMA replayed on its track.
+
+    The replay runs `kf_init`, `kf_predict`, `kf_update` and `ema_update` on
+    each track's matched detections; the quality score of each match is
+    replayed from `iou` and `cosine_sim` too.
+    """
+    expected = {}  # track -> (forecast, representative feature) by the scalar recursion
+    apply_matching = base_tracker.apply_matching
+    calls = []
+
+    def check(state):
+        assert len(state.mean) == len(state.rep) == len(state.tracks)
+        for i, track in enumerate(state.tracks):
+            if track not in expected:
+                det = track.history[0][1]
+                expected[track] = (kf_predict(kf_init(det.bbox)), det.feature)
+            forecast, rep = expected[track]
+            assert np.array_equal(state.mean[i], forecast.mean)
+            assert [float(b[i]) for b in state.block] == list(forecast.block)
+            assert np.array_equal(state.rep[i], rep.values)
+
+    def replayed(state, frame, matching):
+        check(state)
+        det_idx = eligible_detections(frame)
+        matched = {i: frame.detections[det_idx[jj]] for i, jj in matching.pairs}
+        after, quality = {}, {}
+        for i, track in enumerate(state.tracks):
+            forecast, rep = expected[track]
+            if i in matched:
+                det = matched[i]
+                overlap, cos = iou(state_to_bbox(forecast), det.bbox), cosine_sim(rep, det.feature)
+                quality[track] = max(cos, 0.0) if cos >= 0.25 and overlap >= 0.1 else 0.0
+                forecast, rep = kf_update(forecast, det.bbox), ema_update(rep, det.feature, 0.9)
+            after[track] = (kf_predict(forecast), rep)
+        apply_matching(state, frame, matching)
+        calls.append(len(matching.pairs))
+        assert all(track.quality[-1] == q for track, q in quality.items())
+        expected.update(after)
+        check(state)
+
+    monkeypatch.setattr(base_tracker, "apply_matching", replayed)
+    monkeypatch.setattr(rollout, "apply_matching", replayed)
+    frames = list(generate(occlusion_preset()[0]).det_frames)
+    run_adp(frames, PARAMS, AdpConfig(horizon=10))
+    assert len(calls) > 5 * len(frames)  # the simulated steps are checked too
+    assert sum(calls) > 1000
