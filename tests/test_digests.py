@@ -22,7 +22,7 @@ from adptrack.base_tracker import TrackerParams, run as run_base
 from adptrack.cli import main
 from adptrack.metrics import evaluate
 from adptrack.motio import read_gt, write_detections, write_features, write_gt, write_results
-from adptrack.rollout import AdpConfig, Variant, run as run_adp
+from adptrack.rollout import AdpConfig, Variant, run as run_adp, simulate_tentative
 from adptrack.synthworld import generate, occlusion_preset
 
 PARAMS = TrackerParams()
@@ -169,6 +169,49 @@ def test_preset_adp_digests(tmp_path, name):
         for cfg in occlusion_preset()[: len(PRESET_ADP[name])]
     ]
     assert got == PRESET_ADP[name]
+
+
+# sha256 over every simulation that adp main at horizon 10 runs on a scene:
+# the frame and box of each entry of each tentative of `simulate_tentative`
+# on every window of 11 frames. The 20 preset scenes, then the crowd scene of
+# `test_crowd_base_report`. These pin the simulated base tracker directly.
+TENTATIVES = [
+    "3c9be953a0c7daa255b9c413428cfe756d79f1c1d9f9d15807f4f00bee598f84",
+    "1d6c16869c238539408e103c30cd01a7efceeb0743b3ad875f8f7c0b51768e3d",
+    "8eaf65692af5f7991e302ac5901d066184db4e81ce37136cd3918eb6aae0ec03",
+    "089e6923e0aa602389c4f127783ffeba4762e26b2d7f028dc0d1d57c590e44be",
+    "342d15d2fb1378a7e8b108fe91e087e2d8b3e025f709298b18553848e57ea43e",
+    "2e7bf02e7754eee9742cd07c37086fad65c1a2796c5ed63552252c3291672610",
+    "2fbc20af9edef882a7b321913cd19467a59e86eeecb0fe3e686b321e1ce254ed",
+    "e043b484f06b6b1d340cf0331f9228e64c12a3564aec649f987c8a342e5edeb9",
+    "91c696f11c933b0bf3ed1138190c62bd3ee639dbe0ab3ef3c12c1e2d43d26a6a",
+    "a37eb8d3d30ccd713119a0bc907e906fe2ae100590e75e5a82228716ad07c9e1",
+    "ba624fd9a4f62a18fccad2fc1269c2c21e5d4fa8eb991d53a78539e5b18b811e",
+    "593ac60fa9aee1a690cf18792f7ea78818fead307f1ca480b38b85fd76c9cb92",
+    "dc06c101c80d643b5196d3f09503ed5f1e108c8ad022f76cc81e7893493898a8",
+    "87f31ea7651a61f2b31453747c566e0648386fe1413fe4c7fd77f9ae4988d9a4",
+    "fb1f05a94f9f526ff58ff9fefca31a5bbddbed2d7bdc477b40515ef4178d2523",
+    "c6ffdfba6203fdf90a062efe50d16bd3844e5f48b0394902656706b6cdf5669c",
+    "68a17a9bc1638f464fa9a44f15d467e94e3fcf60d8a4189661d4d76338b5ef33",
+    "896b4a7ed1cf6cf4d2d626388fad663a72eab1c35872f34cf9e0709a23c48c53",
+    "f13d6c8e9593870c68bc4b02dabda6d979ec86388ca745157b0a25f1f304c44e",
+    "958953fee33a6d84db35b19aac9bf44aabefda156bb017b5aeed6c172ff78179",
+    "9b8a591721324f0f96dd4b059b9b9ab48aee062d00ff2fef7240658726bb5ebd",
+]
+
+TENTATIVE_SCENES = [*occlusion_preset(), replace(occlusion_preset()[0], identities=20, crossings=6, seed=9003)]
+
+
+def _tentatives_digest(frames):
+    digest = hashlib.sha256()
+    for t in range(len(frames)):
+        for tent in simulate_tentative(frames[t : t + 11], PARAMS):
+            digest.update(repr([(f, det.bbox) for f, det in tent.entries]).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_tentative_digests():
+    assert [_tentatives_digest(_frames(cfg)) for cfg in TENTATIVE_SCENES] == TENTATIVES
 
 
 def _report_fields(report):
