@@ -20,6 +20,7 @@ enumeration oracle for small matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -70,23 +71,14 @@ class Matching:
 
 
 def _solve_partial_max(arr: np.ndarray, allowed: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
-    """Best total over partial matchings restricted to allowed cells, and one matching attaining it.
-
-    The total sums the matched allowed cells in row order. When each row and
-    column holds exactly one allowed cell and each of those weighs more than
-    0, those cells are the only optimum, since every other matching takes a
-    proper subset of them; they are returned without a solve.
-    """
+    """Best total of partial matchings on allowed cells (summed in row order), and one matching attaining it."""
     r, c = arr.shape
     if r == 0 or c == 0 or not allowed.any():
         return 0.0, []
-    if (allowed.sum(axis=0) == 1).all() and (allowed.sum(axis=1) == 1).all() and (arr[allowed] > 0.0).all():
-        pairs = list(zip(*(index.tolist() for index in np.nonzero(allowed))))
-    else:
-        gains = np.where(allowed, arr, 0.0)
-        padded = np.hstack((gains, np.zeros((r, r)))) if r <= c else np.vstack((gains, np.zeros((c, c))))
-        rows, cols = linear_sum_assignment(padded, maximize=True)
-        pairs = [(i, j) for i, j in zip(rows.tolist(), cols.tolist()) if i < r and j < c and allowed[i, j]]
+    gains = np.where(allowed, arr, 0.0)
+    padded = np.hstack((gains, np.zeros((r, r)))) if r <= c else np.vstack((gains, np.zeros((c, c))))
+    rows, cols = linear_sum_assignment(padded, maximize=True)
+    pairs = [(i, j) for i, j in zip(rows.tolist(), cols.tolist()) if i < r and j < c and allowed[i, j]]
     total = 0.0
     for i, j in pairs:
         total += arr[i, j]
@@ -96,13 +88,15 @@ def _solve_partial_max(arr: np.ndarray, allowed: np.ndarray) -> tuple[float, lis
 def hungarian_max(w: WeightMatrix, min_weight: float) -> Matching:
     """Max-weight gated partial matching with canonical tie-breaking.
 
-    Rows and columns with no cell >= min_weight can never be matched, so they
-    are pruned first; the kept ones stay in ascending order, and the solves and
-    the scan below run on the remaining live block. The canonical matching is
-    built greedily: cells are scanned in row-major order and a cell is kept
-    exactly when some optimal matching extends the kept set with it. The scan
-    stops as soon as the kept set itself attains the optimum, which drops
-    zero-gain extensions.
+    When each row and column holds at most one allowed cell and each of those
+    weighs more than 0, those cells are the only optimum, and the scan below
+    runs over them at once. Otherwise rows and columns with no cell >=
+    min_weight, which can never be matched, are pruned first; the kept ones
+    stay in ascending order, and the solves and the scan run on the remaining
+    live block. The canonical matching is built greedily: cells are scanned in
+    row-major order and a cell is kept exactly when some optimal matching
+    extends the kept set with it. The scan stops as soon as the kept set
+    itself attains the optimum, which drops zero-gain extensions.
 
     The scan carries a witness: an optimal matching that contains the kept
     set, first the one from the full solve. A cell of the witness is kept
@@ -111,6 +105,12 @@ def hungarian_max(w: WeightMatrix, min_weight: float) -> Matching:
     is the new witness.
     """
     allowed = w.array >= min_weight
+    rows, cols = (index.tolist() for index in np.nonzero(allowed))  # row-major
+    values = w.array[rows, cols].tolist()
+    if len(set(rows)) == len(rows) and len(set(cols)) == len(cols) and all(v > 0.0 for v in values):
+        totals = list(accumulate(values, initial=0.0))  # added left to right, as the scan adds
+        k = next(k for k, total in enumerate(totals) if total >= totals[-1] - _TIE_TOL)
+        return Matching(pairs=tuple(zip(rows[:k], cols[:k])), total_weight=totals[k])
     live_rows = np.flatnonzero(allowed.any(axis=1))
     live_cols = np.flatnonzero(allowed.any(axis=0))
     arr = w.array[np.ix_(live_rows, live_cols)]

@@ -5,10 +5,12 @@ order, each track's one-step forecast (the filter state predicted for the
 next frame) and its representative feature. Per frame the tracker scores
 each track/detection pair by the minimum of forecast-box overlap and gated
 appearance similarity, solves a thresholded max-weight matching and applies
-the usual lifecycle to all rows at once: matched rows are corrected and
-refreshed, a track whose last match lies more than `max_age` frames back is
-removed (SORT, Bewley et al., ICIP 2016), confident unmatched detections
-spawn new tracks, and every surviving row is predicted one frame ahead.
+the usual lifecycle to all rows at once: matched rows take the weights
+pass's gated appearance score and are corrected and refreshed, a track whose
+last match lies more than `max_age` frames back is removed (SORT, Bewley et
+al., ICIP 2016), every surviving row is predicted one frame ahead and
+confident unmatched detections (rows of the frame's cached arrays) spawn at
+the filter's closed-form prior.
 
 The gates and rates are fixed, DeepSORT-style (Wojke, Bewley & Paulus, ICIP
 2017): a pair's appearance counts only when its forecast IOU reaches 0.1 and
@@ -29,8 +31,8 @@ import numpy as np
 
 from .appearance import QualityVector, cosine_sim, feature_dots
 from .assignment import Matching, WeightMatrix, hungarian_max
-from .core import Detection, FeatureVec, FrameData, box_array, iou, iou_array, iou_matrix
-from .motion import KalmanState, batch_boxes, kf_init_batch, kf_predict_batch, kf_update_batch, state_to_bbox
+from .core import Detection, FeatureVec, FrameData, box_array, feature_rows, iou, iou_matrix
+from .motion import KalmanState, batch_boxes, kf_predict_batch, kf_prior_batch, kf_update_batch, state_to_bbox
 from .motion import kf_predict, kf_update  # noqa: F401  (the rows' oracles, wrapped here by perfbench/probes.py)
 
 __all__ = [
@@ -77,8 +79,6 @@ class Track:
     __slots__ = ("id", "history", "quality")
 
     def __init__(self, track_id: int, frame: int, det: Detection):
-        if det.feature is None:
-            raise ValueError("tracking requires detections with appearance features")
         self.id = track_id
         self.history: list[tuple[int, Detection]] = [(frame, det)]
         # The spawn detection seeds the quality record with a perfect score so
@@ -96,10 +96,11 @@ class TrackerState:
     Row i of `mean` (T, 8), of each (T,) array of the covariance `block`
     (pp, pv, vv) and of `rep` (T, d) is the one-step forecast and the
     representative feature of `tracks[i]`. Removed tracks leave the list and
-    the arrays; their ids are never reused.
+    the arrays; their ids are never reused. `weighed` is the last weights
+    pass of these rows: (frame, confident detections, gated appearance scores).
     """
 
-    __slots__ = ("tracks", "mean", "block", "rep", "next_id", "params", "frame_cursor")
+    __slots__ = ("tracks", "mean", "block", "rep", "next_id", "params", "frame_cursor", "weighed")
 
     def __init__(self, params: TrackerParams, frame_cursor: int = 0):
         self.tracks: list[Track] = []
@@ -109,30 +110,25 @@ class TrackerState:
         self.next_id = 1
         self.params = params
         self.frame_cursor = frame_cursor
+        self.weighed = None
 
-    def spawn(self, frame: int, dets: list[Detection]) -> None:
-        """One new track per detection, after the live ones, at the filter's prior predicted one frame ahead."""
+    def spawn(self, frame: int, dets: list[Detection], rows=None) -> None:
+        """New tracks for `dets` after the live ones, at the one-step prior; `rows` may give their (boxes, features)."""
         if not dets:
             return
-        for det in dets:
-            self.tracks.append(Track(self.next_id, frame, det))
-            self.next_id += 1
-        mean, block = kf_predict_batch(*kf_init_batch(box_array(det.bbox for det in dets)))
-        feats = np.stack([det.feature.values for det in dets])
+        boxes, feats = rows or (box_array(det.bbox for det in dets), feature_rows(dets))
+        self.tracks += [Track(self.next_id + k, frame, det) for k, det in enumerate(dets)]
+        self.next_id += len(dets)
+        mean, block = kf_prior_batch(boxes)
         self.mean = np.concatenate([self.mean, mean])
         self.block = tuple(np.concatenate(pair) for pair in zip(self.block, block))
-        self.rep = np.concatenate([self.rep, feats]) if len(self.rep) else feats
-
-    def keep(self, rows: list[int]) -> None:
-        """Keep only the tracks of the given rows, in that order."""
-        self.tracks = [self.tracks[i] for i in rows]
-        self.mean, self.rep = self.mean[rows], self.rep[rows]
-        self.block = tuple(b[rows] for b in self.block)
+        self.rep = np.concatenate([self.rep, feats]) if len(self.rep) else np.array(feats)
+        self.weighed = None
 
 
 def _gate(overlap: np.ndarray, dots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(fused weights, gated appearance scores) of pairs, from their overlaps and feature dot products."""
-    cos = np.clip(dots, -1.0, 1.0)
+    cos = np.minimum(np.maximum(dots, -1.0), 1.0)
     gated = np.where((cos >= _APPEARANCE_GATE) & (overlap >= _IOU_GATE), np.maximum(cos, 0.0), 0.0)
     return np.minimum(overlap, gated), gated
 
@@ -158,9 +154,9 @@ def _ema(rep: np.ndarray, obs: np.ndarray) -> np.ndarray:
     return blended / norms[:, None]
 
 
-def eligible_detections(frame: FrameData) -> list[int]:
+def eligible_detections(frame: FrameData) -> np.ndarray:
     """Indices of detections that clear the confidence floor, in frame order."""
-    return [j for j, d in enumerate(frame.detections) if d.confidence >= _MIN_CONFIDENCE]
+    return np.flatnonzero(frame.confidences >= _MIN_CONFIDENCE)
 
 
 def compute_base_weights(state: TrackerState, frame: FrameData) -> WeightMatrix:
@@ -168,17 +164,18 @@ def compute_base_weights(state: TrackerState, frame: FrameData) -> WeightMatrix:
 
     Equal, entry by entry, to `fused_similarity`. A pair whose forecast
     overlap misses the IOU gate weighs 0 whatever its appearance, so the
-    feature products are taken only inside the gate.
+    feature products are taken only inside the gate. The gated appearance
+    scores (0 outside the IOU gate) stay on the state for `apply_matching`.
     """
     if frame.index != state.frame_cursor + 1:
         raise ValueError(f"out-of-order frame {frame.index}, expected {state.frame_cursor + 1}")
-    dets = [frame.detections[j] for j in eligible_detections(frame)]
-    overlap = iou_matrix(batch_boxes(state.mean), box_array(det.bbox for det in dets))
+    det_idx = eligible_detections(frame)
+    overlap = iou_matrix(batch_boxes(state.mean), frame.boxes[det_idx])
     rows, cols = np.nonzero(overlap >= _IOU_GATE)
-    weights = np.zeros(overlap.shape)
+    weights, gated = np.zeros(overlap.shape), np.zeros(overlap.shape)
     if rows.size:
-        feats = np.stack([det.feature.values for det in dets])
-        weights[rows, cols], _ = _gate(overlap[rows, cols], feature_dots(state.rep[rows], feats[cols]))
+        weights[rows, cols], gated[rows, cols] = _gate(overlap[rows, cols], feature_dots(state.rep[rows], frame.features[det_idx[cols]]))
+    state.weighed = (frame, det_idx, gated)
     return WeightMatrix(weights)
 
 
@@ -186,31 +183,34 @@ def apply_matching(state: TrackerState, frame: FrameData, matching: Matching) ->
     """Advance one frame applying the lifecycle implied by a matching.
 
     Matching rows index `state.tracks`, columns index `eligible_detections`.
-    The matched rows are taken together: each records its pair's gated
-    appearance score as quality, its forecast is corrected with the detection
-    and its representative feature blended with the detection's. The tracks
-    whose last match lies at most `max_age` frames back are kept and
-    predicted; unmatched confident detections spawn after them.
+    It consumes the `compute_base_weights` pass of this state and frame. The
+    matched rows are taken together: each records its pair's gated appearance
+    score from that pass as quality, its forecast is corrected with the
+    detection and its representative feature blended with the detection's.
+    The tracks whose last match lies at most `max_age` frames back are kept
+    and predicted; unmatched confident detections spawn after them.
     """
-    det_idx = eligible_detections(frame)
-    rows = [i for i, _ in matching.pairs]
-    dets = [frame.detections[det_idx[jj]] for _, jj in matching.pairs]
-    if rows:
-        boxes = box_array(det.bbox for det in dets)
-        feats = np.stack([det.feature.values for det in dets])
-        _, gated = _gate(iou_array(batch_boxes(state.mean[rows]), boxes), feature_dots(state.rep[rows], feats))
-        for i, det, quality in zip(rows, dets, gated.tolist()):
+    if state.weighed is None or state.weighed[0] is not frame:
+        raise ValueError(f"apply_matching needs a compute_base_weights pass of this state for frame {frame.index}")
+    (_, det_idx, gated), state.weighed = state.weighed, None
+    rows, cols = np.array(matching.pairs, dtype=np.intp).reshape(-1, 2).T
+    if rows.size:
+        matched = det_idx[cols]
+        for i, j, quality in zip(rows, matched.tolist(), gated[rows, cols].tolist()):
             state.tracks[i].quality.append(quality)
-            state.tracks[i].history.append((frame.index, det))
-        state.mean[rows], block = kf_update_batch(state.mean[rows], tuple(b[rows] for b in state.block), boxes)
+            state.tracks[i].history.append((frame.index, frame.detections[j]))
+        state.mean[rows], block = kf_update_batch(state.mean[rows], tuple(b[rows] for b in state.block), frame.boxes[matched])
         for b, new in zip(state.block, block):
             b[rows] = new
-        state.rep[rows] = _ema(state.rep[rows], feats)
+        state.rep[rows] = _ema(state.rep[rows], frame.features[matched])
 
-    state.keep([i for i, t in enumerate(state.tracks) if frame.index - t.last_frame <= state.params.max_age])
+    keep = [i for i, t in enumerate(state.tracks) if frame.index - t.last_frame <= state.params.max_age]
+    if len(keep) < len(state.tracks):
+        state.tracks, state.mean, state.rep = [state.tracks[i] for i in keep], state.mean[keep], state.rep[keep]
+        state.block = tuple(b[keep] for b in state.block)
     state.mean, state.block = kf_predict_batch(state.mean, state.block)
-    matched = {jj for _, jj in matching.pairs}
-    state.spawn(frame.index, [frame.detections[j] for jj, j in enumerate(det_idx) if jj not in matched])
+    new = np.delete(det_idx, cols)
+    state.spawn(frame.index, [frame.detections[j] for j in new.tolist()], (frame.boxes[new], frame.features[new]))
     state.frame_cursor = frame.index
 
 
@@ -229,7 +229,7 @@ def fork_at(frame: FrameData, params: TrackerParams) -> TrackerState:
     frame of a new sequence and carries no earlier information.
     """
     state = TrackerState(params, frame_cursor=frame.index)
-    state.spawn(frame.index, list(frame.detections))
+    state.spawn(frame.index, list(frame.detections), (frame.boxes, frame.features))
     return state
 
 

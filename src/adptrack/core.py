@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +20,7 @@ __all__ = [
     "FrameData",
     "iou",
     "box_array",
+    "feature_rows",
     "iou_matrix",
     "iou_array",
     "to_center",
@@ -74,6 +76,13 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 def box_array(boxes) -> np.ndarray:
     """Boxes as an (N, 4) float array of (left, top, width, height) rows."""
     return np.array([(b.left, b.top, b.width, b.height) for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def feature_rows(dets) -> np.ndarray:
+    """Detections' features as an (N, d) array; each detection needs one."""
+    if any(det.feature is None for det in dets):
+        raise ValueError("tracking requires detections with appearance features")
+    return np.stack([det.feature.values for det in dets]) if dets else np.zeros((0, 0))
 
 
 def iou_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -167,9 +176,23 @@ class Detection:
             raise ValueError(f"confidence must lie in [0, 1], got {self.confidence}")
 
 
+def _rows(build):
+    def get(frame):
+        arr = build(frame.detections)
+        arr.flags.writeable = False
+        return arr
+
+    return cached_property(get)
+
+
 @dataclass(frozen=True, eq=False)
 class FrameData:
-    """All detections of a single frame, in stable file/generation order."""
+    """All detections of a single frame, in stable file/generation order.
+
+    `boxes` (N, 4), `features` (N, d) and `confidences` (N,) are the
+    detections as read-only array rows, built on first use and then kept: every
+    tracker step over the frame, real or simulated, shares one copy.
+    """
 
     index: int
     detections: tuple[Detection, ...]
@@ -181,3 +204,7 @@ class FrameData:
                 raise ValueError(
                     f"detection frame {det.frame} does not match frame index {self.index}"
                 )
+
+    boxes = _rows(lambda dets: box_array(det.bbox for det in dets))
+    features = _rows(feature_rows)
+    confidences = _rows(lambda dets: np.array([det.confidence for det in dets], dtype=np.float64))

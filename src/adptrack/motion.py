@@ -12,7 +12,9 @@ keeps only that 2x2 block, and predict and update are scalar arithmetic on
 it. Each block entry is computed with the same products, in the same order,
 as the 8x8 Joseph-form recursion, so both give bit-identical results. The
 batched forms run the same block arithmetic on the arrays of states in which
-the base tracker holds its tracks and the rollout walks its clones.
+the base tracker holds its tracks and the rollout walks its clones; a new
+track's forecast has a closed form (`kf_prior_batch`), and a walk step is
+one fused correction and prediction (`kf_correct_predict_batch`).
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from .core import BoundingBox, from_center, to_center
 
 __all__ = [
     "KalmanState", "kf_init", "kf_predict", "kf_update", "state_to_bbox",
-    "kf_init_batch", "kf_predict_batch", "kf_update_batch", "batch_boxes",
+    "batch_centers", "kf_init_batch", "kf_prior_batch", "kf_predict_batch", "kf_update_batch",
+    "kf_correct_predict_batch", "batch_boxes",
 ]
 
 _MIN_SIZE = 1e-3
@@ -59,20 +62,10 @@ class KalmanState:
         raise AttributeError("KalmanState is immutable")
 
 
-def _scale_height(mean) -> float:
-    return max(abs(float(mean[3])), _MIN_SIZE)
-
-
 def _square(c, h):
-    """(c * h) ** 2, elementwise when h is an array.
-
-    Python's ``** 2`` on a float is libm ``pow``, while numpy squares as
-    ``x * x``; the two round differently for about one height in a thousand,
-    so an array is squared one Python float at a time.
-    """
-    if isinstance(h, np.ndarray):
-        return np.array([(c * x) ** 2 for x in h.ravel().tolist()]).reshape(h.shape)
-    return (c * h) ** 2
+    """(c * h) squared as one product, elementwise when h is an array."""
+    x = c * h
+    return x * x
 
 
 def _predicted_block(pp, pv, vv, h):
@@ -87,31 +80,31 @@ def _corrected_block(pp, pv, vv, h):
     kp, kv = pp * inv_s, pv * inv_s
     # (I - KH) P (I - KH)^T + K R K^T with I - KH = [[a, 0], [-kv, 1]]; the two
     # off-diagonal terms are averaged as the symmetrisation (C + C^T) / 2 does.
-    a = 1.0 - kp
+    a, nkv, kpr, kvr = 1.0 - kp, -kv, kp * r, kv * r
     m00, m01 = a * pp, a * pv
-    m10, m11 = -kv * pp + pv, -kv * pv + vv
-    pv_upper = (-kv * m00 + m01) + kp * r * kv
-    pv_lower = m10 * a + kv * r * kp
-    return kp, kv, (m00 * a + kp * r * kp, (pv_upper + pv_lower) / 2.0, (-kv * m10 + m11) + kv * r * kv)
+    m10, m11 = nkv * pp + pv, nkv * pv + vv
+    pv_upper = (nkv * m00 + m01) + kpr * kv
+    pv_lower = m10 * a + kvr * kp
+    return kp, kv, (m00 * a + kpr * kp, (pv_upper + pv_lower) / 2.0, (nkv * m10 + m11) + kvr * kv)
 
 
 def kf_init(b: BoundingBox) -> KalmanState:
     """Start a filter at a measured box with zero velocity and a flat velocity prior."""
     cx, cy, w, h = to_center(b)
-    return KalmanState([cx, cy, w, h, 0.0, 0.0, 0.0, 0.0], ((_INIT_POS * h) ** 2, 0.0, (_INIT_VEL * h) ** 2))
+    return KalmanState([cx, cy, w, h, 0.0, 0.0, 0.0, 0.0], (_square(_INIT_POS, h), 0.0, _square(_INIT_VEL, h)))
 
 
 def kf_predict(s: KalmanState) -> KalmanState:
     """Advance the state one frame under constant velocity, inflating uncertainty."""
     m = s.mean.tolist()
     mean = [x + v for x, v in zip(m[:4], m[4:])] + m[4:]
-    return KalmanState(mean, _predicted_block(*s.block, _scale_height(m)))
+    return KalmanState(mean, _predicted_block(*s.block, max(abs(m[3]), _MIN_SIZE)))
 
 
 def kf_update(s: KalmanState, measurement: BoundingBox) -> KalmanState:
     """Correct the state against a measured box (Joseph-form covariance update)."""
     m = s.mean.tolist()
-    kp, kv, block = _corrected_block(*s.block, _scale_height(m))
+    kp, kv, block = _corrected_block(*s.block, max(abs(m[3]), _MIN_SIZE))
     innovation = [z - x for z, x in zip(to_center(measurement), m)]
     mean = [x + kp * e for x, e in zip(m, innovation)] + [v + kv * e for v, e in zip(m[4:], innovation)]
     return KalmanState(mean, block)
@@ -129,17 +122,23 @@ def state_to_bbox(s: KalmanState) -> BoundingBox:
 # scalar function in the same order, so it equals it bit for bit.
 
 
-def _centers(boxes: np.ndarray) -> np.ndarray:
+def batch_centers(boxes: np.ndarray) -> np.ndarray:
     """`to_center` of every box row."""
     return np.concatenate([boxes[..., :2] + boxes[..., 2:] / 2.0, boxes[..., 2:]], axis=-1)
 
 
 def kf_init_batch(boxes: np.ndarray):
     """`kf_init` of every box row."""
-    centers = _centers(boxes)
-    h = centers[..., 3]
-    block = (_square(_INIT_POS, h), np.zeros_like(h), _square(_INIT_VEL, h))
-    return np.concatenate([centers, np.zeros_like(centers)], axis=-1), block
+    centers = batch_centers(boxes)
+    h, zeros = centers[..., 3], np.zeros_like(centers)
+    return np.concatenate([centers, zeros], axis=-1), (_square(_INIT_POS, h), zeros[..., 0], _square(_INIT_VEL, h))
+
+
+def kf_prior_batch(boxes: np.ndarray):
+    """`kf_predict(kf_init(b))` of every box row in closed form (the prediction adds exact zeros)."""
+    mean, (pp, _, vv) = kf_init_batch(boxes)
+    q_h = np.maximum(mean[..., 3], _MIN_SIZE)
+    return mean, ((pp + vv) + _square(_POS, q_h), vv, vv + _square(_VEL, q_h))
 
 
 def kf_predict_batch(mean: np.ndarray, block):
@@ -148,12 +147,24 @@ def kf_predict_batch(mean: np.ndarray, block):
     return np.concatenate([mean[..., :4] + mean[..., 4:], mean[..., 4:]], axis=-1), _predicted_block(*block, h)
 
 
+def _correct(mean: np.ndarray, block, centers: np.ndarray):
+    """`kf_update` of every state against its measured (cx, cy, w, h), as (positions, velocities, block)."""
+    pos, vel = mean[..., :4], mean[..., 4:]
+    kp, kv, block = _corrected_block(*block, np.maximum(np.abs(pos[..., 3]), _MIN_SIZE))
+    innovation = centers - pos
+    return pos + kp[..., None] * innovation, vel + kv[..., None] * innovation, block
+
+
 def kf_update_batch(mean: np.ndarray, block, boxes: np.ndarray):
     """`kf_update` of every state of a batch against its measured box."""
-    kp, kv, block = _corrected_block(*block, np.maximum(np.abs(mean[..., 3]), _MIN_SIZE))
-    innovation = _centers(boxes) - mean[..., :4]
-    gains = np.stack([kp, kv], axis=-1)[..., None]  # x + kp * e for positions, v + kv * e for velocities
-    return (mean.reshape(*mean.shape[:-1], 2, 4) + gains * innovation[..., None, :]).reshape(mean.shape), block
+    pos, vel, block = _correct(mean, block, batch_centers(boxes))
+    return np.concatenate([pos, vel], axis=-1), block
+
+
+def kf_correct_predict_batch(mean: np.ndarray, block, centers: np.ndarray):
+    """`kf_predict_batch(*kf_update_batch(mean, block, boxes))` in one pass, given `batch_centers(boxes)`."""
+    pos, vel, block = _correct(mean, block, centers)
+    return np.concatenate([pos + vel, vel], axis=-1), _predicted_block(*block, np.maximum(np.abs(pos[..., 3]), _MIN_SIZE))
 
 
 def batch_boxes(mean: np.ndarray) -> np.ndarray:

@@ -2,13 +2,14 @@
 
 For each target frame the layer simulates the base tracker forward over a
 truncated horizon, starting fresh at the target frame, which yields one
-tentative track per target detection. Tracks are then matched to detections
-with a convex combination of the base weight matrix and a similarity matrix
-built from track-versus-tentative-track comparisons. Several similarity
-variants are provided: the main score compares a track's trusted past
-features against the tentative track's future features; the others isolate
-the motion-only, no-simulation and representative-feature versions of the
-same idea.
+tentative track per target detection; every simulation reads the cached
+detection rows of the frames it steps, so each frame builds them once.
+Tracks are then matched to detections with a convex combination of the base
+weight matrix and a similarity matrix built from track-versus-tentative-track
+comparisons. Several similarity variants are provided: the main score
+compares a track's trusted past features against the tentative track's
+future features; the others isolate the motion-only, no-simulation and
+representative-feature versions of the same idea.
 
 The per-pair functions (`score_main`, `score_f1`, `score_f2`, `score_f3`,
 `candidate_filter`) define the scores from a track's forecast and
@@ -39,7 +40,7 @@ from .base_tracker import (
     step,
 )
 from .core import Detection, FeatureVec, FrameData, box_array, iou, iou_array
-from .motion import KalmanState, batch_boxes, kf_predict, kf_predict_batch, kf_update, kf_update_batch, state_to_bbox
+from .motion import KalmanState, batch_boxes, batch_centers, kf_correct_predict_batch, kf_predict, kf_update, state_to_bbox
 
 __all__ = [
     "Variant",
@@ -235,6 +236,7 @@ def _frame_walk(mean: np.ndarray, block, boxes: np.ndarray, lengths: np.ndarray)
     shape = (len(mean), len(lengths))
     mean = np.broadcast_to(mean[:, None], (*shape, 8))
     block = tuple(np.broadcast_to(b[:, None], shape) for b in block)
+    centers = batch_centers(boxes)
     out = np.zeros((*shape, boxes.shape[1]))
     cols, ends = np.arange(len(lengths)), set(lengths.tolist())
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state raises in batch_boxes
@@ -243,7 +245,7 @@ def _frame_walk(mean: np.ndarray, block, boxes: np.ndarray, lengths: np.ndarray)
                 live = lengths[cols] > step_idx
                 cols, mean, block = cols[live], mean[:, live], tuple(b[:, live] for b in block)
             if step_idx:
-                mean, block = kf_predict_batch(*kf_update_batch(mean, block, boxes[cols, step_idx - 1]))
+                mean, block = kf_correct_predict_batch(mean, block, centers[cols, step_idx - 1])
             out[:, cols, step_idx] = iou_array(batch_boxes(mean), boxes[cols, step_idx])
     return out
 
@@ -334,7 +336,7 @@ def adp_step(state: TrackerState, window: list[FrameData], cfg: AdpConfig) -> tu
     frame = window[0]
     weights = compute_base_weights(state, frame)  # validates frame order
 
-    det_idx = eligible_detections(frame)
+    det_idx = eligible_detections(frame).tolist()
     # The no-simulation variant never reads the future frames.
     tentatives = None if cfg.variant is Variant.F2 else simulate_tentative(window, state.params)
     z, crowd_rows = score_frame(

@@ -235,6 +235,19 @@ def test_oracle_agrees_on_one_cell_per_row_and_column(case):
     assert hungarian_max(w, mw) == brute_force_match(w, mw)
 
 
+@pytest.mark.parametrize(
+    "entries, pairs",
+    [
+        ([[1e-13]], ()),
+        ([[0.5, -1.0], [-1.0, 1e-13]], ((0, 0),)),  # a trailing cell below the tie tolerance adds nothing
+        ([[1e-13, -1.0], [-1.0, 0.5]], ((0, 0), (1, 1))),  # a leading one is kept: the scan has not reached the optimum
+    ],
+)
+def test_one_cell_per_line_scan_stops_at_the_optimum(entries, pairs):
+    w = WeightMatrix(entries)
+    assert hungarian_max(w, 0.0).pairs == brute_force_match(w, 0.0).pairs == pairs
+
+
 def test_one_positive_cell_per_row_and_column_takes_no_solve(monkeypatch):
     w = np.full((40, 30), 0.1)
     cells = [(3, 17), (5, 2), (11, 29), (12, 0), (30, 8), (39, 21)]

@@ -4,9 +4,11 @@ import pytest
 from conftest import count_calls, make_det, make_frame, rows_to_boxes, state_row
 
 from adptrack import base_tracker
+from adptrack.assignment import Matching, hungarian_max
 from adptrack.base_tracker import (
     TrackerParams,
     TrackerState,
+    apply_matching,
     compute_base_weights,
     eligible_detections,
     fork_at,
@@ -14,7 +16,7 @@ from adptrack.base_tracker import (
     run,
     step,
 )
-from adptrack.core import FeatureVec, iou
+from adptrack.core import Detection, FeatureVec, iou
 from adptrack.metrics import evaluate
 from adptrack.motion import state_to_bbox
 from adptrack.synthworld import ScenarioConfig, generate
@@ -131,6 +133,35 @@ def test_compute_base_weights_rejects_out_of_order():
         compute_base_weights(state, make_frame(5, [make_det(5, 0, 0)]))
 
 
+def test_apply_matching_reads_only_the_fresh_weights_pass_of_its_state_and_frame():
+    state = TrackerState(PARAMS, frame_cursor=0)
+    step(state, make_frame(1, [make_det(1, 0, 0), make_det(1, 30, 0)]))
+    frame = make_frame(2, [make_det(2, 1, 0, feature=(0.8, 0.6)), make_det(2, 30, 0)])
+    unmatched = Matching(pairs=(), total_weight=0.0)
+    with pytest.raises(ValueError, match="compute_base_weights"):
+        apply_matching(state, frame, unmatched)  # step consumed the last pass
+    compute_base_weights(TrackerState(PARAMS, frame_cursor=1), frame)
+    with pytest.raises(ValueError, match="compute_base_weights"):
+        apply_matching(state, frame, unmatched)  # the pass of another state
+    weights = compute_base_weights(state, frame)
+    with pytest.raises(ValueError, match="compute_base_weights"):
+        apply_matching(state, make_frame(2, list(frame.detections)), unmatched)  # the pass of another frame
+
+    # the failed calls left the pass in place; its gated cosines become the quality
+    matching = hungarian_max(weights, PARAMS.match_threshold)
+    assert matching.pairs == ((0, 0), (1, 1))
+    apply_matching(state, frame, matching)
+    assert [t.quality[-1] for t in state.tracks] == [0.8, 1.0]
+    with pytest.raises(ValueError, match="compute_base_weights"):
+        apply_matching(state, frame, matching)  # never twice from one pass
+
+    frame = make_frame(3, [make_det(3, 1, 0)])
+    compute_base_weights(state, frame)
+    state.spawn(3, [make_det(3, 60, 0)])  # the rows changed after the pass
+    with pytest.raises(ValueError, match="compute_base_weights"):
+        apply_matching(state, frame, unmatched)
+
+
 def test_step_cold_start_spawns():
     state = TrackerState(PARAMS, frame_cursor=0)
     _, matching = step(state, make_frame(1, [make_det(1, 0, 0), make_det(1, 30, 0)]))
@@ -245,8 +276,9 @@ def test_step_predicts_each_surviving_track_once(monkeypatch):
         compute_base_weights(state, frame)
         assert predicts == []
         step(state, frame)
-        # the surviving rows in one batch, then the spawned ones in another
-        assert sum(len(mean) for mean, _ in predicts) == len(state.tracks)
+        # the surviving rows in one batch; the spawned rows take the closed-form prior
+        survivors = [t for t in state.tracks if t.history[0][0] < frame.index]
+        assert [len(mean) for mean, _ in predicts] == [len(survivors)]
         assert len(state.mean) == len(state.rep) == len(state.tracks)
         # the tracks are exactly those whose last match lies at most max_age frames back
         seen.update((t.id, t) for t in state.tracks)
@@ -257,3 +289,14 @@ def test_step_predicts_each_surviving_track_once(monkeypatch):
 def test_run_rejects_empty():
     with pytest.raises(ValueError):
         run([], PARAMS)
+
+
+def test_tracking_rejects_detections_without_features():
+    det = make_det(1, 0, 0)
+    frame = make_frame(1, [Detection(frame=1, bbox=det.bbox, feature=None, confidence=0.9)])
+    with pytest.raises(ValueError, match="appearance features"):
+        step(TrackerState(PARAMS, frame_cursor=0), frame)
+    with pytest.raises(ValueError, match="appearance features"):
+        fork_at(frame, PARAMS)
+    with pytest.raises(ValueError, match="appearance features"):
+        TrackerState(PARAMS, frame_cursor=1).spawn(1, list(frame.detections))

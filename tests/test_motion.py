@@ -7,10 +7,13 @@ from adptrack.core import BoundingBox, box_array, from_center, to_center
 from adptrack.motion import (
     KalmanState,
     batch_boxes,
+    batch_centers,
+    kf_correct_predict_batch,
     kf_init,
     kf_init_batch,
     kf_predict,
     kf_predict_batch,
+    kf_prior_batch,
     kf_update,
     kf_update_batch,
     state_to_bbox,
@@ -164,7 +167,11 @@ def test_state_validation():
 
 
 def test_block_filter_matches_8x8_recursion_exactly():
-    # the plain 8x8 recursion: F P F^T + Q, Joseph form with an inverse, symmetrisation
+    # the plain 8x8 recursion: F P F^T + Q, Joseph form with an inverse, symmetrisation;
+    # every noise std is squared as one product, x * x, as the filter squares it
+    def sq(x):
+        return x * x
+
     F = np.eye(8)
     F[:4, 4:] = np.eye(4)
     H = np.eye(4, 8)
@@ -174,18 +181,18 @@ def test_block_filter_matches_8x8_recursion_exactly():
         s = kf_init(from_center(*rng.uniform(0, 500, 2), *rng.uniform(5, 150, 2)))
         mean = s.mean.copy()
         h0 = mean[3]
-        cov = np.diag([(INIT_POS * h0) ** 2] * 4 + [(INIT_VEL * h0) ** 2] * 4)
+        cov = np.diag([sq(INIT_POS * h0)] * 4 + [sq(INIT_VEL * h0)] * 4)
         for _ in range(25):
             h = max(abs(float(mean[3])), 1e-3)
             mean = F @ mean
-            cov = F @ cov @ F.T + np.diag([(POS * h) ** 2] * 4 + [(VEL * h) ** 2] * 4)
+            cov = F @ cov @ F.T + np.diag([sq(POS * h)] * 4 + [sq(VEL * h)] * 4)
             cov = (cov + cov.T) / 2.0
             s = kf_predict(s)
             assert np.array_equal(s.mean, mean) and np.array_equal(covariance(s), cov)
 
             box = from_center(*(mean[:2] + rng.normal(0, 15, 2)), *(np.abs(mean[2:4] + rng.normal(0, 4, 2)) + 1))
             h = max(abs(float(mean[3])), 1e-3)
-            r = np.diag([(MEAS * h) ** 2] * 4)
+            r = np.diag([sq(MEAS * h)] * 4)
             gain = cov @ H.T @ np.linalg.inv(H @ cov @ H.T + r)
             mean = mean + gain @ (np.array(to_center(box)) - H @ mean)
             ikh = np.eye(8) - gain @ H
@@ -202,9 +209,9 @@ def _random_box(rng):
 
 
 def test_batch_filter_equals_scalar_filter():
-    # Numpy squares as x * x where the scalar filter's ** 2 is libm pow; the two
-    # differ for about one height in a thousand, so it takes thousands of states,
-    # with a block no larger than the noise terms, to see a batch squared the numpy way.
+    # A squaring or an operation order that differs from the scalar filter's
+    # rounds differently for only a few heights in a thousand, so it takes
+    # thousands of states, with a block no larger than the noise terms, to see it.
     rng = np.random.default_rng(2468)
     states = [
         KalmanState(np.concatenate([rng.uniform(0, 500, 2), rng.uniform(5, 150, 2), rng.normal(0, 3, 4)]),
@@ -227,6 +234,23 @@ def test_batch_filter_equals_scalar_filter():
     assert_equal(kf_update_batch(mean, block, box_rows), [kf_update(s, b) for s, b in zip(states, boxes)])
     assert_equal(kf_init_batch(box_rows), [kf_init(b) for b in boxes])
     assert np.array_equal(batch_boxes(mean).reshape(-1, 4), box_array(state_to_bbox(s) for s in states))
+
+
+def test_prior_and_walk_step_equal_the_scalar_filter():
+    rng = np.random.default_rng(97531)
+    # heights below the noise scale's 1e-3 floor included
+    boxes = [_random_box(rng) for _ in range(4000)] + [BoundingBox(5.0, 5.0, 2.0, h) for h in (1e-5, 1e-3, 2e-3)]
+    expected = [kf_predict(kf_init(b)) for b in boxes]
+    mean, block = kf_prior_batch(box_array(boxes))
+    assert np.array_equal(mean, np.stack([s.mean for s in expected]))
+    assert np.array_equal(np.stack(block, axis=-1), np.array([s.block for s in expected]))
+
+    # one step of the clone walk: correct with a box, then predict
+    measured = [_random_box(rng) for _ in boxes]
+    walked = [kf_predict(kf_update(s, b)) for s, b in zip(expected, measured)]
+    mean, block = kf_correct_predict_batch(mean, block, batch_centers(box_array(measured)))
+    assert np.array_equal(mean, np.stack([s.mean for s in walked]))
+    assert np.array_equal(np.stack(block, axis=-1), np.array([s.block for s in walked]))
 
 
 def test_batch_boxes_rejects_non_finite_states():

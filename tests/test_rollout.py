@@ -5,11 +5,11 @@ import pytest
 
 from conftest import count_calls, make_det, make_frame, state_row
 
-from adptrack import base_tracker, rollout
+from adptrack import base_tracker, core, rollout
 from adptrack.appearance import QualityVector, cosine_sim, ema_update
 from adptrack.assignment import WeightMatrix
 from adptrack.base_tracker import Track, TrackerParams, TrackerState, eligible_detections, run as run_base, step
-from adptrack.core import FeatureVec, iou
+from adptrack.core import FeatureVec, box_array, iou
 from adptrack.motion import kf_init, kf_predict, kf_update, state_to_bbox
 from adptrack.rollout import (
     AdpConfig,
@@ -525,3 +525,37 @@ def test_array_state_equals_the_scalar_recursion(monkeypatch):
     run_adp(frames, PARAMS, AdpConfig(horizon=10))
     assert len(calls) > 5 * len(frames)  # the simulated steps are checked too
     assert sum(calls) > 1000
+
+
+def test_frame_rows_are_built_once_shared_and_never_written(monkeypatch):
+    """Every step over a frame, the real one and those of the simulations, reads one read-only copy of its rows."""
+    frames = list(generate(occlusion_preset()[0]).det_frames)
+
+    def fresh(frame):
+        dets = frame.detections
+        return box_array(d.bbox for d in dets), np.stack([d.feature.values for d in dets]), np.array([d.confidence for d in dets])
+
+    before = {frame: fresh(frame) for frame in frames}
+    builds = count_calls(monkeypatch, core, "box_array")
+    reads = {frame: [] for frame in frames}  # the row arrays each weights pass over the frame read
+
+    def recording(weights):
+        def recorded(state, frame):
+            out = weights(state, frame)
+            reads[frame].append((frame.boxes, frame.features, frame.confidences))
+            return out
+
+        return recorded
+
+    for module in (base_tracker, rollout):
+        monkeypatch.setattr(module, "compute_base_weights", recording(module.compute_base_weights))
+    run_adp(frames, PARAMS, AdpConfig(horizon=10))
+
+    assert len(builds) == len(frames)  # each frame's boxes built once
+    assert sum(len(r) > 10 for r in reads.values()) > len(frames) / 2  # the real step and ten simulated ones
+    for frame in frames:
+        first = reads[frame][0]
+        assert all(array is cached for read in reads[frame] for array, cached in zip(read, first))
+        for cached, old, new in zip(first, before[frame], fresh(frame)):
+            assert not cached.flags.writeable
+            assert np.array_equal(cached, old) and np.array_equal(cached, new)
