@@ -2,8 +2,9 @@
 
 `TrackerState` holds the live tracks and, in arrays that share their row
 order, each track's one-step forecast (the filter state predicted for the
-next frame) and its representative feature. Per frame the tracker scores
-each track/detection pair by the minimum of forecast-box overlap and gated
+next frame, as a `motion` forecast row whose columns only that module reads)
+and its representative feature. Per frame the tracker scores each
+track/detection pair by the minimum of forecast-box overlap and gated
 appearance similarity, solves a thresholded max-weight matching and applies
 the usual lifecycle to all rows at once: matched rows take the weights
 pass's gated appearance score and are corrected and refreshed, a track whose
@@ -31,7 +32,7 @@ import numpy as np
 
 from .appearance import QualityVector, cosine_sim, feature_dots
 from .assignment import Matching, WeightMatrix, hungarian_max
-from .core import Detection, FeatureVec, FrameData, box_array, feature_rows, iou, iou_matrix
+from .core import Detection, FeatureVec, FrameData, iou, iou_matrix
 from .motion import KalmanState, batch_boxes, kf_predict_batch, kf_prior_batch, kf_update_batch, state_to_bbox
 from .motion import kf_predict, kf_update  # noqa: F401  (the rows' oracles, wrapped here by perfbench/probes.py)
 
@@ -93,36 +94,32 @@ class Track:
 class TrackerState:
     """The live tracks, in spawn order, their state arrays, the id counter and the frame cursor.
 
-    Row i of `mean` (T, 8), of each (T,) array of the covariance `block`
-    (pp, pv, vv) and of `rep` (T, d) is the one-step forecast and the
-    representative feature of `tracks[i]`. Removed tracks leave the list and
-    the arrays; their ids are never reused. `weighed` is the last weights
+    Row i of `forecast` (T, 11), a `motion` forecast row, and of `rep` (T, d)
+    is the one-step forecast and the representative feature of `tracks[i]`.
+    Removed tracks leave the list and the arrays; their ids are never reused. `weighed` is the last weights
     pass of these rows: (frame, confident detections, gated appearance scores).
     """
 
-    __slots__ = ("tracks", "mean", "block", "rep", "next_id", "params", "frame_cursor", "weighed")
+    __slots__ = ("tracks", "forecast", "rep", "next_id", "params", "frame_cursor", "weighed")
 
     def __init__(self, params: TrackerParams, frame_cursor: int = 0):
         self.tracks: list[Track] = []
-        self.mean = np.zeros((0, 8))
-        self.block = (np.zeros(0), np.zeros(0), np.zeros(0))
+        self.forecast = kf_prior_batch(np.zeros((0, 4)))
         self.rep = np.zeros((0, 0))
         self.next_id = 1
         self.params = params
         self.frame_cursor = frame_cursor
         self.weighed = None
 
-    def spawn(self, frame: int, dets: list[Detection], rows=None) -> None:
-        """New tracks for `dets` after the live ones, at the one-step prior; `rows` may give their (boxes, features)."""
-        if not dets:
+    def spawn(self, frame: FrameData, idx: np.ndarray) -> None:
+        """New tracks for the detections `idx` of a frame after the live ones, at the prior, from the frame's rows."""
+        if not len(idx):
             return
-        boxes, feats = rows or (box_array(det.bbox for det in dets), feature_rows(dets))
-        self.tracks += [Track(self.next_id + k, frame, det) for k, det in enumerate(dets)]
-        self.next_id += len(dets)
-        mean, block = kf_prior_batch(boxes)
-        self.mean = np.concatenate([self.mean, mean])
-        self.block = tuple(np.concatenate(pair) for pair in zip(self.block, block))
-        self.rep = np.concatenate([self.rep, feats]) if len(self.rep) else np.array(feats)
+        feats = frame.features[idx]
+        self.tracks += [Track(self.next_id + k, frame.index, frame.detections[j]) for k, j in enumerate(idx.tolist())]
+        self.next_id += len(idx)
+        self.forecast = np.concatenate([self.forecast, kf_prior_batch(frame.boxes[idx])])
+        self.rep = np.concatenate([self.rep, feats]) if len(self.rep) else feats
         self.weighed = None
 
 
@@ -170,7 +167,7 @@ def compute_base_weights(state: TrackerState, frame: FrameData) -> WeightMatrix:
     if frame.index != state.frame_cursor + 1:
         raise ValueError(f"out-of-order frame {frame.index}, expected {state.frame_cursor + 1}")
     det_idx = eligible_detections(frame)
-    overlap = iou_matrix(batch_boxes(state.mean), frame.boxes[det_idx])
+    overlap = iou_matrix(batch_boxes(state.forecast), frame.boxes[det_idx])
     rows, cols = np.nonzero(overlap >= _IOU_GATE)
     weights, gated = np.zeros(overlap.shape), np.zeros(overlap.shape)
     if rows.size:
@@ -199,18 +196,14 @@ def apply_matching(state: TrackerState, frame: FrameData, matching: Matching) ->
         for i, j, quality in zip(rows, matched.tolist(), gated[rows, cols].tolist()):
             state.tracks[i].quality.append(quality)
             state.tracks[i].history.append((frame.index, frame.detections[j]))
-        state.mean[rows], block = kf_update_batch(state.mean[rows], tuple(b[rows] for b in state.block), frame.boxes[matched])
-        for b, new in zip(state.block, block):
-            b[rows] = new
+        state.forecast[rows] = kf_update_batch(state.forecast[rows], frame.boxes[matched])
         state.rep[rows] = _ema(state.rep[rows], frame.features[matched])
 
     keep = [i for i, t in enumerate(state.tracks) if frame.index - t.last_frame <= state.params.max_age]
     if len(keep) < len(state.tracks):
-        state.tracks, state.mean, state.rep = [state.tracks[i] for i in keep], state.mean[keep], state.rep[keep]
-        state.block = tuple(b[keep] for b in state.block)
-    state.mean, state.block = kf_predict_batch(state.mean, state.block)
-    new = np.delete(det_idx, cols)
-    state.spawn(frame.index, [frame.detections[j] for j in new.tolist()], (frame.boxes[new], frame.features[new]))
+        state.tracks, state.forecast, state.rep = [state.tracks[i] for i in keep], state.forecast[keep], state.rep[keep]
+    state.forecast = kf_predict_batch(state.forecast)
+    state.spawn(frame, np.delete(det_idx, cols))
     state.frame_cursor = frame.index
 
 
@@ -229,7 +222,7 @@ def fork_at(frame: FrameData, params: TrackerParams) -> TrackerState:
     frame of a new sequence and carries no earlier information.
     """
     state = TrackerState(params, frame_cursor=frame.index)
-    state.spawn(frame.index, list(frame.detections), (frame.boxes, frame.features))
+    state.spawn(frame, np.arange(len(frame.detections)))
     return state
 
 

@@ -206,8 +206,8 @@ def cmd_sweep(ns) -> int:
         values = [float(v) for v in ns.values.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise DataError(f"bad --values list: {exc}") from None
-    if not values:
-        raise DataError("--values must list at least one value")
+    if not values or not np.isfinite(values).all():
+        raise DataError(f"--values must list one or more finite values, got {ns.values!r}")
     if isinstance(getattr(AdpConfig, ns.param), int):
         for v in values:
             if v != int(v) or v < 1:

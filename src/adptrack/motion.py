@@ -11,10 +11,12 @@ so the 8x8 covariance is always kron([[pp, pv], [pv, vv]], I4). The state
 keeps only that 2x2 block, and predict and update are scalar arithmetic on
 it. Each block entry is computed with the same products, in the same order,
 as the 8x8 Joseph-form recursion, so both give bit-identical results. The
-batched forms run the same block arithmetic on the arrays of states in which
-the base tracker holds its tracks and the rollout walks its clones; a new
-track's forecast has a closed form (`kf_prior_batch`), and a walk step is
-one fused correction and prediction (`kf_correct_predict_batch`).
+batched forms run the same block arithmetic on forecast rows, (..., 11)
+arrays of the 8-vector mean followed by (pp, pv, vv), in which the base
+tracker holds its tracks and the rollout walks its clones; only this module
+reads their columns. A new track's forecast has a closed form
+(`kf_prior_batch`), and a walk step is one fused correction and prediction
+(`kf_correct_predict_batch`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .core import BoundingBox, from_center, to_center
 
 __all__ = [
     "KalmanState", "kf_init", "kf_predict", "kf_update", "state_to_bbox",
-    "batch_centers", "kf_init_batch", "kf_prior_batch", "kf_predict_batch", "kf_update_batch",
+    "batch_centers", "kf_prior_batch", "kf_predict_batch", "kf_update_batch",
     "kf_correct_predict_batch", "batch_boxes",
 ]
 
@@ -116,10 +118,20 @@ def state_to_bbox(s: KalmanState) -> BoundingBox:
     return from_center(cx, cy, max(float(w), _MIN_SIZE), max(float(h), _MIN_SIZE))
 
 
-# Batched forms: a batch of states is an (..., 8) array of means with a
-# (pp, pv, vv) block of (...) arrays, and boxes are (..., 4) arrays of
-# (left, top, width, height) rows. Every entry takes the operations of the
-# scalar function in the same order, so it equals it bit for bit.
+# Batched forms: a batch of states is an (..., 11) array of forecast rows
+# (mean, pp, pv, vv), and boxes are (..., 4) arrays of (left, top, width,
+# height) rows. Every entry takes the operations of the scalar function in
+# the same order, so it equals it bit for bit.
+
+
+def _rows(pos: np.ndarray, vel: np.ndarray, block) -> np.ndarray:
+    """Forecast rows of (..., 4) positions and velocities and a (pp, pv, vv) block of (...) arrays."""
+    return np.concatenate([pos, vel, *(b[..., None] for b in block)], axis=-1)
+
+
+def _split(x: np.ndarray):
+    """(positions, velocities, (pp, pv, vv)) of forecast rows, as views."""
+    return x[..., :4], x[..., 4:8], (x[..., 8], x[..., 9], x[..., 10])
 
 
 def batch_centers(boxes: np.ndarray) -> np.ndarray:
@@ -127,53 +139,49 @@ def batch_centers(boxes: np.ndarray) -> np.ndarray:
     return np.concatenate([boxes[..., :2] + boxes[..., 2:] / 2.0, boxes[..., 2:]], axis=-1)
 
 
-def kf_init_batch(boxes: np.ndarray):
-    """`kf_init` of every box row."""
-    centers = batch_centers(boxes)
-    h, zeros = centers[..., 3], np.zeros_like(centers)
-    return np.concatenate([centers, zeros], axis=-1), (_square(_INIT_POS, h), zeros[..., 0], _square(_INIT_VEL, h))
-
-
-def kf_prior_batch(boxes: np.ndarray):
+def kf_prior_batch(boxes: np.ndarray) -> np.ndarray:
     """`kf_predict(kf_init(b))` of every box row in closed form (the prediction adds exact zeros)."""
-    mean, (pp, _, vv) = kf_init_batch(boxes)
-    q_h = np.maximum(mean[..., 3], _MIN_SIZE)
-    return mean, ((pp + vv) + _square(_POS, q_h), vv, vv + _square(_VEL, q_h))
+    centers = batch_centers(boxes)
+    h = centers[..., 3]
+    pp, vv, q_h = _square(_INIT_POS, h), _square(_INIT_VEL, h), np.maximum(h, _MIN_SIZE)
+    return _rows(centers, np.zeros_like(centers), ((pp + vv) + _square(_POS, q_h), vv, vv + _square(_VEL, q_h)))
 
 
-def kf_predict_batch(mean: np.ndarray, block):
-    """`kf_predict` of every state of a batch."""
-    h = np.maximum(np.abs(mean[..., 3]), _MIN_SIZE)
-    return np.concatenate([mean[..., :4] + mean[..., 4:], mean[..., 4:]], axis=-1), _predicted_block(*block, h)
+def _predicted(pos: np.ndarray, vel: np.ndarray, block) -> np.ndarray:
+    """Forecast rows of the states (pos, vel, block) predicted one frame ahead."""
+    return _rows(pos + vel, vel, _predicted_block(*block, np.maximum(np.abs(pos[..., 3]), _MIN_SIZE)))
 
 
-def _correct(mean: np.ndarray, block, centers: np.ndarray):
-    """`kf_update` of every state against its measured (cx, cy, w, h), as (positions, velocities, block)."""
-    pos, vel = mean[..., :4], mean[..., 4:]
+def kf_predict_batch(x: np.ndarray) -> np.ndarray:
+    """`kf_predict` of every forecast row."""
+    return _predicted(*_split(x))
+
+
+def _correct(x: np.ndarray, centers: np.ndarray):
+    """`kf_update` of every forecast row against its measured (cx, cy, w, h), as (positions, velocities, block)."""
+    pos, vel, block = _split(x)
     kp, kv, block = _corrected_block(*block, np.maximum(np.abs(pos[..., 3]), _MIN_SIZE))
     innovation = centers - pos
     return pos + kp[..., None] * innovation, vel + kv[..., None] * innovation, block
 
 
-def kf_update_batch(mean: np.ndarray, block, boxes: np.ndarray):
-    """`kf_update` of every state of a batch against its measured box."""
-    pos, vel, block = _correct(mean, block, batch_centers(boxes))
-    return np.concatenate([pos, vel], axis=-1), block
+def kf_update_batch(x: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    """`kf_update` of every forecast row against its measured box."""
+    return _rows(*_correct(x, batch_centers(boxes)))
 
 
-def kf_correct_predict_batch(mean: np.ndarray, block, centers: np.ndarray):
-    """`kf_predict_batch(*kf_update_batch(mean, block, boxes))` in one pass, given `batch_centers(boxes)`."""
-    pos, vel, block = _correct(mean, block, centers)
-    return np.concatenate([pos + vel, vel], axis=-1), _predicted_block(*block, np.maximum(np.abs(pos[..., 3]), _MIN_SIZE))
+def kf_correct_predict_batch(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """`kf_predict_batch(kf_update_batch(x, boxes))` in one pass, given `batch_centers(boxes)`."""
+    return _predicted(*_correct(x, centers))
 
 
-def batch_boxes(mean: np.ndarray) -> np.ndarray:
-    """`state_to_bbox` of every state of a batch, as (..., 4) box rows.
+def batch_boxes(x: np.ndarray) -> np.ndarray:
+    """`state_to_bbox` of every forecast row, as (..., 4) box rows.
 
     A non-finite state raises ValueError, as the box constructor does there.
     """
-    wh = np.maximum(mean[..., 2:4], _MIN_SIZE)
-    boxes = np.concatenate([mean[..., :2] - wh / 2.0, wh], axis=-1)
+    wh = np.maximum(x[..., 2:4], _MIN_SIZE)
+    boxes = np.concatenate([x[..., :2] - wh / 2.0, wh], axis=-1)
     if not np.isfinite(boxes).all():
         raise ValueError("filter state is not finite")
     return boxes

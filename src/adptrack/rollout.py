@@ -14,8 +14,9 @@ representative-feature versions of the same idea.
 The per-pair functions (`score_main`, `score_f1`, `score_f2`, `score_f3`,
 `candidate_filter`) define the scores from a track's forecast and
 representative feature. `score_frame`, which `adp_step` uses, reads those
-from the tracker state's rows, scores all pairs of a frame at once and
-equals the per-pair functions bit for bit.
+from the tracker state's rows, walks the forecast rows with the batched
+`motion` forms, scores all pairs of a frame at once and equals the per-pair
+functions bit for bit.
 """
 
 from __future__ import annotations
@@ -225,28 +226,25 @@ def crowd_check(track: Track, frame_cursor: int, cfg: AdpConfig) -> bool:
     return track.quality.fraction_below(cfg.beta) >= cfg.crowd_ratio
 
 
-def _frame_walk(mean: np.ndarray, block, boxes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """`_walk` of T forecasts along every tentative at once, as (T, D, L) walk IOUs.
+def _frame_walk(forecast: np.ndarray, boxes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """`_walk` of T forecast rows along every tentative at once, as (T, D, L) walk IOUs.
 
-    `mean` (T, 8) and `block` hold the forecasts as the tracker state's rows
-    do. `boxes` (D, L, 4) holds the entry boxes of D tentatives and `lengths`
+    `boxes` (D, L, 4) holds the entry boxes of D tentatives and `lengths`
     their entry counts. From step l on only the tentatives longer than l are
     walked, so no state past a tentative's end is computed and its IOUs stay 0.
     """
-    shape = (len(mean), len(lengths))
-    mean = np.broadcast_to(mean[:, None], (*shape, 8))
-    block = tuple(np.broadcast_to(b[:, None], shape) for b in block)
+    x = forecast[:, None].repeat(len(lengths), axis=1)
     centers = batch_centers(boxes)
-    out = np.zeros((*shape, boxes.shape[1]))
+    out = np.zeros((len(forecast), *boxes.shape[:2]))
     cols, ends = np.arange(len(lengths)), set(lengths.tolist())
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state raises in batch_boxes
         for step_idx in range(boxes.shape[1]):
             if step_idx in ends:
                 live = lengths[cols] > step_idx
-                cols, mean, block = cols[live], mean[:, live], tuple(b[:, live] for b in block)
+                cols, x = cols[live], x[:, live]
             if step_idx:
-                mean, block = kf_correct_predict_batch(mean, block, centers[cols, step_idx - 1])
-            out[:, cols, step_idx] = iou_array(batch_boxes(mean), boxes[cols, step_idx])
+                x = kf_correct_predict_batch(x, centers[cols, step_idx - 1])
+            out[:, cols, step_idx] = iou_array(batch_boxes(x), boxes[cols, step_idx])
     return out
 
 
@@ -287,7 +285,7 @@ def score_frame(state: TrackerState, dets: list[Detection], tents, cfg: AdpConfi
         boxes[jj, : lengths[jj]] = box_array(det.bbox for _, det in tent.entries)
         feats[jj, : lengths[jj]] = [det.feature.values for _, det in tent.entries]
     if cfg.variant is not Variant.MAIN or cfg.enable_candidate_filter:
-        walk = _frame_walk(state.mean[rows], tuple(b[rows] for b in state.block), boxes, lengths)
+        walk = _frame_walk(state.forecast[rows], boxes, lengths)
         cos = np.clip(feature_dots(state.rep[rows][:, None, None], feats), -1.0, 1.0)
     if cfg.variant is not Variant.MAIN:
         per_entry = walk if cfg.variant is Variant.F1 else np.minimum(walk, np.maximum(0.0, cos))
@@ -310,11 +308,11 @@ def score_frame(state: TrackerState, dets: list[Detection], tents, cfg: AdpConfi
     return z, crowd
 
 
-def combine_costs(w: WeightMatrix, z: WeightMatrix, alpha: float, crowd_rows=()) -> WeightMatrix:
-    """Elementwise alpha*z + (1-alpha)*w; crowd rows copy w verbatim."""
-    if (w.rows, w.cols) != (z.rows, z.cols):
-        raise ValueError(f"shape mismatch: {w.rows}x{w.cols} vs {z.rows}x{z.cols}")
-    combined = alpha * z.array + (1.0 - alpha) * w.array
+def combine_costs(w: WeightMatrix, z: np.ndarray, alpha: float, crowd_rows=()) -> WeightMatrix:
+    """Elementwise alpha*z + (1-alpha)*w; crowd rows copy w verbatim, other non-finite entries raise."""
+    if z.shape != (w.rows, w.cols):
+        raise ValueError(f"shape mismatch: {w.rows}x{w.cols} vs {z.shape}")
+    combined = alpha * z + (1.0 - alpha) * w.array
     rows = list(crowd_rows)
     combined[rows] = w.array[rows]
     return WeightMatrix(combined)
@@ -346,7 +344,7 @@ def adp_step(state: TrackerState, window: list[FrameData], cfg: AdpConfig) -> tu
         cfg,
     )
 
-    combined = combine_costs(weights, WeightMatrix(z), cfg.alpha, crowd_rows)
+    combined = combine_costs(weights, z, cfg.alpha, crowd_rows)
     matching = hungarian_max(combined, state.params.match_threshold)
     apply_matching(state, frame, matching)
     return state, matching

@@ -30,6 +30,11 @@ def covariance(state):
     return np.kron([[pp, pv], [pv, vv]], np.eye(4))
 
 
+def forecast_row(state):
+    """A scalar filter state as a batched forecast row: its mean followed by its (pp, pv, vv) block."""
+    return np.concatenate([state.mean, state.block])
+
+
 def state_row(state, i):
     """Row i of a tracker state as (forecast, representative feature), the arguments of the scalar oracles.
 
@@ -38,7 +43,8 @@ def state_row(state, i):
     """
     rep = object.__new__(FeatureVec)
     object.__setattr__(rep, "values", state.rep[i].copy())
-    return KalmanState(state.mean[i], [float(b[i]) for b in state.block]), rep
+    row = state.forecast[i]
+    return KalmanState(row[:8], row[8:].tolist()), rep
 
 
 def rows_to_boxes(rows):

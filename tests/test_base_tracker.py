@@ -26,7 +26,7 @@ PARAMS = TrackerParams()
 
 def _single_track_state(left=0.0, top=0.0, feature=(1.0, 0.0)):
     state = TrackerState(PARAMS, frame_cursor=1)
-    state.spawn(1, [make_det(1, left, top, feature=feature)])
+    state.spawn(make_frame(1, [make_det(1, left, top, feature=feature)]), np.arange(1))
     return state
 
 
@@ -45,7 +45,7 @@ def test_fused_similarity_disjoint_boxes():
 def test_fused_similarity_takes_min_of_terms():
     # iou = 0.6, cos = 0.8, gates pass -> min rule gives the iou
     state = TrackerState(PARAMS, frame_cursor=1)
-    state.spawn(1, [make_det(1, 0, 0, width=10, height=10)])
+    state.spawn(make_frame(1, [make_det(1, 0, 0, width=10, height=10)]), np.arange(1))
     state.rep[0] = FeatureVec([1.0, 0.0]).values
     d = 10 * 0.4 / 1.6  # horizontal shift giving iou = (10-d)/(10+d) = 0.6
     cos = 0.8
@@ -72,7 +72,7 @@ def test_compute_base_weights_empty_and_single():
 
 def test_compute_base_weights_matches_fused_similarity():
     state = TrackerState(PARAMS, frame_cursor=1)
-    state.spawn(1, [make_det(1, 0, 0, feature=(1.0, 0.0)), make_det(1, 30, 0, feature=(0.0, 1.0))])
+    state.spawn(make_frame(1, [make_det(1, 0, 0, feature=(1.0, 0.0)), make_det(1, 30, 0, feature=(0.0, 1.0))]), np.arange(2))
     frame = make_frame(2, [make_det(2, 4, 0, feature=(1.0, 0.0)), make_det(2, 26, 0, feature=(0.0, 1.0))])
     w = compute_base_weights(state, frame)
     for i in range(len(state.tracks)):
@@ -157,7 +157,7 @@ def test_apply_matching_reads_only_the_fresh_weights_pass_of_its_state_and_frame
 
     frame = make_frame(3, [make_det(3, 1, 0)])
     compute_base_weights(state, frame)
-    state.spawn(3, [make_det(3, 60, 0)])  # the rows changed after the pass
+    state.spawn(make_frame(3, [make_det(3, 60, 0)]), np.arange(1))  # the rows changed after the pass
     with pytest.raises(ValueError, match="compute_base_weights"):
         apply_matching(state, frame, unmatched)
 
@@ -278,8 +278,8 @@ def test_step_predicts_each_surviving_track_once(monkeypatch):
         step(state, frame)
         # the surviving rows in one batch; the spawned rows take the closed-form prior
         survivors = [t for t in state.tracks if t.history[0][0] < frame.index]
-        assert [len(mean) for mean, _ in predicts] == [len(survivors)]
-        assert len(state.mean) == len(state.rep) == len(state.tracks)
+        assert [len(x) for x, in predicts] == [len(survivors)]
+        assert len(state.forecast) == len(state.rep) == len(state.tracks)
         # the tracks are exactly those whose last match lies at most max_age frames back
         seen.update((t.id, t) for t in state.tracks)
         assert state.tracks == [t for t in seen.values() if frame.index - t.last_frame <= params.max_age]
@@ -299,4 +299,4 @@ def test_tracking_rejects_detections_without_features():
     with pytest.raises(ValueError, match="appearance features"):
         fork_at(frame, PARAMS)
     with pytest.raises(ValueError, match="appearance features"):
-        TrackerState(PARAMS, frame_cursor=1).spawn(1, list(frame.detections))
+        TrackerState(PARAMS, frame_cursor=1).spawn(frame, np.arange(1))

@@ -59,12 +59,13 @@ def test_track_modes_and_alpha_zero_equivalence(tmp_path):
     adp_out = tmp_path / "adp0.txt"
     common = ["--dets", str(scene / "det.txt"), "--features", str(scene / "features.csv")]
     assert main(["track", *common, "--mode", "base", "--out", str(base_out)]) == 0
-    assert main([
-        "track", *common, "--mode", "adp", "--alpha", "0", "--horizon", "5",
-        "--no-candidate-filter", "--no-crowd", "--out", str(adp_out),
-    ]) == 0
-    assert base_out.read_bytes() == adp_out.read_bytes()
     assert base_out.stat().st_size > 0
+    # alpha = 0 reproduces the base step with the heuristics off and at their defaults
+    for heuristics in (["--no-candidate-filter", "--no-crowd"], []):
+        assert main([
+            "track", *common, "--mode", "adp", "--alpha", "0", "--horizon", "5", *heuristics, "--out", str(adp_out),
+        ]) == 0
+        assert base_out.read_bytes() == adp_out.read_bytes()
 
 
 def test_track_adp_defaults_recorded_in_manifest(tmp_path):
@@ -281,13 +282,14 @@ def test_sweep_rejects_unknown_param(tmp_path):
 def test_sweep_rejects_non_finite_value(tmp_path, capsys):
     scene = _synth(tmp_path)
     out = tmp_path / "s.csv"
-    assert main([
-        "sweep", "--param", "beta", "--values", "nan",
-        "--dets", str(scene / "det.txt"), "--features", str(scene / "features.csv"),
-        "--gt", str(scene / "gt.txt"), "--out", str(out),
-    ]) == 2
-    assert "beta must be finite" in capsys.readouterr().err
-    assert not out.exists()
+    for param, values in [("beta", "nan"), ("beta", "0.1,nan"), ("horizon", "inf"), ("horizon", "1e400"), ("window", "nan")]:
+        assert main([
+            "sweep", "--param", param, "--values", values,
+            "--dets", str(scene / "det.txt"), "--features", str(scene / "features.csv"),
+            "--gt", str(scene / "gt.txt"), "--out", str(out),
+        ]) == 2
+        assert f"data error: --values must list one or more finite values, got '{values}'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_track_rejects_non_finite_config(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import covariance
+from conftest import covariance, forecast_row
 
 from adptrack.core import BoundingBox, box_array, from_center, to_center
 from adptrack.motion import (
@@ -10,7 +10,6 @@ from adptrack.motion import (
     batch_centers,
     kf_correct_predict_batch,
     kf_init,
-    kf_init_batch,
     kf_predict,
     kf_predict_batch,
     kf_prior_batch,
@@ -221,19 +220,15 @@ def test_batch_filter_equals_scalar_filter():
     # negative and tiny heights and widths: the noise scale and the box size clamp
     states += [KalmanState([10.0, 10.0, w, h, 1.0, -1.0, 0.5, -2.0], (3.0, 1.0, 2.0)) for w, h in ((-4.0, -20.0), (1e-5, 1e-5), (0.0, 0.0))]
     boxes = [_random_box(rng) for _ in states]
-    mean = np.stack([s.mean for s in states]).reshape(100, 100, 8)
-    block = tuple(np.array(entry).reshape(100, 100) for entry in zip(*(s.block for s in states)))
+    x = np.stack([forecast_row(s) for s in states]).reshape(100, 100, 11)
 
     def assert_equal(batch, expected):
-        got_mean, got_block = batch
-        assert np.array_equal(got_mean.reshape(-1, 8), np.stack([s.mean for s in expected]))
-        assert np.array_equal(np.stack(got_block, axis=-1).reshape(-1, 3), np.array([s.block for s in expected]))
+        assert np.array_equal(batch.reshape(-1, 11), np.stack([forecast_row(s) for s in expected]))
 
-    assert_equal(kf_predict_batch(mean, block), [kf_predict(s) for s in states])
+    assert_equal(kf_predict_batch(x), [kf_predict(s) for s in states])
     box_rows = box_array(boxes).reshape(100, 100, 4)
-    assert_equal(kf_update_batch(mean, block, box_rows), [kf_update(s, b) for s, b in zip(states, boxes)])
-    assert_equal(kf_init_batch(box_rows), [kf_init(b) for b in boxes])
-    assert np.array_equal(batch_boxes(mean).reshape(-1, 4), box_array(state_to_bbox(s) for s in states))
+    assert_equal(kf_update_batch(x, box_rows), [kf_update(s, b) for s, b in zip(states, boxes)])
+    assert np.array_equal(batch_boxes(x).reshape(-1, 4), box_array(state_to_bbox(s) for s in states))
 
 
 def test_prior_and_walk_step_equal_the_scalar_filter():
@@ -241,23 +236,19 @@ def test_prior_and_walk_step_equal_the_scalar_filter():
     # heights below the noise scale's 1e-3 floor included
     boxes = [_random_box(rng) for _ in range(4000)] + [BoundingBox(5.0, 5.0, 2.0, h) for h in (1e-5, 1e-3, 2e-3)]
     expected = [kf_predict(kf_init(b)) for b in boxes]
-    mean, block = kf_prior_batch(box_array(boxes))
-    assert np.array_equal(mean, np.stack([s.mean for s in expected]))
-    assert np.array_equal(np.stack(block, axis=-1), np.array([s.block for s in expected]))
+    x = kf_prior_batch(box_array(boxes))
+    assert np.array_equal(x, np.stack([forecast_row(s) for s in expected]))
 
     # one step of the clone walk: correct with a box, then predict
     measured = [_random_box(rng) for _ in boxes]
     walked = [kf_predict(kf_update(s, b)) for s, b in zip(expected, measured)]
-    mean, block = kf_correct_predict_batch(mean, block, batch_centers(box_array(measured)))
-    assert np.array_equal(mean, np.stack([s.mean for s in walked]))
-    assert np.array_equal(np.stack(block, axis=-1), np.array([s.block for s in walked]))
+    x = kf_correct_predict_batch(x, batch_centers(box_array(measured)))
+    assert np.array_equal(x, np.stack([forecast_row(s) for s in walked]))
 
 
 def test_batch_boxes_rejects_non_finite_states():
-    mean = np.zeros((2, 8))
-    mean[:, 2:4] = 10.0
-    mean[1, 0] = np.inf
+    states = [KalmanState([x, 0.0, 10.0, 10.0, 0.0, 0.0, 0.0, 0.0], (1.0, 0.0, 1.0)) for x in (0.0, np.inf)]
     with pytest.raises(ValueError):
-        state_to_bbox(KalmanState(mean[1], (1.0, 0.0, 1.0)))
+        state_to_bbox(states[1])
     with pytest.raises(ValueError):
-        batch_boxes(mean)
+        batch_boxes(np.stack([forecast_row(s) for s in states]))

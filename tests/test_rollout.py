@@ -3,14 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import count_calls, make_det, make_frame, state_row
+from conftest import count_calls, forecast_row, make_det, make_frame, state_row
 
 from adptrack import base_tracker, core, rollout
 from adptrack.appearance import QualityVector, cosine_sim, ema_update
 from adptrack.assignment import WeightMatrix
 from adptrack.base_tracker import Track, TrackerParams, TrackerState, eligible_detections, run as run_base, step
 from adptrack.core import FeatureVec, box_array, iou
-from adptrack.motion import kf_init, kf_predict, kf_update, state_to_bbox
+from adptrack.motion import KalmanState, kf_init, kf_predict, kf_update, state_to_bbox
 from adptrack.rollout import (
     AdpConfig,
     TentativeTrack,
@@ -251,15 +251,22 @@ def test_crowd_check_rules():
 
 def test_combine_costs_endpoints_and_blend():
     w = WeightMatrix([[0.4, 0.2], [0.1, 0.9]])
-    z = WeightMatrix([[0.8, 0.6], [0.5, 0.3]])
+    z = np.array([[0.8, 0.6], [0.5, 0.3]])
     assert np.array_equal(combine_costs(w, z, 0.0).array, w.array)
-    assert np.array_equal(combine_costs(w, z, 1.0).array, z.array)
+    assert np.array_equal(combine_costs(w, z, 1.0).array, z)
     blended = combine_costs(w, z, 0.25)
     assert blended.array[0, 0] == pytest.approx(0.5)
     crowd = combine_costs(w, z, 0.25, crowd_rows=[1])
     assert np.array_equal(crowd.array[1], w.array[1])
     with pytest.raises(ValueError):
-        combine_costs(w, WeightMatrix([[1.0]]), 0.5)
+        combine_costs(w, np.array([[1.0]]), 0.5)
+    # a non-finite score outside the crowd rows is rejected, at alpha = 0 too
+    z[0, 1] = np.nan
+    for alpha in (0.0, 0.25):
+        with pytest.raises(ValueError, match="finite"):
+            combine_costs(w, z, alpha)
+        with pytest.raises(ValueError, match="finite"):
+            combine_costs(w, z, alpha, crowd_rows=[1])
 
 
 def _crossing_frames(seed=21, frames=24):
@@ -462,9 +469,8 @@ def test_walk_raises_when_the_forecast_overflows():
     # Position and velocity near the float maximum: the first correct-and-predict
     # step of the walk overflows to inf, which no box may hold.
     state = TrackerState(PARAMS, frame_cursor=3)
-    state.spawn(3, [make_det(3, 8, 0)])
-    state.mean[0] = [1.7e308, 5.0, 10.0, 10.0, 1.7e308, 0.0, 0.0, 0.0]
-    state.block = (np.array([1.0]), np.array([0.0]), np.array([1.0]))
+    state.spawn(make_frame(3, [make_det(3, 8, 0)]), np.arange(1))
+    state.forecast[0] = forecast_row(KalmanState([1.7e308, 5.0, 10.0, 10.0, 1.7e308, 0.0, 0.0, 0.0], (1.0, 0.0, 1.0)))
     tent = TentativeTrack(entries=((4, make_det(4, 0, 0)), (5, make_det(5, 4, 0))))
     dets = [tent.entries[0][1]]
     for variant in (Variant.MAIN, Variant.F1, Variant.F3):
@@ -490,14 +496,13 @@ def test_array_state_equals_the_scalar_recursion(monkeypatch):
     calls = []
 
     def check(state):
-        assert len(state.mean) == len(state.rep) == len(state.tracks)
+        assert len(state.forecast) == len(state.rep) == len(state.tracks)
         for i, track in enumerate(state.tracks):
             if track not in expected:
                 det = track.history[0][1]
                 expected[track] = (kf_predict(kf_init(det.bbox)), det.feature)
             forecast, rep = expected[track]
-            assert np.array_equal(state.mean[i], forecast.mean)
-            assert [float(b[i]) for b in state.block] == list(forecast.block)
+            assert np.array_equal(state.forecast[i], forecast_row(forecast))
             assert np.array_equal(state.rep[i], rep.values)
 
     def replayed(state, frame, matching):
