@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .appearance import QualityVector, cosine_sim, feature_dots
+from .appearance import cosine_sim, feature_dots
 from .assignment import Matching, WeightMatrix, hungarian_max
 from .core import Detection, FeatureVec, FrameData, iou, iou_matrix
 from .motion import KalmanState, batch_boxes, kf_predict_batch, kf_prior_batch, kf_update_batch, state_to_bbox
@@ -84,7 +84,7 @@ class Track:
         self.history: list[tuple[int, Detection]] = [(frame, det)]
         # The spawn detection seeds the quality record with a perfect score so
         # quality windows are defined from birth.
-        self.quality = QualityVector([1.0])
+        self.quality: list[float] = [1.0]
 
     @property
     def last_frame(self) -> int:

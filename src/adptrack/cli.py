@@ -186,12 +186,9 @@ def cmd_synth(ns) -> int:
 
 
 def _sweep_worker(task):
-    """(report, tracking seconds) of one sweep value."""
-    dets_path, features_path, gt_path, ns_dict, param, value = task
-    ns = argparse.Namespace(**ns_dict)
+    """(report, tracking seconds) of one sweep value's config."""
+    dets_path, features_path, gt_path, params, cfg = task
     frames = _load_sequence(dets_path, features_path)
-    setattr(ns, param, type(getattr(AdpConfig, param))(value))
-    params, cfg = _tracker_params(ns), _adp_config(ns)
     start = time.perf_counter()
     rows = run_adp(frames, params, cfg)
     runtime = time.perf_counter() - start
@@ -213,7 +210,10 @@ def cmd_sweep(ns) -> int:
             if v != int(v) or v < 1:
                 raise DataError(f"{ns.param} values must be positive integers, got {v}")
 
-    tasks = [(ns.dets, ns.features, ns.gt, vars(ns), ns.param, v) for v in values]
+    # Every value's config is built, and so checked, before any value is tracked.
+    cast, params = type(getattr(AdpConfig, ns.param)), _tracker_params(ns)
+    configs = [_adp_config(argparse.Namespace(**{**vars(ns), ns.param: cast(v)})) for v in values]
+    tasks = [(ns.dets, ns.features, ns.gt, params, cfg) for cfg in configs]
     if len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(4, len(tasks))) as pool:
             results = list(pool.map(_sweep_worker, tasks))

@@ -13,10 +13,11 @@ representative-feature versions of the same idea.
 
 The per-pair functions (`score_main`, `score_f1`, `score_f2`, `score_f3`,
 `candidate_filter`) define the scores from a track's forecast and
-representative feature. `score_frame`, which `adp_step` uses, reads those
-from the tracker state's rows, walks the forecast rows with the batched
-`motion` forms, scores all pairs of a frame at once and equals the per-pair
-functions bit for bit.
+representative feature; each is a mean whose terms `_mean` adds left to
+right. `score_frame`, which `adp_step` uses, reads those from the tracker
+state's rows, walks the forecast rows with the batched `motion` forms and
+scores all pairs of a frame as one masked mean that adds the same terms in
+the same order, so it equals the per-pair functions bit for bit.
 """
 
 from __future__ import annotations
@@ -135,15 +136,16 @@ def simulate_tentative(frames: list[FrameData], params: TrackerParams) -> list[T
 
 def _window_features(track: Track, cfg: AdpConfig) -> np.ndarray:
     """The track's trusted past: detection features at its quality-window positions, as a (k, d) array."""
-    win = select_quality_window(track.quality, cfg.beta, cfg.window)
-    return np.stack([track.history[pos - 1][1].feature.values for pos in win.positions()])
+    positions = select_quality_window(track.quality, cfg.beta, cfg.window)
+    return np.stack([track.history[pos - 1][1].feature.values for pos in positions])
 
 
 def _mean_pairwise_cos(past: np.ndarray, entry_feats) -> float:
+    """`_mean` of the products of every window row with every entry: row by row, entry by entry within a row."""
     if not entry_feats:
         return 0.0
     e = np.stack([f.values for f in entry_feats])
-    return float(np.clip(feature_dots(past[:, None, :], e[None, :, :]).mean(), -1.0, 1.0))
+    return min(1.0, max(-1.0, _mean(feature_dots(past[:, None, :], e[None, :, :]).ravel().tolist())))
 
 
 def score_main(forecast: KalmanState, tent: TentativeTrack, rep: FeatureVec, past: np.ndarray, cfg: AdpConfig) -> float:
@@ -221,9 +223,9 @@ def candidate_filter(
 
 def crowd_check(track: Track, frame_cursor: int, cfg: AdpConfig) -> bool:
     """True when an old track has spent most of its life visually unreliable; its spawn frame is age 1."""
-    if frame_cursor - track.history[0][0] + 1 < _CROWD_MIN_AGE or len(track.quality) == 0:
+    if frame_cursor - track.history[0][0] + 1 < _CROWD_MIN_AGE or not track.quality:
         return False
-    return track.quality.fraction_below(cfg.beta) >= cfg.crowd_ratio
+    return sum(1 for v in track.quality if v < cfg.beta) / len(track.quality) >= cfg.crowd_ratio
 
 
 def _frame_walk(forecast: np.ndarray, boxes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -251,16 +253,20 @@ def _frame_walk(forecast: np.ndarray, boxes: np.ndarray, lengths: np.ndarray) ->
 def score_frame(state: TrackerState, dets: list[Detection], tents, cfg: AdpConfig) -> tuple[np.ndarray, list[int]]:
     """Rollout scores z of the state's tracks against the detections, and the crowd rows.
 
-    `tents` holds each detection's tentative track (None for f2). Entry by
-    entry z equals the per-pair `score_*` functions, but a frame takes one
-    array walk over all pairs and one feature product per track:
+    `tents` holds each detection's tentative track (None for f2). Every
+    variant is one masked mean of (R, K, D, L) terms: R scored tracks, K
+    window rows, D detections, L entries. Each pair adds its terms left to
+    right, entry by entry within a window row and then row by row, as `_mean`
+    adds them, so z equals the per-pair `score_*` functions bit for bit.
+    Masked and padded terms are exact zeros and change no sum.
 
-    - the walk IOUs and representative cosines are (T, D, L) arrays and the
-      candidate filter is a mask over them; f1 and f3 add their entries
-      left to right, as `_mean` does;
-    - main takes the (k, D, L) products of a track's trusted window with
-      every entry, and each pair averages its (k, kept) block;
-    - f2 takes the (D, k) products of the window with the detections.
+    - the walk IOUs and representative cosines come from one array walk over
+      all pairs, and the candidate filter is a mask over them;
+    - f1 and f3 take one term per entry (K = 1) from them;
+    - main takes, track by track, the products of its trusted window with
+      every entry the filter keeps, and K is the longest scored window;
+    - f2 is main with the target detection as a one-entry tentative and no
+      filter.
 
     Crowd rows score 0; `combine_costs` gives them the base weights.
     """
@@ -271,40 +277,39 @@ def score_frame(state: TrackerState, dets: list[Detection], tents, cfg: AdpConfi
     rows = [i for i, c in enumerate(crowded) if not c]
     if not rows or not dets:
         return z, crowd
-    scored = [tracks[i] for i in rows]
     if cfg.variant is Variant.F2:
-        feats = np.stack([det.feature.values for det in dets])
-        for i, track in zip(rows, scored):
-            z[i] = np.clip(feature_dots(feats[:, None], _window_features(track, cfg)).mean(axis=1), -1.0, 1.0)
-        return z, crowd
-
-    lengths = np.array([len(t.entries) for t in tents])
-    boxes = np.zeros((len(tents), lengths.max(), 4))
-    feats = np.zeros((*boxes.shape[:2], dets[0].feature.dim))
-    for jj, tent in enumerate(tents):
-        boxes[jj, : lengths[jj]] = box_array(det.bbox for _, det in tent.entries)
-        feats[jj, : lengths[jj]] = [det.feature.values for _, det in tent.entries]
-    if cfg.variant is not Variant.MAIN or cfg.enable_candidate_filter:
+        lengths = np.ones(len(dets), dtype=int)
+        feats = np.stack([det.feature.values for det in dets])[:, None]
+    else:
+        lengths = np.array([len(t.entries) for t in tents])
+        boxes = np.zeros((len(tents), lengths.max(), 4))
+        feats = np.zeros((*boxes.shape[:2], dets[0].feature.dim))
+        for jj, tent in enumerate(tents):
+            boxes[jj, : lengths[jj]] = box_array(det.bbox for _, det in tent.entries)
+            feats[jj, : lengths[jj]] = [det.feature.values for _, det in tent.entries]
+    kept = np.broadcast_to(np.arange(feats.shape[1]) < lengths[:, None], (len(rows), *feats.shape[:2]))
+    per_entry = cfg.variant in (Variant.F1, Variant.F3)
+    filtered = cfg.variant is Variant.MAIN and cfg.enable_candidate_filter
+    if per_entry or filtered:
         walk = _frame_walk(state.forecast[rows], boxes, lengths)
         cos = np.clip(feature_dots(state.rep[rows][:, None, None], feats), -1.0, 1.0)
-    if cfg.variant is not Variant.MAIN:
-        per_entry = walk if cfg.variant is Variant.F1 else np.minimum(walk, np.maximum(0.0, cos))
-        total = np.zeros(per_entry.shape[:2])
-        for step_idx in range(per_entry.shape[2]):  # 0 past a tentative's end
-            total += per_entry[..., step_idx]
-        z[rows] = total / lengths
-        return z, crowd
-    kept = np.broadcast_to(np.arange(boxes.shape[1]) < lengths[:, None], (len(rows), *boxes.shape[:2]))
-    if cfg.enable_candidate_filter:
-        kept = kept & (walk >= cfg.cand_iou) & (cos >= cfg.cand_app)
-    pairs = kept.any(axis=2)
-    for r, (i, track) in enumerate(zip(rows, scored)):
-        if pairs[r].any():
-            prod = feature_dots(_window_features(track, cfg)[:, None, None], feats)
-            for jj in np.flatnonzero(pairs[r]).tolist():
-                # take() gathers a C-ordered copy, which mean() adds in the order _mean_pairwise_cos does
-                kept_dots = prod[:, jj].take(np.flatnonzero(kept[r, jj]), axis=1)
-                z[i, jj] = min(1.0, max(-1.0, float(kept_dots.mean())))
+    if per_entry:
+        # 0 past a tentative's end, where the walk IOU is 0
+        terms = (walk if cfg.variant is Variant.F1 else np.minimum(walk, np.maximum(0.0, cos)))[:, None]
+        sizes = np.ones(len(rows), dtype=int)
+    else:
+        if filtered:
+            kept = kept & (walk >= cfg.cand_iou) & (cos >= cfg.cand_app)
+        windows = [_window_features(tracks[i], cfg) for i in rows]
+        sizes = np.array([len(win) for win in windows])
+        terms = np.zeros((len(rows), sizes.max(), *kept.shape[1:]))
+        for r, win in enumerate(windows):
+            terms[r, : sizes[r]] = np.where(kept[r], feature_dots(win[:, None, None], feats), 0.0)
+    total = np.zeros(kept.shape[:2])
+    for k, step_idx in np.ndindex(terms.shape[1], terms.shape[3]):
+        total += terms[:, k, :, step_idx]
+    counts = kept.sum(axis=2) * sizes[:, None]
+    z[rows] = np.clip(np.divide(total, counts, out=np.zeros_like(total), where=counts > 0), -1.0, 1.0)
     return z, crowd
 
 
@@ -323,11 +328,11 @@ def adp_step(state: TrackerState, window: list[FrameData], cfg: AdpConfig) -> tu
 
     `window` holds the target frame followed by up to `horizon` future
     frames. The scores come from `score_frame`: one array walk of every
-    non-crowd track along the tentatives of the eligible detections, and one
+    non-crowd track along the tentatives of the eligible detections, one
     product of each track's trusted window with the horizon's entries (main)
-    or with the frame's detections (f2). Lifecycle updates are shared with
-    the base tracker, so with alpha = 0 the step reproduces the base step
-    exactly.
+    or with the frame's detections (f2), and one masked mean. Lifecycle
+    updates are shared with the base tracker, so with alpha = 0 the step
+    reproduces the base step exactly.
     """
     if not window:
         raise ValueError("window must contain at least the target frame")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from adptrack.appearance import QualityVector, QualityWindow, cosine_sim, ema_update, select_quality_window
+from adptrack.appearance import cosine_sim, ema_update, select_quality_window
 from adptrack.core import FeatureVec
 
 E1 = FeatureVec([1.0, 0.0])
@@ -60,26 +60,18 @@ def test_ema_rejects_degenerate_blend():
         ema_update(E1, E2, 1.5)
 
 
-def test_quality_vector_validation():
-    q = QualityVector([0.5, -0.5])
-    assert len(q) == 2
-    assert q.values == (0.5, -0.5)
-    with pytest.raises(ValueError):
-        q.append(1.5)
-
-
 def test_window_examples():
-    assert select_quality_window(QualityVector([0.9, 0.05, 0.8]), 0.15, 2) == QualityWindow(2, 3)
+    assert select_quality_window([0.9, 0.05, 0.8], 0.15, 2) == range(2, 4)
     # no entry reaches beta: fall back to the latest position
-    assert select_quality_window(QualityVector([0.05, 0.1]), 0.15, 2) == QualityWindow(1, 2)
-    assert select_quality_window(QualityVector([0.5]), 0.15, 4) == QualityWindow(1, 1)
+    assert select_quality_window([0.05, 0.1], 0.15, 2) == range(1, 3)
+    assert select_quality_window([0.5], 0.15, 4) == range(1, 2)
 
 
 def test_window_rejects_empty_and_bad_size():
     with pytest.raises(ValueError):
-        select_quality_window(QualityVector(), 0.15, 2)
+        select_quality_window([], 0.15, 2)
     with pytest.raises(ValueError):
-        select_quality_window(QualityVector([0.5]), 0.15, 0)
+        select_quality_window([0.5], 0.15, 0)
 
 
 @given(
@@ -88,10 +80,10 @@ def test_window_rejects_empty_and_bad_size():
     st.integers(1, 8),
 )
 def test_window_bounds_property(values, beta, s):
-    q = QualityVector(values)
-    win = select_quality_window(q, beta, s)
-    assert 1 <= win.start <= win.end <= len(q)
-    assert win.end - win.start + 1 <= s
+    win = select_quality_window(values, beta, s)
+    assert win.step == 1
+    assert 1 <= win[0] <= win[-1] <= len(values)
+    assert len(win) <= s
 
 
 @given(
@@ -104,9 +96,8 @@ def test_window_beta_monotone_outside_fallback(values, beta_lo, bump, s):
     # Raising beta never selects a later anchor, as long as the higher beta
     # still has a qualifying entry (the fallback rule re-anchors at the end).
     beta_hi = beta_lo + bump
-    q = QualityVector(values)
     if not any(v >= beta_hi for v in values):
         return
-    lo = select_quality_window(q, beta_lo, s)
-    hi = select_quality_window(q, beta_hi, s)
-    assert hi.end <= lo.end
+    lo = select_quality_window(values, beta_lo, s)
+    hi = select_quality_window(values, beta_hi, s)
+    assert hi[-1] <= lo[-1]

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from adptrack import cli
 from adptrack.cli import build_parser, main, replay_manifest
 from adptrack.motio import MAX_FRAME_INDEX
 
@@ -290,6 +291,24 @@ def test_sweep_rejects_non_finite_value(tmp_path, capsys):
         ]) == 2
         assert f"data error: --values must list one or more finite values, got '{values}'" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_sweep_rejects_an_invalid_value_before_tracking_any(tmp_path, monkeypatch, capsys):
+    scene = _synth(tmp_path)
+    out = tmp_path / "s.csv"
+
+    def never(*args, **kwargs):
+        raise AssertionError("a sweep value was tracked")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", never)
+    monkeypatch.setattr(cli, "run_adp", never)
+    assert main([
+        "sweep", "--param", "alpha", "--values", "0.1,0.2,-0.5",
+        "--dets", str(scene / "det.txt"), "--features", str(scene / "features.csv"),
+        "--gt", str(scene / "gt.txt"), "--out", str(out),
+    ]) == 2
+    assert "alpha must lie in [0, 1], got -0.5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_track_rejects_non_finite_config(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from conftest import count_calls, forecast_row, make_det, make_frame, state_row
 
 from adptrack import base_tracker, core, rollout
-from adptrack.appearance import QualityVector, cosine_sim, ema_update
+from adptrack.appearance import cosine_sim, ema_update
 from adptrack.assignment import WeightMatrix
 from adptrack.base_tracker import Track, TrackerParams, TrackerState, eligible_detections, run as run_base, step
 from adptrack.core import FeatureVec, box_array, iou
@@ -45,7 +45,7 @@ def _track_with_features(features, qualities=None):
         track.history.append((i, det))
         track.quality.append(0.9)
     if qualities is not None:
-        track.quality = QualityVector(qualities)
+        track.quality = list(qualities)
     return track
 
 
@@ -416,9 +416,10 @@ def _crowd_windows(targets=(15, 35, 55), horizon=10):
     return out
 
 
-# crowd_ratio=0.1 makes a few tracks of each crowd window crowd rows; window=9
-# gives trusted windows of 9 features, so a (k, kept) block of main holds 9 or
-# more products and its mean takes numpy's pairwise sum.
+# crowd_ratio=0.1 makes a few tracks of each crowd window crowd rows. window=9
+# gives trusted windows of 9 features next to shorter ones, so the batched
+# terms are padded, and a main or f2 pair averages 9 or more products: past 8
+# terms, a numpy sum would no longer add left to right as the scores must.
 BATCH_CONFIGS = {
     "main": AdpConfig(window=9, crowd_ratio=0.1),
     "main-nofilter": AdpConfig(window=9, crowd_ratio=0.1, enable_candidate_filter=False),
@@ -449,6 +450,20 @@ def test_score_frame_equals_per_pair_scores(crowd_windows, name):
     for state, dets, tents in crowd_windows:
         z, crowd = score_frame(state, dets, None if cfg.variant is Variant.F2 else tents, cfg)
         z_ref, crowd_ref = _per_pair_scores(state, dets, tents, cfg)
+        assert crowd == crowd_ref
+        assert np.array_equal(z, z_ref)
+        assert np.count_nonzero(z) > 0
+
+
+@pytest.mark.parametrize("variant", [Variant.MAIN, Variant.F2])
+def test_huge_window_scores_like_the_longest_history(crowd_windows, variant):
+    # The batched terms pad to the longest trusted window, not to cfg.window.
+    huge = AdpConfig(window=10**9, crowd_ratio=0.1, variant=variant)
+    for state, dets, tents in crowd_windows:
+        longest = replace(huge, window=max(len(t.history) for t in state.tracks))
+        tents = None if variant is Variant.F2 else tents
+        z, crowd = score_frame(state, dets, tents, huge)
+        z_ref, crowd_ref = score_frame(state, dets, tents, longest)
         assert crowd == crowd_ref
         assert np.array_equal(z, z_ref)
         assert np.count_nonzero(z) > 0
