@@ -120,28 +120,24 @@ def exact_solve(inst: MdaInstance) -> tuple[AssignmentHistory, float]:
     bonus = inst.grouping_bonus
     n = inst.n_stages
 
-    def best_tail(k, ends, partial):
-        # Optimal value-to-go from stage k given current chain endpoints.
+    def best_tail(k, chains, partial):
+        # Optimal value-to-go from stage k given the chain built so far from each start node.
         if k == n:
             if bonus is None:
                 return partial, ()
-            chains = _chains(inst, AssignmentHistory(_stack[:k]))
             return partial + sum(float(bonus(ch)) for ch in chains), ()
         stage = arcs[k]
         best_v = -np.inf
         best_controls = ()
         for u in perms:
-            gain = sum(stage[e][u[e]] for e in ends)
-            _stack.append(u)
-            v, tail = best_tail(k + 1, tuple(u[e] for e in ends), partial + gain)
-            _stack.pop()
+            gain = sum(stage[ch[-1]][u[ch[-1]]] for ch in chains)
+            v, tail = best_tail(k + 1, tuple(ch + (u[ch[-1]],) for ch in chains), partial + gain)
             if v > best_v:
                 best_v = v
                 best_controls = (u,) + tail
         return best_v, best_controls
 
-    _stack: list[tuple[int, ...]] = []
-    value, controls = best_tail(0, tuple(range(inst.m)), 0.0)
+    value, controls = best_tail(0, tuple((start,) for start in range(inst.m)), 0.0)
     return AssignmentHistory(controls), float(value)
 
 

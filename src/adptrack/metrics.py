@@ -7,7 +7,7 @@ compare against the last prediction id a ground-truth trajectory was ever
 matched to; fragmentations count matched-unmatched-matched transitions over
 the frames where the trajectory exists. IDF1 comes from one global maximum
 matching between gt and prediction identities weighted by the number of
-frames in which their boxes are compatible.
+frames in which their boxes are compatible. Both read one IOU matrix per frame.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .assignment import WeightMatrix, hungarian_max
-from .core import BoundingBox, box_array, iou, iou_matrix
+from .core import BoundingBox, box_array, iou_matrix
+from .core import iou  # noqa: F401  (the benchmark's probe wraps metrics.iou by name)
 
 __all__ = ["DEFAULT_IOU_THRESHOLD", "LabeledBox", "MetricsReport", "clear_match", "evaluate"]
 
@@ -57,37 +58,39 @@ class MetricsReport:
 
 
 def clear_match(
-    gt_frame: list[LabeledBox],
-    pred_frame: list[LabeledBox],
+    overlap: np.ndarray,
+    gt_ids: list[int],
+    pred_ids: list[int],
     last_matched: dict[int, int],
     iou_threshold: float = DEFAULT_IOU_THRESHOLD,
 ) -> dict[int, int]:
     """Frame correspondence map gt id -> pred id.
 
-    `last_matched` maps each gt id to the pred id of its last match. Those
-    pairs that are co-present with IOU >= threshold are kept first; everything
-    else is matched by maximum total IOU over pairs at or above the threshold.
+    `overlap` holds the frame's IOUs, rows for `gt_ids` and columns for
+    `pred_ids` (a repeated pred id stands for its last column). `last_matched`
+    maps each gt id to the pred id of its last match. Those pairs that are
+    co-present with IOU >= threshold are kept first; everything else is
+    matched by maximum total IOU over pairs at or above the threshold.
     """
     if not (0.0 < iou_threshold <= 1.0):
         raise ValueError(f"iou threshold must lie in (0, 1], got {iou_threshold}")
-    preds_by_id = {p.id: p for p in pred_frame}
+    pred_col = {pid: j for j, pid in enumerate(pred_ids)}
     corr: dict[int, int] = {}
     used_preds: set[int] = set()
-    for g in gt_frame:
-        pid = last_matched.get(g.id)
-        if pid is None or pid in used_preds or pid not in preds_by_id:
+    for i, gid in enumerate(gt_ids):
+        pid = last_matched.get(gid)
+        if pid is None or pid in used_preds or pid not in pred_col:
             continue
-        if iou(g.bbox, preds_by_id[pid].bbox) >= iou_threshold:
-            corr[g.id] = pid
+        if overlap[i, pred_col[pid]] >= iou_threshold:
+            corr[gid] = pid
             used_preds.add(pid)
 
-    rest_gt = [g for g in gt_frame if g.id not in corr]
-    rest_pred = [p for p in pred_frame if p.id not in used_preds]
+    rest_gt = [i for i, gid in enumerate(gt_ids) if gid not in corr]
+    rest_pred = [j for j, pid in enumerate(pred_ids) if pid not in used_preds]
     if rest_gt and rest_pred:
-        weights = iou_matrix(box_array([g.bbox for g in rest_gt]), box_array([p.bbox for p in rest_pred]))
-        matching = hungarian_max(WeightMatrix(weights), iou_threshold)
+        matching = hungarian_max(WeightMatrix(overlap[np.ix_(rest_gt, rest_pred)]), iou_threshold)
         for i, j in matching.pairs:
-            corr[rest_gt[i].id] = rest_pred[j].id
+            corr[gt_ids[rest_gt[i]]] = pred_ids[rest_pred[j]]
     return corr
 
 
@@ -122,9 +125,11 @@ def evaluate(gt, pred, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> MetricsR
     for frame in frames:
         gts = gt_frames.get(frame, [])
         preds = pred_frames.get(frame, [])
-        corr = clear_match(gts, preds, last_matched, iou_threshold)
+        overlap = iou_matrix(box_array([g.bbox for g in gts]), box_array([p.bbox for p in preds]))
+        corr = clear_match(overlap, [g.id for g in gts], [p.id for p in preds], last_matched, iou_threshold)
 
-        fp += sum(1 for p in preds if p.id not in corr.values())
+        matched = set(corr.values())
+        fp += sum(1 for p in preds if p.id not in matched)
         fn += sum(1 for g in gts if g.id not in corr)
 
         for g in gts:
@@ -140,7 +145,6 @@ def evaluate(gt, pred, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> MetricsR
                 frag += 1
                 interrupted.remove(g.id)
 
-        overlap = iou_matrix(box_array([g.bbox for g in gts]), box_array([p.bbox for p in preds]))
         i, j = np.nonzero(overlap >= iou_threshold)
         gt_idx = np.array([gt_pos[g.id] for g in gts], dtype=np.intp)
         pred_idx = np.array([pred_pos[p.id] for p in preds], dtype=np.intp)

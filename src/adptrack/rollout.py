@@ -15,9 +15,11 @@ The per-pair functions (`score_main`, `score_f1`, `score_f2`, `score_f3`,
 `candidate_filter`) define the scores from a track's forecast and
 representative feature; each is a mean whose terms `_mean` adds left to
 right. `score_frame`, which `adp_step` uses, reads those from the tracker
-state's rows, walks the forecast rows with the batched `motion` forms and
-scores all pairs of a frame as one masked mean that adds the same terms in
-the same order, so it equals the per-pair functions bit for bit.
+state's rows, packs the frame's tentatives (for f2, each target detection
+alone) into one entry table, walks the forecast rows with the batched
+`motion` forms and scores all pairs of a frame as one masked mean that adds
+the same terms in the same order, so it equals the per-pair functions bit
+for bit.
 """
 
 from __future__ import annotations
@@ -250,47 +252,43 @@ def _frame_walk(forecast: np.ndarray, boxes: np.ndarray, lengths: np.ndarray) ->
     return out
 
 
-def score_frame(state: TrackerState, dets: list[Detection], tents, cfg: AdpConfig) -> tuple[np.ndarray, list[int]]:
-    """Rollout scores z of the state's tracks against the detections, and the crowd rows.
+def score_frame(state: TrackerState, tents, cfg: AdpConfig) -> tuple[np.ndarray, list[int]]:
+    """Rollout scores z of the state's tracks against the tentatives' detections, and the crowd rows.
 
-    `tents` holds each detection's tentative track (None for f2). Every
-    variant is one masked mean of (R, K, D, L) terms: R scored tracks, K
-    window rows, D detections, L entries. Each pair adds its terms left to
-    right, entry by entry within a window row and then row by row, as `_mean`
-    adds them, so z equals the per-pair `score_*` functions bit for bit.
-    Masked and padded terms are exact zeros and change no sum.
+    `tents` holds each detection's tentative track; f2's is the detection
+    alone. Every variant is one masked mean of (R, K, D, L) terms: R scored
+    tracks, K window rows, D detections, L entries. Each pair adds its terms
+    left to right, entry by entry within a window row and then row by row, as
+    `_mean` adds them, so z equals the per-pair `score_*` functions bit for
+    bit. Masked and padded terms are exact zeros and change no sum.
 
     - the walk IOUs and representative cosines come from one array walk over
       all pairs, and the candidate filter is a mask over them;
     - f1 and f3 take one term per entry (K = 1) from them;
     - main takes, track by track, the products of its trusted window with
       every entry the filter keeps, and K is the longest scored window;
-    - f2 is main with the target detection as a one-entry tentative and no
-      filter.
+    - f2 is main without the filter.
 
     Crowd rows score 0; `combine_costs` gives them the base weights.
     """
     tracks = state.tracks
-    z = np.zeros((len(tracks), len(dets)))
+    z = np.zeros((len(tracks), len(tents)))
     crowded = [cfg.enable_crowd_heuristic and crowd_check(t, state.frame_cursor, cfg) for t in tracks]
     crowd = [i for i, c in enumerate(crowded) if c]
     rows = [i for i, c in enumerate(crowded) if not c]
-    if not rows or not dets:
+    if not rows or not tents:
         return z, crowd
-    if cfg.variant is Variant.F2:
-        lengths = np.ones(len(dets), dtype=int)
-        feats = np.stack([det.feature.values for det in dets])[:, None]
-    else:
-        lengths = np.array([len(t.entries) for t in tents])
-        boxes = np.zeros((len(tents), lengths.max(), 4))
-        feats = np.zeros((*boxes.shape[:2], dets[0].feature.dim))
-        for jj, tent in enumerate(tents):
-            boxes[jj, : lengths[jj]] = box_array(det.bbox for _, det in tent.entries)
-            feats[jj, : lengths[jj]] = [det.feature.values for _, det in tent.entries]
-    kept = np.broadcast_to(np.arange(feats.shape[1]) < lengths[:, None], (len(rows), *feats.shape[:2]))
+    lengths = np.array([len(t.entries) for t in tents])
+    present = np.arange(lengths.max()) < lengths[:, None]
+    entries = [det for tent in tents for _, det in tent.entries]
+    feats = np.zeros((*present.shape, entries[0].feature.dim))
+    feats[present] = [det.feature.values for det in entries]
+    kept = np.broadcast_to(present, (len(rows), *present.shape))
     per_entry = cfg.variant in (Variant.F1, Variant.F3)
     filtered = cfg.variant is Variant.MAIN and cfg.enable_candidate_filter
     if per_entry or filtered:
+        boxes = np.zeros((*present.shape, 4))
+        boxes[present] = box_array(det.bbox for det in entries)
         walk = _frame_walk(state.forecast[rows], boxes, lengths)
         cos = np.clip(feature_dots(state.rep[rows][:, None, None], feats), -1.0, 1.0)
     if per_entry:
@@ -327,12 +325,12 @@ def adp_step(state: TrackerState, window: list[FrameData], cfg: AdpConfig) -> tu
     """Match the next frame using base weights blended with rollout scores.
 
     `window` holds the target frame followed by up to `horizon` future
-    frames. The scores come from `score_frame`: one array walk of every
-    non-crowd track along the tentatives of the eligible detections, one
-    product of each track's trusted window with the horizon's entries (main)
-    or with the frame's detections (f2), and one masked mean. Lifecycle
-    updates are shared with the base tracker, so with alpha = 0 the step
-    reproduces the base step exactly.
+    frames. Each eligible detection gets a tentative track: its simulated
+    continuation, or for f2, which never simulates, the detection alone. The
+    scores come from `score_frame`: one array walk of every non-crowd track
+    along those tentatives, one product of each track's trusted window with
+    their entries, and one masked mean. Lifecycle updates are shared with the
+    base tracker, so with alpha = 0 the step reproduces the base step exactly.
     """
     if not window:
         raise ValueError("window must contain at least the target frame")
@@ -340,14 +338,13 @@ def adp_step(state: TrackerState, window: list[FrameData], cfg: AdpConfig) -> tu
     weights = compute_base_weights(state, frame)  # validates frame order
 
     det_idx = eligible_detections(frame).tolist()
-    # The no-simulation variant never reads the future frames.
-    tentatives = None if cfg.variant is Variant.F2 else simulate_tentative(window, state.params)
-    z, crowd_rows = score_frame(
-        state,
-        [frame.detections[j] for j in det_idx],
-        None if tentatives is None else [tentatives[j] for j in det_idx],
-        cfg,
-    )
+    if cfg.variant is Variant.F2:
+        # The no-simulation variant never reads the future frames.
+        tents = [TentativeTrack(((frame.index, frame.detections[j]),)) for j in det_idx]
+    else:
+        tentatives = simulate_tentative(window, state.params)
+        tents = [tentatives[j] for j in det_idx]
+    z, crowd_rows = score_frame(state, tents, cfg)
 
     combined = combine_costs(weights, z, cfg.alpha, crowd_rows)
     matching = hungarian_max(combined, state.params.match_threshold)

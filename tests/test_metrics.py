@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adptrack.assignment import WeightMatrix, brute_force_match
-from adptrack.core import BoundingBox, iou
+from adptrack import metrics
+from adptrack.assignment import WeightMatrix, brute_force_match, hungarian_max
+from adptrack.core import BoundingBox, box_array, iou, iou_matrix
 from adptrack.metrics import LabeledBox, MetricsReport, clear_match, evaluate
+
+from conftest import count_calls
 
 
 def box(left, top=0.0, size=10.0):
@@ -15,16 +18,45 @@ def lb(frame, obj_id, left, top=0.0):
     return LabeledBox(frame=frame, id=obj_id, bbox=box(left, top))
 
 
+def reference_clear_match(gt_frame, pred_frame, last_matched, iou_threshold):
+    """The CLEAR frame correspondence on LabeledBox lists with the scalar `iou`, one pair at a time."""
+    preds_by_id = {p.id: p for p in pred_frame}
+    corr = {}
+    used_preds = set()
+    for g in gt_frame:
+        pid = last_matched.get(g.id)
+        if pid is None or pid in used_preds or pid not in preds_by_id:
+            continue
+        if iou(g.bbox, preds_by_id[pid].bbox) >= iou_threshold:
+            corr[g.id] = pid
+            used_preds.add(pid)
+
+    rest_gt = [g for g in gt_frame if g.id not in corr]
+    rest_pred = [p for p in pred_frame if p.id not in used_preds]
+    if rest_gt and rest_pred:
+        weights = [[iou(g.bbox, p.bbox) for p in rest_pred] for g in rest_gt]
+        matching = hungarian_max(WeightMatrix(weights), iou_threshold)
+        for i, j in matching.pairs:
+            corr[rest_gt[i].id] = rest_pred[j].id
+    return corr
+
+
+def match_boxes(gt_frame, pred_frame, last_matched, iou_threshold):
+    """`clear_match` on the overlap matrix and ids of two LabeledBox lists."""
+    overlap = iou_matrix(box_array([g.bbox for g in gt_frame]), box_array([p.bbox for p in pred_frame]))
+    return clear_match(overlap, [g.id for g in gt_frame], [p.id for p in pred_frame], last_matched, iou_threshold)
+
+
 def test_clear_match_identical_boxes():
     gt = [lb(1, 1, 0), lb(1, 2, 100)]
     pred = [lb(1, 11, 0), lb(1, 12, 100)]
-    assert clear_match(gt, pred, {}, 0.5) == {1: 11, 2: 12}
+    assert match_boxes(gt, pred, {}, 0.5) == {1: 11, 2: 12}
 
 
 def test_clear_match_below_threshold_everywhere():
     gt = [lb(1, 1, 0)]
     pred = [lb(1, 11, 9.0)]  # iou = 1/19 < 0.5
-    assert clear_match(gt, pred, {}, 0.5) == {}
+    assert match_boxes(gt, pred, {}, 0.5) == {}
 
 
 def test_clear_match_persistence_beats_better_candidate():
@@ -33,9 +65,85 @@ def test_clear_match_persistence_beats_better_candidate():
     d_60 = 10 * 0.40 / 1.60
     gt = [lb(1, 1, 0)]
     pred = [lb(1, 11, d_55), lb(1, 12, -d_60)]
-    assert clear_match(gt, pred, {1: 11}, 0.5) == {1: 11}
+    assert match_boxes(gt, pred, {1: 11}, 0.5) == {1: 11}
     # without the previous mapping the better overlap wins
-    assert clear_match(gt, pred, {}, 0.5) == {1: 12}
+    assert match_boxes(gt, pred, {}, 0.5) == {1: 12}
+
+
+# Pairwise IoUs of the pool hit the thresholds below exactly: 1/2 and 1/4 (the
+# 10x10, 10x20 and 20x20 boxes share a corner) and 1/3. The last box overlaps
+# itself by 0.9999999999999991 in box arithmetic, so only the equality
+# override gives it IoU 1.
+_CLEAR_POOL = [
+    BoundingBox(0.0, 0.0, 10.0, 10.0),
+    BoundingBox(0.0, 0.0, 10.0, 20.0),
+    BoundingBox(0.0, 0.0, 20.0, 20.0),
+    BoundingBox(5.0, 0.0, 10.0, 10.0),
+    BoundingBox(40.0, 0.0, 10.0, 10.0),
+    BoundingBox(0.3, 0.3, 0.6, 0.6),
+]
+_CLEAR_THRESHOLDS = [0.25, 50.0 / 150.0, 0.5, 1.0]
+
+
+def _clear_boxes(ids, pool):
+    return [LabeledBox(1, obj_id, _CLEAR_POOL[k]) for obj_id, k in zip(ids, pool)]
+
+
+# (gt ids and pool boxes, pred ids and pool boxes, last matches, threshold, expected map)
+_CLEAR_CASES = {
+    # both last pairs (IoU 1/2) are kept although the swapped pairs overlap fully
+    "kept-from-last-frame": (([1, 2], [0, 1]), ([11, 12], [1, 0]), {1: 11, 2: 12}, 0.5, {1: 11, 2: 12}),
+    # the second gt finds its last prediction taken and is re-matched
+    "two-gts-one-last-prediction": (([1, 2], [0, 0]), ([11, 12], [0, 0]), {1: 11, 2: 11}, 0.5, {1: 11, 2: 12}),
+    # equal boxes reach the threshold 1 through the equality override only
+    "identical-boxes": (([1, 2], [5, 4]), ([11, 12], [4, 5]), {}, 1.0, {1: 12, 2: 11}),
+    "at-threshold": (([1, 2], [0, 1]), ([11, 12], [1, 2]), {1: 11}, 0.5, {1: 11, 2: 12}),
+    "below-threshold": (([1], [0]), ([11], [3]), {}, 0.5, {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLEAR_CASES))
+def test_clear_match_cases(name):
+    (gt_ids, gt_pool), (pred_ids, pred_pool), last, threshold, expected = _CLEAR_CASES[name]
+    gt, pred = _clear_boxes(gt_ids, gt_pool), _clear_boxes(pred_ids, pred_pool)
+    assert reference_clear_match(gt, pred, last, threshold) == expected
+    assert match_boxes(gt, pred, last, threshold) == expected
+
+
+@st.composite
+def _clear_frames(draw):
+    """One frame of up to 6 gt and 6 predicted boxes from the pool, ids possibly repeated, and last matches."""
+    gt_ids = draw(st.lists(st.integers(1, 5), max_size=6))
+    pred_ids = draw(st.lists(st.integers(11, 15), max_size=6))
+    index = st.integers(0, len(_CLEAR_POOL) - 1)
+    gt = _clear_boxes(gt_ids, draw(st.lists(index, min_size=len(gt_ids), max_size=len(gt_ids))))
+    pred = _clear_boxes(pred_ids, draw(st.lists(index, min_size=len(pred_ids), max_size=len(pred_ids))))
+    # id 16 is never present; several gts may share a last prediction
+    last = draw(st.dictionaries(st.integers(1, 5), st.integers(11, 16)))
+    return gt, pred, last, draw(st.sampled_from(_CLEAR_THRESHOLDS))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_clear_frames())
+def test_clear_match_on_the_overlap_matrix_equals_the_reference(frame):
+    gt, pred, last, threshold = frame
+    assert match_boxes(gt, pred, last, threshold) == reference_clear_match(gt, pred, last, threshold)
+
+
+def test_evaluate_builds_one_overlap_matrix_per_frame(monkeypatch):
+    # frames 1-3 hold both sides, frame 4 only gt and frame 5 only predictions
+    gt, pred = _swap_scenario()
+    gt.append(lb(4, 1, 0))
+    pred.append(lb(5, 21, 0))
+    calls = count_calls(monkeypatch, metrics, "iou_matrix")
+
+    def no_scalar_iou(*args):
+        raise AssertionError("evaluate reads every overlap from the frame's matrix")
+
+    monkeypatch.setattr(metrics, "iou", no_scalar_iou)
+    report = evaluate(gt, pred, 0.5)
+    assert len(calls) == 5
+    assert (report.fp, report.fn, report.idsw) == (1, 1, 2)
 
 
 def _swap_scenario():

@@ -311,18 +311,31 @@ def test_adp_step_scores_each_eligible_detection_with_its_own_tentative(monkeypa
     # The target frame's first detection is below the confidence floor and lies
     # elsewhere with another feature, so the eligible detections are not a
     # prefix of the frame's detections.
-    state = TrackerState(PARAMS, frame_cursor=0)
-    step(state, make_frame(1, [make_det(1, 0, 0), make_det(1, 40, 0, feature=E2)]))
+    def tracked_state():
+        state = TrackerState(PARAMS, frame_cursor=0)
+        step(state, make_frame(1, [make_det(1, 0, 0), make_det(1, 40, 0, feature=E2)]))
+        return state
+
     window = [
         make_frame(f, [make_det(f, 100, 50, feature=(0.6, 0.8), conf=0.05), make_det(f, 0, 0), make_det(f, 40, 0, feature=E2)])
         for f in (2, 3, 4)
     ]
+    eligible = list(window[0].detections[1:])
     calls = count_calls(monkeypatch, rollout, "score_frame")
-    adp_step(state, window, AdpConfig())
-    (_, dets, tents, _), = calls
-    assert dets == list(window[0].detections[1:])
-    assert [tent.entries[0] for tent in tents] == [(2, det) for det in dets]
+    adp_step(tracked_state(), window, AdpConfig())
+    (_, tents, _), = calls
+    assert [tent.entries[0] for tent in tents] == [(2, det) for det in eligible]
     assert all(len(tent.entries) == 3 for tent in tents)
+
+    # f2 scores each eligible detection alone and never simulates
+    def no_simulation(*args):
+        raise AssertionError("f2 never simulates")
+
+    monkeypatch.setattr(rollout, "simulate_tentative", no_simulation)
+    calls.clear()
+    adp_step(tracked_state(), window, AdpConfig(variant=Variant.F2))
+    (_, tents, _), = calls
+    assert tents == [TentativeTrack(((2, det),)) for det in eligible]
 
 
 def test_adp_step_rejects_empty_window():
@@ -394,6 +407,11 @@ def _per_pair_scores(state, dets, tents, cfg):
     return z, crowd
 
 
+def _scored_tentatives(cfg, dets, tents):
+    """The tentatives `adp_step` passes to `score_frame`: for f2, each target detection alone."""
+    return [TentativeTrack(((det.frame, det),)) for det in dets] if cfg.variant is Variant.F2 else tents
+
+
 def _crowd_windows(targets=(15, 35, 55), horizon=10):
     """(tracker state, eligible detections, their tentatives) at a few frames of a crowd scene.
 
@@ -448,7 +466,7 @@ def test_crowd_windows_cover_the_batched_cases(crowd_windows):
 def test_score_frame_equals_per_pair_scores(crowd_windows, name):
     cfg = BATCH_CONFIGS[name]
     for state, dets, tents in crowd_windows:
-        z, crowd = score_frame(state, dets, None if cfg.variant is Variant.F2 else tents, cfg)
+        z, crowd = score_frame(state, _scored_tentatives(cfg, dets, tents), cfg)
         z_ref, crowd_ref = _per_pair_scores(state, dets, tents, cfg)
         assert crowd == crowd_ref
         assert np.array_equal(z, z_ref)
@@ -461,9 +479,9 @@ def test_huge_window_scores_like_the_longest_history(crowd_windows, variant):
     huge = AdpConfig(window=10**9, crowd_ratio=0.1, variant=variant)
     for state, dets, tents in crowd_windows:
         longest = replace(huge, window=max(len(t.history) for t in state.tracks))
-        tents = None if variant is Variant.F2 else tents
-        z, crowd = score_frame(state, dets, tents, huge)
-        z_ref, crowd_ref = score_frame(state, dets, tents, longest)
+        tents = _scored_tentatives(huge, dets, tents)
+        z, crowd = score_frame(state, tents, huge)
+        z_ref, crowd_ref = score_frame(state, tents, longest)
         assert crowd == crowd_ref
         assert np.array_equal(z, z_ref)
         assert np.count_nonzero(z) > 0
@@ -473,10 +491,10 @@ def test_huge_window_scores_like_the_longest_history(crowd_windows, variant):
 def test_score_frame_without_tracks_or_detections(crowd_windows, name):
     cfg = BATCH_CONFIGS[name]
     state, dets, tents = crowd_windows[0]
-    tents = None if cfg.variant is Variant.F2 else tents
-    z, crowd = score_frame(TrackerState(PARAMS, frame_cursor=state.frame_cursor), dets, tents, cfg)
+    empty = TrackerState(PARAMS, frame_cursor=state.frame_cursor)
+    z, crowd = score_frame(empty, _scored_tentatives(cfg, dets, tents), cfg)
     assert z.shape == (0, len(dets)) and crowd == []
-    z, _ = score_frame(state, [], None if tents is None else [], cfg)
+    z, _ = score_frame(state, [], cfg)
     assert z.shape == (len(state.tracks), 0)
 
 
@@ -493,10 +511,10 @@ def test_walk_raises_when_the_forecast_overflows():
         with pytest.raises(ValueError):
             _per_pair_scores(state, dets, [tent], cfg)
         with pytest.raises(ValueError):
-            score_frame(state, dets, [tent], cfg)
+            score_frame(state, [tent], cfg)
     # main without the candidate filter never walks
     cfg = AdpConfig(enable_candidate_filter=False, enable_crowd_heuristic=False)
-    assert np.array_equal(score_frame(state, dets, [tent], cfg)[0], _per_pair_scores(state, dets, [tent], cfg)[0])
+    assert np.array_equal(score_frame(state, [tent], cfg)[0], _per_pair_scores(state, dets, [tent], cfg)[0])
 
 
 def test_array_state_equals_the_scalar_recursion(monkeypatch):
