@@ -89,18 +89,20 @@ def iou_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """`iou` of (..., 4) box arrays broadcast against each other, one value per box pair.
 
     Each entry is computed with the operations of the scalar function in the
-    same order, so it equals ``iou`` bit for bit.
+    same order, so it equals ``iou`` bit for bit: intersection sides clamp at
+    +0.0, and the exact-equality override is tested where left edges agree.
     """
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     al, at, aw, ah = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     bl, bt, bw, bh = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    iw = np.minimum(al + aw, bl + bw) - np.maximum(al, bl)
-    ih = np.minimum(at + ah, bt + bh) - np.maximum(at, bt)
+    iw = np.maximum(np.minimum(al + aw, bl + bw) - np.maximum(al, bl), 0.0)
+    ih = np.maximum(np.minimum(at + ah, bt + bh) - np.maximum(at, bt), 0.0)
     inter = iw * ih
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.minimum(1.0, inter / ((aw * ah + bw * bh) - inter))
-    out = np.where((iw > 0) & (ih > 0), ratio, 0.0)
-    out[(al == bl) & (at == bt) & (aw == bw) & (ah == bh)] = 1.0
+    # The smallest positive double as the union's floor keeps 0 / 0 out where both areas underflow.
+    out = np.minimum(1.0, inter / np.maximum((aw * ah + bw * bh) - inter, 5e-324))
+    same = al == bl
+    if same.any():
+        out = np.where(same & (at == bt) & (aw == bw) & (ah == bh), 1.0, out)
     return out
 
 

@@ -15,11 +15,12 @@ The per-pair functions (`score_main`, `score_f1`, `score_f2`, `score_f3`,
 `candidate_filter`) define the scores from a track's forecast and
 representative feature; each is a mean whose terms `_mean` adds left to
 right. `score_frame`, which `adp_step` uses, reads those from the tracker
-state's rows, packs the frame's tentatives (for f2, each target detection
-alone) into one entry table, walks the forecast rows with the batched
-`motion` forms and scores all pairs of a frame as one masked mean that adds
-the same terms in the same order, so it equals the per-pair functions bit
-for bit.
+state's rows and packs the frame's tentatives (for f2, each target detection
+alone) into one entry table. It walks the forecast rows with the batched
+`motion` forms, takes the walk's overlaps in one IOU pass after the walk and
+the window products one window slot at a time, and scores all pairs as one
+masked mean that adds the same terms in the same order, so it equals the
+per-pair functions bit for bit.
 """
 
 from __future__ import annotations
@@ -235,11 +236,13 @@ def _frame_walk(forecast: np.ndarray, boxes: np.ndarray, lengths: np.ndarray) ->
 
     `boxes` (D, L, 4) holds the entry boxes of D tentatives and `lengths`
     their entry counts. From step l on only the tentatives longer than l are
-    walked, so no state past a tentative's end is computed and its IOUs stay 0.
+    walked; the loop only corrects and predicts, and one IOU pass over the
+    walked states follows it. Cells past a tentative's end stay +0.0.
     """
+    walked = np.arange(boxes.shape[1]) < lengths[:, None]
     x = forecast[:, None].repeat(len(lengths), axis=1)
+    states = np.empty((len(forecast), *boxes.shape[:2], forecast.shape[1]))
     centers = batch_centers(boxes)
-    out = np.zeros((len(forecast), *boxes.shape[:2]))
     cols, ends = np.arange(len(lengths)), set(lengths.tolist())
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state raises in batch_boxes
         for step_idx in range(boxes.shape[1]):
@@ -248,7 +251,9 @@ def _frame_walk(forecast: np.ndarray, boxes: np.ndarray, lengths: np.ndarray) ->
                 cols, x = cols[live], x[:, live]
             if step_idx:
                 x = kf_correct_predict_batch(x, centers[cols, step_idx - 1])
-            out[:, cols, step_idx] = iou_array(batch_boxes(x), boxes[cols, step_idx])
+            states[:, cols, step_idx] = x
+        out = np.zeros((len(forecast), *boxes.shape[:2]))
+        out[:, walked] = iou_array(batch_boxes(states[:, walked]), boxes[walked])
     return out
 
 
@@ -265,8 +270,9 @@ def score_frame(state: TrackerState, tents, cfg: AdpConfig) -> tuple[np.ndarray,
     - the walk IOUs and representative cosines come from one array walk over
       all pairs, and the candidate filter is a mask over them;
     - f1 and f3 take one term per entry (K = 1) from them;
-    - main takes, track by track, the products of its trusted window with
-      every entry the filter keeps, and K is the longest scored window;
+    - main takes the products of the trusted windows, zero-padded to the
+      longest scored one (K rows), with every entry the filter keeps, one
+      window slot of every track at a time;
     - f2 is main without the filter.
 
     Crowd rows score 0; `combine_costs` gives them the base weights.
@@ -293,19 +299,21 @@ def score_frame(state: TrackerState, tents, cfg: AdpConfig) -> tuple[np.ndarray,
         cos = np.clip(feature_dots(state.rep[rows][:, None, None], feats), -1.0, 1.0)
     if per_entry:
         # 0 past a tentative's end, where the walk IOU is 0
-        terms = (walk if cfg.variant is Variant.F1 else np.minimum(walk, np.maximum(0.0, cos)))[:, None]
+        terms = (walk if cfg.variant is Variant.F1 else np.minimum(walk, np.maximum(0.0, cos)))[:, :, None]
         sizes = np.ones(len(rows), dtype=int)
     else:
         if filtered:
             kept = kept & (walk >= cfg.cand_iou) & (cos >= cfg.cand_app)
-        windows = [_window_features(tracks[i], cfg) for i in rows]
+        windows = [select_quality_window(tracks[i].quality, cfg.beta, cfg.window) for i in rows]
         sizes = np.array([len(win) for win in windows])
-        terms = np.zeros((len(rows), sizes.max(), *kept.shape[1:]))
-        for r, win in enumerate(windows):
-            terms[r, : sizes[r]] = np.where(kept[r], feature_dots(win[:, None, None], feats), 0.0)
-    total = np.zeros(kept.shape[:2])
-    for k, step_idx in np.ndindex(terms.shape[1], terms.shape[3]):
-        total += terms[:, k, :, step_idx]
+        slots = np.arange(sizes.max()) < sizes[:, None]
+        past = np.zeros((*slots.shape, feats.shape[-1]))
+        past[slots] = [tracks[i].history[pos - 1][1].feature.values for i, win in zip(rows, windows) for pos in win]
+        # one window slot of every row at a time; a padded slot's products are zeros
+        dots = [feature_dots(past[:, k, None, None], feats) for k in range(slots.shape[1])]
+        terms = np.where(kept[:, :, None], np.stack(dots, axis=2), 0.0)
+    # Each pair's (K, L) terms in `_mean`'s order; no term is -0.0, so starting at the first adds as 0.0 + does.
+    total = np.add.accumulate(terms.reshape(*terms.shape[:2], -1), axis=2)[..., -1]
     counts = kept.sum(axis=2) * sizes[:, None]
     z[rows] = np.clip(np.divide(total, counts, out=np.zeros_like(total), where=counts > 0), -1.0, 1.0)
     return z, crowd
@@ -328,9 +336,9 @@ def adp_step(state: TrackerState, window: list[FrameData], cfg: AdpConfig) -> tu
     frames. Each eligible detection gets a tentative track: its simulated
     continuation, or for f2, which never simulates, the detection alone. The
     scores come from `score_frame`: one array walk of every non-crowd track
-    along those tentatives, one product of each track's trusted window with
-    their entries, and one masked mean. Lifecycle updates are shared with the
-    base tracker, so with alpha = 0 the step reproduces the base step exactly.
+    along those tentatives, one window product per window slot and one
+    masked mean. Lifecycle updates are shared with the base tracker, so
+    with alpha = 0 the step reproduces the base step exactly.
     """
     if not window:
         raise ValueError("window must contain at least the target frame")

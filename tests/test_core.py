@@ -51,7 +51,7 @@ def test_iou_matrix_equals_scalar_iou(data):
     a = data.draw(st.lists(st.sampled_from(pool), max_size=6))
     b = data.draw(st.lists(st.sampled_from(pool), max_size=6))
     expected = np.array([[iou(x, y) for y in b] for x in a]).reshape(len(a), len(b))
-    assert np.array_equal(iou_matrix(box_array(a), box_array(b)), expected)
+    assert iou_matrix(box_array(a), box_array(b)).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -62,12 +62,20 @@ def test_iou_matrix_equals_scalar_iou(data):
         (BoundingBox(0, 0, 4, 4), BoundingBox(1, 1, 2, 2), 0.25),  # containment
         (BoundingBox(0, 0, 1, 1), BoundingBox(5, 5, 1, 1), 0.0),  # disjoint
         (BoundingBox(0, 0, 2**-20, 2**-20), BoundingBox(0, 0, 2**-20, 2**-19), 0.5),  # tiny, exact in binary
+        # (0.1 + 0.2) - 0.1 != 0.2: the intersection's sides are not the box's
+        (BoundingBox(0.1, 0.1, 0.2, 0.2), BoundingBox(0.1, 0.1, 0.2, 0.2), 1.0),
+        # far from the origin the right edge loses most of the width; only the equality override gives 1
+        (BoundingBox(1e15, 1e15, 0.3, 0.7), BoundingBox(1e15, 1e15, 0.3, 0.7), 1.0),
+        (BoundingBox(0, 0.25, 1, 0.5), BoundingBox(0, 0.75, 1, 0.5), 0.0),  # shared edge, equal left edges
+        (BoundingBox(0, 0, 1, 1), BoundingBox(0, 5, 1, 1), 0.0),  # disjoint, equal left edges
+        (BoundingBox(0, 0, 1e-200, 1e-200), BoundingBox(5, 5, 1e-200, 1e-200), 0.0),  # disjoint, areas underflow
     ],
 )
 def test_iou_matrix_examples(a, b, expected):
+    # bytes are compared, so a -0.0 cannot pass for +0.0
     m = iou_matrix(box_array([a, b]), box_array([b]))
     assert m.shape == (2, 1)
-    assert m[0, 0] == expected == iou(a, b)
+    assert m[0, 0].tobytes() == np.float64(expected).tobytes() == np.float64(iou(a, b)).tobytes()
     assert m[1, 0] == 1.0
 
 

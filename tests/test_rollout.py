@@ -15,6 +15,7 @@ from adptrack.rollout import (
     AdpConfig,
     TentativeTrack,
     Variant,
+    _walk,
     _window_features,
     adp_step,
     candidate_filter,
@@ -496,6 +497,56 @@ def test_score_frame_without_tracks_or_detections(crowd_windows, name):
     assert z.shape == (0, len(dets)) and crowd == []
     z, _ = score_frame(state, [], cfg)
     assert z.shape == (len(state.tracks), 0)
+
+
+def test_frame_walk_equals_the_scalar_walk(crowd_windows):
+    """One `_frame_walk` call gives every (track, tentative) pair's `_walk` IOUs bit for bit, and +0.0 past its end."""
+    for state, _, tents in crowd_windows:
+        longest = max(tents, key=lambda t: len(t.entries))
+        tents = [*tents, TentativeTrack(longest.entries[:1]), TentativeTrack(longest.entries[:2])]
+        lengths = np.array([len(t.entries) for t in tents])
+        assert {1, 2, 11} <= set(lengths.tolist())
+        boxes = np.zeros((len(tents), lengths.max(), 4))
+        for j, tent in enumerate(tents):
+            boxes[j, : lengths[j]] = box_array(det.bbox for _, det in tent.entries)
+        walk = rollout._frame_walk(state.forecast, boxes, lengths)
+        assert walk.shape == (len(state.tracks), *boxes.shape[:2])
+        for i in range(len(state.tracks)):
+            forecast, _ = state_row(state, i)
+            for j, tent in enumerate(tents):
+                padding = [0.0] * (lengths.max() - lengths[j])
+                expected = np.array([walk_iou for _, _, walk_iou in _walk(forecast, tent)] + padding)
+                assert walk[i, j].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CONFIGS))
+def test_score_frame_walks_once_and_multiplies_once_per_window_slot(crowd_windows, monkeypatch, name):
+    """One IOU pass per walked frame and none without a walk; at most window + 1 feature products, whatever the rows."""
+    cfg = BATCH_CONFIGS[name]
+    walked = cfg.variant in (Variant.F1, Variant.F3) or (cfg.variant is Variant.MAIN and cfg.enable_candidate_filter)
+    ious = count_calls(monkeypatch, rollout, "iou_array")
+    boxes = count_calls(monkeypatch, rollout, "batch_boxes")
+    dots = count_calls(monkeypatch, rollout, "feature_dots")
+    for state, dets, tents in crowd_windows:
+        del ious[:], boxes[:], dots[:]
+        _, crowd = score_frame(state, _scored_tentatives(cfg, dets, tents), cfg)
+        assert len(state.tracks) - len(crowd) > cfg.window + 1
+        assert len(ious) == len(boxes) == int(walked)
+        assert 1 <= len(dots) <= cfg.window + 1
+
+
+@pytest.mark.parametrize("name", ["main-nofilter", "f2", "f3"])
+def test_score_frame_sums_negative_zero_products_as_the_mean_does(name):
+    # (-1, 0) * (0, -1) is (-0.0, -0.0). `_mean` adds its terms to 0.0, so the score is +0.0; score_frame's
+    # running sum starts at its first term and relies on `feature_dots` summing such products to +0.0.
+    cfg = replace(BATCH_CONFIGS[name], enable_crowd_heuristic=False)
+    state = TrackerState(PARAMS, frame_cursor=3)
+    state.spawn(make_frame(3, [make_det(3, 8, 0, feature=(-1.0, 0.0))]), np.arange(1))
+    dets = [make_det(4, 0, 0, feature=(0.0, -1.0))]
+    tent = TentativeTrack(((4, dets[0]), (5, make_det(5, 4, 0, feature=(0.0, -1.0)))))
+    z, _ = score_frame(state, _scored_tentatives(cfg, dets, [tent]), cfg)
+    z_ref, _ = _per_pair_scores(state, dets, [tent], cfg)
+    assert z.tobytes() == z_ref.tobytes() == np.zeros((1, 1)).tobytes()
 
 
 def test_walk_raises_when_the_forecast_overflows():
