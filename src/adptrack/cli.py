@@ -20,7 +20,8 @@ from . import __version__
 from .base_tracker import TrackerParams
 from .base_tracker import run as run_base
 from .mda_dp import MdaInstance, avs_solve, exact_solve
-from .metrics import DEFAULT_IOU_THRESHOLD, LabeledBox, evaluate
+from .core import box_array
+from .metrics import DEFAULT_IOU_THRESHOLD, BoxTable, evaluate
 from .motio import (
     DataError,
     attach_features,
@@ -129,9 +130,7 @@ def cmd_track(ns) -> int:
 
 
 def cmd_eval(ns) -> int:
-    gt = read_gt(ns.gt)
-    res = read_gt(ns.res)
-    report = evaluate(gt, res, ns.iou_thresh)
+    report = evaluate(read_gt(ns.gt), read_gt(ns.res), ns.iou_thresh)
     name = ns.name if ns.name else Path(ns.res).stem
     line = f"{name},{_metric_cells(report)}"
     Path(ns.out).write_text(_EVAL_HEADER + "\n" + line + "\n", encoding="utf-8")
@@ -192,8 +191,8 @@ def _sweep_worker(task):
     start = time.perf_counter()
     rows = run_adp(frames, params, cfg)
     runtime = time.perf_counter() - start
-    pred_boxes = [LabeledBox(frame=f, id=tid, bbox=det.bbox) for f, tid, det in rows]
-    return evaluate(read_gt(gt_path), pred_boxes), runtime
+    pred = BoxTable([r[0] for r in rows], [r[1] for r in rows], box_array(det.bbox for _, _, det in rows))
+    return evaluate(read_gt(gt_path), pred), runtime
 
 
 def cmd_sweep(ns) -> int:

@@ -69,8 +69,9 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     if iw <= 0 or ih <= 0:
         return 0.0
     inter = iw * ih
-    # Rounding in right/bottom can push inter a hair past the union.
-    return min(1.0, inter / (a.area + b.area - inter))
+    # Rounding in right/bottom can push inter a hair past the union. The union's
+    # floor, as in `iou_array`, keeps 0 / 0 out where both areas underflow.
+    return min(1.0, inter / max(a.area + b.area - inter, 5e-324))
 
 
 def box_array(boxes) -> np.ndarray:

@@ -7,12 +7,12 @@ compare against the last prediction id a ground-truth trajectory was ever
 matched to; fragmentations count matched-unmatched-matched transitions over
 the frames where the trajectory exists. IDF1 comes from one global maximum
 matching between gt and prediction identities weighted by the number of
-frames in which their boxes are compatible. Both read one IOU matrix per frame.
+frames in which their boxes are compatible. Both read one IOU matrix per frame,
+sliced from two `BoxTable`s of rows sorted by (frame, id), as `motio.read_gt` reads them.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +22,7 @@ from .assignment import WeightMatrix, hungarian_max
 from .core import BoundingBox, box_array, iou_matrix
 from .core import iou  # noqa: F401  (the benchmark's probe wraps metrics.iou by name)
 
-__all__ = ["DEFAULT_IOU_THRESHOLD", "LabeledBox", "MetricsReport", "clear_match", "evaluate"]
+__all__ = ["DEFAULT_IOU_THRESHOLD", "BoxTable", "LabeledBox", "MetricsReport", "clear_match", "evaluate"]
 
 # Overlap a prediction needs to count as a detection of a gt box (the CLEAR convention).
 DEFAULT_IOU_THRESHOLD = 0.5
@@ -35,6 +35,29 @@ class LabeledBox:
     frame: int
     id: int
     bbox: BoundingBox
+
+
+@dataclass(frozen=True, eq=False)
+class BoxTable:
+    """Labeled boxes as read-only rows sorted by (frame, id), ties kept in given order; not validated.
+
+    `frames` and `ids` are (n,) int64, `boxes` (n, 4) float64 of (left, top, width, height)."""
+
+    frames: np.ndarray
+    ids: np.ndarray
+    boxes: np.ndarray
+
+    def __post_init__(self):
+        order = np.lexsort((self.ids, self.frames))
+        for name, dtype, row in (("frames", np.int64, ()), ("ids", np.int64, ()), ("boxes", np.float64, (4,))):
+            column = np.asarray(getattr(self, name), dtype=dtype).reshape(-1, *row)[order]
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def from_boxes(cls, boxes) -> BoxTable:
+        boxes = list(boxes)
+        return cls([b.frame for b in boxes], [b.id for b in boxes], box_array(b.bbox for b in boxes))
 
 
 @dataclass(frozen=True)
@@ -94,64 +117,52 @@ def clear_match(
     return corr
 
 
-def _by_frame(boxes) -> dict[int, list[LabeledBox]]:
-    grouped = defaultdict(list)
-    for b in boxes:
-        grouped[b.frame].append(b)
-    for frame in grouped:
-        grouped[frame].sort(key=lambda b: b.id)
-    return grouped
-
-
 def evaluate(gt, pred, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> MetricsReport:
-    """Score a prediction set against ground truth."""
-    gt = list(gt)
-    pred = list(pred)
-    if not gt:
+    """Score a prediction set against ground truth, each a `BoxTable` or an iterable of `LabeledBox`."""
+    gt, pred = (t if isinstance(t, BoxTable) else BoxTable.from_boxes(t) for t in (gt, pred))
+    if not len(gt.frames):
         raise ValueError("ground truth must not be empty")
 
-    gt_frames = _by_frame(gt)
-    pred_frames = _by_frame(pred)
-    frames = sorted(set(gt_frames) | set(pred_frames))
-
-    gt_pos = {gid: i for i, gid in enumerate(sorted({g.id for g in gt}))}
-    pred_pos = {pid: j for j, pid in enumerate(sorted({p.id for p in pred}))}
-    counts = np.zeros((len(gt_pos), len(pred_pos)))
+    # Each frame's rows of either table, as [start, stop) slices of the sorted frames.
+    frames = np.union1d(gt.frames, pred.frames)
+    cuts = [np.searchsorted(t.frames, frames, side=side).tolist() for t in (gt, pred) for side in ("left", "right")]
+    gt_ids, pred_ids = gt.ids.tolist(), pred.ids.tolist()
+    # Row -> count-matrix index of its id, ids in sorted order.
+    gt_uniq, gt_pos = np.unique(gt.ids, return_inverse=True)
+    pred_uniq, pred_pos = np.unique(pred.ids, return_inverse=True)
+    counts = np.zeros((len(gt_uniq), len(pred_uniq)))
 
     fp = fn = idsw = frag = 0
     last_matched: dict[int, int] = {}  # gt id -> pred id of its last match
     interrupted: set[int] = set()  # gt ids unmatched since their last match
 
-    for frame in frames:
-        gts = gt_frames.get(frame, [])
-        preds = pred_frames.get(frame, [])
-        overlap = iou_matrix(box_array([g.bbox for g in gts]), box_array([p.bbox for p in preds]))
-        corr = clear_match(overlap, [g.id for g in gts], [p.id for p in preds], last_matched, iou_threshold)
+    for g0, g1, p0, p1 in zip(*cuts):
+        gts, preds = gt_ids[g0:g1], pred_ids[p0:p1]
+        overlap = iou_matrix(gt.boxes[g0:g1], pred.boxes[p0:p1])
+        corr = clear_match(overlap, gts, preds, last_matched, iou_threshold)
 
         matched = set(corr.values())
-        fp += sum(1 for p in preds if p.id not in matched)
-        fn += sum(1 for g in gts if g.id not in corr)
+        fp += sum(1 for pid in preds if pid not in matched)
+        fn += sum(1 for gid in gts if gid not in corr)
 
-        for g in gts:
-            pid = corr.get(g.id)
+        for gid in gts:
+            pid = corr.get(gid)
             if pid is None:
-                if g.id in last_matched:
-                    interrupted.add(g.id)
+                if gid in last_matched:
+                    interrupted.add(gid)
                 continue
-            if g.id in last_matched and last_matched[g.id] != pid:
+            if gid in last_matched and last_matched[gid] != pid:
                 idsw += 1
-            last_matched[g.id] = pid
-            if g.id in interrupted:
+            last_matched[gid] = pid
+            if gid in interrupted:
                 frag += 1
-                interrupted.remove(g.id)
+                interrupted.remove(gid)
 
         i, j = np.nonzero(overlap >= iou_threshold)
-        gt_idx = np.array([gt_pos[g.id] for g in gts], dtype=np.intp)
-        pred_idx = np.array([pred_pos[p.id] for p in preds], dtype=np.intp)
-        np.add.at(counts, (gt_idx[i], pred_idx[j]), 1.0)
+        np.add.at(counts, (gt_pos[g0:g1][i], pred_pos[p0:p1][j]), 1.0)
 
-    gt_total = len(gt)
-    pred_total = len(pred)
+    gt_total = len(gt.frames)
+    pred_total = len(pred.frames)
 
     # Every maximum matching of the integer counts has the same total, so one
     # solve gives IDTP and no tie-break between optimal pairings is needed.

@@ -4,8 +4,9 @@ Detection and ground-truth files use the usual comma-separated rows
 ``frame,id,left,top,width,height,conf[,...]``. Features travel in a separate
 CSV keyed by (frame, detection index within frame); vectors are normalized on
 load, so any positive rescaling of the raw file leaves downstream cosine
-computations unchanged. Result files are written with 6 significant digits
-and a fixed sort order so reruns are byte-comparable.
+computations unchanged. A ground-truth or result file is read once into a
+`metrics.BoxTable`. Result files are written with 6 significant digits and
+a fixed sort order so reruns are byte-comparable.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ import io
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import BoundingBox, Detection, FeatureVec, FrameData
-from .metrics import LabeledBox
+from .metrics import BoxTable, LabeledBox
 
 __all__ = [
     "DataError",
@@ -65,13 +68,13 @@ def _parse_fields(path, lineno, line, minimum):
     return frame, obj_id, numbers
 
 
-def _check_box_size(path, lineno, width, height):
+def _box_size_error(width, height):
     if width <= 0 or height <= 0:
-        raise DataError(f"{path}:{lineno}: non-positive box size {width}x{height}")
+        return f"non-positive box size {width}x{height}"
     # Overlap divides by areas; sides too small for their product to be a
     # positive float would divide by zero there.
     if not width * height > 0:
-        raise DataError(f"{path}:{lineno}: box area {width}x{height} underflows to 0")
+        return f"box area {width}x{height} underflows to 0"
 
 
 def _numbered_lines(path):
@@ -109,7 +112,8 @@ def read_detections(path) -> list[FrameData]:
         left, top, width, height, conf = nums[0], nums[1], nums[2], nums[3], nums[4]
         if not (1 <= frame <= MAX_FRAME_INDEX):
             raise DataError(f"{path}:{lineno}: frame index must lie in [1, {MAX_FRAME_INDEX}], got {frame}")
-        _check_box_size(path, lineno, width, height)
+        if (error := _box_size_error(width, height)) is not None:
+            raise DataError(f"{path}:{lineno}: {error}")
         if not (0.0 <= conf <= 1.0):
             raise DataError(f"{path}:{lineno}: confidence {conf} outside [0, 1]")
         det = Detection(frame=frame, bbox=BoundingBox(left, top, width, height), feature=None, confidence=conf)
@@ -121,29 +125,55 @@ def read_detections(path) -> list[FrameData]:
     ]
 
 
-def read_gt(path) -> list[LabeledBox]:
-    """Parse a ground-truth (or result) file into labeled boxes.
+def _column(texts, kind):
+    """`kind` (int or float) of each text as an array up to the first failure, its row (none or one) and message."""
+    dtype = np.int64 if kind is int else np.float64
+    try:
+        return np.array(list(map(kind, texts)), dtype=dtype), [], None
+    except (ValueError, OverflowError):  # a text `kind` rejects, or an int beyond int64
+        for row, text in enumerate(texts):
+            try:
+                np.array(kind(text), dtype=dtype)
+            except (ValueError, OverflowError) as exc:
+                message = str(exc) if isinstance(exc, ValueError) else f"integer {kind(text)} does not fit in 64 bits"
+                return np.array(list(map(kind, texts[:row])), dtype=dtype), [row], message
 
-    Requires ids >= 1, unique (frame, id) pairs and boxes whose area is a
-    positive float; columns beyond the box are accepted and ignored, so 9-
-    and 10-column variants both parse.
+
+def read_gt(path) -> BoxTable:
+    """Read a ground-truth (or result) file in one pass into a `BoxTable`; columns past the box are ignored.
+
+    A line needs at least 6 fields, parsed by Python's `int` (frame, id) and `float` (box), all finite, frame
+    and id >= 1, a box whose area is a positive float, and a (frame, id) no earlier line has. Each check runs
+    on all rows at once; the first bad line (a duplicate's second) raises for its first failing check.
     """
-    boxes: list[LabeledBox] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, line in _data_lines(path):
-        frame, obj_id, nums = _parse_fields(path, lineno, line, 6)
-        left, top, width, height = nums
-        if frame < 1:
-            raise DataError(f"{path}:{lineno}: frame index must be >= 1, got {frame}")
-        if obj_id < 1:
-            raise DataError(f"{path}:{lineno}: object id must be >= 1, got {obj_id}")
-        _check_box_size(path, lineno, width, height)
-        key = (frame, obj_id)
-        if key in seen:
-            raise DataError(f"{path}:{lineno}: duplicate (frame, id) = {key}")
-        seen.add(key)
-        boxes.append(LabeledBox(frame=frame, id=obj_id, bbox=BoundingBox(left, top, width, height)))
-    return boxes
+    lines = list(_data_lines(path))
+    rows = [line.split(",", 6) for _, line in lines]  # the six fields read, then the rest of the line
+    stop, error = len(rows), None  # the first bad row so far, and its message
+
+    def check(failing, message):
+        nonlocal stop, error
+        first = min(map(int, failing), default=stop)
+        if first < stop:
+            stop, error = first, message(first)
+
+    check(np.flatnonzero([len(r) < 6 for r in rows]), lambda i: f"expected at least 6 fields, got {len(rows[i])}")
+    columns = [_column([r[k] for r in rows[:stop]], int if k < 2 else float) for k in range(6)]
+    for _, failed, message in columns:
+        check(failed, lambda i: message)
+    frames, ids, left, top, width, height = (values[:stop] for values, _, _ in columns)
+    boxes = np.stack([left, top, width, height], axis=1)
+    check(np.flatnonzero(~np.isfinite(boxes).all(axis=1)), lambda i: f"non-finite number in {','.join(rows[i][2:6])}")
+    check(np.flatnonzero(frames < 1), lambda i: f"frame index must be >= 1, got {int(frames[i])}")
+    check(np.flatnonzero(ids < 1), lambda i: f"object id must be >= 1, got {int(ids[i])}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        small = ~((width > 0) & (height > 0) & (width * height > 0))
+    check(np.flatnonzero(small), lambda i: _box_size_error(float(width[i]), float(height[i])))
+    order = np.lexsort((ids[:stop], frames[:stop]))
+    again = (frames[order][1:] == frames[order][:-1]) & (ids[order][1:] == ids[order][:-1])
+    check(order[1:][again], lambda i: f"duplicate (frame, id) = {(int(frames[i]), int(ids[i]))}")
+    if error is not None:
+        raise DataError(f"{path}:{lines[stop][0]}: {error}")
+    return BoxTable(frames, ids, boxes)
 
 
 def read_features(path, dets: list[FrameData]) -> FeatureTable:

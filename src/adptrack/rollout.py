@@ -269,7 +269,8 @@ def score_frame(state: TrackerState, tents, cfg: AdpConfig) -> tuple[np.ndarray,
 
     - the walk IOUs and representative cosines come from one array walk over
       all pairs, and the candidate filter is a mask over them;
-    - f1 and f3 take one term per entry (K = 1) from them;
+    - f1 and f3 take one term per entry (K = 1) from them; f1 reads only the
+      IOUs, so it takes no cosine product;
     - main takes the products of the trusted windows, zero-padded to the
       longest scored one (K rows), with every entry the filter keeps, one
       window slot of every track at a time;
@@ -296,6 +297,7 @@ def score_frame(state: TrackerState, tents, cfg: AdpConfig) -> tuple[np.ndarray,
         boxes = np.zeros((*present.shape, 4))
         boxes[present] = box_array(det.bbox for det in entries)
         walk = _frame_walk(state.forecast[rows], boxes, lengths)
+    if cfg.variant is Variant.F3 or filtered:  # f1 reads only the walk IOUs
         cos = np.clip(feature_dots(state.rep[rows][:, None, None], feats), -1.0, 1.0)
     if per_entry:
         # 0 past a tentative's end, where the walk IOU is 0

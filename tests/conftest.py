@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 
 from adptrack.core import BoundingBox, Detection, FeatureVec, FrameData
 from adptrack.metrics import LabeledBox
+from adptrack.motio import DataError, _data_lines
 from adptrack.motion import KalmanState
 
 
@@ -49,6 +52,49 @@ def state_row(state, i):
 
 def rows_to_boxes(rows):
     return [LabeledBox(frame=f, id=tid, bbox=det.bbox) for f, tid, det in rows]
+
+
+def oracle_read_gt(path):
+    """A ground-truth file as LabeledBoxes in file order, read and checked one line at a time.
+
+    The reference for `motio.read_gt`: each line's checks run in order (field
+    count, int and float parsing, finiteness, frame >= 1, id >= 1, positive
+    size, area underflow, duplicate (frame, id)) and the first failure raises.
+    """
+    boxes, seen = [], set()
+    for lineno, line in _data_lines(path):
+        def fail(message):
+            raise DataError(f"{path}:{lineno}: {message}")
+
+        fields = line.split(",")
+        if len(fields) < 6:
+            fail(f"expected at least 6 fields, got {len(fields)}")
+        try:
+            frame = int(fields[0])
+            obj_id = int(fields[1])
+            left, top, width, height = [float(x) for x in fields[2:6]]
+        except ValueError as exc:
+            fail(exc)
+        if not all(math.isfinite(x) for x in (left, top, width, height)):
+            fail(f"non-finite number in {','.join(fields[2:6])}")
+        if frame < 1:
+            fail(f"frame index must be >= 1, got {frame}")
+        if obj_id < 1:
+            fail(f"object id must be >= 1, got {obj_id}")
+        if width <= 0 or height <= 0:
+            fail(f"non-positive box size {width}x{height}")
+        if not width * height > 0:
+            fail(f"box area {width}x{height} underflows to 0")
+        if (frame, obj_id) in seen:
+            fail(f"duplicate (frame, id) = {(frame, obj_id)}")
+        seen.add((frame, obj_id))
+        boxes.append(LabeledBox(frame=frame, id=obj_id, bbox=BoundingBox(left, top, width, height)))
+    return boxes
+
+
+def table_rows(table):
+    """A BoxTable's rows as (frame, id, left, top, width, height) tuples of Python numbers."""
+    return list(zip(table.frames.tolist(), table.ids.tolist(), *table.boxes.T.tolist()))
 
 
 def count_calls(monkeypatch, module, name):

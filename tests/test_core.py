@@ -69,6 +69,8 @@ def test_iou_matrix_equals_scalar_iou(data):
         (BoundingBox(0, 0.25, 1, 0.5), BoundingBox(0, 0.75, 1, 0.5), 0.0),  # shared edge, equal left edges
         (BoundingBox(0, 0, 1, 1), BoundingBox(0, 5, 1, 1), 0.0),  # disjoint, equal left edges
         (BoundingBox(0, 0, 1e-200, 1e-200), BoundingBox(5, 5, 1e-200, 1e-200), 0.0),  # disjoint, areas underflow
+        # overlapping, but the intersection and both areas underflow: 0 over the union's floor
+        (BoundingBox(0, 0, 1e-200, 1e-200), BoundingBox(0.5e-200, 0, 1e-200, 1e-200), 0.0),
     ],
 )
 def test_iou_matrix_examples(a, b, expected):

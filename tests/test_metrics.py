@@ -1,13 +1,18 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from adptrack import metrics
 from adptrack.assignment import WeightMatrix, brute_force_match, hungarian_max
+from adptrack.base_tracker import TrackerParams, run as run_base
 from adptrack.core import BoundingBox, box_array, iou, iou_matrix
-from adptrack.metrics import LabeledBox, MetricsReport, clear_match, evaluate
+from adptrack.metrics import BoxTable, LabeledBox, MetricsReport, clear_match, evaluate
+from adptrack.motio import read_gt, write_gt, write_results
+from adptrack.synthworld import generate, occlusion_preset
 
-from conftest import count_calls
+from conftest import count_calls, oracle_read_gt, table_rows
 
 
 def box(left, top=0.0, size=10.0):
@@ -182,6 +187,61 @@ def test_empty_prediction():
     assert report.fp == 0 and report.idsw == 0
     assert report.mota == pytest.approx(0.0)
     assert report.idf1 == 0.0
+
+
+def _preset_files(tmp_path, cfg):
+    """The gt file of a preset scene and the result file of its base run."""
+    scenario = generate(cfg)
+    gt, res = tmp_path / "gt.txt", tmp_path / "res.txt"
+    write_gt(gt, list(scenario.gt))
+    write_results(res, run_base(list(scenario.det_frames), TrackerParams()))
+    return gt, res
+
+
+def test_evaluate_on_tables_equals_evaluate_on_box_lists_on_the_presets(tmp_path):
+    for cfg in occlusion_preset():
+        gt, res = _preset_files(tmp_path, cfg)
+        assert evaluate(read_gt(gt), read_gt(res)) == evaluate(oracle_read_gt(gt), oracle_read_gt(res))
+
+
+def test_row_order_in_the_files_leaves_the_report_unchanged(tmp_path):
+    gt, res = _preset_files(tmp_path, occlusion_preset()[3])
+    expected = evaluate(read_gt(gt), read_gt(res))
+    for name, reorder in (("reversed", lambda lines: lines[::-1]), ("shuffled", lambda lines: random.Random(5).sample(lines, len(lines)))):
+        paths = []
+        for path in (gt, res):
+            moved = tmp_path / f"{name}-{path.name}"
+            moved.write_text("\n".join(reorder(path.read_text().splitlines())) + "\n")
+            assert table_rows(read_gt(moved)) == table_rows(read_gt(path))
+            paths.append(moved)
+        assert evaluate(*map(read_gt, paths)) == expected
+
+
+def test_empty_result_file_misses_every_gt_box(tmp_path):
+    gt, res = _preset_files(tmp_path, occlusion_preset()[0])
+    res.write_text("")
+    report = evaluate(read_gt(gt), read_gt(res))
+    assert report.fn == report.gt_total == len(read_gt(gt).frames) > 0
+    assert (report.fp, report.idsw, report.frag, report.idf1, report.mota) == (0, 0, 0, 0.0, 0.0)
+
+
+def test_frames_held_by_one_side_only():
+    # frame 1 holds gt only and frame 3 predictions only; the rows are given out of order
+    rows = [(4, 1), (1, 1), (2, 1)], [(3, 9), (4, 9), (2, 9)]
+    gt, pred = (BoxTable([f for f, _ in side], [i for _, i in side], [(0.0, 0.0, 10.0, 10.0)] * 3) for side in rows)
+    assert gt.frames.tolist() == [1, 2, 4] and pred.frames.tolist() == [2, 3, 4]
+    report = evaluate(gt, pred, 0.5)
+    assert (report.fp, report.fn, report.idsw, report.frag, report.gt_total) == (1, 1, 0, 0, 3)
+    assert report.idf1 == 2.0 * 2 / 6
+    assert report == evaluate([LabeledBox(f, i, box(0)) for f, i in rows[0]], [LabeledBox(f, i, box(0)) for f, i in rows[1]])
+
+
+def test_box_table_is_read_only_and_keeps_the_order_of_equal_keys():
+    table = BoxTable.from_boxes([lb(2, 1, 0), lb(1, 1, 5), lb(1, 1, 3)])
+    assert table_rows(table) == [(1, 1, 5.0, 0.0, 10.0, 10.0), (1, 1, 3.0, 0.0, 10.0, 10.0), (2, 1, 0.0, 0.0, 10.0, 10.0)]
+    for column in (table.frames, table.ids, table.boxes):
+        with pytest.raises(ValueError):
+            column[0] = 0
 
 
 def test_empty_gt_rejected():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_det
+from conftest import make_det, oracle_read_gt, table_rows
 
 from adptrack.base_tracker import TrackerParams, run as run_base
 from adptrack.core import BoundingBox, Detection, FrameData
@@ -70,8 +70,8 @@ def test_read_detections_errors_carry_line_numbers(tmp_path):
 def test_read_gt_variants(tmp_path):
     p = tmp_path / "gt.txt"
     p.write_text("1,7,0,0,10,10,1,1,1\n2,7,0,0,10,10,1,1,1,0.5\n")
-    boxes = read_gt(p)
-    assert [(b.frame, b.id) for b in boxes] == [(1, 7), (2, 7)]
+    table = read_gt(p)
+    assert table_rows(table) == [(1, 7, 0.0, 0.0, 10.0, 10.0), (2, 7, 0.0, 0.0, 10.0, 10.0)]
 
 
 def test_read_gt_rejects_duplicates_and_bad_ids(tmp_path):
@@ -133,8 +133,8 @@ def test_write_results_sorting_and_roundtrip(tmp_path):
     assert [l.split(",")[:2] for l in lines] == [["1", "1"], ["1", "2"], ["2", "1"]]
 
     parsed = read_gt(out)
-    assert parsed[2].bbox.left == pytest.approx(0.123456789, abs=1e-6)
-    assert parsed[2].bbox.height == 20.25
+    assert parsed.boxes[2, 0] == pytest.approx(0.123456789, abs=1e-6)
+    assert parsed.boxes[2, 3] == 20.25
 
 
 def test_write_results_empty(tmp_path):
@@ -148,11 +148,10 @@ def test_gt_roundtrip(tmp_path):
     path = tmp_path / "gt.txt"
     write_gt(path, list(sc.gt))
     parsed = read_gt(path)
-    assert len(parsed) == len(sc.gt)
+    assert len(parsed.frames) == len(sc.gt)
     originals = {(b.frame, b.id): b.bbox for b in sc.gt}
-    for b in parsed:
-        orig = originals[(b.frame, b.id)]
-        assert b.bbox.left == pytest.approx(orig.left, rel=1e-5, abs=1e-4)
+    for frame, obj_id, left, *_ in table_rows(parsed):
+        assert left == pytest.approx(originals[(frame, obj_id)].left, rel=1e-5, abs=1e-4)
 
 
 def test_detection_feature_roundtrip(tmp_path):
@@ -234,6 +233,83 @@ def test_fuzz_read_detections(data):
 @given(_any_file)
 def test_fuzz_read_gt(data):
     _parses_or_data_error(data, read_gt)
+
+
+def test_read_gt_sorts_rows_and_reports_the_first_bad_line(tmp_path):
+    p = tmp_path / "gt.txt"
+    p.write_text("2,1,0,0,5,5\n1,3,1,0,5,5\n\n1,2,2,0,5,5\n")
+    assert table_rows(read_gt(p)) == [(1, 2, 2.0, 0.0, 5.0, 5.0), (1, 3, 1.0, 0.0, 5.0, 5.0), (2, 1, 0.0, 0.0, 5.0, 5.0)]
+    # line 2 fails three checks and reports the first; line 3 would fail an earlier check than line 2's
+    p.write_text("1,1,0,0,5,5\n0,0,0,0,-5,5\n1,1,x,0,5,5\n")
+    with pytest.raises(DataError, match=r"gt.txt:2: frame index must be >= 1, got 0$"):
+        read_gt(p)
+    # a duplicate is reported at its second line, after the checks of the lines before it
+    p.write_text("1,1,0,0,5,5\n2,1,0,0,5,5\n1,1,0,0,5,5\n2,1,0,0,5,5\n1,1,0,0,5\n")
+    with pytest.raises(DataError, match=r"gt.txt:3: duplicate \(frame, id\) = \(1, 1\)$"):
+        read_gt(p)
+
+
+def test_read_gt_rejects_integers_beyond_64_bits(tmp_path):
+    p = tmp_path / "gt.txt"
+    p.write_text(f"1,1,0,0,5,5\n{2**63},1,0,0,5,5\n")
+    with pytest.raises(DataError, match=f"gt.txt:2: integer {2**63} does not fit in 64 bits"):
+        read_gt(p)
+
+
+# Reader oracle: `read_gt` returns the per-line reader's rows sorted by (frame, id), or raises its DataError.
+
+# Valid fields, some in spellings that Python's int and float accept; then edge values, most of which fail a check.
+_key = st.one_of(st.integers(1, 5).map(str), st.sampled_from([" 2", "+3", "0_1", "１"]))
+_position = st.one_of(st.floats(-50, 50).map(repr), st.sampled_from(["-0", " 7.5", "2_0", "1e-300"]))
+_side = st.one_of(st.floats(0.5, 50).map(repr), st.sampled_from(["1e-170", "1e200", "4_0"]))
+_edge = st.sampled_from(["0", "-1", "-0.0", "1e-200", "1e400", "-inf", "nan", "5.5", "1e200"])
+_edge_key = st.sampled_from(["0", "-1", "-0", "1.0"])
+_gt_row = st.builds(
+    lambda keys, position, size, extra: keys + position + size + extra,
+    st.lists(_key, min_size=2, max_size=2),
+    st.lists(_position, min_size=2, max_size=2),
+    st.lists(_side, min_size=2, max_size=2),
+    st.lists(_token, max_size=4),
+)
+
+
+@st.composite
+def _mostly_valid_file(draw):
+    """Valid rows over 25 (frame, id) keys, so duplicates are common; one row may lose fields, be repeated or
+    have one or two fields replaced, so that a line can fail two checks at once."""
+    rows = draw(st.lists(_gt_row, min_size=1, max_size=8))
+    k = draw(st.integers(0, len(rows) - 1))
+    action = draw(st.sampled_from(["none", "edge-value", "bad-token", "edge-keys", "drop-fields", "repeat"]))
+    if action == "edge-keys":
+        rows[k][:2] = draw(st.lists(_edge_key, min_size=2, max_size=2))
+    elif action in ("edge-value", "bad-token"):
+        for field in draw(st.sets(st.integers(0, 5), min_size=1, max_size=2)):
+            rows[k][field] = draw(_edge if action == "edge-value" else _token)
+    elif action == "drop-fields":
+        rows[k] = rows[k][: draw(st.integers(0, 5))]
+    elif action == "repeat":
+        rows.insert(draw(st.integers(k + 1, len(rows))), list(rows[k]))
+    return "\n".join(",".join(row) for row in rows).encode("utf-8")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_any_file, _mostly_valid_file()))
+def test_read_gt_equals_the_per_line_oracle(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "gt.txt")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            expected = oracle_read_gt(path)
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                read_gt(path)
+            assert str(got.value) == str(exc)
+            return
+        table = read_gt(path)
+    rows = sorted((b.frame, b.id, b.bbox.left, b.bbox.top, b.bbox.width, b.bbox.height) for b in expected)
+    assert table_rows(table) == rows
+    assert table.boxes.tobytes() == np.array([row[2:] for row in rows], dtype=np.float64).reshape(-1, 4).tobytes()
 
 
 _FUZZ_DETS = [FrameData(index=1, detections=(Detection(frame=1, bbox=BoundingBox(0, 0, 5, 5), feature=None, confidence=0.9),))]
