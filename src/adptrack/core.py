@@ -139,9 +139,11 @@ class FeatureVec:
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError(f"feature must be a 1-D vector of dimension >= 2, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("feature values must be finite")
-        norm = float(np.linalg.norm(arr))
+        # `np.linalg.norm`'s 1-D sum: the vector made contiguous, dotted with itself.
+        flat = np.ascontiguousarray(arr)
+        norm = math.sqrt(flat.dot(flat))
         if norm < 1e-12:
             raise ValueError("zero feature vector cannot be normalized")
         normed = arr / norm

@@ -5,14 +5,15 @@ Detection and ground-truth files use the usual comma-separated rows
 CSV keyed by (frame, detection index within frame); vectors are normalized on
 load, so any positive rescaling of the raw file leaves downstream cosine
 computations unchanged. A ground-truth or result file is read once into a
-`metrics.BoxTable`. Result files are written with 6 significant digits and
+`metrics.BoxTable`. All three readers share one column reader and one error
+rule: a bad file raises a `DataError` for its first bad line and that line's
+first failing check. Result files are written with 6 significant digits and
 a fixed sort order so reruns are byte-comparable.
 """
 
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,30 +54,6 @@ class FeatureTable:
     rows: dict[tuple[int, int], FeatureVec]
 
 
-def _parse_fields(path, lineno, line, minimum):
-    fields = line.split(",")
-    if len(fields) < minimum:
-        raise DataError(f"{path}:{lineno}: expected at least {minimum} fields, got {len(fields)}")
-    try:
-        frame = int(fields[0])
-        obj_id = int(fields[1])
-        numbers = [float(x) for x in fields[2:minimum]]
-    except ValueError as exc:
-        raise DataError(f"{path}:{lineno}: {exc}") from None
-    if not all(math.isfinite(x) for x in numbers):
-        raise DataError(f"{path}:{lineno}: non-finite number in {','.join(fields[2:minimum])}")
-    return frame, obj_id, numbers
-
-
-def _box_size_error(width, height):
-    if width <= 0 or height <= 0:
-        return f"non-positive box size {width}x{height}"
-    # Overlap divides by areas; sides too small for their product to be a
-    # positive float would divide by zero there.
-    if not width * height > 0:
-        return f"box area {width}x{height} underflows to 0"
-
-
 def _numbered_lines(path):
     """(line number, line) pairs of a UTF-8 text file; undecodable bytes raise a DataError naming their line."""
     with open(path, "rb") as fh:
@@ -88,41 +65,6 @@ def _numbered_lines(path):
         lineno = len(io.StringIO(data[: exc.start].decode("utf-8") + "x", newline=None).readlines())
         raise DataError(f"{path}:{lineno}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     return enumerate(io.StringIO(text, newline=None), start=1)
-
-
-def _data_lines(path):
-    for lineno, raw in _numbered_lines(path):
-        line = raw.strip()
-        if line:
-            yield lineno, line
-
-
-def read_detections(path) -> list[FrameData]:
-    """Parse a detection file into per-frame data (features not yet attached).
-
-    Rows are grouped by frame preserving file order within each frame; frames
-    absent from the file come back empty so indices stay contiguous from 1.
-    Frame indices above `MAX_FRAME_INDEX`, and boxes whose area is not a
-    positive float, raise a `DataError`.
-    """
-    per_frame: dict[int, list[Detection]] = {}
-    max_frame = 0
-    for lineno, line in _data_lines(path):
-        frame, _, nums = _parse_fields(path, lineno, line, 7)
-        left, top, width, height, conf = nums[0], nums[1], nums[2], nums[3], nums[4]
-        if not (1 <= frame <= MAX_FRAME_INDEX):
-            raise DataError(f"{path}:{lineno}: frame index must lie in [1, {MAX_FRAME_INDEX}], got {frame}")
-        if (error := _box_size_error(width, height)) is not None:
-            raise DataError(f"{path}:{lineno}: {error}")
-        if not (0.0 <= conf <= 1.0):
-            raise DataError(f"{path}:{lineno}: confidence {conf} outside [0, 1]")
-        det = Detection(frame=frame, bbox=BoundingBox(left, top, width, height), feature=None, confidence=conf)
-        per_frame.setdefault(frame, []).append(det)
-        max_frame = max(max_frame, frame)
-    return [
-        FrameData(index=f, detections=tuple(per_frame.get(f, ())))
-        for f in range(1, max_frame + 1)
-    ]
 
 
 def _column(texts, kind):
@@ -139,48 +81,110 @@ def _column(texts, kind):
                 return np.array(list(map(kind, texts[:row])), dtype=dtype), [row], message
 
 
+class _Rows:
+    """The non-blank lines of numbered text, split at commas, field count checked and parsed column by column.
+
+    Each check passes `check` the rows it fails, all rows at once, in the order one line's checks would run;
+    the earliest failing row is kept, so `raise_first` raises for the first bad line and its first failing
+    check. A line needs a field per kind (exactly, if `exact`); `columns` stop at the first bad row.
+    """
+
+    def __init__(self, path, numbered, kinds, exact=False):
+        self.path = path
+        self.lines = [(lineno, line) for lineno, raw in numbered if (line := raw.strip())]
+        n = len(kinds)
+        # Past the fields read, the rest of a line stays in one last field unless the count must be exact.
+        self.fields = [line.split(",", -1 if exact else n) for _, line in self.lines]
+        self.stop, self.error = len(self.lines), None
+        bad = [len(f) != n if exact else len(f) < n for f in self.fields]
+        expected = f"{n}" if exact else f"at least {n}"
+        self.check(np.flatnonzero(bad), lambda i: f"expected {expected} fields, got {len(self.fields[i])}")
+        parsed = [_column([f[k] for f in self.fields[: self.stop]], kind) for k, kind in enumerate(kinds)]
+        for _, failed, message in parsed:
+            self.check(failed, lambda i: message)
+        self.columns = [values[: self.stop] for values, _, _ in parsed]
+
+    def check(self, failing, message):
+        first = min(map(int, failing), default=self.stop)
+        if first < self.stop:
+            self.stop, self.error = first, message(first)
+
+    def check_finite(self, numbers):
+        """Rows of `numbers`, the float columns from the third field on, that hold a non-finite value."""
+        bad = np.flatnonzero(~np.isfinite(numbers).all(axis=1))
+        self.check(bad, lambda i: f"non-finite number in {','.join(self.fields[i][2 : 2 + numbers.shape[1]])}")
+
+    def check_box_size(self, width, height):
+        def size(i):
+            return f"{float(width[i])}x{float(height[i])}"
+
+        self.check(np.flatnonzero(~((width > 0) & (height > 0))), lambda i: f"non-positive box size {size(i)}")
+        # Overlap divides by areas; sides too small for their product to be a positive float would divide by 0.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.check(np.flatnonzero(~(width * height > 0)), lambda i: f"box area {size(i)} underflows to 0")
+
+    def check_unique(self, a, b, message):
+        """Rows whose (a, b) pair an earlier row has; `message` takes the pair as a tuple of ints."""
+        order = np.lexsort((b[: self.stop], a[: self.stop]))  # stable: equal pairs stay in file order
+        again = (a[order][1:] == a[order][:-1]) & (b[order][1:] == b[order][:-1])
+        self.check(order[1:][again], lambda i: message((int(a[i]), int(b[i]))))
+
+    def raise_first(self):
+        if self.error is not None:
+            raise DataError(f"{self.path}:{self.lines[self.stop][0]}: {self.error}")
+
+
+def read_detections(path) -> list[FrameData]:
+    """Parse a detection file into per-frame data (features not yet attached).
+
+    A line needs at least 7 fields: `int` frame and id, finite `float` box and confidence, a frame in
+    [1, `MAX_FRAME_INDEX`], a box whose area is a positive float and a confidence in [0, 1]. Rows are grouped
+    by frame in file order; frames absent from the file come back empty so indices stay contiguous from 1.
+    """
+    rows = _Rows(path, _numbered_lines(path), (int, int, float, float, float, float, float))
+    frames, _, left, top, width, height, conf = rows.columns
+    rows.check_finite(np.stack([left, top, width, height, conf], axis=1))
+    outside = np.flatnonzero((frames < 1) | (frames > MAX_FRAME_INDEX))
+    rows.check(outside, lambda i: f"frame index must lie in [1, {MAX_FRAME_INDEX}], got {int(frames[i])}")
+    rows.check_box_size(width, height)
+    rows.check(np.flatnonzero(~((conf >= 0.0) & (conf <= 1.0))), lambda i: f"confidence {float(conf[i])} outside [0, 1]")
+    rows.raise_first()
+    order = np.argsort(frames, kind="stable")
+    dets = [
+        Detection(frame=f, bbox=BoundingBox(x, y, w, h), feature=None, confidence=c)
+        for f, x, y, w, h, c in zip(*(column[order].tolist() for column in (frames, left, top, width, height, conf)))
+    ]
+    bounds = np.searchsorted(frames[order], np.arange(1, frames.max(initial=0) + 2)).tolist()
+    return [FrameData(index=f, detections=tuple(dets[bounds[f - 1] : bounds[f]])) for f in range(1, len(bounds))]
+
+
 def read_gt(path) -> BoxTable:
     """Read a ground-truth (or result) file in one pass into a `BoxTable`; columns past the box are ignored.
 
-    A line needs at least 6 fields, parsed by Python's `int` (frame, id) and `float` (box), all finite, frame
-    and id >= 1, a box whose area is a positive float, and a (frame, id) no earlier line has. Each check runs
-    on all rows at once; the first bad line (a duplicate's second) raises for its first failing check.
+    A line needs at least 6 fields: `int` frame and id, both >= 1, a finite `float` box whose area is a
+    positive float, and a (frame, id) no earlier line has.
     """
-    lines = list(_data_lines(path))
-    rows = [line.split(",", 6) for _, line in lines]  # the six fields read, then the rest of the line
-    stop, error = len(rows), None  # the first bad row so far, and its message
-
-    def check(failing, message):
-        nonlocal stop, error
-        first = min(map(int, failing), default=stop)
-        if first < stop:
-            stop, error = first, message(first)
-
-    check(np.flatnonzero([len(r) < 6 for r in rows]), lambda i: f"expected at least 6 fields, got {len(rows[i])}")
-    columns = [_column([r[k] for r in rows[:stop]], int if k < 2 else float) for k in range(6)]
-    for _, failed, message in columns:
-        check(failed, lambda i: message)
-    frames, ids, left, top, width, height = (values[:stop] for values, _, _ in columns)
+    rows = _Rows(path, _numbered_lines(path), (int, int, float, float, float, float))
+    frames, ids, left, top, width, height = rows.columns
     boxes = np.stack([left, top, width, height], axis=1)
-    check(np.flatnonzero(~np.isfinite(boxes).all(axis=1)), lambda i: f"non-finite number in {','.join(rows[i][2:6])}")
-    check(np.flatnonzero(frames < 1), lambda i: f"frame index must be >= 1, got {int(frames[i])}")
-    check(np.flatnonzero(ids < 1), lambda i: f"object id must be >= 1, got {int(ids[i])}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        small = ~((width > 0) & (height > 0) & (width * height > 0))
-    check(np.flatnonzero(small), lambda i: _box_size_error(float(width[i]), float(height[i])))
-    order = np.lexsort((ids[:stop], frames[:stop]))
-    again = (frames[order][1:] == frames[order][:-1]) & (ids[order][1:] == ids[order][:-1])
-    check(order[1:][again], lambda i: f"duplicate (frame, id) = {(int(frames[i]), int(ids[i]))}")
-    if error is not None:
-        raise DataError(f"{path}:{lines[stop][0]}: {error}")
+    rows.check_finite(boxes)
+    rows.check(np.flatnonzero(frames < 1), lambda i: f"frame index must be >= 1, got {int(frames[i])}")
+    rows.check(np.flatnonzero(ids < 1), lambda i: f"object id must be >= 1, got {int(ids[i])}")
+    rows.check_box_size(width, height)
+    rows.check_unique(frames, ids, lambda key: f"duplicate (frame, id) = {key}")
+    rows.raise_first()
     return BoxTable(frames, ids, boxes)
 
 
 def read_features(path, dets: list[FrameData]) -> FeatureTable:
-    """Parse the feature sidecar and validate coverage against detections."""
-    rows: dict[tuple[int, int], FeatureVec] = {}
-    lines = _numbered_lines(path)
-    header = next(lines, (1, ""))[1].strip()
+    """Parse the feature sidecar and validate coverage against detections.
+
+    After the header a line needs exactly 2 + dim fields: `int` frame and detection index, a (frame, det) no
+    earlier line has, and `float` values that make a `FeatureVec`. Then a detection without a row is named by
+    its key, and the first row without a detection by its line.
+    """
+    numbered = _numbered_lines(path)
+    header = next(numbered, (1, ""))[1].strip()
     parts = header.split(",")
     if len(parts) != 3 or parts[0] != "frame" or parts[1] != "det" or not parts[2].startswith("dim="):
         raise DataError(f"{path}:1: bad header {header!r}, expected 'frame,det,dim=D'")
@@ -190,37 +194,31 @@ def read_features(path, dets: list[FrameData]) -> FeatureTable:
         raise DataError(f"{path}:1: bad dimension in header {header!r}") from None
     if dim < 2:
         raise DataError(f"{path}:1: feature dimension must be >= 2, got {dim}")
-    for lineno, raw in lines:
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 2 + dim:
-            raise DataError(f"{path}:{lineno}: expected {2 + dim} fields, got {len(fields)}")
+    rows = _Rows(path, numbered, (int, int) + (float,) * dim, exact=True)
+    frames, det_idx, values = rows.columns[0], rows.columns[1], np.stack(rows.columns[2:], axis=1)
+    rows.check_unique(frames, det_idx, lambda key: f"duplicate feature row for {key}")
+    features = []
+    for i, row in enumerate(values[: rows.stop]):  # each vector from its own parsed row, in file order
         try:
-            frame = int(fields[0])
-            det_idx = int(fields[1])
-            values = [float(x) for x in fields[2:]]
+            features.append(FeatureVec(row))
         except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
-        key = (frame, det_idx)
-        if key in rows:
-            raise DataError(f"{path}:{lineno}: duplicate feature row for {key}")
-        try:
-            rows[key] = FeatureVec(values)
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
+            message = str(exc)
+            rows.check([i], lambda _: message)
+            break
+    rows.raise_first()
 
+    keys = list(zip(frames.tolist(), det_idx.tolist()))
     expected = {(f.index, j) for f in dets for j in range(len(f.detections))}
-    missing = expected - rows.keys()
+    missing = expected.difference(keys)
     if missing:
-        frame, det_idx = sorted(missing)[0]
-        raise DataError(f"{path}: missing feature row for frame {frame}, detection {det_idx}")
-    extra = rows.keys() - expected
-    if extra:
-        frame, det_idx = sorted(extra)[0]
-        raise DataError(f"{path}: feature row for nonexistent detection (frame {frame}, index {det_idx})")
-    return FeatureTable(dim=dim, rows=rows)
+        frame, det = min(missing)
+        raise DataError(f"{path}: missing feature row for frame {frame}, detection {det}")
+    if len(keys) > len(expected):  # keys are unique and cover `expected`, so some are extra
+        i = next(i for i, key in enumerate(keys) if key not in expected)
+        frame, det = keys[i]
+        where = f"{path}:{rows.lines[i][0]}"
+        raise DataError(f"{where}: feature row for nonexistent detection (frame {frame}, index {det})")
+    return FeatureTable(dim=dim, rows=dict(zip(keys, features)))
 
 
 def attach_features(dets: list[FrameData], table: FeatureTable) -> list[FrameData]:

@@ -4,7 +4,7 @@ import numpy as np
 
 from adptrack.core import BoundingBox, Detection, FeatureVec, FrameData
 from adptrack.metrics import LabeledBox
-from adptrack.motio import DataError, _data_lines
+from adptrack.motio import MAX_FRAME_INDEX, DataError, FeatureTable, _numbered_lines
 from adptrack.motion import KalmanState
 
 
@@ -52,6 +52,103 @@ def state_row(state, i):
 
 def rows_to_boxes(rows):
     return [LabeledBox(frame=f, id=tid, bbox=det.bbox) for f, tid, det in rows]
+
+
+def _data_lines(path):
+    for lineno, raw in _numbered_lines(path):
+        line = raw.strip()
+        if line:
+            yield lineno, line
+
+
+def oracle_read_detections(path):
+    """A detection file as per-frame data, read and checked one line at a time.
+
+    The reference for `motio.read_detections`: each line's checks run in order
+    (field count, int and float parsing, finiteness, frame range, positive
+    size, area underflow, confidence range) and the first failure raises.
+    Frame and id are Python ints of any size.
+    """
+    per_frame, max_frame = {}, 0
+    for lineno, line in _data_lines(path):
+        def fail(message):
+            raise DataError(f"{path}:{lineno}: {message}")
+
+        fields = line.split(",")
+        if len(fields) < 7:
+            fail(f"expected at least 7 fields, got {len(fields)}")
+        try:
+            frame = int(fields[0])
+            int(fields[1])
+            left, top, width, height, conf = [float(x) for x in fields[2:7]]
+        except ValueError as exc:
+            fail(exc)
+        if not all(math.isfinite(x) for x in (left, top, width, height, conf)):
+            fail(f"non-finite number in {','.join(fields[2:7])}")
+        if not (1 <= frame <= MAX_FRAME_INDEX):
+            fail(f"frame index must lie in [1, {MAX_FRAME_INDEX}], got {frame}")
+        if width <= 0 or height <= 0:
+            fail(f"non-positive box size {width}x{height}")
+        if not width * height > 0:
+            fail(f"box area {width}x{height} underflows to 0")
+        if not (0.0 <= conf <= 1.0):
+            fail(f"confidence {conf} outside [0, 1]")
+        det = Detection(frame=frame, bbox=BoundingBox(left, top, width, height), feature=None, confidence=conf)
+        per_frame.setdefault(frame, []).append(det)
+        max_frame = max(max_frame, frame)
+    return [FrameData(index=f, detections=tuple(per_frame.get(f, ()))) for f in range(1, max_frame + 1)]
+
+
+def oracle_read_features(path, dets):
+    """A feature sidecar as a FeatureTable, read and checked one line at a time.
+
+    The reference for `motio.read_features`: the header, then each line's
+    checks in order (field count, int and float parsing, duplicate key, the
+    FeatureVec checks), then coverage: the smallest missing key, else the
+    first row in file order that has no detection, named by its line.
+    Frame and detection index are Python ints of any size.
+    """
+    rows, line_of = {}, {}
+    lines = _numbered_lines(path)
+    header = next(lines, (1, ""))[1].strip()
+    parts = header.split(",")
+    if len(parts) != 3 or parts[0] != "frame" or parts[1] != "det" or not parts[2].startswith("dim="):
+        raise DataError(f"{path}:1: bad header {header!r}, expected 'frame,det,dim=D'")
+    try:
+        dim = int(parts[2][4:])
+    except ValueError:
+        raise DataError(f"{path}:1: bad dimension in header {header!r}") from None
+    if dim < 2:
+        raise DataError(f"{path}:1: feature dimension must be >= 2, got {dim}")
+    for lineno, raw in lines:
+        line = raw.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != 2 + dim:
+            raise DataError(f"{path}:{lineno}: expected {2 + dim} fields, got {len(fields)}")
+        try:
+            key = (int(fields[0]), int(fields[1]))
+            values = [float(x) for x in fields[2:]]
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        if key in rows:
+            raise DataError(f"{path}:{lineno}: duplicate feature row for {key}")
+        try:
+            rows[key] = FeatureVec(values)
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        line_of[key] = lineno
+
+    expected = {(f.index, j) for f in dets for j in range(len(f.detections))}
+    missing = expected - rows.keys()
+    if missing:
+        frame, det_idx = sorted(missing)[0]
+        raise DataError(f"{path}: missing feature row for frame {frame}, detection {det_idx}")
+    for (frame, det_idx), lineno in line_of.items():
+        if (frame, det_idx) not in expected:
+            raise DataError(f"{path}:{lineno}: feature row for nonexistent detection (frame {frame}, index {det_idx})")
+    return FeatureTable(dim=dim, rows=rows)
 
 
 def oracle_read_gt(path):

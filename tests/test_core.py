@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from adptrack.core import BoundingBox, Detection, FeatureVec, FrameData, box_array, from_center, iou, iou_matrix, to_center
 
@@ -127,6 +127,27 @@ def test_feature_normalization(raw):
         arr = arr + 1.0
     f = FeatureVec(arr)
     assert abs(np.linalg.norm(f.values) - 1.0) < 1e-9
+
+
+# Mostly similar magnitudes, where the order of the sum decides the last bit, and some as wide as 1e+-150.
+_exponent = st.one_of(st.integers(-2, 2), st.integers(-150, 150))
+_wide_values = st.lists(st.builds(lambda m, e: m * 10.0**e, st.floats(-1, 1), _exponent), min_size=2, max_size=40)
+
+
+@settings(max_examples=300)
+@given(_wide_values, st.sampled_from(["contiguous", "strided", "reversed"]))
+def test_feature_normalization_equals_numpy_norm_bit_for_bit(raw, layout):
+    x = np.asarray(raw)
+    if layout == "strided":  # every other element of a buffer twice as long
+        x = np.stack([x, np.full_like(x, 7.0)], axis=1).ravel()[::2]
+    elif layout == "reversed":  # the same order through a negative stride
+        x = x[::-1].copy()[::-1]
+    norm = np.linalg.norm(x)
+    if norm < 1e-12:
+        with pytest.raises(ValueError, match="zero feature vector"):
+            FeatureVec(x)
+        return
+    assert FeatureVec(x).values.tobytes() == (x / norm).tobytes()
 
 
 def test_feature_rejects_zero_and_bad_shapes():

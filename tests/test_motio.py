@@ -1,11 +1,14 @@
+import contextlib
+import io
 import os
+import re
 import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_det, oracle_read_gt, table_rows
+from conftest import make_det, oracle_read_detections, oracle_read_features, oracle_read_gt, table_rows
 
 from adptrack.base_tracker import TrackerParams, run as run_base
 from adptrack.core import BoundingBox, Detection, FrameData
@@ -109,7 +112,11 @@ def test_read_features_coverage_and_dim_errors(tmp_path):
         read_features(feat_path, frames)
 
     feat_path.write_text("frame,det,dim=2\n1,0,1,0\n1,1,1,0\n2,0,1,0\n")
-    with pytest.raises(DataError, match="nonexistent"):
+    with pytest.raises(DataError, match=r"features.csv:4: feature row for nonexistent detection \(frame 2, index 0\)$"):
+        read_features(feat_path, frames)
+    # the first extra row in file order is named, not the smallest extra key
+    feat_path.write_text("frame,det,dim=2\n3,0,1,0\n1,0,1,0\n\n2,5,1,0\n1,1,1,0\n")
+    with pytest.raises(DataError, match=r"features.csv:2: feature row for nonexistent detection \(frame 3, index 0\)$"):
         read_features(feat_path, frames)
 
     feat_path.write_text("frame,det,dim=3\n1,0,1,0\n")
@@ -324,3 +331,181 @@ _header = st.one_of(
 @given(_header, _any_file)
 def test_fuzz_read_features(header, body):
     _parses_or_data_error(header.encode("utf-8") + b"\n" + body, lambda path: read_features(path, _FUZZ_DETS))
+
+
+# Reader oracles for detections and features: each column reader returns what its per-line reader does, or
+# raises its DataError. The one difference allowed: a frame, id or detection index beyond 64 bits is rejected
+# at its line, where the per-line readers keep Python ints of any size.
+
+_WIDE_INTS = ["9223372036854775807", "9223372036854775808", "-9223372036854775809", "18446744073709551616"]
+_conf = st.one_of(st.floats(0, 1).map(repr), st.sampled_from(["1", "0", " 0.5", "1e-300"]))
+_det_row = st.builds(
+    lambda *fields, extra: [*fields, *extra],
+    _key, st.sampled_from(["-1", "3", " 2"]), _position, _position, _side, _side, _conf,
+    extra=st.lists(_token, max_size=2),
+)
+_det_edge = st.sampled_from(["0", "-1", "-0.0", "1e-200", "1e400", "-inf", "nan", "1.5", "-0.1", "1000001"])
+_wide_key = st.one_of(_edge_key, st.sampled_from(_WIDE_INTS))
+
+
+def _vary(draw, rows, edge, width):
+    """One row of `rows` (a list of field lists) may get edge keys or values, lose fields or be repeated."""
+    k = draw(st.integers(0, len(rows) - 1))
+    action = draw(st.sampled_from(["none", "edge-value", "bad-token", "edge-keys", "drop-fields", "repeat"]))
+    if action == "edge-keys":
+        rows[k][:2] = draw(st.lists(_wide_key, min_size=2, max_size=2))
+    elif action in ("edge-value", "bad-token"):
+        for field in draw(st.sets(st.integers(0, width - 1), min_size=1, max_size=2)):
+            rows[k][field] = draw(edge if action == "edge-value" else _token)
+    elif action == "drop-fields":
+        rows[k] = rows[k][: draw(st.integers(0, width - 1))]
+    elif action == "repeat":
+        rows.insert(draw(st.integers(k + 1, len(rows))), list(rows[k]))
+
+
+@st.composite
+def _mostly_valid_dets(draw):
+    rows = draw(st.lists(_det_row, min_size=1, max_size=6))
+    _vary(draw, rows, _det_edge, 7)
+    if draw(st.integers(0, 3)) == 0:  # a confidence outside [0, 1]
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row[6:7] = [draw(st.sampled_from(["1.5", "-0.1", "1.0000001", "-1e-300"]))]
+    return "\n".join(",".join(row) for row in rows).encode("utf-8")
+
+
+_value = st.one_of(
+    st.floats(0.25, 10).map(repr), st.floats(-10, -0.25).map(repr), st.sampled_from(["-0", " 1.5", "1_0", "1e-300"])
+)
+_feature_edge = st.sampled_from(["nan", "inf", "1e400", "-inf", "0", "x", ""])
+
+
+@st.composite
+def _mostly_valid_features(draw):
+    """A feature file over the detections of up to 3 frames, rows in any order, and the detections.
+
+    One row may be dropped, or one or two with random keys (mostly for no detection) added; then one row may
+    be varied as in `_vary`, have all its values zeroed or get one field too many."""
+    counts = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    dets = [
+        FrameData(f, tuple(Detection(f, BoundingBox(j, 0, 5, 5), None, 0.9) for j in range(n)))
+        for f, n in enumerate(counts, start=1)
+    ]
+    dim = draw(st.integers(2, 4))
+    keys = draw(st.permutations([(f, j) for f, n in enumerate(counts, start=1) for j in range(n)]))
+    rows = [[str(f), str(j)] + draw(st.lists(_value, min_size=dim, max_size=dim)) for f, j in keys]
+    coverage = draw(st.sampled_from(["none", "none", "drop-row", "extra-rows"]))
+    if coverage == "drop-row" and rows:
+        rows.pop(draw(st.integers(0, len(rows) - 1)))
+    elif coverage == "extra-rows":
+        for frame, det in draw(st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 4)), min_size=1, max_size=2)):
+            rows.insert(draw(st.integers(0, len(rows))), [str(frame), str(det)] + ["1"] * dim)
+    if rows:
+        k = draw(st.integers(0, len(rows) - 1))
+        shape = draw(st.sampled_from(["none", "none", "vary", "vary", "zero", "extra-field"]))
+        if shape == "zero":
+            rows[k][2:] = ["0.0"] * dim
+        elif shape == "extra-field":
+            rows[k].append("1")
+        else:
+            _vary(draw, rows, _feature_edge, 2 + dim)
+    text = f"frame,det,dim={dim}\n" + "\n".join(",".join(row) for row in rows)
+    return text.encode("utf-8"), dets
+
+
+def _frames_content(frames):
+    """Each frame's index, its detections' frames and features (None until attached), box and confidence bytes."""
+    return [
+        (f.index, [(d.frame, d.feature) for d in f.detections], f.boxes.tobytes(), f.confidences.tobytes())
+        for f in frames
+    ]
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except DataError as exc:
+        return exc
+
+
+def _ints(texts):
+    values = []
+    for text in texts:
+        with contextlib.suppress(ValueError):
+            values.append(int(text))
+    return values
+
+
+def _assert_matches_oracle(data, read, oracle, content, may_fail_after_rows=None):
+    """`read` of `data` returns what `oracle` does (compared by `content`) or raises its DataError.
+
+    The exception: `read` rejects an integer beyond 64 bits at its line. That line must hold the integer as
+    its frame, id or detection index, and `oracle` must accept every line before it, failing at most with a
+    message `may_fail_after_rows` matches (the checks that run once all rows are read).
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.txt")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        got, expected = _outcome(read, path), _outcome(oracle, path)
+        wide = re.fullmatch(rf"{re.escape(path)}:(\d+): integer (-?\d+) does not fit in 64 bits", str(got))
+        if isinstance(got, DataError) and wide:
+            lineno, value = int(wide[1]), int(wide[2])
+            assert not -(2**63) <= value < 2**63
+            lines = io.StringIO(data.decode("utf-8"), newline=None).readlines()
+            assert value in _ints(lines[lineno - 1].strip().split(",")[:2])
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("".join(lines[: lineno - 1]))
+            before = _outcome(oracle, path)
+            if isinstance(before, DataError):
+                assert may_fail_after_rows and re.search(may_fail_after_rows, str(before)), before
+            return
+    if isinstance(expected, DataError):
+        assert isinstance(got, DataError) and str(got) == str(expected)
+    else:
+        assert not isinstance(got, DataError), got
+        assert content(got) == content(expected)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_any_file, _mostly_valid_dets()))
+def test_read_detections_equals_the_per_line_oracle(data):
+    _assert_matches_oracle(data, read_detections, oracle_read_detections, _frames_content)
+
+
+_any_features = st.builds(lambda header, body: header.encode("utf-8") + b"\n" + body, _header, _any_file)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.tuples(_any_features, st.just(_FUZZ_DETS)), _mostly_valid_features()))
+def test_read_features_equals_the_per_line_oracle(case):
+    data, dets = case
+    _assert_matches_oracle(
+        data,
+        lambda path: read_features(path, dets),
+        lambda path: oracle_read_features(path, dets),
+        lambda table: (table.dim, [(key, vec.values.tobytes()) for key, vec in table.rows.items()]),
+        may_fail_after_rows="missing feature row|nonexistent detection",
+    )
+
+
+def test_integers_beyond_64_bits_are_the_one_difference_from_the_oracles(tmp_path):
+    """The per-line readers accept such a key; the column readers reject its line, and the oracle check allows it."""
+    det = tmp_path / "det.txt"
+    det.write_text(f"1,-1,0,0,5,5,0.9\n2,{2**64},0,0,5,5,0.9\n")
+    assert len(oracle_read_detections(det)) == 2
+    with pytest.raises(DataError, match=rf"det.txt:2: integer {2**64} does not fit in 64 bits$"):
+        read_detections(det)
+    _assert_matches_oracle(det.read_bytes(), read_detections, oracle_read_detections, _frames_content)
+    features = tmp_path / "features.csv"
+    features.write_text(f"frame,det,dim=2\n1,0,1,0\n{-(2**63) - 1},0,1,0\n")
+    with pytest.raises(DataError, match=r"features.csv:3: feature row for nonexistent detection"):
+        oracle_read_features(features, _FUZZ_DETS)
+    with pytest.raises(DataError, match=rf"features.csv:3: integer {-(2**63) - 1} does not fit in 64 bits$"):
+        read_features(features, _FUZZ_DETS)
+    _assert_matches_oracle(
+        features.read_bytes(),
+        lambda path: read_features(path, _FUZZ_DETS),
+        lambda path: oracle_read_features(path, _FUZZ_DETS),
+        None,
+        may_fail_after_rows="nonexistent detection",
+    )
