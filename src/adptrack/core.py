@@ -144,6 +144,8 @@ class FeatureVec:
         # `np.linalg.norm`'s 1-D sum: the vector made contiguous, dotted with itself.
         flat = np.ascontiguousarray(arr)
         norm = math.sqrt(flat.dot(flat))
+        if not norm < math.inf:
+            raise ValueError("feature vector norm overflows float64")
         if norm < 1e-12:
             raise ValueError("zero feature vector cannot be normalized")
         normed = arr / norm

@@ -84,25 +84,28 @@ def _column(texts, kind):
 class _Rows:
     """The non-blank lines of numbered text, split at commas, field count checked and parsed column by column.
 
-    Each check passes `check` the rows it fails, all rows at once, in the order one line's checks would run;
-    the earliest failing row is kept, so `raise_first` raises for the first bad line and its first failing
-    check. A line needs a field per kind (exactly, if `exact`); `columns` stop at the first bad row.
+    Each check passes `check` the rows it fails, all at once, in the order one line's checks would run; the
+    earliest failing row is kept, so `raise_first` raises for the first bad line and its first failing check.
+    A line needs a field per kind, then with `dim` exactly `dim` floats more, parsed into the flat `block`.
     """
 
-    def __init__(self, path, numbered, kinds, exact=False):
+    def __init__(self, path, numbered, kinds, dim=0):
         self.path = path
         self.lines = [(lineno, line) for lineno, raw in numbered if (line := raw.strip())]
         n = len(kinds)
-        # Past the fields read, the rest of a line stays in one last field unless the count must be exact.
-        self.fields = [line.split(",", -1 if exact else n) for _, line in self.lines]
+        # Past the fields read, the rest of a line stays in one last field unless a block follows them.
+        self.fields = [line.split(",", -1 if dim else n) for _, line in self.lines]
         self.stop, self.error = len(self.lines), None
-        bad = [len(f) != n if exact else len(f) < n for f in self.fields]
-        expected = f"{n}" if exact else f"at least {n}"
+        bad = [len(f) != n + dim if dim else len(f) < n for f in self.fields]
+        expected = f"{n + dim}" if dim else f"at least {n}"
         self.check(np.flatnonzero(bad), lambda i: f"expected {expected} fields, got {len(self.fields[i])}")
         parsed = [_column([f[k] for f in self.fields[: self.stop]], kind) for k, kind in enumerate(kinds)]
         for _, failed, message in parsed:
             self.check(failed, lambda i: message)
         self.columns = [values[: self.stop] for values, _, _ in parsed]
+        if dim:
+            self.block, failed, message = _column([x for f in self.fields[: self.stop] for x in f[n:]], float)
+            self.check([i // dim for i in failed], lambda i: message)
 
     def check(self, failing, message):
         first = min(map(int, failing), default=self.stop)
@@ -194,17 +197,16 @@ def read_features(path, dets: list[FrameData]) -> FeatureTable:
         raise DataError(f"{path}:1: bad dimension in header {header!r}") from None
     if dim < 2:
         raise DataError(f"{path}:1: feature dimension must be >= 2, got {dim}")
-    rows = _Rows(path, numbered, (int, int) + (float,) * dim, exact=True)
-    frames, det_idx, values = rows.columns[0], rows.columns[1], np.stack(rows.columns[2:], axis=1)
+    rows = _Rows(path, numbered, (int, int), dim)
+    frames, det_idx = rows.columns
     rows.check_unique(frames, det_idx, lambda key: f"duplicate feature row for {key}")
     features = []
-    for i, row in enumerate(values[: rows.stop]):  # each vector from its own parsed row, in file order
-        try:
-            features.append(FeatureVec(row))
-        except ValueError as exc:
-            message = str(exc)
-            rows.check([i], lambda _: message)
-            break
+    with np.errstate(over="ignore"):  # a norm beyond float64 is FeatureVec's ValueError, not a warning
+        for i in range(rows.stop):  # each vector from its own parsed row, in file order; the first bad one is kept
+            try:
+                features.append(FeatureVec(rows.block[i * dim : (i + 1) * dim]))
+            except ValueError as exc:
+                rows.check([i], lambda _, message=str(exc): message)
     rows.raise_first()
 
     keys = list(zip(frames.tolist(), det_idx.tolist()))
@@ -216,8 +218,7 @@ def read_features(path, dets: list[FrameData]) -> FeatureTable:
     if len(keys) > len(expected):  # keys are unique and cover `expected`, so some are extra
         i = next(i for i, key in enumerate(keys) if key not in expected)
         frame, det = keys[i]
-        where = f"{path}:{rows.lines[i][0]}"
-        raise DataError(f"{where}: feature row for nonexistent detection (frame {frame}, index {det})")
+        raise DataError(f"{path}:{rows.lines[i][0]}: feature row for nonexistent detection (frame {frame}, index {det})")
     return FeatureTable(dim=dim, rows=dict(zip(keys, features)))
 
 

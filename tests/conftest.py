@@ -135,7 +135,8 @@ def oracle_read_features(path, dets):
         if key in rows:
             raise DataError(f"{path}:{lineno}: duplicate feature row for {key}")
         try:
-            rows[key] = FeatureVec(values)
+            with np.errstate(over="ignore"):
+                rows[key] = FeatureVec(values)
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
         line_of[key] = lineno

@@ -1,8 +1,7 @@
 import contextlib
 import io
-import os
+import random
 import re
-import tempfile
 
 import numpy as np
 import pytest
@@ -128,6 +127,36 @@ def test_read_features_coverage_and_dim_errors(tmp_path):
         read_features(feat_path, frames)
 
 
+@pytest.mark.parametrize("dim", [10**9, 10**20])
+def test_read_features_huge_header_dim_is_a_field_count_error(tmp_path, dim):
+    """The declared dimension only sets the field count; no per-dimension work is done before it is checked."""
+    feat_path = tmp_path / "features.csv"
+    feat_path.write_text(f"frame,det,dim={dim}\n1,0,1,0\n")
+    with pytest.raises(DataError, match=rf"features.csv:2: expected {2 + dim} fields, got 4$"):
+        read_features(feat_path, _FUZZ_DETS)
+    feat_path.write_text(f"frame,det,dim={dim}\n")
+    assert read_features(feat_path, []).rows == {}
+
+
+def test_read_features_rejects_a_norm_beyond_float64(tmp_path):
+    """Every value is finite, but the sum of squares is not: the line is named, with no warning on the way."""
+    feat_path = tmp_path / "features.csv"
+    feat_path.write_text("frame,det,dim=2\n1,0,1.7976931348623157e+308,9.5\n")
+    with pytest.raises(DataError, match=r"features.csv:2: feature vector norm overflows float64$"):
+        read_features(feat_path, _FUZZ_DETS)
+
+
+def test_read_features_reports_a_lines_first_failing_field(tmp_path):
+    feat_path = tmp_path / "features.csv"
+    # line 3 fails at its detection index before its values; line 4 fails only at a value
+    feat_path.write_text("frame,det,dim=2\n1,0,1,0\n1,x,y,0\n1,1,z,0\n")
+    with pytest.raises(DataError, match=r"features.csv:3: invalid literal for int\(\) with base 10: 'x'$"):
+        read_features(feat_path, _FUZZ_DETS)
+    feat_path.write_text("frame,det,dim=2\n1,0,1,0\n1,1,1,y\n1,x,0,0\n")
+    with pytest.raises(DataError, match=r"features.csv:3: could not convert string to float: 'y'$"):
+        read_features(feat_path, _FUZZ_DETS)
+
+
 def test_write_results_sorting_and_roundtrip(tmp_path):
     rows = [
         (2, 1, make_det(2, 0.123456789, 4, width=11.5, height=20.25, conf=0.875)),
@@ -207,39 +236,68 @@ def test_feature_scaling_leaves_tracker_output_identical(tmp_path):
 
 # Reader fuzzing: any input either parses or raises DataError, never another exception.
 
-_token = st.one_of(
-    st.integers(-3, 40).map(str),
-    st.floats().map(repr),
-    st.sampled_from(["", " ", "nan", "-inf", "1e400", "0x10", "1_0", "-1", "0.9", "१", "1000001", "1000000000"]),
-    st.text(max_size=4),
-)
-_row = st.lists(_token, max_size=11).map(",".join)
+# Rows and fields come from fixed pools of texts, so that each is one choice, and every strategy is built once,
+# here: drawing the examples, not reading the files, is most of these tests' time.
+_TOKENS = [str(i) for i in range(-3, 41)] + [
+    "", " ", "nan", "-inf", "inf", "1e400", "0x10", "1_0", "0.9", "0.5", "-0.0", "0.1", "-2.5", "1e-05",
+    "3.141592653589793", "5e-324", "1e-170", "2.2250738585072014e-308", "1.7976931348623157e+308", "1000001",
+    "1000000000", "9223372036854775808", "१", "１", "x", "\x00", "\x1c", "\u2028", "\r", "é", "1 2", "+", ".",
+]
+_token = st.sampled_from(_TOKENS)
+
+
+def _token_rows(count):
+    """`count` fixed rows of 0 to 11 tokens each."""
+    rnd = random.Random(0)
+    return [",".join(rnd.choices(_TOKENS, k=rnd.randint(0, 11))) for _ in range(count)]
+
+
+_row = st.sampled_from(_token_rows(4096))
 _line = st.one_of(_row, st.text(max_size=40))
 _text_file = st.lists(_line, max_size=6).map("\n".join).map(lambda t: t.encode("utf-8"))
 _any_file = st.one_of(_text_file, st.binary(max_size=200), _text_file.map(lambda b: b + b"\xff\n"))
 
 
-def _parses_or_data_error(data, read):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "input.txt")
-        with open(path, "wb") as fh:
-            fh.write(data)
-        try:
-            read(path)
-        except DataError as exc:
-            assert str(exc).startswith(path)
+@pytest.fixture(scope="module")
+def input_path(tmp_path_factory):
+    """One file that the fuzz and oracle tests rewrite for each example."""
+    return str(tmp_path_factory.mktemp("readers") / "input.txt")
+
+
+def _parses_or_data_error(path, data, read):
+    with open(path, "wb") as fh:
+        fh.write(data)
+    try:
+        read(path)
+    except DataError as exc:
+        assert str(exc).startswith(path)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_any_file)
-def test_fuzz_read_detections(data):
-    _parses_or_data_error(data, read_detections)
+def test_fuzz_read_detections(input_path, data):
+    _parses_or_data_error(input_path, data, read_detections)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_any_file)
-def test_fuzz_read_gt(data):
-    _parses_or_data_error(data, read_gt)
+def test_fuzz_read_gt(input_path, data):
+    _parses_or_data_error(input_path, data, read_gt)
+
+
+_FUZZ_DETS = [FrameData(index=1, detections=(Detection(frame=1, bbox=BoundingBox(0, 0, 5, 5), feature=None, confidence=0.9),))]
+_header = st.one_of(
+    st.integers(-2, 5).map("frame,det,dim={}".format),
+    st.sampled_from(["frame,det,dim=", "frame,det,dim=x", "frame,det", "", "frame,det,dim=1000000000", f"frame,det,dim={10**20}"]),
+    st.text(max_size=20),
+)
+_any_features = st.builds(lambda header, body: header.encode("utf-8") + b"\n" + body, _header, _any_file)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_any_features)
+def test_fuzz_read_features(input_path, data):
+    _parses_or_data_error(input_path, data, lambda path: read_features(path, _FUZZ_DETS))
 
 
 def test_read_gt_sorts_rows_and_reports_the_first_bad_line(tmp_path):
@@ -263,153 +321,145 @@ def test_read_gt_rejects_integers_beyond_64_bits(tmp_path):
         read_gt(p)
 
 
-# Reader oracle: `read_gt` returns the per-line reader's rows sorted by (frame, id), or raises its DataError.
+# Reader oracles: each column reader returns what its per-line reader in conftest.py does, or raises its
+# DataError. The one difference allowed: a frame, id or detection index beyond 64 bits is rejected at its
+# line, where the per-line readers keep Python ints of any size. The files are mostly valid: rows of valid
+# fields, two of them varied, most often into rows of which several fields fail a check.
+
+
+def _numbers(low, high, *spellings):
+    """Twenty fixed floats in [low, high], then `spellings`, as one-text entries for `_row_pool`."""
+    rnd = random.Random(f"{low},{high}")
+    return [(x,) for x in [repr(rnd.uniform(low, high)) for _ in range(20)] + list(spellings)]
+
+
+def _texts(*texts):
+    return [(x,) for x in texts]
+
+
+def _row_pool(*fields, edges=()):
+    """Rows that take one entry, a tuple of texts, from each of `fields`, or one time in three from the field's
+    `edges` if it has any; 512 are chosen with a fixed seed."""
+    rnd = random.Random(0)
+    edges = list(edges) + [[]] * (len(fields) - len(edges))
+
+    def entry(field, edge):
+        return rnd.choice(edge if edge and rnd.random() < 1 / 3 else field)
+
+    return st.sampled_from([tuple(x for f, e in zip(fields, edges) for x in entry(f, e)) for _ in range(512)])
+
 
 # Valid fields, some in spellings that Python's int and float accept; then edge values, most of which fail a check.
-_key = st.one_of(st.integers(1, 5).map(str), st.sampled_from([" 2", "+3", "0_1", "１"]))
-_position = st.one_of(st.floats(-50, 50).map(repr), st.sampled_from(["-0", " 7.5", "2_0", "1e-300"]))
-_side = st.one_of(st.floats(0.5, 50).map(repr), st.sampled_from(["1e-170", "1e200", "4_0"]))
-_edge = st.sampled_from(["0", "-1", "-0.0", "1e-200", "1e400", "-inf", "nan", "5.5", "1e200"])
-_edge_key = st.sampled_from(["0", "-1", "-0", "1.0"])
-_gt_row = st.builds(
-    lambda keys, position, size, extra: keys + position + size + extra,
-    st.lists(_key, min_size=2, max_size=2),
-    st.lists(_position, min_size=2, max_size=2),
-    st.lists(_side, min_size=2, max_size=2),
-    st.lists(_token, max_size=4),
-)
+_KEY = _texts("1", "2", "3", "4", "5", " 2", "+3", "0_1", "１")
+_POSITION = _numbers(-50, 50, "-0", "0.0", " 7.5", "2_0", "1e-300", "-50.0")
+_SIDE = _numbers(0.5, 50, "0.5", "50.0", "1e-170", "1e200", "4_0")
+_CONF = _numbers(0, 1, "1", "0", " 0.5", "1e-300")
+_VALUE = _numbers(-10, 10, "-0", " 1.5", "1_0", "1e-300")
+_TAIL = [(), ("-1", "-1", "-1"), ("1", "1", "1"), ("0.5",), ("x", ""), ("nan",)]
+_WIDE_INTS = ["9223372036854775807", "9223372036854775808", "-9223372036854775809", "18446744073709551616"]
+_EDGE_KEY = _texts("0", "-1", "-0", "1.0", "x", "1000001", *_WIDE_INTS)
+_GT_EDGE = _texts("0", "-1", "-0.0", "1e-200", "1e400", "-inf", "nan", "5.5", "1e200")
+_DET_EDGE = _texts("0", "-1", "-0.0", "1e-200", "1e400", "-inf", "nan", "1.5", "-0.1", "1.0000001", "-1e-300")
+_FEATURE_EDGE = _texts("nan", "inf", "1e400", "-inf", "0", "x", "", "1e", "0x1")
+_action = st.sampled_from(["none", "edge-row", "bad-token", "drop-fields", "repeat", "repeat-edge"])
+_index = st.integers(0, 11)  # taken modulo a row count or width
+_two = st.tuples(_index, _index)  # two fields, or one if they coincide
 
 
-@st.composite
-def _mostly_valid_file(draw):
-    """Valid rows over 25 (frame, id) keys, so duplicates are common; one row may lose fields, be repeated or
-    have one or two fields replaced, so that a line can fail two checks at once."""
-    rows = draw(st.lists(_gt_row, min_size=1, max_size=8))
-    k = draw(st.integers(0, len(rows) - 1))
-    action = draw(st.sampled_from(["none", "edge-value", "bad-token", "edge-keys", "drop-fields", "repeat"]))
-    if action == "edge-keys":
-        rows[k][:2] = draw(st.lists(_edge_key, min_size=2, max_size=2))
-    elif action in ("edge-value", "bad-token"):
-        for field in draw(st.sets(st.integers(0, 5), min_size=1, max_size=2)):
-            rows[k][field] = draw(_edge if action == "edge-value" else _token)
+def _vary(draw, rows, edge_rows, width):
+    """One row of `rows` (lists of `width` fields and a tail) may be replaced by one of `edge_rows`, get bad
+    tokens, lose fields or be repeated; a repeat may take the edge row's values, keeping its keys, so that a
+    duplicate fails a check of its own as well."""
+    k = draw(_index) % len(rows)
+    action = draw(_action)
+    if action.startswith("repeat"):  # the copy goes after the row and is the one varied
+        copy = k + 1 + draw(_index) % (len(rows) - k)
+        rows.insert(copy, list(rows[k]))
+        k = copy
+    if action == "edge-row":
+        rows[k] = list(draw(edge_rows))
+    elif action == "repeat-edge":
+        rows[k][2:] = draw(edge_rows)[2:]
+    elif action == "bad-token":
+        for field in {i % width for i in draw(_two)} & set(range(len(rows[k]))):  # a row may have lost fields
+            rows[k][field] = draw(_token)
     elif action == "drop-fields":
-        rows[k] = rows[k][: draw(st.integers(0, 5))]
-    elif action == "repeat":
-        rows.insert(draw(st.integers(k + 1, len(rows))), list(rows[k]))
+        rows[k] = rows[k][: draw(_index) % width]
+
+
+_GT_FIELDS = (_KEY, _KEY, _POSITION, _POSITION, _SIDE, _SIDE, _TAIL)
+_gt_rows = st.lists(_row_pool(*_GT_FIELDS), min_size=1, max_size=8)
+_gt_edge_rows = _row_pool(*_GT_FIELDS, edges=[_EDGE_KEY] * 2 + [_GT_EDGE] * 4)
+_DET_FIELDS = (_KEY, _texts("-1", "3", " 2"), _POSITION, _POSITION, _SIDE, _SIDE, _CONF, _TAIL)
+_det_rows = st.lists(_row_pool(*_DET_FIELDS), min_size=1, max_size=6)
+_det_edge_rows = _row_pool(*_DET_FIELDS, edges=[_EDGE_KEY] * 2 + [_DET_EDGE] * 5)
+
+
+def _text(rows):
     return "\n".join(",".join(row) for row in rows).encode("utf-8")
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.one_of(_any_file, _mostly_valid_file()))
-def test_read_gt_equals_the_per_line_oracle(data):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "gt.txt")
-        with open(path, "wb") as fh:
-            fh.write(data)
-        try:
-            expected = oracle_read_gt(path)
-        except DataError as exc:
-            with pytest.raises(DataError) as got:
-                read_gt(path)
-            assert str(got.value) == str(exc)
-            return
-        table = read_gt(path)
-    rows = sorted((b.frame, b.id, b.bbox.left, b.bbox.top, b.bbox.width, b.bbox.height) for b in expected)
-    assert table_rows(table) == rows
-    assert table.boxes.tobytes() == np.array([row[2:] for row in rows], dtype=np.float64).reshape(-1, 4).tobytes()
-
-
-_FUZZ_DETS = [FrameData(index=1, detections=(Detection(frame=1, bbox=BoundingBox(0, 0, 5, 5), feature=None, confidence=0.9),))]
-_header = st.one_of(
-    st.integers(-2, 5).map("frame,det,dim={}".format),
-    st.sampled_from(["frame,det,dim=", "frame,det,dim=x", "frame,det", ""]),
-    st.text(max_size=20),
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(_header, _any_file)
-def test_fuzz_read_features(header, body):
-    _parses_or_data_error(header.encode("utf-8") + b"\n" + body, lambda path: read_features(path, _FUZZ_DETS))
-
-
-# Reader oracles for detections and features: each column reader returns what its per-line reader does, or
-# raises its DataError. The one difference allowed: a frame, id or detection index beyond 64 bits is rejected
-# at its line, where the per-line readers keep Python ints of any size.
-
-_WIDE_INTS = ["9223372036854775807", "9223372036854775808", "-9223372036854775809", "18446744073709551616"]
-_conf = st.one_of(st.floats(0, 1).map(repr), st.sampled_from(["1", "0", " 0.5", "1e-300"]))
-_det_row = st.builds(
-    lambda *fields, extra: [*fields, *extra],
-    _key, st.sampled_from(["-1", "3", " 2"]), _position, _position, _side, _side, _conf,
-    extra=st.lists(_token, max_size=2),
-)
-_det_edge = st.sampled_from(["0", "-1", "-0.0", "1e-200", "1e400", "-inf", "nan", "1.5", "-0.1", "1000001"])
-_wide_key = st.one_of(_edge_key, st.sampled_from(_WIDE_INTS))
-
-
-def _vary(draw, rows, edge, width):
-    """One row of `rows` (a list of field lists) may get edge keys or values, lose fields or be repeated."""
-    k = draw(st.integers(0, len(rows) - 1))
-    action = draw(st.sampled_from(["none", "edge-value", "bad-token", "edge-keys", "drop-fields", "repeat"]))
-    if action == "edge-keys":
-        rows[k][:2] = draw(st.lists(_wide_key, min_size=2, max_size=2))
-    elif action in ("edge-value", "bad-token"):
-        for field in draw(st.sets(st.integers(0, width - 1), min_size=1, max_size=2)):
-            rows[k][field] = draw(edge if action == "edge-value" else _token)
-    elif action == "drop-fields":
-        rows[k] = rows[k][: draw(st.integers(0, width - 1))]
-    elif action == "repeat":
-        rows.insert(draw(st.integers(k + 1, len(rows))), list(rows[k]))
+@st.composite
+def _mostly_valid_gt(draw):
+    """Valid rows over 25 (frame, id) keys, so duplicates are common; then two rows varied."""
+    rows = list(map(list, draw(_gt_rows)))
+    for _ in range(2):
+        _vary(draw, rows, _gt_edge_rows, 6)
+    return _text(rows)
 
 
 @st.composite
 def _mostly_valid_dets(draw):
-    rows = draw(st.lists(_det_row, min_size=1, max_size=6))
-    _vary(draw, rows, _det_edge, 7)
-    if draw(st.integers(0, 3)) == 0:  # a confidence outside [0, 1]
-        row = rows[draw(st.integers(0, len(rows) - 1))]
-        row[6:7] = [draw(st.sampled_from(["1.5", "-0.1", "1.0000001", "-1e-300"]))]
-    return "\n".join(",".join(row) for row in rows).encode("utf-8")
+    """Valid rows, then two varied."""
+    rows = list(map(list, draw(_det_rows)))
+    for _ in range(2):
+        _vary(draw, rows, _det_edge_rows, 7)
+    return _text(rows)
 
 
-_value = st.one_of(
-    st.floats(0.25, 10).map(repr), st.floats(-10, -0.25).map(repr), st.sampled_from(["-0", " 1.5", "1_0", "1e-300"])
-)
-_feature_edge = st.sampled_from(["nan", "inf", "1e400", "-inf", "0", "x", ""])
+_counts = st.lists(st.integers(0, 3), min_size=1, max_size=3)
+_dim = st.sampled_from([2, 3, 4])
+_vectors = {dim: _row_pool(*[_VALUE] * dim) for dim in (2, 3, 4)}
+_FEATURE_KEY = _texts("0", "1", "2", "3")
+_feature_edge_rows = {
+    dim: _row_pool(_FEATURE_KEY, _FEATURE_KEY, *[_VALUE] * dim, edges=[_EDGE_KEY] * 2 + [_FEATURE_EDGE] * dim)
+    for dim in (2, 3, 4)
+}
+_coverage = st.sampled_from(["none", "none", "drop-row", "extra-rows"])
+_extra_keys = st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 4)), min_size=1, max_size=2)
+_shape = st.sampled_from(["none", "vary", "vary", "vary", "zero", "extra-field"])
 
 
 @st.composite
 def _mostly_valid_features(draw):
     """A feature file over the detections of up to 3 frames, rows in any order, and the detections.
 
-    One row may be dropped, or one or two with random keys (mostly for no detection) added; then one row may
-    be varied as in `_vary`, have all its values zeroed or get one field too many."""
-    counts = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    One row may be dropped, or one or two with random keys (mostly for no detection) added; then two rows may
+    be varied as in `_vary`, or one have all its values zeroed or get one field too many."""
+    counts = draw(_counts)
     dets = [
         FrameData(f, tuple(Detection(f, BoundingBox(j, 0, 5, 5), None, 0.9) for j in range(n)))
         for f, n in enumerate(counts, start=1)
     ]
-    dim = draw(st.integers(2, 4))
+    dim = draw(_dim)
     keys = draw(st.permutations([(f, j) for f, n in enumerate(counts, start=1) for j in range(n)]))
-    rows = [[str(f), str(j)] + draw(st.lists(_value, min_size=dim, max_size=dim)) for f, j in keys]
-    coverage = draw(st.sampled_from(["none", "none", "drop-row", "extra-rows"]))
+    rows = [[str(f), str(j), *draw(_vectors[dim])] for f, j in keys]
+    coverage = draw(_coverage)
     if coverage == "drop-row" and rows:
-        rows.pop(draw(st.integers(0, len(rows) - 1)))
+        rows.pop(draw(_index) % len(rows))
     elif coverage == "extra-rows":
-        for frame, det in draw(st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 4)), min_size=1, max_size=2)):
-            rows.insert(draw(st.integers(0, len(rows))), [str(frame), str(det)] + ["1"] * dim)
+        for frame, det in draw(_extra_keys):
+            rows.insert(draw(_index) % (len(rows) + 1), [str(frame), str(det)] + ["1"] * dim)
     if rows:
-        k = draw(st.integers(0, len(rows) - 1))
-        shape = draw(st.sampled_from(["none", "none", "vary", "vary", "zero", "extra-field"]))
+        shape = draw(_shape)
         if shape == "zero":
-            rows[k][2:] = ["0.0"] * dim
+            rows[draw(_index) % len(rows)][2:] = ["0.0"] * dim
         elif shape == "extra-field":
-            rows[k].append("1")
-        else:
-            _vary(draw, rows, _feature_edge, 2 + dim)
-    text = f"frame,det,dim={dim}\n" + "\n".join(",".join(row) for row in rows)
-    return text.encode("utf-8"), dets
+            rows[draw(_index) % len(rows)].append("1")
+        elif shape == "vary":
+            for _ in range(2):
+                _vary(draw, rows, _feature_edge_rows[dim], 2 + dim)
+    return f"frame,det,dim={dim}\n".encode("utf-8") + _text(rows), dets
 
 
 def _frames_content(frames):
@@ -435,30 +485,29 @@ def _ints(texts):
     return values
 
 
-def _assert_matches_oracle(data, read, oracle, content, may_fail_after_rows=None):
-    """`read` of `data` returns what `oracle` does (compared by `content`) or raises its DataError.
+def _assert_matches_oracle(path, data, read, oracle, content, may_fail_after_rows=None):
+    """`read` of `data`, written to `path`, returns what `oracle` does (compared by `content`) or raises its DataError.
 
     The exception: `read` rejects an integer beyond 64 bits at its line. That line must hold the integer as
     its frame, id or detection index, and `oracle` must accept every line before it, failing at most with a
     message `may_fail_after_rows` matches (the checks that run once all rows are read).
     """
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "input.txt")
-        with open(path, "wb") as fh:
-            fh.write(data)
-        got, expected = _outcome(read, path), _outcome(oracle, path)
-        wide = re.fullmatch(rf"{re.escape(path)}:(\d+): integer (-?\d+) does not fit in 64 bits", str(got))
-        if isinstance(got, DataError) and wide:
-            lineno, value = int(wide[1]), int(wide[2])
-            assert not -(2**63) <= value < 2**63
-            lines = io.StringIO(data.decode("utf-8"), newline=None).readlines()
-            assert value in _ints(lines[lineno - 1].strip().split(",")[:2])
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("".join(lines[: lineno - 1]))
-            before = _outcome(oracle, path)
-            if isinstance(before, DataError):
-                assert may_fail_after_rows and re.search(may_fail_after_rows, str(before)), before
-            return
+    with open(path, "wb") as fh:
+        fh.write(data)
+    got, expected = _outcome(read, path), _outcome(oracle, path)
+    wide = re.fullmatch(r"(.*):(\d+): integer (-?\d+) does not fit in 64 bits", str(got), re.DOTALL)
+    if isinstance(got, DataError) and wide:
+        assert wide[1] == path
+        lineno, value = int(wide[2]), int(wide[3])
+        assert not -(2**63) <= value < 2**63
+        lines = io.StringIO(data.decode("utf-8"), newline=None).readlines()
+        assert value in _ints(lines[lineno - 1].strip().split(",")[:2])
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join(lines[: lineno - 1]))
+        before = _outcome(oracle, path)
+        if isinstance(before, DataError):
+            assert may_fail_after_rows and re.search(may_fail_after_rows, str(before)), before
+        return
     if isinstance(expected, DataError):
         assert isinstance(got, DataError) and str(got) == str(expected)
     else:
@@ -467,19 +516,30 @@ def _assert_matches_oracle(data, read, oracle, content, may_fail_after_rows=None
 
 
 @settings(max_examples=400, deadline=None)
+@given(st.one_of(_any_file, _mostly_valid_gt()))
+def test_read_gt_equals_the_per_line_oracle(input_path, data):
+    """`read_gt` returns the per-line reader's rows sorted by (frame, id); `repr` tells -0.0 from 0.0."""
+    _assert_matches_oracle(
+        input_path,
+        data,
+        lambda path: table_rows(read_gt(path)),
+        lambda path: sorted((b.frame, b.id, b.bbox.left, b.bbox.top, b.bbox.width, b.bbox.height) for b in oracle_read_gt(path)),
+        repr,
+    )
+
+
+@settings(max_examples=400, deadline=None)
 @given(st.one_of(_any_file, _mostly_valid_dets()))
-def test_read_detections_equals_the_per_line_oracle(data):
-    _assert_matches_oracle(data, read_detections, oracle_read_detections, _frames_content)
-
-
-_any_features = st.builds(lambda header, body: header.encode("utf-8") + b"\n" + body, _header, _any_file)
+def test_read_detections_equals_the_per_line_oracle(input_path, data):
+    _assert_matches_oracle(input_path, data, read_detections, oracle_read_detections, _frames_content)
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(st.tuples(_any_features, st.just(_FUZZ_DETS)), _mostly_valid_features()))
-def test_read_features_equals_the_per_line_oracle(case):
+def test_read_features_equals_the_per_line_oracle(input_path, case):
     data, dets = case
     _assert_matches_oracle(
+        input_path,
         data,
         lambda path: read_features(path, dets),
         lambda path: oracle_read_features(path, dets),
@@ -495,7 +555,8 @@ def test_integers_beyond_64_bits_are_the_one_difference_from_the_oracles(tmp_pat
     assert len(oracle_read_detections(det)) == 2
     with pytest.raises(DataError, match=rf"det.txt:2: integer {2**64} does not fit in 64 bits$"):
         read_detections(det)
-    _assert_matches_oracle(det.read_bytes(), read_detections, oracle_read_detections, _frames_content)
+    path = str(tmp_path / "input.txt")
+    _assert_matches_oracle(path, det.read_bytes(), read_detections, oracle_read_detections, _frames_content)
     features = tmp_path / "features.csv"
     features.write_text(f"frame,det,dim=2\n1,0,1,0\n{-(2**63) - 1},0,1,0\n")
     with pytest.raises(DataError, match=r"features.csv:3: feature row for nonexistent detection"):
@@ -503,6 +564,7 @@ def test_integers_beyond_64_bits_are_the_one_difference_from_the_oracles(tmp_pat
     with pytest.raises(DataError, match=rf"features.csv:3: integer {-(2**63) - 1} does not fit in 64 bits$"):
         read_features(features, _FUZZ_DETS)
     _assert_matches_oracle(
+        path,
         features.read_bytes(),
         lambda path: read_features(path, _FUZZ_DETS),
         lambda path: oracle_read_features(path, _FUZZ_DETS),
