@@ -12,6 +12,7 @@ from conftest import make_det, oracle_read_detections, oracle_read_features, ora
 from adptrack.base_tracker import TrackerParams, run as run_base
 from adptrack.core import BoundingBox, Detection, FrameData
 from adptrack.motio import (
+    MAX_FRAME_INDEX,
     DataError,
     attach_features,
     read_detections,
@@ -66,6 +67,10 @@ def test_read_detections_errors_carry_line_numbers(tmp_path):
         read_detections(p)
     p.write_text("1,-1,10,20,-3,40,0.9\n")
     with pytest.raises(DataError, match="non-positive"):
+        read_detections(p)
+    # the largest frame index passes its check, so the error is the next line's (and no frames are built)
+    p.write_text(f"{MAX_FRAME_INDEX},-1,0,0,5,5,0.9\n1,-1,0,0,5,5,1.5\n")
+    with pytest.raises(DataError, match=r"det.txt:2: confidence 1.5 outside \[0, 1\]$"):
         read_detections(p)
 
 
