@@ -1,7 +1,9 @@
 """Shared domain types and bounding-box geometry.
 
 Boxes use the MOTChallenge-native top-left/width/height convention so that
-file values round-trip without coordinate conversion. Frame indices are
+file values round-trip without coordinate conversion. A `Detection` is what
+the detector measured, built once with its appearance feature; the frame it
+belongs to is recorded by the `FrameData` that holds it. Frame indices are
 1-based in files and stored as-is; internal code only relies on their order.
 """
 
@@ -80,9 +82,7 @@ def box_array(boxes) -> np.ndarray:
 
 
 def feature_rows(dets) -> np.ndarray:
-    """Detections' features as an (N, d) array; each detection needs one."""
-    if any(det.feature is None for det in dets):
-        raise ValueError("tracking requires detections with appearance features")
+    """Detections' features as an (N, d) array."""
     return np.stack([det.feature.values for det in dets]) if dets else np.zeros((0, 0))
 
 
@@ -165,20 +165,15 @@ class FeatureVec:
 
 @dataclass(frozen=True, eq=False)
 class Detection:
-    """One detected object in one frame.
+    """One detected object: its box, appearance feature and confidence, built once and never without a feature."""
 
-    ``feature`` may be None for freshly parsed detection files until the
-    feature sidecar is attached; the trackers require it to be present.
-    """
-
-    frame: int
     bbox: BoundingBox
-    feature: FeatureVec | None
+    feature: FeatureVec
     confidence: float
 
     def __post_init__(self):
-        if self.frame < 0:
-            raise ValueError(f"frame index must be non-negative, got {self.frame}")
+        if not isinstance(self.feature, FeatureVec):
+            raise ValueError(f"a detection needs a FeatureVec feature, got {type(self.feature).__name__}")
         if not (0.0 <= self.confidence <= 1.0):
             raise ValueError(f"confidence must lie in [0, 1], got {self.confidence}")
 
@@ -194,7 +189,7 @@ def _rows(build):
 
 @dataclass(frozen=True, eq=False)
 class FrameData:
-    """All detections of a single frame, in stable file/generation order.
+    """All detections of a single frame, in stable file/generation order; no detection records `index`.
 
     `boxes` (N, 4), `features` (N, d) and `confidences` (N,) are the
     detections as read-only array rows, built on first use and then kept: every
@@ -206,11 +201,6 @@ class FrameData:
 
     def __post_init__(self):
         object.__setattr__(self, "detections", tuple(self.detections))
-        for det in self.detections:
-            if det.frame != self.index:
-                raise ValueError(
-                    f"detection frame {det.frame} does not match frame index {self.index}"
-                )
 
     boxes = _rows(lambda dets: box_array(det.bbox for det in dets))
     features = _rows(feature_rows)

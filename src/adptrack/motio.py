@@ -4,7 +4,9 @@ Detection and ground-truth files use the usual comma-separated rows
 ``frame,id,left,top,width,height,conf[,...]``. Features travel in a separate
 CSV keyed by (frame, detection index within frame); vectors are normalized on
 load, so any positive rescaling of the raw file leaves downstream cosine
-computations unchanged. A ground-truth or result file is read once into a
+computations unchanged. A detection file is read into checked rows,
+`DetectionRows`, and `attach_features` builds each row's `Detection`, with its
+feature, once. A ground-truth or result file is read once into a
 `metrics.BoxTable`. All three readers share one column reader and one error
 rule: a bad file raises a `DataError` for its first bad line and that line's
 first failing check. Result files are written with 6 significant digits and
@@ -24,6 +26,7 @@ from .metrics import BoxTable, LabeledBox
 __all__ = [
     "DataError",
     "MAX_FRAME_INDEX",
+    "DetectionRows",
     "FeatureTable",
     "read_detections",
     "read_gt",
@@ -36,7 +39,7 @@ __all__ = [
 ]
 
 
-# `read_detections` returns one frame per index up to the largest, so an
+# `attach_features` returns one frame per index up to the largest, so an
 # index this far past any real sequence (over 9 hours at 30 fps) would only
 # build empty frames; it is rejected instead.
 MAX_FRAME_INDEX = 1_000_000
@@ -44,6 +47,21 @@ MAX_FRAME_INDEX = 1_000_000
 
 class DataError(ValueError):
     """Malformed or inconsistent input data."""
+
+
+@dataclass(frozen=True, eq=False)
+class DetectionRows:
+    """A detection file's checked rows, stably sorted by frame, as read-only arrays: `frames` (n,) int64,
+    `boxes` (n, 4) float64 of (left, top, width, height) and `confidences` (n,) float64."""
+
+    frames: np.ndarray
+    boxes: np.ndarray
+    confidences: np.ndarray
+
+    def keys(self) -> list[tuple[int, int]]:
+        """Each row's (frame, detection index within the frame), the key of its feature row."""
+        within = np.arange(self.frames.size) - np.searchsorted(self.frames, self.frames)
+        return list(zip(self.frames.tolist(), within.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,12 +155,11 @@ class _Rows:
             raise DataError(f"{self.path}:{self.lines[self.stop][0]}: {self.error}")
 
 
-def read_detections(path) -> list[FrameData]:
-    """Parse a detection file into per-frame data (features not yet attached).
+def read_detections(path) -> DetectionRows:
+    """Read and check a detection file into `DetectionRows`; `attach_features` builds the detections.
 
     A line needs at least 7 fields: `int` frame and id, finite `float` box and confidence, a frame in
-    [1, `MAX_FRAME_INDEX`], a box whose area is a positive float and a confidence in [0, 1]. Rows are grouped
-    by frame in file order; frames absent from the file come back empty so indices stay contiguous from 1.
+    [1, `MAX_FRAME_INDEX`], a box whose area is a positive float and a confidence in [0, 1].
     """
     rows = _Rows(path, _numbered_lines(path), (int, int, float, float, float, float, float))
     frames, _, left, top, width, height, conf = rows.columns
@@ -153,12 +170,10 @@ def read_detections(path) -> list[FrameData]:
     rows.check(np.flatnonzero(~((conf >= 0.0) & (conf <= 1.0))), lambda i: f"confidence {float(conf[i])} outside [0, 1]")
     rows.raise_first()
     order = np.argsort(frames, kind="stable")
-    dets = [
-        Detection(frame=f, bbox=BoundingBox(x, y, w, h), feature=None, confidence=c)
-        for f, x, y, w, h, c in zip(*(column[order].tolist() for column in (frames, left, top, width, height, conf)))
-    ]
-    bounds = np.searchsorted(frames[order], np.arange(1, frames.max(initial=0) + 2)).tolist()
-    return [FrameData(index=f, detections=tuple(dets[bounds[f - 1] : bounds[f]])) for f in range(1, len(bounds))]
+    columns = frames[order], np.stack([left, top, width, height], axis=1)[order], conf[order]
+    for column in columns:
+        column.flags.writeable = False
+    return DetectionRows(*columns)
 
 
 def read_gt(path) -> BoxTable:
@@ -179,8 +194,8 @@ def read_gt(path) -> BoxTable:
     return BoxTable(frames, ids, boxes)
 
 
-def read_features(path, dets: list[FrameData]) -> FeatureTable:
-    """Parse the feature sidecar and validate coverage against detections.
+def read_features(path, dets: DetectionRows) -> FeatureTable:
+    """Parse the feature sidecar and validate coverage against the detection rows.
 
     After the header a line needs exactly 2 + dim fields: `int` frame and detection index, a (frame, det) no
     earlier line has, and `float` values that make a `FeatureVec`. Then a detection without a row is named by
@@ -210,7 +225,7 @@ def read_features(path, dets: list[FrameData]) -> FeatureTable:
     rows.raise_first()
 
     keys = list(zip(frames.tolist(), det_idx.tolist()))
-    expected = {(f.index, j) for f in dets for j in range(len(f.detections))}
+    expected = set(dets.keys())
     missing = expected.difference(keys)
     if missing:
         frame, det = min(missing)
@@ -222,16 +237,17 @@ def read_features(path, dets: list[FrameData]) -> FeatureTable:
     return FeatureTable(dim=dim, rows=dict(zip(keys, features)))
 
 
-def attach_features(dets: list[FrameData], table: FeatureTable) -> list[FrameData]:
-    """Detections re-built with their sidecar features attached."""
-    frames = []
-    for f in dets:
-        enriched = tuple(
-            Detection(frame=d.frame, bbox=d.bbox, feature=table.rows[(f.index, j)], confidence=d.confidence)
-            for j, d in enumerate(f.detections)
-        )
-        frames.append(FrameData(index=f.index, detections=enriched))
-    return frames
+def attach_features(dets: DetectionRows, table: FeatureTable) -> list[FrameData]:
+    """Each row built once as a `Detection` with its sidecar feature, grouped by frame in stable file order.
+
+    Frames absent from the file come back empty, so indices stay contiguous from 1 to the largest.
+    """
+    built = [
+        Detection(BoundingBox(*box), table.rows[key], conf)
+        for box, key, conf in zip(dets.boxes.tolist(), dets.keys(), dets.confidences.tolist())
+    ]
+    bounds = np.searchsorted(dets.frames, np.arange(1, dets.frames.max(initial=0) + 2)).tolist()
+    return [FrameData(f, tuple(built[bounds[f - 1] : bounds[f]])) for f in range(1, len(bounds))]
 
 
 def _fmt(x: float) -> str:
@@ -273,7 +289,7 @@ def write_gt(path, boxes: list[LabeledBox]) -> None:
 
 
 def write_features(path, frames: list[FrameData]) -> None:
-    dims = {d.feature.dim for f in frames for d in f.detections if d.feature is not None}
+    dims = {d.feature.dim for f in frames for d in f.detections}
     if len(dims) > 1:
         raise DataError(f"mixed feature dimensions {sorted(dims)}")
     dim = dims.pop() if dims else 2
@@ -281,7 +297,5 @@ def write_features(path, frames: list[FrameData]) -> None:
         fh.write(f"frame,det,dim={dim}\n")
         for f in frames:
             for j, det in enumerate(f.detections):
-                if det.feature is None:
-                    raise DataError(f"frame {f.index} detection {j} has no feature to write")
                 values = ",".join(f"{v:.9g}" for v in det.feature.values)
                 fh.write(f"{f.index},{j},{values}\n")

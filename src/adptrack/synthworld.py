@@ -185,14 +185,7 @@ def generate(cfg: ScenarioConfig) -> Scenario:
                 base = base_feats[i]
             feature = FeatureVec(base + cfg.feature_noise * feat_noise)
             confidence = 0.95 if occluder is None else max(0.2, 0.95 - 0.6 * lam)
-            dets.append(
-                Detection(
-                    frame=frame,
-                    bbox=BoundingBox(left, top, width, height),
-                    feature=feature,
-                    confidence=confidence,
-                )
-            )
+            dets.append(Detection(BoundingBox(left, top, width, height), feature, confidence))
         det_frames.append(FrameData(index=frame, detections=tuple(dets)))
 
     return Scenario(gt=tuple(gt), det_frames=tuple(det_frames), identity_features=identity_features)

@@ -1,24 +1,45 @@
 import math
+from collections import Counter
 
 import numpy as np
+import pytest
 
+from adptrack.base_tracker import TrackerParams, run as run_base
 from adptrack.core import BoundingBox, Detection, FeatureVec, FrameData
 from adptrack.metrics import LabeledBox
-from adptrack.motio import MAX_FRAME_INDEX, DataError, FeatureTable, _numbered_lines
+from adptrack.motio import MAX_FRAME_INDEX, DataError, DetectionRows, FeatureTable, _numbered_lines
 from adptrack.motion import KalmanState
+from adptrack.synthworld import ScenarioConfig, generate, occlusion_preset
 
 
-def make_det(frame, left, top, width=10.0, height=10.0, feature=(1.0, 0.0), conf=0.9):
-    return Detection(
-        frame=frame,
-        bbox=BoundingBox(left, top, width, height),
-        feature=FeatureVec(feature),
-        confidence=conf,
-    )
+def make_det(left, top, width=10.0, height=10.0, feature=(1.0, 0.0), conf=0.9):
+    return Detection(BoundingBox(left, top, width, height), FeatureVec(feature), conf)
 
 
 def make_frame(index, dets):
     return FrameData(index=index, detections=tuple(dets))
+
+
+@pytest.fixture(scope="session")
+def preset_base_runs():
+    """Each preset scene with its base-mode result rows, tracked once for every test that reads them."""
+    scenarios = map(generate, occlusion_preset())
+    return [(scenario, run_base(list(scenario.det_frames), TrackerParams())) for scenario in scenarios]
+
+
+def equivalence_scenarios():
+    """The 100 small scenes on which adp at alpha 0 must write what base mode does."""
+    for seed in range(100):
+        yield ScenarioConfig(
+            seed=seed,
+            frames=30,
+            identities=4,
+            crossings=seed % 3,
+            det_noise_px=0.5 if seed % 2 else 0.0,
+            feature_noise=0.1,
+            drop_prob_occluded=0.6,
+            mix_features=True,
+        )
 
 
 def unit_feature(dim, axis):
@@ -61,15 +82,23 @@ def _data_lines(path):
             yield lineno, line
 
 
+def detection_rows(frames):
+    """`DetectionRows` of one 5x5 box per given frame, sorted by frame; row j's box has left edge j."""
+    frames = np.sort(np.asarray(frames, dtype=np.int64))
+    boxes = np.array([(j, 0.0, 5.0, 5.0) for j in range(frames.size)]).reshape(-1, 4)
+    return DetectionRows(frames, boxes, np.full(frames.size, 0.9))
+
+
 def oracle_read_detections(path):
-    """A detection file as per-frame data, read and checked one line at a time.
+    """A detection file as checked rows grouped by frame, read and checked one line at a time.
 
     The reference for `motio.read_detections`: each line's checks run in order
     (field count, int and float parsing, finiteness, frame range, positive
     size, area underflow, confidence range) and the first failure raises.
-    Frame and id are Python ints of any size.
+    Frame and id are Python ints of any size. The rows come back as read-only
+    arrays, frame by frame in increasing order, each frame's rows in file order.
     """
-    per_frame, max_frame = {}, 0
+    per_frame = {}
     for lineno, line in _data_lines(path):
         def fail(message):
             raise DataError(f"{path}:{lineno}: {message}")
@@ -93,10 +122,16 @@ def oracle_read_detections(path):
             fail(f"box area {width}x{height} underflows to 0")
         if not (0.0 <= conf <= 1.0):
             fail(f"confidence {conf} outside [0, 1]")
-        det = Detection(frame=frame, bbox=BoundingBox(left, top, width, height), feature=None, confidence=conf)
-        per_frame.setdefault(frame, []).append(det)
-        max_frame = max(max_frame, frame)
-    return [FrameData(index=f, detections=tuple(per_frame.get(f, ()))) for f in range(1, max_frame + 1)]
+        per_frame.setdefault(frame, []).append((left, top, width, height, conf))
+    rows = [(f, row) for f in sorted(per_frame) for row in per_frame[f]]
+    columns = (
+        np.array([f for f, _ in rows], dtype=np.int64),
+        np.array([row[:4] for _, row in rows], dtype=np.float64).reshape(-1, 4),
+        np.array([row[4] for _, row in rows], dtype=np.float64),
+    )
+    for column in columns:
+        column.flags.writeable = False
+    return DetectionRows(*columns)
 
 
 def oracle_read_features(path, dets):
@@ -141,7 +176,7 @@ def oracle_read_features(path, dets):
             raise DataError(f"{path}:{lineno}: {exc}") from None
         line_of[key] = lineno
 
-    expected = {(f.index, j) for f in dets for j in range(len(f.detections))}
+    expected = {(frame, j) for frame, n in Counter(dets.frames.tolist()).items() for j in range(n)}
     missing = expected - rows.keys()
     if missing:
         frame, det_idx = sorted(missing)[0]

@@ -16,7 +16,7 @@ from adptrack.base_tracker import (
     run,
     step,
 )
-from adptrack.core import Detection, FeatureVec, iou
+from adptrack.core import FeatureVec, iou
 from adptrack.metrics import evaluate
 from adptrack.motion import state_to_bbox
 from adptrack.synthworld import ScenarioConfig, generate
@@ -26,54 +26,54 @@ PARAMS = TrackerParams()
 
 def _single_track_state(left=0.0, top=0.0, feature=(1.0, 0.0)):
     state = TrackerState(PARAMS, frame_cursor=1)
-    state.spawn(make_frame(1, [make_det(1, left, top, feature=feature)]), np.arange(1))
+    state.spawn(make_frame(1, [make_det(left, top, feature=feature)]), np.arange(1))
     return state
 
 
 def test_fused_similarity_perfect_pair():
     state = _single_track_state()
-    det = make_det(2, 0, 0)
+    det = make_det(0, 0)
     assert fused_similarity(*state_row(state, 0), det) == pytest.approx(1.0)
 
 
 def test_fused_similarity_disjoint_boxes():
     state = _single_track_state()
-    det = make_det(2, 500, 500)  # identical feature, no overlap
+    det = make_det(500, 500)  # identical feature, no overlap
     assert fused_similarity(*state_row(state, 0), det) == 0.0
 
 
 def test_fused_similarity_takes_min_of_terms():
     # iou = 0.6, cos = 0.8, gates pass -> min rule gives the iou
     state = TrackerState(PARAMS, frame_cursor=1)
-    state.spawn(make_frame(1, [make_det(1, 0, 0, width=10, height=10)]), np.arange(1))
+    state.spawn(make_frame(1, [make_det(0, 0, width=10, height=10)]), np.arange(1))
     state.rep[0] = FeatureVec([1.0, 0.0]).values
     d = 10 * 0.4 / 1.6  # horizontal shift giving iou = (10-d)/(10+d) = 0.6
     cos = 0.8
-    det = make_det(2, d, 0, feature=(cos, np.sqrt(1 - cos**2)))
+    det = make_det(d, 0, feature=(cos, np.sqrt(1 - cos**2)))
     assert fused_similarity(*state_row(state, 0), det) == pytest.approx(0.6, abs=1e-9)
 
 
 def test_fused_similarity_gates_zero_appearance():
     # cosine below the gate zeroes the appearance term, and the min follows it
     state = _single_track_state(feature=(1.0, 0.0))
-    det = make_det(2, 0, 0, feature=(0.1, np.sqrt(1 - 0.01)))
+    det = make_det(0, 0, feature=(0.1, np.sqrt(1 - 0.01)))
     assert fused_similarity(*state_row(state, 0), det) == 0.0
 
 
 def test_compute_base_weights_empty_and_single():
     state = TrackerState(PARAMS, frame_cursor=0)
-    w = compute_base_weights(state, make_frame(1, [make_det(1, 0, 0), make_det(1, 30, 0)]))
+    w = compute_base_weights(state, make_frame(1, [make_det(0, 0), make_det(30, 0)]))
     assert (w.rows, w.cols) == (0, 2)
 
     state = _single_track_state()
-    w = compute_base_weights(state, make_frame(2, [make_det(2, 0, 0)]))
+    w = compute_base_weights(state, make_frame(2, [make_det(0, 0)]))
     assert w.array[0, 0] == pytest.approx(1.0)
 
 
 def test_compute_base_weights_matches_fused_similarity():
     state = TrackerState(PARAMS, frame_cursor=1)
-    state.spawn(make_frame(1, [make_det(1, 0, 0, feature=(1.0, 0.0)), make_det(1, 30, 0, feature=(0.0, 1.0))]), np.arange(2))
-    frame = make_frame(2, [make_det(2, 4, 0, feature=(1.0, 0.0)), make_det(2, 26, 0, feature=(0.0, 1.0))])
+    state.spawn(make_frame(1, [make_det(0, 0, feature=(1.0, 0.0)), make_det(30, 0, feature=(0.0, 1.0))]), np.arange(2))
+    frame = make_frame(2, [make_det(4, 0, feature=(1.0, 0.0)), make_det(26, 0, feature=(0.0, 1.0))])
     w = compute_base_weights(state, frame)
     for i in range(len(state.tracks)):
         for j, det in enumerate(frame.detections):
@@ -130,13 +130,13 @@ def test_compute_base_weights_takes_cosines_inside_iou_gate_only(monkeypatch):
 def test_compute_base_weights_rejects_out_of_order():
     state = _single_track_state()
     with pytest.raises(ValueError):
-        compute_base_weights(state, make_frame(5, [make_det(5, 0, 0)]))
+        compute_base_weights(state, make_frame(5, [make_det(0, 0)]))
 
 
 def test_apply_matching_reads_only_the_fresh_weights_pass_of_its_state_and_frame():
     state = TrackerState(PARAMS, frame_cursor=0)
-    step(state, make_frame(1, [make_det(1, 0, 0), make_det(1, 30, 0)]))
-    frame = make_frame(2, [make_det(2, 1, 0, feature=(0.8, 0.6)), make_det(2, 30, 0)])
+    step(state, make_frame(1, [make_det(0, 0), make_det(30, 0)]))
+    frame = make_frame(2, [make_det(1, 0, feature=(0.8, 0.6)), make_det(30, 0)])
     unmatched = Matching(pairs=(), total_weight=0.0)
     with pytest.raises(ValueError, match="compute_base_weights"):
         apply_matching(state, frame, unmatched)  # step consumed the last pass
@@ -155,16 +155,16 @@ def test_apply_matching_reads_only_the_fresh_weights_pass_of_its_state_and_frame
     with pytest.raises(ValueError, match="compute_base_weights"):
         apply_matching(state, frame, matching)  # never twice from one pass
 
-    frame = make_frame(3, [make_det(3, 1, 0)])
+    frame = make_frame(3, [make_det(1, 0)])
     compute_base_weights(state, frame)
-    state.spawn(make_frame(3, [make_det(3, 60, 0)]), np.arange(1))  # the rows changed after the pass
+    state.spawn(make_frame(3, [make_det(60, 0)]), np.arange(1))  # the rows changed after the pass
     with pytest.raises(ValueError, match="compute_base_weights"):
         apply_matching(state, frame, unmatched)
 
 
 def test_step_cold_start_spawns():
     state = TrackerState(PARAMS, frame_cursor=0)
-    _, matching = step(state, make_frame(1, [make_det(1, 0, 0), make_det(1, 30, 0)]))
+    _, matching = step(state, make_frame(1, [make_det(0, 0), make_det(30, 0)]))
     assert matching.pairs == ()
     assert [t.id for t in state.tracks] == [1, 2]
     assert all(t.last_frame == 1 for t in state.tracks)
@@ -172,8 +172,8 @@ def test_step_cold_start_spawns():
 
 def test_step_stationary_rematches():
     state = TrackerState(PARAMS, frame_cursor=0)
-    step(state, make_frame(1, [make_det(1, 0, 0), make_det(1, 30, 0)]))
-    _, matching = step(state, make_frame(2, [make_det(2, 0, 0), make_det(2, 30, 0)]))
+    step(state, make_frame(1, [make_det(0, 0), make_det(30, 0)]))
+    _, matching = step(state, make_frame(2, [make_det(0, 0), make_det(30, 0)]))
     assert matching.pairs == ((0, 0), (1, 1))
     assert len(state.tracks) == 2
     assert all(len(t.history) == 2 for t in state.tracks)
@@ -181,14 +181,14 @@ def test_step_stationary_rematches():
 
 def test_step_low_confidence_detections_ignored():
     state = TrackerState(PARAMS, frame_cursor=0)
-    step(state, make_frame(1, [make_det(1, 0, 0, conf=0.05)]))
+    step(state, make_frame(1, [make_det(0, 0, conf=0.05)]))
     assert state.tracks == []
 
 
 def test_lifecycle_removal_after_max_age():
     params = TrackerParams(max_age=2)
     state = TrackerState(params, frame_cursor=0)
-    step(state, make_frame(1, [make_det(1, 0, 0)]))
+    step(state, make_frame(1, [make_det(0, 0)]))
     track = state.tracks[0]
     for idx in range(2, 4):
         step(state, make_frame(idx, []))
@@ -200,12 +200,12 @@ def test_lifecycle_removal_after_max_age():
 
 def test_lost_track_keeps_predicting_and_reacquires():
     state = TrackerState(PARAMS, frame_cursor=0)
-    step(state, make_frame(1, [make_det(1, 0, 0)]))
-    step(state, make_frame(2, [make_det(2, 4, 0)]))
+    step(state, make_frame(1, [make_det(0, 0)]))
+    step(state, make_frame(2, [make_det(4, 0)]))
     step(state, make_frame(3, []))  # lost for one frame, velocity (4, 0)
     track = state.tracks[0]
     assert state.tracks == [track] and track.last_frame == 2
-    _, matching = step(state, make_frame(4, [make_det(4, 12, 0)]))
+    _, matching = step(state, make_frame(4, [make_det(12, 0)]))
     assert matching.pairs == ((0, 0),)
     assert state.tracks == [track] and track.last_frame == 4
 
@@ -213,25 +213,25 @@ def test_lost_track_keeps_predicting_and_reacquires():
 def test_no_id_reuse():
     params = TrackerParams(max_age=1)
     state = TrackerState(params, frame_cursor=0)
-    step(state, make_frame(1, [make_det(1, 0, 0)]))
+    step(state, make_frame(1, [make_det(0, 0)]))
     step(state, make_frame(2, []))
     step(state, make_frame(3, []))
     assert state.tracks == []
-    step(state, make_frame(4, [make_det(4, 0, 0)]))
+    step(state, make_frame(4, [make_det(0, 0)]))
     assert [t.id for t in state.tracks] == [2]
 
 
 def test_matching_never_pairs_subthreshold():
     state = TrackerState(PARAMS, frame_cursor=0)
-    step(state, make_frame(1, [make_det(1, 0, 0)]))
-    _, matching = step(state, make_frame(2, [make_det(2, 9.0, 0, feature=(0.0, 1.0))]))
+    step(state, make_frame(1, [make_det(0, 0)]))
+    _, matching = step(state, make_frame(2, [make_det(9.0, 0, feature=(0.0, 1.0))]))
     # orthogonal feature zeroes the appearance term; fused weight 0 < threshold
     assert matching.pairs == ()
     assert len(state.tracks) == 2
 
 
 def test_fork_at_binds_detection_order():
-    frame = make_frame(7, [make_det(7, x, 0, conf=c) for x, c in ((0, 0.9), (30, 0.05), (60, 0.5))])
+    frame = make_frame(7, [make_det(x, 0, conf=c) for x, c in ((0, 0.9), (30, 0.05), (60, 0.5))])
     forked = fork_at(frame, PARAMS)
     assert [t.id for t in forked.tracks] == [1, 2, 3]  # every detection, low confidence included
     assert [t.history[0][1].bbox.left for t in forked.tracks] == [0, 30, 60]
@@ -241,9 +241,9 @@ def test_fork_at_binds_detection_order():
 
 
 def test_fork_then_step_rematches_everything():
-    frame = make_frame(7, [make_det(7, 0, 0), make_det(7, 30, 0, feature=(0.0, 1.0))])
+    frame = make_frame(7, [make_det(0, 0), make_det(30, 0, feature=(0.0, 1.0))])
     forked = fork_at(frame, PARAMS)
-    nxt = make_frame(8, [make_det(8, 0, 0), make_det(8, 30, 0, feature=(0.0, 1.0))])
+    nxt = make_frame(8, [make_det(0, 0), make_det(30, 0, feature=(0.0, 1.0))])
     _, matching = step(forked, nxt)
     assert matching.pairs == ((0, 0), (1, 1))
 
@@ -289,14 +289,3 @@ def test_step_predicts_each_surviving_track_once(monkeypatch):
 def test_run_rejects_empty():
     with pytest.raises(ValueError):
         run([], PARAMS)
-
-
-def test_tracking_rejects_detections_without_features():
-    det = make_det(1, 0, 0)
-    frame = make_frame(1, [Detection(frame=1, bbox=det.bbox, feature=None, confidence=0.9)])
-    with pytest.raises(ValueError, match="appearance features"):
-        step(TrackerState(PARAMS, frame_cursor=0), frame)
-    with pytest.raises(ValueError, match="appearance features"):
-        fork_at(frame, PARAMS)
-    with pytest.raises(ValueError, match="appearance features"):
-        TrackerState(PARAMS, frame_cursor=1).spawn(frame, np.arange(1))

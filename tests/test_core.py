@@ -177,16 +177,14 @@ def test_detection_confidence_validated():
     b = BoundingBox(0, 0, 2, 2)
     f = FeatureVec([1.0, 0.0])
     with pytest.raises(ValueError):
-        Detection(frame=1, bbox=b, feature=f, confidence=1.5)
-    with pytest.raises(ValueError):
-        Detection(frame=-1, bbox=b, feature=f, confidence=0.5)
+        Detection(bbox=b, feature=f, confidence=1.5)
 
 
-def test_frame_data_checks_frame_indices():
+def test_detection_needs_a_feature():
+    """A detection fails where it is built without a `FeatureVec`, so no tracker ever sees one."""
     b = BoundingBox(0, 0, 2, 2)
-    f = FeatureVec([1.0, 0.0])
-    det = Detection(frame=2, bbox=b, feature=f, confidence=0.5)
-    with pytest.raises(ValueError):
-        FrameData(index=1, detections=(det,))
-    fd = FrameData(index=2, detections=(det,))
-    assert fd.detections == (det,)
+    for feature in (None, np.array([1.0, 0.0]), (1.0, 0.0)):
+        with pytest.raises(ValueError, match="needs a FeatureVec feature"):
+            Detection(b, feature, 0.5)
+    det = Detection(b, FeatureVec([3.0, 4.0]), 0.5)
+    assert FrameData(2, [det]).detections == (det,)

@@ -6,6 +6,11 @@ A changed digest means some association flipped: find which one and why
 before re-pinning anything. The report tests pin every `MetricsReport` field
 that `evaluate` gives for fixed runs, so a change to the CLEAR or IDF1
 matchings shows even where the result files stay the same.
+
+Two digests here are checked in `test_acceptance.py`, by the acceptance tests
+that already track those scenes: `EQUIVALENCE_BASE` by `test_base_equivalence`
+and `PRESET_ADP["main"]` by `test_occlusion_benchmark`, so each of those runs is
+made once.
 """
 
 import contextlib
@@ -16,9 +21,8 @@ from dataclasses import replace
 import pytest
 
 from conftest import rows_to_boxes
-from test_acceptance import _equivalence_scenarios
 
-from adptrack.base_tracker import TrackerParams, run as run_base
+from adptrack.base_tracker import TrackerParams
 from adptrack.cli import main
 from adptrack.metrics import evaluate
 from adptrack.motio import read_gt, write_detections, write_features, write_gt, write_results
@@ -50,6 +54,7 @@ PRESET_BASE = [
     "c86a068c8372776877132ba78147165803473a8fae3a736c527159248c153010",
 ]
 
+# sha256 over the base result files of the 100 scenes of `conftest.equivalence_scenarios`, in order.
 EQUIVALENCE_BASE = "2af901bb06d24ccde86cdee5eee136803b5236659781fdf3304470377c716422"
 
 PRESET_ADP = {
@@ -68,7 +73,8 @@ PRESET_ADP = {
         "b8b687e4969d3e727a37c3757886fc234b46a7754ec4cf6b6fcf98245e087e2b",
         "7a44c8c55db0d933ff9f06db7804b40e6221a2745436205480d726f2d4516a10",
     ],
-    # All 20 preset scenes: adp main at horizon 10 is the acceptance setting.
+    # All 20 preset scenes: adp main at horizon 10 is the acceptance setting, and
+    # `test_occlusion_benchmark` checks these on the runs it times.
     "main": [
         "0e16a8d5aadfea2701b7bc3d7b9f05ede11d8b28f41af4d76a85560d68349807",
         "ed3fbb6bd7de7f81c87203b3f84c278ebbf57f3a68cd566546b55e2ef82baec9",
@@ -128,7 +134,6 @@ PRESET_BASE_REPORTS = [
 CROWD_BASE_REPORT = (0.4, 0.46597222222222223, 0, 5, 764, 5, 1440)
 
 ADP_CONFIGS = {
-    "main": AdpConfig(horizon=10),
     "f1": AdpConfig(horizon=10, variant=Variant.F1),
     "f2": AdpConfig(horizon=10, variant=Variant.F2),
     "f3": AdpConfig(horizon=10, variant=Variant.F3),
@@ -145,19 +150,9 @@ def _frames(sc_cfg):
     return list(generate(sc_cfg).det_frames)
 
 
-def test_preset_base_digests(tmp_path):
-    got = [
-        hashlib.sha256(_result_bytes(run_base(_frames(cfg), PARAMS), tmp_path / "res.txt")).hexdigest()
-        for cfg in occlusion_preset()
-    ]
+def test_preset_base_digests(tmp_path, preset_base_runs):
+    got = [hashlib.sha256(_result_bytes(rows, tmp_path / "res.txt")).hexdigest() for _, rows in preset_base_runs]
     assert got == PRESET_BASE
-
-
-def test_equivalence_base_digest(tmp_path):
-    combined = hashlib.sha256()
-    for sc_cfg in _equivalence_scenarios():
-        combined.update(_result_bytes(run_base(_frames(sc_cfg), PARAMS), tmp_path / "res.txt"))
-    assert combined.hexdigest() == EQUIVALENCE_BASE
 
 
 @pytest.mark.parametrize("name", sorted(ADP_CONFIGS))
@@ -218,12 +213,8 @@ def _report_fields(report):
     return (report.idf1, report.mota, report.fp, report.fn, report.idsw, report.frag, report.gt_total)
 
 
-def test_preset_base_reports():
-    got = []
-    for cfg in occlusion_preset():
-        scenario = generate(cfg)
-        rows = run_base(list(scenario.det_frames), PARAMS)
-        got.append(_report_fields(evaluate(scenario.gt, rows_to_boxes(rows))))
+def test_preset_base_reports(preset_base_runs):
+    got = [_report_fields(evaluate(scenario.gt, rows_to_boxes(rows))) for scenario, rows in preset_base_runs]
     assert got == PRESET_BASE_REPORTS
 
 

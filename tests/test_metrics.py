@@ -6,11 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from adptrack import metrics
 from adptrack.assignment import WeightMatrix, brute_force_match, hungarian_max
-from adptrack.base_tracker import TrackerParams, run as run_base
 from adptrack.core import BoundingBox, box_array, iou, iou_matrix
 from adptrack.metrics import BoxTable, LabeledBox, MetricsReport, clear_match, evaluate
 from adptrack.motio import read_gt, write_gt, write_results
-from adptrack.synthworld import generate, occlusion_preset
 
 from conftest import count_calls, oracle_read_gt, table_rows
 
@@ -189,23 +187,22 @@ def test_empty_prediction():
     assert report.idf1 == 0.0
 
 
-def _preset_files(tmp_path, cfg):
+def _preset_files(tmp_path, scenario, rows):
     """The gt file of a preset scene and the result file of its base run."""
-    scenario = generate(cfg)
     gt, res = tmp_path / "gt.txt", tmp_path / "res.txt"
     write_gt(gt, list(scenario.gt))
-    write_results(res, run_base(list(scenario.det_frames), TrackerParams()))
+    write_results(res, rows)
     return gt, res
 
 
-def test_evaluate_on_tables_equals_evaluate_on_box_lists_on_the_presets(tmp_path):
-    for cfg in occlusion_preset():
-        gt, res = _preset_files(tmp_path, cfg)
+def test_evaluate_on_tables_equals_evaluate_on_box_lists_on_the_presets(tmp_path, preset_base_runs):
+    for scenario, rows in preset_base_runs:
+        gt, res = _preset_files(tmp_path, scenario, rows)
         assert evaluate(read_gt(gt), read_gt(res)) == evaluate(oracle_read_gt(gt), oracle_read_gt(res))
 
 
-def test_row_order_in_the_files_leaves_the_report_unchanged(tmp_path):
-    gt, res = _preset_files(tmp_path, occlusion_preset()[3])
+def test_row_order_in_the_files_leaves_the_report_unchanged(tmp_path, preset_base_runs):
+    gt, res = _preset_files(tmp_path, *preset_base_runs[3])
     expected = evaluate(read_gt(gt), read_gt(res))
     for name, reorder in (("reversed", lambda lines: lines[::-1]), ("shuffled", lambda lines: random.Random(5).sample(lines, len(lines)))):
         paths = []
@@ -217,8 +214,8 @@ def test_row_order_in_the_files_leaves_the_report_unchanged(tmp_path):
         assert evaluate(*map(read_gt, paths)) == expected
 
 
-def test_empty_result_file_misses_every_gt_box(tmp_path):
-    gt, res = _preset_files(tmp_path, occlusion_preset()[0])
+def test_empty_result_file_misses_every_gt_box(tmp_path, preset_base_runs):
+    gt, res = _preset_files(tmp_path, *preset_base_runs[0])
     res.write_text("")
     report = evaluate(read_gt(gt), read_gt(res))
     assert report.fn == report.gt_total == len(read_gt(gt).frames) > 0

@@ -2,18 +2,21 @@ import contextlib
 import io
 import random
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_det, oracle_read_detections, oracle_read_features, oracle_read_gt, table_rows
+from conftest import detection_rows, make_det, oracle_read_detections, oracle_read_features, oracle_read_gt, table_rows
 
+from adptrack import cli
 from adptrack.base_tracker import TrackerParams, run as run_base
-from adptrack.core import BoundingBox, Detection, FrameData
+from adptrack.core import BoundingBox, Detection, FeatureVec, FrameData
 from adptrack.motio import (
     MAX_FRAME_INDEX,
     DataError,
+    FeatureTable,
     attach_features,
     read_detections,
     read_features,
@@ -23,41 +26,51 @@ from adptrack.motio import (
     write_gt,
     write_results,
 )
-from adptrack.synthworld import ScenarioConfig, generate
+from adptrack.synthworld import ScenarioConfig, generate, occlusion_preset
 
 
 def test_read_detections_single_line(tmp_path):
     p = tmp_path / "det.txt"
     p.write_text("1,-1,10,20,30,40,0.9,-1,-1,-1\n")
-    frames = read_detections(p)
-    assert len(frames) == 1
-    det = frames[0].detections[0]
-    assert det.bbox == BoundingBox(10, 20, 30, 40)
-    assert det.confidence == 0.9
-    assert det.feature is None
+    rows = read_detections(p)
+    assert rows.frames.tolist() == [1]
+    assert rows.boxes.tolist() == [[10, 20, 30, 40]]
+    assert rows.confidences.tolist() == [0.9]
+    for column in (rows.frames, rows.boxes, rows.confidences):
+        assert not column.flags.writeable
 
 
 def test_read_detections_empty_file(tmp_path):
     p = tmp_path / "det.txt"
     p.write_text("")
-    assert read_detections(p) == []
+    rows = read_detections(p)
+    assert (rows.frames.shape, rows.boxes.shape, rows.confidences.shape) == ((0,), (0, 4), (0,))
+    assert attach_features(rows, FeatureTable(dim=2, rows={})) == []
 
 
 def test_read_detections_regroups_out_of_order(tmp_path):
     p = tmp_path / "det.txt"
     p.write_text("2,-1,0,0,5,5,0.5\n1,-1,1,0,5,5,0.6\n2,-1,2,0,5,5,0.7\n")
-    frames = read_detections(p)
+    rows = read_detections(p)
+    assert rows.frames.tolist() == [1, 2, 2]
+    assert rows.boxes[:, 0].tolist() == [1, 0, 2]
+    assert rows.confidences.tolist() == [0.6, 0.5, 0.7]
+    assert rows.keys() == [(1, 0), (2, 0), (2, 1)]
+    features = {key: FeatureVec([1.0, float(i)]) for i, key in enumerate(rows.keys())}
+    frames = attach_features(rows, FeatureTable(dim=2, rows=features))
     assert [f.index for f in frames] == [1, 2]
     assert [d.bbox.left for d in frames[1].detections] == [0, 2]
+    assert [d.feature for d in frames[1].detections] == [features[(2, 0)], features[(2, 1)]]
     assert frames[0].detections[0].bbox.left == 1
 
 
 def test_read_detections_fills_missing_frames(tmp_path):
     p = tmp_path / "det.txt"
     p.write_text("3,-1,0,0,5,5,0.5\n")
-    frames = read_detections(p)
+    frames = attach_features(read_detections(p), FeatureTable(dim=2, rows={(3, 0): FeatureVec([1.0, 0.0])}))
     assert [f.index for f in frames] == [1, 2, 3]
     assert frames[0].detections == () and frames[1].detections == ()
+    assert len(frames[2].detections) == 1
 
 
 def test_read_detections_errors_carry_line_numbers(tmp_path):
@@ -68,7 +81,7 @@ def test_read_detections_errors_carry_line_numbers(tmp_path):
     p.write_text("1,-1,10,20,-3,40,0.9\n")
     with pytest.raises(DataError, match="non-positive"):
         read_detections(p)
-    # the largest frame index passes its check, so the error is the next line's (and no frames are built)
+    # the largest frame index passes its check, so the error is the next line's
     p.write_text(f"{MAX_FRAME_INDEX},-1,0,0,5,5,0.9\n1,-1,0,0,5,5,1.5\n")
     with pytest.raises(DataError, match=r"det.txt:2: confidence 1.5 outside \[0, 1\]$"):
         read_detections(p)
@@ -140,7 +153,7 @@ def test_read_features_huge_header_dim_is_a_field_count_error(tmp_path, dim):
     with pytest.raises(DataError, match=rf"features.csv:2: expected {2 + dim} fields, got 4$"):
         read_features(feat_path, _FUZZ_DETS)
     feat_path.write_text(f"frame,det,dim={dim}\n")
-    assert read_features(feat_path, []).rows == {}
+    assert read_features(feat_path, detection_rows([])).rows == {}
 
 
 def test_read_features_rejects_a_norm_beyond_float64(tmp_path):
@@ -162,11 +175,40 @@ def test_read_features_reports_a_lines_first_failing_field(tmp_path):
         read_features(feat_path, _FUZZ_DETS)
 
 
+def test_loading_builds_each_detection_once(tmp_path, monkeypatch):
+    """Loading the crowd scene of 1 435 rows builds one `Detection` and one `BoundingBox` per row and one
+    `FrameData` per frame, all after `read_detections`, which builds none."""
+    scenario = generate(replace(occlusion_preset()[0], identities=20, crossings=6, seed=9003))
+    det_path, feat_path = tmp_path / "det.txt", tmp_path / "features.csv"
+    write_detections(det_path, list(scenario.det_frames))
+    write_features(feat_path, list(scenario.det_frames))
+    built = {Detection: 0, BoundingBox: 0, FrameData: 0}
+    for cls in built:
+        def counted(self, cls=cls, original=cls.__post_init__):
+            built[cls] += 1
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    in_reader = {}
+
+    def read_detections_counted(path, read=cli.read_detections):
+        before = dict(built)
+        rows = read(path)
+        in_reader.update((cls, built[cls] - before[cls]) for cls in built)
+        return rows
+
+    monkeypatch.setattr(cli, "read_detections", read_detections_counted)
+    frames = cli._load_sequence(det_path, feat_path)
+    assert in_reader == {Detection: 0, BoundingBox: 0, FrameData: 0}
+    assert built == {Detection: 1435, BoundingBox: 1435, FrameData: 72}
+    assert sum(len(f.detections) for f in frames) == 1435 and len(frames) == 72
+
+
 def test_write_results_sorting_and_roundtrip(tmp_path):
     rows = [
-        (2, 1, make_det(2, 0.123456789, 4, width=11.5, height=20.25, conf=0.875)),
-        (1, 2, make_det(1, 5, 5)),
-        (1, 1, make_det(1, 0, 0)),
+        (2, 1, make_det(0.123456789, 4, width=11.5, height=20.25, conf=0.875)),
+        (1, 2, make_det(5, 5)),
+        (1, 1, make_det(0, 0)),
     ]
     out = tmp_path / "res.txt"
     write_results(out, rows)
@@ -290,7 +332,7 @@ def test_fuzz_read_gt(input_path, data):
     _parses_or_data_error(input_path, data, read_gt)
 
 
-_FUZZ_DETS = [FrameData(index=1, detections=(Detection(frame=1, bbox=BoundingBox(0, 0, 5, 5), feature=None, confidence=0.9),))]
+_FUZZ_DETS = detection_rows([1])
 _header = st.one_of(
     st.integers(-2, 5).map("frame,det,dim={}".format),
     st.sampled_from(["frame,det,dim=", "frame,det,dim=x", "frame,det", "", "frame,det,dim=1000000000", f"frame,det,dim={10**20}"]),
@@ -442,10 +484,7 @@ def _mostly_valid_features(draw):
     One row may be dropped, or one or two with random keys (mostly for no detection) added; then two rows may
     be varied as in `_vary`, or one have all its values zeroed or get one field too many."""
     counts = draw(_counts)
-    dets = [
-        FrameData(f, tuple(Detection(f, BoundingBox(j, 0, 5, 5), None, 0.9) for j in range(n)))
-        for f, n in enumerate(counts, start=1)
-    ]
+    dets = detection_rows([f for f, n in enumerate(counts, start=1) for _ in range(n)])
     dim = draw(_dim)
     keys = draw(st.permutations([(f, j) for f, n in enumerate(counts, start=1) for j in range(n)]))
     rows = [[str(f), str(j), *draw(_vectors[dim])] for f, j in keys]
@@ -467,12 +506,9 @@ def _mostly_valid_features(draw):
     return f"frame,det,dim={dim}\n".encode("utf-8") + _text(rows), dets
 
 
-def _frames_content(frames):
-    """Each frame's index, its detections' frames and features (None until attached), box and confidence bytes."""
-    return [
-        (f.index, [(d.frame, d.feature) for d in f.detections], f.boxes.tobytes(), f.confidences.tobytes())
-        for f in frames
-    ]
+def _rows_content(rows):
+    """Each column of `DetectionRows` as its dtype, shape, writeable flag and bytes."""
+    return [(c.dtype.str, c.shape, c.flags.writeable, c.tobytes()) for c in (rows.frames, rows.boxes, rows.confidences)]
 
 
 def _outcome(read, path):
@@ -536,7 +572,7 @@ def test_read_gt_equals_the_per_line_oracle(input_path, data):
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(_any_file, _mostly_valid_dets()))
 def test_read_detections_equals_the_per_line_oracle(input_path, data):
-    _assert_matches_oracle(input_path, data, read_detections, oracle_read_detections, _frames_content)
+    _assert_matches_oracle(input_path, data, read_detections, oracle_read_detections, _rows_content)
 
 
 @settings(max_examples=400, deadline=None)
@@ -557,11 +593,11 @@ def test_integers_beyond_64_bits_are_the_one_difference_from_the_oracles(tmp_pat
     """The per-line readers accept such a key; the column readers reject its line, and the oracle check allows it."""
     det = tmp_path / "det.txt"
     det.write_text(f"1,-1,0,0,5,5,0.9\n2,{2**64},0,0,5,5,0.9\n")
-    assert len(oracle_read_detections(det)) == 2
+    assert len(oracle_read_detections(det).frames) == 2
     with pytest.raises(DataError, match=rf"det.txt:2: integer {2**64} does not fit in 64 bits$"):
         read_detections(det)
     path = str(tmp_path / "input.txt")
-    _assert_matches_oracle(path, det.read_bytes(), read_detections, oracle_read_detections, _frames_content)
+    _assert_matches_oracle(path, det.read_bytes(), read_detections, oracle_read_detections, _rows_content)
     features = tmp_path / "features.csv"
     features.write_text(f"frame,det,dim=2\n1,0,1,0\n{-(2**63) - 1},0,1,0\n")
     with pytest.raises(DataError, match=r"features.csv:3: feature row for nonexistent detection"):

@@ -40,9 +40,9 @@ E2 = (0.0, 1.0)
 
 def _track_with_features(features, qualities=None):
     """Track whose matched history carries the given features, in order."""
-    track = Track(1, 1, make_det(1, 0, 0, feature=features[0]))
+    track = Track(1, 1, make_det(0, 0, feature=features[0]))
     for i, feat in enumerate(features[1:], start=2):
-        det = make_det(i, 0, 0, feature=feat)
+        det = make_det(0, 0, feature=feat)
         track.history.append((i, det))
         track.quality.append(0.9)
     if qualities is not None:
@@ -58,23 +58,23 @@ def _spawn_row(track):
 
 def _tentative(features, start_frame=3, left=0.0):
     entries = tuple(
-        (start_frame + i, make_det(start_frame + i, left, 0, feature=f)) for i, f in enumerate(features)
+        (start_frame + i, make_det(left, 0, feature=f)) for i, f in enumerate(features)
     )
     return TentativeTrack(entries=entries)
 
 
 def _converged_track(positions, start=1):
     """Forecast and representative feature of a track stepped through the given x positions (constant box size)."""
-    forecast, rep = _spawn_row(Track(1, start, make_det(start, positions[0], 0)))
-    for i, x in enumerate(positions[1:], start=start + 1):
-        forecast = kf_predict(kf_update(forecast, make_det(i, x, 0).bbox))
+    forecast, rep = _spawn_row(Track(1, start, make_det(positions[0], 0)))
+    for x in positions[1:]:
+        forecast = kf_predict(kf_update(forecast, make_det(x, 0).bbox))
     return forecast, rep
 
 
 def test_simulate_tentative_stationary():
     frames = [
-        make_frame(5, [make_det(5, 0, 0), make_det(5, 30, 0, feature=E2)]),
-        make_frame(6, [make_det(6, 0, 0), make_det(6, 30, 0, feature=E2)]),
+        make_frame(5, [make_det(0, 0), make_det(30, 0, feature=E2)]),
+        make_frame(6, [make_det(0, 0), make_det(30, 0, feature=E2)]),
     ]
     tents = simulate_tentative(frames, PARAMS)
     assert [t.entries[0] for t in tents] == [(5, det) for det in frames[0].detections]
@@ -87,7 +87,7 @@ def test_simulate_tentative_empty_frame():
 
 
 def test_simulate_tentative_truncates():
-    frames = [make_frame(i, [make_det(i, 4.0 * (i - 5), 0)]) for i in range(5, 9)]
+    frames = [make_frame(i, [make_det(4.0 * (i - 5), 0)]) for i in range(5, 9)]
     tents = simulate_tentative(frames, PARAMS)
     assert len(tents) == 1
     assert len(tents[0].entries) <= 4
@@ -130,7 +130,7 @@ def test_score_main_filter_disabled_equals_all_pairs_mean():
 def test_score_f1_follows_converged_extrapolation():
     forecast, _ = _converged_track([0, 4, 8, 12, 16])
     tent = TentativeTrack(
-        entries=tuple((6 + i, make_det(6 + i, 20 + 4 * i, 0)) for i in range(4)),
+        entries=tuple((6 + i, make_det(20 + 4 * i, 0)) for i in range(4)),
     )
     assert score_f1(forecast, tent) > 0.99
 
@@ -143,7 +143,7 @@ def test_score_f1_disjoint_is_zero():
 
 def test_score_f1_single_entry_is_one_step_iou():
     forecast, _ = _converged_track([0, 4, 8])
-    box = make_det(4, 14, 0)
+    box = make_det(14, 0)
     tent = TentativeTrack(entries=((4, box),))
     expected = iou(state_to_bbox(forecast), box.bbox)
     assert score_f1(forecast, tent) == pytest.approx(expected, abs=1e-12)
@@ -153,7 +153,7 @@ def test_score_f1_single_entry_is_one_step_iou():
 def test_walk_corrects_between_entries_only(monkeypatch, n):
     # n entries: one forecast read per entry, n - 1 corrections (none after the last)
     forecast, rep = _converged_track([0, 4, 8])
-    tent = TentativeTrack(entries=tuple((4 + i, make_det(4 + i, 12 + 4 * i, 0)) for i in range(n)))
+    tent = TentativeTrack(entries=tuple((4 + i, make_det(12 + 4 * i, 0)) for i in range(n)))
     updates = count_calls(monkeypatch, rollout, "kf_update")
     predicts = count_calls(monkeypatch, rollout, "kf_predict")
     for walk in (score_f1, lambda f, e: score_f3(f, e, rep), lambda f, e: candidate_filter(f, e, rep, AdpConfig())):
@@ -167,11 +167,11 @@ def test_score_f2_examples():
     cfg = AdpConfig(window=2)
     track = _track_with_features([E1, E1])
     past = _window_features(track, cfg)
-    assert score_f2(past, make_det(3, 0, 0, feature=E1)) == pytest.approx(1.0)
-    assert score_f2(past, make_det(3, 0, 0, feature=E2)) == pytest.approx(0.0)
+    assert score_f2(past, make_det(0, 0, feature=E1)) == pytest.approx(1.0)
+    assert score_f2(past, make_det(0, 0, feature=E2)) == pytest.approx(0.0)
 
     track = _track_with_features([E1, (1.0, 1.0)])
-    got = score_f2(_window_features(track, cfg), make_det(3, 0, 0, feature=E1))
+    got = score_f2(_window_features(track, cfg), make_det(0, 0, feature=E1))
     assert got == pytest.approx(0.8535533905932737, abs=1e-6)
 
 
@@ -188,7 +188,7 @@ def test_score_f3_matches_scripted_walk():
     forecast, rep = _converged_track([0, 3, 6])
     feats = [(0.7, np.sqrt(1 - 0.49)), (0.9, np.sqrt(1 - 0.81))]
     tent = TentativeTrack(
-        entries=tuple((4 + i, make_det(4 + i, 9 + 3 * i + i, 0, feature=f)) for i, f in enumerate(feats)),
+        entries=tuple((4 + i, make_det(9 + 3 * i + i, 0, feature=f)) for i, f in enumerate(feats)),
     )
     state = forecast
     expected = []
@@ -219,8 +219,8 @@ def test_candidate_filter_examples():
     past = _window_features(_track_with_features([E1, E1, E1]), impossible)
     assert score_main(forecast, tent, rep, past, impossible) == 0.0
 
-    near = make_det(4, 0, 0)
-    far = make_det(5, 500, 0)
+    near = make_det(0, 0)
+    far = make_det(500, 0)
     tent = TentativeTrack(entries=((4, near), (5, far)))
     kept = candidate_filter(forecast, tent, rep, cfg)
     assert kept == [(4, near)]
@@ -314,11 +314,11 @@ def test_adp_step_scores_each_eligible_detection_with_its_own_tentative(monkeypa
     # prefix of the frame's detections.
     def tracked_state():
         state = TrackerState(PARAMS, frame_cursor=0)
-        step(state, make_frame(1, [make_det(1, 0, 0), make_det(1, 40, 0, feature=E2)]))
+        step(state, make_frame(1, [make_det(0, 0), make_det(40, 0, feature=E2)]))
         return state
 
     window = [
-        make_frame(f, [make_det(f, 100, 50, feature=(0.6, 0.8), conf=0.05), make_det(f, 0, 0), make_det(f, 40, 0, feature=E2)])
+        make_frame(f, [make_det(100, 50, feature=(0.6, 0.8), conf=0.05), make_det(0, 0), make_det(40, 0, feature=E2)])
         for f in (2, 3, 4)
     ]
     eligible = list(window[0].detections[1:])
@@ -346,7 +346,7 @@ def test_adp_step_rejects_empty_window():
 
 
 def test_run_single_frame_spawns_without_matching():
-    frames = [make_frame(1, [make_det(1, 0, 0), make_det(1, 40, 0)])]
+    frames = [make_frame(1, [make_det(0, 0), make_det(40, 0)])]
     rows = run_adp(frames, PARAMS, AdpConfig())
     assert [(f, tid) for f, tid, _ in rows] == [(1, 1), (1, 2)]
 
@@ -409,8 +409,10 @@ def _per_pair_scores(state, dets, tents, cfg):
 
 
 def _scored_tentatives(cfg, dets, tents):
-    """The tentatives `adp_step` passes to `score_frame`: for f2, each target detection alone."""
-    return [TentativeTrack(((det.frame, det),)) for det in dets] if cfg.variant is Variant.F2 else tents
+    """The tentatives `adp_step` passes to `score_frame`: for f2, each target detection alone, at its tentative's first frame."""
+    if cfg.variant is not Variant.F2:
+        return tents
+    return [TentativeTrack(((tent.entries[0][0], det),)) for det, tent in zip(dets, tents, strict=True)]
 
 
 def _crowd_windows(targets=(15, 35, 55), horizon=10):
@@ -544,9 +546,9 @@ def test_score_frame_sums_negative_zero_products_as_the_mean_does(name):
     # running sum starts at its first term and relies on `feature_dots` summing such products to +0.0.
     cfg = replace(BATCH_CONFIGS[name], enable_crowd_heuristic=False)
     state = TrackerState(PARAMS, frame_cursor=3)
-    state.spawn(make_frame(3, [make_det(3, 8, 0, feature=(-1.0, 0.0))]), np.arange(1))
-    dets = [make_det(4, 0, 0, feature=(0.0, -1.0))]
-    tent = TentativeTrack(((4, dets[0]), (5, make_det(5, 4, 0, feature=(0.0, -1.0)))))
+    state.spawn(make_frame(3, [make_det(8, 0, feature=(-1.0, 0.0))]), np.arange(1))
+    dets = [make_det(0, 0, feature=(0.0, -1.0))]
+    tent = TentativeTrack(((4, dets[0]), (5, make_det(4, 0, feature=(0.0, -1.0)))))
     z, _ = score_frame(state, _scored_tentatives(cfg, dets, [tent]), cfg)
     z_ref, _ = _per_pair_scores(state, dets, [tent], cfg)
     assert z.tobytes() == z_ref.tobytes() == np.zeros((1, 1)).tobytes()
@@ -556,9 +558,9 @@ def test_walk_raises_when_the_forecast_overflows():
     # Position and velocity near the float maximum: the first correct-and-predict
     # step of the walk overflows to inf, which no box may hold.
     state = TrackerState(PARAMS, frame_cursor=3)
-    state.spawn(make_frame(3, [make_det(3, 8, 0)]), np.arange(1))
+    state.spawn(make_frame(3, [make_det(8, 0)]), np.arange(1))
     state.forecast[0] = forecast_row(KalmanState([1.7e308, 5.0, 10.0, 10.0, 1.7e308, 0.0, 0.0, 0.0], (1.0, 0.0, 1.0)))
-    tent = TentativeTrack(entries=((4, make_det(4, 0, 0)), (5, make_det(5, 4, 0))))
+    tent = TentativeTrack(entries=((4, make_det(0, 0)), (5, make_det(4, 0))))
     dets = [tent.entries[0][1]]
     for variant in (Variant.MAIN, Variant.F1, Variant.F3):
         cfg = AdpConfig(variant=variant, enable_crowd_heuristic=False)
