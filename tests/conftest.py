@@ -1,4 +1,5 @@
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from adptrack.base_tracker import TrackerParams, run as run_base
 from adptrack.core import BoundingBox, Detection, FeatureVec, FrameData
 from adptrack.metrics import LabeledBox
-from adptrack.motio import MAX_FRAME_INDEX, DataError, DetectionRows, FeatureTable, _numbered_lines
+from adptrack.motio import MAX_FRAME_INDEX, DataError, DetectionRows, FeatureTable, _numbered_lines, write_results
 from adptrack.motion import KalmanState
+from adptrack.rollout import AdpConfig, run as run_adp
 from adptrack.synthworld import ScenarioConfig, generate, occlusion_preset
 
 
@@ -40,6 +42,39 @@ def equivalence_scenarios():
             drop_prob_occluded=0.6,
             mix_features=True,
         )
+
+
+@pytest.fixture(scope="session")
+def preset_adp_main_runs():
+    """Each preset scene with its rows from adp main at horizon 10, and the seconds spent making them.
+
+    Tracked once for the `PRESET_ADP["main"]` digests and the occlusion
+    benchmark, which counts those seconds against its budget.
+    """
+    start = time.perf_counter()
+    cfg = AdpConfig(horizon=10)
+    runs = [(scenario, run_adp(list(scenario.det_frames), TrackerParams(), cfg)) for scenario in map(generate, occlusion_preset())]
+    return runs, time.perf_counter() - start
+
+
+@pytest.fixture(scope="session")
+def equivalence_runs(tmp_path_factory):
+    """The base and adp-at-alpha-0 result file bytes of each equivalence scene, and the seconds spent making them.
+
+    Tracked once for the `EQUIVALENCE_BASE` digest and the base-equivalence
+    criterion, which counts those seconds against its budget.
+    """
+    start = time.perf_counter()
+    cfg = AdpConfig(alpha=0.0, horizon=5, enable_candidate_filter=False, enable_crowd_heuristic=False)
+    path = tmp_path_factory.mktemp("equivalence") / "res.txt"
+    runs = []
+    for sc_cfg in equivalence_scenarios():
+        frames = list(generate(sc_cfg).det_frames)
+        write_results(path, run_base(frames, TrackerParams()))
+        base = path.read_bytes()
+        write_results(path, run_adp(frames, TrackerParams(), cfg))
+        runs.append((base, path.read_bytes()))
+    return runs, time.perf_counter() - start
 
 
 def unit_feature(dim, axis):

@@ -1,15 +1,13 @@
 """Acceptance suite: one test per acceptance criterion, each printing a
 pass/fail line with its runtime and asserting the stated budget."""
 
-import hashlib
 import time
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from conftest import covariance, equivalence_scenarios, rows_to_boxes
-from test_digests import EQUIVALENCE_BASE, PRESET_ADP
+from conftest import covariance, rows_to_boxes
 
 from adptrack.appearance import cosine_sim, ema_update, select_quality_window
 from adptrack.assignment import WeightMatrix, brute_force_match, hungarian_max
@@ -19,7 +17,6 @@ from adptrack.core import BoundingBox, FeatureVec, from_center, iou
 from adptrack.mda_dp import MdaInstance, avs_solve, exact_solve
 from adptrack.metrics import LabeledBox, evaluate
 from adptrack.motion import kf_init, kf_predict, kf_update
-from adptrack.motio import write_results
 from adptrack.rollout import AdpConfig, run as run_adp
 from adptrack.synthworld import ScenarioConfig, generate, occlusion_preset
 
@@ -27,8 +24,9 @@ PARAMS = TrackerParams()
 
 
 @contextmanager
-def criterion(name, budget_s):
-    start = time.perf_counter()
+def criterion(name, budget_s, spent_s=0.0):
+    """Time the block against `budget_s`, counting `spent_s` seconds already spent on it in a shared fixture."""
+    start = time.perf_counter() - spent_s
     try:
         yield
     except BaseException:
@@ -39,22 +37,11 @@ def criterion(name, budget_s):
     assert elapsed < budget_s, f"{name} exceeded its runtime budget"
 
 
-def test_base_equivalence(tmp_path):
-    """Also pins the base results by the `EQUIVALENCE_BASE` digest, so those 100 scenes are tracked once."""
-    with criterion("base-equivalence (100 scenarios, alpha=0)", 60):
-        cfg = AdpConfig(
-            alpha=0.0, horizon=5, enable_candidate_filter=False, enable_crowd_heuristic=False
-        )
-        combined = hashlib.sha256()
-        for i, sc_cfg in enumerate(equivalence_scenarios()):
-            frames = list(generate(sc_cfg).det_frames)
-            base_path = tmp_path / f"base_{i}.txt"
-            adp_path = tmp_path / f"adp_{i}.txt"
-            write_results(base_path, run_base(frames, PARAMS))
-            write_results(adp_path, run_adp(frames, PARAMS, cfg))
-            assert base_path.read_bytes() == adp_path.read_bytes(), f"scenario {i} diverged"
-            combined.update(base_path.read_bytes())
-        assert combined.hexdigest() == EQUIVALENCE_BASE
+def test_base_equivalence(equivalence_runs):
+    runs, spent_s = equivalence_runs
+    with criterion("base-equivalence (100 scenarios, alpha=0)", 60, spent_s):
+        for i, (base, adp) in enumerate(runs):
+            assert base == adp, f"scenario {i} diverged"
 
 
 def test_matching_oracle():
@@ -140,23 +127,16 @@ def test_end_to_end_sanity():
         assert report.idsw == 0
 
 
-def test_occlusion_benchmark(tmp_path):
-    """Also pins each adp result file by its `PRESET_ADP["main"]` digest, so adp main tracks the presets once."""
-    with criterion("occlusion benchmark (20 preset scenarios)", 120):
-        adp_cfg = AdpConfig(alpha=0.25, horizon=10, window=5, beta=0.15)
+def test_occlusion_benchmark(preset_adp_main_runs):
+    runs, spent_s = preset_adp_main_runs
+    with criterion("occlusion benchmark (20 preset scenarios)", 120, spent_s):
         base_idsw = adp_idsw = 0
         base_idf1 = []
         adp_idf1 = []
         improved = 0
         base_swap_scenarios = 0
-        adp_digests = []
-        for sc_cfg in occlusion_preset():
-            sc = generate(sc_cfg)
-            frames = list(sc.det_frames)
-            rb = evaluate(sc.gt, rows_to_boxes(run_base(frames, PARAMS)))
-            adp_rows = run_adp(frames, PARAMS, adp_cfg)
-            write_results(tmp_path / "adp.txt", adp_rows)
-            adp_digests.append(hashlib.sha256((tmp_path / "adp.txt").read_bytes()).hexdigest())
+        for sc, adp_rows in runs:
+            rb = evaluate(sc.gt, rows_to_boxes(run_base(list(sc.det_frames), PARAMS)))
             ra = evaluate(sc.gt, rows_to_boxes(adp_rows))
             base_idsw += rb.idsw
             adp_idsw += ra.idsw
@@ -164,7 +144,6 @@ def test_occlusion_benchmark(tmp_path):
             adp_idf1.append(ra.idf1)
             improved += 1 if ra.idf1 > rb.idf1 else 0
             base_swap_scenarios += 1 if rb.idsw > 0 else 0
-        assert adp_digests == PRESET_ADP["main"]
         assert base_swap_scenarios >= 15, "preset no longer induces base-tracker swaps"
         assert adp_idsw <= base_idsw
         assert np.mean(adp_idf1) >= np.mean(base_idf1)

@@ -7,10 +7,9 @@ before re-pinning anything. The report tests pin every `MetricsReport` field
 that `evaluate` gives for fixed runs, so a change to the CLEAR or IDF1
 matchings shows even where the result files stay the same.
 
-Two digests here are checked in `test_acceptance.py`, by the acceptance tests
-that already track those scenes: `EQUIVALENCE_BASE` by `test_base_equivalence`
-and `PRESET_ADP["main"]` by `test_occlusion_benchmark`, so each of those runs is
-made once.
+The runs behind `EQUIVALENCE_BASE` and `PRESET_ADP["main"]` are session
+fixtures of `conftest.py` that the acceptance tests on those scenes read too,
+so each of those runs is made once.
 """
 
 import contextlib
@@ -73,8 +72,7 @@ PRESET_ADP = {
         "b8b687e4969d3e727a37c3757886fc234b46a7754ec4cf6b6fcf98245e087e2b",
         "7a44c8c55db0d933ff9f06db7804b40e6221a2745436205480d726f2d4516a10",
     ],
-    # All 20 preset scenes: adp main at horizon 10 is the acceptance setting, and
-    # `test_occlusion_benchmark` checks these on the runs it times.
+    # All 20 preset scenes: adp main at horizon 10 is the acceptance setting.
     "main": [
         "0e16a8d5aadfea2701b7bc3d7b9f05ede11d8b28f41af4d76a85560d68349807",
         "ed3fbb6bd7de7f81c87203b3f84c278ebbf57f3a68cd566546b55e2ef82baec9",
@@ -133,6 +131,7 @@ PRESET_BASE_REPORTS = [
 # does for its crowd workloads. Its IDF1 matching is a 20 x ~630 count matrix.
 CROWD_BASE_REPORT = (0.4, 0.46597222222222223, 0, 5, 764, 5, 1440)
 
+# adp main's preset runs come from the `preset_adp_main_runs` fixture.
 ADP_CONFIGS = {
     "f1": AdpConfig(horizon=10, variant=Variant.F1),
     "f2": AdpConfig(horizon=10, variant=Variant.F2),
@@ -155,14 +154,18 @@ def test_preset_base_digests(tmp_path, preset_base_runs):
     assert got == PRESET_BASE
 
 
-@pytest.mark.parametrize("name", sorted(ADP_CONFIGS))
-def test_preset_adp_digests(tmp_path, name):
-    got = [
-        hashlib.sha256(
-            _result_bytes(run_adp(_frames(cfg), PARAMS, ADP_CONFIGS[name]), tmp_path / "res.txt")
-        ).hexdigest()
-        for cfg in occlusion_preset()[: len(PRESET_ADP[name])]
-    ]
+def test_equivalence_base_digest(equivalence_runs):
+    runs, _ = equivalence_runs
+    assert hashlib.sha256(b"".join(base for base, _ in runs)).hexdigest() == EQUIVALENCE_BASE
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_ADP))
+def test_preset_adp_digests(tmp_path, request, name):
+    if name == "main":
+        runs = [rows for _, rows in request.getfixturevalue("preset_adp_main_runs")[0]]
+    else:
+        runs = [run_adp(_frames(cfg), PARAMS, ADP_CONFIGS[name]) for cfg in occlusion_preset()[: len(PRESET_ADP[name])]]
+    got = [hashlib.sha256(_result_bytes(rows, tmp_path / "res.txt")).hexdigest() for rows in runs]
     assert got == PRESET_ADP[name]
 
 
