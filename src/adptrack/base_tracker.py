@@ -2,16 +2,16 @@
 
 `TrackerState` holds the live tracks and, in arrays that share their row
 order, each track's one-step forecast (the filter state predicted for the
-next frame, as a `motion` forecast row whose columns only that module reads)
-and its representative feature. Per frame the tracker scores each
-track/detection pair by the minimum of forecast-box overlap and gated
-appearance similarity, solves a thresholded max-weight matching and applies
-the usual lifecycle to all rows at once: matched rows take the weights
-pass's gated appearance score and are corrected and refreshed, a track whose
-last match lies more than `max_age` frames back is removed (SORT, Bewley et
-al., ICIP 2016), every surviving row is predicted one frame ahead and
-confident unmatched detections (rows of the frame's cached arrays) spawn at
-the filter's closed-form prior.
+next frame, as a `motion` forecast row whose columns only that module reads),
+its representative feature and the frame of its last match. Per frame the
+tracker scores each track/detection pair by the minimum of forecast-box
+overlap and gated appearance similarity, solves a thresholded max-weight
+matching and applies the usual lifecycle to all rows at once: matched rows
+take the weights pass's gated appearance score and are corrected and
+refreshed, a track whose last match lies more than `max_age` frames back is
+removed (SORT, Bewley et al., ICIP 2016), every surviving row is predicted
+one frame ahead and confident unmatched detections (rows of the frame's
+cached arrays) spawn at the filter's closed-form prior.
 
 The gates and rates are fixed, DeepSORT-style (Wojke, Bewley & Paulus, ICIP
 2017): a pair's appearance counts only when its forecast IOU reaches 0.1 and
@@ -32,7 +32,7 @@ import numpy as np
 
 from .appearance import cosine_sim, feature_dots
 from .assignment import Matching, WeightMatrix, hungarian_max
-from .core import Detection, FeatureVec, FrameData, iou, iou_matrix
+from .core import Detection, FeatureVec, FrameData, iou, iou_matrix, unit_rows
 from .motion import KalmanState, batch_boxes, kf_predict_batch, kf_prior_batch, kf_update_batch, state_to_bbox
 from .motion import kf_predict, kf_update  # noqa: F401  (the rows' oracles, wrapped here by perfbench/probes.py)
 
@@ -72,9 +72,8 @@ class TrackerParams:
 class Track:
     """Mutable per-object record: id, matched history and quality record.
 
-    The track's filter and appearance state is its row of the `TrackerState`
-    arrays. The track lives while its last match, `last_frame`, lies at most
-    `max_age` frames back.
+    The track's filter and appearance state and the frame of its last match
+    are its row of the `TrackerState` arrays.
     """
 
     __slots__ = ("id", "history", "quality")
@@ -86,26 +85,26 @@ class Track:
         # quality windows are defined from birth.
         self.quality: list[float] = [1.0]
 
-    @property
-    def last_frame(self) -> int:
-        return self.history[-1][0]
-
 
 class TrackerState:
     """The live tracks, in spawn order, their state arrays, the id counter and the frame cursor.
 
-    Row i of `forecast` (T, 11), a `motion` forecast row, and of `rep` (T, d)
-    is the one-step forecast and the representative feature of `tracks[i]`.
-    Removed tracks leave the list and the arrays; their ids are never reused. `weighed` is the last weights
-    pass of these rows: (frame, confident detections, gated appearance scores).
+    Row i of the three row arrays belongs to `tracks[i]`: `forecast` (T, 11)
+    holds its one-step forecast as a `motion` forecast row, `rep` (T, d) its
+    representative feature and `last` (T,) int64 the frame of its last match,
+    `tracks[i].history[-1][0]`. A track lives while that frame lies at most
+    `max_age` frames back. Removed tracks leave the list and the arrays; their
+    ids are never reused. `weighed` is the last weights pass of these rows:
+    (frame, confident detections, gated appearance scores).
     """
 
-    __slots__ = ("tracks", "forecast", "rep", "next_id", "params", "frame_cursor", "weighed")
+    __slots__ = ("tracks", "forecast", "rep", "last", "next_id", "params", "frame_cursor", "weighed")
 
     def __init__(self, params: TrackerParams, frame_cursor: int = 0):
         self.tracks: list[Track] = []
         self.forecast = kf_prior_batch(np.zeros((0, 4)))
         self.rep = np.zeros((0, 0))
+        self.last = np.zeros(0, dtype=np.int64)
         self.next_id = 1
         self.params = params
         self.frame_cursor = frame_cursor
@@ -120,6 +119,7 @@ class TrackerState:
         self.next_id += len(idx)
         self.forecast = np.concatenate([self.forecast, kf_prior_batch(frame.boxes[idx])])
         self.rep = np.concatenate([self.rep, feats]) if len(self.rep) else feats
+        self.last = np.concatenate([self.last, np.full(len(idx), frame.index)])
         self.weighed = None
 
 
@@ -140,15 +140,14 @@ def fused_similarity(forecast: KalmanState, rep: FeatureVec, det: Detection) -> 
 def _ema(rep: np.ndarray, obs: np.ndarray) -> np.ndarray:
     """`ema_update` of each row of `rep` with the same row of `obs`.
 
-    Each blend is divided by its norm taken as `np.linalg.norm` takes it, as a
-    dot product of the row with itself; a norm over all rows at once rounds
-    differently.
+    The blends are normalised as one `unit_rows` block, each by its own
+    row's `ddot` norm, as `ema_update` normalises one; a sum of squares over
+    all rows at once, such as `einsum`'s, can round differently.
     """
-    blended = _EMA_MOMENTUM * rep + (1.0 - _EMA_MOMENTUM) * obs
-    norms = np.sqrt([row.dot(row) for row in blended])
-    if (norms < 1e-12).any():
+    unit, failed, _ = unit_rows(_EMA_MOMENTUM * rep + (1.0 - _EMA_MOMENTUM) * obs)
+    if failed:
         raise ValueError("EMA blend collapsed to zero (antipodal inputs)")
-    return blended / norms[:, None]
+    return unit
 
 
 def eligible_detections(frame: FrameData) -> np.ndarray:
@@ -198,10 +197,13 @@ def apply_matching(state: TrackerState, frame: FrameData, matching: Matching) ->
             state.tracks[i].history.append((frame.index, frame.detections[j]))
         state.forecast[rows] = kf_update_batch(state.forecast[rows], frame.boxes[matched])
         state.rep[rows] = _ema(state.rep[rows], frame.features[matched])
+        state.last[rows] = frame.index
 
-    keep = [i for i, t in enumerate(state.tracks) if frame.index - t.last_frame <= state.params.max_age]
-    if len(keep) < len(state.tracks):
-        state.tracks, state.forecast, state.rep = [state.tracks[i] for i in keep], state.forecast[keep], state.rep[keep]
+    keep = state.last >= frame.index - state.params.max_age
+    if not keep.all():
+        keep = np.flatnonzero(keep)
+        state.tracks = [state.tracks[i] for i in keep.tolist()]
+        state.forecast, state.rep, state.last = state.forecast[keep], state.rep[keep], state.last[keep]
     state.forecast = kf_predict_batch(state.forecast)
     state.spawn(frame, np.delete(det_idx, cols))
     state.frame_cursor = frame.index
@@ -228,7 +230,8 @@ def fork_at(frame: FrameData, params: TrackerParams) -> TrackerState:
 
 def collect_frame_rows(state: TrackerState, frame_index: int) -> list[tuple[int, int, Detection]]:
     """(frame, track id, detection) rows for tracks whose last match is this frame."""
-    return [(frame_index, t.id, t.history[-1][1]) for t in state.tracks if t.last_frame == frame_index]
+    tracks = state.tracks
+    return [(frame_index, tracks[i].id, tracks[i].history[-1][1]) for i in np.flatnonzero(state.last == frame_index).tolist()]
 
 
 def run(frames: list[FrameData], params: TrackerParams) -> list[tuple[int, int, Detection]]:

@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "BoundingBox",
     "FeatureVec",
+    "unit_rows",
     "Detection",
     "FrameData",
     "iou",
@@ -126,11 +127,44 @@ def from_center(cx: float, cy: float, w: float, h: float) -> BoundingBox:
     return BoundingBox(cx - w / 2.0, cy - h / 2.0, w, h)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a norm that is not finite fails its row; it is no warning
+def unit_rows(block) -> tuple[np.ndarray, list[int], str | None]:
+    """Each row of an (n, d) block divided by its L2 norm up to the first row that fails, its row (none or one)
+    and the message of the first check that row fails.
+
+    A row's norm is `np.linalg.norm`'s of the row allocated alone: the square root of the row dotted with
+    itself by the BLAS `ddot` kernel that `ndarray.dot` calls, which `np.vecdot` runs once per row. Each row is
+    first copied to start on a 16-byte boundary, as a vector allocated alone does, because the generic SSE2
+    kernel adds a vector that starts between two boundaries in another order. So a row normalised in a block
+    equals the row normalised alone bit for bit on every kernel, though the kernel (with FMA or without) still
+    decides the last bit of both. A row fails, checked in this order, when it holds a non-finite value, when its
+    norm overflows float64 and when its norm is below 1e-12.
+    """
+    block = np.asarray(block, dtype=np.float64)
+    n, d = block.shape
+    aligned = np.empty((n, d + d % 2))[:, :d]  # rows of an even count of 8-byte values from a 16-byte aligned base
+    aligned[...] = block
+    norms = np.sqrt(np.vecdot(aligned, aligned))
+    # A non-finite value makes its row's norm inf or nan, and min and max pass a nan on: every bad row fails these.
+    if norms.min(initial=math.inf) >= 1e-12 and norms.max(initial=0.0) < math.inf:
+        return block / norms[:, None], [], None
+    first = int(np.flatnonzero(~((norms >= 1e-12) & (norms < math.inf)))[0])
+    if not np.isfinite(block[first]).all():
+        message = "feature values must be finite"
+    elif not norms[first] < math.inf:
+        message = "feature vector norm overflows float64"
+    else:
+        message = "zero feature vector cannot be normalized"
+    return block[:first] / norms[:first, None], [first], message
+
+
 class FeatureVec:
     """Unit-norm appearance embedding.
 
-    Raw input is L2-normalized at construction; zero vectors are rejected
-    because cosine similarity is undefined for them.
+    Raw input is L2-normalized at construction, as a one-row block of
+    `unit_rows`; zero vectors are rejected because cosine similarity is
+    undefined for them. `of_unit_rows` wraps rows that block already
+    normalised.
     """
 
     __slots__ = ("values",)
@@ -139,18 +173,21 @@ class FeatureVec:
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError(f"feature must be a 1-D vector of dimension >= 2, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("feature values must be finite")
-        # `np.linalg.norm`'s 1-D sum: the vector made contiguous, dotted with itself.
-        flat = np.ascontiguousarray(arr)
-        norm = math.sqrt(flat.dot(flat))
-        if not norm < math.inf:
-            raise ValueError("feature vector norm overflows float64")
-        if norm < 1e-12:
-            raise ValueError("zero feature vector cannot be normalized")
-        normed = arr / norm
-        normed.flags.writeable = False
-        object.__setattr__(self, "values", normed)
+        unit, failed, message = unit_rows(arr[None])
+        if failed:
+            raise ValueError(message)
+        unit.flags.writeable = False
+        object.__setattr__(self, "values", unit[0])
+
+    @classmethod
+    def of_unit_rows(cls, unit: np.ndarray) -> list[FeatureVec]:
+        """One vector per row of a `unit_rows` block of dimension >= 2, each holding its row as it is; the block
+        becomes read-only."""
+        unit.flags.writeable = False
+        vecs = [object.__new__(cls) for _ in range(len(unit))]
+        for vec, row in zip(vecs, unit):
+            object.__setattr__(vec, "values", row)
+        return vecs
 
     def __setattr__(self, name, value):
         raise AttributeError("FeatureVec is immutable")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundingBox, Detection, FeatureVec, FrameData
+from .core import BoundingBox, Detection, FeatureVec, FrameData, unit_rows
 from .metrics import BoxTable, LabeledBox
 
 __all__ = [
@@ -198,8 +198,8 @@ def read_features(path, dets: DetectionRows) -> FeatureTable:
     """Parse the feature sidecar and validate coverage against the detection rows.
 
     After the header a line needs exactly 2 + dim fields: `int` frame and detection index, a (frame, det) no
-    earlier line has, and `float` values that make a `FeatureVec`. Then a detection without a row is named by
-    its key, and the first row without a detection by its line.
+    earlier line has, and `float` values that make a `FeatureVec`: all rows are normalised as one `unit_rows`
+    block. Then a detection without a row is named by its key, and the first row without a detection by its line.
     """
     numbered = _numbered_lines(path)
     header = next(numbered, (1, ""))[1].strip()
@@ -215,13 +215,9 @@ def read_features(path, dets: DetectionRows) -> FeatureTable:
     rows = _Rows(path, numbered, (int, int), dim)
     frames, det_idx = rows.columns
     rows.check_unique(frames, det_idx, lambda key: f"duplicate feature row for {key}")
-    features = []
-    with np.errstate(over="ignore"):  # a norm beyond float64 is FeatureVec's ValueError, not a warning
-        for i in range(rows.stop):  # each vector from its own parsed row, in file order; the first bad one is kept
-            try:
-                features.append(FeatureVec(rows.block[i * dim : (i + 1) * dim]))
-            except ValueError as exc:
-                rows.check([i], lambda _, message=str(exc): message)
+    # Only a file with no good row can declare a dimension beyond numpy's largest: its lines fail the field count.
+    unit, failed, message = unit_rows(rows.block[: rows.stop * dim].reshape(rows.stop, dim if rows.stop else 0))
+    rows.check(failed, lambda i: message)
     rows.raise_first()
 
     keys = list(zip(frames.tolist(), det_idx.tolist()))
@@ -234,7 +230,7 @@ def read_features(path, dets: DetectionRows) -> FeatureTable:
         i = next(i for i, key in enumerate(keys) if key not in expected)
         frame, det = keys[i]
         raise DataError(f"{path}:{rows.lines[i][0]}: feature row for nonexistent detection (frame {frame}, index {det})")
-    return FeatureTable(dim=dim, rows=dict(zip(keys, features)))
+    return FeatureTable(dim=dim, rows=dict(zip(keys, FeatureVec.of_unit_rows(unit))))
 
 
 def attach_features(dets: DetectionRows, table: FeatureTable) -> list[FrameData]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundingBox, Detection, FeatureVec, FrameData, iou
+from .core import BoundingBox, Detection, FeatureVec, FrameData, iou, unit_rows
 from .metrics import LabeledBox
 
 __all__ = ["ScenarioConfig", "Scenario", "generate", "occlusion_preset"]
@@ -135,6 +135,14 @@ def _build_paths(cfg: ScenarioConfig) -> list[_IdentityPath]:
     return paths
 
 
+def _features(raw: list[np.ndarray], dim: int) -> list[FeatureVec]:
+    """The `FeatureVec` of each raw feature, normalised as one `unit_rows` block."""
+    unit, failed, message = unit_rows(np.reshape(raw, (-1, dim)))
+    if failed:
+        raise ValueError(message)
+    return FeatureVec.of_unit_rows(unit)
+
+
 def generate(cfg: ScenarioConfig) -> Scenario:
     """Build a scenario; a pure, deterministic function of the configuration."""
     paths = _build_paths(cfg)
@@ -154,7 +162,8 @@ def generate(cfg: ScenarioConfig) -> Scenario:
         for i, box in enumerate(boxes):
             gt.append(LabeledBox(frame=frame, id=i + 1, bbox=box))
 
-        dets: list[Detection] = []
+        kept: list[tuple[BoundingBox, float]] = []  # each emitted detection's box and confidence
+        raw: list[np.ndarray] = []  # and its feature before normalisation
         for i, box in enumerate(boxes):
             occluder = None
             best_inter = 0.0
@@ -183,9 +192,9 @@ def generate(cfg: ScenarioConfig) -> Scenario:
                 base = (1.0 - lam) * base_feats[i] + lam * base_feats[occluder]
             else:
                 base = base_feats[i]
-            feature = FeatureVec(base + cfg.feature_noise * feat_noise)
-            confidence = 0.95 if occluder is None else max(0.2, 0.95 - 0.6 * lam)
-            dets.append(Detection(BoundingBox(left, top, width, height), feature, confidence))
+            raw.append(base + cfg.feature_noise * feat_noise)
+            kept.append((BoundingBox(left, top, width, height), 0.95 if occluder is None else max(0.2, 0.95 - 0.6 * lam)))
+        dets = (Detection(box, feature, conf) for (box, conf), feature in zip(kept, _features(raw, cfg.feature_dim)))
         det_frames.append(FrameData(index=frame, detections=tuple(dets)))
 
     return Scenario(gt=tuple(gt), det_frames=tuple(det_frames), identity_features=identity_features)

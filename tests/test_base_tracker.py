@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import count_calls, make_det, make_frame, rows_to_boxes, state_row
 
@@ -16,7 +17,8 @@ from adptrack.base_tracker import (
     run,
     step,
 )
-from adptrack.core import FeatureVec, iou
+from adptrack.appearance import ema_update
+from adptrack.core import FeatureVec, iou, unit_rows
 from adptrack.metrics import evaluate
 from adptrack.motion import state_to_bbox
 from adptrack.synthworld import ScenarioConfig, generate
@@ -58,6 +60,22 @@ def test_fused_similarity_gates_zero_appearance():
     state = _single_track_state(feature=(1.0, 0.0))
     det = make_det(0, 0, feature=(0.1, np.sqrt(1 - 0.01)))
     assert fused_similarity(*state_row(state, 0), det) == 0.0
+
+
+@given(st.integers(1, 8), st.integers(2, 24), st.integers(0, 2**32 - 1))
+def test_ema_equals_per_row_ema_update_as_bytes(n, d, seed):
+    """Two blocks of n unit rows, each normalised from normal values scaled by a power of ten from 1e-5 to 1e150."""
+    rng = np.random.default_rng(seed)
+    rep, obs = (unit_rows(rng.normal(size=(n, d)) * 10.0 ** rng.choice([-5, -2, 0, 2, 5, 150], size=(n, 1)))[0] for _ in range(2))
+    expected = [
+        ema_update(r, o, 0.9).values for r, o in zip(FeatureVec.of_unit_rows(rep.copy()), FeatureVec.of_unit_rows(obs.copy()))
+    ]
+    assert base_tracker._ema(rep, obs).tobytes() == b"".join(row.tobytes() for row in expected)
+
+
+def test_ema_rejects_a_blend_that_collapses():
+    with pytest.raises(ValueError, match="EMA blend collapsed to zero"):
+        base_tracker._ema(np.array([[0.6, 0.8], [0.0, 0.0]]), np.array([[0.6, 0.8], [0.0, 0.0]]))
 
 
 def test_compute_base_weights_empty_and_single():
@@ -167,7 +185,7 @@ def test_step_cold_start_spawns():
     _, matching = step(state, make_frame(1, [make_det(0, 0), make_det(30, 0)]))
     assert matching.pairs == ()
     assert [t.id for t in state.tracks] == [1, 2]
-    assert all(t.last_frame == 1 for t in state.tracks)
+    assert state.last.tolist() == [1, 1]
 
 
 def test_step_stationary_rematches():
@@ -195,7 +213,7 @@ def test_lifecycle_removal_after_max_age():
         assert state.tracks == [track]
     step(state, make_frame(4, []))  # last match 3 frames back
     assert state.tracks == []
-    assert track.last_frame == 1
+    assert track.history[-1][0] == 1
 
 
 def test_lost_track_keeps_predicting_and_reacquires():
@@ -204,10 +222,10 @@ def test_lost_track_keeps_predicting_and_reacquires():
     step(state, make_frame(2, [make_det(4, 0)]))
     step(state, make_frame(3, []))  # lost for one frame, velocity (4, 0)
     track = state.tracks[0]
-    assert state.tracks == [track] and track.last_frame == 2
+    assert state.tracks == [track] and state.last.tolist() == [2]
     _, matching = step(state, make_frame(4, [make_det(12, 0)]))
     assert matching.pairs == ((0, 0),)
-    assert state.tracks == [track] and track.last_frame == 4
+    assert state.tracks == [track] and state.last.tolist() == [4]
 
 
 def test_no_id_reuse():
@@ -279,10 +297,10 @@ def test_step_predicts_each_surviving_track_once(monkeypatch):
         # the surviving rows in one batch; the spawned rows take the closed-form prior
         survivors = [t for t in state.tracks if t.history[0][0] < frame.index]
         assert [len(x) for x, in predicts] == [len(survivors)]
-        assert len(state.forecast) == len(state.rep) == len(state.tracks)
+        assert len(state.forecast) == len(state.rep) == len(state.last) == len(state.tracks)
         # the tracks are exactly those whose last match lies at most max_age frames back
         seen.update((t.id, t) for t in state.tracks)
-        assert state.tracks == [t for t in seen.values() if frame.index - t.last_frame <= params.max_age]
+        assert state.tracks == [t for t in seen.values() if frame.index - t.history[-1][0] <= params.max_age]
     assert len(state.tracks) < len(seen) == state.next_id - 1
 
 

@@ -4,7 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adptrack.core import BoundingBox, Detection, FeatureVec, FrameData, box_array, from_center, iou, iou_matrix, to_center
+from adptrack.core import (
+    BoundingBox,
+    Detection,
+    FeatureVec,
+    FrameData,
+    box_array,
+    from_center,
+    iou,
+    iou_matrix,
+    to_center,
+    unit_rows,
+)
 
 finite_coord = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
 positive_size = st.floats(0.1, 1e3, allow_nan=False, allow_infinity=False)
@@ -149,6 +160,80 @@ def test_feature_normalization_equals_numpy_norm_bit_for_bit(raw, layout):
             FeatureVec(x)
         return
     assert FeatureVec(x).values.tobytes() == (x / norm).tobytes()
+
+
+def _normalized_alone(row):
+    """A fresh copy of one row normalised on its own, as `FeatureVec` did before `unit_rows`: (unit row, None) or
+    (None, message)."""
+    if not np.isfinite(row).all():
+        return None, "feature values must be finite"
+    flat = np.array(row)
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(flat.dot(flat))
+    if not norm < math.inf:
+        return None, "feature vector norm overflows float64"
+    if norm < 1e-12:
+        return None, "zero feature vector cannot be normalized"
+    return row / norm, None
+
+
+_BAD_ROWS = ["zero", "non-finite", "overflow"]
+
+
+@st.composite
+def _feature_blocks(draw):
+    """(n, d) blocks of `_wide_values` rows, some made to fail one check, in C or Fortran layout or in C layout
+    one value past an allocation's start, where no row starts on a 16-byte boundary the generic `ddot` kernel
+    sums from."""
+    d, n = draw(st.integers(2, 24)), draw(st.integers(1, 6))
+    block = []
+    for _ in range(n):
+        row = [m * 10.0**e for m, e in draw(st.lists(st.tuples(st.floats(-1, 1), st.sampled_from(_EXPONENTS)), min_size=d, max_size=d))]
+        kind = draw(st.sampled_from(["good"] * 5 + _BAD_ROWS))
+        if kind == "zero":
+            row = [0.0] * d
+        elif kind != "good":
+            bad = [math.nan, math.inf, -math.inf] if kind == "non-finite" else [1.7976931348623157e308]
+            row[draw(st.integers(0, d - 1))] = draw(st.sampled_from(bad))
+        block.append(row)
+    layout = draw(st.sampled_from(["C", "F", "offset"]))
+    if layout != "offset":
+        return np.array(block, order=layout)
+    buffer = np.empty(n * d + 1)
+    buffer[1:] = np.ravel(block)
+    return buffer[1:].reshape(n, d)
+
+
+@given(_feature_blocks())
+def test_unit_rows_equals_each_row_normalised_alone(block):
+    """The block's rows equal, as bytes, a fresh copy of each row normalised alone and the row's `FeatureVec`, up
+    to the first row that cannot be normalised, which is reported with the message of its first failing check."""
+    alone = [_normalized_alone(row) for row in block]
+    first = next((i for i, (_, message) in enumerate(alone) if message), len(block))
+    unit, failed, message = unit_rows(block)
+    assert failed == ([first] if first < len(block) else [])
+    assert message == (alone[first][1] if failed else None)
+    assert unit.shape == (first, block.shape[1])
+    assert unit.tobytes() == b"".join(row.tobytes() for row, _ in alone[:first])
+    assert unit.tobytes() == b"".join(FeatureVec(row).values.tobytes() for row in block[:first])
+    if failed:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FeatureVec(block[first])
+
+
+def test_unit_rows_reports_the_first_bad_row_and_its_first_failing_check():
+    good, zero, huge = [3.0, 4.0], [0.0, 0.0], [1.7976931348623157e308, 1.0]
+    cases = [
+        ([good, [math.nan, 1.0], zero], 1, "feature values must be finite"),
+        ([huge, [math.inf, 0.0]], 0, "feature vector norm overflows float64"),
+        ([good, good, zero, huge], 2, "zero feature vector cannot be normalized"),
+        ([[math.inf, 1.7976931348623157e308]], 0, "feature values must be finite"),
+    ]
+    for block, first, message in cases:
+        unit, failed, got = unit_rows(np.array(block))
+        assert (failed, got) == ([first], message)
+        assert unit.tolist() == [[0.6, 0.8]] * first
+    assert unit_rows(np.zeros((0, 3)))[0].shape == (0, 3)
 
 
 def test_feature_rejects_zero_and_bad_shapes():

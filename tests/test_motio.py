@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import detection_rows, make_det, oracle_read_detections, oracle_read_features, oracle_read_gt, table_rows
+from conftest import count_calls, detection_rows, make_det, oracle_read_detections, oracle_read_features, oracle_read_gt, table_rows
 
-from adptrack import cli
+from adptrack import cli, core, motio
 from adptrack.base_tracker import TrackerParams, run as run_base
 from adptrack.core import BoundingBox, Detection, FeatureVec, FrameData
 from adptrack.motio import (
@@ -175,13 +175,21 @@ def test_read_features_reports_a_lines_first_failing_field(tmp_path):
         read_features(feat_path, _FUZZ_DETS)
 
 
-def test_loading_builds_each_detection_once(tmp_path, monkeypatch):
-    """Loading the crowd scene of 1 435 rows builds one `Detection` and one `BoundingBox` per row and one
-    `FrameData` per frame, all after `read_detections`, which builds none."""
+@pytest.fixture(scope="module")
+def crowd_files(tmp_path_factory):
+    """The det and feature files of the crowd scene at seed 9003: 1 435 rows over 72 frames."""
     scenario = generate(replace(occlusion_preset()[0], identities=20, crossings=6, seed=9003))
-    det_path, feat_path = tmp_path / "det.txt", tmp_path / "features.csv"
+    crowd = tmp_path_factory.mktemp("crowd")
+    det_path, feat_path = crowd / "det.txt", crowd / "features.csv"
     write_detections(det_path, list(scenario.det_frames))
     write_features(feat_path, list(scenario.det_frames))
+    return det_path, feat_path
+
+
+def test_loading_builds_each_detection_once(crowd_files, monkeypatch):
+    """Loading the crowd scene of 1 435 rows builds one `Detection` and one `BoundingBox` per row and one
+    `FrameData` per frame, all after `read_detections`, which builds none."""
+    det_path, feat_path = crowd_files
     built = {Detection: 0, BoundingBox: 0, FrameData: 0}
     for cls in built:
         def counted(self, cls=cls, original=cls.__post_init__):
@@ -202,6 +210,17 @@ def test_loading_builds_each_detection_once(tmp_path, monkeypatch):
     assert in_reader == {Detection: 0, BoundingBox: 0, FrameData: 0}
     assert built == {Detection: 1435, BoundingBox: 1435, FrameData: 72}
     assert sum(len(f.detections) for f in frames) == 1435 and len(frames) == 72
+
+
+def test_loading_normalises_every_feature_in_one_block(crowd_files, monkeypatch):
+    """Loading the crowd scene normalises its 1 435 feature rows in one `unit_rows` call and builds no
+    `FeatureVec` through its per-vector constructor."""
+    blocks = count_calls(monkeypatch, motio, "unit_rows")
+    vectors = count_calls(monkeypatch, core, "unit_rows")  # `FeatureVec.__init__` normalises through it
+    frames = cli._load_sequence(*crowd_files)
+    assert [block.shape for block, in blocks] == [(1435, 16)]
+    assert vectors == []
+    assert all(type(det.feature) is FeatureVec for f in frames for det in f.detections)
 
 
 def test_write_results_sorting_and_roundtrip(tmp_path):

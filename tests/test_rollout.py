@@ -586,6 +586,7 @@ def test_array_state_equals_the_scalar_recursion(monkeypatch):
 
     def check(state):
         assert len(state.forecast) == len(state.rep) == len(state.tracks)
+        assert state.last.tolist() == [t.history[-1][0] for t in state.tracks]
         for i, track in enumerate(state.tracks):
             if track not in expected:
                 det = track.history[0][1]
@@ -619,6 +620,41 @@ def test_array_state_equals_the_scalar_recursion(monkeypatch):
     run_adp(frames, PARAMS, AdpConfig(horizon=10))
     assert len(calls) > 5 * len(frames)  # the simulated steps are checked too
     assert sum(calls) > 1000
+
+
+_CROWD = replace(occlusion_preset()[0], identities=20, crossings=6, seed=9003)
+
+
+@pytest.mark.parametrize("workload", ["crowd-base", "crowd-f2", "presets-base"])
+def test_last_match_rows_follow_the_histories(monkeypatch, preset_base_runs, workload):
+    """After every step `last` holds each track's last matched frame and `collect_frame_rows` returns what a scan
+    of the histories finds; the steps spawn, match, lose and remove tracks. The scalar recursion test above
+    checks `last` after the simulated steps too."""
+    if workload == "presets-base":
+        sequences = [list(scenario.det_frames) for scenario, _ in preset_base_runs]
+    else:
+        sequences = [list(generate(_CROWD).det_frames)]
+    apply_matching = base_tracker.apply_matching
+    removed = []
+
+    def checked(state, frame, matching):
+        before = {t.id for t in state.tracks}
+        apply_matching(state, frame, matching)
+        assert state.last.dtype == np.int64
+        assert state.last.tolist() == [t.history[-1][0] for t in state.tracks]
+        for index in (frame.index, frame.index - 1):
+            scan = [(index, t.id, t.history[-1][1]) for t in state.tracks if t.history[-1][0] == index]
+            assert base_tracker.collect_frame_rows(state, index) == scan
+        removed.append(len(before - {t.id for t in state.tracks}))
+
+    monkeypatch.setattr(base_tracker, "apply_matching", checked)
+    monkeypatch.setattr(rollout, "apply_matching", checked)
+    for frames in sequences:
+        if workload == "crowd-f2":
+            run_adp(frames, PARAMS, AdpConfig(variant=Variant.F2, horizon=10))
+        else:
+            run_base(frames, PARAMS)
+    assert sum(removed) > 0
 
 
 def test_frame_rows_are_built_once_shared_and_never_written(monkeypatch):
