@@ -12,13 +12,15 @@ zero-weight dummy per row (or column): a gated-out cell scores 0, exactly
 like leaving its row unmatched, and the dummies let a row whose allowed cells
 are all negative stay unmatched. Each solve also yields an optimal pair list,
 the witness, which lets the canonical scan accept a cell without a solve.
-Most of the tracker's matchings need no solve at all: each live row and
-column holds one allowed cell. `brute_force_match` is an independent
+Most of the tracker's matchings need no solve at all: their allowed cells
+form a star forest, each cell alone in its row or in its column, so an
+optimum holds one cell of each star. `brute_force_match` is an independent
 enumeration oracle for small matrices.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -85,18 +87,41 @@ def _solve_partial_max(arr: np.ndarray, allowed: np.ndarray) -> tuple[float, lis
     return total, pairs
 
 
+def _star_cells(rows: list[int], cols: list[int], values: list[float]) -> tuple[list, list, list] | None:
+    """Rows, columns and weights, in row-major order, of each star's first cell within the tie tolerance of its
+    best; None if some allowed cell shares both its row and its column."""
+    row_count, col_count = Counter(rows), Counter(cols)
+    if any(row_count[i] > 1 and col_count[j] > 1 for i, j in zip(rows, cols)):
+        return None
+    stars = [i if col_count[j] == 1 else ~j for i, j in zip(rows, cols)]  # a row star's key is its row, a column's ~col
+    best: dict[int, float] = {}
+    for star, v in zip(stars, values):
+        best[star] = max(best.get(star, v), v)
+    first: dict[int, int] = {}
+    for k, (star, v) in enumerate(zip(stars, values)):
+        if v >= best[star] - _TIE_TOL:
+            first.setdefault(star, k)  # inserted, and so listed, in row-major order
+    return [rows[k] for k in first.values()], [cols[k] for k in first.values()], [values[k] for k in first.values()]
+
+
 def hungarian_max(w: WeightMatrix, min_weight: float) -> Matching:
     """Max-weight gated partial matching with canonical tie-breaking.
 
-    When each row and column holds at most one allowed cell and each of those
-    weighs more than 0, those cells are the only optimum, and the scan below
-    runs over them at once. Otherwise rows and columns with no cell >=
-    min_weight, which can never be matched, are pruned first; the kept ones
-    stay in ascending order, and the solves and the scan run on the remaining
-    live block. The canonical matching is built greedily: cells are scanned in
-    row-major order and a cell is kept exactly when some optimal matching
-    extends the kept set with it. The scan stops as soon as the kept set
-    itself attains the optimum, which drops zero-gain extensions.
+    When every allowed cell weighs more than 0 and is alone in its row or in
+    its column, the allowed cells form a star forest: each connected part is
+    one row with several columns or one column with several rows, and an
+    optimum holds exactly one cell of each star. The canonical one keeps, of
+    each star, the first cell in row-major order within the tie tolerance of
+    the star's best, and the scan below runs over those cells at once; the
+    common case, every star a single cell, is tested first. Otherwise, when
+    an allowed cell shares both its row and its column or weighs 0 or less,
+    rows and columns with no cell >= min_weight, which can never be matched,
+    are pruned first; the kept ones stay in ascending order, and the solves
+    and the scan run on the remaining live block. The canonical matching is
+    built greedily: cells are scanned in row-major order and a cell is kept
+    exactly when some optimal matching extends the kept set with it. The
+    scan stops as soon as the kept set itself attains the optimum, which
+    drops zero-gain extensions.
 
     The scan carries a witness: an optimal matching that contains the kept
     set, first the one from the full solve. A cell of the witness is kept
@@ -107,10 +132,14 @@ def hungarian_max(w: WeightMatrix, min_weight: float) -> Matching:
     allowed = w.array >= min_weight
     rows, cols = (index.tolist() for index in np.nonzero(allowed))  # row-major
     values = w.array[rows, cols].tolist()
-    if len(set(rows)) == len(rows) and len(set(cols)) == len(cols) and all(v > 0.0 for v in values):
-        totals = list(accumulate(values, initial=0.0))  # added left to right, as the scan adds
-        k = next(k for k, total in enumerate(totals) if total >= totals[-1] - _TIE_TOL)
-        return Matching(pairs=tuple(zip(rows[:k], cols[:k])), total_weight=totals[k])
+    if all(v > 0.0 for v in values):
+        single = len(set(rows)) == len(rows) and len(set(cols)) == len(cols)  # every star is a single cell
+        kept = (rows, cols, values) if single else _star_cells(rows, cols, values)
+        if kept is not None:
+            rows, cols, values = kept
+            totals = list(accumulate(values, initial=0.0))  # added left to right, as the scan adds
+            k = next(k for k, total in enumerate(totals) if total >= totals[-1] - _TIE_TOL)
+            return Matching(pairs=tuple(zip(rows[:k], cols[:k])), total_weight=totals[k])
     live_rows = np.flatnonzero(allowed.any(axis=1))
     live_cols = np.flatnonzero(allowed.any(axis=0))
     arr = w.array[np.ix_(live_rows, live_cols)]

@@ -45,15 +45,19 @@ def test_base_equivalence(equivalence_runs):
 
 
 def test_matching_oracle():
-    with criterion("matching oracle (500 seeded matrices)", 10):
+    # Half the matrices, at both gates, draw their entries from {0, 0.25, 0.5, 1}, so tied optima are
+    # common and the canonical pair lists, not only the totals, must agree.
+    with criterion("matching oracle (500 seeded matrices, half of them tie-heavy)", 10):
         rng = np.random.default_rng(20240917)
         for i in range(500):
             r, c = rng.integers(1, 7), rng.integers(1, 7)
-            w = WeightMatrix(rng.uniform(0, 1, size=(r, c)))
+            entries = rng.uniform(0, 1, size=(r, c)) if i % 4 < 2 else rng.choice([0.0, 0.25, 0.5, 1.0], size=(r, c))
+            w = WeightMatrix(entries)
             min_weight = 0.0 if i % 2 == 0 else 0.3
             h = hungarian_max(w, min_weight)
             b = brute_force_match(w, min_weight)
             assert abs(h.total_weight - b.total_weight) < 1e-9
+            assert h.pairs == b.pairs
 
 
 def test_dp_oracle():

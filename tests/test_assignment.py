@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,7 @@ from conftest import count_calls
 from adptrack import assignment, base_tracker, rollout
 from adptrack.assignment import Matching, WeightMatrix, brute_force_match, hungarian_max
 from adptrack.base_tracker import TrackerParams
-from adptrack.rollout import AdpConfig
+from adptrack.rollout import AdpConfig, Variant
 from adptrack.synthworld import generate, occlusion_preset
 
 
@@ -261,6 +263,75 @@ def test_one_positive_cell_per_row_and_column_takes_no_solve(monkeypatch):
     for i, j in cells:
         total += w[i, j]
     assert m.total_weight == total
-    w[5, 17] = 0.26  # a second allowed cell in row 5 and in column 17, in no optimum
-    assert hungarian_max(WeightMatrix(w), 0.2).pairs == ((3, 17), (5, 2), (11, 29), (12, 0), (30, 8), (39, 21))
+    # A shared column and a shared row make two stars: each keeps its best cell, still without a solve.
+    w[20, 2] = 0.4  # column 2 holds (5, 2) and, better, (20, 2)
+    w[39, 5] = 0.95  # row 39 holds (39, 5) and, worse, (39, 21)
+    star_pairs = ((3, 17), (11, 29), (12, 0), (20, 2), (30, 8), (39, 5))
+    m = hungarian_max(WeightMatrix(w), 0.2)
+    assert solves == []
+    assert m.pairs == star_pairs
+    total = 0.0
+    for i, j in star_pairs:
+        total += w[i, j]
+    assert m.total_weight == total
+    w[11, 0] = 0.3  # shares row 11 with (11, 29) and column 0 with (12, 0): it joins two stars, in no optimum
+    assert hungarian_max(WeightMatrix(w), 0.2).pairs == star_pairs
     assert solves
+
+
+@st.composite
+def _star_forest(draw):
+    """Sparse weights whose allowed cells form a star forest, or one near miss of it.
+
+    Each star is centred on a row or on a column and holds one to three
+    cells; rows and columns are then shuffled, so stars interleave in
+    row-major order. The near misses are one allowed cell that joins two
+    stars and, at a gate at or below zero, an allowed cell of weight zero or
+    below. The gains tie often. At most one cell weighs 1 - 5e-13 and at most
+    five stars are drawn, so that near tie plus a tail of 1e-13 stars stays
+    below the matcher's tie tolerance: the matchings within it of the optimum
+    are all within it of each other, and the canonical one is well defined.
+    """
+    miss = draw(st.sampled_from(["none", "join", "zero", "negative"]))
+    mw = draw(st.sampled_from([-0.5, 0.0] if miss in ("zero", "negative") else [0.0, 0.2]))
+    cells, r, c = [], 0, 0
+    for _ in range(draw(st.integers(0, 5))):
+        on_row = draw(st.booleans())
+        leaves = min(draw(st.integers(1, 3)), 6 - (c if on_row else r))
+        if leaves < 1 or (r if on_row else c) == 6:
+            break
+        cells += [(r, c + k) if on_row else (r + k, c) for k in range(leaves)]
+        r, c = (r + 1, c + leaves) if on_row else (r + leaves, c + 1)
+    row_order = draw(st.permutations(range(r + draw(st.integers(0, 2)))))
+    col_order = draw(st.permutations(range(c + draw(st.integers(0, 2)))))
+    w = np.full((len(row_order), len(col_order)), draw(st.sampled_from([mw - 1.0, mw - 1e-9])))  # gated out
+    cells = [(row_order[i], col_order[j]) for i, j in cells]
+    gains = draw(st.lists(st.sampled_from([0.3, 0.5, 1.0, 1e-13]), min_size=len(cells), max_size=len(cells)))
+    for (i, j), gain in zip(cells, gains):
+        w[i, j] = gain
+    if cells and draw(st.booleans()):
+        w[draw(st.sampled_from(cells))] = 1.0 - 5e-13  # ties with 1.0 within the tolerance
+    used_rows, used_cols = {i for i, _ in cells}, {j for _, j in cells}
+    empty = [(i, j) for i in sorted(used_rows) for j in sorted(used_cols) if (i, j) not in cells]
+    if miss == "join" and empty:
+        w[draw(st.sampled_from(empty))] = draw(st.sampled_from([0.3, 0.5, 1.0]))  # a second cell in its row and column
+    elif cells and miss in ("zero", "negative"):
+        w[draw(st.sampled_from(cells))] = 0.0 if miss == "zero" else draw(st.sampled_from([mw, mw / 2.0]))
+    return WeightMatrix(w), mw
+
+
+@settings(max_examples=400, deadline=None)
+@given(_star_forest())
+def test_oracle_agrees_on_star_forests(case):
+    w, mw = case
+    assert hungarian_max(w, mw) == brute_force_match(w, mw)
+
+
+def test_crowd_f2_matchings_take_few_solves(monkeypatch):
+    """The f2 blend gives fragment tracks one allowed cell each on a shared detection: star forests, matched without
+    a solve. A scan that solves for every competing cell before the winner takes about 5 solves per matching here."""
+    matches = count_calls(monkeypatch, rollout, "hungarian_max")
+    solves = count_calls(monkeypatch, assignment, "linear_sum_assignment")
+    scenario = generate(replace(occlusion_preset()[0], identities=20, crossings=6, seed=9003))
+    rollout.run(list(scenario.det_frames), TrackerParams(), AdpConfig(horizon=10, variant=Variant.F2))
+    assert matches and len(solves) <= 0.5 * len(matches)
