@@ -1,11 +1,11 @@
 """Appearance model: cosine scores, EMA representative features, quality windows.
 
-A track's quality record is a plain list of floats: 1.0 for its spawn
-detection, then the appearance score the matcher saw at each association.
-Low values flag frames where the object was visually unreliable (occluded,
-blended with a neighbor). The quality window walks back to the most recent
-reliable entry and returns, as a range of 1-based history positions, the
-last few detections ending there: the track's trusted visual history.
+A track's quality record holds 1.0 for its spawn detection, then the
+appearance score the matcher saw at each association; low values flag frames
+where the object was visually unreliable (occluded, blended with a neighbor).
+`select_quality_window` defines the trusted visual history on the record as
+a list: the 1-based positions of the last few matches ending at the most
+recent reliable one. `rollout.TrustedRecord` keeps the same window as arrays.
 
 Every dot product of features, here and in the rollout layer, is taken by
 `feature_dots`, a multiply-sum, rather than by ``np.dot`` or ``@``. BLAS picks

@@ -44,7 +44,7 @@ class WeightMatrix:
             arr = arr.reshape(arr.shape if arr.ndim == 2 else (0, 0))
         if arr.ndim != 2:
             raise ValueError(f"weights must form a 2-D matrix, got shape {arr.shape}")
-        if arr.size and not np.all(np.isfinite(arr)):
+        if arr.size and not np.isfinite(arr).all():
             raise ValueError("weight entries must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "array", arr)

@@ -1,17 +1,17 @@
 """Online base tracker: gated similarity weights, matching, track lifecycle.
 
-`TrackerState` holds the live tracks and, in arrays that share their row
-order, each track's one-step forecast (the filter state predicted for the
-next frame, as a `motion` forecast row whose columns only that module reads),
-its representative feature and the frame of its last match. Per frame the
+`TrackerState` holds the live tracks as rows of arrays: each track's id,
+one-step forecast (the filter state predicted for the next frame, as a
+`motion` forecast row whose columns only that module reads), representative
+feature, last matched frame and the detection matched there. Per frame the
 tracker scores each track/detection pair by the minimum of forecast-box
 overlap and gated appearance similarity, solves a thresholded max-weight
 matching and applies the usual lifecycle to all rows at once: matched rows
-take the weights pass's gated appearance score and are corrected and
-refreshed, a track whose last match lies more than `max_age` frames back is
-removed (SORT, Bewley et al., ICIP 2016), every surviving row is predicted
-one frame ahead and confident unmatched detections (rows of the frame's
-cached arrays) spawn at the filter's closed-form prior.
+are corrected and refreshed, a track whose last match lies more than
+`max_age` frames back is removed (SORT, Bewley et al., ICIP 2016), every
+surviving row is predicted one frame ahead and confident unmatched
+detections (rows of the frame's cached arrays) spawn at the filter's
+closed-form prior. A state's `hook` sees each match's gated appearance score.
 
 The gates and rates are fixed, DeepSORT-style (Wojke, Bewley & Paulus, ICIP
 2017): a pair's appearance counts only when its forecast IOU reaches 0.1 and
@@ -30,17 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .appearance import cosine_sim, feature_dots
+# cosine_sim, iou, kf_predict and kf_update are the rows' scalar oracles, imported for perfbench/probes.py to wrap.
+from .appearance import cosine_sim, feature_dots  # noqa: F401
 from .assignment import Matching, WeightMatrix, hungarian_max
-from .core import Detection, FeatureVec, FrameData, iou, iou_matrix, unit_rows
-from .motion import KalmanState, batch_boxes, kf_predict_batch, kf_prior_batch, kf_update_batch, state_to_bbox
-from .motion import kf_predict, kf_update  # noqa: F401  (the rows' oracles, wrapped here by perfbench/probes.py)
+from .core import Detection, FrameData, iou, iou_matrix, unit_rows  # noqa: F401
+from .motion import batch_boxes, kf_predict, kf_predict_batch, kf_prior_batch, kf_update, kf_update_batch  # noqa: F401
 
 __all__ = [
-    "Track",
     "TrackerParams",
     "TrackerState",
-    "fused_similarity",
     "compute_base_weights",
     "step",
     "fork_at",
@@ -69,57 +67,42 @@ class TrackerParams:
             raise ValueError(f"max_age must be >= 1, got {self.max_age}")
 
 
-class Track:
-    """Mutable per-object record: id, matched history and quality record.
-
-    The track's filter and appearance state and the frame of its last match
-    are its row of the `TrackerState` arrays.
-    """
-
-    __slots__ = ("id", "history", "quality")
-
-    def __init__(self, track_id: int, frame: int, det: Detection):
-        self.id = track_id
-        self.history: list[tuple[int, Detection]] = [(frame, det)]
-        # The spawn detection seeds the quality record with a perfect score so
-        # quality windows are defined from birth.
-        self.quality: list[float] = [1.0]
-
-
 class TrackerState:
-    """The live tracks, in spawn order, their state arrays, the id counter and the frame cursor.
+    """The live tracks as rows, in spawn order, the id counter and the frame cursor.
 
-    Row i of the three row arrays belongs to `tracks[i]`: `forecast` (T, 11)
-    holds its one-step forecast as a `motion` forecast row, `rep` (T, d) its
-    representative feature and `last` (T,) int64 the frame of its last match,
-    `tracks[i].history[-1][0]`. A track lives while that frame lies at most
-    `max_age` frames back. Removed tracks leave the list and the arrays; their
-    ids are never reused. `weighed` is the last weights pass of these rows:
-    (frame, confident detections, gated appearance scores).
+    Row i of `ids` (T,), `forecast` (T, 11), `rep` (T, d), `last` (T,) int64 and `matched` (T,) holds one track's
+    id, one-step forecast (a `motion` forecast row), representative feature, last matched frame and the index of
+    the detection matched (or spawned from) there. A track lives while its last match lies at most `max_age`
+    frames back; removed tracks leave the arrays, and their ids are never reused. `weighed` is the last weights
+    pass of these rows: (frame, confident detections, gated appearance scores). `hook`, if set, is called after
+    each `apply_matching` as ``hook(state, frame, keep, quality)``: the rows now start with the old rows `keep`,
+    whose gated appearance scores at `frame` are `quality` (NaN where not matched), then the ones spawned there.
     """
 
-    __slots__ = ("tracks", "forecast", "rep", "last", "next_id", "params", "frame_cursor", "weighed")
+    __slots__ = ("ids", "forecast", "rep", "last", "matched", "next_id", "params", "frame_cursor", "weighed", "hook")
 
     def __init__(self, params: TrackerParams, frame_cursor: int = 0):
-        self.tracks: list[Track] = []
+        self.ids = np.zeros(0, dtype=np.int64)
         self.forecast = kf_prior_batch(np.zeros((0, 4)))
         self.rep = np.zeros((0, 0))
         self.last = np.zeros(0, dtype=np.int64)
+        self.matched = np.zeros(0, dtype=np.intp)
         self.next_id = 1
         self.params = params
         self.frame_cursor = frame_cursor
         self.weighed = None
+        self.hook = None
 
     def spawn(self, frame: FrameData, idx: np.ndarray) -> None:
         """New tracks for the detections `idx` of a frame after the live ones, at the prior, from the frame's rows."""
         if not len(idx):
             return
-        feats = frame.features[idx]
-        self.tracks += [Track(self.next_id + k, frame.index, frame.detections[j]) for k, j in enumerate(idx.tolist())]
+        self.ids = np.concatenate([self.ids, np.arange(self.next_id, self.next_id + len(idx))])
         self.next_id += len(idx)
         self.forecast = np.concatenate([self.forecast, kf_prior_batch(frame.boxes[idx])])
-        self.rep = np.concatenate([self.rep, feats]) if len(self.rep) else feats
+        self.rep = np.concatenate([self.rep, frame.features[idx]]) if len(self.rep) else frame.features[idx]
         self.last = np.concatenate([self.last, np.full(len(idx), frame.index)])
+        self.matched = np.concatenate([self.matched, idx])
         self.weighed = None
 
 
@@ -128,13 +111,6 @@ def _gate(overlap: np.ndarray, dots: np.ndarray) -> tuple[np.ndarray, np.ndarray
     cos = np.minimum(np.maximum(dots, -1.0), 1.0)
     gated = np.where((cos >= _APPEARANCE_GATE) & (overlap >= _IOU_GATE), np.maximum(cos, 0.0), 0.0)
     return np.minimum(overlap, gated), gated
-
-
-def fused_similarity(forecast: KalmanState, rep: FeatureVec, det: Detection) -> float:
-    """min(IOU of a track's forecast box, gated cosine of its representative feature) for one pair."""
-    overlap, cos = iou(state_to_bbox(forecast), det.bbox), cosine_sim(rep, det.feature)
-    gated = max(cos, 0.0) if (cos >= _APPEARANCE_GATE and overlap >= _IOU_GATE) else 0.0
-    return min(overlap, gated)
 
 
 def _ema(rep: np.ndarray, obs: np.ndarray) -> np.ndarray:
@@ -158,7 +134,7 @@ def eligible_detections(frame: FrameData) -> np.ndarray:
 def compute_base_weights(state: TrackerState, frame: FrameData) -> WeightMatrix:
     """Pairwise fused weights: live tracks x confident detections.
 
-    Equal, entry by entry, to `fused_similarity`. A pair whose forecast
+    Each entry is min(forecast IOU, gated cosine) of its pair; a pair whose
     overlap misses the IOU gate weighs 0 whatever its appearance, so the
     feature products are taken only inside the gate. The gated appearance
     scores (0 outside the IOU gate) stay on the state for `apply_matching`.
@@ -178,35 +154,39 @@ def compute_base_weights(state: TrackerState, frame: FrameData) -> WeightMatrix:
 def apply_matching(state: TrackerState, frame: FrameData, matching: Matching) -> None:
     """Advance one frame applying the lifecycle implied by a matching.
 
-    Matching rows index `state.tracks`, columns index `eligible_detections`.
+    Matching rows index the state's rows, columns index `eligible_detections`.
     It consumes the `compute_base_weights` pass of this state and frame. The
-    matched rows are taken together: each records its pair's gated appearance
-    score from that pass as quality, its forecast is corrected with the
-    detection and its representative feature blended with the detection's.
+    matched rows are taken together: each forecast is corrected with its
+    detection and each representative feature blended with the detection's.
     The tracks whose last match lies at most `max_age` frames back are kept
-    and predicted; unmatched confident detections spawn after them.
+    and predicted; unmatched confident detections spawn after them. The hook
+    then sees the kept rows and the pass's gated appearance scores.
     """
     if state.weighed is None or state.weighed[0] is not frame:
         raise ValueError(f"apply_matching needs a compute_base_weights pass of this state for frame {frame.index}")
     (_, det_idx, gated), state.weighed = state.weighed, None
     rows, cols = np.array(matching.pairs, dtype=np.intp).reshape(-1, 2).T
+    matched = det_idx[cols]
     if rows.size:
-        matched = det_idx[cols]
-        for i, j, quality in zip(rows, matched.tolist(), gated[rows, cols].tolist()):
-            state.tracks[i].quality.append(quality)
-            state.tracks[i].history.append((frame.index, frame.detections[j]))
         state.forecast[rows] = kf_update_batch(state.forecast[rows], frame.boxes[matched])
         state.rep[rows] = _ema(state.rep[rows], frame.features[matched])
-        state.last[rows] = frame.index
+        state.last[rows], state.matched[rows] = frame.index, matched
+    if state.hook is not None:
+        quality = np.full(len(state.ids), np.nan)
+        quality[rows] = gated[rows, cols]
 
-    keep = state.last >= frame.index - state.params.max_age
-    if not keep.all():
-        keep = np.flatnonzero(keep)
-        state.tracks = [state.tracks[i] for i in keep.tolist()]
-        state.forecast, state.rep, state.last = state.forecast[keep], state.rep[keep], state.last[keep]
+    keep = np.flatnonzero(state.last >= frame.index - state.params.max_age)
+    if len(keep) < len(state.ids):
+        state.ids, state.forecast, state.rep, state.last, state.matched = (
+            a[keep] for a in (state.ids, state.forecast, state.rep, state.last, state.matched)
+        )
     state.forecast = kf_predict_batch(state.forecast)
-    state.spawn(frame, np.delete(det_idx, cols))
+    free = np.ones(len(det_idx), dtype=bool)
+    free[cols] = False
+    state.spawn(frame, det_idx[free])
     state.frame_cursor = frame.index
+    if state.hook is not None:
+        state.hook(state, frame, keep, quality[keep])
 
 
 def step(state: TrackerState, frame: FrameData) -> tuple[TrackerState, Matching]:
@@ -228,10 +208,10 @@ def fork_at(frame: FrameData, params: TrackerParams) -> TrackerState:
     return state
 
 
-def collect_frame_rows(state: TrackerState, frame_index: int) -> list[tuple[int, int, Detection]]:
+def collect_frame_rows(state: TrackerState, frame: FrameData) -> list[tuple[int, int, Detection]]:
     """(frame, track id, detection) rows for tracks whose last match is this frame."""
-    tracks = state.tracks
-    return [(frame_index, tracks[i].id, tracks[i].history[-1][1]) for i in np.flatnonzero(state.last == frame_index).tolist()]
+    rows, dets = np.flatnonzero(state.last == frame.index), frame.detections
+    return [(frame.index, tid, dets[j]) for tid, j in zip(state.ids[rows].tolist(), state.matched[rows].tolist())]
 
 
 def run(frames: list[FrameData], params: TrackerParams) -> list[tuple[int, int, Detection]]:
@@ -242,5 +222,5 @@ def run(frames: list[FrameData], params: TrackerParams) -> list[tuple[int, int, 
     rows: list[tuple[int, int, Detection]] = []
     for frame in frames:
         step(state, frame)
-        rows.extend(collect_frame_rows(state, frame.index))
+        rows.extend(collect_frame_rows(state, frame))
     return rows

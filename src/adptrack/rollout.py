@@ -2,25 +2,19 @@
 
 For each target frame the layer simulates the base tracker forward over a
 truncated horizon, starting fresh at the target frame, which yields one
-tentative track per target detection; every simulation reads the cached
-detection rows of the frames it steps, so each frame builds them once.
+tentative track per target detection as (frame, detection index) rows.
 Tracks are then matched to detections with a convex combination of the base
-weight matrix and a similarity matrix built from track-versus-tentative-track
-comparisons. Several similarity variants are provided: the main score
-compares a track's trusted past features against the tentative track's
-future features; the others isolate the motion-only, no-simulation and
-representative-feature versions of the same idea.
+weight matrix and a similarity matrix from track-versus-tentative-track
+comparisons: the main score compares a track's trusted past features with
+the tentative track's future features; the other variants isolate its
+motion-only, no-simulation and representative-feature versions.
 
 The per-pair functions (`score_main`, `score_f1`, `score_f2`, `score_f3`,
-`candidate_filter`) define the scores from a track's forecast and
-representative feature; each is a mean whose terms `_mean` adds left to
-right. `score_frame`, which `adp_step` uses, reads those from the tracker
-state's rows and packs the frame's tentatives (for f2, each target detection
-alone) into one entry table. It walks the forecast rows with the batched
-`motion` forms, takes the walk's overlaps in one IOU pass after the walk and
-the window products one window slot at a time, and scores all pairs as one
-masked mean that adds the same terms in the same order, so it equals the
-per-pair functions bit for bit.
+`candidate_filter`, `crowd_check`) define the scores from a track's forecast,
+representative feature and quality record, each a mean that `_mean` adds
+left to right. `score_frame` scores a whole frame from the state's rows, the
+`TrustedRecord` that follows them and the frames' cached rows as one masked
+mean that adds the same terms in the same order, equal bit for bit.
 """
 
 from __future__ import annotations
@@ -31,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .appearance import cosine_sim, feature_dots, select_quality_window
+from .appearance import cosine_sim, feature_dots
+from .appearance import select_quality_window  # noqa: F401  (the record's oracle, wrapped by perfbench/probes.py)
 from .assignment import Matching, WeightMatrix, hungarian_max
 from .base_tracker import (
-    Track,
     TrackerParams,
     TrackerState,
     apply_matching,
@@ -44,7 +38,7 @@ from .base_tracker import (
     fork_at,
     step,
 )
-from .core import Detection, FeatureVec, FrameData, box_array, iou, iou_array
+from .core import Detection, FeatureVec, FrameData, iou, iou_array
 from .motion import KalmanState, batch_boxes, batch_centers, kf_correct_predict_batch, kf_predict, kf_update, state_to_bbox
 
 __all__ = [
@@ -58,6 +52,7 @@ __all__ = [
     "score_f3",
     "candidate_filter",
     "crowd_check",
+    "TrustedRecord",
     "score_frame",
     "combine_costs",
     "adp_step",
@@ -85,9 +80,9 @@ class AdpConfig:
     selection. The candidate filter drops tentative-track entries that are
     geometrically or visually implausible for the track under comparison;
     the crowd heuristic falls back to base weights for tracks at least 10
-    frames old that have been occluded for most of their life. At these
-    defaults it rarely fires: in traced `perfbench` runs it takes 0 track
-    rows of `occ-adp` and about 0.9% of those of `crowd-f2`.
+    frames old that have been occluded for most of their life. It rarely
+    fires at these defaults: in traced `perfbench` runs at commit `affafd2`
+    it takes 0 track rows of `occ-adp` and about 0.9% of those of `crowd-f2`.
     """
 
     alpha: float = 0.25
@@ -115,32 +110,31 @@ class AdpConfig:
 
 @dataclass(frozen=True)
 class TentativeTrack:
-    """Simulated continuation of one target-frame detection."""
+    """Simulated continuation of one target-frame detection, as the per-pair scores read it."""
 
     entries: tuple[tuple[int, Detection], ...]
 
 
-def simulate_tentative(frames: list[FrameData], params: TrackerParams) -> list[TentativeTrack]:
-    """Roll the base tracker forward from the first supplied frame.
+def simulate_tentative(frames: list[FrameData], params: TrackerParams) -> np.ndarray:
+    """Roll the base tracker forward from the first supplied frame, which it treats as a sequence start.
 
-    One tentative track per detection of the first frame, in detection
-    order; tracks that die during the simulation come back shorter. Only the
-    supplied frames are read, so the horizon truncates silently at the end
-    of a sequence.
+    One tentative track per detection of the first frame, in detection order, as an (N, L, 2) array: row j holds
+    the (frame, detection index) rows of tentative j's spawn and matches, then -1. Only the supplied frames are
+    read, so the horizon truncates silently at the end of a sequence.
     """
     if not frames:
         raise ValueError("simulation needs at least one frame")
     sim = fork_at(frames[0], params)
-    origins = list(sim.tracks)
-    for frame in frames[1:]:
+    n = len(sim.ids)
+    log = np.full((n, len(frames)), -1)  # the detection each origin row matched at each frame
+    log[:, 0] = sim.matched
+    for k, frame in enumerate(frames[1:], start=1):
         step(sim, frame)
-    return [TentativeTrack(tuple(track.history)) for track in origins]
-
-
-def _window_features(track: Track, cfg: AdpConfig) -> np.ndarray:
-    """The track's trusted past: detection features at its quality-window positions, as a (k, d) array."""
-    positions = select_quality_window(track.quality, cfg.beta, cfg.window)
-    return np.stack([track.history[pos - 1][1].feature.values for pos in positions])
+        m = np.searchsorted(sim.ids, n, side="right")  # the origin rows lead, with ids 1 to n
+        log[sim.ids[:m] - 1, k] = np.where(sim.last[:m] == frame.index, sim.matched[:m], -1)
+    order = np.argsort(log < 0, axis=1, kind="stable")[:, : (log >= 0).sum(axis=1).max(initial=0)]
+    dets = np.take_along_axis(log, order, axis=1)  # each origin's entries first, in frame order
+    return np.stack([np.where(dets < 0, -1, frames[0].index + order), dets], axis=-1)
 
 
 def _mean_pairwise_cos(past: np.ndarray, entry_feats) -> float:
@@ -152,11 +146,9 @@ def _mean_pairwise_cos(past: np.ndarray, entry_feats) -> float:
 
 
 def score_main(forecast: KalmanState, tent: TentativeTrack, rep: FeatureVec, past: np.ndarray, cfg: AdpConfig) -> float:
-    """Past-versus-future appearance score, averaged over compared pairs.
+    """Past-versus-future appearance score: the mean over the pairs compared, 0 without candidates.
 
-    `past` is the track's trusted window from `_window_features`. Windows
-    clamp at the track start and tentative tracks may be short, so the mean
-    runs over the pairs actually compared. An empty candidate set is neutral.
+    `past` is the track's trusted window, its (k, d) features at its `select_quality_window` positions.
     """
     if cfg.enable_candidate_filter:
         entries = candidate_filter(forecast, tent, rep, cfg)
@@ -166,12 +158,11 @@ def score_main(forecast: KalmanState, tent: TentativeTrack, rep: FeatureVec, pas
 
 
 def _walk(forecast: KalmanState, tent: TentativeTrack):
-    """Walk a clone of a track's filter along the tentative track.
+    """Yield (frame, det, IOU of a clone of the track's filter with the entry) along the tentative track.
 
-    Yields (frame, det, walk_iou) per entry, where walk_iou is the IOU of the
-    clone's prediction with the entry. The clone starts from the track's
-    one-step forecast; between entries it is corrected with the previous
-    entry and predicted again, so no correction follows the last entry.
+    The clone starts from the track's one-step forecast; between entries it is
+    corrected with the previous entry and predicted again, so no correction
+    follows the last entry.
     """
     state, prev = forecast, None
     for frame_idx, det in tent.entries:
@@ -200,11 +191,9 @@ def score_f2(past: np.ndarray, target_det: Detection) -> float:
 
 
 def score_f3(forecast: KalmanState, tent: TentativeTrack, rep: FeatureVec) -> float:
-    """Blend of the motion walk and the representative feature, per entry.
+    """Mean over the walk of min(walk IOU, cos(representative, entry)), the cosine clamped at 0.
 
-    Each tentative entry scores min(walk IOU, cos(representative, entry));
-    the representative feature is never updated during the walk. Negative
-    cosines clamp to zero so the score stays in [0, 1].
+    The representative feature is never updated during the walk.
     """
     return _mean([min(w, max(0.0, cosine_sim(rep, det.feature))) for _, det, w in _walk(forecast, tent)])
 
@@ -212,11 +201,7 @@ def score_f3(forecast: KalmanState, tent: TentativeTrack, rep: FeatureVec) -> fl
 def candidate_filter(
     forecast: KalmanState, tent: TentativeTrack, rep: FeatureVec, cfg: AdpConfig
 ) -> list[tuple[int, Detection]]:
-    """Keep tentative entries that stay plausible for this track.
-
-    An entry survives when the filter-clone walk still overlaps it and its
-    feature resembles the track's representative feature.
-    """
+    """The tentative entries the filter-clone walk still overlaps and whose feature resembles the representative."""
     return [
         (frame_idx, det)
         for frame_idx, det, walk_iou in _walk(forecast, tent)
@@ -224,20 +209,62 @@ def candidate_filter(
     ]
 
 
-def crowd_check(track: Track, frame_cursor: int, cfg: AdpConfig) -> bool:
+def crowd_check(quality: list[float], spawn: int, frame_cursor: int, cfg: AdpConfig) -> bool:
     """True when an old track has spent most of its life visually unreliable; its spawn frame is age 1."""
-    if frame_cursor - track.history[0][0] + 1 < _CROWD_MIN_AGE or not track.quality:
+    if frame_cursor - spawn + 1 < _CROWD_MIN_AGE or not quality:
         return False
-    return sum(1 for v in track.quality if v < cfg.beta) / len(track.quality) >= cfg.crowd_ratio
+    return sum(1 for v in quality if v < cfg.beta) / len(quality) >= cfg.crowd_ratio
+
+
+class TrustedRecord:
+    """Each tracker row's quality record for one `window` and `beta`, as the state's hook from its first row.
+
+    A row's spawn is its first match, of quality 1.0. `table` row i holds its
+    number of qualities, how many lie below `beta`, its spawn frame and its
+    trusted window's size. `slots[i, 0]` holds the features of its last
+    `window` matches, oldest first and right-aligned in C slots; `slots[i, 1]`
+    their copy at its latest match of quality >= `beta`, or at every match
+    while it has none: its `select_quality_window` features. C grows to
+    min(window, the longest record) and no further.
+    """
+
+    __slots__ = ("window", "beta", "table", "slots")
+
+    def __init__(self, window: int, beta: float):
+        self.window, self.beta = window, beta
+        self.table = np.zeros((0, 4), dtype=np.int64)
+        self.slots = np.zeros((0, 2, 0, 0))
+
+    def __call__(self, state: TrackerState, frame: FrameData, keep: np.ndarray, quality: np.ndarray) -> None:
+        n, spawned = len(keep), len(state.ids) - len(keep)
+        if n < len(self.table) or spawned:
+            table = np.zeros((n + spawned, 4), dtype=np.int64)
+            table[:n], table[n:, 2] = self.table[keep], frame.index
+            slots = np.zeros((n + spawned, 2, self.slots.shape[2], state.rep.shape[1]))
+            if n:
+                slots[:n] = self.slots[keep]
+            self.table, self.slots = table, slots
+            quality = np.concatenate([quality, np.ones(spawned)])
+        hit = quality == quality  # not NaN: matched or spawned at this frame
+        self.table[:, :2] += np.stack([hit, quality < self.beta], axis=1)
+        count, below, _, sizes = self.table.T
+        if self.slots.shape[2] < min(self.window, count.max(initial=0)):  # by one slot, as counts grow by one
+            self.slots = np.concatenate([np.zeros((*self.slots.shape[:2], 1, self.slots.shape[3])), self.slots], axis=2)
+        rows, slots = np.flatnonzero(hit), self.slots
+        if rows.size:
+            slots[rows, 0, :-1] = slots[rows, 0, 1:]
+            slots[rows, 0, -1] = frame.features[state.matched[rows]]
+            frozen = np.flatnonzero(hit & ((quality >= self.beta) | (below == count)))
+            slots[frozen, 1] = slots[frozen, 0]
+            sizes[frozen] = np.minimum(count[frozen], self.window)
 
 
 def _frame_walk(forecast: np.ndarray, boxes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """`_walk` of T forecast rows along every tentative at once, as (T, D, L) walk IOUs.
 
     `boxes` (D, L, 4) holds the entry boxes of D tentatives and `lengths`
-    their entry counts. From step l on only the tentatives longer than l are
-    walked; the loop only corrects and predicts, and one IOU pass over the
-    walked states follows it. Cells past a tentative's end stay +0.0.
+    their entry counts. Step l walks only the tentatives longer than l; one
+    IOU pass over the walked states follows. Cells past an end stay +0.0.
     """
     walked = np.arange(boxes.shape[1]) < lengths[:, None]
     x = forecast[:, None].repeat(len(lengths), axis=1)
@@ -257,46 +284,44 @@ def _frame_walk(forecast: np.ndarray, boxes: np.ndarray, lengths: np.ndarray) ->
     return out
 
 
-def score_frame(state: TrackerState, tents, cfg: AdpConfig) -> tuple[np.ndarray, list[int]]:
+def score_frame(state: TrackerState, frames: list[FrameData], tents, cfg: AdpConfig) -> tuple[np.ndarray, np.ndarray]:
     """Rollout scores z of the state's tracks against the tentatives' detections, and the crowd rows.
 
-    `tents` holds each detection's tentative track; f2's is the detection
-    alone. Every variant is one masked mean of (R, K, D, L) terms: R scored
-    tracks, K window rows, D detections, L entries. Each pair adds its terms
-    left to right, entry by entry within a window row and then row by row, as
-    `_mean` adds them, so z equals the per-pair `score_*` functions bit for
-    bit. Masked and padded terms are exact zeros and change no sum.
-
-    - the walk IOUs and representative cosines come from one array walk over
-      all pairs, and the candidate filter is a mask over them;
-    - f1 and f3 take one term per entry (K = 1) from them; f1 reads only the
-      IOUs, so it takes no cosine product;
-    - main takes the products of the trusted windows, zero-padded to the
-      longest scored one (K rows), with every entry the filter keeps, one
-      window slot of every track at a time;
-    - f2 is main without the filter.
-
-    Crowd rows score 0; `combine_costs` gives them the base weights.
+    `tents` (D, L, 2) holds each detection's tentative as (frame, detection index) rows into `frames`, then -1;
+    f2's is the detection alone. The crowd rows, which score 0, are one comparison of the counts of the state's
+    hook, which must be its `TrustedRecord` for `cfg.window` and `cfg.beta`. Each variant is one masked mean of
+    (R, D, K, L) terms (scored tracks, detections, window rows, entries) that each pair adds as `_mean` adds
+    them, so z equals the per-pair `score_*` functions bit for bit; masked and padded terms are exact zeros.
+    One array walk gives the walk IOUs, which f1 and f3 take per entry; the candidate filter and f3 also read
+    the representative cosines. Main multiplies the trusted windows, padded to the longest scored one, with
+    every entry the filter keeps in one product; f2 is main without the filter.
     """
-    tracks = state.tracks
-    z = np.zeros((len(tracks), len(tents)))
-    crowded = [cfg.enable_crowd_heuristic and crowd_check(t, state.frame_cursor, cfg) for t in tracks]
-    crowd = [i for i, c in enumerate(crowded) if c]
-    rows = [i for i, c in enumerate(crowded) if not c]
-    if not rows or not tents:
+    record, key = state.hook, (cfg.window, cfg.beta, len(state.ids))
+    if not isinstance(record, TrustedRecord) or (record.window, record.beta, len(record.table)) != key:
+        raise ValueError(f"the state's hook must be the TrustedRecord of its rows for (window, beta) {key[:2]}")
+    z = np.zeros((len(state.ids), len(tents)))
+    count, below, spawn, sizes = record.table.T
+    old = spawn <= state.frame_cursor + 1 - _CROWD_MIN_AGE  # the spawn frame is age 1
+    crowded = cfg.enable_crowd_heuristic & old & (below / count >= cfg.crowd_ratio)
+    rows, crowd = np.flatnonzero(~crowded), np.flatnonzero(crowded)
+    if not rows.size or not len(tents):
         return z, crowd
-    lengths = np.array([len(t.entries) for t in tents])
-    present = np.arange(lengths.max()) < lengths[:, None]
-    entries = [det for tent in tents for _, det in tent.entries]
-    feats = np.zeros((*present.shape, entries[0].feature.dim))
-    feats[present] = [det.feature.values for det in entries]
-    kept = np.broadcast_to(present, (len(rows), *present.shape))
+    kept = tents[..., 1] >= 0
+    lengths = kept.sum(axis=1)
+    kept, entries = kept[:, : lengths.max()], tents[kept]
+    starts = np.cumsum([0] + [len(frame.detections) for frame in frames])
+    at = starts[entries[:, 0] - frames[0].index] + entries[:, 1]
+
+    def entry_rows(attr, width):  # the entries' rows of the frames' cached `attr` arrays, zero past each end
+        out = np.zeros((*kept.shape, width))
+        out[kept] = np.concatenate([getattr(frame, attr) for frame in frames if frame.detections])[at]
+        return out
+
+    feats = entry_rows("features", state.rep.shape[1])
     per_entry = cfg.variant in (Variant.F1, Variant.F3)
     filtered = cfg.variant is Variant.MAIN and cfg.enable_candidate_filter
     if per_entry or filtered:
-        boxes = np.zeros((*present.shape, 4))
-        boxes[present] = box_array(det.bbox for det in entries)
-        walk = _frame_walk(state.forecast[rows], boxes, lengths)
+        walk = _frame_walk(state.forecast[rows], entry_rows("boxes", 4), lengths)
     if cfg.variant is Variant.F3 or filtered:  # f1 reads only the walk IOUs
         cos = np.clip(feature_dots(state.rep[rows][:, None, None], feats), -1.0, 1.0)
     if per_entry:
@@ -306,17 +331,13 @@ def score_frame(state: TrackerState, tents, cfg: AdpConfig) -> tuple[np.ndarray,
     else:
         if filtered:
             kept = kept & (walk >= cfg.cand_iou) & (cos >= cfg.cand_app)
-        windows = [select_quality_window(tracks[i].quality, cfg.beta, cfg.window) for i in rows]
-        sizes = np.array([len(win) for win in windows])
-        slots = np.arange(sizes.max()) < sizes[:, None]
-        past = np.zeros((*slots.shape, feats.shape[-1]))
-        past[slots] = [tracks[i].history[pos - 1][1].feature.values for i, win in zip(rows, windows) for pos in win]
-        # one window slot of every row at a time; a padded slot's products are zeros
-        dots = [feature_dots(past[:, k, None, None], feats) for k in range(slots.shape[1])]
-        terms = np.where(kept[:, :, None], np.stack(dots, axis=2), 0.0)
+        sizes = sizes[rows]
+        slots = np.arange(-sizes.max(), 0) >= -sizes[:, None]
+        dots = feature_dots(record.slots[rows, 1, -sizes.max() :, None, None], feats).transpose(0, 2, 1, 3)
+        terms = np.where(kept[..., None, :] & slots[:, None, :, None], dots, 0.0)
     # Each pair's (K, L) terms in `_mean`'s order; no term is -0.0, so starting at the first adds as 0.0 + does.
     total = np.add.accumulate(terms.reshape(*terms.shape[:2], -1), axis=2)[..., -1]
-    counts = kept.sum(axis=2) * sizes[:, None]
+    counts = kept.sum(axis=-1) * sizes[:, None]
     z[rows] = np.clip(np.divide(total, counts, out=np.zeros_like(total), where=counts > 0), -1.0, 1.0)
     return z, crowd
 
@@ -326,8 +347,8 @@ def combine_costs(w: WeightMatrix, z: np.ndarray, alpha: float, crowd_rows=()) -
     if z.shape != (w.rows, w.cols):
         raise ValueError(f"shape mismatch: {w.rows}x{w.cols} vs {z.shape}")
     combined = alpha * z + (1.0 - alpha) * w.array
-    rows = list(crowd_rows)
-    combined[rows] = w.array[rows]
+    if len(crowd_rows):
+        combined[crowd_rows] = w.array[crowd_rows]
     return WeightMatrix(combined)
 
 
@@ -336,25 +357,23 @@ def adp_step(state: TrackerState, window: list[FrameData], cfg: AdpConfig) -> tu
 
     `window` holds the target frame followed by up to `horizon` future
     frames. Each eligible detection gets a tentative track: its simulated
-    continuation, or for f2, which never simulates, the detection alone. The
-    scores come from `score_frame`: one array walk of every non-crowd track
-    along those tentatives, one window product per window slot and one
-    masked mean. Lifecycle updates are shared with the base tracker, so
-    with alpha = 0 the step reproduces the base step exactly.
+    continuation, or for f2, which never simulates, the detection alone;
+    `score_frame` scores them. Lifecycle updates are shared with the base
+    tracker, so with alpha = 0 the step reproduces the base step exactly.
     """
     if not window:
         raise ValueError("window must contain at least the target frame")
     frame = window[0]
     weights = compute_base_weights(state, frame)  # validates frame order
 
-    det_idx = eligible_detections(frame).tolist()
+    det_idx = eligible_detections(frame)
     if cfg.variant is Variant.F2:
         # The no-simulation variant never reads the future frames.
-        tents = [TentativeTrack(((frame.index, frame.detections[j]),)) for j in det_idx]
+        window = window[:1]
+        tents = np.stack([np.full(len(det_idx), frame.index), det_idx], axis=-1)[:, None]
     else:
-        tentatives = simulate_tentative(window, state.params)
-        tents = [tentatives[j] for j in det_idx]
-    z, crowd_rows = score_frame(state, tents, cfg)
+        tents = simulate_tentative(window, state.params)[det_idx]
+    z, crowd_rows = score_frame(state, window, tents, cfg)
 
     combined = combine_costs(weights, z, cfg.alpha, crowd_rows)
     matching = hungarian_max(combined, state.params.match_threshold)
@@ -372,11 +391,11 @@ def run(frames: list[FrameData], params: TrackerParams, cfg: AdpConfig) -> list[
     if not frames:
         raise ValueError("cannot track an empty sequence")
     state = TrackerState(params, frame_cursor=frames[0].index - 1)
+    state.hook = TrustedRecord(cfg.window, cfg.beta)
     rows: list[tuple[int, int, Detection]] = []
     step(state, frames[0])
-    rows.extend(collect_frame_rows(state, frames[0].index))
+    rows.extend(collect_frame_rows(state, frames[0]))
     for i in range(1, len(frames)):
-        window = frames[i : i + cfg.horizon + 1]
-        adp_step(state, window, cfg)
-        rows.extend(collect_frame_rows(state, frames[i].index))
+        adp_step(state, frames[i : i + cfg.horizon + 1], cfg)
+        rows.extend(collect_frame_rows(state, frames[i]))
     return rows

@@ -5,11 +5,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from adptrack import base_tracker
+from adptrack.appearance import cosine_sim
 from adptrack.base_tracker import TrackerParams, run as run_base
-from adptrack.core import BoundingBox, Detection, FeatureVec, FrameData
+from adptrack.core import BoundingBox, Detection, FeatureVec, FrameData, iou
 from adptrack.metrics import LabeledBox
 from adptrack.motio import MAX_FRAME_INDEX, DataError, DetectionRows, FeatureTable, _numbered_lines, write_results
-from adptrack.motion import KalmanState
+from adptrack.motion import KalmanState, state_to_bbox
 from adptrack.rollout import AdpConfig, run as run_adp
 from adptrack.synthworld import ScenarioConfig, generate, occlusion_preset
 
@@ -104,6 +106,16 @@ def state_row(state, i):
     object.__setattr__(rep, "values", state.rep[i].copy())
     row = state.forecast[i]
     return KalmanState(row[:8], row[8:].tolist()), rep
+
+
+def fused_similarity(forecast, rep, det):
+    """min(IOU of a track's forecast box, gated cosine of its representative feature) for one pair.
+
+    The scalar oracle of `compute_base_weights`, at the gates `base_tracker` holds when it is called.
+    """
+    overlap, cos = iou(state_to_bbox(forecast), det.bbox), cosine_sim(rep, det.feature)
+    gated = max(cos, 0.0) if (cos >= base_tracker._APPEARANCE_GATE and overlap >= base_tracker._IOU_GATE) else 0.0
+    return min(overlap, gated)
 
 
 def rows_to_boxes(rows):

@@ -232,17 +232,19 @@ def test_module_invariants():
         state = TrackerState(PARAMS, frame_cursor=0)
         params_short = TrackerParams(max_age=3)
         churn = TrackerState(params_short, frame_cursor=0)
-        seen = ({}, {})  # every track each tracker held, by object identity, in first-seen order
+        seen = ([], [])  # every id each tracker held, in first-seen order
         for f in frames:
-            for tracker, tracks in zip((state, churn), seen):
+            for tracker, ids in zip((state, churn), seen):
+                before = set(tracker.ids.tolist())
                 step(tracker, f)
-                tracks.update((id(t), t) for t in tracker.tracks)
-        for tracker, tracks in zip((state, churn), seen):
-            ids = [t.id for t in tracks.values()]
+                now = tracker.ids.tolist()
+                assert all(i in before or i not in ids for i in now)  # a removed id never comes back
+                ids += [i for i in now if i not in before]
+        for tracker, ids in zip((state, churn), seen):
             assert len(ids) == len(set(ids))
             assert ids == sorted(ids)
             assert max(ids) < tracker.next_id
-        assert len(churn.tracks) < len(seen[1])  # removed ids are covered too
+        assert len(churn.ids) < len(seen[1])  # removed ids are covered too
 
         rows1 = run_adp(frames, PARAMS, AdpConfig(horizon=5))
         rows2 = run_adp(frames, PARAMS, AdpConfig(horizon=5))

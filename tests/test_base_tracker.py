@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import count_calls, make_det, make_frame, rows_to_boxes, state_row
+from conftest import count_calls, fused_similarity, make_det, make_frame, rows_to_boxes, state_row
 
 from adptrack import base_tracker
 from adptrack.assignment import Matching, hungarian_max
@@ -13,7 +13,6 @@ from adptrack.base_tracker import (
     compute_base_weights,
     eligible_detections,
     fork_at,
-    fused_similarity,
     run,
     step,
 )
@@ -93,7 +92,7 @@ def test_compute_base_weights_matches_fused_similarity():
     state.spawn(make_frame(1, [make_det(0, 0, feature=(1.0, 0.0)), make_det(30, 0, feature=(0.0, 1.0))]), np.arange(2))
     frame = make_frame(2, [make_det(4, 0, feature=(1.0, 0.0)), make_det(26, 0, feature=(0.0, 1.0))])
     w = compute_base_weights(state, frame)
-    for i in range(len(state.tracks)):
+    for i in range(len(state.ids)):
         for j, det in enumerate(frame.detections):
             assert w.array[i, j] == fused_similarity(*state_row(state, i), det)
 
@@ -112,7 +111,7 @@ def test_compute_base_weights_equals_pairwise_fused_similarity(monkeypatch, open
     state = TrackerState(PARAMS, frame_cursor=frames[0].index - 1)
     for frame in frames:
         dets = [frame.detections[j] for j in eligible_detections(frame)]
-        expected = [[fused_similarity(*state_row(state, i), det) for det in dets] for i in range(len(state.tracks))]
+        expected = [[fused_similarity(*state_row(state, i), det) for det in dets] for i in range(len(state.ids))]
         w = compute_base_weights(state, frame)
         assert np.array_equal(w.array, np.array(expected).reshape(w.rows, w.cols))
         step(state, frame)
@@ -126,7 +125,7 @@ def test_compute_base_weights_takes_cosines_inside_iou_gate_only(monkeypatch):
     inside = 0
     for frame in frames:
         dets = [frame.detections[j] for j in eligible_detections(frame)]
-        rows = [state_row(state, i) for i in range(len(state.tracks))]
+        rows = [state_row(state, i) for i in range(len(state.ids))]
         expected = [
             (rep.values, det.feature.values)
             for forecast, rep in rows
@@ -165,11 +164,14 @@ def test_apply_matching_reads_only_the_fresh_weights_pass_of_its_state_and_frame
     with pytest.raises(ValueError, match="compute_base_weights"):
         apply_matching(state, make_frame(2, list(frame.detections)), unmatched)  # the pass of another frame
 
-    # the failed calls left the pass in place; its gated cosines become the quality
+    # the failed calls left the pass in place; the hook sees its gated cosines as the quality of each match
     matching = hungarian_max(weights, PARAMS.match_threshold)
     assert matching.pairs == ((0, 0), (1, 1))
+    seen = []
+    state.hook = lambda *args: seen.append(args)
     apply_matching(state, frame, matching)
-    assert [t.quality[-1] for t in state.tracks] == [0.8, 1.0]
+    (hooked, at, keep, quality), = seen
+    assert hooked is state and at is frame and keep.tolist() == [0, 1] and quality.tolist() == [0.8, 1.0]
     with pytest.raises(ValueError, match="compute_base_weights"):
         apply_matching(state, frame, matching)  # never twice from one pass
 
@@ -184,8 +186,8 @@ def test_step_cold_start_spawns():
     state = TrackerState(PARAMS, frame_cursor=0)
     _, matching = step(state, make_frame(1, [make_det(0, 0), make_det(30, 0)]))
     assert matching.pairs == ()
-    assert [t.id for t in state.tracks] == [1, 2]
-    assert state.last.tolist() == [1, 1]
+    assert state.ids.tolist() == [1, 2]
+    assert state.last.tolist() == [1, 1] and state.matched.tolist() == [0, 1]
 
 
 def test_step_stationary_rematches():
@@ -193,27 +195,25 @@ def test_step_stationary_rematches():
     step(state, make_frame(1, [make_det(0, 0), make_det(30, 0)]))
     _, matching = step(state, make_frame(2, [make_det(0, 0), make_det(30, 0)]))
     assert matching.pairs == ((0, 0), (1, 1))
-    assert len(state.tracks) == 2
-    assert all(len(t.history) == 2 for t in state.tracks)
+    assert state.ids.tolist() == [1, 2]
+    assert state.last.tolist() == [2, 2] and state.matched.tolist() == [0, 1]
 
 
 def test_step_low_confidence_detections_ignored():
     state = TrackerState(PARAMS, frame_cursor=0)
     step(state, make_frame(1, [make_det(0, 0, conf=0.05)]))
-    assert state.tracks == []
+    assert len(state.ids) == 0
 
 
 def test_lifecycle_removal_after_max_age():
     params = TrackerParams(max_age=2)
     state = TrackerState(params, frame_cursor=0)
     step(state, make_frame(1, [make_det(0, 0)]))
-    track = state.tracks[0]
     for idx in range(2, 4):
         step(state, make_frame(idx, []))
-        assert state.tracks == [track]
+        assert state.ids.tolist() == [1] and state.last.tolist() == [1]
     step(state, make_frame(4, []))  # last match 3 frames back
-    assert state.tracks == []
-    assert track.history[-1][0] == 1
+    assert len(state.ids) == len(state.forecast) == len(state.rep) == len(state.last) == len(state.matched) == 0
 
 
 def test_lost_track_keeps_predicting_and_reacquires():
@@ -221,11 +221,10 @@ def test_lost_track_keeps_predicting_and_reacquires():
     step(state, make_frame(1, [make_det(0, 0)]))
     step(state, make_frame(2, [make_det(4, 0)]))
     step(state, make_frame(3, []))  # lost for one frame, velocity (4, 0)
-    track = state.tracks[0]
-    assert state.tracks == [track] and state.last.tolist() == [2]
+    assert state.ids.tolist() == [1] and state.last.tolist() == [2]
     _, matching = step(state, make_frame(4, [make_det(12, 0)]))
     assert matching.pairs == ((0, 0),)
-    assert state.tracks == [track] and state.last.tolist() == [4]
+    assert state.ids.tolist() == [1] and state.last.tolist() == [4]
 
 
 def test_no_id_reuse():
@@ -234,9 +233,9 @@ def test_no_id_reuse():
     step(state, make_frame(1, [make_det(0, 0)]))
     step(state, make_frame(2, []))
     step(state, make_frame(3, []))
-    assert state.tracks == []
+    assert len(state.ids) == 0
     step(state, make_frame(4, [make_det(0, 0)]))
-    assert [t.id for t in state.tracks] == [2]
+    assert state.ids.tolist() == [2]
 
 
 def test_matching_never_pairs_subthreshold():
@@ -245,17 +244,17 @@ def test_matching_never_pairs_subthreshold():
     _, matching = step(state, make_frame(2, [make_det(9.0, 0, feature=(0.0, 1.0))]))
     # orthogonal feature zeroes the appearance term; fused weight 0 < threshold
     assert matching.pairs == ()
-    assert len(state.tracks) == 2
+    assert len(state.ids) == 2
 
 
 def test_fork_at_binds_detection_order():
     frame = make_frame(7, [make_det(x, 0, conf=c) for x, c in ((0, 0.9), (30, 0.05), (60, 0.5))])
     forked = fork_at(frame, PARAMS)
-    assert [t.id for t in forked.tracks] == [1, 2, 3]  # every detection, low confidence included
-    assert [t.history[0][1].bbox.left for t in forked.tracks] == [0, 30, 60]
+    assert forked.ids.tolist() == [1, 2, 3]  # every detection, low confidence included
+    assert forked.matched.tolist() == [0, 1, 2] and forked.last.tolist() == [7, 7, 7]
     assert forked.frame_cursor == 7
 
-    assert fork_at(make_frame(3, []), PARAMS).tracks == []
+    assert len(fork_at(make_frame(3, []), PARAMS).ids) == 0
 
 
 def test_fork_then_step_rematches_everything():
@@ -288,20 +287,20 @@ def test_step_predicts_each_surviving_track_once(monkeypatch):
     frames = list(sc.det_frames)
     state = TrackerState(params, frame_cursor=frames[0].index - 1)
     predicts = count_calls(monkeypatch, base_tracker, "kf_predict_batch")
-    seen = {}  # every track held so far, by id
+    seen = {}  # the frame of the last match of every track held so far, by id
     for frame in frames:
         del predicts[:]
         compute_base_weights(state, frame)
         assert predicts == []
+        spawned_from = state.next_id
         step(state, frame)
         # the surviving rows in one batch; the spawned rows take the closed-form prior
-        survivors = [t for t in state.tracks if t.history[0][0] < frame.index]
-        assert [len(x) for x, in predicts] == [len(survivors)]
-        assert len(state.forecast) == len(state.rep) == len(state.last) == len(state.tracks)
+        assert [len(x) for x, in predicts] == [np.count_nonzero(state.ids < spawned_from)]
+        assert len(state.forecast) == len(state.rep) == len(state.last) == len(state.matched) == len(state.ids)
         # the tracks are exactly those whose last match lies at most max_age frames back
-        seen.update((t.id, t) for t in state.tracks)
-        assert state.tracks == [t for t in seen.values() if frame.index - t.history[-1][0] <= params.max_age]
-    assert len(state.tracks) < len(seen) == state.next_id - 1
+        seen.update(zip(state.ids.tolist(), state.last.tolist()))
+        assert state.ids.tolist() == [i for i, last in seen.items() if frame.index - last <= params.max_age]
+    assert len(state.ids) < len(seen) == state.next_id - 1
 
 
 def test_run_rejects_empty():

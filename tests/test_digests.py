@@ -201,10 +201,13 @@ TENTATIVE_SCENES = [*occlusion_preset(), replace(occlusion_preset()[0], identiti
 
 
 def _tentatives_digest(frames):
+    """Each tentative's (frame, detection index) rows mapped back to (frame, box) entries, as they were pinned."""
     digest = hashlib.sha256()
     for t in range(len(frames)):
-        for tent in simulate_tentative(frames[t : t + 11], PARAMS):
-            digest.update(repr([(f, det.bbox) for f, det in tent.entries]).encode() + b"\n")
+        window = frames[t : t + 11]
+        for tent in simulate_tentative(window, PARAMS):
+            entries = [(f, window[f - window[0].index].detections[j].bbox) for f, j in tent[tent[:, 1] >= 0].tolist()]
+            digest.update(repr(entries).encode() + b"\n")
     return digest.hexdigest()
 
 

@@ -1,22 +1,25 @@
+from copy import copy
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import count_calls, forecast_row, make_det, make_frame, state_row
 
 from adptrack import base_tracker, core, rollout
-from adptrack.appearance import cosine_sim, ema_update
+from adptrack.appearance import cosine_sim, ema_update, select_quality_window
 from adptrack.assignment import WeightMatrix
-from adptrack.base_tracker import Track, TrackerParams, TrackerState, eligible_detections, run as run_base, step
+from adptrack.base_tracker import TrackerParams, TrackerState, eligible_detections, run as run_base, step
 from adptrack.core import FeatureVec, box_array, iou
 from adptrack.motion import KalmanState, kf_init, kf_predict, kf_update, state_to_bbox
 from adptrack.rollout import (
     AdpConfig,
     TentativeTrack,
+    TrustedRecord,
     Variant,
     _walk,
-    _window_features,
     adp_step,
     candidate_filter,
     combine_costs,
@@ -39,20 +42,18 @@ E2 = (0.0, 1.0)
 
 
 def _track_with_features(features, qualities=None):
-    """Track whose matched history carries the given features, in order."""
-    track = Track(1, 1, make_det(0, 0, feature=features[0]))
-    for i, feat in enumerate(features[1:], start=2):
-        det = make_det(0, 0, feature=feat)
-        track.history.append((i, det))
-        track.quality.append(0.9)
-    if qualities is not None:
-        track.quality = list(qualities)
-    return track
+    """(matched detections, quality record) of a track whose matches carry the given features, in order."""
+    dets = [make_det(0, 0, feature=feat) for feat in features]
+    return dets, ([1.0] + [0.9] * (len(dets) - 1) if qualities is None else list(qualities))
 
 
-def _spawn_row(track):
-    """The forecast and representative feature a track has right after its spawn."""
-    det = track.history[0][1]
+def _window_features(dets, quality, cfg):
+    """A track's trusted past: the features of its detections at its quality-window positions, as a (k, d) array."""
+    return np.stack([dets[pos - 1].feature.values for pos in select_quality_window(quality, cfg.beta, cfg.window)])
+
+
+def _spawn_row(det):
+    """The forecast and representative feature a track has right after it spawns from a detection."""
     return kf_predict(kf_init(det.bbox)), det.feature
 
 
@@ -63,9 +64,53 @@ def _tentative(features, start_frame=3, left=0.0):
     return TentativeTrack(entries=entries)
 
 
+def _tentative_tracks(frames, tents):
+    """Tentatives as (frame, detection index) rows into `frames` turned into the `TentativeTrack`s the per-pair scores read."""
+    return [
+        TentativeTrack(tuple((f, frames[f - frames[0].index].detections[j]) for f, j in tent[tent[:, 1] >= 0].tolist()))
+        for tent in tents
+    ]
+
+
+class _Logged(TrustedRecord):
+    """A record that also logs the rows it follows, so that records of other keys and the scalar oracles can replay them."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self, window, beta):
+        super().__init__(window, beta)
+        self.calls = []
+
+    def __call__(self, state, frame, keep, quality):
+        rows = SimpleNamespace(ids=state.ids.copy(), matched=state.matched.copy(), rep=state.rep[:0])
+        self.calls.append((rows, frame, keep, quality))
+        super().__call__(state, frame, keep, quality)
+
+
+def _keyed(state, cfg):
+    """A copy of a state tracked under a `_Logged` record, whose record is one for cfg's window and beta."""
+    view = copy(state)
+    view.hook = _Logged(cfg.window, cfg.beta)
+    for call in state.hook.calls:
+        view.hook(*call)
+    return view
+
+
+def _histories(state):
+    """Each track's matched (frame, detection) entries and quality record, by id, replayed from its `_Logged` record."""
+    history, quality = {}, {}
+    for rows, frame, keep, q in state.hook.calls:
+        q = np.concatenate([q, np.ones(len(rows.ids) - len(keep))])  # a spawn is a perfect first match
+        for tid, j, value in zip(rows.ids.tolist(), rows.matched.tolist(), q.tolist()):
+            if value == value:
+                history.setdefault(tid, []).append((frame.index, frame.detections[j]))
+                quality.setdefault(tid, []).append(value)
+    return history, quality
+
+
 def _converged_track(positions, start=1):
     """Forecast and representative feature of a track stepped through the given x positions (constant box size)."""
-    forecast, rep = _spawn_row(Track(1, start, make_det(positions[0], 0)))
+    forecast, rep = _spawn_row(make_det(positions[0], 0))
     for x in positions[1:]:
         forecast = kf_predict(kf_update(forecast, make_det(x, 0).bbox))
     return forecast, rep
@@ -77,22 +122,20 @@ def test_simulate_tentative_stationary():
         make_frame(6, [make_det(0, 0), make_det(30, 0, feature=E2)]),
     ]
     tents = simulate_tentative(frames, PARAMS)
-    assert [t.entries[0] for t in tents] == [(5, det) for det in frames[0].detections]
-    assert all(len(t.entries) == 2 for t in tents)
-    assert all(t.entries[0][0] == 5 for t in tents)
+    assert tents.tolist() == [[[5, 0], [6, 0]], [[5, 1], [6, 1]]]
 
 
 def test_simulate_tentative_empty_frame():
-    assert simulate_tentative([make_frame(5, [])], PARAMS) == []
+    assert simulate_tentative([make_frame(5, [])], PARAMS).shape == (0, 0, 2)
 
 
 def test_simulate_tentative_truncates():
     frames = [make_frame(i, [make_det(4.0 * (i - 5), 0)]) for i in range(5, 9)]
     tents = simulate_tentative(frames, PARAMS)
     assert len(tents) == 1
-    assert len(tents[0].entries) <= 4
-    frames_read = [f for f, _ in tents[0].entries]
-    assert min(frames_read) >= 5 and max(frames_read) <= 8
+    entries = tents[0][tents[0][:, 1] >= 0]
+    assert len(entries) <= 4
+    assert entries[:, 0].min() >= 5 and entries[:, 0].max() <= 8
 
 
 def test_simulate_tentative_rejects_empty_window():
@@ -104,8 +147,8 @@ def test_score_main_examples():
     cfg = AdpConfig(window=2, enable_candidate_filter=False)
 
     def score(track, tent):
-        forecast, rep = _spawn_row(track)
-        return score_main(forecast, tent, rep, _window_features(track, cfg), cfg)
+        forecast, rep = _spawn_row(track[0][0])
+        return score_main(forecast, tent, rep, _window_features(*track, cfg), cfg)
 
     assert score(_track_with_features([E1, E1]), _tentative([E1, E1])) == pytest.approx(1.0)
     assert score(_track_with_features([E1, E1]), _tentative([E2])) == pytest.approx(0.0)
@@ -119,8 +162,8 @@ def test_score_main_filter_disabled_equals_all_pairs_mean():
     track = _track_with_features(feats)
     tent_feats = [tuple(rng.normal(size=4)) for _ in range(4)]
     tent = _tentative(tent_feats, start_frame=4)
-    forecast, rep = _spawn_row(track)
-    got = score_main(forecast, tent, rep, _window_features(track, cfg), cfg)
+    forecast, rep = _spawn_row(track[0][0])
+    got = score_main(forecast, tent, rep, _window_features(*track, cfg), cfg)
     wf = [FeatureVec(f).values for f in feats]
     tf = [FeatureVec(f).values for f in tent_feats]
     expected = np.mean([np.dot(a, b) for a in wf for b in tf])
@@ -166,12 +209,12 @@ def test_walk_corrects_between_entries_only(monkeypatch, n):
 def test_score_f2_examples():
     cfg = AdpConfig(window=2)
     track = _track_with_features([E1, E1])
-    past = _window_features(track, cfg)
+    past = _window_features(*track, cfg)
     assert score_f2(past, make_det(0, 0, feature=E1)) == pytest.approx(1.0)
     assert score_f2(past, make_det(0, 0, feature=E2)) == pytest.approx(0.0)
 
     track = _track_with_features([E1, (1.0, 1.0)])
-    got = score_f2(_window_features(track, cfg), make_det(0, 0, feature=E1))
+    got = score_f2(_window_features(*track, cfg), make_det(0, 0, feature=E1))
     assert got == pytest.approx(0.8535533905932737, abs=1e-6)
 
 
@@ -216,7 +259,7 @@ def test_candidate_filter_examples():
 
     impossible = AdpConfig(cand_iou=1.1)
     assert candidate_filter(forecast, tent, rep, impossible) == []
-    past = _window_features(_track_with_features([E1, E1, E1]), impossible)
+    past = _window_features(*_track_with_features([E1, E1, E1]), impossible)
     assert score_main(forecast, tent, rep, past, impossible) == 0.0
 
     near = make_det(0, 0)
@@ -234,20 +277,18 @@ def test_config_rejects_non_finite(field, value):
 
 
 def test_crowd_check_rules():
-    # The tracks spawn at frame 1 and hold matches at frames 1-6; at frame
-    # cursor c a track's age is c, its spawn frame counting as 1.
+    # The tracks spawn at frame 1 and hold six qualities; at frame cursor c a
+    # track's age is c, its spawn frame counting as 1.
     cfg = AdpConfig(crowd_ratio=0.5, beta=0.15)
-    track = _track_with_features([E1] * 6, qualities=[0.9] * 6)
-    assert crowd_check(track, 20, cfg) is False
+    assert crowd_check([0.9] * 6, 1, 20, cfg) is False
 
-    track = _track_with_features([E1] * 6, qualities=[0.01] * 6)
-    assert crowd_check(track, 20, cfg) is True
-    assert crowd_check(track, 10, cfg) is True  # at the minimum age
-    assert crowd_check(track, 9, cfg) is False
-    assert crowd_check(track, 6, cfg) is False  # young, however unreliable
+    unreliable = [0.01] * 6
+    assert crowd_check(unreliable, 1, 20, cfg) is True
+    assert crowd_check(unreliable, 1, 10, cfg) is True  # at the minimum age
+    assert crowd_check(unreliable, 1, 9, cfg) is False
+    assert crowd_check(unreliable, 1, 6, cfg) is False  # young, however unreliable
 
-    track = _track_with_features([E1] * 6, qualities=[0.01, 0.01, 0.01, 0.9, 0.9, 0.9])
-    assert crowd_check(track, 20, cfg) is True  # 3 of 6 below beta, inclusive boundary
+    assert crowd_check([0.01, 0.01, 0.01, 0.9, 0.9, 0.9], 1, 20, cfg) is True  # 3 of 6 below beta, inclusive boundary
 
 
 def test_combine_costs_endpoints_and_blend():
@@ -290,6 +331,7 @@ def test_adp_step_alpha_zero_matches_base_step():
     cfg = AdpConfig(alpha=0.0, horizon=4, enable_candidate_filter=False, enable_crowd_heuristic=False)
     state_a = TrackerState(PARAMS, frame_cursor=0)
     state_b = TrackerState(PARAMS, frame_cursor=0)
+    state_b.hook = TrustedRecord(cfg.window, cfg.beta)
     step(state_a, frames[0])
     step(state_b, frames[0])
     for i in range(1, len(frames)):
@@ -301,8 +343,9 @@ def test_adp_step_alpha_zero_matches_base_step():
 def test_adp_step_truncated_window_still_matches():
     frames = _crossing_frames(frames=6)
     state = TrackerState(PARAMS, frame_cursor=0)
-    step(state, frames[0])
     cfg = AdpConfig(horizon=15)
+    state.hook = TrustedRecord(cfg.window, cfg.beta)
+    step(state, frames[0])
     _, matching = adp_step(state, frames[1:], cfg)  # only 5 future frames exist
     assert isinstance(matching.pairs, tuple)
     assert state.frame_cursor == frames[1].index
@@ -314,6 +357,7 @@ def test_adp_step_scores_each_eligible_detection_with_its_own_tentative(monkeypa
     # prefix of the frame's detections.
     def tracked_state():
         state = TrackerState(PARAMS, frame_cursor=0)
+        state.hook = TrustedRecord(AdpConfig().window, AdpConfig().beta)
         step(state, make_frame(1, [make_det(0, 0), make_det(40, 0, feature=E2)]))
         return state
 
@@ -321,12 +365,11 @@ def test_adp_step_scores_each_eligible_detection_with_its_own_tentative(monkeypa
         make_frame(f, [make_det(100, 50, feature=(0.6, 0.8), conf=0.05), make_det(0, 0), make_det(40, 0, feature=E2)])
         for f in (2, 3, 4)
     ]
-    eligible = list(window[0].detections[1:])
     calls = count_calls(monkeypatch, rollout, "score_frame")
     adp_step(tracked_state(), window, AdpConfig())
-    (_, tents, _), = calls
-    assert [tent.entries[0] for tent in tents] == [(2, det) for det in eligible]
-    assert all(len(tent.entries) == 3 for tent in tents)
+    (_, frames, tents, _), = calls
+    assert frames == window
+    assert tents.tolist() == [[[f, j] for f in (2, 3, 4)] for j in (1, 2)]
 
     # f2 scores each eligible detection alone and never simulates
     def no_simulation(*args):
@@ -335,8 +378,9 @@ def test_adp_step_scores_each_eligible_detection_with_its_own_tentative(monkeypa
     monkeypatch.setattr(rollout, "simulate_tentative", no_simulation)
     calls.clear()
     adp_step(tracked_state(), window, AdpConfig(variant=Variant.F2))
-    (_, tents, _), = calls
-    assert tents == [TentativeTrack(((2, det),)) for det in eligible]
+    (_, frames, tents, _), = calls
+    assert frames == window[:1]
+    assert tents.tolist() == [[[2, 1]], [[2, 2]]]
 
 
 def test_adp_step_rejects_empty_window():
@@ -369,9 +413,9 @@ def test_variant_scores_stay_in_range():
     for _ in range(20):
         feats = [tuple(rng.normal(size=6)) for _ in range(4)]
         track = _track_with_features(feats, qualities=list(rng.uniform(-1, 1, size=4)))
-        forecast, rep = _spawn_row(track)
+        forecast, rep = _spawn_row(track[0][0])
         tent = _tentative([tuple(rng.normal(size=6)) for _ in range(3)], start_frame=6)
-        past = _window_features(track, cfg_main)
+        past = _window_features(*track, cfg_main)
         assert -1.0 <= score_main(forecast, tent, rep, past, cfg_main) <= 1.0
         assert -1.0 <= score_f2(past, tent.entries[0][1]) <= 1.0
         assert 0.0 <= score_f1(forecast, tent) <= 1.0
@@ -387,15 +431,16 @@ def test_all_variants_run_end_to_end():
 
 
 def _per_pair_scores(state, dets, tents, cfg):
-    """The frame's rollout scores and crowd rows, one `score_*` call per pair."""
-    z = np.zeros((len(state.tracks), len(dets)))
+    """The frame's rollout scores and crowd rows, one `score_*` call per pair, from the tracks' replayed histories."""
+    history, quality = _histories(state)
+    z = np.zeros((len(state.ids), len(dets)))
     crowd = []
-    for i, track in enumerate(state.tracks):
-        if cfg.enable_crowd_heuristic and crowd_check(track, state.frame_cursor, cfg):
+    for i, tid in enumerate(state.ids.tolist()):
+        if cfg.enable_crowd_heuristic and crowd_check(quality[tid], history[tid][0][0], state.frame_cursor, cfg):
             crowd.append(i)
             continue
         forecast, rep = state_row(state, i)
-        past = _window_features(track, cfg)
+        past = _window_features([det for _, det in history[tid]], quality[tid], cfg)
         for jj, det in enumerate(dets):
             if cfg.variant is Variant.MAIN:
                 z[i, jj] = score_main(forecast, tents[jj], rep, past, cfg)
@@ -408,32 +453,35 @@ def _per_pair_scores(state, dets, tents, cfg):
     return z, crowd
 
 
-def _scored_tentatives(cfg, dets, tents):
-    """The tentatives `adp_step` passes to `score_frame`: for f2, each target detection alone, at its tentative's first frame."""
-    if cfg.variant is not Variant.F2:
-        return tents
-    return [TentativeTrack(((tent.entries[0][0], det),)) for det, tent in zip(dets, tents, strict=True)]
+def _scored(cfg, frames, tents):
+    """The frames and tentatives `adp_step` passes to `score_frame`: for f2, each target detection alone."""
+    return (frames[:1], tents[:, :1]) if cfg.variant is Variant.F2 else (frames, tents)
 
 
 def _crowd_windows(targets=(15, 35, 55), horizon=10):
-    """(tracker state, eligible detections, their tentatives) at a few frames of a crowd scene.
+    """A few frames of a crowd scene, each with its tracker state, eligible detections and their tentatives.
 
     12 identities with 4 crossing pairs fragment into dozens of live tracks,
     with tentatives of several lengths. The tracks come from f2 steps, whose
     blend also matches pairs of zero overlap and low appearance score, so some
-    tracks are crowd rows.
+    tracks are crowd rows. Each state's `_Logged` record lets `_keyed` give it
+    a record of any window and beta.
     """
     sc_cfg = replace(occlusion_preset()[0], identities=20, crossings=6, seed=9003)
     frames = list(generate(sc_cfg).det_frames)
+    f2 = AdpConfig(variant=Variant.F2)
     out = []
     for t in targets:
         state = TrackerState(PARAMS, frame_cursor=frames[0].index - 1)
+        state.hook = _Logged(f2.window, f2.beta)
         step(state, frames[0])
         for frame in frames[1:t]:
-            adp_step(state, [frame], AdpConfig(variant=Variant.F2))
-        tents = simulate_tentative(frames[t : t + horizon + 1], PARAMS)
+            adp_step(state, [frame], f2)
+        window = frames[t : t + horizon + 1]
         det_idx = eligible_detections(frames[t])
-        out.append((state, [frames[t].detections[j] for j in det_idx], [tents[j] for j in det_idx]))
+        tents = simulate_tentative(window, PARAMS)[det_idx]
+        dets = [frames[t].detections[j] for j in det_idx]
+        out.append(SimpleNamespace(state=state, window=window, dets=dets, tents=tents, tracks=_tentative_tracks(window, tents)))
     return out
 
 
@@ -458,62 +506,86 @@ def crowd_windows():
 
 def test_crowd_windows_cover_the_batched_cases(crowd_windows):
     cfg = BATCH_CONFIGS["main"]
-    for state, _, tents in crowd_windows:
-        assert len({len(t.entries) for t in tents}) > 1
-        crowded = [crowd_check(t, state.frame_cursor, cfg) for t in state.tracks]
+    for case in crowd_windows:
+        assert len({len(t.entries) for t in case.tracks}) > 1
+        history, quality = _histories(case.state)
+        live = case.state.ids.tolist()
+        crowded = [crowd_check(quality[i], history[i][0][0], case.state.frame_cursor, cfg) for i in live]
         assert any(crowded) and not all(crowded)
-        assert any(len(_window_features(t, cfg)) == 9 for t in state.tracks)
+        assert any(len(_window_features([det for _, det in history[i]], quality[i], cfg)) == 9 for i in live)
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_CONFIGS))
 def test_score_frame_equals_per_pair_scores(crowd_windows, name):
     cfg = BATCH_CONFIGS[name]
-    for state, dets, tents in crowd_windows:
-        z, crowd = score_frame(state, _scored_tentatives(cfg, dets, tents), cfg)
-        z_ref, crowd_ref = _per_pair_scores(state, dets, tents, cfg)
-        assert crowd == crowd_ref
+    for case in crowd_windows:
+        state = _keyed(case.state, cfg)
+        z, crowd = score_frame(state, *_scored(cfg, case.window, case.tents), cfg)
+        z_ref, crowd_ref = _per_pair_scores(state, case.dets, case.tracks, cfg)
+        assert crowd.tolist() == crowd_ref
         assert np.array_equal(z, z_ref)
         assert np.count_nonzero(z) > 0
 
 
 @pytest.mark.parametrize("variant", [Variant.MAIN, Variant.F2])
 def test_huge_window_scores_like_the_longest_history(crowd_windows, variant):
-    # The batched terms pad to the longest trusted window, not to cfg.window.
+    # The record holds, and the batched terms pad to, the longest record, not cfg.window.
     huge = AdpConfig(window=10**9, crowd_ratio=0.1, variant=variant)
-    for state, dets, tents in crowd_windows:
-        longest = replace(huge, window=max(len(t.history) for t in state.tracks))
-        tents = _scored_tentatives(huge, dets, tents)
-        z, crowd = score_frame(state, tents, huge)
-        z_ref, crowd_ref = score_frame(state, tents, longest)
-        assert crowd == crowd_ref
+    for case in crowd_windows:
+        history, _ = _histories(case.state)
+        longest = replace(huge, window=max(map(len, history.values())))
+        state = _keyed(case.state, huge)
+        assert state.hook.slots.shape == (len(state.ids), 2, longest.window, state.rep.shape[1])
+        z, crowd = score_frame(state, *_scored(huge, case.window, case.tents), huge)
+        z_ref, crowd_ref = score_frame(_keyed(case.state, longest), *_scored(huge, case.window, case.tents), longest)
+        assert np.array_equal(crowd, crowd_ref)
         assert np.array_equal(z, z_ref)
         assert np.count_nonzero(z) > 0
+
+
+def test_score_frame_needs_the_record_of_its_window_and_beta(crowd_windows):
+    case = crowd_windows[0]
+    cfg = AdpConfig(window=9)
+    state = _keyed(case.state, cfg)
+    score_frame(state, case.window, case.tents, cfg)
+    for other in (AdpConfig(), AdpConfig(window=9, beta=0.2)):
+        with pytest.raises(ValueError, match="TrustedRecord"):
+            score_frame(state, case.window, case.tents, other)
+    state.hook = TrustedRecord(cfg.window, cfg.beta)  # set after the rows spawned: it follows none of them
+    with pytest.raises(ValueError, match="TrustedRecord"):
+        score_frame(state, case.window, case.tents, cfg)
+    state.hook = None
+    with pytest.raises(ValueError, match="TrustedRecord"):
+        score_frame(state, case.window, case.tents, cfg)
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_CONFIGS))
 def test_score_frame_without_tracks_or_detections(crowd_windows, name):
     cfg = BATCH_CONFIGS[name]
-    state, dets, tents = crowd_windows[0]
-    empty = TrackerState(PARAMS, frame_cursor=state.frame_cursor)
-    z, crowd = score_frame(empty, _scored_tentatives(cfg, dets, tents), cfg)
-    assert z.shape == (0, len(dets)) and crowd == []
-    z, _ = score_frame(state, [], cfg)
-    assert z.shape == (len(state.tracks), 0)
+    case = crowd_windows[0]
+    empty = TrackerState(PARAMS, frame_cursor=case.state.frame_cursor)
+    empty.hook = TrustedRecord(cfg.window, cfg.beta)
+    z, crowd = score_frame(empty, *_scored(cfg, case.window, case.tents), cfg)
+    assert z.shape == (0, len(case.dets)) and crowd.size == 0
+    state = _keyed(case.state, cfg)
+    z, _ = score_frame(state, *_scored(cfg, case.window, case.tents[:0]), cfg)
+    assert z.shape == (len(state.ids), 0)
 
 
 def test_frame_walk_equals_the_scalar_walk(crowd_windows):
     """One `_frame_walk` call gives every (track, tentative) pair's `_walk` IOUs bit for bit, and +0.0 past its end."""
-    for state, _, tents in crowd_windows:
-        longest = max(tents, key=lambda t: len(t.entries))
-        tents = [*tents, TentativeTrack(longest.entries[:1]), TentativeTrack(longest.entries[:2])]
+    for case in crowd_windows:
+        state = case.state
+        longest = max(case.tracks, key=lambda t: len(t.entries))
+        tents = [*case.tracks, TentativeTrack(longest.entries[:1]), TentativeTrack(longest.entries[:2])]
         lengths = np.array([len(t.entries) for t in tents])
         assert {1, 2, 11} <= set(lengths.tolist())
         boxes = np.zeros((len(tents), lengths.max(), 4))
         for j, tent in enumerate(tents):
             boxes[j, : lengths[j]] = box_array(det.bbox for _, det in tent.entries)
         walk = rollout._frame_walk(state.forecast, boxes, lengths)
-        assert walk.shape == (len(state.tracks), *boxes.shape[:2])
-        for i in range(len(state.tracks)):
+        assert walk.shape == (len(state.ids), *boxes.shape[:2])
+        for i in range(len(state.ids)):
             forecast, _ = state_row(state, i)
             for j, tent in enumerate(tents):
                 padding = [0.0] * (lengths.max() - lengths[j])
@@ -525,19 +597,30 @@ def test_frame_walk_equals_the_scalar_walk(crowd_windows):
 def test_score_frame_walks_once_and_multiplies_once_per_window_slot(crowd_windows, monkeypatch, name):
     """One IOU pass per walked frame and none without a walk; at most window + 1 feature products, whatever the rows.
 
-    f1 reads only the walk IOUs and takes no feature product at all.
+    In fact every window slot of every row is multiplied in one product, and the representative cosines in one
+    more where the filter or f3 reads them; f1 reads only the walk IOUs and takes no feature product at all.
     """
     cfg = BATCH_CONFIGS[name]
     walked = cfg.variant in (Variant.F1, Variant.F3) or (cfg.variant is Variant.MAIN and cfg.enable_candidate_filter)
     ious = count_calls(monkeypatch, rollout, "iou_array")
     boxes = count_calls(monkeypatch, rollout, "batch_boxes")
     dots = count_calls(monkeypatch, rollout, "feature_dots")
-    for state, dets, tents in crowd_windows:
+    for case in crowd_windows:
+        state = _keyed(case.state, cfg)
         del ious[:], boxes[:], dots[:]
-        _, crowd = score_frame(state, _scored_tentatives(cfg, dets, tents), cfg)
-        assert len(state.tracks) - len(crowd) > cfg.window + 1
+        _, crowd = score_frame(state, *_scored(cfg, case.window, case.tents), cfg)
+        assert len(state.ids) - len(crowd) > cfg.window + 1
         assert len(ious) == len(boxes) == int(walked)
         assert len(dots) == 0 if cfg.variant is Variant.F1 else 1 <= len(dots) <= cfg.window + 1
+        assert len(dots) == (cfg.variant is Variant.F3 or walked and cfg.variant is Variant.MAIN) + (cfg.variant in (Variant.MAIN, Variant.F2))
+
+
+def _one_track_state(cfg, feature=(1.0, 0.0)):
+    """A state under a `_Logged` record for cfg, holding one track spawned at frame 3 at x = 8."""
+    state = TrackerState(PARAMS, frame_cursor=2)
+    state.hook = _Logged(cfg.window, cfg.beta)
+    step(state, make_frame(3, [make_det(8, 0, feature=feature)]))
+    return state
 
 
 @pytest.mark.parametrize("name", ["main-nofilter", "f2", "f3"])
@@ -545,77 +628,165 @@ def test_score_frame_sums_negative_zero_products_as_the_mean_does(name):
     # (-1, 0) * (0, -1) is (-0.0, -0.0). `_mean` adds its terms to 0.0, so the score is +0.0; score_frame's
     # running sum starts at its first term and relies on `feature_dots` summing such products to +0.0.
     cfg = replace(BATCH_CONFIGS[name], enable_crowd_heuristic=False)
-    state = TrackerState(PARAMS, frame_cursor=3)
-    state.spawn(make_frame(3, [make_det(8, 0, feature=(-1.0, 0.0))]), np.arange(1))
-    dets = [make_det(0, 0, feature=(0.0, -1.0))]
-    tent = TentativeTrack(((4, dets[0]), (5, make_det(4, 0, feature=(0.0, -1.0)))))
-    z, _ = score_frame(state, _scored_tentatives(cfg, dets, [tent]), cfg)
-    z_ref, _ = _per_pair_scores(state, dets, [tent], cfg)
+    state = _one_track_state(cfg, feature=(-1.0, 0.0))
+    window = [make_frame(4, [make_det(0, 0, feature=(0.0, -1.0))]), make_frame(5, [make_det(4, 0, feature=(0.0, -1.0))])]
+    tents = np.array([[[4, 0], [5, 0]]])
+    z, _ = score_frame(state, *_scored(cfg, window, tents), cfg)
+    z_ref, _ = _per_pair_scores(state, window[0].detections, _tentative_tracks(window, tents), cfg)
     assert z.tobytes() == z_ref.tobytes() == np.zeros((1, 1)).tobytes()
 
 
 def test_walk_raises_when_the_forecast_overflows():
     # Position and velocity near the float maximum: the first correct-and-predict
     # step of the walk overflows to inf, which no box may hold.
-    state = TrackerState(PARAMS, frame_cursor=3)
-    state.spawn(make_frame(3, [make_det(8, 0)]), np.arange(1))
+    state = _one_track_state(AdpConfig())
     state.forecast[0] = forecast_row(KalmanState([1.7e308, 5.0, 10.0, 10.0, 1.7e308, 0.0, 0.0, 0.0], (1.0, 0.0, 1.0)))
-    tent = TentativeTrack(entries=((4, make_det(0, 0)), (5, make_det(4, 0))))
-    dets = [tent.entries[0][1]]
+    window = [make_frame(4, [make_det(0, 0)]), make_frame(5, [make_det(4, 0)])]
+    tents = np.array([[[4, 0], [5, 0]]])
+    tracks = _tentative_tracks(window, tents)
     for variant in (Variant.MAIN, Variant.F1, Variant.F3):
         cfg = AdpConfig(variant=variant, enable_crowd_heuristic=False)
         with pytest.raises(ValueError):
-            _per_pair_scores(state, dets, [tent], cfg)
+            _per_pair_scores(state, window[0].detections, tracks, cfg)
         with pytest.raises(ValueError):
-            score_frame(state, [tent], cfg)
+            score_frame(state, window, tents, cfg)
     # main without the candidate filter never walks
     cfg = AdpConfig(enable_candidate_filter=False, enable_crowd_heuristic=False)
-    assert np.array_equal(score_frame(state, [tent], cfg)[0], _per_pair_scores(state, dets, [tent], cfg)[0])
+    assert np.array_equal(score_frame(state, window, tents, cfg)[0], _per_pair_scores(state, window[0].detections, tracks, cfg)[0])
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    window=st.integers(1, 30),
+    beta=st.floats(-1.0, 1.5),
+    crowd_ratio=st.floats(0.0, 1.0),
+    frames=st.integers(1, 25),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trusted_record_equals_the_quality_window_and_crowd_check(window, beta, crowd_ratio, frames, seed):
+    """Random matches, removals and spawns through a record give each row the features at its `select_quality_window`
+    positions, as bytes, and `score_frame` the crowd rows of the scalar `crowd_check`.
+
+    Qualities lie in [-1, 1], some equal to beta, and beta reaches past 1, where no entry is trusted and every
+    window takes the fallback; windows reach past the longest record.
+    """
+    rng = np.random.default_rng(seed)
+    cfg = AdpConfig(window=window, beta=beta, crowd_ratio=crowd_ratio)
+    record = TrustedRecord(window, beta)
+    ids, next_id, tracks = np.zeros(0, dtype=np.int64), 1, {}  # id -> (features, qualities, spawn frame)
+    for f in range(1, frames + 1):
+        frame = SimpleNamespace(index=f, features=rng.normal(size=(6, 3)))
+        dets = rng.permutation(6)
+        rows = rng.permutation(len(ids))[: rng.integers(0, min(len(ids), 6) + 1)]
+        quality = np.full(len(ids), np.nan)
+        quality[rows] = np.where(rng.random(len(rows)) < 0.2, beta, rng.uniform(-1.0, 1.0, len(rows)))
+        matched = np.full(len(ids), -1)
+        matched[rows] = dets[: len(rows)]
+        keep = np.flatnonzero((quality == quality) | (rng.random(len(ids)) < 0.8))
+        spawn = dets[len(rows) :][rng.random(6 - len(rows)) < 0.5]
+        ids = np.concatenate([ids[keep], np.arange(next_id, next_id + len(spawn))])
+        state = SimpleNamespace(ids=ids, matched=np.concatenate([matched[keep], spawn]), rep=np.zeros((0, 3)))
+        record(state, frame, keep, quality[keep])
+        for tid, j, q in zip(ids.tolist(), state.matched.tolist(), quality[keep].tolist()):
+            if q == q:
+                tracks[tid][0].append(frame.features[j])
+                tracks[tid][1].append(q)
+        for tid, j in zip(range(next_id, next_id + len(spawn)), spawn.tolist()):
+            tracks[tid] = ([frame.features[j]], [1.0], f)
+        next_id += len(spawn)
+
+        longest = max((len(t[1]) for t in tracks.values()), default=0)
+        assert record.slots.shape[:3] == (len(ids), 2, min(window, longest))
+        sizes = record.table[:, 3]
+        for i, tid in enumerate(ids.tolist()):
+            feats, qualities, _ = tracks[tid]
+            expected = np.stack([feats[pos - 1] for pos in select_quality_window(qualities, beta, window)])
+            assert record.slots[i, 1, record.slots.shape[2] - sizes[i] :].tobytes() == expected.tobytes()
+        state.frame_cursor, state.hook = f + int(rng.integers(0, 15)), record
+        _, crowd = score_frame(state, [], np.zeros((0, 1, 2), dtype=np.int64), cfg)
+        expected = [i for i, tid in enumerate(ids.tolist()) if crowd_check(tracks[tid][1], tracks[tid][2], state.frame_cursor, cfg)]
+        assert crowd.tolist() == expected
+
+
+def test_crowd_work_per_frame_does_not_grow_with_track_age():
+    """One object tracked for 320 frames: the record keeps one row of fixed size, and no per-track list grows."""
+    frames = [make_frame(i, [make_det(0.5 * i, 0)]) for i in range(1, 321)]
+    cfg = AdpConfig(variant=Variant.F2)  # scores the trusted window and checks the crowd rule at every frame
+    state = TrackerState(PARAMS, frame_cursor=0)
+    state.hook = record = TrustedRecord(cfg.window, cfg.beta)
+    step(state, frames[0])
+    sizes = {}
+    for i in range(1, len(frames)):
+        adp_step(state, frames[i : i + 1], cfg)
+        assert state.ids.tolist() == [1]
+        shapes = {name: np.shape(getattr(obj, name)) for obj in (state, record) for name in obj.__slots__}
+        if i == cfg.window:
+            sizes = shapes
+        elif i > cfg.window:
+            assert shapes == sizes
+    assert record.table.shape == (1, 4) and record.slots.shape == (1, 2, cfg.window, 2)
+    assert record.table[0, :3].tolist() == [320, 0, 1]  # 320 qualities on record, none below beta, spawned at frame 1
+    assert not any(isinstance(getattr(obj, name), list) for obj in (state, record) for name in obj.__slots__)
 
 
 def test_array_state_equals_the_scalar_recursion(monkeypatch):
     """Every row of every tracker state, real and simulated, equals the scalar filter and EMA replayed on its track.
 
     The replay runs `kf_init`, `kf_predict`, `kf_update` and `ema_update` on
-    each track's matched detections; the quality score of each match is
-    replayed from `iou` and `cosine_sim` too.
+    each track's matched detections; the quality score the hook sees for each
+    match is replayed from `iou` and `cosine_sim` too.
     """
-    expected = {}  # track -> (forecast, representative feature) by the scalar recursion
-    apply_matching = base_tracker.apply_matching
+    expected = {}  # (state, track id) -> (forecast, representative feature) by the scalar recursion
+    apply_matching, fork_at = base_tracker.apply_matching, rollout.fork_at
     calls = []
 
+    def spawned(state, frame, rows):
+        for i in rows:
+            det = frame.detections[state.matched[i]]
+            expected[state, int(state.ids[i])] = (kf_predict(kf_init(det.bbox)), det.feature)
+
     def check(state):
-        assert len(state.forecast) == len(state.rep) == len(state.tracks)
-        assert state.last.tolist() == [t.history[-1][0] for t in state.tracks]
-        for i, track in enumerate(state.tracks):
-            if track not in expected:
-                det = track.history[0][1]
-                expected[track] = (kf_predict(kf_init(det.bbox)), det.feature)
-            forecast, rep = expected[track]
+        assert len(state.forecast) == len(state.rep) == len(state.last) == len(state.matched) == len(state.ids)
+        for i, tid in enumerate(state.ids.tolist()):
+            forecast, rep = expected[state, tid]
             assert np.array_equal(state.forecast[i], forecast_row(forecast))
             assert np.array_equal(state.rep[i], rep.values)
+
+    def forked(frame, params):
+        state = fork_at(frame, params)
+        spawned(state, frame, range(len(state.ids)))
+        return state
 
     def replayed(state, frame, matching):
         check(state)
         det_idx = eligible_detections(frame)
-        matched = {i: frame.detections[det_idx[jj]] for i, jj in matching.pairs}
+        ids = state.ids.tolist()
+        matched = {ids[i]: frame.detections[det_idx[jj]] for i, jj in matching.pairs}
         after, quality = {}, {}
-        for i, track in enumerate(state.tracks):
-            forecast, rep = expected[track]
-            if i in matched:
-                det = matched[i]
+        for tid in ids:
+            forecast, rep = expected[state, tid]
+            if tid in matched:
+                det = matched[tid]
                 overlap, cos = iou(state_to_bbox(forecast), det.bbox), cosine_sim(rep, det.feature)
-                quality[track] = max(cos, 0.0) if cos >= 0.25 and overlap >= 0.1 else 0.0
+                quality[tid] = max(cos, 0.0) if cos >= 0.25 and overlap >= 0.1 else 0.0
                 forecast, rep = kf_update(forecast, det.bbox), ema_update(rep, det.feature, 0.9)
-            after[track] = (kf_predict(forecast), rep)
+            after[state, tid] = (kf_predict(forecast), rep)
+        hook, seen = state.hook, []
+        state.hook = lambda *args: seen.append(args)
         apply_matching(state, frame, matching)
+        state.hook = hook
+        (_, _, keep, got), = seen
+        if hook is not None:
+            hook(*seen[0])
         calls.append(len(matching.pairs))
-        assert all(track.quality[-1] == q for track, q in quality.items())
+        assert {tid: q for tid, q in zip(state.ids.tolist(), got.tolist()) if q == q} == quality
         expected.update(after)
+        spawned(state, frame, range(len(keep), len(state.ids)))
         check(state)
 
     monkeypatch.setattr(base_tracker, "apply_matching", replayed)
     monkeypatch.setattr(rollout, "apply_matching", replayed)
+    monkeypatch.setattr(rollout, "fork_at", forked)
     frames = list(generate(occlusion_preset()[0]).det_frames)
     run_adp(frames, PARAMS, AdpConfig(horizon=10))
     assert len(calls) > 5 * len(frames)  # the simulated steps are checked too
@@ -627,25 +798,39 @@ _CROWD = replace(occlusion_preset()[0], identities=20, crossings=6, seed=9003)
 
 @pytest.mark.parametrize("workload", ["crowd-base", "crowd-f2", "presets-base"])
 def test_last_match_rows_follow_the_histories(monkeypatch, preset_base_runs, workload):
-    """After every step `last` holds each track's last matched frame and `collect_frame_rows` returns what a scan
-    of the histories finds; the steps spawn, match, lose and remove tracks. The scalar recursion test above
-    checks `last` after the simulated steps too."""
+    """After every step the rows hold the live tracks in order, `last` each one's last matched frame, and
+    `collect_frame_rows` returns what a scan of their matches, replayed from the matchings, finds; the steps
+    spawn, match, lose and remove tracks. The scalar recursion test above checks the simulated steps too."""
     if workload == "presets-base":
         sequences = [list(scenario.det_frames) for scenario, _ in preset_base_runs]
     else:
         sequences = [list(generate(_CROWD).det_frames)]
     apply_matching = base_tracker.apply_matching
+    history = {}  # state -> track id -> its spawn and matched (frame, detection) entries
+    previous = {}  # state -> the frame of its previous step
     removed = []
 
     def checked(state, frame, matching):
-        before = {t.id for t in state.tracks}
+        det_idx = eligible_detections(frame).tolist()
+        ids, first, tracks = state.ids.tolist(), state.next_id, history.setdefault(state, {})
+        for i, jj in matching.pairs:
+            tracks[ids[i]].append((frame.index, frame.detections[det_idx[jj]]))
+        taken = {jj for _, jj in matching.pairs}
+        unmatched = [j for jj, j in enumerate(det_idx) if jj not in taken]
         apply_matching(state, frame, matching)
+        for tid, j in enumerate(unmatched, start=first):
+            tracks[tid] = [(frame.index, frame.detections[j])]
+        kept = [tid for tid in ids if tracks[tid][-1][0] >= frame.index - PARAMS.max_age]
+        live = state.ids.tolist()
+        assert live == kept + list(range(first, first + len(unmatched)))
         assert state.last.dtype == np.int64
-        assert state.last.tolist() == [t.history[-1][0] for t in state.tracks]
-        for index in (frame.index, frame.index - 1):
-            scan = [(index, t.id, t.history[-1][1]) for t in state.tracks if t.history[-1][0] == index]
-            assert base_tracker.collect_frame_rows(state, index) == scan
-        removed.append(len(before - {t.id for t in state.tracks}))
+        assert state.last.tolist() == [tracks[tid][-1][0] for tid in live]
+        for at in (frame, previous.get(state)):
+            if at is not None:
+                scan = [(at.index, tid, tracks[tid][-1][1]) for tid in live if tracks[tid][-1][0] == at.index]
+                assert base_tracker.collect_frame_rows(state, at) == scan
+        previous[state] = frame
+        removed.append(len(ids) - len(kept))
 
     monkeypatch.setattr(base_tracker, "apply_matching", checked)
     monkeypatch.setattr(rollout, "apply_matching", checked)
