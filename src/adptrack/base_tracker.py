@@ -10,7 +10,7 @@ matching and applies the usual lifecycle to all rows at once: matched rows
 are corrected and refreshed, a track whose last match lies more than
 `max_age` frames back is removed (SORT, Bewley et al., ICIP 2016), every
 surviving row is predicted one frame ahead and confident unmatched
-detections (rows of the frame's cached arrays) spawn at the filter's
+detections (rows of the frame's arrays) spawn at the filter's
 closed-form prior. A state's `hook` sees each match's gated appearance score.
 
 The gates and rates are fixed, DeepSORT-style (Wojke, Bewley & Paulus, ICIP
@@ -33,7 +33,7 @@ import numpy as np
 # cosine_sim, iou, kf_predict and kf_update are the rows' scalar oracles, imported for perfbench/probes.py to wrap.
 from .appearance import cosine_sim, feature_dots  # noqa: F401
 from .assignment import Matching, WeightMatrix, hungarian_max
-from .core import Detection, FrameData, iou, iou_matrix, unit_rows  # noqa: F401
+from .core import FrameData, iou, iou_matrix, unit_rows  # noqa: F401
 from .motion import batch_boxes, kf_predict, kf_predict_batch, kf_prior_batch, kf_update, kf_update_batch  # noqa: F401
 
 __all__ = [
@@ -204,23 +204,23 @@ def fork_at(frame: FrameData, params: TrackerParams) -> TrackerState:
     frame of a new sequence and carries no earlier information.
     """
     state = TrackerState(params, frame_cursor=frame.index)
-    state.spawn(frame, np.arange(len(frame.detections)))
+    state.spawn(frame, np.arange(len(frame.boxes)))
     return state
 
 
-def collect_frame_rows(state: TrackerState, frame: FrameData) -> list[tuple[int, int, Detection]]:
-    """(frame, track id, detection) rows for tracks whose last match is this frame."""
-    rows, dets = np.flatnonzero(state.last == frame.index), frame.detections
-    return [(frame.index, tid, dets[j]) for tid, j in zip(state.ids[rows].tolist(), state.matched[rows].tolist())]
+def collect_frame_rows(state: TrackerState, frame: FrameData) -> np.ndarray:
+    """(frame, track id, detection index) rows, as a (k, 3) array, of the tracks whose last match is this frame."""
+    rows = np.flatnonzero(state.last == frame.index)
+    return np.stack([np.full(len(rows), frame.index), state.ids[rows], state.matched[rows]], axis=1)
 
 
-def run(frames: list[FrameData], params: TrackerParams) -> list[tuple[int, int, Detection]]:
-    """Track a whole sequence online; returns per-frame result rows."""
+def run(frames: list[FrameData], params: TrackerParams) -> np.ndarray:
+    """Track a whole sequence online; returns the per-frame result rows of `collect_frame_rows`, stacked."""
     if not frames:
         raise ValueError("cannot track an empty sequence")
     state = TrackerState(params, frame_cursor=frames[0].index - 1)
-    rows: list[tuple[int, int, Detection]] = []
+    rows = []
     for frame in frames:
         step(state, frame)
-        rows.extend(collect_frame_rows(state, frame))
-    return rows
+        rows.append(collect_frame_rows(state, frame))
+    return np.concatenate(rows)

@@ -20,7 +20,7 @@ from . import __version__
 from .base_tracker import TrackerParams
 from .base_tracker import run as run_base
 from .mda_dp import MdaInstance, avs_solve, exact_solve
-from .core import box_array
+from .core import frame_rows
 from .metrics import DEFAULT_IOU_THRESHOLD, BoxTable, evaluate
 from .motio import (
     DataError,
@@ -123,7 +123,7 @@ def cmd_track(ns) -> int:
         rows = run_base(frames, params)
     else:
         rows = run_adp(frames, params, _adp_config(ns))
-    write_results(ns.out, rows)
+    write_results(ns.out, frames, rows)
     _write_manifest(Path(str(ns.out) + ".manifest.json"), "track", vars(ns), [ns.dets, ns.features], [ns.out])
     print(f"wrote {ns.out}: {len(rows)} rows")
     return EXIT_OK
@@ -191,7 +191,7 @@ def _sweep_worker(task):
     start = time.perf_counter()
     rows = run_adp(frames, params, cfg)
     runtime = time.perf_counter() - start
-    pred = BoxTable([r[0] for r in rows], [r[1] for r in rows], box_array(det.bbox for _, _, det in rows))
+    pred = BoxTable(rows[:, 0], rows[:, 1], frame_rows(frames, rows[:, ::2], "boxes"))
     return evaluate(read_gt(gt_path), pred), runtime
 
 

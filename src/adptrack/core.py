@@ -1,10 +1,11 @@
 """Shared domain types and bounding-box geometry.
 
 Boxes use the MOTChallenge-native top-left/width/height convention so that
-file values round-trip without coordinate conversion. A `Detection` is what
-the detector measured, built once with its appearance feature; the frame it
-belongs to is recorded by the `FrameData` that holds it. Frame indices are
-1-based in files and stored as-is; internal code only relies on their order.
+file values round-trip without coordinate conversion. A `FrameData` holds a
+frame's detections as read-only array rows, checked in bulk where they enter;
+a `Detection` (box, appearance feature, confidence) is one row as objects,
+which only the scalar oracles read. Frame indices are 1-based in files and
+stored as-is; internal code only relies on their order.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ __all__ = [
     "FrameData",
     "iou",
     "box_array",
-    "feature_rows",
+    "split_frames",
+    "frame_rows",
     "iou_matrix",
     "iou_array",
     "to_center",
@@ -80,11 +82,6 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 def box_array(boxes) -> np.ndarray:
     """Boxes as an (N, 4) float array of (left, top, width, height) rows."""
     return np.array([(b.left, b.top, b.width, b.height) for b in boxes], dtype=np.float64).reshape(-1, 4)
-
-
-def feature_rows(dets) -> np.ndarray:
-    """Detections' features as an (N, d) array."""
-    return np.stack([det.feature.values for det in dets]) if dets else np.zeros((0, 0))
 
 
 def iou_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -215,30 +212,42 @@ class Detection:
             raise ValueError(f"confidence must lie in [0, 1], got {self.confidence}")
 
 
-def _rows(build):
-    def get(frame):
-        arr = build(frame.detections)
-        arr.flags.writeable = False
-        return arr
-
-    return cached_property(get)
-
-
 @dataclass(frozen=True, eq=False)
 class FrameData:
-    """All detections of a single frame, in stable file/generation order; no detection records `index`.
+    """One frame's detections as read-only array rows, in stable file/generation order: `boxes` (N, 4) of (left,
+    top, width, height), unit-norm `features` (N, d) and `confidences` (N,).
 
-    `boxes` (N, 4), `features` (N, d) and `confidences` (N,) are the
-    detections as read-only array rows, built on first use and then kept: every
-    tracker step over the frame, real or simulated, shares one copy.
+    The rows are checked in bulk where they enter (the `motio` readers, `synthworld`), never per frame; every
+    tracker step over the frame, real or simulated, reads these arrays. `detections` is the rows as `Detection`s,
+    derived on first use for the scalar oracles and the tests.
     """
 
     index: int
-    detections: tuple[Detection, ...]
+    boxes: np.ndarray
+    features: np.ndarray
+    confidences: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "detections", tuple(self.detections))
+    @cached_property
+    def detections(self) -> tuple[Detection, ...]:
+        vecs = FeatureVec.of_unit_rows(self.features)
+        return tuple(map(Detection, map(BoundingBox, *self.boxes.T.tolist()), vecs, self.confidences.tolist()))
 
-    boxes = _rows(lambda dets: box_array(det.bbox for det in dets))
-    features = _rows(feature_rows)
-    confidences = _rows(lambda dets: np.array([det.confidence for det in dets], dtype=np.float64))
+
+def split_frames(last: int, frames: np.ndarray, boxes: np.ndarray, features: np.ndarray, confidences: np.ndarray) -> list[FrameData]:
+    """Frames 1 to `last` of checked rows sorted by their (n,) frame indices `frames`, each holding its slices of the
+    (n, 4) `boxes`, (n, d) `features` and (n,) `confidences`, which become read-only; frames without rows share one
+    set of empty slices."""
+    columns = (boxes, features, confidences)
+    for column in columns:
+        column.flags.writeable = False
+    empty = [column[:0] for column in columns]
+    bounds = np.searchsorted(frames, np.arange(1, last + 2)).tolist()
+    return [FrameData(f, *([c[lo:hi] for c in columns] if hi > lo else empty)) for f, lo, hi in zip(range(1, last + 1), bounds, bounds[1:])]
+
+
+def frame_rows(frames: list[FrameData], keys: np.ndarray, attr: str) -> np.ndarray:
+    """Row j of frame f's `attr` array ("boxes", "features" or "confidences") for each (f, j) row of the (n, 2) int
+    `keys`, gathered from `frames`, a non-empty list of consecutive frames."""
+    starts = np.cumsum([0] + [len(frame.boxes) for frame in frames])
+    parts = [getattr(frame, attr) for frame in frames if len(frame.boxes)] or [getattr(frames[0], attr)]
+    return np.concatenate(parts)[starts[keys[:, 0] - frames[0].index] + keys[:, 1]]

@@ -5,8 +5,10 @@ Detection and ground-truth files use the usual comma-separated rows
 CSV keyed by (frame, detection index within frame); vectors are normalized on
 load, so any positive rescaling of the raw file leaves downstream cosine
 computations unchanged. A detection file is read into checked rows,
-`DetectionRows`, and `attach_features` builds each row's `Detection`, with its
-feature, once. A ground-truth or result file is read once into a
+`DetectionRows`, its sidecar into one block of unit rows in detection-row
+order, and `attach_features` slices both into one `FrameData` per frame: no
+per-detection object is built between reading the files and writing the
+result file. A ground-truth or result file is read once into a
 `metrics.BoxTable`. All three readers share one column reader and one error
 rule: a bad file raises a `DataError` for its first bad line and that line's
 first failing check. Result files are written with 6 significant digits and
@@ -20,14 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundingBox, Detection, FeatureVec, FrameData, unit_rows
+from .core import FrameData, frame_rows, split_frames, unit_rows
 from .metrics import BoxTable, LabeledBox
 
 __all__ = [
     "DataError",
     "MAX_FRAME_INDEX",
     "DetectionRows",
-    "FeatureTable",
     "read_detections",
     "read_gt",
     "read_features",
@@ -57,19 +58,6 @@ class DetectionRows:
     frames: np.ndarray
     boxes: np.ndarray
     confidences: np.ndarray
-
-    def keys(self) -> list[tuple[int, int]]:
-        """Each row's (frame, detection index within the frame), the key of its feature row."""
-        within = np.arange(self.frames.size) - np.searchsorted(self.frames, self.frames)
-        return list(zip(self.frames.tolist(), within.tolist()))
-
-
-@dataclass(frozen=True, eq=False)
-class FeatureTable:
-    """Feature vectors keyed by (frame, detection index within frame)."""
-
-    dim: int
-    rows: dict[tuple[int, int], FeatureVec]
 
 
 def _numbered_lines(path):
@@ -194,12 +182,13 @@ def read_gt(path) -> BoxTable:
     return BoxTable(frames, ids, boxes)
 
 
-def read_features(path, dets: DetectionRows) -> FeatureTable:
-    """Parse the feature sidecar and validate coverage against the detection rows.
+def read_features(path, dets: DetectionRows) -> np.ndarray:
+    """Parse the feature sidecar into a read-only (n, dim) block of unit rows, row i the feature of row i of `dets`.
 
-    After the header a line needs exactly 2 + dim fields: `int` frame and detection index, a (frame, det) no
-    earlier line has, and `float` values that make a `FeatureVec`: all rows are normalised as one `unit_rows`
-    block. Then a detection without a row is named by its key, and the first row without a detection by its line.
+    After the header a line needs exactly 2 + dim fields: `int` frame and detection index (within its frame), a
+    (frame, det) no earlier line has, and `float` values that make a `FeatureVec`: all rows are normalised as one
+    `unit_rows` block. Then a detection without a row is named by its key, and the first row without a detection
+    by its line.
     """
     numbered = _numbered_lines(path)
     header = next(numbered, (1, ""))[1].strip()
@@ -220,57 +209,52 @@ def read_features(path, dets: DetectionRows) -> FeatureTable:
     rows.check(failed, lambda i: message)
     rows.raise_first()
 
-    keys = list(zip(frames.tolist(), det_idx.tolist()))
-    expected = set(dets.keys())
-    missing = expected.difference(keys)
-    if missing:
-        frame, det = min(missing)
-        raise DataError(f"{path}: missing feature row for frame {frame}, detection {det}")
-    if len(keys) > len(expected):  # keys are unique and cover `expected`, so some are extra
-        i = next(i for i, key in enumerate(keys) if key not in expected)
-        frame, det = keys[i]
-        raise DataError(f"{path}:{rows.lines[i][0]}: feature row for nonexistent detection (frame {frame}, index {det})")
-    return FeatureTable(dim=dim, rows=dict(zip(keys, FeatureVec.of_unit_rows(unit))))
+    first = np.searchsorted(dets.frames, frames)  # the detection row of each key's frame and index 0
+    named = (det_idx >= 0) & (det_idx < np.searchsorted(dets.frames, frames, side="right") - first)
+    at = first[named] + det_idx[named]  # keys are unique, so no two rows name one detection
+    if len(at) < len(dets.frames):  # the first uncovered row in row order has the smallest missing key
+        i = int(np.argmin(np.isin(np.arange(len(dets.frames)), at)))
+        det = i - np.searchsorted(dets.frames, dets.frames[i])
+        raise DataError(f"{path}: missing feature row for frame {dets.frames[i]}, detection {det}")
+    if not named.all():
+        i = int(np.argmin(named))
+        raise DataError(f"{path}:{rows.lines[i][0]}: feature row for nonexistent detection (frame {frames[i]}, index {det_idx[i]})")
+    block = unit[np.argsort(at)]
+    block.flags.writeable = False
+    return block
 
 
-def attach_features(dets: DetectionRows, table: FeatureTable) -> list[FrameData]:
-    """Each row built once as a `Detection` with its sidecar feature, grouped by frame in stable file order.
+def attach_features(dets: DetectionRows, features: np.ndarray) -> list[FrameData]:
+    """The detection rows and their `read_features` block as one `FrameData` per frame, in stable file order.
 
     Frames absent from the file come back empty, so indices stay contiguous from 1 to the largest.
     """
-    built = [
-        Detection(BoundingBox(*box), table.rows[key], conf)
-        for box, key, conf in zip(dets.boxes.tolist(), dets.keys(), dets.confidences.tolist())
-    ]
-    bounds = np.searchsorted(dets.frames, np.arange(1, dets.frames.max(initial=0) + 2)).tolist()
-    return [FrameData(f, tuple(built[bounds[f - 1] : bounds[f]])) for f in range(1, len(bounds))]
+    return split_frames(int(dets.frames.max(initial=0)), dets.frames, dets.boxes, features, dets.confidences)
 
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def write_results(path, assignments) -> None:
-    """Write tracker output rows (frame, track id, detection), MOT result format."""
-    rows = sorted(assignments, key=lambda r: (r[0], r[1]))
+def _mot_rows(frames: list, ids: list, boxes: np.ndarray, confidences: np.ndarray) -> str:
+    """MOT rows of frame, id, box and confidence with 6 significant digits, then three unused columns."""
+    rows = zip(frames, ids, *boxes.T.tolist(), confidences.tolist())
+    return "".join(map("%d,%d,%.6g,%.6g,%.6g,%.6g,%.6g,-1,-1,-1\n".__mod__, rows))
+
+
+def write_results(path, frames: list[FrameData], rows) -> None:
+    """Write tracker result rows (frame, track id, detection index within `frames`), MOT result format."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+    rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+    boxes, confidences = (frame_rows(frames, rows[:, ::2], attr) for attr in ("boxes", "confidences"))
     with open(path, "w", encoding="utf-8") as fh:
-        for frame, track_id, det in rows:
-            b = det.bbox
-            fh.write(
-                f"{frame},{track_id},{_fmt(b.left)},{_fmt(b.top)},{_fmt(b.width)},"
-                f"{_fmt(b.height)},{_fmt(det.confidence)},-1,-1,-1\n"
-            )
+        fh.write(_mot_rows(rows[:, 0].tolist(), rows[:, 1].tolist(), boxes, confidences))
 
 
 def write_detections(path, frames: list[FrameData]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for f in frames:
-            for det in f.detections:
-                b = det.bbox
-                fh.write(
-                    f"{f.index},-1,{_fmt(b.left)},{_fmt(b.top)},{_fmt(b.width)},"
-                    f"{_fmt(b.height)},{_fmt(det.confidence)},-1,-1,-1\n"
-                )
+            fh.write(_mot_rows([f.index] * len(f.boxes), [-1] * len(f.boxes), f.boxes, f.confidences))
 
 
 def write_gt(path, boxes: list[LabeledBox]) -> None:
@@ -285,13 +269,12 @@ def write_gt(path, boxes: list[LabeledBox]) -> None:
 
 
 def write_features(path, frames: list[FrameData]) -> None:
-    dims = {d.feature.dim for f in frames for d in f.detections}
+    dims = {f.features.shape[1] for f in frames if len(f.boxes)}
     if len(dims) > 1:
         raise DataError(f"mixed feature dimensions {sorted(dims)}")
     dim = dims.pop() if dims else 2
+    row = "%d,%d," + ",".join(["%.9g"] * dim) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"frame,det,dim={dim}\n")
         for f in frames:
-            for j, det in enumerate(f.detections):
-                values = ",".join(f"{v:.9g}" for v in det.feature.values)
-                fh.write(f"{f.index},{j},{values}\n")
+            fh.write("".join(row % (f.index, j, *values) for j, values in enumerate(f.features.tolist())))

@@ -13,7 +13,7 @@ The per-pair functions (`score_main`, `score_f1`, `score_f2`, `score_f3`,
 `candidate_filter`, `crowd_check`) define the scores from a track's forecast,
 representative feature and quality record, each a mean that `_mean` adds
 left to right. `score_frame` scores a whole frame from the state's rows, the
-`TrustedRecord` that follows them and the frames' cached rows as one masked
+`TrustedRecord` that follows them and the frames' array rows as one masked
 mean that adds the same terms in the same order, equal bit for bit.
 """
 
@@ -38,7 +38,7 @@ from .base_tracker import (
     fork_at,
     step,
 )
-from .core import Detection, FeatureVec, FrameData, iou, iou_array
+from .core import Detection, FeatureVec, FrameData, frame_rows, iou, iou_array
 from .motion import KalmanState, batch_boxes, batch_centers, kf_correct_predict_batch, kf_predict, kf_update, state_to_bbox
 
 __all__ = [
@@ -309,12 +309,10 @@ def score_frame(state: TrackerState, frames: list[FrameData], tents, cfg: AdpCon
     kept = tents[..., 1] >= 0
     lengths = kept.sum(axis=1)
     kept, entries = kept[:, : lengths.max()], tents[kept]
-    starts = np.cumsum([0] + [len(frame.detections) for frame in frames])
-    at = starts[entries[:, 0] - frames[0].index] + entries[:, 1]
 
-    def entry_rows(attr, width):  # the entries' rows of the frames' cached `attr` arrays, zero past each end
+    def entry_rows(attr, width):  # the entries' rows of the frames' `attr` arrays, zero past each end
         out = np.zeros((*kept.shape, width))
-        out[kept] = np.concatenate([getattr(frame, attr) for frame in frames if frame.detections])[at]
+        out[kept] = frame_rows(frames, entries, attr)
         return out
 
     feats = entry_rows("features", state.rep.shape[1])
@@ -381,7 +379,7 @@ def adp_step(state: TrackerState, window: list[FrameData], cfg: AdpConfig) -> tu
     return state, matching
 
 
-def run(frames: list[FrameData], params: TrackerParams, cfg: AdpConfig) -> list[tuple[int, int, Detection]]:
+def run(frames: list[FrameData], params: TrackerParams, cfg: AdpConfig) -> np.ndarray:
     """Track a whole sequence with a sliding rollout window.
 
     The first frame cold-starts the tracker (every confident detection
@@ -392,10 +390,9 @@ def run(frames: list[FrameData], params: TrackerParams, cfg: AdpConfig) -> list[
         raise ValueError("cannot track an empty sequence")
     state = TrackerState(params, frame_cursor=frames[0].index - 1)
     state.hook = TrustedRecord(cfg.window, cfg.beta)
-    rows: list[tuple[int, int, Detection]] = []
     step(state, frames[0])
-    rows.extend(collect_frame_rows(state, frames[0]))
+    rows = [collect_frame_rows(state, frames[0])]
     for i in range(1, len(frames)):
         adp_step(state, frames[i : i + cfg.horizon + 1], cfg)
-        rows.extend(collect_frame_rows(state, frames[i]))
-    return rows
+        rows.append(collect_frame_rows(state, frames[i]))
+    return np.concatenate(rows)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundingBox, Detection, FeatureVec, FrameData, iou, unit_rows
+from .core import BoundingBox, FeatureVec, FrameData, iou, split_frames, unit_rows
 from .metrics import LabeledBox
 
 __all__ = ["ScenarioConfig", "Scenario", "generate", "occlusion_preset"]
@@ -135,19 +135,16 @@ def _build_paths(cfg: ScenarioConfig) -> list[_IdentityPath]:
     return paths
 
 
-def _features(raw: list[np.ndarray], dim: int) -> list[FeatureVec]:
-    """The `FeatureVec` of each raw feature, normalised as one `unit_rows` block."""
-    unit, failed, message = unit_rows(np.reshape(raw, (-1, dim)))
-    if failed:
-        raise ValueError(message)
-    return FeatureVec.of_unit_rows(unit)
-
-
 def generate(cfg: ScenarioConfig) -> Scenario:
-    """Build a scenario; a pure, deterministic function of the configuration."""
+    """Build a scenario; a pure, deterministic function of the configuration.
+
+    The detections of all frames are checked in bulk as `Detection` checks one: finite boxes of positive size,
+    confidences in [0, 1] and features normalised as one `unit_rows` block.
+    """
     paths = _build_paths(cfg)
     gt: list[LabeledBox] = []
-    det_frames: list[FrameData] = []
+    # each emitted detection's frame, box and confidence, and its feature before normalisation
+    at, kept, feats = [], [], []
     # Base features live on their own streams so path-parameter draws and
     # feature draws cannot interfere.
     base_feats = {}
@@ -161,9 +158,6 @@ def generate(cfg: ScenarioConfig) -> Scenario:
         boxes = [p.box(t) for p in paths]
         for i, box in enumerate(boxes):
             gt.append(LabeledBox(frame=frame, id=i + 1, bbox=box))
-
-        kept: list[tuple[BoundingBox, float]] = []  # each emitted detection's box and confidence
-        raw: list[np.ndarray] = []  # and its feature before normalisation
         for i, box in enumerate(boxes):
             occluder = None
             best_inter = 0.0
@@ -192,11 +186,16 @@ def generate(cfg: ScenarioConfig) -> Scenario:
                 base = (1.0 - lam) * base_feats[i] + lam * base_feats[occluder]
             else:
                 base = base_feats[i]
-            raw.append(base + cfg.feature_noise * feat_noise)
-            kept.append((BoundingBox(left, top, width, height), 0.95 if occluder is None else max(0.2, 0.95 - 0.6 * lam)))
-        dets = (Detection(box, feature, conf) for (box, conf), feature in zip(kept, _features(raw, cfg.feature_dim)))
-        det_frames.append(FrameData(index=frame, detections=tuple(dets)))
+            feats.append(base + cfg.feature_noise * feat_noise)
+            at.append(frame)
+            kept.append((left, top, width, height, 0.95 if occluder is None else max(0.2, 0.95 - 0.6 * lam)))
 
+    rows = np.array(kept, dtype=np.float64).reshape(-1, 5)
+    boxes, conf = rows[:, :4].copy(), rows[:, 4].copy()
+    unit, failed, message = unit_rows(np.reshape(feats, (-1, cfg.feature_dim)))
+    if failed or not (np.isfinite(boxes).all() and (boxes[:, 2:] > 0).all() and ((conf >= 0) & (conf <= 1)).all()):
+        raise ValueError(message or "detections need finite boxes of positive size and confidences in [0, 1]")
+    det_frames = split_frames(cfg.frames, np.array(at, dtype=np.int64), boxes, unit, conf)
     return Scenario(gt=tuple(gt), det_frames=tuple(det_frames), identity_features=identity_features)
 
 

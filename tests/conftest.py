@@ -8,9 +8,9 @@ import pytest
 from adptrack import base_tracker
 from adptrack.appearance import cosine_sim
 from adptrack.base_tracker import TrackerParams, run as run_base
-from adptrack.core import BoundingBox, Detection, FeatureVec, FrameData, iou
+from adptrack.core import BoundingBox, Detection, FeatureVec, FrameData, box_array, frame_rows, iou
 from adptrack.metrics import LabeledBox
-from adptrack.motio import MAX_FRAME_INDEX, DataError, DetectionRows, FeatureTable, _numbered_lines, write_results
+from adptrack.motio import MAX_FRAME_INDEX, DataError, DetectionRows, _numbered_lines, write_results
 from adptrack.motion import KalmanState, state_to_bbox
 from adptrack.rollout import AdpConfig, run as run_adp
 from adptrack.synthworld import ScenarioConfig, generate, occlusion_preset
@@ -21,7 +21,13 @@ def make_det(left, top, width=10.0, height=10.0, feature=(1.0, 0.0), conf=0.9):
 
 
 def make_frame(index, dets):
-    return FrameData(index=index, detections=tuple(dets))
+    """A frame holding the rows of `Detection`s, which checked each row as it was built, stacked once."""
+    dets = list(dets)
+    features = np.array([det.feature.values for det in dets]) if dets else np.zeros((0, 0))
+    columns = box_array(det.bbox for det in dets), features, np.array([det.confidence for det in dets], dtype=np.float64)
+    for column in columns:
+        column.flags.writeable = False
+    return FrameData(index, *columns)
 
 
 @pytest.fixture(scope="session")
@@ -72,9 +78,9 @@ def equivalence_runs(tmp_path_factory):
     runs = []
     for sc_cfg in equivalence_scenarios():
         frames = list(generate(sc_cfg).det_frames)
-        write_results(path, run_base(frames, TrackerParams()))
+        write_results(path, frames, run_base(frames, TrackerParams()))
         base = path.read_bytes()
-        write_results(path, run_adp(frames, TrackerParams(), cfg))
+        write_results(path, frames, run_adp(frames, TrackerParams(), cfg))
         runs.append((base, path.read_bytes()))
     return runs, time.perf_counter() - start
 
@@ -118,8 +124,10 @@ def fused_similarity(forecast, rep, det):
     return min(overlap, gated)
 
 
-def rows_to_boxes(rows):
-    return [LabeledBox(frame=f, id=tid, bbox=det.bbox) for f, tid, det in rows]
+def rows_to_boxes(frames, rows):
+    """A run's (frame, track id, detection index) rows as `LabeledBox`es of their detections' boxes."""
+    boxes = frame_rows(frames, rows[:, ::2], "boxes").tolist()
+    return [LabeledBox(frame=f, id=tid, bbox=BoundingBox(*box)) for (f, tid, _), box in zip(rows.tolist(), boxes)]
 
 
 def _data_lines(path):
@@ -182,7 +190,7 @@ def oracle_read_detections(path):
 
 
 def oracle_read_features(path, dets):
-    """A feature sidecar as a FeatureTable, read and checked one line at a time.
+    """A feature sidecar as a block of unit rows in detection-row order, read and checked one line at a time.
 
     The reference for `motio.read_features`: the header, then each line's
     checks in order (field count, int and float parsing, duplicate key, the
@@ -223,7 +231,8 @@ def oracle_read_features(path, dets):
             raise DataError(f"{path}:{lineno}: {exc}") from None
         line_of[key] = lineno
 
-    expected = {(frame, j) for frame, n in Counter(dets.frames.tolist()).items() for j in range(n)}
+    order = [(frame, j) for frame, n in Counter(dets.frames.tolist()).items() for j in range(n)]
+    expected = set(order)
     missing = expected - rows.keys()
     if missing:
         frame, det_idx = sorted(missing)[0]
@@ -231,7 +240,7 @@ def oracle_read_features(path, dets):
     for (frame, det_idx), lineno in line_of.items():
         if (frame, det_idx) not in expected:
             raise DataError(f"{path}:{lineno}: feature row for nonexistent detection (frame {frame}, index {det_idx})")
-    return FeatureTable(dim=dim, rows=rows)
+    return np.array([rows[key].values for key in order]).reshape(len(order), dim if order else 0)
 
 
 def oracle_read_gt(path):
@@ -275,6 +284,25 @@ def oracle_read_gt(path):
 def table_rows(table):
     """A BoxTable's rows as (frame, id, left, top, width, height) tuples of Python numbers."""
     return list(zip(table.frames.tolist(), table.ids.tolist(), *table.boxes.T.tolist()))
+
+
+def count_constructions(monkeypatch, classes):
+    """Count, per class, the objects built from here on: by `__init__`, and for `FeatureVec` also by `of_unit_rows`."""
+    built = dict.fromkeys(classes, 0)
+    for cls in classes:
+        def counted(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            built[_cls] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    if FeatureVec in built:
+        def of_unit_rows(unit, _wrap=FeatureVec.of_unit_rows):
+            vecs = _wrap(unit)
+            built[FeatureVec] += len(vecs)
+            return vecs
+
+        monkeypatch.setattr(FeatureVec, "of_unit_rows", staticmethod(of_unit_rows))
+    return built
 
 
 def count_calls(monkeypatch, module, name):

@@ -270,12 +270,12 @@ def test_run_is_deterministic():
     frames = list(sc.det_frames)
     rows1 = run(frames, PARAMS)
     rows2 = run(frames, PARAMS)
-    assert rows1 == rows2
+    assert np.array_equal(rows1, rows2)
 
 
 def test_clean_scenario_zero_id_switches():
     sc = generate(ScenarioConfig(seed=11, frames=30, identities=5, crossings=0))
-    report = evaluate(sc.gt, rows_to_boxes(run(list(sc.det_frames), PARAMS)))
+    report = evaluate(sc.gt, rows_to_boxes(sc.det_frames, run(list(sc.det_frames), PARAMS)))
     assert report.idsw == 0
     assert report.idf1 == 1.0
 

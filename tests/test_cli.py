@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from conftest import count_constructions
+
 from adptrack import cli
 from adptrack.cli import build_parser, main, replay_manifest
+from adptrack.core import BoundingBox, Detection, FeatureVec
 from adptrack.motio import MAX_FRAME_INDEX
 
 
@@ -67,6 +70,18 @@ def test_track_modes_and_alpha_zero_equivalence(tmp_path):
             "track", *common, "--mode", "adp", "--alpha", "0", "--horizon", "5", *heuristics, "--out", str(adp_out),
         ]) == 0
         assert base_out.read_bytes() == adp_out.read_bytes()
+
+
+@pytest.mark.parametrize("mode", [["--mode", "base"], ["--mode", "adp"], ["--variant", "f2"]])
+def test_track_builds_no_detection_object(tmp_path, monkeypatch, mode):
+    """From reading the files to writing the result file, `track` keeps the detections as array rows."""
+    scene = _synth(tmp_path)
+    built = count_constructions(monkeypatch, (Detection, BoundingBox, FeatureVec))
+    res = tmp_path / "res.txt"
+    assert main(["track", "--dets", str(scene / "det.txt"), "--features", str(scene / "features.csv"),
+                 "--horizon", "6", "--out", str(res), *mode]) == 0
+    assert res.read_text().count("\n") > 50
+    assert built == {Detection: 0, BoundingBox: 0, FeatureVec: 0}
 
 
 def test_track_adp_defaults_recorded_in_manifest(tmp_path):

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import make_frame
+
 from adptrack.core import (
     BoundingBox,
     Detection,
     FeatureVec,
-    FrameData,
     box_array,
     from_center,
     iou,
@@ -269,4 +270,5 @@ def test_detection_needs_a_feature():
         with pytest.raises(ValueError, match="needs a FeatureVec feature"):
             Detection(b, feature, 0.5)
     det = Detection(b, FeatureVec([3.0, 4.0]), 0.5)
-    assert FrameData(2, [det]).detections == (det,)
+    (view,) = make_frame(2, [det]).detections
+    assert (view.bbox, view.feature.values.tolist(), view.confidence) == (b, [0.6, 0.8], 0.5)

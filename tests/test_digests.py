@@ -23,6 +23,7 @@ from conftest import rows_to_boxes
 
 from adptrack.base_tracker import TrackerParams
 from adptrack.cli import main
+from adptrack.core import BoundingBox
 from adptrack.metrics import evaluate
 from adptrack.motio import read_gt, write_detections, write_features, write_gt, write_results
 from adptrack.rollout import AdpConfig, Variant, run as run_adp, simulate_tentative
@@ -140,8 +141,8 @@ ADP_CONFIGS = {
 }
 
 
-def _result_bytes(rows, path):
-    write_results(path, rows)
+def _result_bytes(frames, rows, path):
+    write_results(path, frames, rows)
     return path.read_bytes()
 
 
@@ -150,7 +151,7 @@ def _frames(sc_cfg):
 
 
 def test_preset_base_digests(tmp_path, preset_base_runs):
-    got = [hashlib.sha256(_result_bytes(rows, tmp_path / "res.txt")).hexdigest() for _, rows in preset_base_runs]
+    got = [hashlib.sha256(_result_bytes(sc.det_frames, rows, tmp_path / "res.txt")).hexdigest() for sc, rows in preset_base_runs]
     assert got == PRESET_BASE
 
 
@@ -162,10 +163,11 @@ def test_equivalence_base_digest(equivalence_runs):
 @pytest.mark.parametrize("name", sorted(PRESET_ADP))
 def test_preset_adp_digests(tmp_path, request, name):
     if name == "main":
-        runs = [rows for _, rows in request.getfixturevalue("preset_adp_main_runs")[0]]
+        runs = [(sc.det_frames, rows) for sc, rows in request.getfixturevalue("preset_adp_main_runs")[0]]
     else:
-        runs = [run_adp(_frames(cfg), PARAMS, ADP_CONFIGS[name]) for cfg in occlusion_preset()[: len(PRESET_ADP[name])]]
-    got = [hashlib.sha256(_result_bytes(rows, tmp_path / "res.txt")).hexdigest() for rows in runs]
+        frames = [_frames(cfg) for cfg in occlusion_preset()[: len(PRESET_ADP[name])]]
+        runs = [(f, run_adp(f, PARAMS, ADP_CONFIGS[name])) for f in frames]
+    got = [hashlib.sha256(_result_bytes(frames, rows, tmp_path / "res.txt")).hexdigest() for frames, rows in runs]
     assert got == PRESET_ADP[name]
 
 
@@ -206,7 +208,7 @@ def _tentatives_digest(frames):
     for t in range(len(frames)):
         window = frames[t : t + 11]
         for tent in simulate_tentative(window, PARAMS):
-            entries = [(f, window[f - window[0].index].detections[j].bbox) for f, j in tent[tent[:, 1] >= 0].tolist()]
+            entries = [(f, BoundingBox(*window[f - window[0].index].boxes[j])) for f, j in tent[tent[:, 1] >= 0].tolist()]
             digest.update(repr(entries).encode() + b"\n")
     return digest.hexdigest()
 
@@ -220,7 +222,7 @@ def _report_fields(report):
 
 
 def test_preset_base_reports(preset_base_runs):
-    got = [_report_fields(evaluate(scenario.gt, rows_to_boxes(rows))) for scenario, rows in preset_base_runs]
+    got = [_report_fields(evaluate(scenario.gt, rows_to_boxes(scenario.det_frames, rows))) for scenario, rows in preset_base_runs]
     assert got == PRESET_BASE_REPORTS
 
 

@@ -191,7 +191,7 @@ def _preset_files(tmp_path, scenario, rows):
     """The gt file of a preset scene and the result file of its base run."""
     gt, res = tmp_path / "gt.txt", tmp_path / "res.txt"
     write_gt(gt, list(scenario.gt))
-    write_results(res, rows)
+    write_results(res, scenario.det_frames, rows)
     return gt, res
 
 

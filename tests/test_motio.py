@@ -8,15 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import count_calls, detection_rows, make_det, oracle_read_detections, oracle_read_features, oracle_read_gt, table_rows
+from conftest import count_calls, count_constructions, detection_rows, make_det, make_frame, oracle_read_detections, oracle_read_features, oracle_read_gt, table_rows
 
 from adptrack import cli, core, motio
 from adptrack.base_tracker import TrackerParams, run as run_base
-from adptrack.core import BoundingBox, Detection, FeatureVec, FrameData
+from adptrack.core import BoundingBox, Detection, FrameData
 from adptrack.motio import (
     MAX_FRAME_INDEX,
     DataError,
-    FeatureTable,
     attach_features,
     read_detections,
     read_features,
@@ -45,7 +44,7 @@ def test_read_detections_empty_file(tmp_path):
     p.write_text("")
     rows = read_detections(p)
     assert (rows.frames.shape, rows.boxes.shape, rows.confidences.shape) == ((0,), (0, 4), (0,))
-    assert attach_features(rows, FeatureTable(dim=2, rows={})) == []
+    assert attach_features(rows, np.zeros((0, 2))) == []
 
 
 def test_read_detections_regroups_out_of_order(tmp_path):
@@ -55,22 +54,38 @@ def test_read_detections_regroups_out_of_order(tmp_path):
     assert rows.frames.tolist() == [1, 2, 2]
     assert rows.boxes[:, 0].tolist() == [1, 0, 2]
     assert rows.confidences.tolist() == [0.6, 0.5, 0.7]
-    assert rows.keys() == [(1, 0), (2, 0), (2, 1)]
-    features = {key: FeatureVec([1.0, float(i)]) for i, key in enumerate(rows.keys())}
-    frames = attach_features(rows, FeatureTable(dim=2, rows=features))
+    features = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+    frames = attach_features(rows, features)
     assert [f.index for f in frames] == [1, 2]
+    assert frames[1].boxes[:, 0].tolist() == [0, 2] and frames[0].boxes[:, 0].tolist() == [1]
+    assert frames[1].features.tolist() == [[0.0, 1.0], [0.6, 0.8]] and frames[1].confidences.tolist() == [0.5, 0.7]
     assert [d.bbox.left for d in frames[1].detections] == [0, 2]
-    assert [d.feature for d in frames[1].detections] == [features[(2, 0)], features[(2, 1)]]
-    assert frames[0].detections[0].bbox.left == 1
 
 
 def test_read_detections_fills_missing_frames(tmp_path):
     p = tmp_path / "det.txt"
     p.write_text("3,-1,0,0,5,5,0.5\n")
-    frames = attach_features(read_detections(p), FeatureTable(dim=2, rows={(3, 0): FeatureVec([1.0, 0.0])}))
+    frames = attach_features(read_detections(p), np.array([[1.0, 0.0]]))
     assert [f.index for f in frames] == [1, 2, 3]
     assert frames[0].detections == () and frames[1].detections == ()
     assert len(frames[2].detections) == 1
+
+
+def test_empty_frames_share_zero_length_read_only_rows(tmp_path):
+    """Rows at frames 1 and 4 leave frames 2 and 3 empty: zero-length, read-only arrays of the rows' widths."""
+    p, feat = tmp_path / "det.txt", tmp_path / "features.csv"
+    p.write_text("4,-1,0,0,5,5,0.5\n1,-1,1,0,5,5,0.6\n")
+    feat.write_text("frame,det,dim=3\n4,0,1,0,0\n1,0,0,1,0\n")
+    dets = read_detections(p)
+    frames = attach_features(dets, read_features(feat, dets))
+    assert [f.index for f in frames] == [1, 2, 3, 4]
+    assert frames[0].features.tolist() == [[0.0, 1.0, 0.0]] and frames[3].features.tolist() == [[1.0, 0.0, 0.0]]
+    for frame in frames[1:3]:
+        assert (frame.boxes.shape, frame.features.shape, frame.confidences.shape) == ((0, 4), (0, 3), (0,))
+        assert frame.detections == ()
+    for frame in frames:
+        assert not any(a.flags.writeable for a in (frame.boxes, frame.features, frame.confidences))
+    assert frames[1].boxes is frames[2].boxes and frames[1].features is frames[2].features
 
 
 def test_read_detections_errors_carry_line_numbers(tmp_path):
@@ -110,11 +125,10 @@ def test_read_features_normalizes(tmp_path):
     frames = read_detections(det_path)
     feat_path = tmp_path / "features.csv"
     feat_path.write_text("frame,det,dim=2\n1,0,1,0\n1,1,3,4\n")
-    table = read_features(feat_path, frames)
-    assert table.dim == 2
-    assert np.allclose(table.rows[(1, 0)].values, [1.0, 0.0])
-    assert np.allclose(table.rows[(1, 1)].values, [0.6, 0.8])
-    enriched = attach_features(frames, table)
+    block = read_features(feat_path, frames)
+    assert block.shape == (2, 2) and not block.flags.writeable
+    assert np.allclose(block, [[1.0, 0.0], [0.6, 0.8]])
+    enriched = attach_features(frames, block)
     assert np.allclose(enriched[0].detections[1].feature.values, [0.6, 0.8])
 
 
@@ -153,7 +167,7 @@ def test_read_features_huge_header_dim_is_a_field_count_error(tmp_path, dim):
     with pytest.raises(DataError, match=rf"features.csv:2: expected {2 + dim} fields, got 4$"):
         read_features(feat_path, _FUZZ_DETS)
     feat_path.write_text(f"frame,det,dim={dim}\n")
-    assert read_features(feat_path, detection_rows([])).rows == {}
+    assert read_features(feat_path, detection_rows([])).shape == (0, 0)
 
 
 def test_read_features_rejects_a_norm_beyond_float64(tmp_path):
@@ -186,17 +200,11 @@ def crowd_files(tmp_path_factory):
     return det_path, feat_path
 
 
-def test_loading_builds_each_detection_once(crowd_files, monkeypatch):
-    """Loading the crowd scene of 1 435 rows builds one `Detection` and one `BoundingBox` per row and one
-    `FrameData` per frame, all after `read_detections`, which builds none."""
+def test_loading_builds_one_frame_per_index_and_no_detection(crowd_files, monkeypatch):
+    """Loading the crowd scene of 1 435 rows builds one `FrameData` per frame, after `read_detections`, and no
+    `Detection` or `BoundingBox`: each frame holds slices of the checked row arrays."""
     det_path, feat_path = crowd_files
-    built = {Detection: 0, BoundingBox: 0, FrameData: 0}
-    for cls in built:
-        def counted(self, cls=cls, original=cls.__post_init__):
-            built[cls] += 1
-            original(self)
-
-        monkeypatch.setattr(cls, "__post_init__", counted)
+    built = count_constructions(monkeypatch, (Detection, BoundingBox, FrameData))
     in_reader = {}
 
     def read_detections_counted(path, read=cli.read_detections):
@@ -208,29 +216,50 @@ def test_loading_builds_each_detection_once(crowd_files, monkeypatch):
     monkeypatch.setattr(cli, "read_detections", read_detections_counted)
     frames = cli._load_sequence(det_path, feat_path)
     assert in_reader == {Detection: 0, BoundingBox: 0, FrameData: 0}
-    assert built == {Detection: 1435, BoundingBox: 1435, FrameData: 72}
-    assert sum(len(f.detections) for f in frames) == 1435 and len(frames) == 72
+    assert built == {Detection: 0, BoundingBox: 0, FrameData: 72}
+    assert sum(len(f.boxes) for f in frames) == 1435 and len(frames) == 72
 
 
 def test_loading_normalises_every_feature_in_one_block(crowd_files, monkeypatch):
     """Loading the crowd scene normalises its 1 435 feature rows in one `unit_rows` call and builds no
-    `FeatureVec` through its per-vector constructor."""
+    `FeatureVec` through its per-vector constructor; the frames slice that one block."""
     blocks = count_calls(monkeypatch, motio, "unit_rows")
     vectors = count_calls(monkeypatch, core, "unit_rows")  # `FeatureVec.__init__` normalises through it
     frames = cli._load_sequence(*crowd_files)
     assert [block.shape for block, in blocks] == [(1435, 16)]
     assert vectors == []
-    assert all(type(det.feature) is FeatureVec for f in frames for det in f.detections)
+    assert len({id(f.features.base) for f in frames}) == 1
+
+
+def test_frame_detections_view_equals_the_frame_rows(tmp_path):
+    """A preset scene written to files and read back: each frame's `detections` view holds row j of the frame's
+    arrays bit for bit, so the scalar oracles read the numbers the array path reads."""
+    scenario = generate(occlusion_preset()[0])
+    det_path, feat_path = tmp_path / "det.txt", tmp_path / "features.csv"
+    write_detections(det_path, list(scenario.det_frames))
+    write_features(feat_path, list(scenario.det_frames))
+    frames = cli._load_sequence(det_path, feat_path)
+    assert len(frames) == 72 and sum(len(f.boxes) for f in frames) > 300
+    for frame in frames:
+        dets = frame.detections
+        assert len(dets) == len(frame.boxes) and frame.detections is dets
+        for j, det in enumerate(dets):
+            b = det.bbox
+            assert np.array([b.left, b.top, b.width, b.height]).tobytes() == frame.boxes[j].tobytes()
+            assert det.feature.values.tobytes() == frame.features[j].tobytes()
+            assert np.float64(det.confidence).tobytes() == frame.confidences[j].tobytes()
+        overlaps = [[core.iou(a.bbox, b.bbox) for b in dets] for a in dets]
+        assert np.array_equal(core.iou_matrix(frame.boxes, frame.boxes), np.reshape(overlaps, (len(dets), len(dets))))
 
 
 def test_write_results_sorting_and_roundtrip(tmp_path):
-    rows = [
-        (2, 1, make_det(0.123456789, 4, width=11.5, height=20.25, conf=0.875)),
-        (1, 2, make_det(5, 5)),
-        (1, 1, make_det(0, 0)),
+    frames = [
+        make_frame(1, [make_det(0, 0), make_det(5, 5)]),
+        make_frame(2, [make_det(0.123456789, 4, width=11.5, height=20.25, conf=0.875)]),
     ]
+    rows = [(2, 1, 0), (1, 2, 1), (1, 1, 0)]
     out = tmp_path / "res.txt"
-    write_results(out, rows)
+    write_results(out, frames, rows)
     lines = out.read_text().splitlines()
     assert [l.split(",")[:2] for l in lines] == [["1", "1"], ["1", "2"], ["2", "1"]]
 
@@ -241,7 +270,7 @@ def test_write_results_sorting_and_roundtrip(tmp_path):
 
 def test_write_results_empty(tmp_path):
     out = tmp_path / "res.txt"
-    write_results(out, [])
+    write_results(out, [make_frame(1, [])], [])
     assert out.read_text() == ""
 
 
@@ -294,7 +323,7 @@ def test_feature_scaling_leaves_tracker_output_identical(tmp_path):
         dets = read_detections(det_path)
         frames = attach_features(dets, read_features(feat_file, dets))
         out = tmp_path / f"res_{feat_file.stem}.txt"
-        write_results(out, run_base(frames, params))
+        write_results(out, frames, run_base(frames, params))
         return out.read_bytes()
 
     assert run_from(feat_path) == run_from(scaled_path)
@@ -603,7 +632,7 @@ def test_read_features_equals_the_per_line_oracle(input_path, case):
         data,
         lambda path: read_features(path, dets),
         lambda path: oracle_read_features(path, dets),
-        lambda table: (table.dim, [(key, vec.values.tobytes()) for key, vec in table.rows.items()]),
+        lambda block: (block.shape, block.tobytes()),
         may_fail_after_rows="missing feature row|nonexistent detection",
     )
 

@@ -68,7 +68,7 @@ def test_noiseless_detections_equal_gt_and_track_perfectly():
         gt_by_frame.setdefault(b.frame, []).append(b.bbox)
     for f in sc.det_frames:
         assert [d.bbox for d in f.detections] == gt_by_frame[f.index]
-    report = evaluate(sc.gt, rows_to_boxes(run_base(list(sc.det_frames), TrackerParams())))
+    report = evaluate(sc.gt, rows_to_boxes(sc.det_frames, run_base(list(sc.det_frames), TrackerParams())))
     assert report.idf1 == 1.0
 
 
