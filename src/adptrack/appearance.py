@@ -7,27 +7,22 @@ where the object was visually unreliable (occluded, blended with a neighbor).
 a list: the 1-based positions of the last few matches ending at the most
 recent reliable one. `rollout.TrustedRecord` keeps the same window as arrays.
 
-Every dot product of features, here and in the rollout layer, is taken by
-`feature_dots`, a multiply-sum, rather than by ``np.dot`` or ``@``. BLAS picks
-its kernel, and so its summation order, by the shape of the operands, so a
-row of a matrix product can differ in the last bit from the same row computed
-alone. The multiply-sum adds each vector's products in one fixed order
-whatever the array around it, and the rollout layer averages those products
-left to right, so a batched score equals the per-pair score bit for bit.
+Every sum of feature products, here and in the tracker and rollout layers,
+dot products and norms alike, is taken by `core.feature_dots`, a
+multiply-sum, rather than by a BLAS product or norm (`ddot`, `dgemm`). BLAS
+picks its kernel, and so its summation order, by the operands' shape,
+their alignment and the host's CPU, so a row of a matrix product can differ
+in the last bit from the same row computed alone, or on another host. The
+multiply-sum adds each vector's products in numpy's pairwise order whatever
+the array around it, and the rollout layer averages those products left to
+right, so a batched score equals the per-pair score bit for bit.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .core import FeatureVec
+from .core import FeatureVec, feature_dots, unit_rows
 
 __all__ = ["cosine_sim", "feature_dots", "ema_update", "select_quality_window"]
-
-
-def feature_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products over the last axis of two broadcast feature arrays, in one fixed order."""
-    return np.multiply(a, b).sum(-1)
 
 
 def cosine_sim(u: FeatureVec, v: FeatureVec) -> float:
@@ -41,10 +36,10 @@ def ema_update(rep: FeatureVec, obs: FeatureVec, momentum: float) -> FeatureVec:
     """Blend a new observation into the representative feature and re-normalize."""
     if not (0.0 <= momentum <= 1.0):
         raise ValueError(f"momentum must lie in [0, 1], got {momentum}")
-    blended = momentum * rep.values + (1.0 - momentum) * obs.values
-    if np.linalg.norm(blended) < 1e-12:
+    unit, failed, _ = unit_rows([momentum * rep.values + (1.0 - momentum) * obs.values])
+    if failed:
         raise ValueError("EMA blend collapsed to zero (antipodal inputs)")
-    return FeatureVec(blended)
+    return FeatureVec.of_unit_rows(unit)[0]
 
 
 def select_quality_window(quality: list[float], beta: float, s: int) -> range:

@@ -116,9 +116,10 @@ def _gate(overlap: np.ndarray, dots: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def _ema(rep: np.ndarray, obs: np.ndarray) -> np.ndarray:
     """`ema_update` of each row of `rep` with the same row of `obs`.
 
-    The blends are normalised as one `unit_rows` block, each by its own
-    row's `ddot` norm, as `ema_update` normalises one; a sum of squares over
-    all rows at once, such as `einsum`'s, can round differently.
+    The blends are normalised as one `unit_rows` block, as `ema_update`
+    normalises one: each norm is the row's own `feature_dots` multiply-sum,
+    which no other row and no BLAS kernel changes, so each row equals the
+    blend normalised alone bit for bit.
     """
     unit, failed, _ = unit_rows(_EMA_MOMENTUM * rep + (1.0 - _EMA_MOMENTUM) * obs)
     if failed:

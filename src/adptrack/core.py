@@ -19,6 +19,7 @@ import numpy as np
 __all__ = [
     "BoundingBox",
     "FeatureVec",
+    "feature_dots",
     "unit_rows",
     "Detection",
     "FrameData",
@@ -124,24 +125,23 @@ def from_center(cx: float, cy: float, w: float, h: float) -> BoundingBox:
     return BoundingBox(cx - w / 2.0, cy - h / 2.0, w, h)
 
 
+def feature_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis of two broadcast feature arrays: each a C-ordered product vector added in
+    numpy's pairwise order, so it equals the same two vectors' multiply-sum taken alone, whatever their layout."""
+    return np.multiply(a, b, order="C").sum(-1)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a norm that is not finite fails its row; it is no warning
 def unit_rows(block) -> tuple[np.ndarray, list[int], str | None]:
     """Each row of an (n, d) block divided by its L2 norm up to the first row that fails, its row (none or one)
     and the message of the first check that row fails.
 
-    A row's norm is `np.linalg.norm`'s of the row allocated alone: the square root of the row dotted with
-    itself by the BLAS `ddot` kernel that `ndarray.dot` calls, which `np.vecdot` runs once per row. Each row is
-    first copied to start on a 16-byte boundary, as a vector allocated alone does, because the generic SSE2
-    kernel adds a vector that starts between two boundaries in another order. So a row normalised in a block
-    equals the row normalised alone bit for bit on every kernel, though the kernel (with FMA or without) still
-    decides the last bit of both. A row fails, checked in this order, when it holds a non-finite value, when its
-    norm overflows float64 and when its norm is below 1e-12.
+    A row's norm is the square root of its `feature_dots` with itself, so a row normalised in a block equals
+    the row normalised alone bit for bit, on any host. A row fails, checked in this order, when it holds a
+    non-finite value, when its norm overflows float64 and when its norm is below 1e-12.
     """
     block = np.asarray(block, dtype=np.float64)
-    n, d = block.shape
-    aligned = np.empty((n, d + d % 2))[:, :d]  # rows of an even count of 8-byte values from a 16-byte aligned base
-    aligned[...] = block
-    norms = np.sqrt(np.vecdot(aligned, aligned))
+    norms = np.sqrt(feature_dots(block, block))
     # A non-finite value makes its row's norm inf or nan, and min and max pass a nan on: every bad row fails these.
     if norms.min(initial=math.inf) >= 1e-12 and norms.max(initial=0.0) < math.inf:
         return block / norms[:, None], [], None
@@ -161,7 +161,8 @@ class FeatureVec:
     Raw input is L2-normalized at construction, as a one-row block of
     `unit_rows`; zero vectors are rejected because cosine similarity is
     undefined for them. `of_unit_rows` wraps rows that block already
-    normalised.
+    normalised. The norm is a `feature_dots` multiply-sum, as every feature
+    sum is, not BLAS `ddot`, whose last bit depends on the host's kernel.
     """
 
     __slots__ = ("values",)

@@ -146,12 +146,9 @@ def generate(cfg: ScenarioConfig) -> Scenario:
     # each emitted detection's frame, box and confidence, and its feature before normalisation
     at, kept, feats = [], [], []
     # Base features live on their own streams so path-parameter draws and
-    # feature draws cannot interfere.
-    base_feats = {}
-    for i in range(cfg.identities):
-        raw = _stream(cfg.seed, 0, 2**33 + i).normal(size=cfg.feature_dim)
-        base_feats[i] = raw / np.linalg.norm(raw)
-    identity_features = {i + 1: FeatureVec(base_feats[i]) for i in range(cfg.identities)}
+    # feature draws cannot interfere. A Gaussian draw of dimension >= 2 passes every `unit_rows` check.
+    base_feats = unit_rows([_stream(cfg.seed, 0, 2**33 + i).normal(size=cfg.feature_dim) for i in range(cfg.identities)])[0]
+    identity_features = dict(enumerate(FeatureVec.of_unit_rows(base_feats), start=1))
 
     for frame in range(1, cfg.frames + 1):
         t = float(frame - 1)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_frame
 
@@ -11,6 +11,7 @@ from adptrack.core import (
     Detection,
     FeatureVec,
     box_array,
+    feature_dots,
     from_center,
     iou,
     iou_matrix,
@@ -149,13 +150,15 @@ _wide_values = st.lists(st.tuples(st.floats(-1, 1), st.sampled_from(_EXPONENTS))
 
 @settings(max_examples=300)
 @given(_wide_values, st.sampled_from(["contiguous", "strided", "reversed"]))
-def test_feature_normalization_equals_numpy_norm_bit_for_bit(raw, layout):
+def test_feature_normalization_equals_multiply_sum_norm_bit_for_bit(raw, layout):
+    """`FeatureVec` divides by the square root of the multiply-sum of a fresh contiguous copy, whatever the layout."""
     x = np.array([m * 10.0**e for m, e in raw])
+    flat = x.copy()
     if layout == "strided":  # every other element of a buffer twice as long
         x = np.stack([x, np.full_like(x, 7.0)], axis=1).ravel()[::2]
     elif layout == "reversed":  # the same order through a negative stride
         x = x[::-1].copy()[::-1]
-    norm = np.linalg.norm(x)
+    norm = math.sqrt(np.multiply(flat, flat).sum())
     if norm < 1e-12:
         with pytest.raises(ValueError, match="zero feature vector"):
             FeatureVec(x)
@@ -164,13 +167,13 @@ def test_feature_normalization_equals_numpy_norm_bit_for_bit(raw, layout):
 
 
 def _normalized_alone(row):
-    """A fresh copy of one row normalised on its own, as `FeatureVec` did before `unit_rows`: (unit row, None) or
+    """A fresh contiguous copy of one row normalised on its own by its multiply-sum norm: (unit row, None) or
     (None, message)."""
     if not np.isfinite(row).all():
         return None, "feature values must be finite"
     flat = np.array(row)
     with np.errstate(over="ignore"):
-        norm = math.sqrt(flat.dot(flat))
+        norm = math.sqrt(np.multiply(flat, flat).sum())
     if not norm < math.inf:
         return None, "feature vector norm overflows float64"
     if norm < 1e-12:
@@ -179,14 +182,16 @@ def _normalized_alone(row):
 
 
 @st.composite
-def _feature_blocks(draw):
-    """(n, d) blocks of `_wide_values` rows, some made to fail one check, in C or Fortran layout or in C layout
-    one value past an allocation's start, where no row starts on a 16-byte boundary the generic `ddot` kernel
-    sums from."""
-    d, n = draw(st.integers(2, 24)), draw(st.integers(1, 6))
+def _feature_blocks(draw, d=None):
+    """(n, d) blocks of `_wide_values` rows, or of values in [-1, 1] whose sum's last bit depends on its order,
+    some rows made to fail one check, in C or Fortran layout, as every other column of a wider buffer, through
+    negative strides, in C layout one value past an allocation's start, or as one row broadcast to every row:
+    layouts whose rows a reduction could add in another order."""
+    d, n = d or draw(st.integers(2, 64)), draw(st.integers(1, 6))
+    exponents = draw(st.sampled_from([_EXPONENTS, [0]]))
     block = []
     for _ in range(n):
-        row = [m * 10.0**e for m, e in draw(st.lists(st.tuples(st.floats(-1, 1), st.sampled_from(_EXPONENTS)), min_size=d, max_size=d))]
+        row = [m * 10.0**e for m, e in draw(st.lists(st.tuples(st.floats(-1, 1), st.sampled_from(exponents)), min_size=d, max_size=d))]
         kind = draw(st.sampled_from(["good"] * 5 + ["zero", "non-finite", "overflow"]))
         if kind == "zero":
             row = [0.0] * d
@@ -194,12 +199,34 @@ def _feature_blocks(draw):
             bad = [math.nan, math.inf, -math.inf] if kind == "non-finite" else [1.7976931348623157e308]
             row[draw(st.integers(0, d - 1))] = draw(st.sampled_from(bad))
         block.append(row)
-    layout = draw(st.sampled_from(["C", "F", "offset"]))
-    if layout != "offset":
+    layout = draw(st.sampled_from(["C", "F", "strided", "reversed", "offset", "broadcast"]))
+    if layout in ("C", "F"):
         return np.array(block, order=layout)
+    if layout == "strided":
+        return np.repeat(block, 2, axis=1)[:, ::2]
+    if layout == "reversed":
+        return np.array(block)[::-1, ::-1].copy()[::-1, ::-1]
+    if layout == "broadcast":
+        return np.broadcast_to(np.array(block[0]), (n, d))
     buffer = np.empty(n * d + 1)
     buffer[1:] = np.ravel(block)
     return buffer[1:].reshape(n, d)
+
+
+_rng = np.random.default_rng(23)
+
+
+# a Fortran-order block broadcast against C rows: a product in the operands' order sums each vector down a stride
+@example((np.asfortranarray(_rng.normal(size=(50, 16))), _rng.normal(size=(5, 16))))
+@given(st.integers(2, 64).flatmap(lambda d: st.tuples(_feature_blocks(d), _feature_blocks(d))))
+def test_feature_dots_equals_each_pair_summed_alone(blocks):
+    """`feature_dots` of two blocks broadcast against each other, and of a block with itself row by row, equals
+    as bytes the multiply-sum of each pair of rows taken alone as fresh copies, whatever the blocks' layouts."""
+    a, b = blocks
+    with np.errstate(over="ignore", invalid="ignore"):
+        alone = np.array([[np.multiply(np.array(u), np.array(v)).sum() for v in b] for u in a])
+        assert feature_dots(a[:, None], b[None]).tobytes() == alone.tobytes()
+        assert feature_dots(a, a).tobytes() == np.array([np.multiply(np.array(u), np.array(u)).sum() for u in a]).tobytes()
 
 
 @given(_feature_blocks())
