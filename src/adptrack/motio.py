@@ -232,10 +232,6 @@ def attach_features(dets: DetectionRows, features: np.ndarray) -> list[FrameData
     return split_frames(int(dets.frames.max(initial=0)), dets.frames, dets.boxes, features, dets.confidences)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
-
-
 def _mot_rows(frames: list, ids: list, boxes: np.ndarray, confidences: np.ndarray) -> str:
     """MOT rows of frame, id, box and confidence with 6 significant digits, then three unused columns."""
     rows = zip(frames, ids, *boxes.T.tolist(), confidences.tolist())
@@ -258,14 +254,9 @@ def write_detections(path, frames: list[FrameData]) -> None:
 
 
 def write_gt(path, boxes: list[LabeledBox]) -> None:
-    rows = sorted(boxes, key=lambda b: (b.frame, b.id))
+    rows = ((b.frame, b.id, b.bbox.left, b.bbox.top, b.bbox.width, b.bbox.height) for b in sorted(boxes, key=lambda b: (b.frame, b.id)))
     with open(path, "w", encoding="utf-8") as fh:
-        for box in rows:
-            b = box.bbox
-            fh.write(
-                f"{box.frame},{box.id},{_fmt(b.left)},{_fmt(b.top)},{_fmt(b.width)},"
-                f"{_fmt(b.height)},1,1,1\n"
-            )
+        fh.write("".join(map("%d,%d,%.6g,%.6g,%.6g,%.6g,1,1,1\n".__mod__, rows)))
 
 
 def write_features(path, frames: list[FrameData]) -> None:

@@ -8,9 +8,15 @@ a lower-indexed one its detection is dropped with a configurable probability
 and, when emitted, its feature is a normalized blend of both identities'
 base features. Non-crossing identities keep their own lane and never touch.
 
+A scene is built as arrays: each identity's path parameters are drawn into
+per-identity arrays, one expression gives the (frames, identities, 4) ground
+truth box grid, one `iou_array` block over every (frame, identity, identity)
+finds the occluders, and an emit mask keeps the detections not dropped.
+
 All randomness comes from counter-based streams keyed by (seed, frame,
 identity), so output is a pure function of the configuration and frames can
-be generated independently.
+be generated independently; each (frame, identity) stream fills one row of a
+(frames, identities, 5 + feature_dim) draw array.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundingBox, FeatureVec, FrameData, iou, split_frames, unit_rows
+from .core import BoundingBox, FeatureVec, FrameData, iou_array, split_frames, unit_rows
 from .metrics import LabeledBox
 
 __all__ = ["ScenarioConfig", "Scenario", "generate", "occlusion_preset"]
@@ -67,44 +73,14 @@ def _stream(seed: int, frame: int, identity: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
-def _reflect(x: float, lo: float, hi: float) -> float:
-    span = hi - lo
-    if span <= 0:
-        return lo
-    z = (x - lo) % (2.0 * span)
-    return lo + (span - abs(z - span))
-
-
-@dataclass(frozen=True)
-class _IdentityPath:
-    width: float
-    height: float
-    cy: float
-    x0: float
-    vx: float
-    # Bounce partner kinematics; None for free-running identities.
-    bounce_t: float | None
-    bounce_vx: float | None
-    lo: float
-    hi: float
-
-    def center_x(self, t: float) -> float:
-        if self.bounce_t is None:
-            return _reflect(self.x0 + self.vx * t, self.lo, self.hi)
-        head = self.vx * min(t, self.bounce_t)
-        tail = self.bounce_vx * max(0.0, t - self.bounce_t)
-        return self.x0 + head + tail
-
-    def box(self, t: float) -> BoundingBox:
-        cx = self.center_x(t)
-        return BoundingBox(cx - self.width / 2.0, self.cy - self.height / 2.0, self.width, self.height)
-
-
-def _build_paths(cfg: ScenarioConfig) -> list[_IdentityPath]:
+def _build_paths(cfg: ScenarioConfig) -> np.ndarray:
+    """Each identity's path as nine (identities,) rows: box width, box height, cy, x0, vx, bounce frame, bounce vx,
+    and the lo and hi between which a free runner reflects. A free runner never bounces (bounce frame inf, bounce
+    vx 0); a crossing pair meets at its bounce frame and swaps velocities."""
     world_w, world_h = cfg.world
     n_lanes = cfg.identities - cfg.crossings
     lane_h = world_h / n_lanes
-    paths: list[_IdentityPath] = []
+    paths = []
     for i in range(cfg.identities):
         rng = _stream(cfg.seed, 0, i)
         height = lane_h * rng.uniform(0.6, 0.85)
@@ -114,10 +90,12 @@ def _build_paths(cfg: ScenarioConfig) -> list[_IdentityPath]:
         cy = (lane + 0.5) * lane_h + rng.uniform(-0.06, 0.06) * lane_h
         margin = width / 2.0 + 8.0
         if pair is None:
+            # numpy's uniform(low, high) below fails on this same test of high - low
+            if (world_w - margin) - margin < 0:
+                raise ValueError(f"identity {i + 1}'s box is {width:.6g} px wide, too wide to run in a world {world_w:.6g} px wide")
             x0 = rng.uniform(margin, world_w - margin)
             speed = rng.uniform(1.5, 3.5)
-            vx = speed if rng.uniform() < 0.5 else -speed
-            paths.append(_IdentityPath(width, height, cy, x0, vx, None, None, margin, world_w - margin))
+            path = (x0, speed if rng.uniform() < 0.5 else -speed, np.inf, 0.0)
         else:
             # Crossing pairs: member 0 starts left, member 1 right; the pair
             # meets mid-sequence and swaps velocities (a bounce).
@@ -128,11 +106,9 @@ def _build_paths(cfg: ScenarioConfig) -> list[_IdentityPath]:
             closing = (start_r - start_l) / t_meet
             v_left = closing * pair_rng.uniform(0.45, 0.55)
             v_right = -(closing - v_left)
-            if i % 2 == 0:
-                paths.append(_IdentityPath(width, height, cy, start_l, v_left, t_meet, v_right, margin, world_w - margin))
-            else:
-                paths.append(_IdentityPath(width, height, cy, start_r, v_right, t_meet, v_left, margin, world_w - margin))
-    return paths
+            path = (start_l, v_left, t_meet, v_right) if i % 2 == 0 else (start_r, v_right, t_meet, v_left)
+        paths.append((width, height, cy, *path, margin, world_w - margin))
+    return np.array(paths).T
 
 
 def generate(cfg: ScenarioConfig) -> Scenario:
@@ -141,59 +117,52 @@ def generate(cfg: ScenarioConfig) -> Scenario:
     The detections of all frames are checked in bulk as `Detection` checks one: finite boxes of positive size,
     confidences in [0, 1] and features normalised as one `unit_rows` block.
     """
-    paths = _build_paths(cfg)
-    gt: list[LabeledBox] = []
-    # each emitted detection's frame, box and confidence, and its feature before normalisation
-    at, kept, feats = [], [], []
+    w, h, cy, x0, vx, bounce_t, bounce_vx, lo, hi = _build_paths(cfg)
+    n, d = cfg.identities, cfg.feature_dim
+    t = np.arange(cfg.frames, dtype=np.float64)[:, None]
+    x = x0 + vx * np.minimum(t, bounce_t) + bounce_vx * np.maximum(0.0, t - bounce_t)
+    # Free runners reflect between lo and hi (np.mod rounds as Python's % does); a zero span holds one at lo.
+    span = hi - lo
+    with np.errstate(invalid="ignore"):  # the nan that a zero span's mod gives is not kept
+        reflected = np.where(span > 0, lo + (span - np.abs(np.mod(x - lo, 2.0 * span) - span)), lo)
+    cx = np.where(np.isinf(bounce_t), reflected, x)
+    grid = np.stack(np.broadcast_arrays(cx - w / 2.0, cy - h / 2.0, w, h), axis=-1)  # (frames, identities, 4)
+    gt = tuple(LabeledBox(f, i, BoundingBox(*box)) for f, row in enumerate(grid.tolist(), 1) for i, box in enumerate(row, 1))
+
+    # [f, i, j] pairs identity i with identity j at frame f. Identity i is covered by the lower-indexed j of the
+    # first largest intersection among those whose IOU with it passes the threshold.
+    left, top = grid[..., 0], grid[..., 1]
+    right, bottom = left + grid[..., 2], top + grid[..., 3]
+    iw = np.minimum(right[..., :, None], right[..., None, :]) - np.maximum(left[..., :, None], left[..., None, :])
+    ih = np.minimum(bottom[..., :, None], bottom[..., None, :]) - np.maximum(top[..., :, None], top[..., None, :])
+    covers = (iou_array(grid[:, :, None], grid[:, None, :]) > cfg.occlusion_iou) & np.tri(n, k=-1, dtype=bool)
+    inter = np.where(covers, np.maximum(iw, 0.0) * np.maximum(ih, 0.0), 0.0)
+    occluder, best = inter.argmax(-1), inter.max(-1)
+    occluded = best > 0.0
+    lam = best / (w * h)
+
     # Base features live on their own streams so path-parameter draws and
     # feature draws cannot interfere. A Gaussian draw of dimension >= 2 passes every `unit_rows` check.
-    base_feats = unit_rows([_stream(cfg.seed, 0, 2**33 + i).normal(size=cfg.feature_dim) for i in range(cfg.identities)])[0]
+    base_feats = unit_rows([_stream(cfg.seed, 0, 2**33 + i).normal(size=d) for i in range(n)])[0]
     identity_features = dict(enumerate(FeatureVec.of_unit_rows(base_feats), start=1))
+    # Each (frame, identity) draws from its own stream, in this order: box jitter, drop, feature noise.
+    streams = (_stream(cfg.seed, f, i) for f in range(1, cfg.frames + 1) for i in range(n))
+    draws = np.array([np.concatenate([r.normal(size=4), [r.uniform()], r.normal(size=d)]) for r in streams])
+    draws = draws.reshape(cfg.frames, n, 5 + d)
 
-    for frame in range(1, cfg.frames + 1):
-        t = float(frame - 1)
-        boxes = [p.box(t) for p in paths]
-        for i, box in enumerate(boxes):
-            gt.append(LabeledBox(frame=frame, id=i + 1, bbox=box))
-        for i, box in enumerate(boxes):
-            occluder = None
-            best_inter = 0.0
-            for j in range(i):
-                if iou(box, boxes[j]) > cfg.occlusion_iou:
-                    iw = min(box.right, boxes[j].right) - max(box.left, boxes[j].left)
-                    ih = min(box.bottom, boxes[j].bottom) - max(box.top, boxes[j].top)
-                    inter = max(iw, 0.0) * max(ih, 0.0)
-                    if inter > best_inter:
-                        best_inter = inter
-                        occluder = j
-            lam = best_inter / box.area if occluder is not None else 0.0
+    emit = ~(occluded & (draws[..., 4] < cfg.drop_prob_occluded))
+    boxes = grid + draws[..., :4] * cfg.det_noise_px
+    boxes[..., 2:] = np.maximum(boxes[..., 2:], 2.0)
+    mixed = (1.0 - lam)[..., None] * base_feats + lam[..., None] * base_feats[occluder]
+    feats = np.where((occluded & cfg.mix_features)[..., None], mixed, base_feats) + cfg.feature_noise * draws[..., 5:]
+    conf = np.where(occluded, np.maximum(0.2, 0.95 - 0.6 * lam), 0.95)
 
-            rng = _stream(cfg.seed, frame, i)
-            jitter = rng.normal(size=4)
-            u_drop = rng.uniform()
-            feat_noise = rng.normal(size=cfg.feature_dim)
-
-            if occluder is not None and u_drop < cfg.drop_prob_occluded:
-                continue
-            left = box.left + jitter[0] * cfg.det_noise_px
-            top = box.top + jitter[1] * cfg.det_noise_px
-            width = max(box.width + jitter[2] * cfg.det_noise_px, 2.0)
-            height = max(box.height + jitter[3] * cfg.det_noise_px, 2.0)
-            if occluder is not None and cfg.mix_features:
-                base = (1.0 - lam) * base_feats[i] + lam * base_feats[occluder]
-            else:
-                base = base_feats[i]
-            feats.append(base + cfg.feature_noise * feat_noise)
-            at.append(frame)
-            kept.append((left, top, width, height, 0.95 if occluder is None else max(0.2, 0.95 - 0.6 * lam)))
-
-    rows = np.array(kept, dtype=np.float64).reshape(-1, 5)
-    boxes, conf = rows[:, :4].copy(), rows[:, 4].copy()
-    unit, failed, message = unit_rows(np.reshape(feats, (-1, cfg.feature_dim)))
+    boxes, conf = boxes[emit], conf[emit]
+    unit, failed, message = unit_rows(feats[emit])
     if failed or not (np.isfinite(boxes).all() and (boxes[:, 2:] > 0).all() and ((conf >= 0) & (conf <= 1)).all()):
         raise ValueError(message or "detections need finite boxes of positive size and confidences in [0, 1]")
-    det_frames = split_frames(cfg.frames, np.array(at, dtype=np.int64), boxes, unit, conf)
-    return Scenario(gt=tuple(gt), det_frames=tuple(det_frames), identity_features=identity_features)
+    det_frames = split_frames(cfg.frames, np.nonzero(emit)[0] + 1, boxes, unit, conf)
+    return Scenario(gt=gt, det_frames=tuple(det_frames), identity_features=identity_features)
 
 
 # Frozen benchmark: 20 crossing scenarios with feature mixing and detection

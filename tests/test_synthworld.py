@@ -1,11 +1,14 @@
 import hashlib
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import rows_to_boxes
+from conftest import equivalence_scenarios, rows_to_boxes
 
 from adptrack.base_tracker import TrackerParams, run as run_base
+from adptrack.core import box_array
 from adptrack.metrics import evaluate
 from adptrack.motio import write_detections, write_features, write_gt
 from adptrack.synthworld import OCCLUSION_PRESET_SEEDS, ScenarioConfig, generate, occlusion_preset
@@ -81,8 +84,57 @@ def test_config_validation():
         ScenarioConfig(seed=1, drop_prob_occluded=1.5)
 
 
+def test_a_free_runner_needs_a_world_two_margins_wide():
+    """A free runner reflects between margins of half its box width plus 8 px: a world exactly two margins wide
+    holds it still, and a narrower one is a ValueError naming the identity, its box width and the world width. A
+    crossing pair does not reflect, so it generates in any world."""
+    # a box's size does not depend on the world's width
+    width = generate(ScenarioConfig(identities=1, frames=1)).gt[0].bbox.width
+    still = generate(ScenarioConfig(world=(width + 16.0, 360.0), identities=1, frames=10))
+    assert len({b.bbox for b in still.gt}) == 1
+    narrow = float(np.nextafter(width + 16.0, 0.0))
+    message = f"identity 1's box is {width:.6g} px wide, too wide to run in a world {narrow:.6g} px wide"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        generate(ScenarioConfig(world=(narrow, 360.0), identities=1, frames=10))
+    with pytest.raises(ValueError, match="^identity 1's box is .* px wide, too wide to run in a world 20 px wide$"):
+        generate(ScenarioConfig(world=(20.0, 400.0), identities=1))
+    assert len(generate(ScenarioConfig(world=(20.0, 400.0), identities=2, crossings=1)).gt) == 2 * 64
+
+
 def test_occlusion_preset_shape():
     preset = occlusion_preset()
     assert len(preset) == 20
     assert tuple(cfg.seed for cfg in preset) == OCCLUSION_PRESET_SEEDS
     assert all(cfg.crossings >= 1 and cfg.mix_features for cfg in preset)
+
+
+# sha256 of the raw arrays, and of the written files, of every scene in `_PINNED_SCENES`, taken from the
+# object-per-box generator before scenes were built as arrays. The files round to `%.6g` and `%.9g`, and result
+# digests move only when an association flips, so only the arrays pin a scene's last bits.
+SCENE_BITS = "8dfa1533ce7330aa41a9f28857b7a379e1276540736da3d65c7e695734c8e19a"
+SCENE_FILES = "9215d433de3b8ea98fa275c12f78627df87cfa404bc035926eef1713a6062f19"
+_PINNED_SCENES = [
+    *occlusion_preset(),
+    *equivalence_scenarios(),
+    replace(occlusion_preset()[0], identities=12, crossings=4, seed=9003),
+    replace(occlusion_preset()[0], identities=20, crossings=6, seed=9003),
+]
+
+
+def test_scene_bits_are_pinned(tmp_path):
+    """The gt (frame, id, box) rows, each frame's box, feature and confidence bytes and the identity features of
+    the 20 presets, the 100 equivalence scenes and the 12- and 20-identity crowds at seed 9003, hashed as raw
+    arrays and as the gt, det and feature files that `motio` writes."""
+    bits, files = hashlib.sha256(), hashlib.sha256()
+    for cfg in _PINNED_SCENES:
+        sc = generate(cfg)
+        bits.update(np.array([(b.frame, b.id) for b in sc.gt], dtype=np.int64).tobytes())
+        bits.update(box_array(b.bbox for b in sc.gt).tobytes())
+        for f in sc.det_frames:
+            bits.update(np.array([f.index, len(f.boxes)], dtype=np.int64).tobytes())
+            for column in (f.boxes, f.features, f.confidences):
+                bits.update(column.tobytes())
+        for identity, vec in sorted(sc.identity_features.items()):
+            bits.update(np.int64(identity).tobytes() + vec.values.tobytes())
+        files.update(_digest(tmp_path, sc, "pin").encode())
+    assert (bits.hexdigest(), files.hexdigest()) == (SCENE_BITS, SCENE_FILES)
