@@ -11,7 +11,8 @@ are corrected and refreshed, a track whose last match lies more than
 `max_age` frames back is removed (SORT, Bewley et al., ICIP 2016), every
 surviving row is predicted one frame ahead and confident unmatched
 detections (rows of the frame's arrays) spawn at the filter's
-closed-form prior. A state's `hook` sees each match's gated appearance score.
+closed-form prior; all steps over a frame share its `FrameTable` of them.
+A state's `hook` sees each match's gated appearance score.
 
 The gates and rates are fixed, DeepSORT-style (Wojke, Bewley & Paulus, ICIP
 2017): a pair's appearance counts only when its forecast IOU reaches 0.1 and
@@ -34,11 +35,12 @@ import numpy as np
 from .appearance import cosine_sim, feature_dots  # noqa: F401
 from .assignment import Matching, WeightMatrix, hungarian_max
 from .core import FrameData, iou, iou_matrix, unit_rows  # noqa: F401
-from .motion import batch_boxes, kf_predict, kf_predict_batch, kf_prior_batch, kf_update, kf_update_batch  # noqa: F401
+from .motion import batch_boxes, batch_centers, kf_predict, kf_predict_batch, kf_prior_batch, kf_update, kf_update_batch  # noqa: F401
 
 __all__ = [
     "TrackerParams",
     "TrackerState",
+    "frame_table",
     "compute_base_weights",
     "step",
     "fork_at",
@@ -99,11 +101,32 @@ class TrackerState:
             return
         self.ids = np.concatenate([self.ids, np.arange(self.next_id, self.next_id + len(idx))])
         self.next_id += len(idx)
-        self.forecast = np.concatenate([self.forecast, kf_prior_batch(frame.boxes[idx])])
+        self.forecast = np.concatenate([self.forecast, kf_prior_batch(frame_table(frame).centers[idx])])
         self.rep = np.concatenate([self.rep, frame.features[idx]]) if len(self.rep) else frame.features[idx]
         self.last = np.concatenate([self.last, np.full(len(idx), frame.index)])
         self.matched = np.concatenate([self.matched, idx])
         self.weighed = None
+
+
+class FrameTable:
+    """What every step over a frame, real or simulated, reads of its detections: the confident ones' read-only indices
+    `det_idx` and `boxes`, and every box's `batch_centers` row, which equals the row of any subset bit for bit."""
+
+    __slots__ = ("det_idx", "boxes", "centers")
+
+    def __init__(self, frame: FrameData):
+        self.det_idx = np.flatnonzero(frame.confidences >= _MIN_CONFIDENCE)
+        self.det_idx.flags.writeable = False
+        self.boxes, self.centers = frame.boxes[self.det_idx], batch_centers(frame.boxes)
+
+
+def frame_table(frame: FrameData) -> FrameTable:
+    """The frame's `FrameTable`, built at the first step over the frame and shared by every later one: it is kept in
+    the frame's instance dict, where `cached_property` keeps a value, so it lives and dies with the frame."""
+    table = frame.__dict__.get("_table")
+    if table is None:
+        table = frame.__dict__["_table"] = FrameTable(frame)
+    return table
 
 
 def _gate(overlap: np.ndarray, dots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -127,11 +150,6 @@ def _ema(rep: np.ndarray, obs: np.ndarray) -> np.ndarray:
     return unit
 
 
-def eligible_detections(frame: FrameData) -> np.ndarray:
-    """Indices of detections that clear the confidence floor, in frame order."""
-    return np.flatnonzero(frame.confidences >= _MIN_CONFIDENCE)
-
-
 def compute_base_weights(state: TrackerState, frame: FrameData) -> WeightMatrix:
     """Pairwise fused weights: live tracks x confident detections.
 
@@ -142,20 +160,20 @@ def compute_base_weights(state: TrackerState, frame: FrameData) -> WeightMatrix:
     """
     if frame.index != state.frame_cursor + 1:
         raise ValueError(f"out-of-order frame {frame.index}, expected {state.frame_cursor + 1}")
-    det_idx = eligible_detections(frame)
-    overlap = iou_matrix(batch_boxes(state.forecast), frame.boxes[det_idx])
+    table = frame_table(frame)
+    overlap = iou_matrix(batch_boxes(state.forecast), table.boxes)
     rows, cols = np.nonzero(overlap >= _IOU_GATE)
     weights, gated = np.zeros(overlap.shape), np.zeros(overlap.shape)
     if rows.size:
-        weights[rows, cols], gated[rows, cols] = _gate(overlap[rows, cols], feature_dots(state.rep[rows], frame.features[det_idx[cols]]))
-    state.weighed = (frame, det_idx, gated)
+        weights[rows, cols], gated[rows, cols] = _gate(overlap[rows, cols], feature_dots(state.rep[rows], frame.features[table.det_idx[cols]]))
+    state.weighed = (frame, table.det_idx, gated)
     return WeightMatrix(weights)
 
 
 def apply_matching(state: TrackerState, frame: FrameData, matching: Matching) -> None:
     """Advance one frame applying the lifecycle implied by a matching.
 
-    Matching rows index the state's rows, columns index `eligible_detections`.
+    Matching rows index the state's rows, columns the frame's confident detections (`FrameTable.det_idx`).
     It consumes the `compute_base_weights` pass of this state and frame. The
     matched rows are taken together: each forecast is corrected with its
     detection and each representative feature blended with the detection's.
@@ -169,7 +187,7 @@ def apply_matching(state: TrackerState, frame: FrameData, matching: Matching) ->
     rows, cols = np.array(matching.pairs, dtype=np.intp).reshape(-1, 2).T
     matched = det_idx[cols]
     if rows.size:
-        state.forecast[rows] = kf_update_batch(state.forecast[rows], frame.boxes[matched])
+        state.forecast[rows] = kf_update_batch(state.forecast[rows], frame_table(frame).centers[matched])
         state.rep[rows] = _ema(state.rep[rows], frame.features[matched])
         state.last[rows], state.matched[rows] = frame.index, matched
     if state.hook is not None:

@@ -16,7 +16,8 @@ arrays of the 8-vector mean followed by (pp, pv, vv), in which the base
 tracker holds its tracks and the rollout walks its clones; only this module
 reads their columns. A new track's forecast has a closed form
 (`kf_prior_batch`), and a walk step is one fused correction and prediction
-(`kf_correct_predict_batch`).
+(`kf_correct_predict_batch`). The batched forms take measured boxes as
+their `batch_centers` rows.
 """
 
 from __future__ import annotations
@@ -139,9 +140,8 @@ def batch_centers(boxes: np.ndarray) -> np.ndarray:
     return np.concatenate([boxes[..., :2] + boxes[..., 2:] / 2.0, boxes[..., 2:]], axis=-1)
 
 
-def kf_prior_batch(boxes: np.ndarray) -> np.ndarray:
-    """`kf_predict(kf_init(b))` of every box row in closed form (the prediction adds exact zeros)."""
-    centers = batch_centers(boxes)
+def kf_prior_batch(centers: np.ndarray) -> np.ndarray:
+    """`kf_predict(kf_init(b))` of every box's `batch_centers` row in closed form (the prediction adds exact zeros)."""
     h = centers[..., 3]
     pp, vv, q_h = _square(_INIT_POS, h), _square(_INIT_VEL, h), np.maximum(h, _MIN_SIZE)
     return _rows(centers, np.zeros_like(centers), ((pp + vv) + _square(_POS, q_h), vv, vv + _square(_VEL, q_h)))
@@ -165,13 +165,13 @@ def _correct(x: np.ndarray, centers: np.ndarray):
     return pos + kp[..., None] * innovation, vel + kv[..., None] * innovation, block
 
 
-def kf_update_batch(x: np.ndarray, boxes: np.ndarray) -> np.ndarray:
-    """`kf_update` of every forecast row against its measured box."""
-    return _rows(*_correct(x, batch_centers(boxes)))
+def kf_update_batch(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """`kf_update` of every forecast row against its measured box, given `batch_centers` of the boxes."""
+    return _rows(*_correct(x, centers))
 
 
 def kf_correct_predict_batch(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """`kf_predict_batch(kf_update_batch(x, boxes))` in one pass, given `batch_centers(boxes)`."""
+    """`kf_predict_batch(kf_update_batch(x, centers))` in one pass."""
     return _predicted(*_correct(x, centers))
 
 

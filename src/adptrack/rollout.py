@@ -34,8 +34,8 @@ from .base_tracker import (
     apply_matching,
     collect_frame_rows,
     compute_base_weights,
-    eligible_detections,
     fork_at,
+    frame_table,
     step,
 )
 from .core import Detection, FeatureVec, FrameData, frame_rows, iou, iou_array
@@ -263,24 +263,19 @@ def _frame_walk(forecast: np.ndarray, boxes: np.ndarray, lengths: np.ndarray) ->
     """`_walk` of T forecast rows along every tentative at once, as (T, D, L) walk IOUs.
 
     `boxes` (D, L, 4) holds the entry boxes of D tentatives and `lengths`
-    their entry counts. Step l walks only the tentatives longer than l; one
-    IOU pass over the walked states follows. Cells past an end stay +0.0.
+    their entry counts. The (track, tentative) pairs step as the rows of one
+    (T, D, 11) array to the longest tentative's end, and one IOU pass over
+    the walked states follows. Cells past an end stay +0.0.
     """
     walked = np.arange(boxes.shape[1]) < lengths[:, None]
-    x = forecast[:, None].repeat(len(lengths), axis=1)
-    states = np.empty((len(forecast), *boxes.shape[:2], forecast.shape[1]))
     centers = batch_centers(boxes)
-    cols, ends = np.arange(len(lengths)), set(lengths.tolist())
+    states = np.empty((boxes.shape[1], len(forecast), len(lengths), forecast.shape[1]))
+    states[:1] = forecast[:, None]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state raises in batch_boxes
-        for step_idx in range(boxes.shape[1]):
-            if step_idx in ends:
-                live = lengths[cols] > step_idx
-                cols, x = cols[live], x[:, live]
-            if step_idx:
-                x = kf_correct_predict_batch(x, centers[cols, step_idx - 1])
-            states[:, cols, step_idx] = x
+        for step_idx in range(1, boxes.shape[1]):
+            states[step_idx] = kf_correct_predict_batch(states[step_idx - 1], centers[:, step_idx - 1])
         out = np.zeros((len(forecast), *boxes.shape[:2]))
-        out[:, walked] = iou_array(batch_boxes(states[:, walked]), boxes[walked])
+        out[:, walked] = iou_array(batch_boxes(states.transpose(1, 2, 0, 3)[:, walked]), boxes[walked])
     return out
 
 
@@ -293,8 +288,8 @@ def score_frame(state: TrackerState, frames: list[FrameData], tents, cfg: AdpCon
     (R, D, K, L) terms (scored tracks, detections, window rows, entries) that each pair adds as `_mean` adds
     them, so z equals the per-pair `score_*` functions bit for bit; masked and padded terms are exact zeros.
     One array walk gives the walk IOUs, which f1 and f3 take per entry; the candidate filter and f3 also read
-    the representative cosines. Main multiplies the trusted windows, padded to the longest scored one, with
-    every entry the filter keeps in one product; f2 is main without the filter.
+    the representative cosines. Main multiplies the trusted windows, padded to the longest scored one, with the
+    entries the filter keeps, in one product over those cells alone; f2, main without the filter, takes every cell.
     """
     record, key = state.hook, (cfg.window, cfg.beta, len(state.ids))
     if not isinstance(record, TrustedRecord) or (record.window, record.beta, len(record.table)) != key:
@@ -327,12 +322,16 @@ def score_frame(state: TrackerState, frames: list[FrameData], tents, cfg: AdpCon
         terms = (walk if cfg.variant is Variant.F1 else np.minimum(walk, np.maximum(0.0, cos)))[:, :, None]
         sizes = np.ones(len(rows), dtype=int)
     else:
-        if filtered:
-            kept = kept & (walk >= cfg.cand_iou) & (cos >= cfg.cand_app)
         sizes = sizes[rows]
         slots = np.arange(-sizes.max(), 0) >= -sizes[:, None]
-        dots = feature_dots(record.slots[rows, 1, -sizes.max() :, None, None], feats).transpose(0, 2, 1, 3)
-        terms = np.where(kept[..., None, :] & slots[:, None, :, None], dots, 0.0)
+        if filtered:  # the products of the kept cells alone, scattered into zero terms
+            kept = kept & (walk >= cfg.cand_iou) & (cos >= cfg.cand_app)
+            r, j, e = np.nonzero(kept)
+            terms = np.zeros((*kept.shape[:2], slots.shape[1], kept.shape[2]))
+            terms[r, j, :, e] = np.where(slots[r], feature_dots(record.slots[rows[r], 1, -sizes.max() :], feats[j, e, None]), 0.0)
+        else:
+            dots = feature_dots(record.slots[rows, 1, -sizes.max() :, None, None], feats).transpose(0, 2, 1, 3)
+            terms = np.where(kept[..., None, :] & slots[:, None, :, None], dots, 0.0)
     # Each pair's (K, L) terms in `_mean`'s order; no term is -0.0, so starting at the first adds as 0.0 + does.
     total = np.add.accumulate(terms.reshape(*terms.shape[:2], -1), axis=2)[..., -1]
     counts = kept.sum(axis=-1) * sizes[:, None]
@@ -364,7 +363,7 @@ def adp_step(state: TrackerState, window: list[FrameData], cfg: AdpConfig) -> tu
     frame = window[0]
     weights = compute_base_weights(state, frame)  # validates frame order
 
-    det_idx = eligible_detections(frame)
+    det_idx = frame_table(frame).det_idx
     if cfg.variant is Variant.F2:
         # The no-simulation variant never reads the future frames.
         window = window[:1]

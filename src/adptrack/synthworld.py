@@ -68,9 +68,18 @@ class Scenario:
 
 
 def _stream(seed: int, frame: int, identity: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
-    counter = np.array([0, 0, frame, identity], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+    return next(_streams(seed, [(frame, identity)]))
+
+
+def _streams(seed: int, keys):
+    """The stream of each (frame, identity) of `keys` in turn, as one `Generator` whose `Philox` state is set to the
+    seed's key and the (0, 0, frame, identity) counter: each stream must be drawn before the next is taken."""
+    bits = np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64))
+    rng, state = np.random.Generator(bits), bits.state  # at counter 0, its buffer empty
+    for key in keys:
+        state["state"]["counter"][2:] = key
+        bits.state = state
+        yield rng
 
 
 def _build_paths(cfg: ScenarioConfig) -> np.ndarray:
@@ -143,10 +152,10 @@ def generate(cfg: ScenarioConfig) -> Scenario:
 
     # Base features live on their own streams so path-parameter draws and
     # feature draws cannot interfere. A Gaussian draw of dimension >= 2 passes every `unit_rows` check.
-    base_feats = unit_rows([_stream(cfg.seed, 0, 2**33 + i).normal(size=d) for i in range(n)])[0]
+    base_feats = unit_rows([r.normal(size=d) for r in _streams(cfg.seed, ((0, 2**33 + i) for i in range(n)))])[0]
     identity_features = dict(enumerate(FeatureVec.of_unit_rows(base_feats), start=1))
     # Each (frame, identity) draws from its own stream, in this order: box jitter, drop, feature noise.
-    streams = (_stream(cfg.seed, f, i) for f in range(1, cfg.frames + 1) for i in range(n))
+    streams = _streams(cfg.seed, ((f, i) for f in range(1, cfg.frames + 1) for i in range(n)))
     draws = np.array([np.concatenate([r.normal(size=4), [r.uniform()], r.normal(size=d)]) for r in streams])
     draws = draws.reshape(cfg.frames, n, 5 + d)
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +13,7 @@ from adptrack.base_tracker import (
     TrackerState,
     apply_matching,
     compute_base_weights,
-    eligible_detections,
+    frame_table,
     fork_at,
     run,
     step,
@@ -19,8 +21,9 @@ from adptrack.base_tracker import (
 from adptrack.appearance import ema_update
 from adptrack.core import FeatureVec, iou, unit_rows
 from adptrack.metrics import evaluate
-from adptrack.motion import state_to_bbox
-from adptrack.synthworld import ScenarioConfig, generate
+from adptrack.motion import batch_centers, kf_prior_batch, state_to_bbox
+from adptrack.rollout import AdpConfig, run as run_adp
+from adptrack.synthworld import ScenarioConfig, generate, occlusion_preset
 
 PARAMS = TrackerParams()
 
@@ -110,7 +113,7 @@ def test_compute_base_weights_equals_pairwise_fused_similarity(monkeypatch, open
     frames = _crowd_frames()
     state = TrackerState(PARAMS, frame_cursor=frames[0].index - 1)
     for frame in frames:
-        dets = [frame.detections[j] for j in eligible_detections(frame)]
+        dets = [frame.detections[j] for j in frame_table(frame).det_idx]
         expected = [[fused_similarity(*state_row(state, i), det) for det in dets] for i in range(len(state.ids))]
         w = compute_base_weights(state, frame)
         assert np.array_equal(w.array, np.array(expected).reshape(w.rows, w.cols))
@@ -124,7 +127,7 @@ def test_compute_base_weights_takes_cosines_inside_iou_gate_only(monkeypatch):
     pairs = 0
     inside = 0
     for frame in frames:
-        dets = [frame.detections[j] for j in eligible_detections(frame)]
+        dets = [frame.detections[j] for j in frame_table(frame).det_idx]
         rows = [state_row(state, i) for i in range(len(state.ids))]
         expected = [
             (rep.values, det.feature.values)
@@ -301,6 +304,35 @@ def test_step_predicts_each_surviving_track_once(monkeypatch):
         seen.update(zip(state.ids.tolist(), state.last.tolist()))
         assert state.ids.tolist() == [i for i, last in seen.items() if frame.index - last <= params.max_age]
     assert len(state.ids) < len(seen) == state.next_id - 1
+
+
+def test_frame_table_rows_equal_the_rows_of_any_subset():
+    """A frame's table takes every detection's center in one block; each center, and the prior a spawn takes from it,
+    equals, as bytes, that of any subset of the frame's boxes, and of the box alone, on whatever kernel runs them."""
+    rng = np.random.default_rng(2468)
+    frames = list(generate(occlusion_preset()[0]).det_frames)
+    # heights and widths below the filter's 1e-3 size floor, and boxes far out, next to the scene's
+    dets = [make_det(*rng.uniform(-1e4, 1e4, 2), *rng.choice([1e-5, 5e-4, 2.0, 300.0, 1e6], 2), conf=rng.uniform()) for _ in range(40)]
+    for frame in frames + [make_frame(1, dets)]:
+        table = frame_table(frame)
+        assert np.array_equal(table.det_idx, np.flatnonzero(frame.confidences >= 0.1))
+        assert table.boxes.tobytes() == frame.boxes[table.det_idx].tobytes()
+        assert table.centers.tobytes() == batch_centers(frame.boxes).tobytes()
+        for subset in [rng.permutation(len(frame.boxes))[: rng.integers(len(frame.boxes) + 1)], *np.arange(len(frame.boxes))[:, None]]:
+            assert table.centers[subset].tobytes() == batch_centers(frame.boxes[subset]).tobytes()
+            state = TrackerState(PARAMS, frame_cursor=frame.index)
+            state.spawn(frame, subset)
+            assert state.forecast.tobytes() == kf_prior_batch(batch_centers(frame.boxes[subset])).tobytes()
+
+
+def test_adp_run_builds_each_frame_table_once(monkeypatch):
+    """The real step and every simulation that steps a frame share its one table."""
+    frames = list(generate(occlusion_preset()[1]).det_frames)
+    built = count_calls(monkeypatch, base_tracker, "FrameTable")
+    weighed = count_calls(monkeypatch, base_tracker, "compute_base_weights")  # the simulated steps'
+    run_adp(frames, PARAMS, AdpConfig(horizon=10))
+    assert [frame.index for frame, in built] == [frame.index for frame in frames]
+    assert Counter(frame.index for _, frame in weighed).most_common(1)[0][1] == 10
 
 
 def test_run_rejects_empty():

@@ -227,7 +227,7 @@ def test_batch_filter_equals_scalar_filter():
 
     assert_equal(kf_predict_batch(x), [kf_predict(s) for s in states])
     box_rows = box_array(boxes).reshape(100, 100, 4)
-    assert_equal(kf_update_batch(x, box_rows), [kf_update(s, b) for s, b in zip(states, boxes)])
+    assert_equal(kf_update_batch(x, batch_centers(box_rows)), [kf_update(s, b) for s, b in zip(states, boxes)])
     assert np.array_equal(batch_boxes(x).reshape(-1, 4), box_array(state_to_bbox(s) for s in states))
 
 
@@ -236,7 +236,7 @@ def test_prior_and_walk_step_equal_the_scalar_filter():
     # heights below the noise scale's 1e-3 floor included
     boxes = [_random_box(rng) for _ in range(4000)] + [BoundingBox(5.0, 5.0, 2.0, h) for h in (1e-5, 1e-3, 2e-3)]
     expected = [kf_predict(kf_init(b)) for b in boxes]
-    x = kf_prior_batch(box_array(boxes))
+    x = kf_prior_batch(batch_centers(box_array(boxes)))
     assert np.array_equal(x, np.stack([forecast_row(s) for s in expected]))
 
     # one step of the clone walk: correct with a box, then predict

@@ -11,7 +11,7 @@ from conftest import count_calls, forecast_row, make_det, make_frame, state_row
 from adptrack import base_tracker, core, rollout
 from adptrack.appearance import cosine_sim, ema_update, select_quality_window
 from adptrack.assignment import WeightMatrix
-from adptrack.base_tracker import TrackerParams, TrackerState, eligible_detections, run as run_base, step
+from adptrack.base_tracker import TrackerParams, TrackerState, frame_table, run as run_base, step
 from adptrack.core import FeatureVec, box_array, iou
 from adptrack.motion import KalmanState, kf_init, kf_predict, kf_update, state_to_bbox
 from adptrack.rollout import (
@@ -478,7 +478,7 @@ def _crowd_windows(targets=(15, 35, 55), horizon=10):
         for frame in frames[1:t]:
             adp_step(state, [frame], f2)
         window = frames[t : t + horizon + 1]
-        det_idx = eligible_detections(frames[t])
+        det_idx = frame_table(frames[t]).det_idx
         tents = simulate_tentative(window, PARAMS)[det_idx]
         dets = [frames[t].detections[j] for j in det_idx]
         out.append(SimpleNamespace(state=state, window=window, dets=dets, tents=tents, tracks=_tentative_tracks(window, tents)))
@@ -613,6 +613,25 @@ def test_score_frame_walks_once_and_multiplies_once_per_window_slot(crowd_window
         assert len(ious) == len(boxes) == int(walked)
         assert len(dots) == 0 if cfg.variant is Variant.F1 else 1 <= len(dots) <= cfg.window + 1
         assert len(dots) == (cfg.variant is Variant.F3 or walked and cfg.variant is Variant.MAIN) + (cfg.variant in (Variant.MAIN, Variant.F2))
+
+
+@pytest.mark.parametrize("cand_iou", [AdpConfig().cand_iou, 1.5], ids=["default", "keeps-none"])
+def test_main_multiplies_only_the_cells_the_filter_keeps(crowd_windows, monkeypatch, cand_iou):
+    """Main's window product takes one operand row per kept (track, detection, entry) cell, as many as the per-pair
+    `candidate_filter` keeps over the scored rows; no walk IOU reaches 1.5, so there it takes none and scores 0."""
+    cfg = replace(BATCH_CONFIGS["main"], cand_iou=cand_iou)
+    dots = count_calls(monkeypatch, rollout, "feature_dots")
+    for case in crowd_windows:
+        state = _keyed(case.state, cfg)
+        del dots[:]
+        z, crowd = score_frame(state, case.window, case.tents, cfg)
+        kept = 0
+        for i in sorted(set(range(len(state.ids))) - set(crowd.tolist())):
+            forecast, rep = state_row(state, i)
+            kept += sum(len(candidate_filter(forecast, tent, rep, cfg)) for tent in case.tracks)
+        assert len(dots) == 2  # the representative cosines, then the window product
+        assert [len(operand) for operand in dots[1]] == [kept, kept]
+        assert (kept > 0) == (cand_iou < 1) == bool(np.count_nonzero(z))
 
 
 def _one_track_state(cfg, feature=(1.0, 0.0)):
@@ -759,7 +778,7 @@ def test_array_state_equals_the_scalar_recursion(monkeypatch):
 
     def replayed(state, frame, matching):
         check(state)
-        det_idx = eligible_detections(frame)
+        det_idx = frame_table(frame).det_idx
         ids = state.ids.tolist()
         matched = {ids[i]: frame.detections[det_idx[jj]] for i, jj in matching.pairs}
         after, quality = {}, {}
@@ -811,7 +830,7 @@ def test_last_match_rows_follow_the_histories(monkeypatch, preset_base_runs, wor
     removed = []
 
     def checked(state, frame, matching):
-        det_idx = eligible_detections(frame).tolist()
+        det_idx = frame_table(frame).det_idx.tolist()
         ids, first, tracks = state.ids.tolist(), state.next_id, history.setdefault(state, {})
         for i, jj in matching.pairs:
             tracks[ids[i]].append((frame.index, det_idx[jj]))
