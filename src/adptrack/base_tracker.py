@@ -11,8 +11,9 @@ are corrected and refreshed, a track whose last match lies more than
 `max_age` frames back is removed (SORT, Bewley et al., ICIP 2016), every
 surviving row is predicted one frame ahead and confident unmatched
 detections (rows of the frame's arrays) spawn at the filter's
-closed-form prior; all steps over a frame share its `FrameTable` of them.
-A state's `hook` sees each match's gated appearance score.
+closed-form prior. Each step reads the frame's `FrameTable` of them, which
+the states that step a frame more than once share through `tables`. A
+state's `hook` sees each match's gated appearance score.
 
 The gates and rates are fixed, DeepSORT-style (Wojke, Bewley & Paulus, ICIP
 2017): a pair's appearance counts only when its forecast IOU reaches 0.1 and
@@ -40,7 +41,7 @@ from .motion import batch_boxes, batch_centers, kf_predict, kf_predict_batch, kf
 __all__ = [
     "TrackerParams",
     "TrackerState",
-    "frame_table",
+    "FrameTable",
     "compute_base_weights",
     "step",
     "fork_at",
@@ -76,12 +77,14 @@ class TrackerState:
     id, one-step forecast (a `motion` forecast row), representative feature, last matched frame and the index of
     the detection matched (or spawned from) there. A track lives while its last match lies at most `max_age`
     frames back; removed tracks leave the arrays, and their ids are never reused. `weighed` is the last weights
-    pass of these rows: (frame, confident detections, gated appearance scores). `hook`, if set, is called after
+    pass of these rows: (frame, its `FrameTable`, gated appearance scores). `hook`, if set, is called after
     each `apply_matching` as ``hook(state, frame, keep, quality)``: the rows now start with the old rows `keep`,
     whose gated appearance scores at `frame` are `quality` (NaN where not matched), then the ones spawned there.
+    `tables`, if set, maps frame indices to the tables that the weights passes take and keep; a driver that
+    steps a frame in several states sets one dict on them all and drops each table after its frame's last step.
     """
 
-    __slots__ = ("ids", "forecast", "rep", "last", "matched", "next_id", "params", "frame_cursor", "weighed", "hook")
+    __slots__ = ("ids", "forecast", "rep", "last", "matched", "next_id", "params", "frame_cursor", "weighed", "hook", "tables")
 
     def __init__(self, params: TrackerParams, frame_cursor: int = 0):
         self.ids = np.zeros(0, dtype=np.int64)
@@ -94,14 +97,16 @@ class TrackerState:
         self.frame_cursor = frame_cursor
         self.weighed = None
         self.hook = None
+        self.tables = None
 
-    def spawn(self, frame: FrameData, idx: np.ndarray) -> None:
-        """New tracks for the detections `idx` of a frame after the live ones, at the prior, from the frame's rows."""
+    def spawn(self, frame: FrameData, idx: np.ndarray, centers: np.ndarray | None = None) -> None:
+        """New tracks for the detections `idx` after the live ones, at the prior of their boxes' `batch_centers` rows."""
         if not len(idx):
             return
+        centers = batch_centers(frame.boxes[idx]) if centers is None else centers
         self.ids = np.concatenate([self.ids, np.arange(self.next_id, self.next_id + len(idx))])
         self.next_id += len(idx)
-        self.forecast = np.concatenate([self.forecast, kf_prior_batch(frame_table(frame).centers[idx])])
+        self.forecast = np.concatenate([self.forecast, kf_prior_batch(centers)])
         self.rep = np.concatenate([self.rep, frame.features[idx]]) if len(self.rep) else frame.features[idx]
         self.last = np.concatenate([self.last, np.full(len(idx), frame.index)])
         self.matched = np.concatenate([self.matched, idx])
@@ -109,24 +114,16 @@ class TrackerState:
 
 
 class FrameTable:
-    """What every step over a frame, real or simulated, reads of its detections: the confident ones' read-only indices
-    `det_idx` and `boxes`, and every box's `batch_centers` row, which equals the row of any subset bit for bit."""
+    """What a step over a frame reads of its confident detections: their read-only indices `det_idx`, their `boxes`
+    and the boxes' `batch_centers` rows, which equal the rows of any subset bit for bit."""
 
     __slots__ = ("det_idx", "boxes", "centers")
 
     def __init__(self, frame: FrameData):
         self.det_idx = np.flatnonzero(frame.confidences >= _MIN_CONFIDENCE)
         self.det_idx.flags.writeable = False
-        self.boxes, self.centers = frame.boxes[self.det_idx], batch_centers(frame.boxes)
-
-
-def frame_table(frame: FrameData) -> FrameTable:
-    """The frame's `FrameTable`, built at the first step over the frame and shared by every later one: it is kept in
-    the frame's instance dict, where `cached_property` keeps a value, so it lives and dies with the frame."""
-    table = frame.__dict__.get("_table")
-    if table is None:
-        table = frame.__dict__["_table"] = FrameTable(frame)
-    return table
+        self.boxes = frame.boxes[self.det_idx]
+        self.centers = batch_centers(self.boxes)
 
 
 def _gate(overlap: np.ndarray, dots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,13 +157,14 @@ def compute_base_weights(state: TrackerState, frame: FrameData) -> WeightMatrix:
     """
     if frame.index != state.frame_cursor + 1:
         raise ValueError(f"out-of-order frame {frame.index}, expected {state.frame_cursor + 1}")
-    table = frame_table(frame)
+    tables = {} if state.tables is None else state.tables
+    table = tables[frame.index] = tables.get(frame.index) or FrameTable(frame)
     overlap = iou_matrix(batch_boxes(state.forecast), table.boxes)
     rows, cols = np.nonzero(overlap >= _IOU_GATE)
     weights, gated = np.zeros(overlap.shape), np.zeros(overlap.shape)
     if rows.size:
         weights[rows, cols], gated[rows, cols] = _gate(overlap[rows, cols], feature_dots(state.rep[rows], frame.features[table.det_idx[cols]]))
-    state.weighed = (frame, table.det_idx, gated)
+    state.weighed = (frame, table, gated)
     return WeightMatrix(weights)
 
 
@@ -183,11 +181,11 @@ def apply_matching(state: TrackerState, frame: FrameData, matching: Matching) ->
     """
     if state.weighed is None or state.weighed[0] is not frame:
         raise ValueError(f"apply_matching needs a compute_base_weights pass of this state for frame {frame.index}")
-    (_, det_idx, gated), state.weighed = state.weighed, None
+    (_, table, gated), state.weighed = state.weighed, None
     rows, cols = np.array(matching.pairs, dtype=np.intp).reshape(-1, 2).T
-    matched = det_idx[cols]
+    matched = table.det_idx[cols]
     if rows.size:
-        state.forecast[rows] = kf_update_batch(state.forecast[rows], frame_table(frame).centers[matched])
+        state.forecast[rows] = kf_update_batch(state.forecast[rows], table.centers[cols])
         state.rep[rows] = _ema(state.rep[rows], frame.features[matched])
         state.last[rows], state.matched[rows] = frame.index, matched
     if state.hook is not None:
@@ -200,9 +198,9 @@ def apply_matching(state: TrackerState, frame: FrameData, matching: Matching) ->
             a[keep] for a in (state.ids, state.forecast, state.rep, state.last, state.matched)
         )
     state.forecast = kf_predict_batch(state.forecast)
-    free = np.ones(len(det_idx), dtype=bool)
+    free = np.ones(len(table.det_idx), dtype=bool)
     free[cols] = False
-    state.spawn(frame, det_idx[free])
+    state.spawn(frame, table.det_idx[free], table.centers[free])
     state.frame_cursor = frame.index
     if state.hook is not None:
         state.hook(state, frame, keep, quality[keep])

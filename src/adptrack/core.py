@@ -219,9 +219,8 @@ class FrameData:
     top, width, height), unit-norm `features` (N, d) and `confidences` (N,).
 
     The rows are checked in bulk where they enter (the `motio` readers, `synthworld`), never per frame; every
-    tracker step over the frame, real or simulated, reads these arrays, and the base tracker keeps its per-frame
-    `FrameTable` of them in the instance dict. `detections` is the rows as `Detection`s, derived on first use for
-    the scalar oracles and the tests.
+    tracker step over the frame, real or simulated, reads these arrays. `detections` is the rows as `Detection`s,
+    derived on first use for the scalar oracles and the tests.
     """
 
     index: int

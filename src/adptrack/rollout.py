@@ -35,7 +35,6 @@ from .base_tracker import (
     collect_frame_rows,
     compute_base_weights,
     fork_at,
-    frame_table,
     step,
 )
 from .core import Detection, FeatureVec, FrameData, frame_rows, iou, iou_array
@@ -115,16 +114,17 @@ class TentativeTrack:
     entries: tuple[tuple[int, Detection], ...]
 
 
-def simulate_tentative(frames: list[FrameData], params: TrackerParams) -> np.ndarray:
+def simulate_tentative(frames: list[FrameData], params: TrackerParams, tables=None) -> np.ndarray:
     """Roll the base tracker forward from the first supplied frame, which it treats as a sequence start.
 
     One tentative track per detection of the first frame, in detection order, as an (N, L, 2) array: row j holds
     the (frame, detection index) rows of tentative j's spawn and matches, then -1. Only the supplied frames are
-    read, so the horizon truncates silently at the end of a sequence.
+    read, so the horizon truncates silently at the end of a sequence. Its steps share `tables`, if given.
     """
     if not frames:
         raise ValueError("simulation needs at least one frame")
     sim = fork_at(frames[0], params)
+    sim.tables = tables
     n = len(sim.ids)
     log = np.full((n, len(frames)), -1)  # the detection each origin row matched at each frame
     log[:, 0] = sim.matched
@@ -329,7 +329,7 @@ def score_frame(state: TrackerState, frames: list[FrameData], tents, cfg: AdpCon
             r, j, e = np.nonzero(kept)
             terms = np.zeros((*kept.shape[:2], slots.shape[1], kept.shape[2]))
             terms[r, j, :, e] = np.where(slots[r], feature_dots(record.slots[rows[r], 1, -sizes.max() :], feats[j, e, None]), 0.0)
-        else:
+        else:  # every cell is kept: one broadcast product beats the gather (6% of a `crowd-f2` frame)
             dots = feature_dots(record.slots[rows, 1, -sizes.max() :, None, None], feats).transpose(0, 2, 1, 3)
             terms = np.where(kept[..., None, :] & slots[:, None, :, None], dots, 0.0)
     # Each pair's (K, L) terms in `_mean`'s order; no term is -0.0, so starting at the first adds as 0.0 + does.
@@ -363,13 +363,13 @@ def adp_step(state: TrackerState, window: list[FrameData], cfg: AdpConfig) -> tu
     frame = window[0]
     weights = compute_base_weights(state, frame)  # validates frame order
 
-    det_idx = frame_table(frame).det_idx
+    det_idx = state.weighed[1].det_idx
     if cfg.variant is Variant.F2:
         # The no-simulation variant never reads the future frames.
         window = window[:1]
         tents = np.stack([np.full(len(det_idx), frame.index), det_idx], axis=-1)[:, None]
     else:
-        tents = simulate_tentative(window, state.params)[det_idx]
+        tents = simulate_tentative(window, state.params, state.tables)[det_idx]
     z, crowd_rows = score_frame(state, window, tents, cfg)
 
     combined = combine_costs(weights, z, cfg.alpha, crowd_rows)
@@ -384,6 +384,8 @@ def run(frames: list[FrameData], params: TrackerParams, cfg: AdpConfig) -> np.nd
     The first frame cold-starts the tracker (every confident detection
     spawns a track); each later frame is matched by `adp_step` with the
     window sliding one frame at a time and truncating at the sequence end.
+    The real step and the simulations share each frame's table until the
+    real step, its last reader, is done.
     """
     if not frames:
         raise ValueError("cannot track an empty sequence")
@@ -391,7 +393,9 @@ def run(frames: list[FrameData], params: TrackerParams, cfg: AdpConfig) -> np.nd
     state.hook = TrustedRecord(cfg.window, cfg.beta)
     step(state, frames[0])
     rows = [collect_frame_rows(state, frames[0])]
+    state.tables = {}
     for i in range(1, len(frames)):
         adp_step(state, frames[i : i + cfg.horizon + 1], cfg)
+        del state.tables[frames[i].index]
         rows.append(collect_frame_rows(state, frames[i]))
     return np.concatenate(rows)

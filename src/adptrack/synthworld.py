@@ -68,7 +68,9 @@ class Scenario:
 
 
 def _stream(seed: int, frame: int, identity: int) -> np.random.Generator:
-    return next(_streams(seed, [(frame, identity)]))
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
+    counter = np.array([0, 0, frame, identity], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
 def _streams(seed: int, keys):

@@ -6,14 +6,14 @@ from hypothesis import given, strategies as st
 
 from conftest import count_calls, fused_similarity, make_det, make_frame, rows_to_boxes, state_row
 
-from adptrack import base_tracker
+from adptrack import base_tracker, rollout
 from adptrack.assignment import Matching, hungarian_max
 from adptrack.base_tracker import (
+    FrameTable,
     TrackerParams,
     TrackerState,
     apply_matching,
     compute_base_weights,
-    frame_table,
     fork_at,
     run,
     step,
@@ -113,7 +113,7 @@ def test_compute_base_weights_equals_pairwise_fused_similarity(monkeypatch, open
     frames = _crowd_frames()
     state = TrackerState(PARAMS, frame_cursor=frames[0].index - 1)
     for frame in frames:
-        dets = [frame.detections[j] for j in frame_table(frame).det_idx]
+        dets = [frame.detections[j] for j in FrameTable(frame).det_idx]
         expected = [[fused_similarity(*state_row(state, i), det) for det in dets] for i in range(len(state.ids))]
         w = compute_base_weights(state, frame)
         assert np.array_equal(w.array, np.array(expected).reshape(w.rows, w.cols))
@@ -127,7 +127,7 @@ def test_compute_base_weights_takes_cosines_inside_iou_gate_only(monkeypatch):
     pairs = 0
     inside = 0
     for frame in frames:
-        dets = [frame.detections[j] for j in frame_table(frame).det_idx]
+        dets = [frame.detections[j] for j in FrameTable(frame).det_idx]
         rows = [state_row(state, i) for i in range(len(state.ids))]
         expected = [
             (rep.values, det.feature.values)
@@ -307,32 +307,41 @@ def test_step_predicts_each_surviving_track_once(monkeypatch):
 
 
 def test_frame_table_rows_equal_the_rows_of_any_subset():
-    """A frame's table takes every detection's center in one block; each center, and the prior a spawn takes from it,
-    equals, as bytes, that of any subset of the frame's boxes, and of the box alone, on whatever kernel runs them."""
+    """A frame's table takes its confident detections' centers in one block; each center, and the prior a spawn
+    takes from it, equals, as bytes, that of any subset of those boxes and of the box alone, on whatever kernel
+    runs them."""
     rng = np.random.default_rng(2468)
     frames = list(generate(occlusion_preset()[0]).det_frames)
     # heights and widths below the filter's 1e-3 size floor, and boxes far out, next to the scene's
     dets = [make_det(*rng.uniform(-1e4, 1e4, 2), *rng.choice([1e-5, 5e-4, 2.0, 300.0, 1e6], 2), conf=rng.uniform()) for _ in range(40)]
     for frame in frames + [make_frame(1, dets)]:
-        table = frame_table(frame)
+        table = FrameTable(frame)
         assert np.array_equal(table.det_idx, np.flatnonzero(frame.confidences >= 0.1))
         assert table.boxes.tobytes() == frame.boxes[table.det_idx].tobytes()
-        assert table.centers.tobytes() == batch_centers(frame.boxes).tobytes()
-        for subset in [rng.permutation(len(frame.boxes))[: rng.integers(len(frame.boxes) + 1)], *np.arange(len(frame.boxes))[:, None]]:
-            assert table.centers[subset].tobytes() == batch_centers(frame.boxes[subset]).tobytes()
-            state = TrackerState(PARAMS, frame_cursor=frame.index)
-            state.spawn(frame, subset)
-            assert state.forecast.tobytes() == kf_prior_batch(batch_centers(frame.boxes[subset])).tobytes()
+        assert table.centers.tobytes() == batch_centers(table.boxes).tobytes()
+        priors = kf_prior_batch(table.centers)
+        for subset in [rng.permutation(len(table.boxes))[: rng.integers(len(table.boxes) + 1)], *np.arange(len(table.boxes))[:, None]]:
+            centers = batch_centers(table.boxes[subset])
+            assert table.centers[subset].tobytes() == centers.tobytes()
+            assert priors[subset].tobytes() == kf_prior_batch(centers).tobytes()
 
 
 def test_adp_run_builds_each_frame_table_once(monkeypatch):
-    """The real step and every simulation that steps a frame share its one table."""
+    """The real step and every simulation that steps a frame share its one table, which lives until the real step."""
     frames = list(generate(occlusion_preset()[1]).det_frames)
     built = count_calls(monkeypatch, base_tracker, "FrameTable")
     weighed = count_calls(monkeypatch, base_tracker, "compute_base_weights")  # the simulated steps'
+    alive, adp_step = [], rollout.adp_step
+
+    def step_with_tables(state, window, cfg):
+        alive.append((window[0].index, sorted(state.tables)))
+        return adp_step(state, window, cfg)
+
+    monkeypatch.setattr(rollout, "adp_step", step_with_tables)
     run_adp(frames, PARAMS, AdpConfig(horizon=10))
     assert [frame.index for frame, in built] == [frame.index for frame in frames]
     assert Counter(frame.index for _, frame in weighed).most_common(1)[0][1] == 10
+    assert all(set(tables) <= set(range(g, g + 10)) for g, tables in alive)
 
 
 def test_run_rejects_empty():

@@ -11,7 +11,7 @@ from conftest import count_calls, forecast_row, make_det, make_frame, state_row
 from adptrack import base_tracker, core, rollout
 from adptrack.appearance import cosine_sim, ema_update, select_quality_window
 from adptrack.assignment import WeightMatrix
-from adptrack.base_tracker import TrackerParams, TrackerState, frame_table, run as run_base, step
+from adptrack.base_tracker import FrameTable, TrackerParams, TrackerState, run as run_base, step
 from adptrack.core import FeatureVec, box_array, iou
 from adptrack.motion import KalmanState, kf_init, kf_predict, kf_update, state_to_bbox
 from adptrack.rollout import (
@@ -478,7 +478,7 @@ def _crowd_windows(targets=(15, 35, 55), horizon=10):
         for frame in frames[1:t]:
             adp_step(state, [frame], f2)
         window = frames[t : t + horizon + 1]
-        det_idx = frame_table(frames[t]).det_idx
+        det_idx = FrameTable(frames[t]).det_idx
         tents = simulate_tentative(window, PARAMS)[det_idx]
         dets = [frames[t].detections[j] for j in det_idx]
         out.append(SimpleNamespace(state=state, window=window, dets=dets, tents=tents, tracks=_tentative_tracks(window, tents)))
@@ -778,7 +778,7 @@ def test_array_state_equals_the_scalar_recursion(monkeypatch):
 
     def replayed(state, frame, matching):
         check(state)
-        det_idx = frame_table(frame).det_idx
+        det_idx = FrameTable(frame).det_idx
         ids = state.ids.tolist()
         matched = {ids[i]: frame.detections[det_idx[jj]] for i, jj in matching.pairs}
         after, quality = {}, {}
@@ -830,7 +830,7 @@ def test_last_match_rows_follow_the_histories(monkeypatch, preset_base_runs, wor
     removed = []
 
     def checked(state, frame, matching):
-        det_idx = frame_table(frame).det_idx.tolist()
+        det_idx = FrameTable(frame).det_idx.tolist()
         ids, first, tracks = state.ids.tolist(), state.next_id, history.setdefault(state, {})
         for i, jj in matching.pairs:
             tracks[ids[i]].append((frame.index, det_idx[jj]))
