@@ -1,10 +1,10 @@
 """Online base tracker: gated similarity weights, matching, track lifecycle.
 
 `TrackerState` holds the live tracks as rows of arrays: each track's id,
-one-step forecast (the filter state predicted for the next frame, as a
-`motion` forecast row whose columns only that module reads), representative
-feature, last matched frame and the detection matched there. Per frame the
-tracker scores each track/detection pair by the minimum of forecast-box
+one-step forecast (the filter state predicted for the next frame, a column
+of `motion`'s (11, T) component planes), representative feature, last
+matched frame and the detection matched there. Per frame the tracker
+scores each track/detection pair by the minimum of forecast-box
 overlap and gated appearance similarity, solves a thresholded max-weight
 matching and applies the usual lifecycle to all rows at once: matched rows
 are corrected and refreshed, a track whose last match lies more than
@@ -73,22 +73,23 @@ class TrackerParams:
 class TrackerState:
     """The live tracks as rows, in spawn order, the id counter and the frame cursor.
 
-    Row i of `ids` (T,), `forecast` (T, 11), `rep` (T, d), `last` (T,) int64 and `matched` (T,) holds one track's
-    id, one-step forecast (a `motion` forecast row), representative feature, last matched frame and the index of
-    the detection matched (or spawned from) there. A track lives while its last match lies at most `max_age`
-    frames back; removed tracks leave the arrays, and their ids are never reused. `weighed` is the last weights
-    pass of these rows: (frame, its `FrameTable`, gated appearance scores). `hook`, if set, is called after
-    each `apply_matching` as ``hook(state, frame, keep, quality)``: the rows now start with the old rows `keep`,
-    whose gated appearance scores at `frame` are `quality` (NaN where not matched), then the ones spawned there.
-    `tables`, if set, maps frame indices to the tables that the weights passes take and keep; a driver that
-    steps a frame in several states sets one dict on them all and drops each table after its frame's last step.
+    Row i of `ids` (T,), `rep` (T, d), `last` (T,) int64 and `matched` (T,), and column i of `forecast`, hold one
+    track's id, representative feature, last matched frame, the index of the detection matched (or spawned from)
+    there and one-step forecast. `forecast` is `motion`'s (11, T) component planes, one C-ordered block. A track
+    lives while its last match lies at most `max_age` frames back; removed tracks leave the arrays, and their ids
+    are never reused. `weighed` is the last weights pass of these rows: (frame, its `FrameTable`, gated appearance
+    scores). `hook`, if set, is called after each `apply_matching` as ``hook(state, frame, keep, quality)``: the
+    rows now start with the old rows `keep`, whose gated appearance scores at `frame` are `quality` (NaN where not
+    matched), then the ones spawned there. `tables`, if set, maps frame indices to the tables that the weights
+    passes take and keep; a driver that steps a frame in several states sets one dict on them all and drops each
+    table after its frame's last step.
     """
 
     __slots__ = ("ids", "forecast", "rep", "last", "matched", "next_id", "params", "frame_cursor", "weighed", "hook", "tables")
 
     def __init__(self, params: TrackerParams, frame_cursor: int = 0):
         self.ids = np.zeros(0, dtype=np.int64)
-        self.forecast = kf_prior_batch(np.zeros((0, 4)))
+        self.forecast = kf_prior_batch(np.zeros((4, 0)))
         self.rep = np.zeros((0, 0))
         self.last = np.zeros(0, dtype=np.int64)
         self.matched = np.zeros(0, dtype=np.intp)
@@ -100,13 +101,13 @@ class TrackerState:
         self.tables = None
 
     def spawn(self, frame: FrameData, idx: np.ndarray, centers: np.ndarray | None = None) -> None:
-        """New tracks for the detections `idx` after the live ones, at the prior of their boxes' `batch_centers` rows."""
+        """New tracks for the detections `idx` after the live ones, at the prior of their boxes' `batch_centers`."""
         if not len(idx):
             return
         centers = batch_centers(frame.boxes[idx]) if centers is None else centers
         self.ids = np.concatenate([self.ids, np.arange(self.next_id, self.next_id + len(idx))])
         self.next_id += len(idx)
-        self.forecast = np.concatenate([self.forecast, kf_prior_batch(centers)])
+        self.forecast = np.concatenate([self.forecast, kf_prior_batch(centers)], axis=1)
         self.rep = np.concatenate([self.rep, frame.features[idx]]) if len(self.rep) else frame.features[idx]
         self.last = np.concatenate([self.last, np.full(len(idx), frame.index)])
         self.matched = np.concatenate([self.matched, idx])
@@ -115,7 +116,7 @@ class TrackerState:
 
 class FrameTable:
     """What a step over a frame reads of its confident detections: their read-only indices `det_idx`, their `boxes`
-    and the boxes' `batch_centers` rows, which equal the rows of any subset bit for bit."""
+    and the boxes' (4, n) `batch_centers` planes, whose columns equal those of any subset bit for bit."""
 
     __slots__ = ("det_idx", "boxes", "centers")
 
@@ -185,7 +186,7 @@ def apply_matching(state: TrackerState, frame: FrameData, matching: Matching) ->
     rows, cols = np.array(matching.pairs, dtype=np.intp).reshape(-1, 2).T
     matched = table.det_idx[cols]
     if rows.size:
-        state.forecast[rows] = kf_update_batch(state.forecast[rows], table.centers[cols])
+        state.forecast[:, rows] = kf_update_batch(state.forecast.take(rows, axis=1), table.centers.take(cols, axis=1))
         state.rep[rows] = _ema(state.rep[rows], frame.features[matched])
         state.last[rows], state.matched[rows] = frame.index, matched
     if state.hook is not None:
@@ -194,13 +195,12 @@ def apply_matching(state: TrackerState, frame: FrameData, matching: Matching) ->
 
     keep = np.flatnonzero(state.last >= frame.index - state.params.max_age)
     if len(keep) < len(state.ids):
-        state.ids, state.forecast, state.rep, state.last, state.matched = (
-            a[keep] for a in (state.ids, state.forecast, state.rep, state.last, state.matched)
-        )
-    state.forecast = kf_predict_batch(state.forecast)
+        state.ids, state.rep, state.last, state.matched = (a[keep] for a in (state.ids, state.rep, state.last, state.matched))
+        state.forecast = state.forecast.take(keep, axis=1)
+    kf_predict_batch(state.forecast, out=state.forecast)
     free = np.ones(len(table.det_idx), dtype=bool)
     free[cols] = False
-    state.spawn(frame, table.det_idx[free], table.centers[free])
+    state.spawn(frame, table.det_idx[free], table.centers.compress(free, axis=1))
     state.frame_cursor = frame.index
     if state.hook is not None:
         state.hook(state, frame, keep, quality[keep])

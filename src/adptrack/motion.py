@@ -11,13 +11,13 @@ so the 8x8 covariance is always kron([[pp, pv], [pv, vv]], I4). The state
 keeps only that 2x2 block, and predict and update are scalar arithmetic on
 it. Each block entry is computed with the same products, in the same order,
 as the 8x8 Joseph-form recursion, so both give bit-identical results. The
-batched forms run the same block arithmetic on forecast rows, (..., 11)
-arrays of the 8-vector mean followed by (pp, pv, vv), in which the base
-tracker holds its tracks and the rollout walks its clones; only this module
-reads their columns. A new track's forecast has a closed form
-(`kf_prior_batch`), and a walk step is one fused correction and prediction
-(`kf_correct_predict_batch`). The batched forms take measured boxes as
-their `batch_centers` rows.
+batched forms run the same arithmetic on (11, ...) arrays of contiguous
+component planes: box components x[:4], velocities x[4:8], pp, pv and vv
+x[8:11]. The tracker holds its tracks as (11, T) planes, the rollout walks
+its clones in (11, T, D) ones; only this module tells the planes apart. A
+step writes into `out`, which may be its input; boxes enter as
+`batch_centers` planes. A new track's forecast has a closed form
+(`kf_prior_batch`), and a walk step is `kf_correct_predict_batch`.
 """
 
 from __future__ import annotations
@@ -119,69 +119,66 @@ def state_to_bbox(s: KalmanState) -> BoundingBox:
     return from_center(cx, cy, max(float(w), _MIN_SIZE), max(float(h), _MIN_SIZE))
 
 
-# Batched forms: a batch of states is an (..., 11) array of forecast rows
-# (mean, pp, pv, vv), and boxes are (..., 4) arrays of (left, top, width,
-# height) rows. Every entry takes the operations of the scalar function in
-# the same order, so it equals it bit for bit.
-
-
-def _rows(pos: np.ndarray, vel: np.ndarray, block) -> np.ndarray:
-    """Forecast rows of (..., 4) positions and velocities and a (pp, pv, vv) block of (...) arrays."""
-    return np.concatenate([pos, vel, *(b[..., None] for b in block)], axis=-1)
-
-
-def _split(x: np.ndarray):
-    """(positions, velocities, (pp, pv, vv)) of forecast rows, as views."""
-    return x[..., :4], x[..., 4:8], (x[..., 8], x[..., 9], x[..., 10])
+# Batched forms: each element takes the scalar function's operations in the same order, so it equals it bit for bit.
 
 
 def batch_centers(boxes: np.ndarray) -> np.ndarray:
-    """`to_center` of every box row."""
-    return np.concatenate([boxes[..., :2] + boxes[..., 2:] / 2.0, boxes[..., 2:]], axis=-1)
+    """`to_center` of every box row, as the planes of `boxes.T`: (4, n) of (n, 4) rows, (4, L, D) of (D, L, 4)."""
+    centers = boxes.T.copy()
+    centers[:2] += centers[2:] / 2.0
+    return centers
 
 
 def kf_prior_batch(centers: np.ndarray) -> np.ndarray:
-    """`kf_predict(kf_init(b))` of every box's `batch_centers` row in closed form (the prediction adds exact zeros)."""
-    h = centers[..., 3]
+    """`kf_predict(kf_init(b))` of every box's `batch_centers` planes in closed form (the prediction adds exact zeros)."""
+    h = centers[3]
     pp, vv, q_h = _square(_INIT_POS, h), _square(_INIT_VEL, h), np.maximum(h, _MIN_SIZE)
-    return _rows(centers, np.zeros_like(centers), ((pp + vv) + _square(_POS, q_h), vv, vv + _square(_VEL, q_h)))
+    out = np.zeros((11, *centers.shape[1:]))
+    out[:4], out[8], out[9], out[10] = centers, (pp + vv) + _square(_POS, q_h), vv, vv + _square(_VEL, q_h)
+    return out
 
 
-def _predicted(pos: np.ndarray, vel: np.ndarray, block) -> np.ndarray:
-    """Forecast rows of the states (pos, vel, block) predicted one frame ahead."""
-    return _rows(pos + vel, vel, _predicted_block(*block, np.maximum(np.abs(pos[..., 3]), _MIN_SIZE)))
+def kf_predict_batch(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`kf_predict` of every forecast."""
+    if out is not x:
+        out = np.empty_like(x) if out is None else out
+        out[4:8] = x[4:8]
+    out[8], out[9], out[10] = _predicted_block(*x[8:11], np.maximum(np.abs(x[3]), _MIN_SIZE))
+    np.add(x[:4], out[4:8], out=out[:4])
+    return out
 
 
-def kf_predict_batch(x: np.ndarray) -> np.ndarray:
-    """`kf_predict` of every forecast row."""
-    return _predicted(*_split(x))
+def _correct_into(out: np.ndarray, x: np.ndarray, centers: np.ndarray):
+    """`kf_update` of every forecast against its measured centers: velocities into `out[4:8]`, (positions, block) back."""
+    kp, kv, block = _corrected_block(*x[8:11], np.maximum(np.abs(x[3]), _MIN_SIZE))
+    innovation = centers - x[:4]
+    np.add(x[4:8], kv * innovation, out=out[4:8])
+    return x[:4] + kp * innovation, block
 
 
-def _correct(x: np.ndarray, centers: np.ndarray):
-    """`kf_update` of every forecast row against its measured (cx, cy, w, h), as (positions, velocities, block)."""
-    pos, vel, block = _split(x)
-    kp, kv, block = _corrected_block(*block, np.maximum(np.abs(pos[..., 3]), _MIN_SIZE))
-    innovation = centers - pos
-    return pos + kp[..., None] * innovation, vel + kv[..., None] * innovation, block
+def kf_update_batch(x: np.ndarray, centers: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`kf_update` of every forecast against its measured box, given `batch_centers` of the boxes."""
+    out = np.empty_like(x) if out is None else out
+    out[:4], (out[8], out[9], out[10]) = _correct_into(out, x, centers)
+    return out
 
 
-def kf_update_batch(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """`kf_update` of every forecast row against its measured box, given `batch_centers` of the boxes."""
-    return _rows(*_correct(x, centers))
-
-
-def kf_correct_predict_batch(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """`kf_predict_batch(kf_update_batch(x, centers))` in one pass."""
-    return _predicted(*_correct(x, centers))
+def kf_correct_predict_batch(x: np.ndarray, centers: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`kf_predict_batch(kf_update_batch(x, centers))` in one pass: the corrected positions and block are not stored."""
+    out = np.empty_like(x) if out is None else out
+    pos, block = _correct_into(out, x, centers)
+    out[8], out[9], out[10] = _predicted_block(*block, np.maximum(np.abs(pos[3]), _MIN_SIZE))
+    np.add(pos, out[4:8], out=out[:4])
+    return out
 
 
 def batch_boxes(x: np.ndarray) -> np.ndarray:
-    """`state_to_bbox` of every forecast row, as (..., 4) box rows.
+    """`state_to_bbox` of every forecast, as (..., 4) box rows whose four columns are contiguous planes.
 
     A non-finite state raises ValueError, as the box constructor does there.
     """
-    wh = np.maximum(x[..., 2:4], _MIN_SIZE)
-    boxes = np.concatenate([x[..., :2] - wh / 2.0, wh], axis=-1)
+    wh = np.maximum(x[2:4], _MIN_SIZE)
+    boxes = np.concatenate([x[:2] - wh / 2.0, wh])
     if not np.isfinite(boxes).all():
         raise ValueError("filter state is not finite")
-    return boxes
+    return boxes.transpose(*range(1, boxes.ndim), 0)

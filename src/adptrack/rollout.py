@@ -260,22 +260,22 @@ class TrustedRecord:
 
 
 def _frame_walk(forecast: np.ndarray, boxes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """`_walk` of T forecast rows along every tentative at once, as (T, D, L) walk IOUs.
+    """`_walk` of T forecasts (11, T) along every tentative at once, as (T, D, L) walk IOUs.
 
     `boxes` (D, L, 4) holds the entry boxes of D tentatives and `lengths`
-    their entry counts. The (track, tentative) pairs step as the rows of one
-    (T, D, 11) array to the longest tentative's end, and one IOU pass over
-    the walked states follows. Cells past an end stay +0.0.
+    their entry counts. The pairs step to the longest tentative's end, step k
+    writing plane k of one (L, 11, T, D) block; one IOU pass over the walked
+    cells follows. Cells past an end stay +0.0, their states never read.
     """
     walked = np.arange(boxes.shape[1]) < lengths[:, None]
-    centers = batch_centers(boxes)
-    states = np.empty((boxes.shape[1], len(forecast), len(lengths), forecast.shape[1]))
-    states[:1] = forecast[:, None]
+    centers = batch_centers(boxes)[..., None, :]  # (4, L, 1, D)
+    states = np.empty((boxes.shape[1], *forecast.shape, len(lengths)))
+    states[0] = forecast[..., None]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state raises in batch_boxes
-        for step_idx in range(1, boxes.shape[1]):
-            states[step_idx] = kf_correct_predict_batch(states[step_idx - 1], centers[:, step_idx - 1])
-        out = np.zeros((len(forecast), *boxes.shape[:2]))
-        out[:, walked] = iou_array(batch_boxes(states.transpose(1, 2, 0, 3)[:, walked]), boxes[walked])
+        for k in range(1, boxes.shape[1]):
+            kf_correct_predict_batch(states[k - 1], centers[:, k - 1], out=states[k])
+        out = np.zeros((forecast.shape[1], *boxes.shape[:2]))
+        out[:, walked] = iou_array(batch_boxes(states.transpose(1, 2, 3, 0)[:, :, walked]), boxes[walked])
     return out
 
 
@@ -314,7 +314,7 @@ def score_frame(state: TrackerState, frames: list[FrameData], tents, cfg: AdpCon
     per_entry = cfg.variant in (Variant.F1, Variant.F3)
     filtered = cfg.variant is Variant.MAIN and cfg.enable_candidate_filter
     if per_entry or filtered:
-        walk = _frame_walk(state.forecast[rows], entry_rows("boxes", 4), lengths)
+        walk = _frame_walk(state.forecast.take(rows, axis=1), entry_rows("boxes", 4), lengths)
     if cfg.variant is Variant.F3 or filtered:  # f1 reads only the walk IOUs
         cos = np.clip(feature_dots(state.rep[rows][:, None, None], feats), -1.0, 1.0)
     if per_entry:

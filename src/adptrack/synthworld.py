@@ -10,8 +10,8 @@ base features. Non-crossing identities keep their own lane and never touch.
 
 A scene is built as arrays: each identity's path parameters are drawn into
 per-identity arrays, one expression gives the (frames, identities, 4) ground
-truth box grid, one `iou_array` block over every (frame, identity, identity)
-finds the occluders, and an emit mask keeps the detections not dropped.
+truth box grid, `iou_array` blocks over chunks of frames' (frame, identity,
+identity) cells find the occluders, and an emit mask keeps the detections.
 
 All randomness comes from counter-based streams keyed by (seed, frame,
 identity), so output is a pure function of the configuration and frames can
@@ -29,6 +29,7 @@ from .core import BoundingBox, FeatureVec, FrameData, iou_array, split_frames, u
 from .metrics import LabeledBox
 
 __all__ = ["ScenarioConfig", "Scenario", "generate", "occlusion_preset"]
+_OCCLUDER_CELLS = 2**18  # at most this many (frame, identity, identity) cells per chunk of the occluder search
 
 
 @dataclass(frozen=True)
@@ -142,13 +143,15 @@ def generate(cfg: ScenarioConfig) -> Scenario:
 
     # [f, i, j] pairs identity i with identity j at frame f. Identity i is covered by the lower-indexed j of the
     # first largest intersection among those whose IOU with it passes the threshold.
-    left, top = grid[..., 0], grid[..., 1]
-    right, bottom = left + grid[..., 2], top + grid[..., 3]
-    iw = np.minimum(right[..., :, None], right[..., None, :]) - np.maximum(left[..., :, None], left[..., None, :])
-    ih = np.minimum(bottom[..., :, None], bottom[..., None, :]) - np.maximum(top[..., :, None], top[..., None, :])
-    covers = (iou_array(grid[:, :, None], grid[:, None, :]) > cfg.occlusion_iou) & np.tri(n, k=-1, dtype=bool)
-    inter = np.where(covers, np.maximum(iw, 0.0) * np.maximum(ih, 0.0), 0.0)
-    occluder, best = inter.argmax(-1), inter.max(-1)
+    occluder, best = np.zeros((cfg.frames, n), dtype=np.intp), np.zeros((cfg.frames, n))
+    for f in range(0, cfg.frames, step := max(1, _OCCLUDER_CELLS // n**2)):
+        g = grid[f : f + step]
+        right, bottom = g[..., 0] + g[..., 2], g[..., 1] + g[..., 3]
+        iw = np.minimum(right[..., :, None], right[..., None, :]) - np.maximum(g[:, :, None, 0], g[:, None, :, 0])
+        ih = np.minimum(bottom[..., :, None], bottom[..., None, :]) - np.maximum(g[:, :, None, 1], g[:, None, :, 1])
+        covers = (iou_array(g[:, :, None], g[:, None, :]) > cfg.occlusion_iou) & np.tri(n, k=-1, dtype=bool)
+        inter = np.where(covers, np.maximum(iw, 0.0) * np.maximum(ih, 0.0), 0.0)
+        occluder[f : f + step], best[f : f + step] = inter.argmax(-1), inter.max(-1)
     occluded = best > 0.0
     lam = best / (w * h)
 

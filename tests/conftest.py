@@ -110,7 +110,7 @@ def state_row(state, i):
     """
     rep = object.__new__(FeatureVec)
     object.__setattr__(rep, "values", state.rep[i].copy())
-    row = state.forecast[i]
+    row = state.forecast[:, i]
     return KalmanState(row[:8], row[8:].tolist()), rep
 
 

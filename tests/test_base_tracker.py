@@ -216,7 +216,7 @@ def test_lifecycle_removal_after_max_age():
         step(state, make_frame(idx, []))
         assert state.ids.tolist() == [1] and state.last.tolist() == [1]
     step(state, make_frame(4, []))  # last match 3 frames back
-    assert len(state.ids) == len(state.forecast) == len(state.rep) == len(state.last) == len(state.matched) == 0
+    assert len(state.ids) == state.forecast.shape[1] == len(state.rep) == len(state.last) == len(state.matched) == 0
 
 
 def test_lost_track_keeps_predicting_and_reacquires():
@@ -298,12 +298,30 @@ def test_step_predicts_each_surviving_track_once(monkeypatch):
         spawned_from = state.next_id
         step(state, frame)
         # the surviving rows in one batch; the spawned rows take the closed-form prior
-        assert [len(x) for x, in predicts] == [np.count_nonzero(state.ids < spawned_from)]
-        assert len(state.forecast) == len(state.rep) == len(state.last) == len(state.matched) == len(state.ids)
+        assert [x.shape[1] for x, in predicts] == [np.count_nonzero(state.ids < spawned_from)]
+        assert state.forecast.shape[1] == len(state.rep) == len(state.last) == len(state.matched) == len(state.ids)
         # the tracks are exactly those whose last match lies at most max_age frames back
         seen.update(zip(state.ids.tolist(), state.last.tolist()))
         assert state.ids.tolist() == [i for i, last in seen.items() if frame.index - last <= params.max_age]
     assert len(state.ids) < len(seen) == state.next_id - 1
+
+
+def test_forecast_planes_stay_c_contiguous():
+    """The forecast is (11, T) component planes in one C-ordered block after every spawn, keep, correction and
+    in-place prediction, so that each plane is a contiguous (T,) row."""
+    params = TrackerParams(max_age=2)
+    sc = generate(ScenarioConfig(seed=5, frames=30, identities=4, crossings=2, det_noise_px=0.4, feature_noise=0.1, drop_prob_occluded=0.8))
+    frames = list(sc.det_frames)
+    state = TrackerState(params, frame_cursor=frames[0].index - 1)
+    events = Counter()
+    for frame in frames:
+        held = state.ids
+        _, matching = step(state, frame)
+        events.update(matched=bool(matching.pairs), removed=not np.isin(held, state.ids).all(), spawned=state.next_id - 1 > held.max(initial=0))
+        assert state.forecast.shape == (11, len(state.ids)) and state.forecast.flags.c_contiguous
+    assert min(events.values()) > 0 and len(events) == 3
+    forked = base_tracker.fork_at(frames[0], params)
+    assert forked.forecast.shape == (11, len(frames[0].boxes)) and forked.forecast.flags.c_contiguous
 
 
 def test_frame_table_rows_equal_the_rows_of_any_subset():
@@ -322,8 +340,8 @@ def test_frame_table_rows_equal_the_rows_of_any_subset():
         priors = kf_prior_batch(table.centers)
         for subset in [rng.permutation(len(table.boxes))[: rng.integers(len(table.boxes) + 1)], *np.arange(len(table.boxes))[:, None]]:
             centers = batch_centers(table.boxes[subset])
-            assert table.centers[subset].tobytes() == centers.tobytes()
-            assert priors[subset].tobytes() == kf_prior_batch(centers).tobytes()
+            assert table.centers[:, subset].tobytes() == centers.tobytes()
+            assert priors[:, subset].tobytes() == kf_prior_batch(centers).tobytes()
 
 
 def test_adp_run_builds_each_frame_table_once(monkeypatch):

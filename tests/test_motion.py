@@ -207,6 +207,11 @@ def _random_box(rng):
     return from_center(*rng.uniform(0, 500, 2), *rng.uniform(5, 150, 2))
 
 
+def _planes(states, shape=(-1,)):
+    """Scalar filter states as batched forecast planes, (11, *shape)."""
+    return np.stack([forecast_row(s) for s in states], axis=1).reshape(11, *shape)
+
+
 def test_batch_filter_equals_scalar_filter():
     # A squaring or an operation order that differs from the scalar filter's
     # rounds differently for only a few heights in a thousand, so it takes
@@ -220,14 +225,23 @@ def test_batch_filter_equals_scalar_filter():
     # negative and tiny heights and widths: the noise scale and the box size clamp
     states += [KalmanState([10.0, 10.0, w, h, 1.0, -1.0, 0.5, -2.0], (3.0, 1.0, 2.0)) for w, h in ((-4.0, -20.0), (1e-5, 1e-5), (0.0, 0.0))]
     boxes = [_random_box(rng) for _ in states]
-    x = np.stack([forecast_row(s) for s in states]).reshape(100, 100, 11)
+    # the component planes lead, (T, D) axes follow, as in the tracker and the clone walk
+    x = _planes(states, (100, 100))
+    centers = batch_centers(box_array(boxes)).reshape(4, 100, 100)
+    assert np.array_equal(centers, np.array([to_center(b) for b in boxes]).T.reshape(4, 100, 100))
 
     def assert_equal(batch, expected):
-        assert np.array_equal(batch.reshape(-1, 11), np.stack([forecast_row(s) for s in expected]))
+        assert batch.shape == x.shape and np.array_equal(batch, _planes(expected, x.shape[1:]))
 
-    assert_equal(kf_predict_batch(x), [kf_predict(s) for s in states])
-    box_rows = box_array(boxes).reshape(100, 100, 4)
-    assert_equal(kf_update_batch(x, batch_centers(box_rows)), [kf_update(s, b) for s, b in zip(states, boxes)])
+    for batch_step, expected in [
+        (kf_predict_batch, [kf_predict(s) for s in states]),
+        (lambda x, **out: kf_update_batch(x, centers, **out), [kf_update(s, b) for s, b in zip(states, boxes)]),
+    ]:
+        assert_equal(batch_step(x), expected)
+        # written in place, `out` aliasing the input, as the tracker's predict is
+        inplace = x.copy()
+        assert batch_step(inplace, out=inplace) is inplace
+        assert_equal(inplace, expected)
     assert np.array_equal(batch_boxes(x).reshape(-1, 4), box_array(state_to_bbox(s) for s in states))
 
 
@@ -237,13 +251,25 @@ def test_prior_and_walk_step_equal_the_scalar_filter():
     boxes = [_random_box(rng) for _ in range(4000)] + [BoundingBox(5.0, 5.0, 2.0, h) for h in (1e-5, 1e-3, 2e-3)]
     expected = [kf_predict(kf_init(b)) for b in boxes]
     x = kf_prior_batch(batch_centers(box_array(boxes)))
-    assert np.array_equal(x, np.stack([forecast_row(s) for s in expected]))
+    assert np.array_equal(x, _planes(expected))
 
     # one step of the clone walk: correct with a box, then predict
     measured = [_random_box(rng) for _ in boxes]
     walked = [kf_predict(kf_update(s, b)) for s, b in zip(expected, measured)]
-    x = kf_correct_predict_batch(x, batch_centers(box_array(measured)))
-    assert np.array_equal(x, np.stack([forecast_row(s) for s in walked]))
+    assert np.array_equal(kf_correct_predict_batch(x, batch_centers(box_array(measured))), _planes(walked))
+
+    # as the walk steps: forecasts (11, T, D) of T tracks against D tentatives, each tentative's entry centers
+    # (4, 1, D) shared by every track, written into a further plane
+    t, d = 40, 100
+    x = x[:, : t * d].reshape(11, t, d)
+    centers = batch_centers(box_array(measured[:d]))[:, None]
+    walked = [kf_predict(kf_update(s, measured[i % d])) for i, s in enumerate(expected[: t * d])]
+    block = np.empty((2, *x.shape))
+    block[0] = x
+    plane = block[1]
+    assert kf_correct_predict_batch(block[0], centers, out=plane) is plane
+    assert np.array_equal(block[1], _planes(walked, (t, d))) and np.array_equal(block[0], x)
+    assert np.array_equal(kf_correct_predict_batch(x, centers, out=x), _planes(walked, (t, d)))
 
 
 def test_batch_boxes_rejects_non_finite_states():
@@ -251,4 +277,4 @@ def test_batch_boxes_rejects_non_finite_states():
     with pytest.raises(ValueError):
         state_to_bbox(states[1])
     with pytest.raises(ValueError):
-        batch_boxes(np.stack([forecast_row(s) for s in states]))
+        batch_boxes(_planes(states))

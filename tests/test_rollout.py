@@ -12,8 +12,8 @@ from adptrack import base_tracker, core, rollout
 from adptrack.appearance import cosine_sim, ema_update, select_quality_window
 from adptrack.assignment import WeightMatrix
 from adptrack.base_tracker import FrameTable, TrackerParams, TrackerState, run as run_base, step
-from adptrack.core import FeatureVec, box_array, iou
-from adptrack.motion import KalmanState, kf_init, kf_predict, kf_update, state_to_bbox
+from adptrack.core import BoundingBox, FeatureVec, box_array, iou
+from adptrack.motion import KalmanState, batch_centers, kf_init, kf_predict, kf_prior_batch, kf_update, state_to_bbox
 from adptrack.rollout import (
     AdpConfig,
     TentativeTrack,
@@ -655,11 +655,29 @@ def test_score_frame_sums_negative_zero_products_as_the_mean_does(name):
     assert z.tobytes() == z_ref.tobytes() == np.zeros((1, 1)).tobytes()
 
 
+def test_frame_walk_checks_only_the_walked_states():
+    """A pair's states past its tentative's end may turn non-finite without a raise, and leave the walked cells' IOUs
+    as they are; a non-finite state on a walked cell raises, as `batch_boxes` does."""
+    forecast = kf_prior_batch(batch_centers(box_array([BoundingBox(0, 0, 10, 20), BoundingBox(30, 5, 12, 24)])))
+    boxes = np.array([[[1, 1, 10, 20], [0, 0, 0, 0], [0, 0, 0, 0]], [[31, 6, 12, 24], [33, 7, 12, 24], [35, 8, 12, 24]]], dtype=float)
+    lengths = np.array([1, 3])
+    walk = rollout._frame_walk(forecast, boxes, lengths)
+    assert walk[:, 0, 1:].tobytes() == np.zeros((2, 2)).tobytes() and np.count_nonzero(walk[:, 1])
+    # the first tentative's padding as infinite boxes: its states from step 2 on are inf or nan
+    padded = boxes.copy()
+    padded[0, 1:] = np.inf
+    assert rollout._frame_walk(forecast, padded, lengths).tobytes() == walk.tobytes()
+    # an infinite entry inside the second tentative: its state at step 2 is walked
+    padded[1, 1] = np.inf
+    with pytest.raises(ValueError, match="filter state is not finite"):
+        rollout._frame_walk(forecast, padded, lengths)
+
+
 def test_walk_raises_when_the_forecast_overflows():
     # Position and velocity near the float maximum: the first correct-and-predict
     # step of the walk overflows to inf, which no box may hold.
     state = _one_track_state(AdpConfig())
-    state.forecast[0] = forecast_row(KalmanState([1.7e308, 5.0, 10.0, 10.0, 1.7e308, 0.0, 0.0, 0.0], (1.0, 0.0, 1.0)))
+    state.forecast[:, 0] = forecast_row(KalmanState([1.7e308, 5.0, 10.0, 10.0, 1.7e308, 0.0, 0.0, 0.0], (1.0, 0.0, 1.0)))
     window = [make_frame(4, [make_det(0, 0)]), make_frame(5, [make_det(4, 0)])]
     tents = np.array([[[4, 0], [5, 0]]])
     tracks = _tentative_tracks(window, tents)
@@ -765,10 +783,10 @@ def test_array_state_equals_the_scalar_recursion(monkeypatch):
             expected[state, int(state.ids[i])] = (kf_predict(kf_init(det.bbox)), det.feature)
 
     def check(state):
-        assert len(state.forecast) == len(state.rep) == len(state.last) == len(state.matched) == len(state.ids)
+        assert state.forecast.shape[1] == len(state.rep) == len(state.last) == len(state.matched) == len(state.ids)
         for i, tid in enumerate(state.ids.tolist()):
             forecast, rep = expected[state, tid]
-            assert np.array_equal(state.forecast[i], forecast_row(forecast))
+            assert np.array_equal(state.forecast[:, i], forecast_row(forecast))
             assert np.array_equal(state.rep[i], rep.values)
 
     def forked(frame, params):

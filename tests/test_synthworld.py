@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import equivalence_scenarios, rows_to_boxes
 
+from adptrack import synthworld
 from adptrack.base_tracker import TrackerParams, run as run_base
 from adptrack.core import box_array
 from adptrack.metrics import evaluate
@@ -138,3 +140,27 @@ def test_scene_bits_are_pinned(tmp_path):
             bits.update(np.int64(identity).tobytes() + vec.values.tobytes())
         files.update(_digest(tmp_path, sc, "pin").encode())
     assert (bits.hexdigest(), files.hexdigest()) == (SCENE_BITS, SCENE_FILES)
+
+
+def test_occluder_search_takes_chunks_of_frames(monkeypatch):
+    """The occluder search takes the (frames, identities, identities) block a chunk of frames at a time, under a fixed
+    cell budget: a 300-frame, 60-identity scene peaks under 30 MB (69 MB as one block), and chunks of any size give
+    the scene bits of one block."""
+    tracemalloc.start()
+    try:
+        generate(ScenarioConfig(seed=3, frames=300, identities=60, crossings=10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
+
+    def bits(scene):
+        return [scene.gt, *([f.boxes.tobytes(), f.features.tobytes(), f.confidences.tobytes()] for f in scene.det_frames)]
+
+    cfg = ScenarioConfig(seed=7, frames=40, identities=8, crossings=3, det_noise_px=0.4, feature_noise=0.1, drop_prob_occluded=0.7)
+    one_block = bits(generate(cfg))
+    assert 40 * 8 * 8 <= synthworld._OCCLUDER_CELLS
+    # chunks of 5 frames, then of one frame each: a budget below one frame's cells still takes a frame per chunk
+    for cells in (5 * 8 * 8 + 3, 1):
+        monkeypatch.setattr(synthworld, "_OCCLUDER_CELLS", cells)
+        assert bits(generate(cfg)) == one_block
