@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .core import BoundingBox, Detection, FeatureVec, FrameData, from_center, iou, to_center  # noqa: F401
+from .core import BoundingBox, Detection, FeatureVec, FrameData, Sequence, from_center, iou, to_center  # noqa: F401
 from .assignment import Matching, WeightMatrix, brute_force_match, hungarian_max  # noqa: F401
 from .base_tracker import TrackerParams, TrackerState  # noqa: F401
 from .rollout import AdpConfig, Variant  # noqa: F401

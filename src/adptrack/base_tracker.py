@@ -3,23 +3,25 @@
 `TrackerState` holds the live tracks as rows of arrays: each track's id,
 one-step forecast (the filter state predicted for the next frame, a column
 of `motion`'s (11, T) component planes), representative feature, last
-matched frame and the detection matched there. Per frame the tracker
-scores each track/detection pair by the minimum of forecast-box
+matched frame and the row of the `core.Sequence` matched there. Per frame
+the tracker scores each track/detection pair by the minimum of forecast-box
 overlap and gated appearance similarity, solves a thresholded max-weight
 matching and applies the usual lifecycle to all rows at once: matched rows
 are corrected and refreshed, a track whose last match lies more than
 `max_age` frames back is removed (SORT, Bewley et al., ICIP 2016), every
 surviving row is predicted one frame ahead and confident unmatched
-detections (rows of the frame's arrays) spawn at the filter's
-closed-form prior. Each step reads the frame's `FrameTable` of them, which
-the states that step a frame more than once share through `tables`. A
-state's `hook` sees each match's gated appearance score.
+detections spawn at the filter's closed-form prior. A step names the frame
+by its index and reads the sequence's confident rows and box centers, taken
+once per sequence; a run starts at the first frame with rows and jumps over
+frames without rows while it holds no track. A state's `hook` sees each
+match's gated appearance score.
 
 The gates and rates are fixed, DeepSORT-style (Wojke, Bewley & Paulus, ICIP
 2017): a pair's appearance counts only when its forecast IOU reaches 0.1 and
 its cosine 0.25, the representative feature is an EMA with momentum 0.9, and
-detections below confidence 0.1 are ignored. `TrackerParams` holds the two
-settings callers vary: the match threshold and the maximum age.
+detections below confidence 0.1 (`core.MIN_CONFIDENCE`) are ignored.
+`TrackerParams` holds the two settings callers vary: the match threshold and
+the maximum age.
 
 Each row equals the scalar recursion (`kf_init`, `kf_predict`, `kf_update`,
 `ema_update`) bit for bit. Everything is deterministic; the near-online layer
@@ -35,18 +37,18 @@ import numpy as np
 # cosine_sim, iou, kf_predict and kf_update are the rows' scalar oracles, imported for perfbench/probes.py to wrap.
 from .appearance import cosine_sim, feature_dots  # noqa: F401
 from .assignment import Matching, WeightMatrix, hungarian_max
-from .core import FrameData, iou, iou_matrix, unit_rows  # noqa: F401
-from .motion import batch_boxes, batch_centers, kf_predict, kf_predict_batch, kf_prior_batch, kf_update, kf_update_batch  # noqa: F401
+from .core import Sequence, iou, iou_matrix, unit_rows  # noqa: F401
+from .motion import batch_boxes, kf_predict, kf_predict_batch, kf_prior_batch, kf_update, kf_update_batch  # noqa: F401
 
 __all__ = [
     "TrackerParams",
     "TrackerState",
-    "FrameTable",
     "compute_base_weights",
     "step",
     "fork_at",
     "apply_matching",
     "collect_frame_rows",
+    "track",
     "run",
 ]
 
@@ -55,7 +57,6 @@ __all__ = [
 _APPEARANCE_GATE = 0.25
 _IOU_GATE = 0.1
 _EMA_MOMENTUM = 0.9
-_MIN_CONFIDENCE = 0.1
 
 
 @dataclass(frozen=True)
@@ -71,23 +72,22 @@ class TrackerParams:
 
 
 class TrackerState:
-    """The live tracks as rows, in spawn order, the id counter and the frame cursor.
+    """The live tracks over the sequence `seq` as rows, in spawn order, the id counter and the frame cursor.
 
     Row i of `ids` (T,), `rep` (T, d), `last` (T,) int64 and `matched` (T,), and column i of `forecast`, hold one
-    track's id, representative feature, last matched frame, the index of the detection matched (or spawned from)
-    there and one-step forecast. `forecast` is `motion`'s (11, T) component planes, one C-ordered block. A track
-    lives while its last match lies at most `max_age` frames back; removed tracks leave the arrays, and their ids
-    are never reused. `weighed` is the last weights pass of these rows: (frame, its `FrameTable`, gated appearance
-    scores). `hook`, if set, is called after each `apply_matching` as ``hook(state, frame, keep, quality)``: the
-    rows now start with the old rows `keep`, whose gated appearance scores at `frame` are `quality` (NaN where not
-    matched), then the ones spawned there. `tables`, if set, maps frame indices to the tables that the weights
-    passes take and keep; a driver that steps a frame in several states sets one dict on them all and drops each
-    table after its frame's last step.
+    track's id, representative feature, last matched frame, the row of `seq` matched (or spawned from) there and
+    one-step forecast. `forecast` is `motion`'s (11, T) component planes, one C-ordered block. A track lives while
+    its last match lies at most `max_age` frames back; removed tracks leave the arrays, and their ids are never
+    reused. `weighed` is the last weights pass of these rows: (frame, gated appearance scores). `hook`, if set, is
+    called after each `apply_matching` as ``hook(state, frame, keep, quality)``: the rows now start with the old
+    rows `keep`, whose gated appearance scores at `frame` are `quality` (NaN where not matched), then the ones
+    spawned there.
     """
 
-    __slots__ = ("ids", "forecast", "rep", "last", "matched", "next_id", "params", "frame_cursor", "weighed", "hook", "tables")
+    __slots__ = ("seq", "ids", "forecast", "rep", "last", "matched", "next_id", "params", "frame_cursor", "weighed", "hook")
 
-    def __init__(self, params: TrackerParams, frame_cursor: int = 0):
+    def __init__(self, params: TrackerParams, seq: Sequence, frame_cursor: int = 0):
+        self.seq = seq
         self.ids = np.zeros(0, dtype=np.int64)
         self.forecast = kf_prior_batch(np.zeros((4, 0)))
         self.rep = np.zeros((0, 0))
@@ -98,33 +98,18 @@ class TrackerState:
         self.frame_cursor = frame_cursor
         self.weighed = None
         self.hook = None
-        self.tables = None
 
-    def spawn(self, frame: FrameData, idx: np.ndarray, centers: np.ndarray | None = None) -> None:
-        """New tracks for the detections `idx` after the live ones, at the prior of their boxes' `batch_centers`."""
-        if not len(idx):
+    def spawn(self, frame: int, rows: np.ndarray) -> None:
+        """New tracks at `frame` for the sequence rows `rows` after the live ones, at the prior of their centers."""
+        if not len(rows):
             return
-        centers = batch_centers(frame.boxes[idx]) if centers is None else centers
-        self.ids = np.concatenate([self.ids, np.arange(self.next_id, self.next_id + len(idx))])
-        self.next_id += len(idx)
-        self.forecast = np.concatenate([self.forecast, kf_prior_batch(centers)], axis=1)
-        self.rep = np.concatenate([self.rep, frame.features[idx]]) if len(self.rep) else frame.features[idx]
-        self.last = np.concatenate([self.last, np.full(len(idx), frame.index)])
-        self.matched = np.concatenate([self.matched, idx])
+        self.ids = np.concatenate([self.ids, np.arange(self.next_id, self.next_id + len(rows))])
+        self.next_id += len(rows)
+        self.forecast = np.concatenate([self.forecast, kf_prior_batch(self.seq.centers[:, rows])], axis=1)
+        self.rep = np.concatenate([self.rep, self.seq.features[rows]]) if len(self.rep) else self.seq.features[rows]
+        self.last = np.concatenate([self.last, np.full(len(rows), frame)])
+        self.matched = np.concatenate([self.matched, rows])
         self.weighed = None
-
-
-class FrameTable:
-    """What a step over a frame reads of its confident detections: their read-only indices `det_idx`, their `boxes`
-    and the boxes' (4, n) `batch_centers` planes, whose columns equal those of any subset bit for bit."""
-
-    __slots__ = ("det_idx", "boxes", "centers")
-
-    def __init__(self, frame: FrameData):
-        self.det_idx = np.flatnonzero(frame.confidences >= _MIN_CONFIDENCE)
-        self.det_idx.flags.writeable = False
-        self.boxes = frame.boxes[self.det_idx]
-        self.centers = batch_centers(self.boxes)
 
 
 def _gate(overlap: np.ndarray, dots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,7 +133,7 @@ def _ema(rep: np.ndarray, obs: np.ndarray) -> np.ndarray:
     return unit
 
 
-def compute_base_weights(state: TrackerState, frame: FrameData) -> WeightMatrix:
+def compute_base_weights(state: TrackerState, frame: int) -> WeightMatrix:
     """Pairwise fused weights: live tracks x confident detections.
 
     Each entry is min(forecast IOU, gated cosine) of its pair; a pair whose
@@ -156,23 +141,22 @@ def compute_base_weights(state: TrackerState, frame: FrameData) -> WeightMatrix:
     feature products are taken only inside the gate. The gated appearance
     scores (0 outside the IOU gate) stay on the state for `apply_matching`.
     """
-    if frame.index != state.frame_cursor + 1:
-        raise ValueError(f"out-of-order frame {frame.index}, expected {state.frame_cursor + 1}")
-    tables = {} if state.tables is None else state.tables
-    table = tables[frame.index] = tables.get(frame.index) or FrameTable(frame)
-    overlap = iou_matrix(batch_boxes(state.forecast), table.boxes)
+    if frame != state.frame_cursor + 1:
+        raise ValueError(f"out-of-order frame {frame}, expected {state.frame_cursor + 1}")
+    dets, boxes = state.seq.confident(frame)
+    overlap = iou_matrix(batch_boxes(state.forecast), boxes)
     rows, cols = np.nonzero(overlap >= _IOU_GATE)
     weights, gated = np.zeros(overlap.shape), np.zeros(overlap.shape)
     if rows.size:
-        weights[rows, cols], gated[rows, cols] = _gate(overlap[rows, cols], feature_dots(state.rep[rows], frame.features[table.det_idx[cols]]))
-    state.weighed = (frame, table, gated)
+        weights[rows, cols], gated[rows, cols] = _gate(overlap[rows, cols], feature_dots(state.rep[rows], state.seq.features[dets[cols]]))
+    state.weighed = (frame, gated)
     return WeightMatrix(weights)
 
 
-def apply_matching(state: TrackerState, frame: FrameData, matching: Matching) -> None:
+def apply_matching(state: TrackerState, frame: int, matching: Matching) -> None:
     """Advance one frame applying the lifecycle implied by a matching.
 
-    Matching rows index the state's rows, columns the frame's confident detections (`FrameTable.det_idx`).
+    Matching rows index the state's rows, columns the frame's confident rows (`Sequence.confident`).
     It consumes the `compute_base_weights` pass of this state and frame. The
     matched rows are taken together: each forecast is corrected with its
     detection and each representative feature blended with the detection's.
@@ -180,33 +164,34 @@ def apply_matching(state: TrackerState, frame: FrameData, matching: Matching) ->
     and predicted; unmatched confident detections spawn after them. The hook
     then sees the kept rows and the pass's gated appearance scores.
     """
-    if state.weighed is None or state.weighed[0] is not frame:
-        raise ValueError(f"apply_matching needs a compute_base_weights pass of this state for frame {frame.index}")
-    (_, table, gated), state.weighed = state.weighed, None
+    if state.weighed is None or state.weighed[0] != frame:
+        raise ValueError(f"apply_matching needs a compute_base_weights pass of this state for frame {frame}")
+    (_, gated), state.weighed = state.weighed, None
+    dets = state.seq.confident(frame)[0]
     rows, cols = np.array(matching.pairs, dtype=np.intp).reshape(-1, 2).T
-    matched = table.det_idx[cols]
+    matched = dets[cols]
     if rows.size:
-        state.forecast[:, rows] = kf_update_batch(state.forecast.take(rows, axis=1), table.centers.take(cols, axis=1))
-        state.rep[rows] = _ema(state.rep[rows], frame.features[matched])
-        state.last[rows], state.matched[rows] = frame.index, matched
+        state.forecast[:, rows] = kf_update_batch(state.forecast.take(rows, axis=1), state.seq.centers[:, matched])
+        state.rep[rows] = _ema(state.rep[rows], state.seq.features[matched])
+        state.last[rows], state.matched[rows] = frame, matched
     if state.hook is not None:
         quality = np.full(len(state.ids), np.nan)
         quality[rows] = gated[rows, cols]
 
-    keep = np.flatnonzero(state.last >= frame.index - state.params.max_age)
+    keep = np.flatnonzero(state.last >= frame - state.params.max_age)
     if len(keep) < len(state.ids):
         state.ids, state.rep, state.last, state.matched = (a[keep] for a in (state.ids, state.rep, state.last, state.matched))
         state.forecast = state.forecast.take(keep, axis=1)
     kf_predict_batch(state.forecast, out=state.forecast)
-    free = np.ones(len(table.det_idx), dtype=bool)
+    free = np.ones(len(dets), dtype=bool)
     free[cols] = False
-    state.spawn(frame, table.det_idx[free], table.centers.compress(free, axis=1))
-    state.frame_cursor = frame.index
+    state.spawn(frame, dets[free])
+    state.frame_cursor = frame
     if state.hook is not None:
         state.hook(state, frame, keep, quality[keep])
 
 
-def step(state: TrackerState, frame: FrameData) -> tuple[TrackerState, Matching]:
+def step(state: TrackerState, frame: int) -> tuple[TrackerState, Matching]:
     """One online tracking step: weights, gated matching, lifecycle."""
     weights = compute_base_weights(state, frame)
     matching = hungarian_max(weights, state.params.match_threshold)
@@ -214,30 +199,39 @@ def step(state: TrackerState, frame: FrameData) -> tuple[TrackerState, Matching]
     return state, matching
 
 
-def fork_at(frame: FrameData, params: TrackerParams) -> TrackerState:
-    """Fresh tracker seeded with one track per detection of this frame.
+def fork_at(seq: Sequence, frame: int, params: TrackerParams) -> TrackerState:
+    """Fresh tracker seeded with one track per row of this frame.
 
     Used by the near-online simulation, which treats this frame as the first
     frame of a new sequence and carries no earlier information.
     """
-    state = TrackerState(params, frame_cursor=frame.index)
-    state.spawn(frame, np.arange(len(frame.boxes)))
+    rows = seq.rows(frame)
+    state = TrackerState(params, seq, frame_cursor=frame)
+    state.spawn(frame, np.arange(rows.start, rows.stop))
     return state
 
 
-def collect_frame_rows(state: TrackerState, frame: FrameData) -> np.ndarray:
-    """(frame, track id, detection index) rows, as a (k, 3) array, of the tracks whose last match is this frame."""
-    rows = np.flatnonzero(state.last == frame.index)
-    return np.stack([np.full(len(rows), frame.index), state.ids[rows], state.matched[rows]], axis=1)
+def collect_frame_rows(state: TrackerState, frame: int) -> np.ndarray:
+    """(frame, track id, sequence row) rows, as a (k, 3) array, of the tracks whose last match is this frame."""
+    rows = np.flatnonzero(state.last == frame)
+    return np.stack([np.full(len(rows), frame), state.ids[rows], state.matched[rows]], axis=1)
 
 
-def run(frames: list[FrameData], params: TrackerParams) -> np.ndarray:
-    """Track a whole sequence online; returns the per-frame result rows of `collect_frame_rows`, stacked."""
-    if not frames:
+def track(state: TrackerState, step_frame) -> np.ndarray:
+    """Step the state through its sequence by ``step_frame(state, frame)`` and stack the `collect_frame_rows` of
+    each frame, from the first with rows on; while the state holds no track, a step over a frame without rows would
+    change nothing but the cursor, so the walk jumps to the next frame with rows."""
+    seq, frame, rows = state.seq, 1, [np.zeros((0, 3), dtype=np.int64)]
+    if not seq.last:
         raise ValueError("cannot track an empty sequence")
-    state = TrackerState(params, frame_cursor=frames[0].index - 1)
-    rows = []
-    for frame in frames:
-        step(state, frame)
+    while (frame := frame if len(state.ids) else seq.next_busy(frame)) <= seq.last:
+        state.frame_cursor = frame - 1
+        step_frame(state, frame)
         rows.append(collect_frame_rows(state, frame))
+        frame += 1
     return np.concatenate(rows)
+
+
+def run(seq: Sequence, params: TrackerParams) -> np.ndarray:
+    """Track a whole sequence online, one `step` per frame that `track` walks."""
+    return track(TrackerState(params, seq), step)

@@ -20,7 +20,6 @@ from . import __version__
 from .base_tracker import TrackerParams
 from .base_tracker import run as run_base
 from .mda_dp import MdaInstance, avs_solve, exact_solve
-from .core import frame_rows
 from .metrics import DEFAULT_IOU_THRESHOLD, BoxTable, evaluate
 from .motio import (
     DataError,
@@ -92,9 +91,8 @@ def _write_manifest(out_path: Path, command: str, args: dict, inputs: list, outp
 
 
 def _load_sequence(dets_path, features_path):
-    frames = read_detections(dets_path)
-    table = read_features(features_path, frames)
-    return attach_features(frames, table)
+    dets = read_detections(dets_path)
+    return attach_features(dets, read_features(features_path, dets))
 
 
 def _tracker_params(ns) -> TrackerParams:
@@ -115,15 +113,12 @@ def _metric_cells(report) -> str:
 
 
 def cmd_track(ns) -> int:
-    frames = _load_sequence(ns.dets, ns.features)
-    if not frames:
+    seq = _load_sequence(ns.dets, ns.features)
+    if not seq.last:
         raise DataError(f"{ns.dets}: no frames to track")
     params = _tracker_params(ns)
-    if ns.mode == "base":
-        rows = run_base(frames, params)
-    else:
-        rows = run_adp(frames, params, _adp_config(ns))
-    write_results(ns.out, frames, rows)
+    rows = run_base(seq, params) if ns.mode == "base" else run_adp(seq, params, _adp_config(ns))
+    write_results(ns.out, seq, rows)
     _write_manifest(Path(str(ns.out) + ".manifest.json"), "track", vars(ns), [ns.dets, ns.features], [ns.out])
     print(f"wrote {ns.out}: {len(rows)} rows")
     return EXIT_OK
@@ -152,13 +147,11 @@ def cmd_eval(ns) -> int:
 def _emit_scenario(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     scenario = generate(cfg)
-    gt_path = out_dir / "gt.txt"
-    det_path = out_dir / "det.txt"
-    feat_path = out_dir / "features.csv"
+    paths = gt_path, det_path, feat_path = [out_dir / name for name in ("gt.txt", "det.txt", "features.csv")]
     write_gt(gt_path, list(scenario.gt))
-    write_detections(det_path, list(scenario.det_frames))
-    write_features(feat_path, list(scenario.det_frames))
-    return [gt_path, det_path, feat_path]
+    write_detections(det_path, scenario.det_frames)
+    write_features(feat_path, scenario.det_frames)
+    return paths
 
 
 def cmd_synth(ns) -> int:
@@ -187,11 +180,11 @@ def cmd_synth(ns) -> int:
 def _sweep_worker(task):
     """(report, tracking seconds) of one sweep value's config."""
     dets_path, features_path, gt_path, params, cfg = task
-    frames = _load_sequence(dets_path, features_path)
+    seq = _load_sequence(dets_path, features_path)
     start = time.perf_counter()
-    rows = run_adp(frames, params, cfg)
+    rows = run_adp(seq, params, cfg)
     runtime = time.perf_counter() - start
-    pred = BoxTable(rows[:, 0], rows[:, 1], frame_rows(frames, rows[:, ::2], "boxes"))
+    pred = BoxTable(rows[:, 0], rows[:, 1], seq.boxes[rows[:, 2]])
     return evaluate(read_gt(gt_path), pred), runtime
 
 

@@ -1,11 +1,12 @@
 """Shared domain types and bounding-box geometry.
 
 Boxes use the MOTChallenge-native top-left/width/height convention so that
-file values round-trip without coordinate conversion. A `FrameData` holds a
-frame's detections as read-only array rows, checked in bulk where they enter;
-a `Detection` (box, appearance feature, confidence) is one row as objects,
-which only the scalar oracles read. Frame indices are 1-based in files and
-stored as-is; internal code only relies on their order.
+file values round-trip without coordinate conversion. A `Sequence` holds a
+sequence's detections as read-only array rows sorted by frame, checked in
+bulk where they enter, with one offset per frame: a frame is a slice of the
+rows and a detection is a global row index. A `Detection` (box, appearance
+feature, confidence) is one row as objects, which only the scalar oracles
+read. Frame indices are 1-based in files and stored as-is.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -23,15 +25,19 @@ __all__ = [
     "unit_rows",
     "Detection",
     "FrameData",
+    "MIN_CONFIDENCE",
+    "Sequence",
     "iou",
     "box_array",
-    "split_frames",
-    "frame_rows",
     "iou_matrix",
     "iou_array",
     "to_center",
     "from_center",
+    "batch_centers",
 ]
+
+# Rows below this confidence are never tracked: every tracker step ignores them (DeepSORT-style; see `base_tracker`).
+MIN_CONFIDENCE = 0.1
 
 
 @dataclass(frozen=True)
@@ -125,6 +131,13 @@ def from_center(cx: float, cy: float, w: float, h: float) -> BoundingBox:
     return BoundingBox(cx - w / 2.0, cy - h / 2.0, w, h)
 
 
+def batch_centers(boxes: np.ndarray) -> np.ndarray:
+    """`to_center` of every box row, as the planes of `boxes.T`: (4, n) of (n, 4) rows, (4, L, D) of (D, L, 4)."""
+    centers = boxes.T.copy()
+    centers[:2] += centers[2:] / 2.0
+    return centers
+
+
 def feature_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products over the last axis of two broadcast feature arrays: each a C-ordered product vector added in
     numpy's pairwise order, so it equals the same two vectors' multiply-sum taken alone, whatever their layout."""
@@ -213,42 +226,76 @@ class Detection:
             raise ValueError(f"confidence must lie in [0, 1], got {self.confidence}")
 
 
-@dataclass(frozen=True, eq=False)
-class FrameData:
-    """One frame's detections as read-only array rows, in stable file/generation order: `boxes` (N, 4) of (left,
-    top, width, height), unit-norm `features` (N, d) and `confidences` (N,).
-
-    The rows are checked in bulk where they enter (the `motio` readers, `synthworld`), never per frame; every
-    tracker step over the frame, real or simulated, reads these arrays. `detections` is the rows as `Detection`s,
-    derived on first use for the scalar oracles and the tests.
-    """
+class FrameData(NamedTuple):
+    """One frame of a `Sequence`: its index and views of its rows' `boxes`, `features` and `confidences`."""
 
     index: int
     boxes: np.ndarray
     features: np.ndarray
     confidences: np.ndarray
 
+
+@dataclass(frozen=True, eq=False)
+class Sequence:
+    """A sequence's detections as read-only rows, checked in bulk where they enter, sorted by frame and each frame's
+    in stable file order: `boxes` (n, 4) of (left, top, width, height), unit-norm `features` (n, d) and `confidences`
+    (n,). Frame f, from 1 to `last`, holds rows `offsets[f - 1]` to `offsets[f]`. Every tracker step reads these
+    arrays by row index; iterating gives each frame as a `FrameData` of views, for the writers and the tests, and
+    `detections` is the rows as `Detection`s, derived on first use for the scalar oracles and the tests.
+    """
+
+    boxes: np.ndarray
+    features: np.ndarray
+    confidences: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def of_rows(cls, frames: np.ndarray, boxes, features, confidences, last: int | None = None) -> Sequence:
+        """Checked rows with their sorted (n,) frame indices, as frames 1 to `last` (the largest by default), read-only."""
+        last = int(frames.max(initial=0)) if last is None else last
+        seq = cls(boxes, features, confidences, np.searchsorted(frames, np.arange(last + 1), side="right"))
+        for column in (boxes, features, confidences, seq.offsets):
+            column.flags.writeable = False
+        return seq
+
+    @property
+    def last(self) -> int:
+        return len(self.offsets) - 1
+
+    def rows(self, f: int) -> slice:
+        """Frame f's rows."""
+        return slice(self.offsets[f - 1], self.offsets[f])
+
+    def next_busy(self, f: int) -> int:
+        """The first frame from f on that holds rows, or `last` + 1."""
+        return int(np.searchsorted(self.offsets, self.offsets[f - 1], side="right"))
+
+    def __iter__(self) -> Iterator[FrameData]:
+        for f, lo, hi in zip(range(1, self.last + 1), self.offsets.tolist(), self.offsets[1:].tolist()):
+            yield FrameData(f, self.boxes[lo:hi], self.features[lo:hi], self.confidences[lo:hi])
+
+    @cached_property
+    def centers(self) -> np.ndarray:
+        """The rows' (4, n) `batch_centers` planes, read-only; elementwise, so any subset's equal its columns."""
+        centers = batch_centers(self.boxes)
+        centers.flags.writeable = False
+        return centers
+
+    @cached_property
+    def _confident(self) -> tuple[np.ndarray, ...]:
+        rows = np.flatnonzero(self.confidences >= MIN_CONFIDENCE)
+        table = rows, np.searchsorted(rows, self.offsets), self.boxes[rows]
+        for column in table:
+            column.flags.writeable = False
+        return table
+
+    def confident(self, f: int) -> tuple[np.ndarray, np.ndarray]:
+        """Frame f's rows of confidence >= `MIN_CONFIDENCE` and their (k, 4) boxes: views of one read-only table,
+        taken once per sequence, that every tracker step reads."""
+        rows, starts, boxes = self._confident
+        return rows[starts[f - 1] : starts[f]], boxes[starts[f - 1] : starts[f]]
+
     @cached_property
     def detections(self) -> tuple[Detection, ...]:
         vecs = FeatureVec.of_unit_rows(self.features)
         return tuple(map(Detection, map(BoundingBox, *self.boxes.T.tolist()), vecs, self.confidences.tolist()))
-
-
-def split_frames(last: int, frames: np.ndarray, boxes: np.ndarray, features: np.ndarray, confidences: np.ndarray) -> list[FrameData]:
-    """Frames 1 to `last` of checked rows sorted by their (n,) frame indices `frames`, each holding its slices of the
-    (n, 4) `boxes`, (n, d) `features` and (n,) `confidences`, which become read-only; frames without rows share one
-    set of empty slices."""
-    columns = (boxes, features, confidences)
-    for column in columns:
-        column.flags.writeable = False
-    empty = [column[:0] for column in columns]
-    bounds = np.searchsorted(frames, np.arange(1, last + 2)).tolist()
-    return [FrameData(f, *([c[lo:hi] for c in columns] if hi > lo else empty)) for f, lo, hi in zip(range(1, last + 1), bounds, bounds[1:])]
-
-
-def frame_rows(frames: list[FrameData], keys: np.ndarray, attr: str) -> np.ndarray:
-    """Row j of frame f's `attr` array ("boxes", "features" or "confidences") for each (f, j) row of the (n, 2) int
-    `keys`, gathered from `frames`, a non-empty list of consecutive frames."""
-    starts = np.cumsum([0] + [len(frame.boxes) for frame in frames])
-    parts = [getattr(frame, attr) for frame in frames if len(frame.boxes)] or [getattr(frames[0], attr)]
-    return np.concatenate(parts)[starts[keys[:, 0] - frames[0].index] + keys[:, 1]]

@@ -4,11 +4,12 @@ Detection and ground-truth files use the usual comma-separated rows
 ``frame,id,left,top,width,height,conf[,...]``. Features travel in a separate
 CSV keyed by (frame, detection index within frame); vectors are normalized on
 load, so any positive rescaling of the raw file leaves downstream cosine
-computations unchanged. A detection file is read into checked rows,
-`DetectionRows`, its sidecar into one block of unit rows in detection-row
-order, and `attach_features` slices both into one `FrameData` per frame: no
-per-detection object is built between reading the files and writing the
-result file. A ground-truth or result file is read once into a
+computations unchanged. A detection file is read into the checked rows of a
+`core.Sequence`, with an offset per frame, its sidecar into one block of
+unit rows in row order, which `attach_features` puts into the sequence: no
+per-frame or per-detection object is built between reading the files and
+writing the result file, whose rows name sequence rows. A ground-truth or
+result file is read once into a
 `metrics.BoxTable`. All three readers share one column reader and one error
 rule: a bad file raises a `DataError` for its first bad line and that line's
 first failing check. Result files are written with 6 significant digits and
@@ -18,17 +19,16 @@ a fixed sort order so reruns are byte-comparable.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
-from .core import FrameData, frame_rows, split_frames, unit_rows
+from .core import FrameData, Sequence, unit_rows
 from .metrics import BoxTable, LabeledBox
 
 __all__ = [
     "DataError",
     "MAX_FRAME_INDEX",
-    "DetectionRows",
     "read_detections",
     "read_gt",
     "read_features",
@@ -40,24 +40,13 @@ __all__ = [
 ]
 
 
-# `attach_features` returns one frame per index up to the largest, so an
-# index this far past any real sequence (over 9 hours at 30 fps) would only
-# build empty frames; it is rejected instead.
+# A `Sequence` holds one offset per frame index up to the largest, so an index far past any real sequence
+# (this one is over 9 hours at 30 fps) would only grow that array; it is rejected instead.
 MAX_FRAME_INDEX = 1_000_000
 
 
 class DataError(ValueError):
     """Malformed or inconsistent input data."""
-
-
-@dataclass(frozen=True, eq=False)
-class DetectionRows:
-    """A detection file's checked rows, stably sorted by frame, as read-only arrays: `frames` (n,) int64,
-    `boxes` (n, 4) float64 of (left, top, width, height) and `confidences` (n,) float64."""
-
-    frames: np.ndarray
-    boxes: np.ndarray
-    confidences: np.ndarray
 
 
 def _numbered_lines(path):
@@ -143,8 +132,8 @@ class _Rows:
             raise DataError(f"{self.path}:{self.lines[self.stop][0]}: {self.error}")
 
 
-def read_detections(path) -> DetectionRows:
-    """Read and check a detection file into `DetectionRows`; `attach_features` builds the detections.
+def read_detections(path) -> Sequence:
+    """Read and check a detection file into a `Sequence` of its rows, with (n, 0) features until `attach_features`.
 
     A line needs at least 7 fields: `int` frame and id, finite `float` box and confidence, a frame in
     [1, `MAX_FRAME_INDEX`], a box whose area is a positive float and a confidence in [0, 1].
@@ -158,10 +147,7 @@ def read_detections(path) -> DetectionRows:
     rows.check(np.flatnonzero(~((conf >= 0.0) & (conf <= 1.0))), lambda i: f"confidence {float(conf[i])} outside [0, 1]")
     rows.raise_first()
     order = np.argsort(frames, kind="stable")
-    columns = frames[order], np.stack([left, top, width, height], axis=1)[order], conf[order]
-    for column in columns:
-        column.flags.writeable = False
-    return DetectionRows(*columns)
+    return Sequence.of_rows(frames[order], np.stack([left, top, width, height], axis=1)[order], np.zeros((len(order), 0)), conf[order])
 
 
 def read_gt(path) -> BoxTable:
@@ -182,7 +168,7 @@ def read_gt(path) -> BoxTable:
     return BoxTable(frames, ids, boxes)
 
 
-def read_features(path, dets: DetectionRows) -> np.ndarray:
+def read_features(path, dets: Sequence) -> np.ndarray:
     """Parse the feature sidecar into a read-only (n, dim) block of unit rows, row i the feature of row i of `dets`.
 
     After the header a line needs exactly 2 + dim fields: `int` frame and detection index (within its frame), a
@@ -209,13 +195,14 @@ def read_features(path, dets: DetectionRows) -> np.ndarray:
     rows.check(failed, lambda i: message)
     rows.raise_first()
 
-    first = np.searchsorted(dets.frames, frames)  # the detection row of each key's frame and index 0
-    named = (det_idx >= 0) & (det_idx < np.searchsorted(dets.frames, frames, side="right") - first)
+    # The first row and the end of each key's frame; a frame outside the sequence's gets no rows.
+    first, end = dets.offsets[np.clip([frames - 1, frames], 0, dets.last)]
+    named = (det_idx >= 0) & (det_idx < end - first)
     at = first[named] + det_idx[named]  # keys are unique, so no two rows name one detection
-    if len(at) < len(dets.frames):  # the first uncovered row in row order has the smallest missing key
-        i = int(np.argmin(np.isin(np.arange(len(dets.frames)), at)))
-        det = i - np.searchsorted(dets.frames, dets.frames[i])
-        raise DataError(f"{path}: missing feature row for frame {dets.frames[i]}, detection {det}")
+    if len(at) < len(dets.boxes):  # the first uncovered row in row order has the smallest missing key
+        i = int(np.argmin(np.isin(np.arange(len(dets.boxes)), at)))
+        frame = int(np.searchsorted(dets.offsets, i, side="right"))
+        raise DataError(f"{path}: missing feature row for frame {frame}, detection {i - dets.offsets[frame - 1]}")
     if not named.all():
         i = int(np.argmin(named))
         raise DataError(f"{path}:{rows.lines[i][0]}: feature row for nonexistent detection (frame {frames[i]}, index {det_idx[i]})")
@@ -224,12 +211,9 @@ def read_features(path, dets: DetectionRows) -> np.ndarray:
     return block
 
 
-def attach_features(dets: DetectionRows, features: np.ndarray) -> list[FrameData]:
-    """The detection rows and their `read_features` block as one `FrameData` per frame, in stable file order.
-
-    Frames absent from the file come back empty, so indices stay contiguous from 1 to the largest.
-    """
-    return split_frames(int(dets.frames.max(initial=0)), dets.frames, dets.boxes, features, dets.confidences)
+def attach_features(dets: Sequence, features: np.ndarray) -> Sequence:
+    """The sequence of `read_detections` with its `read_features` block; frames absent from the file hold no rows."""
+    return replace(dets, features=features)
 
 
 def _mot_rows(frames: list, ids: list, boxes: np.ndarray, confidences: np.ndarray) -> str:
@@ -238,16 +222,15 @@ def _mot_rows(frames: list, ids: list, boxes: np.ndarray, confidences: np.ndarra
     return "".join(map("%d,%d,%.6g,%.6g,%.6g,%.6g,%.6g,-1,-1,-1\n".__mod__, rows))
 
 
-def write_results(path, frames: list[FrameData], rows) -> None:
-    """Write tracker result rows (frame, track id, detection index within `frames`), MOT result format."""
+def write_results(path, seq: Sequence, rows) -> None:
+    """Write tracker result rows (frame, track id, row of `seq`), MOT result format."""
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
     rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
-    boxes, confidences = (frame_rows(frames, rows[:, ::2], attr) for attr in ("boxes", "confidences"))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_mot_rows(rows[:, 0].tolist(), rows[:, 1].tolist(), boxes, confidences))
+        fh.write(_mot_rows(rows[:, 0].tolist(), rows[:, 1].tolist(), seq.boxes[rows[:, 2]], seq.confidences[rows[:, 2]]))
 
 
-def write_detections(path, frames: list[FrameData]) -> None:
+def write_detections(path, frames: Sequence | list[FrameData]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for f in frames:
             fh.write(_mot_rows([f.index] * len(f.boxes), [-1] * len(f.boxes), f.boxes, f.confidences))
@@ -259,7 +242,7 @@ def write_gt(path, boxes: list[LabeledBox]) -> None:
         fh.write("".join(map("%d,%d,%.6g,%.6g,%.6g,%.6g,1,1,1\n".__mod__, rows)))
 
 
-def write_features(path, frames: list[FrameData]) -> None:
+def write_features(path, frames: Sequence | list[FrameData]) -> None:
     dims = {f.features.shape[1] for f in frames if len(f.boxes)}
     if len(dims) > 1:
         raise DataError(f"mixed feature dimensions {sorted(dims)}")

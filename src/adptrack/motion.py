@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BoundingBox, from_center, to_center
+from .core import BoundingBox, batch_centers, from_center, to_center
 
 __all__ = [
     "KalmanState", "kf_init", "kf_predict", "kf_update", "state_to_bbox",
@@ -120,13 +120,6 @@ def state_to_bbox(s: KalmanState) -> BoundingBox:
 
 
 # Batched forms: each element takes the scalar function's operations in the same order, so it equals it bit for bit.
-
-
-def batch_centers(boxes: np.ndarray) -> np.ndarray:
-    """`to_center` of every box row, as the planes of `boxes.T`: (4, n) of (n, 4) rows, (4, L, D) of (D, L, 4)."""
-    centers = boxes.T.copy()
-    centers[:2] += centers[2:] / 2.0
-    return centers
 
 
 def kf_prior_batch(centers: np.ndarray) -> np.ndarray:

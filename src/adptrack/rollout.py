@@ -2,7 +2,7 @@
 
 For each target frame the layer simulates the base tracker forward over a
 truncated horizon, starting fresh at the target frame, which yields one
-tentative track per target detection as (frame, detection index) rows.
+tentative track per target detection as rows of the `core.Sequence`.
 Tracks are then matched to detections with a convex combination of the base
 weight matrix and a similarity matrix from track-versus-tentative-track
 comparisons: the main score compares a track's trusted past features with
@@ -13,8 +13,9 @@ The per-pair functions (`score_main`, `score_f1`, `score_f2`, `score_f3`,
 `candidate_filter`, `crowd_check`) define the scores from a track's forecast,
 representative feature and quality record, each a mean that `_mean` adds
 left to right. `score_frame` scores a whole frame from the state's rows, the
-`TrustedRecord` that follows them and the frames' array rows as one masked
-mean that adds the same terms in the same order, equal bit for bit.
+`TrustedRecord` that follows them and the sequence's rows as one masked
+mean that adds the same terms in the same order, equal bit for bit. Real and
+simulated steps read the sequence's arrays by global row.
 """
 
 from __future__ import annotations
@@ -32,13 +33,13 @@ from .base_tracker import (
     TrackerParams,
     TrackerState,
     apply_matching,
-    collect_frame_rows,
     compute_base_weights,
     fork_at,
     step,
+    track,
 )
-from .core import Detection, FeatureVec, FrameData, frame_rows, iou, iou_array
-from .motion import KalmanState, batch_boxes, batch_centers, kf_correct_predict_batch, kf_predict, kf_update, state_to_bbox
+from .core import Detection, FeatureVec, Sequence, batch_centers, iou, iou_array
+from .motion import KalmanState, batch_boxes, kf_correct_predict_batch, kf_predict, kf_update, state_to_bbox
 
 __all__ = [
     "Variant",
@@ -114,27 +115,24 @@ class TentativeTrack:
     entries: tuple[tuple[int, Detection], ...]
 
 
-def simulate_tentative(frames: list[FrameData], params: TrackerParams, tables=None) -> np.ndarray:
-    """Roll the base tracker forward from the first supplied frame, which it treats as a sequence start.
+def simulate_tentative(seq: Sequence, window: range, params: TrackerParams) -> np.ndarray:
+    """Roll the base tracker forward over the frames of `window`, treating its first as a sequence start.
 
-    One tentative track per detection of the first frame, in detection order, as an (N, L, 2) array: row j holds
-    the (frame, detection index) rows of tentative j's spawn and matches, then -1. Only the supplied frames are
-    read, so the horizon truncates silently at the end of a sequence. Its steps share `tables`, if given.
+    One tentative track per row of the first frame, in row order, as a (N, L) array: row j holds the sequence rows
+    of tentative j's spawn and matches, then -1. Only the window's frames are read.
     """
-    if not frames:
+    if not window:
         raise ValueError("simulation needs at least one frame")
-    sim = fork_at(frames[0], params)
-    sim.tables = tables
+    sim = fork_at(seq, window[0], params)
     n = len(sim.ids)
-    log = np.full((n, len(frames)), -1)  # the detection each origin row matched at each frame
+    log = np.full((n, len(window)), -1)  # the row each origin track matched at each frame
     log[:, 0] = sim.matched
-    for k, frame in enumerate(frames[1:], start=1):
+    for k, frame in enumerate(window[1:], start=1):
         step(sim, frame)
         m = np.searchsorted(sim.ids, n, side="right")  # the origin rows lead, with ids 1 to n
-        log[sim.ids[:m] - 1, k] = np.where(sim.last[:m] == frame.index, sim.matched[:m], -1)
+        log[sim.ids[:m] - 1, k] = np.where(sim.last[:m] == frame, sim.matched[:m], -1)
     order = np.argsort(log < 0, axis=1, kind="stable")[:, : (log >= 0).sum(axis=1).max(initial=0)]
-    dets = np.take_along_axis(log, order, axis=1)  # each origin's entries first, in frame order
-    return np.stack([np.where(dets < 0, -1, frames[0].index + order), dets], axis=-1)
+    return np.take_along_axis(log, order, axis=1)  # each origin's entries first, in frame order
 
 
 def _mean_pairwise_cos(past: np.ndarray, entry_feats) -> float:
@@ -235,11 +233,11 @@ class TrustedRecord:
         self.table = np.zeros((0, 4), dtype=np.int64)
         self.slots = np.zeros((0, 2, 0, 0))
 
-    def __call__(self, state: TrackerState, frame: FrameData, keep: np.ndarray, quality: np.ndarray) -> None:
+    def __call__(self, state: TrackerState, frame: int, keep: np.ndarray, quality: np.ndarray) -> None:
         n, spawned = len(keep), len(state.ids) - len(keep)
         if n < len(self.table) or spawned:
             table = np.zeros((n + spawned, 4), dtype=np.int64)
-            table[:n], table[n:, 2] = self.table[keep], frame.index
+            table[:n], table[n:, 2] = self.table[keep], frame
             slots = np.zeros((n + spawned, 2, self.slots.shape[2], state.rep.shape[1]))
             if n:
                 slots[:n] = self.slots[keep]
@@ -253,7 +251,7 @@ class TrustedRecord:
         rows, slots = np.flatnonzero(hit), self.slots
         if rows.size:
             slots[rows, 0, :-1] = slots[rows, 0, 1:]
-            slots[rows, 0, -1] = frame.features[state.matched[rows]]
+            slots[rows, 0, -1] = state.seq.features[state.matched[rows]]
             frozen = np.flatnonzero(hit & ((quality >= self.beta) | (below == count)))
             slots[frozen, 1] = slots[frozen, 0]
             sizes[frozen] = np.minimum(count[frozen], self.window)
@@ -279,11 +277,11 @@ def _frame_walk(forecast: np.ndarray, boxes: np.ndarray, lengths: np.ndarray) ->
     return out
 
 
-def score_frame(state: TrackerState, frames: list[FrameData], tents, cfg: AdpConfig) -> tuple[np.ndarray, np.ndarray]:
+def score_frame(state: TrackerState, tents: np.ndarray, cfg: AdpConfig) -> tuple[np.ndarray, np.ndarray]:
     """Rollout scores z of the state's tracks against the tentatives' detections, and the crowd rows.
 
-    `tents` (D, L, 2) holds each detection's tentative as (frame, detection index) rows into `frames`, then -1;
-    f2's is the detection alone. The crowd rows, which score 0, are one comparison of the counts of the state's
+    `tents` (D, L) holds each detection's tentative as rows of the state's sequence, then -1; f2's is the
+    detection alone. The crowd rows, which score 0, are one comparison of the counts of the state's
     hook, which must be its `TrustedRecord` for `cfg.window` and `cfg.beta`. Each variant is one masked mean of
     (R, D, K, L) terms (scored tracks, detections, window rows, entries) that each pair adds as `_mean` adds
     them, so z equals the per-pair `score_*` functions bit for bit; masked and padded terms are exact zeros.
@@ -301,20 +299,20 @@ def score_frame(state: TrackerState, frames: list[FrameData], tents, cfg: AdpCon
     rows, crowd = np.flatnonzero(~crowded), np.flatnonzero(crowded)
     if not rows.size or not len(tents):
         return z, crowd
-    kept = tents[..., 1] >= 0
+    kept = tents >= 0
     lengths = kept.sum(axis=1)
     kept, entries = kept[:, : lengths.max()], tents[kept]
 
-    def entry_rows(attr, width):  # the entries' rows of the frames' `attr` arrays, zero past each end
-        out = np.zeros((*kept.shape, width))
-        out[kept] = frame_rows(frames, entries, attr)
+    def entry_rows(array):  # the entries' rows of one of the sequence's arrays, zero past each end
+        out = np.zeros((*kept.shape, array.shape[1]))
+        out[kept] = array[entries]
         return out
 
-    feats = entry_rows("features", state.rep.shape[1])
+    feats = entry_rows(state.seq.features)
     per_entry = cfg.variant in (Variant.F1, Variant.F3)
     filtered = cfg.variant is Variant.MAIN and cfg.enable_candidate_filter
     if per_entry or filtered:
-        walk = _frame_walk(state.forecast.take(rows, axis=1), entry_rows("boxes", 4), lengths)
+        walk = _frame_walk(state.forecast.take(rows, axis=1), entry_rows(state.seq.boxes), lengths)
     if cfg.variant is Variant.F3 or filtered:  # f1 reads only the walk IOUs
         cos = np.clip(feature_dots(state.rep[rows][:, None, None], feats), -1.0, 1.0)
     if per_entry:
@@ -349,7 +347,7 @@ def combine_costs(w: WeightMatrix, z: np.ndarray, alpha: float, crowd_rows=()) -
     return WeightMatrix(combined)
 
 
-def adp_step(state: TrackerState, window: list[FrameData], cfg: AdpConfig) -> tuple[TrackerState, Matching]:
+def adp_step(state: TrackerState, window: range, cfg: AdpConfig) -> tuple[TrackerState, Matching]:
     """Match the next frame using base weights blended with rollout scores.
 
     `window` holds the target frame followed by up to `horizon` future
@@ -363,14 +361,12 @@ def adp_step(state: TrackerState, window: list[FrameData], cfg: AdpConfig) -> tu
     frame = window[0]
     weights = compute_base_weights(state, frame)  # validates frame order
 
-    det_idx = state.weighed[1].det_idx
+    dets = state.seq.confident(frame)[0]
     if cfg.variant is Variant.F2:
-        # The no-simulation variant never reads the future frames.
-        window = window[:1]
-        tents = np.stack([np.full(len(det_idx), frame.index), det_idx], axis=-1)[:, None]
+        tents = dets[:, None]  # the no-simulation variant never reads the future frames
     else:
-        tents = simulate_tentative(window, state.params, state.tables)[det_idx]
-    z, crowd_rows = score_frame(state, window, tents, cfg)
+        tents = simulate_tentative(state.seq, window, state.params)[dets - state.seq.rows(frame).start]
+    z, crowd_rows = score_frame(state, tents, cfg)
 
     combined = combine_costs(weights, z, cfg.alpha, crowd_rows)
     matching = hungarian_max(combined, state.params.match_threshold)
@@ -378,24 +374,17 @@ def adp_step(state: TrackerState, window: list[FrameData], cfg: AdpConfig) -> tu
     return state, matching
 
 
-def run(frames: list[FrameData], params: TrackerParams, cfg: AdpConfig) -> np.ndarray:
-    """Track a whole sequence with a sliding rollout window.
-
-    The first frame cold-starts the tracker (every confident detection
-    spawns a track); each later frame is matched by `adp_step` with the
-    window sliding one frame at a time and truncating at the sequence end.
-    The real step and the simulations share each frame's table until the
-    real step, its last reader, is done.
-    """
-    if not frames:
-        raise ValueError("cannot track an empty sequence")
-    state = TrackerState(params, frame_cursor=frames[0].index - 1)
+def run(seq: Sequence, params: TrackerParams, cfg: AdpConfig) -> np.ndarray:
+    """Track a whole sequence with a sliding rollout window, over the frames that `base_tracker.track` walks: a
+    frame entered without tracks is a cold start, a base `step`; every other is matched by `adp_step`, with the
+    window truncating at the sequence end."""
+    state = TrackerState(params, seq)
     state.hook = TrustedRecord(cfg.window, cfg.beta)
-    step(state, frames[0])
-    rows = [collect_frame_rows(state, frames[0])]
-    state.tables = {}
-    for i in range(1, len(frames)):
-        adp_step(state, frames[i : i + cfg.horizon + 1], cfg)
-        del state.tables[frames[i].index]
-        rows.append(collect_frame_rows(state, frames[i]))
-    return np.concatenate(rows)
+
+    def step_frame(state, frame):
+        if len(state.ids):
+            adp_step(state, range(frame, min(frame + cfg.horizon, seq.last) + 1), cfg)
+        else:
+            step(state, frame)
+
+    return track(state, step_frame)

@@ -11,7 +11,8 @@ base features. Non-crossing identities keep their own lane and never touch.
 A scene is built as arrays: each identity's path parameters are drawn into
 per-identity arrays, one expression gives the (frames, identities, 4) ground
 truth box grid, `iou_array` blocks over chunks of frames' (frame, identity,
-identity) cells find the occluders, and an emit mask keeps the detections.
+identity) cells find the occluders, and an emit mask keeps the detections,
+which become the rows of one `core.Sequence`.
 
 All randomness comes from counter-based streams keyed by (seed, frame,
 identity), so output is a pure function of the configuration and frames can
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundingBox, FeatureVec, FrameData, iou_array, split_frames, unit_rows
+from .core import BoundingBox, FeatureVec, Sequence, iou_array, unit_rows
 from .metrics import LabeledBox
 
 __all__ = ["ScenarioConfig", "Scenario", "generate", "occlusion_preset"]
@@ -64,7 +65,7 @@ class ScenarioConfig:
 @dataclass(frozen=True, eq=False)
 class Scenario:
     gt: tuple[LabeledBox, ...]
-    det_frames: tuple[FrameData, ...]
+    det_frames: Sequence  # frames 1 to `frames` of the configuration
     identity_features: dict[int, FeatureVec]
 
 
@@ -175,8 +176,7 @@ def generate(cfg: ScenarioConfig) -> Scenario:
     unit, failed, message = unit_rows(feats[emit])
     if failed or not (np.isfinite(boxes).all() and (boxes[:, 2:] > 0).all() and ((conf >= 0) & (conf <= 1)).all()):
         raise ValueError(message or "detections need finite boxes of positive size and confidences in [0, 1]")
-    det_frames = split_frames(cfg.frames, np.nonzero(emit)[0] + 1, boxes, unit, conf)
-    return Scenario(gt=gt, det_frames=tuple(det_frames), identity_features=identity_features)
+    return Scenario(gt, Sequence.of_rows(np.nonzero(emit)[0] + 1, boxes, unit, conf, last=cfg.frames), identity_features)
 
 
 # Frozen benchmark: 20 crossing scenarios with feature mixing and detection

@@ -1,6 +1,5 @@
 import math
 import time
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,9 +7,9 @@ import pytest
 from adptrack import base_tracker
 from adptrack.appearance import cosine_sim
 from adptrack.base_tracker import TrackerParams, run as run_base
-from adptrack.core import BoundingBox, Detection, FeatureVec, FrameData, box_array, frame_rows, iou
+from adptrack.core import BoundingBox, Detection, FeatureVec, Sequence, box_array, iou
 from adptrack.metrics import LabeledBox
-from adptrack.motio import MAX_FRAME_INDEX, DataError, DetectionRows, _numbered_lines, write_results
+from adptrack.motio import MAX_FRAME_INDEX, DataError, _numbered_lines, write_results
 from adptrack.motion import KalmanState, state_to_bbox
 from adptrack.rollout import AdpConfig, run as run_adp
 from adptrack.synthworld import ScenarioConfig, generate, occlusion_preset
@@ -20,21 +19,31 @@ def make_det(left, top, width=10.0, height=10.0, feature=(1.0, 0.0), conf=0.9):
     return Detection(BoundingBox(left, top, width, height), FeatureVec(feature), conf)
 
 
-def make_frame(index, dets):
-    """A frame holding the rows of `Detection`s, which checked each row as it was built, stacked once."""
-    dets = list(dets)
+def make_seq(frames):
+    """A sequence of a {frame index: `Detection`s} dict, whose detections checked each row as they were built,
+    stacked once; the frames up to the largest index that the dict leaves out hold no rows."""
+    index = sorted(frames)
+    dets = [det for f in index for det in frames[f]]
     features = np.array([det.feature.values for det in dets]) if dets else np.zeros((0, 0))
-    columns = box_array(det.bbox for det in dets), features, np.array([det.confidence for det in dets], dtype=np.float64)
-    for column in columns:
-        column.flags.writeable = False
-    return FrameData(index, *columns)
+    return Sequence.of_rows(
+        np.array([f for f in index for _ in frames[f]], dtype=np.int64),
+        box_array(det.bbox for det in dets),
+        features,
+        np.array([det.confidence for det in dets], dtype=np.float64),
+        last=max(index, default=0),
+    )
+
+
+def frame_of(seq, rows):
+    """The frame of each of the sequence's `rows`."""
+    return np.searchsorted(seq.offsets, rows, side="right")
 
 
 @pytest.fixture(scope="session")
 def preset_base_runs():
     """Each preset scene with its base-mode result rows, tracked once for every test that reads them."""
     scenarios = map(generate, occlusion_preset())
-    return [(scenario, run_base(list(scenario.det_frames), TrackerParams())) for scenario in scenarios]
+    return [(scenario, run_base(scenario.det_frames, TrackerParams())) for scenario in scenarios]
 
 
 def equivalence_scenarios():
@@ -61,7 +70,7 @@ def preset_adp_main_runs():
     """
     start = time.perf_counter()
     cfg = AdpConfig(horizon=10)
-    runs = [(scenario, run_adp(list(scenario.det_frames), TrackerParams(), cfg)) for scenario in map(generate, occlusion_preset())]
+    runs = [(scenario, run_adp(scenario.det_frames, TrackerParams(), cfg)) for scenario in map(generate, occlusion_preset())]
     return runs, time.perf_counter() - start
 
 
@@ -77,10 +86,10 @@ def equivalence_runs(tmp_path_factory):
     path = tmp_path_factory.mktemp("equivalence") / "res.txt"
     runs = []
     for sc_cfg in equivalence_scenarios():
-        frames = list(generate(sc_cfg).det_frames)
-        write_results(path, frames, run_base(frames, TrackerParams()))
+        seq = generate(sc_cfg).det_frames
+        write_results(path, seq, run_base(seq, TrackerParams()))
         base = path.read_bytes()
-        write_results(path, frames, run_adp(frames, TrackerParams(), cfg))
+        write_results(path, seq, run_adp(seq, TrackerParams(), cfg))
         runs.append((base, path.read_bytes()))
     return runs, time.perf_counter() - start
 
@@ -124,9 +133,9 @@ def fused_similarity(forecast, rep, det):
     return min(overlap, gated)
 
 
-def rows_to_boxes(frames, rows):
-    """A run's (frame, track id, detection index) rows as `LabeledBox`es of their detections' boxes."""
-    boxes = frame_rows(frames, rows[:, ::2], "boxes").tolist()
+def rows_to_boxes(seq, rows):
+    """A run's (frame, track id, sequence row) rows as `LabeledBox`es of their detections' boxes."""
+    boxes = seq.boxes[rows[:, 2]].tolist()
     return [LabeledBox(frame=f, id=tid, bbox=BoundingBox(*box)) for (f, tid, _), box in zip(rows.tolist(), boxes)]
 
 
@@ -138,10 +147,11 @@ def _data_lines(path):
 
 
 def detection_rows(frames):
-    """`DetectionRows` of one 5x5 box per given frame, sorted by frame; row j's box has left edge j."""
+    """A `Sequence` of one 5x5 box per given frame without features, as `read_detections` reads; row j's box has
+    left edge j."""
     frames = np.sort(np.asarray(frames, dtype=np.int64))
     boxes = np.array([(j, 0.0, 5.0, 5.0) for j in range(frames.size)]).reshape(-1, 4)
-    return DetectionRows(frames, boxes, np.full(frames.size, 0.9))
+    return Sequence.of_rows(frames, boxes, np.zeros((frames.size, 0)), np.full(frames.size, 0.9))
 
 
 def oracle_read_detections(path):
@@ -150,8 +160,9 @@ def oracle_read_detections(path):
     The reference for `motio.read_detections`: each line's checks run in order
     (field count, int and float parsing, finiteness, frame range, positive
     size, area underflow, confidence range) and the first failure raises.
-    Frame and id are Python ints of any size. The rows come back as read-only
-    arrays, frame by frame in increasing order, each frame's rows in file order.
+    Frame and id are Python ints of any size. The rows come back as a
+    `Sequence` without features, frame by frame in increasing order, each
+    frame's rows in file order.
     """
     per_frame = {}
     for lineno, line in _data_lines(path):
@@ -179,14 +190,12 @@ def oracle_read_detections(path):
             fail(f"confidence {conf} outside [0, 1]")
         per_frame.setdefault(frame, []).append((left, top, width, height, conf))
     rows = [(f, row) for f in sorted(per_frame) for row in per_frame[f]]
-    columns = (
+    return Sequence.of_rows(
         np.array([f for f, _ in rows], dtype=np.int64),
         np.array([row[:4] for _, row in rows], dtype=np.float64).reshape(-1, 4),
+        np.zeros((len(rows), 0)),
         np.array([row[4] for _, row in rows], dtype=np.float64),
     )
-    for column in columns:
-        column.flags.writeable = False
-    return DetectionRows(*columns)
 
 
 def oracle_read_features(path, dets):
@@ -231,7 +240,8 @@ def oracle_read_features(path, dets):
             raise DataError(f"{path}:{lineno}: {exc}") from None
         line_of[key] = lineno
 
-    order = [(frame, j) for frame, n in Counter(dets.frames.tolist()).items() for j in range(n)]
+    counts = np.diff(dets.offsets)
+    order = [(int(frame) + 1, j) for frame in np.flatnonzero(counts) for j in range(counts[frame])]
     expected = set(order)
     missing = expected - rows.keys()
     if missing:

@@ -126,7 +126,7 @@ def test_end_to_end_sanity():
         sc = generate(
             ScenarioConfig(seed=1234, frames=40, identities=5, crossings=0, det_noise_px=0.0, feature_noise=0.0, drop_prob_occluded=0.0)
         )
-        report = evaluate(sc.gt, rows_to_boxes(sc.det_frames, run_base(list(sc.det_frames), PARAMS)))
+        report = evaluate(sc.gt, rows_to_boxes(sc.det_frames, run_base(sc.det_frames, PARAMS)))
         assert report.idf1 == 1.0
         assert report.idsw == 0
 
@@ -140,7 +140,7 @@ def test_occlusion_benchmark(preset_adp_main_runs):
         improved = 0
         base_swap_scenarios = 0
         for sc, adp_rows in runs:
-            rb = evaluate(sc.gt, rows_to_boxes(sc.det_frames, run_base(list(sc.det_frames), PARAMS)))
+            rb = evaluate(sc.gt, rows_to_boxes(sc.det_frames, run_base(sc.det_frames, PARAMS)))
             ra = evaluate(sc.gt, rows_to_boxes(sc.det_frames, adp_rows))
             base_idsw += rb.idsw
             adp_idsw += ra.idsw
@@ -226,14 +226,13 @@ def test_module_invariants():
         sc = generate(
             ScenarioConfig(seed=4242, frames=40, identities=5, crossings=2, det_noise_px=0.5, feature_noise=0.15, drop_prob_occluded=0.9)
         )
-        frames = list(sc.det_frames)
         from adptrack.base_tracker import TrackerState, step
 
-        state = TrackerState(PARAMS, frame_cursor=0)
+        state = TrackerState(PARAMS, sc.det_frames)
         params_short = TrackerParams(max_age=3)
-        churn = TrackerState(params_short, frame_cursor=0)
+        churn = TrackerState(params_short, sc.det_frames)
         seen = ([], [])  # every id each tracker held, in first-seen order
-        for f in frames:
+        for f in range(1, sc.det_frames.last + 1):
             for tracker, ids in zip((state, churn), seen):
                 before = set(tracker.ids.tolist())
                 step(tracker, f)
@@ -246,12 +245,12 @@ def test_module_invariants():
             assert max(ids) < tracker.next_id
         assert len(churn.ids) < len(seen[1])  # removed ids are covered too
 
-        rows1 = run_adp(frames, PARAMS, AdpConfig(horizon=5))
-        rows2 = run_adp(frames, PARAMS, AdpConfig(horizon=5))
+        rows1 = run_adp(sc.det_frames, PARAMS, AdpConfig(horizon=5))
+        rows2 = run_adp(sc.det_frames, PARAMS, AdpConfig(horizon=5))
         assert np.array_equal(rows1, rows2)
-        assert np.array_equal(run_base(frames, PARAMS), run_base(frames, PARAMS))
+        assert np.array_equal(run_base(sc.det_frames, PARAMS), run_base(sc.det_frames, PARAMS))
 
         # metric invariance under prediction-id bijection
-        pred = rows_to_boxes(frames, rows1)
+        pred = rows_to_boxes(sc.det_frames, rows1)
         renamed = [LabeledBox(frame=p.frame, id=p.id * 13 + 5, bbox=p.bbox) for p in pred]
         assert evaluate(sc.gt, pred) == evaluate(sc.gt, renamed)

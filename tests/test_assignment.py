@@ -193,8 +193,7 @@ def test_rollout_matchings_average_few_solves(monkeypatch):
     matches = count_calls(monkeypatch, base_tracker, "hungarian_max")
     monkeypatch.setattr(rollout, "hungarian_max", base_tracker.hungarian_max)
     solves = count_calls(monkeypatch, assignment, "linear_sum_assignment")
-    frames = list(generate(occlusion_preset()[0]).det_frames)
-    rollout.run(frames, TrackerParams(), AdpConfig(horizon=10))
+    rollout.run(generate(occlusion_preset()[0]).det_frames, TrackerParams(), AdpConfig(horizon=10))
     assert matches and len(solves) <= 1.2 * len(matches)
 
 
@@ -344,5 +343,5 @@ def test_crowd_f2_matchings_take_few_solves(monkeypatch):
     matches = count_calls(monkeypatch, rollout, "hungarian_max")
     solves = count_calls(monkeypatch, assignment, "linear_sum_assignment")
     scenario = generate(replace(occlusion_preset()[0], identities=20, crossings=6, seed=9003))
-    rollout.run(list(scenario.det_frames), TrackerParams(), AdpConfig(horizon=10, variant=Variant.F2))
+    rollout.run(scenario.det_frames, TrackerParams(), AdpConfig(horizon=10, variant=Variant.F2))
     assert matches and len(solves) <= 0.5 * len(matches)

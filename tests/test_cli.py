@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from conftest import count_constructions
+from conftest import count_calls, count_constructions
 
-from adptrack import cli
+from adptrack import base_tracker, cli, rollout
 from adptrack.cli import build_parser, main, replay_manifest
 from adptrack.core import BoundingBox, Detection, FeatureVec
 from adptrack.motio import MAX_FRAME_INDEX
@@ -213,6 +213,19 @@ def test_frame_index_past_limit_names_file_and_line(tmp_path, capsys, frame):
     dets.write_text(f"1,-1,10,20,5,40,0.9\n{frame},-1,10,20,5,40,0.9\n")
     assert main(["track", "--dets", str(dets), "--features", str(feats), "--out", str(tmp_path / "o.txt")]) == 2
     assert f"data error: {dets}:2: frame index must lie in [1, {MAX_FRAME_INDEX}], got {frame}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["base", "adp"])
+def test_one_row_at_the_largest_frame_index_takes_one_step(tmp_path, monkeypatch, mode):
+    """A run jumps over the frames without rows that come before its first: a file of one row at frame
+    `MAX_FRAME_INDEX` is tracked with one tracker step, a `step` or an `adp_step`, in either mode."""
+    dets, feats, res = tmp_path / "det.txt", tmp_path / "f.csv", tmp_path / "res.txt"
+    dets.write_text(f"{MAX_FRAME_INDEX},-1,10,20,30,40,0.9\n")
+    feats.write_text(f"frame,det,dim=2\n{MAX_FRAME_INDEX},0,1,0\n")
+    calls = [count_calls(monkeypatch, module, name) for module, name in ((base_tracker, "step"), (rollout, "step"), (rollout, "adp_step"))]
+    assert main(["track", "--dets", str(dets), "--features", str(feats), "--out", str(res), "--mode", mode]) == 0
+    assert sum(map(len, calls)) == 1
+    assert res.read_text() == f"{MAX_FRAME_INDEX},1,10,20,30,40,0.9,-1,-1,-1\n"
 
 
 def test_non_utf8_input_names_file_and_line(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import make_frame
+from conftest import make_seq
 
 from adptrack.core import (
     BoundingBox,
@@ -297,5 +297,5 @@ def test_detection_needs_a_feature():
         with pytest.raises(ValueError, match="needs a FeatureVec feature"):
             Detection(b, feature, 0.5)
     det = Detection(b, FeatureVec([3.0, 4.0]), 0.5)
-    (view,) = make_frame(2, [det]).detections
+    (view,) = make_seq({2: [det]}).detections
     assert (view.bbox, view.feature.values.tolist(), view.confidence) == (b, [0.6, 0.8], 0.5)

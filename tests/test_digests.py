@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import rows_to_boxes
+from conftest import frame_of, rows_to_boxes
 
 from adptrack.base_tracker import TrackerParams
 from adptrack.cli import main
@@ -141,13 +141,9 @@ ADP_CONFIGS = {
 }
 
 
-def _result_bytes(frames, rows, path):
-    write_results(path, frames, rows)
+def _result_bytes(seq, rows, path):
+    write_results(path, seq, rows)
     return path.read_bytes()
-
-
-def _frames(sc_cfg):
-    return list(generate(sc_cfg).det_frames)
 
 
 def test_preset_base_digests(tmp_path, preset_base_runs):
@@ -165,9 +161,9 @@ def test_preset_adp_digests(tmp_path, request, name):
     if name == "main":
         runs = [(sc.det_frames, rows) for sc, rows in request.getfixturevalue("preset_adp_main_runs")[0]]
     else:
-        frames = [_frames(cfg) for cfg in occlusion_preset()[: len(PRESET_ADP[name])]]
-        runs = [(f, run_adp(f, PARAMS, ADP_CONFIGS[name])) for f in frames]
-    got = [hashlib.sha256(_result_bytes(frames, rows, tmp_path / "res.txt")).hexdigest() for frames, rows in runs]
+        seqs = [generate(cfg).det_frames for cfg in occlusion_preset()[: len(PRESET_ADP[name])]]
+        runs = [(seq, run_adp(seq, PARAMS, ADP_CONFIGS[name])) for seq in seqs]
+    got = [hashlib.sha256(_result_bytes(seq, rows, tmp_path / "res.txt")).hexdigest() for seq, rows in runs]
     assert got == PRESET_ADP[name]
 
 
@@ -202,19 +198,18 @@ TENTATIVES = [
 TENTATIVE_SCENES = [*occlusion_preset(), replace(occlusion_preset()[0], identities=20, crossings=6, seed=9003)]
 
 
-def _tentatives_digest(frames):
-    """Each tentative's (frame, detection index) rows mapped back to (frame, box) entries, as they were pinned."""
+def _tentatives_digest(seq):
+    """Each tentative's sequence rows mapped back to (frame, box) entries, as they were pinned."""
     digest = hashlib.sha256()
-    for t in range(len(frames)):
-        window = frames[t : t + 11]
-        for tent in simulate_tentative(window, PARAMS):
-            entries = [(f, BoundingBox(*window[f - window[0].index].boxes[j])) for f, j in tent[tent[:, 1] >= 0].tolist()]
+    for f in range(1, seq.last + 1):
+        for tent in simulate_tentative(seq, range(f, min(f + 10, seq.last) + 1), PARAMS):
+            entries = [(int(frame_of(seq, row)), BoundingBox(*seq.boxes[row])) for row in tent[tent >= 0]]
             digest.update(repr(entries).encode() + b"\n")
     return digest.hexdigest()
 
 
 def test_tentative_digests():
-    assert [_tentatives_digest(_frames(cfg)) for cfg in TENTATIVE_SCENES] == TENTATIVES
+    assert [_tentatives_digest(generate(cfg).det_frames) for cfg in TENTATIVE_SCENES] == TENTATIVES
 
 
 def _report_fields(report):
@@ -230,8 +225,8 @@ def test_crowd_base_report(tmp_path):
     scenario = generate(replace(occlusion_preset()[0], identities=20, crossings=6, seed=9003))
     gt, dets, feats, res = (tmp_path / name for name in ("gt.txt", "det.txt", "features.csv", "res.txt"))
     write_gt(gt, list(scenario.gt))
-    write_detections(dets, list(scenario.det_frames))
-    write_features(feats, list(scenario.det_frames))
+    write_detections(dets, scenario.det_frames)
+    write_features(feats, scenario.det_frames)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["track", "--dets", str(dets), "--features", str(feats), "--out", str(res), "--mode", "base"]) == 0
     assert _report_fields(evaluate(read_gt(gt), read_gt(res))) == CROWD_BASE_REPORT
@@ -280,3 +275,38 @@ def test_cli_output_digests(tmp_path, monkeypatch):
             data = b"".join(line.rsplit(b",", 1)[0] + b"\n" for line in data.splitlines())
         got[path.relative_to(tmp_path).as_posix()] = hashlib.sha256(data).hexdigest()
     assert got == CLI_OUTPUTS
+
+
+# sha256 of the result files of preset scene 0 made sparse through its det and feature files, each file line's
+# frame moved by `SPARSE_MOVES`: every row 40 frames later ("shifted"), or 40 empty frames, more than `max_age`,
+# after frame 36 ("gap"). Pinned before runs jumped over frames without rows, which must change no result.
+SPARSE = {
+    ("gap", "base"): "610a993f4cb8ec5db3edac681c10ff5e113d5b36e955b10ec5763dcbd5b76763",
+    ("gap", "f2"): "8f0ea7328b20a599085b1d2d5f3a15463a10b80f7a56173e85f69d2a2d1f78c0",
+    ("gap", "main"): "7b929e5287dd866652e6feec52e56ee2ea41130c7c01abeee3bca5289678e73d",
+    ("shifted", "base"): "a9f2302b5d0162beadb6da0fb71dbbba2d9f05d987b9245d689607faccaec4a0",
+    ("shifted", "f2"): "7766e1118beaab17899d7680327e53f493a42611974c5e1560e957b913da7f97",
+    ("shifted", "main"): "b828a4f57b7a542b3fd21a6c4b1212d8f5351115a7b3dc771f54361d5ca960b2",
+}
+
+SPARSE_MOVES = {"shifted": lambda f: f + 40, "gap": lambda f: f + 40 if f > 36 else f}
+SPARSE_MODES = {
+    "base": ["--mode", "base"],
+    "main": ["--mode", "adp", "--horizon", "10"],
+    "f2": ["--mode", "adp", "--horizon", "10", "--variant", "f2"],
+}
+
+
+@pytest.mark.parametrize("move, mode", sorted(SPARSE))
+def test_sparse_scene_digests(tmp_path, move, mode):
+    scenario = generate(occlusion_preset()[0])
+    dets, feats, res = (tmp_path / name for name in ("det.txt", "features.csv", "res.txt"))
+    write_detections(dets, scenario.det_frames)
+    write_features(feats, scenario.det_frames)
+    for path, skip in ((dets, 0), (feats, 1)):
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        moved = [f"{SPARSE_MOVES[move](int(frame))},{rest}" for frame, rest in (line.split(",", 1) for line in lines[skip:])]
+        path.write_text("".join(lines[:skip] + moved), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["track", "--dets", str(dets), "--features", str(feats), "--out", str(res), *SPARSE_MODES[mode]]) == 0
+    assert hashlib.sha256(res.read_bytes()).hexdigest() == SPARSE[move, mode]

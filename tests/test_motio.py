@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import count_calls, count_constructions, detection_rows, make_det, make_frame, oracle_read_detections, oracle_read_features, oracle_read_gt, table_rows
+from conftest import count_calls, count_constructions, detection_rows, make_det, make_seq, oracle_read_detections, oracle_read_features, oracle_read_gt, table_rows
 
 from adptrack import cli, core, motio
 from adptrack.base_tracker import TrackerParams, run as run_base
-from adptrack.core import BoundingBox, Detection, FrameData
+from adptrack.core import BoundingBox, Detection
 from adptrack.motio import (
     MAX_FRAME_INDEX,
     DataError,
@@ -32,10 +32,10 @@ def test_read_detections_single_line(tmp_path):
     p = tmp_path / "det.txt"
     p.write_text("1,-1,10,20,30,40,0.9,-1,-1,-1\n")
     rows = read_detections(p)
-    assert rows.frames.tolist() == [1]
+    assert rows.offsets.tolist() == [0, 1]
     assert rows.boxes.tolist() == [[10, 20, 30, 40]]
-    assert rows.confidences.tolist() == [0.9]
-    for column in (rows.frames, rows.boxes, rows.confidences):
+    assert rows.confidences.tolist() == [0.9] and rows.features.shape == (1, 0)
+    for column in (rows.offsets, rows.boxes, rows.features, rows.confidences):
         assert not column.flags.writeable
 
 
@@ -43,49 +43,53 @@ def test_read_detections_empty_file(tmp_path):
     p = tmp_path / "det.txt"
     p.write_text("")
     rows = read_detections(p)
-    assert (rows.frames.shape, rows.boxes.shape, rows.confidences.shape) == ((0,), (0, 4), (0,))
-    assert attach_features(rows, np.zeros((0, 2))) == []
+    assert (rows.offsets.tolist(), rows.boxes.shape, rows.confidences.shape) == ([0], (0, 4), (0,))
+    seq = attach_features(rows, np.zeros((0, 2)))
+    assert seq.last == 0 and list(seq) == []
 
 
 def test_read_detections_regroups_out_of_order(tmp_path):
     p = tmp_path / "det.txt"
     p.write_text("2,-1,0,0,5,5,0.5\n1,-1,1,0,5,5,0.6\n2,-1,2,0,5,5,0.7\n")
     rows = read_detections(p)
-    assert rows.frames.tolist() == [1, 2, 2]
+    assert rows.offsets.tolist() == [0, 1, 3]
     assert rows.boxes[:, 0].tolist() == [1, 0, 2]
     assert rows.confidences.tolist() == [0.6, 0.5, 0.7]
     features = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
-    frames = attach_features(rows, features)
-    assert [f.index for f in frames] == [1, 2]
+    seq = attach_features(rows, features)
+    frames = list(seq)
+    assert [f.index for f in frames] == [1, 2] and seq.offsets is rows.offsets
     assert frames[1].boxes[:, 0].tolist() == [0, 2] and frames[0].boxes[:, 0].tolist() == [1]
     assert frames[1].features.tolist() == [[0.0, 1.0], [0.6, 0.8]] and frames[1].confidences.tolist() == [0.5, 0.7]
-    assert [d.bbox.left for d in frames[1].detections] == [0, 2]
+    assert [d.bbox.left for d in seq.detections[seq.rows(2)]] == [0, 2]
 
 
 def test_read_detections_fills_missing_frames(tmp_path):
     p = tmp_path / "det.txt"
     p.write_text("3,-1,0,0,5,5,0.5\n")
-    frames = attach_features(read_detections(p), np.array([[1.0, 0.0]]))
-    assert [f.index for f in frames] == [1, 2, 3]
-    assert frames[0].detections == () and frames[1].detections == ()
-    assert len(frames[2].detections) == 1
+    seq = attach_features(read_detections(p), np.array([[1.0, 0.0]]))
+    assert [f.index for f in seq] == [1, 2, 3] and seq.offsets.tolist() == [0, 0, 0, 1]
+    assert seq.detections[seq.rows(1)] == () and seq.detections[seq.rows(2)] == ()
+    assert len(seq.detections[seq.rows(3)]) == 1 and seq.next_busy(1) == 3
 
 
 def test_empty_frames_share_zero_length_read_only_rows(tmp_path):
-    """Rows at frames 1 and 4 leave frames 2 and 3 empty: zero-length, read-only arrays of the rows' widths."""
+    """Rows at frames 1 and 4 leave frames 2 and 3 empty: zero-length, read-only views of the rows' widths, which
+    a run jumps over while it holds no track."""
     p, feat = tmp_path / "det.txt", tmp_path / "features.csv"
     p.write_text("4,-1,0,0,5,5,0.5\n1,-1,1,0,5,5,0.6\n")
     feat.write_text("frame,det,dim=3\n4,0,1,0,0\n1,0,0,1,0\n")
     dets = read_detections(p)
-    frames = attach_features(dets, read_features(feat, dets))
-    assert [f.index for f in frames] == [1, 2, 3, 4]
+    seq = attach_features(dets, read_features(feat, dets))
+    frames = list(seq)
+    assert [f.index for f in frames] == [1, 2, 3, 4] and seq.offsets.tolist() == [0, 1, 1, 1, 2]
     assert frames[0].features.tolist() == [[0.0, 1.0, 0.0]] and frames[3].features.tolist() == [[1.0, 0.0, 0.0]]
     for frame in frames[1:3]:
         assert (frame.boxes.shape, frame.features.shape, frame.confidences.shape) == ((0, 4), (0, 3), (0,))
-        assert frame.detections == ()
+        assert seq.detections[seq.rows(frame.index)] == ()
     for frame in frames:
         assert not any(a.flags.writeable for a in (frame.boxes, frame.features, frame.confidences))
-    assert frames[1].boxes is frames[2].boxes and frames[1].features is frames[2].features
+    assert [seq.next_busy(f) for f in (1, 2, 3, 4, 5)] == [1, 4, 4, 4, 5]
 
 
 def test_read_detections_errors_carry_line_numbers(tmp_path):
@@ -129,7 +133,7 @@ def test_read_features_normalizes(tmp_path):
     assert block.shape == (2, 2) and not block.flags.writeable
     assert np.allclose(block, [[1.0, 0.0], [0.6, 0.8]])
     enriched = attach_features(frames, block)
-    assert np.allclose(enriched[0].detections[1].feature.values, [0.6, 0.8])
+    assert np.allclose(enriched.detections[1].feature.values, [0.6, 0.8])
 
 
 def test_read_features_coverage_and_dim_errors(tmp_path):
@@ -195,29 +199,28 @@ def crowd_files(tmp_path_factory):
     scenario = generate(replace(occlusion_preset()[0], identities=20, crossings=6, seed=9003))
     crowd = tmp_path_factory.mktemp("crowd")
     det_path, feat_path = crowd / "det.txt", crowd / "features.csv"
-    write_detections(det_path, list(scenario.det_frames))
-    write_features(feat_path, list(scenario.det_frames))
+    write_detections(det_path, scenario.det_frames)
+    write_features(feat_path, scenario.det_frames)
     return det_path, feat_path
 
 
-def test_loading_builds_one_frame_per_index_and_no_detection(crowd_files, monkeypatch):
-    """Loading the crowd scene of 1 435 rows builds one `FrameData` per frame, after `read_detections`, and no
-    `Detection` or `BoundingBox`: each frame holds slices of the checked row arrays."""
+def test_loading_builds_no_frame_and_no_detection(crowd_files, monkeypatch):
+    """Loading the crowd scene of 1 435 rows builds no per-frame object and no `Detection` or `BoundingBox`: the
+    sequence holds the reader's checked row arrays themselves and one offset per frame."""
     det_path, feat_path = crowd_files
-    built = count_constructions(monkeypatch, (Detection, BoundingBox, FrameData))
-    in_reader = {}
+    built = count_constructions(monkeypatch, (Detection, BoundingBox))
+    monkeypatch.setattr(core.Sequence, "__iter__", lambda seq: pytest.fail("loading iterates the sequence's frames"))
+    read = []
 
-    def read_detections_counted(path, read=cli.read_detections):
-        before = dict(built)
-        rows = read(path)
-        in_reader.update((cls, built[cls] - before[cls]) for cls in built)
-        return rows
+    def read_detections(path, _read=cli.read_detections):
+        read.append(_read(path))
+        return read[-1]
 
-    monkeypatch.setattr(cli, "read_detections", read_detections_counted)
-    frames = cli._load_sequence(det_path, feat_path)
-    assert in_reader == {Detection: 0, BoundingBox: 0, FrameData: 0}
-    assert built == {Detection: 0, BoundingBox: 0, FrameData: 72}
-    assert sum(len(f.boxes) for f in frames) == 1435 and len(frames) == 72
+    monkeypatch.setattr(cli, "read_detections", read_detections)
+    seq = cli._load_sequence(det_path, feat_path)
+    assert built == {Detection: 0, BoundingBox: 0}
+    assert seq.boxes is read[0].boxes and seq.confidences is read[0].confidences
+    assert len(seq.boxes) == 1435 and seq.last == 72 and seq.offsets.shape == (73,)
 
 
 def test_loading_normalises_every_feature_in_one_block(crowd_files, monkeypatch):
@@ -225,10 +228,10 @@ def test_loading_normalises_every_feature_in_one_block(crowd_files, monkeypatch)
     `FeatureVec` through its per-vector constructor; the frames slice that one block."""
     blocks = count_calls(monkeypatch, motio, "unit_rows")
     vectors = count_calls(monkeypatch, core, "unit_rows")  # `FeatureVec.__init__` normalises through it
-    frames = cli._load_sequence(*crowd_files)
+    seq = cli._load_sequence(*crowd_files)
     assert [block.shape for block, in blocks] == [(1435, 16)]
     assert vectors == []
-    assert len({id(f.features.base) for f in frames}) == 1
+    assert len({id(f.features.base) for f in seq}) == 1
 
 
 def test_frame_detections_view_equals_the_frame_rows(tmp_path):
@@ -236,13 +239,13 @@ def test_frame_detections_view_equals_the_frame_rows(tmp_path):
     arrays bit for bit, so the scalar oracles read the numbers the array path reads."""
     scenario = generate(occlusion_preset()[0])
     det_path, feat_path = tmp_path / "det.txt", tmp_path / "features.csv"
-    write_detections(det_path, list(scenario.det_frames))
-    write_features(feat_path, list(scenario.det_frames))
-    frames = cli._load_sequence(det_path, feat_path)
-    assert len(frames) == 72 and sum(len(f.boxes) for f in frames) > 300
-    for frame in frames:
-        dets = frame.detections
-        assert len(dets) == len(frame.boxes) and frame.detections is dets
+    write_detections(det_path, scenario.det_frames)
+    write_features(feat_path, scenario.det_frames)
+    seq = cli._load_sequence(det_path, feat_path)
+    assert seq.last == 72 and len(seq.boxes) > 300 and seq.detections is seq.detections
+    for frame in seq:
+        dets = seq.detections[seq.rows(frame.index)]
+        assert len(dets) == len(frame.boxes)
         for j, det in enumerate(dets):
             b = det.bbox
             assert np.array([b.left, b.top, b.width, b.height]).tobytes() == frame.boxes[j].tobytes()
@@ -253,13 +256,13 @@ def test_frame_detections_view_equals_the_frame_rows(tmp_path):
 
 
 def test_write_results_sorting_and_roundtrip(tmp_path):
-    frames = [
-        make_frame(1, [make_det(0, 0), make_det(5, 5)]),
-        make_frame(2, [make_det(0.123456789, 4, width=11.5, height=20.25, conf=0.875)]),
-    ]
-    rows = [(2, 1, 0), (1, 2, 1), (1, 1, 0)]
+    seq = make_seq({
+        1: [make_det(0, 0), make_det(5, 5)],
+        2: [make_det(0.123456789, 4, width=11.5, height=20.25, conf=0.875)],
+    })
+    rows = [(2, 1, 2), (1, 2, 1), (1, 1, 0)]
     out = tmp_path / "res.txt"
-    write_results(out, frames, rows)
+    write_results(out, seq, rows)
     lines = out.read_text().splitlines()
     assert [l.split(",")[:2] for l in lines] == [["1", "1"], ["1", "2"], ["2", "1"]]
 
@@ -270,7 +273,7 @@ def test_write_results_sorting_and_roundtrip(tmp_path):
 
 def test_write_results_empty(tmp_path):
     out = tmp_path / "res.txt"
-    write_results(out, [make_frame(1, [])], [])
+    write_results(out, make_seq({1: []}), [])
     assert out.read_text() == ""
 
 
@@ -289,14 +292,12 @@ def test_detection_feature_roundtrip(tmp_path):
     sc = generate(ScenarioConfig(seed=4, frames=6, identities=3, feature_noise=0.2))
     det_path = tmp_path / "det.txt"
     feat_path = tmp_path / "features.csv"
-    write_detections(det_path, list(sc.det_frames))
-    write_features(feat_path, list(sc.det_frames))
-    frames = attach_features(read_detections(det_path), read_features(feat_path, read_detections(det_path)))
-    assert len(frames) == 6
-    for orig_frame, parsed_frame in zip(sc.det_frames, frames):
-        assert len(orig_frame.detections) == len(parsed_frame.detections)
-        for od, pd in zip(orig_frame.detections, parsed_frame.detections):
-            assert np.allclose(od.feature.values, pd.feature.values, atol=1e-8)
+    write_detections(det_path, sc.det_frames)
+    write_features(feat_path, sc.det_frames)
+    seq = attach_features(read_detections(det_path), read_features(feat_path, read_detections(det_path)))
+    assert seq.last == 6 and np.array_equal(seq.offsets, sc.det_frames.offsets)
+    for od, pd in zip(sc.det_frames.detections, seq.detections, strict=True):
+        assert np.allclose(od.feature.values, pd.feature.values, atol=1e-8)
 
 
 def test_feature_scaling_leaves_tracker_output_identical(tmp_path):
@@ -305,8 +306,8 @@ def test_feature_scaling_leaves_tracker_output_identical(tmp_path):
     sc = generate(ScenarioConfig(seed=6, frames=15, identities=3, crossings=1, feature_noise=0.1, drop_prob_occluded=0.4))
     det_path = tmp_path / "det.txt"
     feat_path = tmp_path / "features.csv"
-    write_detections(det_path, list(sc.det_frames))
-    write_features(feat_path, list(sc.det_frames))
+    write_detections(det_path, sc.det_frames)
+    write_features(feat_path, sc.det_frames)
 
     scaled_path = tmp_path / "features_scaled.csv"
     lines = feat_path.read_text().splitlines()
@@ -321,9 +322,9 @@ def test_feature_scaling_leaves_tracker_output_identical(tmp_path):
 
     def run_from(feat_file):
         dets = read_detections(det_path)
-        frames = attach_features(dets, read_features(feat_file, dets))
+        seq = attach_features(dets, read_features(feat_file, dets))
         out = tmp_path / f"res_{feat_file.stem}.txt"
-        write_results(out, frames, run_base(frames, params))
+        write_results(out, seq, run_base(seq, params))
         return out.read_bytes()
 
     assert run_from(feat_path) == run_from(scaled_path)
@@ -335,7 +336,7 @@ def test_feature_scaling_leaves_tracker_output_identical(tmp_path):
 # here: drawing the examples, not reading the files, is most of these tests' time.
 _TOKENS = [str(i) for i in range(-3, 41)] + [
     "", " ", "nan", "-inf", "inf", "1e400", "0x10", "1_0", "0.9", "0.5", "-0.0", "0.1", "-2.5", "1e-05",
-    "3.141592653589793", "5e-324", "1e-170", "2.2250738585072014e-308", "1.7976931348623157e+308", "1000001",
+    "3.141592653589793", "5e-324", "1e-170", "2.2250738585072014e-308", "1.7976931348623157e+308", "1000000", "1000001",
     "1000000000", "9223372036854775808", "१", "１", "x", "\x00", "\x1c", "\u2028", "\r", "é", "1 2", "+", ".",
 ]
 _token = st.sampled_from(_TOKENS)
@@ -555,8 +556,8 @@ def _mostly_valid_features(draw):
 
 
 def _rows_content(rows):
-    """Each column of `DetectionRows` as its dtype, shape, writeable flag and bytes."""
-    return [(c.dtype.str, c.shape, c.flags.writeable, c.tobytes()) for c in (rows.frames, rows.boxes, rows.confidences)]
+    """Each array of a `Sequence` as its dtype, shape, writeable flag and bytes."""
+    return [(c.dtype.str, c.shape, c.flags.writeable, c.tobytes()) for c in (rows.offsets, rows.boxes, rows.features, rows.confidences)]
 
 
 def _outcome(read, path):
@@ -641,7 +642,7 @@ def test_integers_beyond_64_bits_are_the_one_difference_from_the_oracles(tmp_pat
     """The per-line readers accept such a key; the column readers reject its line, and the oracle check allows it."""
     det = tmp_path / "det.txt"
     det.write_text(f"1,-1,0,0,5,5,0.9\n2,{2**64},0,0,5,5,0.9\n")
-    assert len(oracle_read_detections(det).frames) == 2
+    assert len(oracle_read_detections(det).boxes) == 2
     with pytest.raises(DataError, match=rf"det.txt:2: integer {2**64} does not fit in 64 bits$"):
         read_detections(det)
     path = str(tmp_path / "input.txt")

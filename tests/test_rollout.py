@@ -1,3 +1,4 @@
+from collections import Counter
 from copy import copy
 from dataclasses import replace
 from types import SimpleNamespace
@@ -6,12 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import count_calls, forecast_row, make_det, make_frame, state_row
+from conftest import count_calls, forecast_row, frame_of, make_det, make_seq, state_row
 
 from adptrack import base_tracker, core, rollout
 from adptrack.appearance import cosine_sim, ema_update, select_quality_window
 from adptrack.assignment import WeightMatrix
-from adptrack.base_tracker import FrameTable, TrackerParams, TrackerState, run as run_base, step
+from adptrack.base_tracker import TrackerParams, TrackerState, run as run_base, step
 from adptrack.core import BoundingBox, FeatureVec, box_array, iou
 from adptrack.motion import KalmanState, batch_centers, kf_init, kf_predict, kf_prior_batch, kf_update, state_to_bbox
 from adptrack.rollout import (
@@ -64,12 +65,9 @@ def _tentative(features, start_frame=3, left=0.0):
     return TentativeTrack(entries=entries)
 
 
-def _tentative_tracks(frames, tents):
-    """Tentatives as (frame, detection index) rows into `frames` turned into the `TentativeTrack`s the per-pair scores read."""
-    return [
-        TentativeTrack(tuple((f, frames[f - frames[0].index].detections[j]) for f, j in tent[tent[:, 1] >= 0].tolist()))
-        for tent in tents
-    ]
+def _tentative_tracks(seq, tents):
+    """Tentatives as rows of `seq` turned into the `TentativeTrack`s the per-pair scores read."""
+    return [TentativeTrack(tuple((int(frame_of(seq, j)), seq.detections[j]) for j in tent[tent >= 0].tolist())) for tent in tents]
 
 
 class _Logged(TrustedRecord):
@@ -82,7 +80,7 @@ class _Logged(TrustedRecord):
         self.calls = []
 
     def __call__(self, state, frame, keep, quality):
-        rows = SimpleNamespace(ids=state.ids.copy(), matched=state.matched.copy(), rep=state.rep[:0])
+        rows = SimpleNamespace(ids=state.ids.copy(), matched=state.matched.copy(), rep=state.rep[:0], seq=state.seq)
         self.calls.append((rows, frame, keep, quality))
         super().__call__(state, frame, keep, quality)
 
@@ -103,7 +101,7 @@ def _histories(state):
         q = np.concatenate([q, np.ones(len(rows.ids) - len(keep))])  # a spawn is a perfect first match
         for tid, j, value in zip(rows.ids.tolist(), rows.matched.tolist(), q.tolist()):
             if value == value:
-                history.setdefault(tid, []).append((frame.index, frame.detections[j]))
+                history.setdefault(tid, []).append((frame, rows.seq.detections[j]))
                 quality.setdefault(tid, []).append(value)
     return history, quality
 
@@ -117,30 +115,27 @@ def _converged_track(positions, start=1):
 
 
 def test_simulate_tentative_stationary():
-    frames = [
-        make_frame(5, [make_det(0, 0), make_det(30, 0, feature=E2)]),
-        make_frame(6, [make_det(0, 0), make_det(30, 0, feature=E2)]),
-    ]
-    tents = simulate_tentative(frames, PARAMS)
-    assert tents.tolist() == [[[5, 0], [6, 0]], [[5, 1], [6, 1]]]
+    seq = make_seq({f: [make_det(0, 0), make_det(30, 0, feature=E2)] for f in (5, 6)})
+    tents = simulate_tentative(seq, range(5, 7), PARAMS)
+    assert tents.tolist() == [[0, 2], [1, 3]]  # the rows of frames 5 and 6
 
 
 def test_simulate_tentative_empty_frame():
-    assert simulate_tentative([make_frame(5, [])], PARAMS).shape == (0, 0, 2)
+    assert simulate_tentative(make_seq({5: []}), range(5, 6), PARAMS).shape == (0, 0)
 
 
 def test_simulate_tentative_truncates():
-    frames = [make_frame(i, [make_det(4.0 * (i - 5), 0)]) for i in range(5, 9)]
-    tents = simulate_tentative(frames, PARAMS)
+    seq = make_seq({i: [make_det(4.0 * (i - 5), 0)] for i in range(5, 10)})
+    tents = simulate_tentative(seq, range(5, 9), PARAMS)
     assert len(tents) == 1
-    entries = tents[0][tents[0][:, 1] >= 0]
+    entries = frame_of(seq, tents[0][tents[0] >= 0])
     assert len(entries) <= 4
-    assert entries[:, 0].min() >= 5 and entries[:, 0].max() <= 8
+    assert entries.min() >= 5 and entries.max() <= 8
 
 
 def test_simulate_tentative_rejects_empty_window():
     with pytest.raises(ValueError):
-        simulate_tentative([], PARAMS)
+        simulate_tentative(make_seq({5: []}), range(5, 5), PARAMS)
 
 
 def test_score_main_examples():
@@ -311,7 +306,7 @@ def test_combine_costs_endpoints_and_blend():
             combine_costs(w, z, alpha, crowd_rows=[1])
 
 
-def _crossing_frames(seed=21, frames=24):
+def _crossing_seq(seed=21, frames=24):
     sc = generate(
         ScenarioConfig(
             seed=seed,
@@ -323,53 +318,53 @@ def _crossing_frames(seed=21, frames=24):
             drop_prob_occluded=0.7,
         )
     )
-    return list(sc.det_frames)
+    return sc.det_frames
 
 
 def test_adp_step_alpha_zero_matches_base_step():
-    frames = _crossing_frames()
+    seq = _crossing_seq()
     cfg = AdpConfig(alpha=0.0, horizon=4, enable_candidate_filter=False, enable_crowd_heuristic=False)
-    state_a = TrackerState(PARAMS, frame_cursor=0)
-    state_b = TrackerState(PARAMS, frame_cursor=0)
+    state_a = TrackerState(PARAMS, seq)
+    state_b = TrackerState(PARAMS, seq)
     state_b.hook = TrustedRecord(cfg.window, cfg.beta)
-    step(state_a, frames[0])
-    step(state_b, frames[0])
-    for i in range(1, len(frames)):
-        _, m_base = step(state_a, frames[i])
-        _, m_adp = adp_step(state_b, frames[i : i + cfg.horizon + 1], cfg)
+    step(state_a, 1)
+    step(state_b, 1)
+    for f in range(2, seq.last + 1):
+        _, m_base = step(state_a, f)
+        _, m_adp = adp_step(state_b, range(f, min(f + cfg.horizon, seq.last) + 1), cfg)
         assert m_base == m_adp
 
 
 def test_adp_step_truncated_window_still_matches():
-    frames = _crossing_frames(frames=6)
-    state = TrackerState(PARAMS, frame_cursor=0)
+    seq = _crossing_seq(frames=6)
+    state = TrackerState(PARAMS, seq)
     cfg = AdpConfig(horizon=15)
     state.hook = TrustedRecord(cfg.window, cfg.beta)
-    step(state, frames[0])
-    _, matching = adp_step(state, frames[1:], cfg)  # only 5 future frames exist
+    step(state, 1)
+    _, matching = adp_step(state, range(2, 7), cfg)  # only 5 future frames exist
     assert isinstance(matching.pairs, tuple)
-    assert state.frame_cursor == frames[1].index
+    assert state.frame_cursor == 2
 
 
 def test_adp_step_scores_each_eligible_detection_with_its_own_tentative(monkeypatch):
     # The target frame's first detection is below the confidence floor and lies
     # elsewhere with another feature, so the eligible detections are not a
     # prefix of the frame's detections.
+    seq = make_seq({
+        1: [make_det(0, 0), make_det(40, 0, feature=E2)],
+        **{f: [make_det(100, 50, feature=(0.6, 0.8), conf=0.05), make_det(0, 0), make_det(40, 0, feature=E2)] for f in (2, 3, 4)},
+    })
+
     def tracked_state():
-        state = TrackerState(PARAMS, frame_cursor=0)
+        state = TrackerState(PARAMS, seq)
         state.hook = TrustedRecord(AdpConfig().window, AdpConfig().beta)
-        step(state, make_frame(1, [make_det(0, 0), make_det(40, 0, feature=E2)]))
+        step(state, 1)
         return state
 
-    window = [
-        make_frame(f, [make_det(100, 50, feature=(0.6, 0.8), conf=0.05), make_det(0, 0), make_det(40, 0, feature=E2)])
-        for f in (2, 3, 4)
-    ]
     calls = count_calls(monkeypatch, rollout, "score_frame")
-    adp_step(tracked_state(), window, AdpConfig())
-    (_, frames, tents, _), = calls
-    assert frames == window
-    assert tents.tolist() == [[[f, j] for f in (2, 3, 4)] for j in (1, 2)]
+    adp_step(tracked_state(), range(2, 5), AdpConfig())
+    (_, tents, _), = calls
+    assert tents.tolist() == [[3, 6, 9], [4, 7, 10]]  # detections 1 and 2 of frames 2, 3 and 4
 
     # f2 scores each eligible detection alone and never simulates
     def no_simulation(*args):
@@ -377,34 +372,32 @@ def test_adp_step_scores_each_eligible_detection_with_its_own_tentative(monkeypa
 
     monkeypatch.setattr(rollout, "simulate_tentative", no_simulation)
     calls.clear()
-    adp_step(tracked_state(), window, AdpConfig(variant=Variant.F2))
-    (_, frames, tents, _), = calls
-    assert frames == window[:1]
-    assert tents.tolist() == [[[2, 1]], [[2, 2]]]
+    adp_step(tracked_state(), range(2, 5), AdpConfig(variant=Variant.F2))
+    (_, tents, _), = calls
+    assert tents.tolist() == [[3], [4]]
 
 
 def test_adp_step_rejects_empty_window():
-    state = TrackerState(PARAMS, frame_cursor=0)
+    state = TrackerState(PARAMS, make_seq({1: []}))
     with pytest.raises(ValueError):
-        adp_step(state, [], AdpConfig())
+        adp_step(state, range(1, 1), AdpConfig())
 
 
 def test_run_single_frame_spawns_without_matching():
-    frames = [make_frame(1, [make_det(0, 0), make_det(40, 0)])]
-    rows = run_adp(frames, PARAMS, AdpConfig())
+    rows = run_adp(make_seq({1: [make_det(0, 0), make_det(40, 0)]}), PARAMS, AdpConfig())
     assert [(f, tid) for f, tid, _ in rows] == [(1, 1), (1, 2)]
 
 
 def test_run_alpha_zero_equals_base_run():
-    frames = _crossing_frames(seed=33, frames=30)
+    seq = _crossing_seq(seed=33, frames=30)
     cfg = AdpConfig(alpha=0.0, horizon=5, enable_candidate_filter=False, enable_crowd_heuristic=False)
-    assert np.array_equal(run_adp(frames, PARAMS, cfg), run_base(frames, PARAMS))
+    assert np.array_equal(run_adp(seq, PARAMS, cfg), run_base(seq, PARAMS))
 
 
 def test_run_deterministic():
-    frames = _crossing_frames(seed=34, frames=25)
+    seq = _crossing_seq(seed=34, frames=25)
     cfg = AdpConfig(horizon=5)
-    assert np.array_equal(run_adp(frames, PARAMS, cfg), run_adp(frames, PARAMS, cfg))
+    assert np.array_equal(run_adp(seq, PARAMS, cfg), run_adp(seq, PARAMS, cfg))
 
 
 def test_variant_scores_stay_in_range():
@@ -423,10 +416,10 @@ def test_variant_scores_stay_in_range():
 
 
 def test_all_variants_run_end_to_end():
-    frames = _crossing_frames(seed=40, frames=18)
+    seq = _crossing_seq(seed=40, frames=18)
     for variant in Variant:
         cfg = AdpConfig(horizon=3, variant=variant)
-        rows = run_adp(frames, PARAMS, cfg)
+        rows = run_adp(seq, PARAMS, cfg)
         assert len(rows), variant
 
 
@@ -453,9 +446,9 @@ def _per_pair_scores(state, dets, tents, cfg):
     return z, crowd
 
 
-def _scored(cfg, frames, tents):
-    """The frames and tentatives `adp_step` passes to `score_frame`: for f2, each target detection alone."""
-    return (frames[:1], tents[:, :1]) if cfg.variant is Variant.F2 else (frames, tents)
+def _scored(cfg, tents):
+    """The tentatives `adp_step` passes to `score_frame`: for f2, each target detection alone."""
+    return tents[:, :1] if cfg.variant is Variant.F2 else tents
 
 
 def _crowd_windows(targets=(15, 35, 55), horizon=10):
@@ -467,21 +460,19 @@ def _crowd_windows(targets=(15, 35, 55), horizon=10):
     tracks are crowd rows. Each state's `_Logged` record lets `_keyed` give it
     a record of any window and beta.
     """
-    sc_cfg = replace(occlusion_preset()[0], identities=20, crossings=6, seed=9003)
-    frames = list(generate(sc_cfg).det_frames)
+    seq = generate(replace(occlusion_preset()[0], identities=20, crossings=6, seed=9003)).det_frames
     f2 = AdpConfig(variant=Variant.F2)
     out = []
     for t in targets:
-        state = TrackerState(PARAMS, frame_cursor=frames[0].index - 1)
+        state = TrackerState(PARAMS, seq)
         state.hook = _Logged(f2.window, f2.beta)
-        step(state, frames[0])
-        for frame in frames[1:t]:
-            adp_step(state, [frame], f2)
-        window = frames[t : t + horizon + 1]
-        det_idx = FrameTable(frames[t]).det_idx
-        tents = simulate_tentative(window, PARAMS)[det_idx]
-        dets = [frames[t].detections[j] for j in det_idx]
-        out.append(SimpleNamespace(state=state, window=window, dets=dets, tents=tents, tracks=_tentative_tracks(window, tents)))
+        step(state, 1)
+        for frame in range(2, t + 1):
+            adp_step(state, range(frame, frame + 1), f2)
+        rows = seq.confident(t + 1)[0]
+        tents = simulate_tentative(seq, range(t + 1, t + horizon + 2), PARAMS)[rows - seq.offsets[t]]
+        dets = [seq.detections[j] for j in rows]
+        out.append(SimpleNamespace(state=state, dets=dets, tents=tents, tracks=_tentative_tracks(seq, tents)))
     return out
 
 
@@ -520,7 +511,7 @@ def test_score_frame_equals_per_pair_scores(crowd_windows, name):
     cfg = BATCH_CONFIGS[name]
     for case in crowd_windows:
         state = _keyed(case.state, cfg)
-        z, crowd = score_frame(state, *_scored(cfg, case.window, case.tents), cfg)
+        z, crowd = score_frame(state, _scored(cfg, case.tents), cfg)
         z_ref, crowd_ref = _per_pair_scores(state, case.dets, case.tracks, cfg)
         assert crowd.tolist() == crowd_ref
         assert np.array_equal(z, z_ref)
@@ -536,8 +527,8 @@ def test_huge_window_scores_like_the_longest_history(crowd_windows, variant):
         longest = replace(huge, window=max(map(len, history.values())))
         state = _keyed(case.state, huge)
         assert state.hook.slots.shape == (len(state.ids), 2, longest.window, state.rep.shape[1])
-        z, crowd = score_frame(state, *_scored(huge, case.window, case.tents), huge)
-        z_ref, crowd_ref = score_frame(_keyed(case.state, longest), *_scored(huge, case.window, case.tents), longest)
+        z, crowd = score_frame(state, _scored(huge, case.tents), huge)
+        z_ref, crowd_ref = score_frame(_keyed(case.state, longest), _scored(huge, case.tents), longest)
         assert np.array_equal(crowd, crowd_ref)
         assert np.array_equal(z, z_ref)
         assert np.count_nonzero(z) > 0
@@ -547,28 +538,28 @@ def test_score_frame_needs_the_record_of_its_window_and_beta(crowd_windows):
     case = crowd_windows[0]
     cfg = AdpConfig(window=9)
     state = _keyed(case.state, cfg)
-    score_frame(state, case.window, case.tents, cfg)
+    score_frame(state, case.tents, cfg)
     for other in (AdpConfig(), AdpConfig(window=9, beta=0.2)):
         with pytest.raises(ValueError, match="TrustedRecord"):
-            score_frame(state, case.window, case.tents, other)
+            score_frame(state, case.tents, other)
     state.hook = TrustedRecord(cfg.window, cfg.beta)  # set after the rows spawned: it follows none of them
     with pytest.raises(ValueError, match="TrustedRecord"):
-        score_frame(state, case.window, case.tents, cfg)
+        score_frame(state, case.tents, cfg)
     state.hook = None
     with pytest.raises(ValueError, match="TrustedRecord"):
-        score_frame(state, case.window, case.tents, cfg)
+        score_frame(state, case.tents, cfg)
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_CONFIGS))
 def test_score_frame_without_tracks_or_detections(crowd_windows, name):
     cfg = BATCH_CONFIGS[name]
     case = crowd_windows[0]
-    empty = TrackerState(PARAMS, frame_cursor=case.state.frame_cursor)
+    empty = TrackerState(PARAMS, case.state.seq, frame_cursor=case.state.frame_cursor)
     empty.hook = TrustedRecord(cfg.window, cfg.beta)
-    z, crowd = score_frame(empty, *_scored(cfg, case.window, case.tents), cfg)
+    z, crowd = score_frame(empty, _scored(cfg, case.tents), cfg)
     assert z.shape == (0, len(case.dets)) and crowd.size == 0
     state = _keyed(case.state, cfg)
-    z, _ = score_frame(state, *_scored(cfg, case.window, case.tents[:0]), cfg)
+    z, _ = score_frame(state, _scored(cfg, case.tents[:0]), cfg)
     assert z.shape == (len(state.ids), 0)
 
 
@@ -608,7 +599,7 @@ def test_score_frame_walks_once_and_multiplies_once_per_window_slot(crowd_window
     for case in crowd_windows:
         state = _keyed(case.state, cfg)
         del ious[:], boxes[:], dots[:]
-        _, crowd = score_frame(state, *_scored(cfg, case.window, case.tents), cfg)
+        _, crowd = score_frame(state, _scored(cfg, case.tents), cfg)
         assert len(state.ids) - len(crowd) > cfg.window + 1
         assert len(ious) == len(boxes) == int(walked)
         assert len(dots) == 0 if cfg.variant is Variant.F1 else 1 <= len(dots) <= cfg.window + 1
@@ -624,7 +615,7 @@ def test_main_multiplies_only_the_cells_the_filter_keeps(crowd_windows, monkeypa
     for case in crowd_windows:
         state = _keyed(case.state, cfg)
         del dots[:]
-        z, crowd = score_frame(state, case.window, case.tents, cfg)
+        z, crowd = score_frame(state, case.tents, cfg)
         kept = 0
         for i in sorted(set(range(len(state.ids))) - set(crowd.tolist())):
             forecast, rep = state_row(state, i)
@@ -634,11 +625,12 @@ def test_main_multiplies_only_the_cells_the_filter_keeps(crowd_windows, monkeypa
         assert (kept > 0) == (cand_iou < 1) == bool(np.count_nonzero(z))
 
 
-def _one_track_state(cfg, feature=(1.0, 0.0)):
-    """A state under a `_Logged` record for cfg, holding one track spawned at frame 3 at x = 8."""
-    state = TrackerState(PARAMS, frame_cursor=2)
+def _one_track_state(cfg, later, feature=(1.0, 0.0)):
+    """A state under a `_Logged` record for cfg, holding one track spawned at frame 3 at x = 8 (row 0), over a
+    sequence whose frames 4 and 5 hold one detection each (rows 1 and 2) of `later`."""
+    state = TrackerState(PARAMS, make_seq({3: [make_det(8, 0, feature=feature)], 4: later[:1], 5: later[1:]}), frame_cursor=2)
     state.hook = _Logged(cfg.window, cfg.beta)
-    step(state, make_frame(3, [make_det(8, 0, feature=feature)]))
+    step(state, 3)
     return state
 
 
@@ -647,11 +639,10 @@ def test_score_frame_sums_negative_zero_products_as_the_mean_does(name):
     # (-1, 0) * (0, -1) is (-0.0, -0.0). `_mean` adds its terms to 0.0, so the score is +0.0; score_frame's
     # running sum starts at its first term and relies on `feature_dots` summing such products to +0.0.
     cfg = replace(BATCH_CONFIGS[name], enable_crowd_heuristic=False)
-    state = _one_track_state(cfg, feature=(-1.0, 0.0))
-    window = [make_frame(4, [make_det(0, 0, feature=(0.0, -1.0))]), make_frame(5, [make_det(4, 0, feature=(0.0, -1.0))])]
-    tents = np.array([[[4, 0], [5, 0]]])
-    z, _ = score_frame(state, *_scored(cfg, window, tents), cfg)
-    z_ref, _ = _per_pair_scores(state, window[0].detections, _tentative_tracks(window, tents), cfg)
+    state = _one_track_state(cfg, [make_det(0, 0, feature=(0.0, -1.0)), make_det(4, 0, feature=(0.0, -1.0))], feature=(-1.0, 0.0))
+    tents = np.array([[1, 2]])
+    z, _ = score_frame(state, _scored(cfg, tents), cfg)
+    z_ref, _ = _per_pair_scores(state, state.seq.detections[1:2], _tentative_tracks(state.seq, tents), cfg)
     assert z.tobytes() == z_ref.tobytes() == np.zeros((1, 1)).tobytes()
 
 
@@ -676,20 +667,19 @@ def test_frame_walk_checks_only_the_walked_states():
 def test_walk_raises_when_the_forecast_overflows():
     # Position and velocity near the float maximum: the first correct-and-predict
     # step of the walk overflows to inf, which no box may hold.
-    state = _one_track_state(AdpConfig())
+    state = _one_track_state(AdpConfig(), [make_det(0, 0), make_det(4, 0)])
     state.forecast[:, 0] = forecast_row(KalmanState([1.7e308, 5.0, 10.0, 10.0, 1.7e308, 0.0, 0.0, 0.0], (1.0, 0.0, 1.0)))
-    window = [make_frame(4, [make_det(0, 0)]), make_frame(5, [make_det(4, 0)])]
-    tents = np.array([[[4, 0], [5, 0]]])
-    tracks = _tentative_tracks(window, tents)
+    tents = np.array([[1, 2]])
+    dets, tracks = state.seq.detections[1:2], _tentative_tracks(state.seq, tents)
     for variant in (Variant.MAIN, Variant.F1, Variant.F3):
         cfg = AdpConfig(variant=variant, enable_crowd_heuristic=False)
         with pytest.raises(ValueError):
-            _per_pair_scores(state, window[0].detections, tracks, cfg)
+            _per_pair_scores(state, dets, tracks, cfg)
         with pytest.raises(ValueError):
-            score_frame(state, window, tents, cfg)
+            score_frame(state, tents, cfg)
     # main without the candidate filter never walks
     cfg = AdpConfig(enable_candidate_filter=False, enable_crowd_heuristic=False)
-    assert np.array_equal(score_frame(state, window, tents, cfg)[0], _per_pair_scores(state, window[0].detections, tracks, cfg)[0])
+    assert np.array_equal(score_frame(state, tents, cfg)[0], _per_pair_scores(state, dets, tracks, cfg)[0])
 
 
 @settings(max_examples=50, deadline=None)
@@ -712,7 +702,7 @@ def test_trusted_record_equals_the_quality_window_and_crowd_check(window, beta, 
     record = TrustedRecord(window, beta)
     ids, next_id, tracks = np.zeros(0, dtype=np.int64), 1, {}  # id -> (features, qualities, spawn frame)
     for f in range(1, frames + 1):
-        frame = SimpleNamespace(index=f, features=rng.normal(size=(6, 3)))
+        seq = SimpleNamespace(features=rng.normal(size=(6, 3)))  # the frame's rows
         dets = rng.permutation(6)
         rows = rng.permutation(len(ids))[: rng.integers(0, min(len(ids), 6) + 1)]
         quality = np.full(len(ids), np.nan)
@@ -722,14 +712,14 @@ def test_trusted_record_equals_the_quality_window_and_crowd_check(window, beta, 
         keep = np.flatnonzero((quality == quality) | (rng.random(len(ids)) < 0.8))
         spawn = dets[len(rows) :][rng.random(6 - len(rows)) < 0.5]
         ids = np.concatenate([ids[keep], np.arange(next_id, next_id + len(spawn))])
-        state = SimpleNamespace(ids=ids, matched=np.concatenate([matched[keep], spawn]), rep=np.zeros((0, 3)))
-        record(state, frame, keep, quality[keep])
+        state = SimpleNamespace(ids=ids, matched=np.concatenate([matched[keep], spawn]), rep=np.zeros((0, 3)), seq=seq)
+        record(state, f, keep, quality[keep])
         for tid, j, q in zip(ids.tolist(), state.matched.tolist(), quality[keep].tolist()):
             if q == q:
-                tracks[tid][0].append(frame.features[j])
+                tracks[tid][0].append(seq.features[j])
                 tracks[tid][1].append(q)
         for tid, j in zip(range(next_id, next_id + len(spawn)), spawn.tolist()):
-            tracks[tid] = ([frame.features[j]], [1.0], f)
+            tracks[tid] = ([seq.features[j]], [1.0], f)
         next_id += len(spawn)
 
         longest = max((len(t[1]) for t in tracks.values()), default=0)
@@ -740,21 +730,21 @@ def test_trusted_record_equals_the_quality_window_and_crowd_check(window, beta, 
             expected = np.stack([feats[pos - 1] for pos in select_quality_window(qualities, beta, window)])
             assert record.slots[i, 1, record.slots.shape[2] - sizes[i] :].tobytes() == expected.tobytes()
         state.frame_cursor, state.hook = f + int(rng.integers(0, 15)), record
-        _, crowd = score_frame(state, [], np.zeros((0, 1, 2), dtype=np.int64), cfg)
+        _, crowd = score_frame(state, np.zeros((0, 1), dtype=np.int64), cfg)
         expected = [i for i, tid in enumerate(ids.tolist()) if crowd_check(tracks[tid][1], tracks[tid][2], state.frame_cursor, cfg)]
         assert crowd.tolist() == expected
 
 
 def test_crowd_work_per_frame_does_not_grow_with_track_age():
     """One object tracked for 320 frames: the record keeps one row of fixed size, and no per-track list grows."""
-    frames = [make_frame(i, [make_det(0.5 * i, 0)]) for i in range(1, 321)]
+    seq = make_seq({i: [make_det(0.5 * i, 0)] for i in range(1, 321)})
     cfg = AdpConfig(variant=Variant.F2)  # scores the trusted window and checks the crowd rule at every frame
-    state = TrackerState(PARAMS, frame_cursor=0)
+    state = TrackerState(PARAMS, seq)
     state.hook = record = TrustedRecord(cfg.window, cfg.beta)
-    step(state, frames[0])
+    step(state, 1)
     sizes = {}
-    for i in range(1, len(frames)):
-        adp_step(state, frames[i : i + 1], cfg)
+    for i in range(1, seq.last):
+        adp_step(state, range(i + 1, i + 2), cfg)
         assert state.ids.tolist() == [1]
         shapes = {name: np.shape(getattr(obj, name)) for obj in (state, record) for name in obj.__slots__}
         if i == cfg.window:
@@ -777,9 +767,9 @@ def test_array_state_equals_the_scalar_recursion(monkeypatch):
     apply_matching, fork_at = base_tracker.apply_matching, rollout.fork_at
     calls = []
 
-    def spawned(state, frame, rows):
+    def spawned(state, rows):
         for i in rows:
-            det = frame.detections[state.matched[i]]
+            det = state.seq.detections[state.matched[i]]
             expected[state, int(state.ids[i])] = (kf_predict(kf_init(det.bbox)), det.feature)
 
     def check(state):
@@ -789,16 +779,16 @@ def test_array_state_equals_the_scalar_recursion(monkeypatch):
             assert np.array_equal(state.forecast[:, i], forecast_row(forecast))
             assert np.array_equal(state.rep[i], rep.values)
 
-    def forked(frame, params):
-        state = fork_at(frame, params)
-        spawned(state, frame, range(len(state.ids)))
+    def forked(seq, frame, params):
+        state = fork_at(seq, frame, params)
+        spawned(state, range(len(state.ids)))
         return state
 
     def replayed(state, frame, matching):
         check(state)
-        det_idx = FrameTable(frame).det_idx
+        det_idx = state.seq.confident(frame)[0]
         ids = state.ids.tolist()
-        matched = {ids[i]: frame.detections[det_idx[jj]] for i, jj in matching.pairs}
+        matched = {ids[i]: state.seq.detections[det_idx[jj]] for i, jj in matching.pairs}
         after, quality = {}, {}
         for tid in ids:
             forecast, rep = expected[state, tid]
@@ -818,15 +808,15 @@ def test_array_state_equals_the_scalar_recursion(monkeypatch):
         calls.append(len(matching.pairs))
         assert {tid: q for tid, q in zip(state.ids.tolist(), got.tolist()) if q == q} == quality
         expected.update(after)
-        spawned(state, frame, range(len(keep), len(state.ids)))
+        spawned(state, range(len(keep), len(state.ids)))
         check(state)
 
     monkeypatch.setattr(base_tracker, "apply_matching", replayed)
     monkeypatch.setattr(rollout, "apply_matching", replayed)
     monkeypatch.setattr(rollout, "fork_at", forked)
-    frames = list(generate(occlusion_preset()[0]).det_frames)
-    run_adp(frames, PARAMS, AdpConfig(horizon=10))
-    assert len(calls) > 5 * len(frames)  # the simulated steps are checked too
+    seq = generate(occlusion_preset()[0]).det_frames
+    run_adp(seq, PARAMS, AdpConfig(horizon=10))
+    assert len(calls) > 5 * seq.last  # the simulated steps are checked too
     assert sum(calls) > 1000
 
 
@@ -839,70 +829,78 @@ def test_last_match_rows_follow_the_histories(monkeypatch, preset_base_runs, wor
     `collect_frame_rows` returns what a scan of their matches, replayed from the matchings, finds; the steps
     spawn, match, lose and remove tracks. The scalar recursion test above checks the simulated steps too."""
     if workload == "presets-base":
-        sequences = [list(scenario.det_frames) for scenario, _ in preset_base_runs]
+        sequences = [scenario.det_frames for scenario, _ in preset_base_runs]
     else:
-        sequences = [list(generate(_CROWD).det_frames)]
+        sequences = [generate(_CROWD).det_frames]
     apply_matching = base_tracker.apply_matching
     history = {}  # state -> track id -> its spawn and matched (frame, detection index) entries
     previous = {}  # state -> the frame of its previous step
     removed = []
 
     def checked(state, frame, matching):
-        det_idx = FrameTable(frame).det_idx.tolist()
+        det_idx = state.seq.confident(frame)[0].tolist()
         ids, first, tracks = state.ids.tolist(), state.next_id, history.setdefault(state, {})
         for i, jj in matching.pairs:
-            tracks[ids[i]].append((frame.index, det_idx[jj]))
+            tracks[ids[i]].append((frame, det_idx[jj]))
         taken = {jj for _, jj in matching.pairs}
         unmatched = [j for jj, j in enumerate(det_idx) if jj not in taken]
         apply_matching(state, frame, matching)
         for tid, j in enumerate(unmatched, start=first):
-            tracks[tid] = [(frame.index, j)]
-        kept = [tid for tid in ids if tracks[tid][-1][0] >= frame.index - PARAMS.max_age]
+            tracks[tid] = [(frame, j)]
+        kept = [tid for tid in ids if tracks[tid][-1][0] >= frame - PARAMS.max_age]
         live = state.ids.tolist()
         assert live == kept + list(range(first, first + len(unmatched)))
         assert state.last.dtype == np.int64
         assert state.last.tolist() == [tracks[tid][-1][0] for tid in live]
         for at in (frame, previous.get(state)):
             if at is not None:
-                scan = [[at.index, tid, tracks[tid][-1][1]] for tid in live if tracks[tid][-1][0] == at.index]
+                scan = [[at, tid, tracks[tid][-1][1]] for tid in live if tracks[tid][-1][0] == at]
                 assert base_tracker.collect_frame_rows(state, at).tolist() == scan
         previous[state] = frame
         removed.append(len(ids) - len(kept))
 
     monkeypatch.setattr(base_tracker, "apply_matching", checked)
     monkeypatch.setattr(rollout, "apply_matching", checked)
-    for frames in sequences:
+    for seq in sequences:
         if workload == "crowd-f2":
-            run_adp(frames, PARAMS, AdpConfig(variant=Variant.F2, horizon=10))
+            run_adp(seq, PARAMS, AdpConfig(variant=Variant.F2, horizon=10))
         else:
-            run_base(frames, PARAMS)
+            run_base(seq, PARAMS)
     assert sum(removed) > 0
 
 
-def test_frame_rows_are_built_once_shared_and_never_written(monkeypatch):
-    """Every step over a frame, the real one and those of the simulations, reads the read-only rows the frame was
-    built with; a run builds no row array."""
-    frames = list(generate(occlusion_preset()[0]).det_frames)
-    held = {frame: (frame.boxes, frame.features, frame.confidences) for frame in frames}
-    before = {frame: tuple(array.copy() for array in held[frame]) for frame in frames}
+def test_steps_read_the_sequence_arrays_and_a_run_builds_no_row_array(monkeypatch):
+    """Every step over a frame, the real one and those of the ten simulations that reach it, reads the read-only
+    arrays the sequence was built with, its centers and the confident rows of one table, both taken once per
+    sequence; a run builds no row array and no per-frame object, and writes no array."""
+    seq = generate(occlusion_preset()[0]).det_frames
+    held = (seq.boxes, seq.features, seq.confidences, seq.offsets)
+    before = [array.copy() for array in held]
     builds = count_calls(monkeypatch, core, "box_array")
-    reads = {frame: [] for frame in frames}  # the row arrays each weights pass over the frame read
+    centers = count_calls(monkeypatch, core, "batch_centers")  # the sequence's, taken once
+    monkeypatch.setattr(core.Sequence, "__iter__", lambda seq: pytest.fail("a run iterates the sequence's frames"))
+    reads = {module: Counter() for module in (base_tracker, rollout)}  # weights passes by frame: simulated, real
 
-    def recording(weights):
+    def recording(module, weights):
         def recorded(state, frame):
             out = weights(state, frame)
-            reads[frame].append((frame.boxes, frame.features, frame.confidences))
+            assert state.seq is seq
+            reads[module][frame] += 1
             return out
 
         return recorded
 
-    for module in (base_tracker, rollout):
-        monkeypatch.setattr(module, "compute_base_weights", recording(module.compute_base_weights))
-    run_adp(frames, PARAMS, AdpConfig(horizon=10))
+    for module in reads:
+        monkeypatch.setattr(module, "compute_base_weights", recording(module, module.compute_base_weights))
+    run_adp(seq, PARAMS, AdpConfig(horizon=10))
 
-    assert builds == []
-    assert sum(len(r) > 10 for r in reads.values()) > len(frames) / 2  # the real step and ten simulated ones
-    for frame in frames:
-        assert all(array is kept for read in reads[frame] for array, kept in zip(read, held[frame]))
-        for kept, old in zip(held[frame], before[frame]):
-            assert not kept.flags.writeable and np.array_equal(kept, old)
+    assert builds == [] and len(centers) == 1
+    real, simulated = reads[rollout], reads[base_tracker]
+    assert sorted(real) == list(range(2, seq.last + 1)) and set(real.values()) == {1}  # frame 1 is the cold start
+    assert max(simulated.values()) == 10 and sum(n == 10 for n in simulated.values()) > seq.last / 2
+    table = seq._confident
+    for frame in range(1, seq.last + 1):
+        rows, boxes = seq.confident(frame)
+        assert np.shares_memory(rows, table[0]) and np.shares_memory(boxes, table[2])
+    for kept, old in zip([*held, *table, seq.centers], [*before, *table, seq.centers]):
+        assert not kept.flags.writeable and np.array_equal(kept, old)

@@ -21,8 +21,8 @@ def _digest(tmp_path, scenario, tag):
     det_path = tmp_path / f"det_{tag}.txt"
     feat_path = tmp_path / f"feat_{tag}.csv"
     write_gt(gt_path, list(scenario.gt))
-    write_detections(det_path, list(scenario.det_frames))
-    write_features(feat_path, list(scenario.det_frames))
+    write_detections(det_path, scenario.det_frames)
+    write_features(feat_path, scenario.det_frames)
     h = hashlib.sha256()
     for p in (gt_path, det_path, feat_path):
         h.update(p.read_bytes())
@@ -44,13 +44,13 @@ def test_no_crossings_means_no_interactions():
     sc = generate(cfg)
     assert {b.id for b in sc.gt} == {1, 2, 3}
     # nothing is occluded, so nothing is dropped
-    assert all(len(f.detections) == 3 for f in sc.det_frames)
+    assert np.diff(sc.det_frames.offsets).tolist() == [3] * 40
 
 
 def test_crossing_with_certain_drop_loses_detections():
     cfg = ScenarioConfig(seed=42, frames=60, identities=2, crossings=1, drop_prob_occluded=1.0)
     sc = generate(cfg)
-    short_frames = [f.index for f in sc.det_frames if len(f.detections) < 2]
+    short_frames = [f.index for f in sc.det_frames if len(f.boxes) < 2]
     assert short_frames, "expected at least one frame with a dropped detection"
     # ground truth still covers every identity in every frame
     assert len(sc.gt) == 60 * 2
@@ -59,9 +59,8 @@ def test_crossing_with_certain_drop_loses_detections():
 def test_features_unit_norm_and_identity_map():
     cfg = ScenarioConfig(seed=9, frames=10, identities=4, crossings=1, feature_noise=0.3, drop_prob_occluded=0.2)
     sc = generate(cfg)
-    for f in sc.det_frames:
-        for det in f.detections:
-            assert abs(np.linalg.norm(det.feature.values) - 1.0) < 1e-9
+    for det in sc.det_frames.detections:
+        assert abs(np.linalg.norm(det.feature.values) - 1.0) < 1e-9
     assert set(sc.identity_features) == {1, 2, 3, 4}
 
 
@@ -71,9 +70,10 @@ def test_noiseless_detections_equal_gt_and_track_perfectly():
     gt_by_frame = {}
     for b in sc.gt:
         gt_by_frame.setdefault(b.frame, []).append(b.bbox)
-    for f in sc.det_frames:
-        assert [d.bbox for d in f.detections] == gt_by_frame[f.index]
-    report = evaluate(sc.gt, rows_to_boxes(sc.det_frames, run_base(list(sc.det_frames), TrackerParams())))
+    seq = sc.det_frames
+    for f in range(1, seq.last + 1):
+        assert [d.bbox for d in seq.detections[seq.rows(f)]] == gt_by_frame[f]
+    report = evaluate(sc.gt, rows_to_boxes(seq, run_base(seq, TrackerParams())))
     assert report.idf1 == 1.0
 
 
