@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from conftest import count_calls, fused_similarity, make_det, make_seq, rows_to_boxes, state_row
 
-from adptrack import base_tracker
+from adptrack import base_tracker, core, rollout
 from adptrack.assignment import Matching, hungarian_max
 from adptrack.base_tracker import (
     TrackerParams,
@@ -21,6 +21,7 @@ from adptrack.appearance import ema_update
 from adptrack.core import FeatureVec, iou, unit_rows
 from adptrack.metrics import evaluate
 from adptrack.motion import batch_centers, kf_prior_batch, state_to_bbox
+from adptrack.rollout import AdpConfig, run as run_adp
 from adptrack.synthworld import ScenarioConfig, generate, occlusion_preset
 
 PARAMS = TrackerParams()
@@ -341,6 +342,32 @@ def test_frame_table_rows_equal_the_rows_of_any_subset():
                 alone = batch_centers(boxes[subset])
                 assert centers[:, subset].tobytes() == alone.tobytes()
                 assert priors[:, subset].tobytes() == kf_prior_batch(alone).tobytes()
+
+
+def test_adp_run_builds_each_frame_table_once(monkeypatch):
+    """The real step and every simulation that steps a frame share the sequence's one table, whose centers are
+    taken once per sequence; a run builds no per-frame object, one real and at most ten simulated passes a frame."""
+    seq = generate(occlusion_preset()[1]).det_frames
+    centers = count_calls(monkeypatch, core, "batch_centers")  # the sequence's, taken once
+    monkeypatch.setattr(core.Sequence, "__iter__", lambda seq: pytest.fail("a run iterates the sequence's frames"))
+    reads = {module: Counter() for module in (base_tracker, rollout)}  # weights passes by frame: simulated, real
+
+    def recording(module, weights):
+        def recorded(state, frame):
+            out = weights(state, frame)
+            reads[module][frame] += 1
+            return out
+
+        return recorded
+
+    for module in reads:
+        monkeypatch.setattr(module, "compute_base_weights", recording(module, module.compute_base_weights))
+    run_adp(seq, PARAMS, AdpConfig(horizon=10))
+
+    assert len(centers) == 1
+    real, simulated = reads[rollout], reads[base_tracker]
+    assert sorted(real) == list(range(2, seq.last + 1)) and set(real.values()) == {1}  # frame 1 is the cold start
+    assert max(simulated.values()) == 10
 
 
 def test_run_rejects_empty():
