@@ -100,12 +100,7 @@ def _tracker_params(ns) -> TrackerParams:
 
 
 def _adp_config(ns) -> AdpConfig:
-    return AdpConfig(
-        variant=Variant(ns.variant),
-        enable_candidate_filter=not ns.no_candidate_filter,
-        enable_crowd_heuristic=not ns.no_crowd,
-        **{name: getattr(ns, name) for name in _ADP_FLAGS},
-    )
+    return AdpConfig(variant=Variant(ns.variant), **{name: getattr(ns, name) for name in _ADP_FLAGS})
 
 
 def _metric_cells(report) -> str:
@@ -275,8 +270,6 @@ def build_parser() -> _Parser:
         for name in names:
             default = getattr(cls, name)
             tracker.add_argument(_flag(name), type=type(default), default=default)
-    tracker.add_argument("--no-candidate-filter", action="store_true")
-    tracker.add_argument("--no-crowd", action="store_true")
 
     p_track = sub.add_parser("track", parents=[tracker], help="run the base or rollout tracker on a detection file")
     p_track.add_argument("--dets", required=True)
@@ -330,6 +323,10 @@ _COMMANDS = {
 def replay_manifest(path) -> int:
     """Re-run a command from its manifest; outputs are reproduced byte-exactly."""
     manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+    # older versions' heuristic switches, which the thresholds now express
+    for name, instead in {"no_candidate_filter": "--cand-iou 0 --cand-app -1", "no_crowd": "--crowd-ratio 2"}.items():
+        if manifest["args"].get(name):
+            raise DataError(f"{path}: {_flag(name)} was removed; run the command with {instead} instead")
     func = _COMMANDS[manifest["command"]]
     return func(argparse.Namespace(**manifest["args"]))
 

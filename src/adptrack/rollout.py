@@ -77,12 +77,11 @@ class AdpConfig:
 
     alpha weighs the future-information matrix against the base weights,
     horizon bounds the simulation length, window/beta shape the trusted-past
-    selection. The candidate filter drops tentative-track entries that are
-    geometrically or visually implausible for the track under comparison;
-    the crowd heuristic falls back to base weights for tracks at least 10
-    frames old that have been occluded for most of their life. It rarely
-    fires at these defaults: in traced `perfbench` runs at commit `affafd2`
-    it takes 0 track rows of `occ-adp` and about 0.9% of those of `crowd-f2`.
+    selection. Main's candidate filter keeps the entries whose walk IOU and
+    representative cosine reach cand_iou and cand_app: cand_iou <= 0 takes no
+    walk, and with cand_app <= -1 keeps every entry. Tracks at least 10 frames
+    old whose share of qualities below beta reaches crowd_ratio score base
+    weights alone: crowd_ratio > 1 switches that crowd fallback off.
     """
 
     alpha: float = 0.25
@@ -93,8 +92,6 @@ class AdpConfig:
     cand_iou: float = 0.3
     cand_app: float = 0.25
     crowd_ratio: float = 0.5
-    enable_candidate_filter: bool = True
-    enable_crowd_heuristic: bool = True
 
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0):
@@ -148,11 +145,7 @@ def score_main(forecast: KalmanState, tent: TentativeTrack, rep: FeatureVec, pas
 
     `past` is the track's trusted window, its (k, d) features at its `select_quality_window` positions.
     """
-    if cfg.enable_candidate_filter:
-        entries = candidate_filter(forecast, tent, rep, cfg)
-    else:
-        entries = list(tent.entries)
-    return _mean_pairwise_cos(past, [det.feature for _, det in entries])
+    return _mean_pairwise_cos(past, [det.feature for _, det in candidate_filter(forecast, tent, rep, cfg)])
 
 
 def _walk(forecast: KalmanState, tent: TentativeTrack):
@@ -286,8 +279,9 @@ def score_frame(state: TrackerState, tents: np.ndarray, cfg: AdpConfig) -> tuple
     (R, D, K, L) terms (scored tracks, detections, window rows, entries) that each pair adds as `_mean` adds
     them, so z equals the per-pair `score_*` functions bit for bit; masked and padded terms are exact zeros.
     One array walk gives the walk IOUs, which f1 and f3 take per entry; the candidate filter and f3 also read
-    the representative cosines. Main multiplies the trusted windows, padded to the longest scored one, with the
-    entries the filter keeps, in one product over those cells alone; f2, main without the filter, takes every cell.
+    the representative cosines. Main walks only at cand_iou > 0, where its filter reads the walk. Main multiplies
+    the trusted windows, padded to the longest scored one, with the entries the filter keeps, in one product over
+    those cells alone; f2, and main at thresholds that keep every entry, take every cell.
     """
     record, key = state.hook, (cfg.window, cfg.beta, len(state.ids))
     if not isinstance(record, TrustedRecord) or (record.window, record.beta, len(record.table)) != key:
@@ -295,7 +289,7 @@ def score_frame(state: TrackerState, tents: np.ndarray, cfg: AdpConfig) -> tuple
     z = np.zeros((len(state.ids), len(tents)))
     count, below, spawn, sizes = record.table.T
     old = spawn <= state.frame_cursor + 1 - _CROWD_MIN_AGE  # the spawn frame is age 1
-    crowded = cfg.enable_crowd_heuristic & old & (below / count >= cfg.crowd_ratio)
+    crowded = old & (below / count >= cfg.crowd_ratio)
     rows, crowd = np.flatnonzero(~crowded), np.flatnonzero(crowded)
     if not rows.size or not len(tents):
         return z, crowd
@@ -310,8 +304,9 @@ def score_frame(state: TrackerState, tents: np.ndarray, cfg: AdpConfig) -> tuple
 
     feats = entry_rows(state.seq.features)
     per_entry = cfg.variant in (Variant.F1, Variant.F3)
-    filtered = cfg.variant is Variant.MAIN and cfg.enable_candidate_filter
-    if per_entry or filtered:
+    filtered = cfg.variant is Variant.MAIN and (cfg.cand_iou > 0 or cfg.cand_app > -1)
+    walked = per_entry or filtered and cfg.cand_iou > 0
+    if walked:
         walk = _frame_walk(state.forecast.take(rows, axis=1), entry_rows(state.seq.boxes), lengths)
     if cfg.variant is Variant.F3 or filtered:  # f1 reads only the walk IOUs
         cos = np.clip(feature_dots(state.rep[rows][:, None, None], feats), -1.0, 1.0)
@@ -323,7 +318,9 @@ def score_frame(state: TrackerState, tents: np.ndarray, cfg: AdpConfig) -> tuple
         sizes = sizes[rows]
         slots = np.arange(-sizes.max(), 0) >= -sizes[:, None]
         if filtered:  # the products of the kept cells alone, scattered into zero terms
-            kept = kept & (walk >= cfg.cand_iou) & (cos >= cfg.cand_app)
+            kept = kept & (cos >= cfg.cand_app)
+            if walked:
+                kept &= walk >= cfg.cand_iou
             r, j, e = np.nonzero(kept)
             terms = np.zeros((*kept.shape[:2], slots.shape[1], kept.shape[2]))
             terms[r, j, :, e] = np.where(slots[r], feature_dots(record.slots[rows[r], 1, -sizes.max() :], feats[j, e, None]), 0.0)
@@ -362,8 +359,8 @@ def adp_step(state: TrackerState, window: range, cfg: AdpConfig) -> tuple[Tracke
     weights = compute_base_weights(state, frame)  # validates frame order
 
     dets = state.seq.confident(frame)[0]
-    if cfg.variant is Variant.F2:
-        tents = dets[:, None]  # the no-simulation variant never reads the future frames
+    if cfg.variant is Variant.F2 or not dets.size:
+        tents = dets[:, None]  # f2, which never reads the future frames, or no tentative at all
     else:
         tents = simulate_tentative(state.seq, window, state.params)[dets - state.seq.rows(frame).start]
     z, crowd_rows = score_frame(state, tents, cfg)

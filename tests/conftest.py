@@ -82,7 +82,7 @@ def equivalence_runs(tmp_path_factory):
     criterion, which counts those seconds against its budget.
     """
     start = time.perf_counter()
-    cfg = AdpConfig(alpha=0.0, horizon=5, enable_candidate_filter=False, enable_crowd_heuristic=False)
+    cfg = AdpConfig(alpha=0.0, horizon=5, cand_iou=0.0, cand_app=-1.0, crowd_ratio=2.0)
     path = tmp_path_factory.mktemp("equivalence") / "res.txt"
     runs = []
     for sc_cfg in equivalence_scenarios():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -7,7 +8,7 @@ from conftest import count_calls, count_constructions
 from adptrack import base_tracker, cli, rollout
 from adptrack.cli import build_parser, main, replay_manifest
 from adptrack.core import BoundingBox, Detection, FeatureVec
-from adptrack.motio import MAX_FRAME_INDEX
+from adptrack.motio import MAX_FRAME_INDEX, DataError
 
 
 def test_track_flag_defaults():
@@ -15,6 +16,14 @@ def test_track_flag_defaults():
     assert (ns.alpha, ns.horizon, ns.window, ns.beta) == (0.25, 15, 5, 0.15)
     assert ns.mode == "adp" and ns.variant == "main"
     assert (ns.match_threshold, ns.max_age) == (0.2, 30)
+
+
+@pytest.mark.parametrize("flag", ["--no-candidate-filter", "--no-crowd"])
+def test_track_rejects_removed_heuristic_switches(capsys, flag):
+    # the thresholds switch the heuristics off: --cand-iou 0 --cand-app -1 and --crowd-ratio 2
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(["track", "--dets", "d", "--features", "f", "--out", "o", flag])
+    assert exit_info.value.code == 1 and f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def _synth(tmp_path, name="scene", **extra):
@@ -65,7 +74,7 @@ def test_track_modes_and_alpha_zero_equivalence(tmp_path):
     assert main(["track", *common, "--mode", "base", "--out", str(base_out)]) == 0
     assert base_out.stat().st_size > 0
     # alpha = 0 reproduces the base step with the heuristics off and at their defaults
-    for heuristics in (["--no-candidate-filter", "--no-crowd"], []):
+    for heuristics in (["--cand-iou", "0", "--cand-app", "-1", "--crowd-ratio", "2"], []):
         assert main([
             "track", *common, "--mode", "adp", "--alpha", "0", "--horizon", "5", *heuristics, "--out", str(adp_out),
         ]) == 0
@@ -285,7 +294,7 @@ def test_sweep_alpha_zero_row_matches_base_metrics(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main([
         "sweep", "--param", "alpha", "--values", "0",
-        "--no-candidate-filter", "--no-crowd", "--horizon", "4",
+        "--cand-iou", "0", "--cand-app", "-1", "--crowd-ratio", "2", "--horizon", "4",
         "--dets", str(scene / "det.txt"), "--features", str(scene / "features.csv"),
         "--gt", str(scene / "gt.txt"), "--out", str(out),
     ]) == 0
@@ -388,6 +397,32 @@ def test_manifest_replay_reproduces_bytes(tmp_path):
     out.unlink()
     assert replay_manifest(manifest_path) == 0
     assert out.read_bytes() == original
+
+
+@pytest.mark.parametrize("name, instead", [("no_candidate_filter", "--cand-iou 0 --cand-app -1"), ("no_crowd", "--crowd-ratio 2")])
+def test_manifest_replay_refuses_a_removed_switch(tmp_path, name, instead):
+    """A manifest of an older version that records a removed heuristic switch as false replays; one that records it
+    as true is refused, naming the threshold that now switches the heuristic off, and writes nothing."""
+    scene = _synth(tmp_path)
+    out = tmp_path / "res.txt"
+    assert main([
+        "track", "--dets", str(scene / "det.txt"), "--features", str(scene / "features.csv"),
+        "--horizon", "4", "--out", str(out),
+    ]) == 0
+    original = out.read_bytes()
+    manifest_path = tmp_path / "res.txt.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    for recorded in (False, True):
+        out.unlink()
+        manifest["args"][name] = recorded
+        manifest_path.write_text(json.dumps(manifest))
+        if recorded:
+            with pytest.raises(DataError, match=re.escape(instead)):
+                replay_manifest(manifest_path)
+            assert not out.exists()
+        else:
+            assert replay_manifest(manifest_path) == 0
+            assert out.read_bytes() == original
 
 
 def test_synth_preset_emits_20_scenarios(tmp_path):

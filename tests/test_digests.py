@@ -19,8 +19,9 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import frame_of, rows_to_boxes
+from conftest import count_calls, frame_of, rows_to_boxes
 
+from adptrack import rollout
 from adptrack.base_tracker import TrackerParams
 from adptrack.cli import main
 from adptrack.core import BoundingBox
@@ -96,6 +97,30 @@ PRESET_ADP = {
         "a4a703642d736e9c0911e7cebd8c1319e50e15e9ec569bca961db9afc87895d4",
         "7b08e4ccaf2089e4d7e50945d0b8d5fba7c168aac6696df45203ea7b5bd18b2f",
     ],
+    # All 20 preset scenes: main at horizon 10 whose walk-IOU threshold keeps every entry, pinned while main still
+    # walked there; it differs from "main" on scenes 1, 8 and 10.
+    "main-iou0": [
+        "0e16a8d5aadfea2701b7bc3d7b9f05ede11d8b28f41af4d76a85560d68349807",
+        "ebf86f85866650dcafe96317d84fef5a3482fe1d04fc2ca8f0fee9b28e9a6abc",
+        "3c7025234be2f6513042eda9bf605dcc29257e3ba978c83375c96d433985dd12",
+        "84a5e7cf212cbc43c0d4226b61cb4a41ab08778aa7ae7b275780a10d20fce28a",
+        "0ceccbe0539c06caa96f7281a00e33a569dcc94bbb6937710c70e2379476b592",
+        "50b168c2c9e14df54dfd0603418e91acc4606da85d1c32b3e4922274a12b6ce1",
+        "5b6da4c5d8b417fc312d4af13d7436046258c4e47dd3295e1c049f3fc50bfa00",
+        "60e8de359a21e3381241f26c147d68f70bfa42b4a2d5a297ab336e0f4c818379",
+        "b69628fae78df9a7321d6394b3cb624ad0627a12f0d90f3e7fb74476dd70122f",
+        "d9a8c13fc648597fcdd2baa8b9822b35b14a32d3ebafdfb1433c2e41119f9605",
+        "6bc3e3d92124aa2b646ac3f71a7b366fafdfad757cd656b193efc86c476bc417",
+        "d0baae4925be137b8414bd211ad127481ada2ee6a3537caad1b41f93ee660bc4",
+        "6902fef887b092177789e06e4f5250867b20291b148f276d2ea9d0a1566d2485",
+        "3b8f0cebc6a2d78ff01dd31897d7a49df31f71b41fd96b93b3e0a1f83a0e4c79",
+        "d55beb0c788e767693d4f1f256e1ac86976f2bd251c42cddc8c6450fcee77da5",
+        "e73c70fd5547238de6131ea836bbfb9bb763ed355c6ab6cd74b78f4d8d707ef2",
+        "7c8f23a93fa8e5af4e6a19179e69647d9b04b09645c9156fea8171790401ac4e",
+        "ea192f285b56f18bdf48ffcc38cede3be94feef7abf051d1c4e52b5c376fcc5d",
+        "a4a703642d736e9c0911e7cebd8c1319e50e15e9ec569bca961db9afc87895d4",
+        "7b08e4ccaf2089e4d7e50945d0b8d5fba7c168aac6696df45203ea7b5bd18b2f",
+    ],
     "main-nofilter": [
         "0e16a8d5aadfea2701b7bc3d7b9f05ede11d8b28f41af4d76a85560d68349807",
         "ebf86f85866650dcafe96317d84fef5a3482fe1d04fc2ca8f0fee9b28e9a6abc",
@@ -137,7 +162,8 @@ ADP_CONFIGS = {
     "f1": AdpConfig(horizon=10, variant=Variant.F1),
     "f2": AdpConfig(horizon=10, variant=Variant.F2),
     "f3": AdpConfig(horizon=10, variant=Variant.F3),
-    "main-nofilter": AdpConfig(horizon=10, enable_candidate_filter=False),
+    "main-iou0": AdpConfig(horizon=10, cand_iou=0.0),
+    "main-nofilter": AdpConfig(horizon=10, cand_iou=0.0, cand_app=-1.0),
 }
 
 
@@ -232,6 +258,26 @@ def test_crowd_base_report(tmp_path):
     assert _report_fields(evaluate(read_gt(gt), read_gt(res))) == CROWD_BASE_REPORT
 
 
+# sha256 of f2's result file at horizon 10 on the crowd scene of seed 9006, with the crowd fallback at its default
+# and switched off. Of the 20 preset scenes and the crowd scenes of seeds 9003 and 9006, it is the one whose rows the
+# fallback changes. The "no-fallback" pin was made while a boolean switch, not crowd_ratio, turned it off.
+CROWD_F2 = {
+    "default": "4525f64447f3d41bac90511f4174a2273cbf3009800777cdffc381bd165ed053",
+    "no-fallback": "0a970f4940e11b8eb35bb8b5dbb39ab6767859508e7388d069f01afa2f9a7f8c",
+}
+CROWD_F2_CONFIGS = {
+    "default": AdpConfig(horizon=10, variant=Variant.F2),
+    "no-fallback": AdpConfig(horizon=10, variant=Variant.F2, crowd_ratio=2.0),
+}
+
+
+def test_crowd_f2_digests(tmp_path):
+    seq = generate(replace(occlusion_preset()[0], identities=20, crossings=6, seed=9006)).det_frames
+    got = {name: hashlib.sha256(_result_bytes(seq, run_adp(seq, PARAMS, cfg), tmp_path / "res.txt")).hexdigest()
+           for name, cfg in CROWD_F2_CONFIGS.items()}
+    assert got == CROWD_F2
+
+
 # sha256 of every file the commands write for one small scene, run from a
 # fixed working directory with relative paths so the manifests are stable.
 # Sweep CSVs lose their wall-time `runtime_s` column before hashing.
@@ -240,15 +286,15 @@ CLI_OUTPUTS = {
     "adp.csv.manifest.json": "43410a63d345a568161d5ff3333ea397edd876a67856bd8231b9924ea6393d20",
     "adp.json": "bb23ad790cbce1968fe2e19c8e32e35d79ceeace813494006e7a4dd18cb1e9bd",
     "adp.txt": "841c3d9f155869471b361f13d58fd0e39d0fec8ad0c656de34b336ae7f135607",
-    "adp.txt.manifest.json": "f2dd70e8a7e7a525eeda52834f5b8ab3137ab158b9fcc64149765ef535642b8c",
+    "adp.txt.manifest.json": "f523fc1ffdb014590c33bce5f16279cfdc87baeec33858b9880f87e249fa296c",
     "base.txt": "452858c78fdf22a6e28ace51fcf4c4372caa74c270419955df14cb5a9460e10c",
-    "base.txt.manifest.json": "8746db9795569d02f581c2f2f46f217dc81b780d05002a897fb53c9058315559",
+    "base.txt.manifest.json": "378921ed612b8f9dd030a23967a04f2d3e9416c80811fc422b74bbc205d4ec5d",
     "scene/det.txt": "fcf4efec5659ba31918d013790c89e5f8a37b3fcfd9770e190e40b2c5478435a",
     "scene/features.csv": "295bfec8013056628bb93631bd780d3bb8e8f2286aefbf722b0de481cc8947d9",
     "scene/gt.txt": "aa0e191cf46bca9047767c6789f38d0a3108bc07b44e03c6a550bc94b50386a9",
     "scene/manifest.json": "89d8d5f6da99c709edd1126ebe3d8e1d631c268f10d6197b553587ab42c6dc4e",
     "sweep.csv": "e6754598fa50b8d14c9320d68744b5aedcbfc0b75d997cabafeb4cfc897fba01",
-    "sweep.csv.manifest.json": "6d9936cc0ff517a1a2cd4a1fb90423c73428d4973e44df8d55b3c907adac05ea",
+    "sweep.csv.manifest.json": "a6fd5eb5b42035c23590bf120162b92961ca4417eee4488a39148c135b20fe37",
 }
 
 CLI_RUNS = [
@@ -297,8 +343,8 @@ SPARSE_MODES = {
 }
 
 
-@pytest.mark.parametrize("move, mode", sorted(SPARSE))
-def test_sparse_scene_digests(tmp_path, move, mode):
+def _track_sparse_scene(tmp_path, move, mode):
+    """The result file of `mode` on preset scene 0 with its det and feature file lines' frames moved by `move`."""
     scenario = generate(occlusion_preset()[0])
     dets, feats, res = (tmp_path / name for name in ("det.txt", "features.csv", "res.txt"))
     write_detections(dets, scenario.det_frames)
@@ -309,4 +355,20 @@ def test_sparse_scene_digests(tmp_path, move, mode):
         path.write_text("".join(lines[:skip] + moved), encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["track", "--dets", str(dets), "--features", str(feats), "--out", str(res), *SPARSE_MODES[mode]]) == 0
-    assert hashlib.sha256(res.read_bytes()).hexdigest() == SPARSE[move, mode]
+    return res.read_bytes()
+
+
+@pytest.mark.parametrize("move, mode", sorted(SPARSE))
+def test_sparse_scene_digests(tmp_path, move, mode):
+    assert hashlib.sha256(_track_sparse_scene(tmp_path, move, mode)).hexdigest() == SPARSE[move, mode]
+
+
+def test_empty_target_frames_simulate_nothing(tmp_path, monkeypatch):
+    """adp main on the gap scene matches 31 target frames without rows while its tracks age out. They simulate
+    nothing: of the 955 simulated steps the run took when each of their windows was simulated, 645 are left."""
+    steps = count_calls(monkeypatch, rollout, "adp_step")
+    simulations = count_calls(monkeypatch, rollout, "simulate_tentative")
+    _track_sparse_scene(tmp_path, "gap", "main")
+    assert sum(not state.seq.confident(window[0])[0].size for state, window, _ in steps) == 31
+    assert all(seq.confident(window[0])[0].size for seq, window, _ in simulations)
+    assert sum(len(window) - 1 for _, window, _ in simulations) == 645

@@ -36,7 +36,8 @@ from adptrack.rollout import (
 from adptrack.synthworld import ScenarioConfig, generate, occlusion_preset
 
 PARAMS = TrackerParams()
-NO_FILTERS = AdpConfig(enable_candidate_filter=False, enable_crowd_heuristic=False)
+# Thresholds at which the candidate filter keeps every entry and the crowd fallback takes no row.
+NO_FILTERS = AdpConfig(cand_iou=0.0, cand_app=-1.0, crowd_ratio=2.0)
 
 E1 = (1.0, 0.0)
 E2 = (0.0, 1.0)
@@ -139,7 +140,7 @@ def test_simulate_tentative_rejects_empty_window():
 
 
 def test_score_main_examples():
-    cfg = AdpConfig(window=2, enable_candidate_filter=False)
+    cfg = replace(NO_FILTERS, window=2)
 
     def score(track, tent):
         forecast, rep = _spawn_row(track[0][0])
@@ -152,7 +153,7 @@ def test_score_main_examples():
 
 def test_score_main_filter_disabled_equals_all_pairs_mean():
     rng = np.random.default_rng(0)
-    cfg = AdpConfig(window=3, enable_candidate_filter=False)
+    cfg = replace(NO_FILTERS, window=3)
     feats = [tuple(rng.normal(size=4)) for _ in range(3)]
     track = _track_with_features(feats)
     tent_feats = [tuple(rng.normal(size=4)) for _ in range(4)]
@@ -323,7 +324,7 @@ def _crossing_seq(seed=21, frames=24):
 
 def test_adp_step_alpha_zero_matches_base_step():
     seq = _crossing_seq()
-    cfg = AdpConfig(alpha=0.0, horizon=4, enable_candidate_filter=False, enable_crowd_heuristic=False)
+    cfg = replace(NO_FILTERS, alpha=0.0, horizon=4)
     state_a = TrackerState(PARAMS, seq)
     state_b = TrackerState(PARAMS, seq)
     state_b.hook = TrustedRecord(cfg.window, cfg.beta)
@@ -390,7 +391,7 @@ def test_run_single_frame_spawns_without_matching():
 
 def test_run_alpha_zero_equals_base_run():
     seq = _crossing_seq(seed=33, frames=30)
-    cfg = AdpConfig(alpha=0.0, horizon=5, enable_candidate_filter=False, enable_crowd_heuristic=False)
+    cfg = replace(NO_FILTERS, alpha=0.0, horizon=5)
     assert np.array_equal(run_adp(seq, PARAMS, cfg), run_base(seq, PARAMS))
 
 
@@ -402,7 +403,7 @@ def test_run_deterministic():
 
 def test_variant_scores_stay_in_range():
     rng = np.random.default_rng(8)
-    cfg_main = AdpConfig(enable_candidate_filter=False)
+    cfg_main = NO_FILTERS
     for _ in range(20):
         feats = [tuple(rng.normal(size=6)) for _ in range(4)]
         track = _track_with_features(feats, qualities=list(rng.uniform(-1, 1, size=4)))
@@ -429,7 +430,7 @@ def _per_pair_scores(state, dets, tents, cfg):
     z = np.zeros((len(state.ids), len(dets)))
     crowd = []
     for i, tid in enumerate(state.ids.tolist()):
-        if cfg.enable_crowd_heuristic and crowd_check(quality[tid], history[tid][0][0], state.frame_cursor, cfg):
+        if crowd_check(quality[tid], history[tid][0][0], state.frame_cursor, cfg):
             crowd.append(i)
             continue
         forecast, rep = state_row(state, i)
@@ -476,13 +477,15 @@ def _crowd_windows(targets=(15, 35, 55), horizon=10):
     return out
 
 
-# crowd_ratio=0.1 makes a few tracks of each crowd window crowd rows. window=9
+# crowd_ratio=0.1 makes a few tracks of each crowd window crowd rows. At cand_iou=0 main filters by the cosine
+# alone and walks no clone; with cand_app=-1 it keeps every entry and takes the dense product. window=9
 # gives trusted windows of 9 features next to shorter ones, so the batched
 # terms are padded, and a main or f2 pair averages 9 or more products: past 8
 # terms, a numpy sum would no longer add left to right as the scores must.
 BATCH_CONFIGS = {
     "main": AdpConfig(window=9, crowd_ratio=0.1),
-    "main-nofilter": AdpConfig(window=9, crowd_ratio=0.1, enable_candidate_filter=False),
+    "main-iou0": AdpConfig(window=9, crowd_ratio=0.1, cand_iou=0.0),
+    "main-nofilter": AdpConfig(window=9, crowd_ratio=0.1, cand_iou=0.0, cand_app=-1.0),
     "main-defaults": AdpConfig(),
     "f1": AdpConfig(variant=Variant.F1, crowd_ratio=0.1),
     "f2": AdpConfig(window=9, crowd_ratio=0.1, variant=Variant.F2),
@@ -592,7 +595,9 @@ def test_score_frame_walks_once_and_multiplies_once_per_window_slot(crowd_window
     more where the filter or f3 reads them; f1 reads only the walk IOUs and takes no feature product at all.
     """
     cfg = BATCH_CONFIGS[name]
-    walked = cfg.variant in (Variant.F1, Variant.F3) or (cfg.variant is Variant.MAIN and cfg.enable_candidate_filter)
+    main = cfg.variant is Variant.MAIN
+    walked = cfg.variant in (Variant.F1, Variant.F3) or main and cfg.cand_iou > 0
+    cosines = cfg.variant is Variant.F3 or main and name != "main-nofilter"
     ious = count_calls(monkeypatch, rollout, "iou_array")
     boxes = count_calls(monkeypatch, rollout, "batch_boxes")
     dots = count_calls(monkeypatch, rollout, "feature_dots")
@@ -603,7 +608,7 @@ def test_score_frame_walks_once_and_multiplies_once_per_window_slot(crowd_window
         assert len(state.ids) - len(crowd) > cfg.window + 1
         assert len(ious) == len(boxes) == int(walked)
         assert len(dots) == 0 if cfg.variant is Variant.F1 else 1 <= len(dots) <= cfg.window + 1
-        assert len(dots) == (cfg.variant is Variant.F3 or walked and cfg.variant is Variant.MAIN) + (cfg.variant in (Variant.MAIN, Variant.F2))
+        assert len(dots) == cosines + (cfg.variant in (Variant.MAIN, Variant.F2))
 
 
 @pytest.mark.parametrize("cand_iou", [AdpConfig().cand_iou, 1.5], ids=["default", "keeps-none"])
@@ -638,12 +643,25 @@ def _one_track_state(cfg, later, feature=(1.0, 0.0)):
 def test_score_frame_sums_negative_zero_products_as_the_mean_does(name):
     # (-1, 0) * (0, -1) is (-0.0, -0.0). `_mean` adds its terms to 0.0, so the score is +0.0; score_frame's
     # running sum starts at its first term and relies on `feature_dots` summing such products to +0.0.
-    cfg = replace(BATCH_CONFIGS[name], enable_crowd_heuristic=False)
+    cfg = replace(BATCH_CONFIGS[name], crowd_ratio=2.0)
     state = _one_track_state(cfg, [make_det(0, 0, feature=(0.0, -1.0)), make_det(4, 0, feature=(0.0, -1.0))], feature=(-1.0, 0.0))
     tents = np.array([[1, 2]])
     z, _ = score_frame(state, _scored(cfg, tents), cfg)
     z_ref, _ = _per_pair_scores(state, state.seq.detections[1:2], _tentative_tracks(state.seq, tents), cfg)
     assert z.tobytes() == z_ref.tobytes() == np.zeros((1, 1)).tobytes()
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_main_walks_only_where_its_filter_reads_the_walk(crowd_windows, monkeypatch, variant):
+    """Main takes one `_frame_walk` per frame at cand_iou > 0 and none at cand_iou <= 0, whose filter keeps every walked
+    entry; f1 and f3 take one at any cand_iou, as they score the walk itself, and f2 never walks."""
+    walks = count_calls(monkeypatch, rollout, "_frame_walk")
+    for cand_iou in (AdpConfig().cand_iou, 0.0, -0.5):
+        cfg = AdpConfig(variant=variant, cand_iou=cand_iou)
+        for case in crowd_windows:
+            del walks[:]
+            score_frame(_keyed(case.state, cfg), _scored(cfg, case.tents), cfg)
+            assert len(walks) == (variant in (Variant.F1, Variant.F3) or variant is Variant.MAIN and cand_iou > 0)
 
 
 def test_frame_walk_checks_only_the_walked_states():
@@ -668,18 +686,20 @@ def test_walk_raises_when_the_forecast_overflows():
     # Position and velocity near the float maximum: the first correct-and-predict
     # step of the walk overflows to inf, which no box may hold.
     state = _one_track_state(AdpConfig(), [make_det(0, 0), make_det(4, 0)])
+    finite = _one_track_state(AdpConfig(), [make_det(0, 0), make_det(4, 0)])
     state.forecast[:, 0] = forecast_row(KalmanState([1.7e308, 5.0, 10.0, 10.0, 1.7e308, 0.0, 0.0, 0.0], (1.0, 0.0, 1.0)))
     tents = np.array([[1, 2]])
     dets, tracks = state.seq.detections[1:2], _tentative_tracks(state.seq, tents)
     for variant in (Variant.MAIN, Variant.F1, Variant.F3):
-        cfg = AdpConfig(variant=variant, enable_crowd_heuristic=False)
+        cfg = AdpConfig(variant=variant, crowd_ratio=2.0)
         with pytest.raises(ValueError):
             _per_pair_scores(state, dets, tracks, cfg)
         with pytest.raises(ValueError):
             score_frame(state, tents, cfg)
-    # main without the candidate filter never walks
-    cfg = AdpConfig(enable_candidate_filter=False, enable_crowd_heuristic=False)
-    assert np.array_equal(score_frame(state, tents, cfg)[0], _per_pair_scores(state, dets, tracks, cfg)[0])
+    # main at cand_iou <= 0 reads no walk: the overflowing forecast raises nothing and changes no score
+    for cfg in (AdpConfig(cand_iou=0.0, crowd_ratio=2.0), NO_FILTERS):
+        z, _ = score_frame(state, tents, cfg)
+        assert z.tobytes() == _per_pair_scores(finite, dets, tracks, cfg)[0].tobytes() and np.count_nonzero(z)
 
 
 @settings(max_examples=50, deadline=None)
