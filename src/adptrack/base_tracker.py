@@ -2,19 +2,20 @@
 
 `TrackerState` holds the live tracks as rows of arrays: each track's id,
 one-step forecast (the filter state predicted for the next frame, a column
-of `motion`'s (11, T) component planes), representative feature, last
-matched frame and the row of the `core.Sequence` matched there. Per frame
-the tracker scores each track/detection pair by the minimum of forecast-box
-overlap and gated appearance similarity, solves a thresholded max-weight
-matching and applies the usual lifecycle to all rows at once: matched rows
-are corrected and refreshed, a track whose last match lies more than
-`max_age` frames back is removed (SORT, Bewley et al., ICIP 2016), every
-surviving row is predicted one frame ahead and confident unmatched
-detections spawn at the filter's closed-form prior. A step names the frame
-by its index and reads the sequence's confident rows and box centers, taken
-once per sequence; a run starts at the first frame with rows and jumps over
-frames without rows while it holds no track. A state's `hook` sees each
-match's gated appearance score.
+of `motion`'s (11, T) component planes), representative feature and the
+`core.Sequence` row it last matched, whose frame is its last-match frame.
+Per frame the tracker scores each track/detection pair by the minimum of
+forecast-box overlap and gated appearance similarity, solves a thresholded
+max-weight matching and applies the usual lifecycle to all rows at once:
+matched rows are corrected and refreshed, a track whose last match lies
+more than `max_age` frames back (its row before that frame's first row) is
+removed (SORT, Bewley et al., ICIP 2016), every surviving row is predicted
+one frame ahead and confident unmatched detections spawn at the filter's
+closed-form prior. A step names the frame by its index and reads the
+sequence's confident rows and box centers, taken once per sequence; a run
+starts at the first frame with rows and jumps over frames without rows
+while it holds no track. A state's `hook` sees each match's gated
+appearance score.
 
 The gates and rates are fixed, DeepSORT-style (Wojke, Bewley & Paulus, ICIP
 2017): a pair's appearance counts only when its forecast IOU reaches 0.1 and
@@ -74,24 +75,22 @@ class TrackerParams:
 class TrackerState:
     """The live tracks over the sequence `seq` as rows, in spawn order, the id counter and the frame cursor.
 
-    Row i of `ids` (T,), `rep` (T, d), `last` (T,) int64 and `matched` (T,), and column i of `forecast`, hold one
-    track's id, representative feature, last matched frame, the row of `seq` matched (or spawned from) there and
-    one-step forecast. `forecast` is `motion`'s (11, T) component planes, one C-ordered block. A track lives while
-    its last match lies at most `max_age` frames back; removed tracks leave the arrays, and their ids are never
-    reused. `weighed` is the last weights pass of these rows: (frame, gated appearance scores). `hook`, if set, is
-    called after each `apply_matching` as ``hook(state, frame, keep, quality)``: the rows now start with the old
-    rows `keep`, whose gated appearance scores at `frame` are `quality` (NaN where not matched), then the ones
-    spawned there.
+    Row i of `ids` (T,), `rep` (T, d) and `matched` (T,), and column i of `forecast`, hold one track's id,
+    representative feature, the row of `seq` it last matched (or spawned from) and one-step forecast. `forecast` is
+    `motion`'s (11, T) component planes, one C-ordered block. A track lives while the frame of its `matched` row
+    lies at most `max_age` frames back; removed tracks leave the arrays, and their ids are never reused. `weighed`
+    is the last weights pass of these rows: (frame, gated appearance scores). `hook`, if set, is called after each
+    `apply_matching` as ``hook(state, frame, keep, quality)``: the rows now start with the old rows `keep`, whose
+    gated appearance scores at `frame` are `quality` (NaN where not matched), then the ones spawned there.
     """
 
-    __slots__ = ("seq", "ids", "forecast", "rep", "last", "matched", "next_id", "params", "frame_cursor", "weighed", "hook")
+    __slots__ = ("seq", "ids", "forecast", "rep", "matched", "next_id", "params", "frame_cursor", "weighed", "hook")
 
     def __init__(self, params: TrackerParams, seq: Sequence, frame_cursor: int = 0):
         self.seq = seq
         self.ids = np.zeros(0, dtype=np.int64)
         self.forecast = kf_prior_batch(np.zeros((4, 0)))
         self.rep = np.zeros((0, 0))
-        self.last = np.zeros(0, dtype=np.int64)
         self.matched = np.zeros(0, dtype=np.intp)
         self.next_id = 1
         self.params = params
@@ -99,15 +98,14 @@ class TrackerState:
         self.weighed = None
         self.hook = None
 
-    def spawn(self, frame: int, rows: np.ndarray) -> None:
-        """New tracks at `frame` for the sequence rows `rows` after the live ones, at the prior of their centers."""
+    def spawn(self, rows: np.ndarray) -> None:
+        """New tracks for the sequence rows `rows` after the live ones, at the prior of their centers."""
         if not len(rows):
             return
         self.ids = np.concatenate([self.ids, np.arange(self.next_id, self.next_id + len(rows))])
         self.next_id += len(rows)
         self.forecast = np.concatenate([self.forecast, kf_prior_batch(self.seq.centers[:, rows])], axis=1)
         self.rep = np.concatenate([self.rep, self.seq.features[rows]]) if len(self.rep) else self.seq.features[rows]
-        self.last = np.concatenate([self.last, np.full(len(rows), frame)])
         self.matched = np.concatenate([self.matched, rows])
         self.weighed = None
 
@@ -173,19 +171,19 @@ def apply_matching(state: TrackerState, frame: int, matching: Matching) -> None:
     if rows.size:
         state.forecast[:, rows] = kf_update_batch(state.forecast.take(rows, axis=1), state.seq.centers[:, matched])
         state.rep[rows] = _ema(state.rep[rows], state.seq.features[matched])
-        state.last[rows], state.matched[rows] = frame, matched
+        state.matched[rows] = matched
     if state.hook is not None:
         quality = np.full(len(state.ids), np.nan)
         quality[rows] = gated[rows, cols]
 
-    keep = np.flatnonzero(state.last >= frame - state.params.max_age)
+    keep = np.flatnonzero(state.matched >= state.seq.offsets[max(frame - state.params.max_age, 1) - 1])
     if len(keep) < len(state.ids):
-        state.ids, state.rep, state.last, state.matched = (a[keep] for a in (state.ids, state.rep, state.last, state.matched))
+        state.ids, state.rep, state.matched = (a[keep] for a in (state.ids, state.rep, state.matched))
         state.forecast = state.forecast.take(keep, axis=1)
     kf_predict_batch(state.forecast, out=state.forecast)
     free = np.ones(len(dets), dtype=bool)
     free[cols] = False
-    state.spawn(frame, dets[free])
+    state.spawn(dets[free])
     state.frame_cursor = frame
     if state.hook is not None:
         state.hook(state, frame, keep, quality[keep])
@@ -207,13 +205,14 @@ def fork_at(seq: Sequence, frame: int, params: TrackerParams) -> TrackerState:
     """
     rows = seq.rows(frame)
     state = TrackerState(params, seq, frame_cursor=frame)
-    state.spawn(frame, np.arange(rows.start, rows.stop))
+    state.spawn(np.arange(rows.start, rows.stop))
     return state
 
 
 def collect_frame_rows(state: TrackerState, frame: int) -> np.ndarray:
-    """(frame, track id, sequence row) rows, as a (k, 3) array, of the tracks whose last match is this frame."""
-    rows = np.flatnonzero(state.last == frame)
+    """(frame, track id, sequence row) rows, as a (k, 3) array, of the tracks whose last match lies at or after
+    `frame`: after a step at `frame`, those matched or spawned there."""
+    rows = np.flatnonzero(state.matched >= state.seq.offsets[frame - 1])
     return np.stack([np.full(len(rows), frame), state.ids[rows], state.matched[rows]], axis=1)
 
 

@@ -15,7 +15,7 @@ representative feature and quality record, each a mean that `_mean` adds
 left to right. `score_frame` scores a whole frame from the state's rows, the
 `TrustedRecord` that follows them and the sequence's rows as one masked
 mean that adds the same terms in the same order, equal bit for bit. Real and
-simulated steps read the sequence's arrays by global row.
+simulated steps, tentatives and records hold the sequence's global rows.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def simulate_tentative(seq: Sequence, window: range, params: TrackerParams) -> n
     for k, frame in enumerate(window[1:], start=1):
         step(sim, frame)
         m = np.searchsorted(sim.ids, n, side="right")  # the origin rows lead, with ids 1 to n
-        log[sim.ids[:m] - 1, k] = np.where(sim.last[:m] == frame, sim.matched[:m], -1)
+        log[sim.ids[:m] - 1, k] = np.where(sim.matched[:m] >= seq.offsets[frame - 1], sim.matched[:m], -1)
     order = np.argsort(log < 0, axis=1, kind="stable")[:, : (log >= 0).sum(axis=1).max(initial=0)]
     return np.take_along_axis(log, order, axis=1)  # each origin's entries first, in frame order
 
@@ -212,11 +212,12 @@ class TrustedRecord:
 
     A row's spawn is its first match, of quality 1.0. `table` row i holds its
     number of qualities, how many lie below `beta`, its spawn frame and its
-    trusted window's size. `slots[i, 0]` holds the features of its last
+    trusted window's size. `slots[i, 0]` holds the sequence rows of its last
     `window` matches, oldest first and right-aligned in C slots; `slots[i, 1]`
     their copy at its latest match of quality >= `beta`, or at every match
-    while it has none: its `select_quality_window` features. C grows to
-    min(window, the longest record) and no further.
+    while it has none: the rows at its `select_quality_window` positions. C
+    grows to min(window, the longest record) and no further; empty slots hold
+    row 0.
     """
 
     __slots__ = ("window", "beta", "table", "slots")
@@ -224,27 +225,26 @@ class TrustedRecord:
     def __init__(self, window: int, beta: float):
         self.window, self.beta = window, beta
         self.table = np.zeros((0, 4), dtype=np.int64)
-        self.slots = np.zeros((0, 2, 0, 0))
+        self.slots = np.zeros((0, 2, 0), dtype=np.intp)
 
     def __call__(self, state: TrackerState, frame: int, keep: np.ndarray, quality: np.ndarray) -> None:
         n, spawned = len(keep), len(state.ids) - len(keep)
         if n < len(self.table) or spawned:
             table = np.zeros((n + spawned, 4), dtype=np.int64)
             table[:n], table[n:, 2] = self.table[keep], frame
-            slots = np.zeros((n + spawned, 2, self.slots.shape[2], state.rep.shape[1]))
-            if n:
-                slots[:n] = self.slots[keep]
+            slots = np.zeros((n + spawned, 2, self.slots.shape[2]), dtype=np.intp)
+            slots[:n] = self.slots[keep]
             self.table, self.slots = table, slots
             quality = np.concatenate([quality, np.ones(spawned)])
         hit = quality == quality  # not NaN: matched or spawned at this frame
         self.table[:, :2] += np.stack([hit, quality < self.beta], axis=1)
         count, below, _, sizes = self.table.T
         if self.slots.shape[2] < min(self.window, count.max(initial=0)):  # by one slot, as counts grow by one
-            self.slots = np.concatenate([np.zeros((*self.slots.shape[:2], 1, self.slots.shape[3])), self.slots], axis=2)
+            self.slots = np.pad(self.slots, ((0, 0), (0, 0), (1, 0)))
         rows, slots = np.flatnonzero(hit), self.slots
         if rows.size:
             slots[rows, 0, :-1] = slots[rows, 0, 1:]
-            slots[rows, 0, -1] = state.seq.features[state.matched[rows]]
+            slots[rows, 0, -1] = state.matched[rows]
             frozen = np.flatnonzero(hit & ((quality >= self.beta) | (below == count)))
             slots[frozen, 1] = slots[frozen, 0]
             sizes[frozen] = np.minimum(count[frozen], self.window)
@@ -253,10 +253,11 @@ class TrustedRecord:
 def _frame_walk(forecast: np.ndarray, boxes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """`_walk` of T forecasts (11, T) along every tentative at once, as (T, D, L) walk IOUs.
 
-    `boxes` (D, L, 4) holds the entry boxes of D tentatives and `lengths`
-    their entry counts. The pairs step to the longest tentative's end, step k
-    writing plane k of one (L, 11, T, D) block; one IOU pass over the walked
-    cells follows. Cells past an end stay +0.0, their states never read.
+    `boxes` (D, L, 4) holds the entry boxes of D tentatives, any box past
+    each end, and `lengths` their entry counts. The pairs step to the
+    longest tentative's end, step k writing plane k of one (L, 11, T, D)
+    block; one IOU pass over the walked cells follows. Cells past an end stay
+    +0.0, their states never read.
     """
     walked = np.arange(boxes.shape[1]) < lengths[:, None]
     centers = batch_centers(boxes)[..., None, :]  # (4, L, 1, D)
@@ -274,8 +275,9 @@ def score_frame(state: TrackerState, tents: np.ndarray, cfg: AdpConfig) -> tuple
     """Rollout scores z of the state's tracks against the tentatives' detections, and the crowd rows.
 
     `tents` (D, L) holds each detection's tentative as rows of the state's sequence, then -1; f2's is the
-    detection alone. The crowd rows, which score 0, are one comparison of the counts of the state's
-    hook, which must be its `TrustedRecord` for `cfg.window` and `cfg.beta`. Each variant is one masked mean of
+    detection alone. The crowd rows, which score 0, are one comparison of the counts of the state's hook, which
+    must be its `TrustedRecord` for `cfg.window` and `cfg.beta`; the trusted windows are the sequence's features
+    at the record's rows, and the entries' features and boxes those at `tents`. Each variant is one masked mean of
     (R, D, K, L) terms (scored tracks, detections, window rows, entries) that each pair adds as `_mean` adds
     them, so z equals the per-pair `score_*` functions bit for bit; masked and padded terms are exact zeros.
     One array walk gives the walk IOUs, which f1 and f3 take per entry; the candidate filter and f3 also read
@@ -293,21 +295,14 @@ def score_frame(state: TrackerState, tents: np.ndarray, cfg: AdpConfig) -> tuple
     rows, crowd = np.flatnonzero(~crowded), np.flatnonzero(crowded)
     if not rows.size or not len(tents):
         return z, crowd
-    kept = tents >= 0
-    lengths = kept.sum(axis=1)
-    kept, entries = kept[:, : lengths.max()], tents[kept]
-
-    def entry_rows(array):  # the entries' rows of one of the sequence's arrays, zero past each end
-        out = np.zeros((*kept.shape, array.shape[1]))
-        out[kept] = array[entries]
-        return out
-
-    feats = entry_rows(state.seq.features)
+    lengths = (tents >= 0).sum(axis=1)
+    tents = tents[:, : lengths.max()]  # a -1 past an end reads the last row, seen by masked terms and unread states
+    kept, feats = tents >= 0, state.seq.features[tents]
     per_entry = cfg.variant in (Variant.F1, Variant.F3)
     filtered = cfg.variant is Variant.MAIN and (cfg.cand_iou > 0 or cfg.cand_app > -1)
     walked = per_entry or filtered and cfg.cand_iou > 0
     if walked:
-        walk = _frame_walk(state.forecast.take(rows, axis=1), entry_rows(state.seq.boxes), lengths)
+        walk = _frame_walk(state.forecast.take(rows, axis=1), state.seq.boxes[tents], lengths)
     if cfg.variant is Variant.F3 or filtered:  # f1 reads only the walk IOUs
         cos = np.clip(feature_dots(state.rep[rows][:, None, None], feats), -1.0, 1.0)
     if per_entry:
@@ -317,15 +312,16 @@ def score_frame(state: TrackerState, tents: np.ndarray, cfg: AdpConfig) -> tuple
     else:
         sizes = sizes[rows]
         slots = np.arange(-sizes.max(), 0) >= -sizes[:, None]
+        past = record.slots[rows, 1, -sizes.max() :]  # the trusted windows' sequence rows
         if filtered:  # the products of the kept cells alone, scattered into zero terms
             kept = kept & (cos >= cfg.cand_app)
             if walked:
                 kept &= walk >= cfg.cand_iou
             r, j, e = np.nonzero(kept)
             terms = np.zeros((*kept.shape[:2], slots.shape[1], kept.shape[2]))
-            terms[r, j, :, e] = np.where(slots[r], feature_dots(record.slots[rows[r], 1, -sizes.max() :], feats[j, e, None]), 0.0)
+            terms[r, j, :, e] = np.where(slots[r], feature_dots(state.seq.features[past[r]], feats[j, e, None]), 0.0)
         else:  # every cell is kept: one broadcast product beats the gather (6% of a `crowd-f2` frame)
-            dots = feature_dots(record.slots[rows, 1, -sizes.max() :, None, None], feats).transpose(0, 2, 1, 3)
+            dots = feature_dots(state.seq.features[past[:, :, None, None]], feats).transpose(0, 2, 1, 3)
             terms = np.where(kept[..., None, :] & slots[:, None, :, None], dots, 0.0)
     # Each pair's (K, L) terms in `_mean`'s order; no term is -0.0, so starting at the first adds as 0.0 + does.
     total = np.add.accumulate(terms.reshape(*terms.shape[:2], -1), axis=2)[..., -1]

@@ -69,12 +69,6 @@ class Scenario:
     identity_features: dict[int, FeatureVec]
 
 
-def _stream(seed: int, frame: int, identity: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
-    counter = np.array([0, 0, frame, identity], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
-
-
 def _streams(seed: int, keys):
     """The stream of each (frame, identity) of `keys` in turn, as one `Generator` whose `Philox` state is set to the
     seed's key and the (0, 0, frame, identity) counter: each stream must be drawn before the next is taken."""
@@ -95,7 +89,7 @@ def _build_paths(cfg: ScenarioConfig) -> np.ndarray:
     lane_h = world_h / n_lanes
     paths = []
     for i in range(cfg.identities):
-        rng = _stream(cfg.seed, 0, i)
+        rng = next(_streams(cfg.seed, [(0, i)]))
         height = lane_h * rng.uniform(0.6, 0.85)
         width = height * rng.uniform(0.35, 0.5)
         pair = i // 2 if i < 2 * cfg.crossings else None
@@ -112,7 +106,7 @@ def _build_paths(cfg: ScenarioConfig) -> np.ndarray:
         else:
             # Crossing pairs: member 0 starts left, member 1 right; the pair
             # meets mid-sequence and swaps velocities (a bounce).
-            pair_rng = _stream(cfg.seed, 0, 2**32 + pair)
+            pair_rng = next(_streams(cfg.seed, [(0, 2**32 + pair)]))
             t_meet = cfg.frames * pair_rng.uniform(0.40, 0.60)
             start_l = pair_rng.uniform(margin, margin + 40.0)
             start_r = world_w - pair_rng.uniform(margin, margin + 40.0)

@@ -39,6 +39,11 @@ def frame_of(seq, rows):
     return np.searchsorted(seq.offsets, rows, side="right")
 
 
+def last_match(state):
+    """The frame of each tracker row's last match: the frame of its `matched` row."""
+    return frame_of(state.seq, state.matched)
+
+
 @pytest.fixture(scope="session")
 def preset_base_runs():
     """Each preset scene with its base-mode result rows, tracked once for every test that reads them."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import count_calls, fused_similarity, make_det, make_seq, rows_to_boxes, state_row
+from conftest import count_calls, fused_similarity, last_match, make_det, make_seq, rows_to_boxes, state_row
 
 from adptrack import base_tracker, core, rollout
 from adptrack.assignment import Matching, hungarian_max
@@ -180,7 +180,7 @@ def test_apply_matching_reads_only_the_fresh_weights_pass_of_its_state_and_frame
         apply_matching(state, 2, matching)  # never twice from one pass
 
     compute_base_weights(state, 3)
-    state.spawn(3, np.arange(5, 6))  # the rows changed after the pass
+    state.spawn(np.arange(5, 6))  # the rows changed after the pass
     with pytest.raises(ValueError, match="compute_base_weights"):
         apply_matching(state, 3, unmatched)
 
@@ -190,7 +190,7 @@ def test_step_cold_start_spawns():
     _, matching = step(state, 1)
     assert matching.pairs == ()
     assert state.ids.tolist() == [1, 2]
-    assert state.last.tolist() == [1, 1] and state.matched.tolist() == [0, 1]
+    assert last_match(state).tolist() == [1, 1] and state.matched.tolist() == [0, 1]
 
 
 def test_step_stationary_rematches():
@@ -199,7 +199,7 @@ def test_step_stationary_rematches():
     _, matching = step(state, 2)
     assert matching.pairs == ((0, 0), (1, 1))
     assert state.ids.tolist() == [1, 2]
-    assert state.last.tolist() == [2, 2] and state.matched.tolist() == [2, 3]  # frame 2's rows
+    assert last_match(state).tolist() == [2, 2] and state.matched.tolist() == [2, 3]  # frame 2's rows
 
 
 def test_step_low_confidence_detections_ignored():
@@ -214,9 +214,9 @@ def test_lifecycle_removal_after_max_age():
     step(state, 1)
     for idx in range(2, 4):
         step(state, idx)
-        assert state.ids.tolist() == [1] and state.last.tolist() == [1]
+        assert state.ids.tolist() == [1] and last_match(state).tolist() == [1]
     step(state, 4)  # last match 3 frames back
-    assert len(state.ids) == state.forecast.shape[1] == len(state.rep) == len(state.last) == len(state.matched) == 0
+    assert len(state.ids) == state.forecast.shape[1] == len(state.rep) == len(state.matched) == 0
 
 
 def test_lost_track_keeps_predicting_and_reacquires():
@@ -224,10 +224,10 @@ def test_lost_track_keeps_predicting_and_reacquires():
     step(state, 1)
     step(state, 2)
     step(state, 3)  # lost for one frame, velocity (4, 0)
-    assert state.ids.tolist() == [1] and state.last.tolist() == [2]
+    assert state.ids.tolist() == [1] and last_match(state).tolist() == [2]
     _, matching = step(state, 4)
     assert matching.pairs == ((0, 0),)
-    assert state.ids.tolist() == [1] and state.last.tolist() == [4]
+    assert state.ids.tolist() == [1] and last_match(state).tolist() == [4]
 
 
 def test_no_id_reuse():
@@ -253,7 +253,7 @@ def test_fork_at_binds_detection_order():
     seq = make_seq({3: [make_det(0, 0)], 7: [make_det(x, 0, conf=c) for x, c in ((0, 0.9), (30, 0.05), (60, 0.5))]})
     forked = fork_at(seq, 7, PARAMS)
     assert forked.ids.tolist() == [1, 2, 3]  # every detection, low confidence included
-    assert forked.matched.tolist() == [1, 2, 3] and forked.last.tolist() == [7, 7, 7]  # frame 7's rows
+    assert forked.matched.tolist() == [1, 2, 3] and last_match(forked).tolist() == [7, 7, 7]  # frame 7's rows
     assert forked.frame_cursor == 7
 
     assert len(fork_at(seq, 5, PARAMS).ids) == 0
@@ -294,9 +294,9 @@ def test_step_predicts_each_surviving_track_once(monkeypatch):
         step(state, frame)
         # the surviving rows in one batch; the spawned rows take the closed-form prior
         assert [x.shape[1] for x, in predicts] == [np.count_nonzero(state.ids < spawned_from)]
-        assert state.forecast.shape[1] == len(state.rep) == len(state.last) == len(state.matched) == len(state.ids)
+        assert state.forecast.shape[1] == len(state.rep) == len(state.matched) == len(state.ids)
         # the tracks are exactly those whose last match lies at most max_age frames back
-        seen.update(zip(state.ids.tolist(), state.last.tolist()))
+        seen.update(zip(state.ids.tolist(), last_match(state).tolist()))
         assert state.ids.tolist() == [i for i, last in seen.items() if frame - last <= params.max_age]
     assert len(state.ids) < len(seen) == state.next_id - 1
 

@@ -237,6 +237,20 @@ def test_one_row_at_the_largest_frame_index_takes_one_step(tmp_path, monkeypatch
     assert res.read_text() == f"{MAX_FRAME_INDEX},1,10,20,30,40,0.9,-1,-1,-1\n"
 
 
+@pytest.mark.parametrize("mode", ["base", "adp"])
+def test_two_rows_a_million_frames_apart_take_max_age_plus_three_steps(tmp_path, monkeypatch, mode):
+    """A track whose last match lies more than `max_age` frames back is removed, and a run without tracks jumps to
+    the next frame with rows: rows at frames 1 and `MAX_FRAME_INDEX` take 30 + 3 steps, 2 of them cold starts in
+    adp mode, and write two tracks."""
+    dets, feats, res = tmp_path / "det.txt", tmp_path / "f.csv", tmp_path / "res.txt"
+    dets.write_text(f"1,-1,10,20,30,40,0.9\n{MAX_FRAME_INDEX},-1,10,20,30,40,0.9\n")
+    feats.write_text(f"frame,det,dim=2\n1,0,1,0\n{MAX_FRAME_INDEX},0,1,0\n")
+    calls = [count_calls(monkeypatch, module, name) for module, name in ((base_tracker, "step"), (rollout, "step"), (rollout, "adp_step"))]
+    assert main(["track", "--dets", str(dets), "--features", str(feats), "--out", str(res), "--mode", mode]) == 0
+    assert [len(c) for c in calls] == {"base": [33, 0, 0], "adp": [0, 2, 31]}[mode]
+    assert res.read_text() == f"1,1,10,20,30,40,0.9,-1,-1,-1\n{MAX_FRAME_INDEX},2,10,20,30,40,0.9,-1,-1,-1\n"
+
+
 def test_non_utf8_input_names_file_and_line(tmp_path, capsys):
     det_row = b"1,-1,10,20,5,40,0.9\n"
     dets = tmp_path / "det.txt"

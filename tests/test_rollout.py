@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import count_calls, forecast_row, frame_of, make_det, make_seq, state_row
+from conftest import count_calls, forecast_row, frame_of, last_match, make_det, make_seq, state_row
 
 from adptrack import base_tracker, core, rollout
 from adptrack.appearance import cosine_sim, ema_update, select_quality_window
@@ -81,7 +81,7 @@ class _Logged(TrustedRecord):
         self.calls = []
 
     def __call__(self, state, frame, keep, quality):
-        rows = SimpleNamespace(ids=state.ids.copy(), matched=state.matched.copy(), rep=state.rep[:0], seq=state.seq)
+        rows = SimpleNamespace(ids=state.ids.copy(), matched=state.matched.copy(), seq=state.seq)
         self.calls.append((rows, frame, keep, quality))
         super().__call__(state, frame, keep, quality)
 
@@ -529,7 +529,7 @@ def test_huge_window_scores_like_the_longest_history(crowd_windows, variant):
         history, _ = _histories(case.state)
         longest = replace(huge, window=max(map(len, history.values())))
         state = _keyed(case.state, huge)
-        assert state.hook.slots.shape == (len(state.ids), 2, longest.window, state.rep.shape[1])
+        assert state.hook.slots.shape == (len(state.ids), 2, longest.window)
         z, crowd = score_frame(state, _scored(huge, case.tents), huge)
         z_ref, crowd_ref = score_frame(_keyed(case.state, longest), _scored(huge, case.tents), longest)
         assert np.array_equal(crowd, crowd_ref)
@@ -711,8 +711,8 @@ def test_walk_raises_when_the_forecast_overflows():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_trusted_record_equals_the_quality_window_and_crowd_check(window, beta, crowd_ratio, frames, seed):
-    """Random matches, removals and spawns through a record give each row the features at its `select_quality_window`
-    positions, as bytes, and `score_frame` the crowd rows of the scalar `crowd_check`.
+    """Random matches, removals and spawns through a record give each row the sequence rows at its
+    `select_quality_window` positions, and `score_frame` the crowd rows of the scalar `crowd_check`.
 
     Qualities lie in [-1, 1], some equal to beta, and beta reaches past 1, where no entry is trusted and every
     window takes the fallback; windows reach past the longest record.
@@ -720,10 +720,9 @@ def test_trusted_record_equals_the_quality_window_and_crowd_check(window, beta, 
     rng = np.random.default_rng(seed)
     cfg = AdpConfig(window=window, beta=beta, crowd_ratio=crowd_ratio)
     record = TrustedRecord(window, beta)
-    ids, next_id, tracks = np.zeros(0, dtype=np.int64), 1, {}  # id -> (features, qualities, spawn frame)
+    ids, next_id, tracks = np.zeros(0, dtype=np.int64), 1, {}  # id -> (sequence rows, qualities, spawn frame)
     for f in range(1, frames + 1):
-        seq = SimpleNamespace(features=rng.normal(size=(6, 3)))  # the frame's rows
-        dets = rng.permutation(6)
+        dets = 6 * (f - 1) + rng.permutation(6)  # the frame's six rows, in a random order
         rows = rng.permutation(len(ids))[: rng.integers(0, min(len(ids), 6) + 1)]
         quality = np.full(len(ids), np.nan)
         quality[rows] = np.where(rng.random(len(rows)) < 0.2, beta, rng.uniform(-1.0, 1.0, len(rows)))
@@ -732,23 +731,23 @@ def test_trusted_record_equals_the_quality_window_and_crowd_check(window, beta, 
         keep = np.flatnonzero((quality == quality) | (rng.random(len(ids)) < 0.8))
         spawn = dets[len(rows) :][rng.random(6 - len(rows)) < 0.5]
         ids = np.concatenate([ids[keep], np.arange(next_id, next_id + len(spawn))])
-        state = SimpleNamespace(ids=ids, matched=np.concatenate([matched[keep], spawn]), rep=np.zeros((0, 3)), seq=seq)
+        state = SimpleNamespace(ids=ids, matched=np.concatenate([matched[keep], spawn]))
         record(state, f, keep, quality[keep])
         for tid, j, q in zip(ids.tolist(), state.matched.tolist(), quality[keep].tolist()):
             if q == q:
-                tracks[tid][0].append(seq.features[j])
+                tracks[tid][0].append(j)
                 tracks[tid][1].append(q)
         for tid, j in zip(range(next_id, next_id + len(spawn)), spawn.tolist()):
-            tracks[tid] = ([seq.features[j]], [1.0], f)
+            tracks[tid] = ([j], [1.0], f)
         next_id += len(spawn)
 
         longest = max((len(t[1]) for t in tracks.values()), default=0)
-        assert record.slots.shape[:3] == (len(ids), 2, min(window, longest))
+        assert record.slots.shape == (len(ids), 2, min(window, longest)) and record.slots.dtype == np.intp
         sizes = record.table[:, 3]
         for i, tid in enumerate(ids.tolist()):
-            feats, qualities, _ = tracks[tid]
-            expected = np.stack([feats[pos - 1] for pos in select_quality_window(qualities, beta, window)])
-            assert record.slots[i, 1, record.slots.shape[2] - sizes[i] :].tobytes() == expected.tobytes()
+            matches, qualities, _ = tracks[tid]
+            expected = [matches[pos - 1] for pos in select_quality_window(qualities, beta, window)]
+            assert record.slots[i, 1, record.slots.shape[2] - sizes[i] :].tolist() == expected
         state.frame_cursor, state.hook = f + int(rng.integers(0, 15)), record
         _, crowd = score_frame(state, np.zeros((0, 1), dtype=np.int64), cfg)
         expected = [i for i, tid in enumerate(ids.tolist()) if crowd_check(tracks[tid][1], tracks[tid][2], state.frame_cursor, cfg)]
@@ -771,9 +770,26 @@ def test_crowd_work_per_frame_does_not_grow_with_track_age():
             sizes = shapes
         elif i > cfg.window:
             assert shapes == sizes
-    assert record.table.shape == (1, 4) and record.slots.shape == (1, 2, cfg.window, 2)
+    assert record.table.shape == (1, 4) and record.slots.shape == (1, 2, cfg.window)
     assert record.table[0, :3].tolist() == [320, 0, 1]  # 320 qualities on record, none below beta, spawned at frame 1
     assert not any(isinstance(getattr(obj, name), list) for obj in (state, record) for name in obj.__slots__)
+
+
+def test_trusted_record_size_does_not_depend_on_the_feature_width():
+    """The record holds sequence rows, not feature copies: the same boxes with 2- and 64-wide features give one
+    record of intp rows, of the same bytes."""
+    cfg = AdpConfig()
+    records = []
+    for dim in (2, 64):
+        seq = make_seq({f: [make_det(0.5 * f + 40 * k, 0, feature=np.eye(dim)[k]) for k in range(2)] for f in range(1, 13)})
+        state = TrackerState(PARAMS, seq)
+        state.hook = TrustedRecord(cfg.window, cfg.beta)
+        step(state, 1)
+        for f in range(2, seq.last + 1):
+            adp_step(state, range(f, min(f + cfg.horizon, seq.last) + 1), cfg)
+        records.append(state.hook.slots)
+    assert all(slots.dtype == np.intp and slots.shape == (2, 2, cfg.window) for slots in records)
+    assert records[0].nbytes == records[1].nbytes and np.array_equal(*records)
 
 
 def test_array_state_equals_the_scalar_recursion(monkeypatch):
@@ -793,7 +809,7 @@ def test_array_state_equals_the_scalar_recursion(monkeypatch):
             expected[state, int(state.ids[i])] = (kf_predict(kf_init(det.bbox)), det.feature)
 
     def check(state):
-        assert state.forecast.shape[1] == len(state.rep) == len(state.last) == len(state.matched) == len(state.ids)
+        assert state.forecast.shape[1] == len(state.rep) == len(state.matched) == len(state.ids)
         for i, tid in enumerate(state.ids.tolist()):
             forecast, rep = expected[state, tid]
             assert np.array_equal(state.forecast[:, i], forecast_row(forecast))
@@ -845,9 +861,10 @@ _CROWD = replace(occlusion_preset()[0], identities=20, crossings=6, seed=9003)
 
 @pytest.mark.parametrize("workload", ["crowd-base", "crowd-f2", "presets-base"])
 def test_last_match_rows_follow_the_histories(monkeypatch, preset_base_runs, workload):
-    """After every step the rows hold the live tracks in order, `last` each one's last matched frame, and
-    `collect_frame_rows` returns what a scan of their matches, replayed from the matchings, finds; the steps
-    spawn, match, lose and remove tracks. The scalar recursion test above checks the simulated steps too."""
+    """After every step the rows hold the live tracks in order, `matched` the row of each one's last match, and
+    `collect_frame_rows` at this and the previous step's frame returns what a scan of their matches, replayed from
+    the matchings, finds; the steps spawn, match, lose and remove tracks. The scalar recursion test above checks
+    the simulated steps too."""
     if workload == "presets-base":
         sequences = [scenario.det_frames for scenario, _ in preset_base_runs]
     else:
@@ -870,11 +887,12 @@ def test_last_match_rows_follow_the_histories(monkeypatch, preset_base_runs, wor
         kept = [tid for tid in ids if tracks[tid][-1][0] >= frame - PARAMS.max_age]
         live = state.ids.tolist()
         assert live == kept + list(range(first, first + len(unmatched)))
-        assert state.last.dtype == np.int64
-        assert state.last.tolist() == [tracks[tid][-1][0] for tid in live]
+        assert state.matched.dtype == np.intp
+        assert state.matched.tolist() == [tracks[tid][-1][1] for tid in live]
+        assert last_match(state).tolist() == [tracks[tid][-1][0] for tid in live]
         for at in (frame, previous.get(state)):
             if at is not None:
-                scan = [[at, tid, tracks[tid][-1][1]] for tid in live if tracks[tid][-1][0] == at]
+                scan = [[at, tid, tracks[tid][-1][1]] for tid in live if tracks[tid][-1][0] >= at]
                 assert base_tracker.collect_frame_rows(state, at).tolist() == scan
         previous[state] = frame
         removed.append(len(ids) - len(kept))
