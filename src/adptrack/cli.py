@@ -174,13 +174,12 @@ def cmd_synth(ns) -> int:
 
 def _sweep_worker(task):
     """(report, tracking seconds) of one sweep value's config."""
-    dets_path, features_path, gt_path, params, cfg = task
-    seq = _load_sequence(dets_path, features_path)
+    seq, gt, params, cfg = task
     start = time.perf_counter()
     rows = run_adp(seq, params, cfg)
     runtime = time.perf_counter() - start
     pred = BoxTable(rows[:, 0], rows[:, 1], seq.boxes[rows[:, 2]])
-    return evaluate(read_gt(gt_path), pred), runtime
+    return evaluate(gt, pred), runtime
 
 
 def cmd_sweep(ns) -> int:
@@ -197,10 +196,11 @@ def cmd_sweep(ns) -> int:
             if v != int(v) or v < 1:
                 raise DataError(f"{ns.param} values must be positive integers, got {v}")
 
-    # Every value's config is built, and so checked, before any value is tracked.
+    # Every value's config is built, and so checked, and the input files read once, before any value is tracked.
     cast, params = type(getattr(AdpConfig, ns.param)), _tracker_params(ns)
     configs = [_adp_config(argparse.Namespace(**{**vars(ns), ns.param: cast(v)})) for v in values]
-    tasks = [(ns.dets, ns.features, ns.gt, params, cfg) for cfg in configs]
+    seq, gt = _load_sequence(ns.dets, ns.features), read_gt(ns.gt)
+    tasks = [(seq, gt, params, cfg) for cfg in configs]
     if len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(4, len(tasks))) as pool:
             results = list(pool.map(_sweep_worker, tasks))

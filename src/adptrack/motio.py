@@ -10,16 +10,22 @@ unit rows in row order, which `attach_features` puts into the sequence: no
 per-frame or per-detection object is built between reading the files and
 writing the result file, whose rows name sequence rows. A ground-truth or
 result file is read once into a
-`metrics.BoxTable`. All three readers share one column reader and one error
-rule: a bad file raises a `DataError` for its first bad line and that line's
-first failing check. Result files are written with 6 significant digits and
-a fixed sort order so reruns are byte-comparable.
+`metrics.BoxTable`. All three readers share one row reader and one error
+rule: a file of plain ASCII lines is parsed in one `np.loadtxt` pass, any
+other file, or one that pass rejects, by Python's `int` and `float` field by
+field, and a bad file raises a `DataError` for its first bad line and that
+line's first failing check. Result files are written with 6 significant
+digits and a fixed sort order so reruns are byte-comparable.
 """
 
 from __future__ import annotations
 
 import io
+import re
+import warnings
 from dataclasses import replace
+from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -49,17 +55,66 @@ class DataError(ValueError):
     """Malformed or inconsistent input data."""
 
 
-def _numbered_lines(path):
-    """(line number, line) pairs of a UTF-8 text file; undecodable bytes raise a DataError naming their line."""
+# Of the control characters, these four alone are whitespace to numpy's number parsers, which skip them
+# anywhere in a field, but not to Python's `int` and `float`, which reject them there.
+_SEPARATORS = b"\x1c\x1d\x1e\x1f"
+
+# The first line of a file and its end, as universal newlines read it.
+_FIRST_LINE = re.compile(rb"[^\r\n]*(?:\r\n|\r|\n)?")
+
+
+def _read(path) -> bytes:
+    """The bytes of a UTF-8 text file; undecodable bytes raise a DataError naming their line."""
     with open(path, "rb") as fh:
         data = fh.read()
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # The bytes before the bad one decode; count the lines they start.
+            lineno = len(io.StringIO(data[: exc.start].decode("utf-8") + "x", newline=None).readlines())
+            raise DataError(f"{path}:{lineno}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return data
+
+
+def _numbered_lines(data):
+    """(line number, line) pairs of the UTF-8 text `data`, split as universal newlines split it."""
+    return enumerate(io.StringIO(data.decode("utf-8"), newline=None), start=1)
+
+
+def _loadtxt(data, start, kinds, dim):
+    """The rows of `data` from byte `start` on as one structured array, parsed in one C pass: the fields `f0`,
+    `f1`, ... of `kinds` (int64 or float64), then with `dim` the (dim,) float64 field `block`, else only the
+    first `len(kinds)` columns. None if the parse fails, or might read a field as Python's `int` or `float`
+    would not.
+
+    Where it returns rows, the per-field parse would pass its field-count and parse checks with the same values,
+    and row i is the i-th non-blank line: `np.loadtxt` skips empty lines and fails on whitespace-only ones.
+    """
+    # Only ASCII reaches numpy's parser: numpy 2.4's crashes the process on an int64 field that holds a code point
+    # past about U+4FECA. (The ASCII decoding below would reject such a byte too, but only when it reached it.)
+    if not data.isascii() or any(c in data for c in _SEPARATORS):
+        return None
+    # A row of 2 + dim fields takes 2 * dim bytes or more; a larger declared dim need not even make a dtype.
+    if 2 * dim > len(data):
+        return None
+    dtype = [(f"f{k}", np.int64 if kind is int else np.float64) for k, kind in enumerate(kinds)]
+    fh = io.BytesIO(data)  # shares the bytes, where a slice or a decoded str would copy them
+    fh.seek(start)
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # The bytes before the bad one decode; count the lines they start.
-        lineno = len(io.StringIO(data[: exc.start].decode("utf-8") + "x", newline=None).readlines())
-        raise DataError(f"{path}:{lineno}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    return enumerate(io.StringIO(text, newline=None), start=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as for input with no rows: the per-field parse handles it
+            return np.loadtxt(
+                fh,
+                dtype=dtype + [("block", np.float64, (dim,))] if dim else dtype,
+                delimiter=",",
+                comments=None,
+                usecols=None if dim else range(len(kinds)),
+                ndmin=1,
+                encoding="ascii",
+            )
+    except (ValueError, Warning):
+        return None
 
 
 def _column(texts, kind):
@@ -77,19 +132,29 @@ def _column(texts, kind):
 
 
 class _Rows:
-    """The non-blank lines of numbered text, split at commas, field count checked and parsed column by column.
+    """The non-blank lines of the text `data` past a header line of `start` bytes (or none), parsed column by
+    column, with their checks.
+
+    A line needs a field per kind, then with `dim` exactly `dim` floats more, which make row i of the
+    (rows, dim) `block`. A file of plain ASCII lines that all parse is read in one `np.loadtxt` pass;
+    otherwise, or if that parse fails, the lines are split at commas, field counts checked and each column
+    parsed by Python's `int` or `float`. The lines are numbered and split only on that path, or when a check
+    fails and its message needs them: on either parse, row i is `lines[i]`.
 
     Each check passes `check` the rows it fails, all at once, in the order one line's checks would run; the
     earliest failing row is kept, so `raise_first` raises for the first bad line and its first failing check.
-    A line needs a field per kind, then with `dim` exactly `dim` floats more, parsed into the flat `block`.
     """
 
-    def __init__(self, path, numbered, kinds, dim=0):
-        self.path = path
-        self.lines = [(lineno, line) for lineno, raw in numbered if (line := raw.strip())]
+    def __init__(self, path, data, kinds, dim=0, start=0):
+        self.path, self.data, self.start = path, data, start
         n = len(kinds)
-        # Past the fields read, the rest of a line stays in one last field unless a block follows them.
-        self.fields = [line.split(",", -1 if dim else n) for _, line in self.lines]
+        self.split = -1 if dim else n  # past the fields read, the rest of a line stays in one last field
+        table = _loadtxt(data, start, kinds, dim)
+        if table is not None:
+            self.stop, self.error = len(table), None
+            self.columns = [table[f"f{k}"] for k in range(n)]
+            self.block = table["block"] if dim else None
+            return
         self.stop, self.error = len(self.lines), None
         bad = [len(f) != n + dim if dim else len(f) < n for f in self.fields]
         expected = f"{n + dim}" if dim else f"at least {n}"
@@ -98,9 +163,22 @@ class _Rows:
         for _, failed, message in parsed:
             self.check(failed, lambda i: message)
         self.columns = [values[: self.stop] for values, _, _ in parsed]
+        self.block = None
         if dim:
-            self.block, failed, message = _column([x for f in self.fields[: self.stop] for x in f[n:]], float)
+            values, failed, message = _column([x for f in self.fields[: self.stop] for x in f[n:]], float)
             self.check([i // dim for i in failed], lambda i: message)
+            # Only a file with no good row can declare a dimension beyond numpy's largest: its lines fail the field count.
+            self.block = values[: self.stop * dim].reshape(self.stop, dim if self.stop else 0)
+
+    @cached_property
+    def lines(self):
+        """(line number, stripped line) of each non-blank line."""
+        numbered = islice(_numbered_lines(self.data), 1 if self.start else 0, None)  # a header is one line
+        return [(lineno, line) for lineno, raw in numbered if (line := raw.strip())]
+
+    @cached_property
+    def fields(self):
+        return [line.split(",", self.split) for _, line in self.lines]
 
     def check(self, failing, message):
         first = min(map(int, failing), default=self.stop)
@@ -138,7 +216,7 @@ def read_detections(path) -> Sequence:
     A line needs at least 7 fields: `int` frame and id, finite `float` box and confidence, a frame in
     [1, `MAX_FRAME_INDEX`], a box whose area is a positive float and a confidence in [0, 1].
     """
-    rows = _Rows(path, _numbered_lines(path), (int, int, float, float, float, float, float))
+    rows = _Rows(path, _read(path), (int, int, float, float, float, float, float))
     frames, _, left, top, width, height, conf = rows.columns
     rows.check_finite(np.stack([left, top, width, height, conf], axis=1))
     outside = np.flatnonzero((frames < 1) | (frames > MAX_FRAME_INDEX))
@@ -156,7 +234,7 @@ def read_gt(path) -> BoxTable:
     A line needs at least 6 fields: `int` frame and id, both >= 1, a finite `float` box whose area is a
     positive float, and a (frame, id) no earlier line has.
     """
-    rows = _Rows(path, _numbered_lines(path), (int, int, float, float, float, float))
+    rows = _Rows(path, _read(path), (int, int, float, float, float, float))
     frames, ids, left, top, width, height = rows.columns
     boxes = np.stack([left, top, width, height], axis=1)
     rows.check_finite(boxes)
@@ -176,8 +254,9 @@ def read_features(path, dets: Sequence) -> np.ndarray:
     `unit_rows` block. Then a detection without a row is named by its key, and the first row without a detection
     by its line.
     """
-    numbered = _numbered_lines(path)
-    header = next(numbered, (1, ""))[1].strip()
+    data = _read(path)
+    first = _FIRST_LINE.match(data)
+    header = first[0].decode("utf-8").strip()
     parts = header.split(",")
     if len(parts) != 3 or parts[0] != "frame" or parts[1] != "det" or not parts[2].startswith("dim="):
         raise DataError(f"{path}:1: bad header {header!r}, expected 'frame,det,dim=D'")
@@ -187,11 +266,10 @@ def read_features(path, dets: Sequence) -> np.ndarray:
         raise DataError(f"{path}:1: bad dimension in header {header!r}") from None
     if dim < 2:
         raise DataError(f"{path}:1: feature dimension must be >= 2, got {dim}")
-    rows = _Rows(path, numbered, (int, int), dim)
+    rows = _Rows(path, data, (int, int), dim, start=first.end())
     frames, det_idx = rows.columns
     rows.check_unique(frames, det_idx, lambda key: f"duplicate feature row for {key}")
-    # Only a file with no good row can declare a dimension beyond numpy's largest: its lines fail the field count.
-    unit, failed, message = unit_rows(rows.block[: rows.stop * dim].reshape(rows.stop, dim if rows.stop else 0))
+    unit, failed, message = unit_rows(rows.block[: rows.stop])
     rows.check(failed, lambda i: message)
     rows.raise_first()
 

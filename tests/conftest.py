@@ -9,7 +9,7 @@ from adptrack.appearance import cosine_sim
 from adptrack.base_tracker import TrackerParams, run as run_base
 from adptrack.core import BoundingBox, Detection, FeatureVec, Sequence, box_array, iou
 from adptrack.metrics import LabeledBox
-from adptrack.motio import MAX_FRAME_INDEX, DataError, _numbered_lines, write_results
+from adptrack.motio import MAX_FRAME_INDEX, DataError, _numbered_lines, _read, write_results
 from adptrack.motion import KalmanState, state_to_bbox
 from adptrack.rollout import AdpConfig, run as run_adp
 from adptrack.synthworld import ScenarioConfig, generate, occlusion_preset
@@ -145,7 +145,7 @@ def rows_to_boxes(seq, rows):
 
 
 def _data_lines(path):
-    for lineno, raw in _numbered_lines(path):
+    for lineno, raw in _numbered_lines(_read(path)):
         line = raw.strip()
         if line:
             yield lineno, line
@@ -213,7 +213,7 @@ def oracle_read_features(path, dets):
     Frame and detection index are Python ints of any size.
     """
     rows, line_of = {}, {}
-    lines = _numbered_lines(path)
+    lines = _numbered_lines(_read(path))
     header = next(lines, (1, ""))[1].strip()
     parts = header.split(",")
     if len(parts) != 3 or parts[0] != "frame" or parts[1] != "det" or not parts[2].startswith("dim="):

@@ -362,6 +362,38 @@ def test_sweep_rejects_an_invalid_value_before_tracking_any(tmp_path, monkeypatc
     assert not out.exists()
 
 
+def test_sweep_reads_its_inputs_once_in_the_parent(tmp_path, monkeypatch):
+    """A two-value sweep reads each input file once, before its pool starts, and sends the workers the rows."""
+    scene = _synth(tmp_path)
+    reads = [count_calls(monkeypatch, cli, name) for name in ("read_detections", "read_features", "read_gt")]
+    assert main([
+        "sweep", "--param", "horizon", "--values", "1,3",
+        "--dets", str(scene / "det.txt"), "--features", str(scene / "features.csv"),
+        "--gt", str(scene / "gt.txt"), "--out", str(tmp_path / "s.csv"),
+    ]) == 0
+    assert [len(calls) for calls in reads] == [1, 1, 1]
+
+
+def test_sweep_rejects_a_bad_input_line_before_its_pool_starts(tmp_path, monkeypatch, capsys):
+    scene = _synth(tmp_path)
+    features = scene / "features.csv"
+    lines = features.read_text().splitlines(keepends=True)
+    features.write_text("".join(lines[:2] + ["1,0,x\n"] + lines[3:]))
+
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep started its pool")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", never)
+    out = tmp_path / "s.csv"
+    assert main([
+        "sweep", "--param", "horizon", "--values", "1,3",
+        "--dets", str(scene / "det.txt"), "--features", str(features),
+        "--gt", str(scene / "gt.txt"), "--out", str(out),
+    ]) == 2
+    assert f"data error: {features}:3: expected " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_track_rejects_non_finite_config(tmp_path, capsys):
     scene = _synth(tmp_path)
     out = tmp_path / "res.txt"

@@ -2,6 +2,7 @@ import contextlib
 import io
 import random
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -661,3 +662,88 @@ def test_integers_beyond_64_bits_are_the_one_difference_from_the_oracles(tmp_pat
         None,
         may_fail_after_rows="nonexistent detection",
     )
+
+
+# The one-pass parse: plain ASCII files are parsed by `np.loadtxt`; any other file, or one it rejects, takes the
+# per-field reader (`motio._column`). Either way a reader returns what its per-line oracle does.
+
+
+def _gt_table_rows(path):
+    return table_rows(read_gt(path))
+
+
+def _oracle_gt_rows(path):
+    return sorted((b.frame, b.id, b.bbox.left, b.bbox.top, b.bbox.width, b.bbox.height) for b in oracle_read_gt(path))
+
+
+_TWO_FRAMES = detection_rows([1, 2])
+_CLEAN = {  # per reader: a clean file's lines, the reader, its oracle and how their results compare
+    "det": (["1,-1,10,20,30,40,0.9,-1,-1,-1", "2,-1,11,20,30,40,0.8"], read_detections, oracle_read_detections, _rows_content),
+    "gt": (["1,1,10,20,30,40,1,1,1", "2,1,11,20,30,40,1,1,1"], _gt_table_rows, _oracle_gt_rows, repr),
+    "features": (
+        ["frame,det,dim=2", "1,0,1,0", "2,0,0.6,0.8"],
+        lambda path: read_features(path, _TWO_FRAMES),
+        lambda path: oracle_read_features(path, _TWO_FRAMES),
+        lambda block: (block.shape, block.tobytes()),
+    ),
+}
+
+
+def _spell_first_key(lines, key):
+    """`lines` with the first data line's first field, frame 1, spelt `key`."""
+    at = 1 if lines[0].startswith("frame,") else 0
+    return lines[:at] + [key + lines[at][1:]] + lines[at + 1 :]
+
+
+_VARIANTS = {  # a clean file's text from its lines, and whether the per-field reader parses it
+    "lf": (lambda lines: "\n".join(lines) + "\n", False),
+    "crlf": (lambda lines: "\r\n".join(lines) + "\r\n", False),
+    "underscore key": (lambda lines: "\n".join(_spell_first_key(lines, "0_1")), True),
+    "fullwidth key": (lambda lines: "\n".join(_spell_first_key(lines, "１")), True),
+    "whitespace-only line": (lambda lines: "\n".join(lines[:-1] + [" \t", lines[-1]]), True),
+    # Python's `int` rejects the field, where numpy's parser would skip the separator as whitespace.
+    "separator in a field": (lambda lines: "\n".join(lines[:-1] + [lines[-1].replace(",", ",\x1c", 1)]), True),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_CLEAN))
+@pytest.mark.parametrize("variant", list(_VARIANTS))
+def test_only_files_the_one_pass_parse_rejects_take_the_per_field_reader(tmp_path, monkeypatch, reader, variant):
+    """A clean ASCII file, with either line ending, is parsed without the per-field reader. A key spelt as only
+    Python's `int` accepts it (`0_1`, a fullwidth `１`), a whitespace-only line or an ASCII separator inside a
+    field sends the file to it. Either way the reader returns what its oracle does, or raises its DataError."""
+    lines, read, oracle, content = _CLEAN[reader]
+    text, per_field = _VARIANTS[variant]
+    columns = count_calls(monkeypatch, motio, "_column")
+    _assert_matches_oracle(str(tmp_path / f"{reader}.txt"), text(lines).encode("utf-8"), read, oracle, content)
+    assert bool(columns) == per_field
+
+
+@pytest.mark.parametrize("reader", sorted(_CLEAN))
+def test_a_code_point_past_ascii_in_an_int_field_is_a_data_error(tmp_path, reader):
+    """numpy 2.4's `loadtxt` crashes the process on such a code point in an int64 field; only ASCII files reach
+    it, so the per-field reader names the line, the first data line (the header is the sidecar's line 1)."""
+    lines, read, _, _ = _CLEAN[reader]
+    path = tmp_path / f"{reader}.txt"
+    path.write_text("\n".join(_spell_first_key(lines, "\U000f0000")) + "\n", encoding="utf-8")
+    lineno = 2 if reader == "features" else 1
+    with pytest.raises(DataError, match=rf"{reader}.txt:{lineno}: invalid literal for int\(\) with base 10: '\\U000f0000'$"):
+        read(path)
+
+
+def test_a_wide_sidecar_is_read_within_six_times_its_block(tmp_path):
+    """3 000 rows of 512 values: the one-pass parse holds the file's bytes and a few blocks at once, not a Python
+    float per value. `tracemalloc` counts allocations, not time, so the bound does not depend on the host."""
+    rows, dim = 3000, 512
+    features = np.random.default_rng(5).standard_normal((rows, dim))
+    dets = detection_rows(np.repeat(np.arange(1, rows // 20 + 1), 20))
+    path = tmp_path / "features.csv"
+    write_features(path, attach_features(dets, features))
+    tracemalloc.start()
+    try:
+        block = read_features(path, dets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (rows, dim)
+    assert peak <= 6 * block.nbytes, f"peak {peak / block.nbytes:.1f}x the block"
